@@ -66,6 +66,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import Callable
 
 #: Environment variable naming the default backend for fan-out sites
@@ -78,13 +79,23 @@ EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 DEFAULT_EXECUTOR = "pool"
 
 
-def _probe_picklable(*objects) -> bool:
+def _pickle_each(items: list) -> "list[bytes] | None":
+    """Every item pickled once, or None when any of them does not pickle.
+
+    The pass doubles as the picklability probe of the process backends:
+    None sends the whole map to the in-process fallback, and the blobs
+    are what crosses the process boundary, so nothing pickles twice.
+    """
     try:
-        for obj in objects:
-            pickle.dumps(obj)
-        return True
+        return [pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
+                for item in items]
     except Exception:
-        return False
+        return None
+
+
+def _call_pickled(worker, blob: bytes):
+    """Pool-side trampoline: unpickle one pre-pickled task and run it."""
+    return worker(pickle.loads(blob))
 
 
 def _in_daemon() -> bool:
@@ -230,8 +241,12 @@ class ProcessPoolBackend(Executor):
         self._cancelled = False
 
     def map(self, worker, tasks, *, on_result=None) -> list:
-        if (self.jobs <= 1 or len(tasks) <= 1 or _in_daemon()
-                or not _probe_picklable(worker, tasks[0] if tasks else None)):
+        if self.jobs <= 1 or len(tasks) <= 1 or _in_daemon():
+            return self._fallback(worker, tasks, on_result)
+        # The worker's own blob only proves it pickles; the pool ships it
+        # by reference with every submit.
+        blobs = _pickle_each([worker, *tasks])
+        if blobs is None:
             return self._fallback(worker, tasks, on_result)
         self._cancelled = False
         try:
@@ -240,7 +255,8 @@ class ProcessPoolBackend(Executor):
         except (NotImplementedError, OSError, PermissionError, ValueError):
             return self._fallback(worker, tasks, on_result)
         try:
-            return _drain_futures(self._pool, worker, tasks, on_result)
+            return _drain_futures(self._pool, partial(_call_pickled, worker),
+                                  blobs[1:], on_result)
         except BrokenProcessPool:
             if self._cancelled:
                 # The breakage is our own close(cancel=True) terminating
@@ -315,16 +331,18 @@ class SubprocessQueueExecutor(Executor):
     def map(self, worker, tasks, *, on_result=None) -> list:
         from . import workerq
 
-        if (self.jobs <= 1 or len(tasks) <= 1
-                or not _probe_picklable(worker, tasks[0] if tasks else None)):
+        if self.jobs <= 1 or len(tasks) <= 1:
+            return self._fallback(worker, tasks, on_result)
+        payloads = _pickle_each([(worker, task) for task in tasks])
+        if payloads is None:
             return self._fallback(worker, tasks, on_result)
         self._spool = tempfile.mkdtemp(prefix="repro-spool-")
         try:
             # Spool every task before any worker launches: a worker
             # exits as soon as it sees an empty queue, so partially
             # spooled queues would race it into early exit.
-            for index, task in enumerate(tasks):
-                workerq.spool_task(self._spool, index, worker, task)
+            for index, payload in enumerate(payloads):
+                workerq.spool_task(self._spool, index, payload)
             launch = min(self.jobs, len(tasks))
             self._workers = [
                 subprocess.Popen(

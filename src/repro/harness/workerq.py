@@ -42,11 +42,10 @@ def _atomic_write(directory: str, name: str, payload: bytes) -> None:
         raise
 
 
-def spool_task(spool: str, index: int, worker, task) -> None:
-    """Write one ``task-<index>.pkl`` file atomically."""
-    _atomic_write(spool, f"task-{index:06d}.pkl",
-                  pickle.dumps((worker, task),
-                               protocol=pickle.HIGHEST_PROTOCOL))
+def spool_task(spool: str, index: int, payload: bytes) -> None:
+    """Write one ``task-<index>.pkl`` file (a pickled ``(worker, task)``
+    pair) atomically."""
+    _atomic_write(spool, f"task-{index:06d}.pkl", payload)
 
 
 def write_result(spool: str, index: int, status: str, payload) -> None:

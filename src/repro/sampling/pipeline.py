@@ -18,14 +18,19 @@ two-phase pipeline (:func:`run_sharded`) exploits it:
 - **Phase B — hot shards** (parallel): each shard independently restores
   its checkpoint onto a fresh simulator stack, adopts the gap source,
   runs the method's reconstruction plus the detailed ramp + cluster, and
-  returns its IPC, cost deltas, and telemetry snapshot.  Shards fan out
-  over :func:`repro.harness.parallel.map_tasks`
-  (``REPRO_CLUSTER_JOBS`` / ``--cluster-jobs``) and fold back through a
-  **streaming fold**: results are consumed via the executor's
-  ``on_result`` callback in completion order and folded deterministically
-  in cluster order with a pending-heap (:class:`_ShardFold`), so each
-  cluster's trace/audit records land as soon as every earlier cluster
-  has — no barrier, identical results whatever order shards finish.
+  returns its IPC, cost deltas, and telemetry snapshot.  The shards are
+  dealt round-robin into one :class:`ShardTask` per worker
+  (``REPRO_CLUSTER_JOBS`` / ``--cluster-jobs``), so the workload, configs
+  and method travel once per worker rather than once per cluster, and
+  each checkpoint carries only the memory words that differ from the
+  workload's initial image.  Tasks fan out over
+  :func:`repro.harness.parallel.map_tasks` and fold back through a
+  **streaming fold**: each finished task's results are consumed via the
+  executor's ``on_result`` callback in completion order and folded
+  deterministically in cluster order with a pending-heap
+  (:class:`_ShardFold`), so each cluster's trace/audit records land as
+  soon as every earlier cluster has — no barrier, identical results
+  whatever order tasks finish.
 
 Phase A is additionally **read-through** against the optional
 :class:`~repro.store.CheckpointStore` (``REPRO_CHECKPOINT_STORE`` /
@@ -60,7 +65,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..functional import FunctionalCheckpoint
-from ..store.checkpoint import GLOBAL_STORE_STATS, resolve_store, shard_store_key
+from ..store.checkpoint import resolve_store, shard_store_key
 from ..store.serialization import warn_once
 from ..telemetry import (
     EVENT_RUN_END,
@@ -160,15 +165,19 @@ class ClusterShard:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Picklable unit of Phase B work (one cluster on one worker)."""
+    """Picklable unit of Phase B work: one worker's share of the shards.
+
+    The run-wide inputs travel once per task; every shard's checkpoint is
+    relative to ``workload.memory``.
+    """
 
     workload: object
     configs: object
     regimen: object
     #: One unbound method clone, pickled once per run and shared by
-    #: every task; each worker unpickles a private copy.
+    #: every task; each shard unpickles a private copy.
     method_blob: bytes
-    shard: ClusterShard
+    shards: tuple[ClusterShard, ...]
 
 
 @dataclass(frozen=True)
@@ -438,7 +447,8 @@ def run_sharded(simulator, method, jobs: int) -> SampledRunResult:
                 if gap > 0:
                     method.skip(gap)
                 position = cluster_start - ramp
-                checkpoint = FunctionalCheckpoint.capture(machine)
+                checkpoint = FunctionalCheckpoint.capture(
+                    machine, simulator.workload.memory)
                 source = method.detach_source()
                 # Advance cold across the cluster region the shard will
                 # simulate in detail; hook-less execution invalidates the
@@ -468,15 +478,18 @@ def run_sharded(simulator, method, jobs: int) -> SampledRunResult:
             _capture_shards(store, store_key, shards, simulator, telemetry)
 
     # -- Phase B: hot shards in parallel ----------------------------------
+    # One task per worker, shards dealt round-robin: the run-wide inputs
+    # are pickled once per worker instead of once per cluster.
+    workers = min(jobs, len(shards))
     tasks = [
         ShardTask(
             workload=simulator.workload,
             configs=configs,
             regimen=simulator.regimen,
             method_blob=method_blob,
-            shard=shard,
+            shards=tuple(shards[offset::workers]),
         )
-        for shard in shards
+        for offset in range(workers)
     ]
     # Lazy: harness.parallel imports the sampling package at top level.
     from ..harness.parallel import map_tasks
@@ -484,11 +497,12 @@ def run_sharded(simulator, method, jobs: int) -> SampledRunResult:
     # Workers re-parent their cluster spans under phase_b: the context
     # (parent id + run clock origin) travels via the environment and is
     # captured while the phase_b span is open.  The fold is streaming:
-    # each completion lands through `on_result` and folds (deterministic
-    # cluster order, pending-heap) while later shards still execute.
+    # each finished task lands through `on_result` and folds
+    # (deterministic cluster order, pending-heap) while other tasks
+    # still execute.
     fold = _ShardFold(shards, cost, telemetry, traced)
     with telemetry.span("phase_b", cat="phase"):
-        results = map_tasks(run_shard, tasks, jobs,
+        results = map_tasks(run_shards, tasks, jobs,
                             span_context=telemetry.spans.context(),
                             on_result=fold.on_result)
     fold.finish(results)
@@ -536,18 +550,22 @@ def run_sharded(simulator, method, jobs: int) -> SampledRunResult:
     )
 
 
-def run_shard(task: ShardTask) -> ShardResult:
-    """Phase B worker: one cluster, restored from its shard.
+def run_shards(task: ShardTask) -> list[ShardResult]:
+    """Phase B worker: every shard of one task, in task order.
 
     Module-level and driven purely by the picklable `task`, so it runs
     identically in a pool worker or in-process (the fallback when no
     pool is available — e.g. sharding inside a matrix worker).
     """
-    shard = task.shard
+    return [run_shard(task, shard) for shard in task.shards]
+
+
+def run_shard(task: ShardTask, shard: ClusterShard) -> ShardResult:
+    """One cluster, restored from its shard onto a fresh stack."""
     telemetry = telemetry_from_env()
     traced = telemetry.enabled
     stack = build_simulation(task.workload, task.configs)
-    shard.checkpoint.restore(stack.machine)
+    shard.checkpoint.restore(stack.machine, task.workload.memory)
     context = SimulationContext(
         machine=stack.machine,
         hierarchy=stack.hierarchy,
@@ -689,32 +707,31 @@ def _shard_store_for(simulator, method):
 def _load_stored_shards(store, key, simulator, telemetry):
     """Validated stored shards for this run, or None (→ live scan).
 
-    Beyond the store's own digest/manifest cross-check, the shard list
-    is re-walked against the regimen geometry — every shard must sit
-    exactly where :func:`cluster_geometry` would place it given the
-    previous shards' cold advances — so a stale or mismatched entry can
+    Beyond the store's own digest/manifest cross-check, the store runs
+    :func:`_validate_stored_shards` on the unpickled shard list, so a
+    stale or mismatched entry degrades to a counted corrupt miss and can
     never silently replace a cold scan.
     """
     starts = [int(start) for start in simulator.regimen.cluster_starts()]
     expect = {"clusters": len(starts), "cluster_starts": starts}
+    base_words = simulator.workload.memory.footprint_words()
+
+    def validate(stored):
+        return _validate_stored_shards(stored, starts, simulator.detail_ramp,
+                                       base_words)
+
     with telemetry.span("store_lookup", cat="cache", kind="shards"):
-        stored = store.get(key, kind="shards", expect=expect)
-    if stored is None:
-        return None
-    problem = _validate_stored_shards(stored, starts, simulator.detail_ramp)
-    if problem is None:
-        return stored
-    # Demote the counted hit: a geometry failure is corruption, and the
-    # run degrades to the live scan exactly as for an unreadable blob.
-    store.stats.hits -= 1
-    GLOBAL_STORE_STATS.hits -= 1
-    store._corrupt(store._blob_path(key, "shards"), problem)
-    return None
+        return store.get(key, kind="shards", expect=expect,
+                         validate=validate)
 
 
-def _validate_stored_shards(stored, starts, detail_ramp):
-    """None when `stored` walks the regimen geometry exactly, else a
-    description of the first mismatch."""
+def _validate_stored_shards(stored, starts, detail_ramp, base_words):
+    """None when `stored` fits this run, else the first mismatch.
+
+    Every shard must sit exactly where :func:`cluster_geometry` places
+    it given the previous shards' cold advances, and every checkpoint
+    must be relative to a base image of the workload's word count.
+    """
     if not isinstance(stored, (list, tuple)):
         return f"expected a shard list, got {type(stored).__name__}"
     if len(stored) != len(starts):
@@ -728,6 +745,12 @@ def _validate_stored_shards(stored, starts, detail_ramp):
                 or getattr(shard, "gap", None) != gap
                 or getattr(shard, "ramp", None) != ramp):
             return f"shard {index} geometry does not match the regimen"
+        checkpoint_base = getattr(getattr(shard, "checkpoint", None),
+                                  "base_words", None)
+        if checkpoint_base != base_words:
+            return (f"shard {index} checkpoint is relative to a "
+                    f"{checkpoint_base}-word base image but the workload's "
+                    f"initial memory has {base_words} words")
         position = cluster_start - ramp + shard.cold_instructions
     return None
 
@@ -790,13 +813,14 @@ class _ShardFold:
     """Deterministic streaming fold over Phase B completions.
 
     ``on_result`` fires in completion order — whatever order the
-    executor's workers finish.  Results queue on a pending-heap keyed by
-    cluster index and fold strictly in cluster order, so the IPC list,
-    cost accumulation, and trace/span re-emission are bit-identical to a
-    barrier fold while each cluster's records land as soon as every
-    earlier cluster has.  :meth:`finish` folds anything the executor
-    returned without signalling (the ordered-list fallback for backends
-    that skip ``on_result``) and verifies completeness.
+    executor's workers finish — with one task's list of shard results.
+    Results queue on a pending-heap keyed by cluster index and fold
+    strictly in cluster order, so the IPC list, cost accumulation, and
+    trace/span re-emission are bit-identical to a barrier fold while each
+    cluster's records land as soon as every earlier cluster has.
+    :meth:`finish` folds anything the executor returned without
+    signalling (the ordered-list fallback for backends that skip
+    ``on_result``) and verifies completeness.
     """
 
     def __init__(self, shards, cost, telemetry, traced):
@@ -810,9 +834,10 @@ class _ShardFold:
         self.cluster_ipcs: list[float] = []
         self.snapshots: list[TelemetrySnapshot] = []
 
-    def on_result(self, index: int, result) -> None:
-        del index  # task position == result.index for shard tasks
-        self._push(result)
+    def on_result(self, index: int, results) -> None:
+        del index  # each result carries its own cluster index
+        for result in results:
+            self._push(result)
 
     def _push(self, result) -> None:
         if result is None or result.index in self._queued:
@@ -849,10 +874,11 @@ class _ShardFold:
                     self._telemetry.emit(record)
                 self._telemetry.spans.adopt(result.snapshot.spans)
 
-    def finish(self, results) -> None:
+    def finish(self, task_results) -> None:
         """Fold any undelivered results and verify every shard landed."""
-        for result in results:
-            self._push(result)
+        for results in task_results:
+            for result in results or ():
+                self._push(result)
         if self._next != len(self._shards):
             missing = [shard.index for shard in self._shards
                        if shard.index not in self._queued]

@@ -218,13 +218,16 @@ class CheckpointStore:
     # -- read path ---------------------------------------------------------
 
     def get(self, key: str, *, kind: str = "shards",
-            expect: "dict | None" = None):
+            expect: "dict | None" = None, validate=None):
         """The stored value for `key`, or None on a miss.
 
         The blob's sha256 must match the manifest's recorded digest, and
         every item of `expect` must equal the manifest's metadata — the
         cross-check that proves the entry matches what a live scan would
-        produce before a single byte is unpickled.
+        produce before a single byte is unpickled.  `validate` (optional)
+        inspects the unpickled value and returns None to accept it or a
+        description of the problem; a rejected value is corruption, so
+        it is counted and warned about like a bad digest, never as a hit.
         """
         blob_path = self._blob_path(key, kind)
         try:
@@ -248,6 +251,9 @@ class CheckpointStore:
             value = pickle.loads(payload)
         except Exception as exc:
             return self._corrupt(blob_path, exc)
+        problem = validate(value) if validate is not None else None
+        if problem is not None:
+            return self._corrupt(blob_path, problem)
         self.stats.hits += 1
         self.stats.bytes_read += len(payload)
         GLOBAL_STORE_STATS.hits += 1

@@ -5,14 +5,20 @@ fresh machine is indistinguishable — architecturally — from the machine
 it was captured on.  These tests state that as a trace property: after
 ``capture -> pickle -> restore``, the next N instructions produce the
 identical stream of (pc, next pc, memory address, taken bit) on both
-machines, for every bundled workload.
+machines, for every bundled workload — with and without a base image.
+The base-relative properties pin the delta format itself: it is empty
+for untouched memory, holds exactly the words that differ, and refuses
+a base of the wrong size.
 """
 
 import pickle
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.functional import FunctionalCheckpoint
+from repro.functional import FunctionalCheckpoint, FunctionalMachine, Memory
+from repro.isa import ProgramBuilder
 from repro.workloads import available_workloads, build_workload
 
 #: Instructions executed before capture (past the trivial startup code)
@@ -110,3 +116,93 @@ def test_checkpoint_memory_is_isolated():
     second = workload.make_machine()
     checkpoint.restore(second)
     assert _trace(second, TRACE) == _trace(machine, TRACE)
+
+
+# ---------------------------------------------------------------------------
+# base-relative capture/restore
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _cached_workload(name):
+    return build_workload(name)
+
+
+def _halting_program():
+    builder = ProgramBuilder()
+    builder.halt()
+    return builder.build()
+
+
+def _memory(words):
+    memory = Memory()
+    for address, value in words.items():
+        memory.store(address, value)
+    return memory
+
+
+#: Word-aligned addresses in a small range, so generated writes collide
+#: with generated base words often.
+addresses = st.integers(min_value=0, max_value=63).map(lambda word: word * 8)
+values = st.integers(min_value=0, max_value=(1 << 64) - 1)
+images = st.dictionaries(addresses, values, max_size=24)
+
+
+@given(name=st.sampled_from(available_workloads()),
+       warmup=st.integers(min_value=0, max_value=3_000))
+@settings(max_examples=12, deadline=None)
+def test_base_relative_restore_reproduces_the_trace(name, warmup):
+    workload = _cached_workload(name)
+    original = workload.make_machine()
+    original.run(warmup)
+
+    checkpoint = pickle.loads(pickle.dumps(
+        FunctionalCheckpoint.capture(original, workload.memory)))
+    restored = checkpoint.restore(workload.make_machine(), workload.memory)
+
+    assert restored.memory._words == original.memory._words
+    assert restored.instructions_retired == original.instructions_retired
+    assert _trace(restored, TRACE) == _trace(original, TRACE)
+    # The base image itself is never written through.
+    assert workload.memory._words == _cached_workload(name).memory._words
+
+
+@given(name=st.sampled_from(available_workloads()))
+@settings(max_examples=9, deadline=None)
+def test_delta_is_empty_for_untouched_workload_memory(name):
+    workload = _cached_workload(name)
+    checkpoint = FunctionalCheckpoint.capture(workload.make_machine(),
+                                              workload.memory)
+    assert checkpoint.memory_words == {}
+    assert checkpoint.base_words == workload.memory.footprint_words()
+
+
+@given(base=images, writes=images)
+@settings(max_examples=200, deadline=None)
+def test_delta_holds_exactly_the_differing_words(base, writes):
+    machine = FunctionalMachine(_halting_program(), _memory(base))
+    for address, value in writes.items():
+        machine.memory.store(address, value)
+
+    checkpoint = FunctionalCheckpoint.capture(machine, _memory(base))
+    expected = {address: value for address, value in writes.items()
+                if address not in base or base[address] != value}
+    assert checkpoint.memory_words == expected
+    assert checkpoint.base_words == len(base)
+
+    target = FunctionalMachine(_halting_program())
+    checkpoint.restore(target, _memory(base))
+    assert target.memory._words == machine.memory._words
+
+
+@given(base=images, other=images)
+@settings(max_examples=200, deadline=None)
+def test_mismatched_base_raises(base, other):
+    assume(len(other) != len(base))
+    machine = FunctionalMachine(_halting_program(), _memory(base))
+    checkpoint = FunctionalCheckpoint.capture(machine, _memory(base))
+    target = FunctionalMachine(_halting_program())
+    with pytest.raises(ValueError, match="base memory image"):
+        checkpoint.restore(target, _memory(other))
+    # The refused restore left the target untouched.
+    assert target.memory._words == {}

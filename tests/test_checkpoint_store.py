@@ -33,6 +33,7 @@ from repro.store import (
     CorruptEntryError,
     default_store_dir,
     functional_code_version,
+    global_store_stats,
     livepoint_store_key,
     resolve_store,
     shard_store_key,
@@ -282,6 +283,16 @@ class TestCheckpointStore:
         assert store.get(key) is None
         assert store.stats.corrupt == 1
 
+    def test_validate_accepts_or_degrades_to_miss(self, store, capsys):
+        key = "ab" + "0" * 62
+        store.put(key, [1, 2])
+        assert store.get(key, validate=lambda value: None) == [1, 2]
+        assert store.stats.hits == 1
+        assert store.get(key, validate=lambda value: "wrong shape") is None
+        assert store.stats.hits == 1
+        assert store.stats.corrupt == 1
+        assert "wrong shape" in capsys.readouterr().err
+
     def test_unpicklable_blob_with_valid_digest_degrades(self, store):
         key = "ab" + "0" * 62
         blob = b"not a pickle at all"
@@ -472,12 +483,32 @@ class TestCorruptionDegrades:
         return root, cold
 
     def _assert_degrades(self, workload, cold, capsys):
+        before = global_store_stats().as_dict()
         warm = _run(workload)
+        after = global_store_stats().as_dict()
         assert warm.extra["checkpoint_store"] == "miss"
         assert warm.cluster_ipcs == cold.cluster_ipcs
         assert warm.cost.as_dict() == cold.cost.as_dict()
-        assert "corrupt checkpoint-store entry" in capsys.readouterr().err
-        return warm
+        assert after["corrupt"] - before["corrupt"] == 1
+        assert after["hits"] - before["hits"] == 0
+        assert after["misses"] - before["misses"] == 1
+        err = capsys.readouterr().err
+        assert err.count("corrupt checkpoint-store entry") == 1
+        return err
+
+    @staticmethod
+    def _rewrite_shards(root, edit):
+        """Replace the stored shard list with ``edit(shards)`` and
+        re-seal the manifest, so every byte-level cross-check passes."""
+        blob_path = _shard_blob(root)
+        shards = edit(pickle.loads(blob_path.read_bytes()))
+        blob = pickle.dumps(shards, protocol=pickle.HIGHEST_PROTOCOL)
+        atomic_write_bytes(blob_path, blob)
+        manifest_path = blob_path.with_suffix(".json")
+        manifest = read_json(manifest_path)
+        manifest["digest"] = blob_digest(blob)
+        manifest["bytes"] = len(blob)
+        atomic_write_json(manifest_path, manifest)
 
     def test_truncated_blob_rescans_identically(self, workload, populated,
                                                 capsys):
@@ -504,17 +535,31 @@ class TestCorruptionDegrades:
         geometry disagrees with the regimen walk is caught by the
         validation pass, demoted from a hit, and re-scanned."""
         root, cold = populated
-        blob_path = _shard_blob(root)
-        shards = pickle.loads(blob_path.read_bytes())
-        shards[0] = dataclasses.replace(shards[0], gap=shards[0].gap + 1)
-        blob = pickle.dumps(shards, protocol=pickle.HIGHEST_PROTOCOL)
-        atomic_write_bytes(blob_path, blob)
-        manifest_path = blob_path.with_suffix(".json")
-        manifest = read_json(manifest_path)
-        manifest["digest"] = blob_digest(blob)
-        manifest["bytes"] = len(blob)
-        atomic_write_json(manifest_path, manifest)
+
+        def shift_gap(shards):
+            shards[0] = dataclasses.replace(shards[0], gap=shards[0].gap + 1)
+            return shards
+
+        self._rewrite_shards(root, shift_gap)
         self._assert_degrades(workload, cold, capsys)
+
+    def test_mismatched_checkpoint_base_rescans_identically(
+            self, workload, populated, capsys):
+        """A checkpoint taken against a base image of another size can
+        only come from another workload image: the store's validation
+        rejects it before the hit is counted."""
+        root, cold = populated
+
+        def rebase(shards):
+            last = shards[-1]
+            checkpoint = dataclasses.replace(
+                last.checkpoint, base_words=last.checkpoint.base_words + 1)
+            shards[-1] = dataclasses.replace(last, checkpoint=checkpoint)
+            return shards
+
+        self._rewrite_shards(root, rebase)
+        err = self._assert_degrades(workload, cold, capsys)
+        assert "base image" in err
 
 
 # ---------------------------------------------------------------------------

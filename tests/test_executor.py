@@ -87,6 +87,26 @@ class _Unpicklable:
         return task + 1
 
 
+def _task_value(task):
+    return task(0) if callable(task) else task
+
+
+class _CountingTask:
+    """A task that counts how often the parent process pickles it."""
+
+    pickled = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __getstate__(self):
+        type(self).pickled += 1
+        return {"value": self.value}
+
+    def __call__(self, _):
+        return self.value
+
+
 @pytest.mark.parametrize("name", BACKENDS)
 class TestConformance:
     def test_results_in_task_order(self, name):
@@ -121,6 +141,12 @@ class TestConformance:
             assert backend.map(_Unpicklable(), list(range(5))) == [
                 1, 2, 3, 4, 5,
             ]
+
+    def test_unpicklable_later_task_still_runs(self, name):
+        # The picklability probe covers every task, not just the first.
+        tasks = [5, 6, 7, _Unpicklable()]
+        with resolve_executor(name, jobs=4) as backend:
+            assert backend.map(_task_value, tasks) == [5, 6, 7, 1]
 
     def test_span_parent_propagates(self, name):
         context = SpanContext(parent_id="span-conform", origin_wall_ns=12345)
@@ -167,6 +193,14 @@ class TestConformance:
         assert sharded.estimate == reference.estimate
         assert sharded.cost == reference.cost
         assert sharded.cost == serial.cost
+
+
+def test_pool_pickles_each_task_once(monkeypatch):
+    monkeypatch.setattr(_CountingTask, "pickled", 0)
+    tasks = [_CountingTask(value) for value in range(4)]
+    with resolve_executor("pool", jobs=2) as backend:
+        assert backend.map(_task_value, tasks) == [0, 1, 2, 3]
+    assert _CountingTask.pickled == len(tasks)
 
 
 class TestRegistry:

@@ -167,12 +167,13 @@ class TestShardedEquivalence:
     def test_fold_rejects_corrupt_instruction_counts(self, workload,
                                                      monkeypatch):
         """The fold cross-checks each shard against the cold scan."""
-        from repro.sampling.pipeline import run_shard
+        from repro.sampling.pipeline import run_shards
 
         def tampering_map(worker, tasks, jobs, **kwargs):
-            results = [run_shard(task) for task in tasks]
-            results[0] = dataclasses.replace(
-                results[0], instructions=results[0].instructions + 1)
+            results = [run_shards(task) for task in tasks]
+            first = results[0][0]
+            results[0][0] = dataclasses.replace(
+                first, instructions=first.instructions + 1)
             return results
 
         monkeypatch.setattr("repro.harness.parallel.map_tasks",
@@ -180,6 +181,87 @@ class TestShardedEquivalence:
         with pytest.raises(RuntimeError, match="corrupt"):
             _simulator(workload, cluster_jobs=2).run(
                 ReverseStateReconstruction(0.3))
+
+
+class TestShardHandOff:
+    """Phase B ships one task per worker; results match one task per shard."""
+
+    @pytest.mark.parametrize("jobs, expected", [(2, 2), (3, 3), (8, 4)])
+    def test_one_task_per_worker(self, workload, monkeypatch, jobs,
+                                 expected):
+        from repro.harness import parallel
+
+        original = parallel.map_tasks
+        submitted = []
+
+        def recording_map(worker, tasks, jobs, **kwargs):
+            submitted.append(list(tasks))
+            return original(worker, tasks, jobs, **kwargs)
+
+        monkeypatch.setattr(parallel, "map_tasks", recording_map)
+        monkeypatch.setenv("REPRO_EXECUTOR", "inprocess")
+        _simulator(workload, cluster_jobs=jobs).run(
+            ReverseStateReconstruction(0.3))
+        [tasks] = submitted
+        assert len(tasks) == min(jobs, REGIMEN.num_clusters) == expected
+        clusters = list(range(REGIMEN.num_clusters))
+        for offset, task in enumerate(tasks):
+            assert [shard.index for shard in task.shards] == \
+                clusters[offset::expected]
+            assert task.workload is workload
+
+    @pytest.fixture(scope="class")
+    def per_shard_reference(self, workload, tmp_path_factory):
+        """The run as one in-process task per shard (the former hand-off
+        shape), traced and audited."""
+        patch = pytest.MonkeyPatch()
+        try:
+            _traced_audited(patch, tmp_path_factory.mktemp("cache"))
+
+            def per_shard_map(worker, tasks, jobs, **kwargs):
+                return [worker(dataclasses.replace(task, shards=(shard,)))
+                        for task in tasks for shard in task.shards]
+
+            patch.setattr("repro.harness.parallel.map_tasks", per_shard_map)
+            return _simulator(workload, cluster_jobs=2).run(
+                ReverseStateReconstruction(0.3))
+        finally:
+            patch.undo()
+
+    @pytest.mark.parametrize("executor", ["inprocess", "threads", "pool",
+                                          "subprocess-queue"])
+    def test_batched_results_match_per_shard(self, workload, monkeypatch,
+                                             tmp_path, per_shard_reference,
+                                             executor):
+        from repro.harness.reporting import audit_rows
+
+        _traced_audited(monkeypatch, tmp_path)
+        monkeypatch.setenv("REPRO_EXECUTOR", executor)
+        run = _simulator(workload, cluster_jobs=2).run(
+            ReverseStateReconstruction(0.3))
+        reference = per_shard_reference
+        assert run.cluster_ipcs == reference.cluster_ipcs
+        assert run.cost.as_dict() == reference.cost.as_dict()
+        assert _untimed_records(run) == _untimed_records(reference)
+        assert audit_rows(run.extra["telemetry"]) == \
+            audit_rows(reference.extra["telemetry"])
+        assert audit_rows(run.extra["telemetry"])
+
+
+def _traced_audited(monkeypatch, cache_dir):
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    monkeypatch.setenv("REPRO_AUDIT", "1")
+    monkeypatch.setenv("REPRO_RESULT_CACHE", str(cache_dir))
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_CHECKPOINT_STORE", raising=False)
+    monkeypatch.delenv(CLUSTER_JOBS_ENV_VAR, raising=False)
+
+
+def _untimed_records(run):
+    """Trace records minus their wall-clock fields, in emission order."""
+    return [{name: value for name, value in record.items()
+             if not name.endswith("_seconds")}
+            for record in run.extra["telemetry"].trace_records]
 
 
 class TestShardedTelemetry:
