@@ -1,4 +1,4 @@
-"""Online skip-log compaction (the tentpole of the log API redesign).
+"""Skip-log compaction by periodic fold.
 
 The raw :class:`~repro.core.logging.SkipRegionLog` buffers one tuple per
 skipped reference and lets the reconstructors rediscover, by reverse
@@ -8,41 +8,64 @@ entry, the GHR needs only the newest ``history_bits`` outcomes, the RAS
 only the unmatched call tail, and the counter-inference table can consume
 at most ``max_history`` outcomes per PHT entry.
 
-:class:`CompactedSkipRegionLog` performs that dedup *while logging*, so
-both retention and reconstruction work become O(unique entries) instead
-of O(gap length):
+:class:`CompactedSkipRegionLog` keeps only those survivors, so retention
+and reconstruction work are O(unique entries) instead of O(gap length).
+It works in two steps:
 
-- **memory**: a last-touch index keyed by (cache block, instruction/data
-  domain).  Re-touching a block moves it to the end of the insertion
-  order, so iterating the index backwards replays exactly the surviving
-  (winning) references of a raw reverse scan, newest first.  Keying at
-  the finest line granularity in the hierarchy keeps the win exact for
-  every cache level; coarser-grained duplicates are absorbed by the
-  caches' own reconstructed bits, same as in the raw scan.
-- **BTB**: a last-touch index pc -> newest taken target.  Older claims by
-  the same pc lose to the newer one in a raw reverse scan anyway (the
-  entry is already reconstructed when they arrive), so dropping them
-  changes nothing.
-- **GHR**: a bounded deque of the newest ``history_bits`` conditional
-  outcomes, sequence-tagged so partial-fraction tails filter exactly.
-- **RAS**: the online unmatched-call stack.  A return pops the newest
-  outstanding call — the same pairing the reverse push/pop counter
-  discovers — so the surviving stack, filtered to the tail and read top
-  first, equals the counter algorithm's answer for every cutoff.
+- **Append-only hooks.**  While the gap executes cold, the hooks append
+  plain values to typed columns: a memory reference's address to an
+  ``array("Q")`` and its kind (load/store/ifetch) to a ``bytearray``; a
+  control transfer's pc, next pc and one ``kind << 1 | taken`` byte.
+  No dict, deque, tuple or attribute write happens per record.
+- **Fold.**  :meth:`CompactedSkipRegionLog.compact` folds the pending
+  columns into the retained structures with numpy.
+  :meth:`~repro.core.method.ReverseStateReconstruction.skip` calls it
+  every ``SKIP_FOLD_INSTRUCTIONS`` skipped instructions, and every query
+  and :meth:`~CompactedSkipRegionLog.handoff` folds first, so pending
+  columns are never queried or pickled.
+
+The retained structures, numbered by absolute position in their stream:
+
+- **memory**: the last touch of each (finest cache line, instruction/data
+  domain) key, as ``(seq, address, kind)`` columns in ascending seq
+  order, found by ``np.unique`` on the reversed keys.  Reading them
+  backwards replays exactly the surviving (winning) references of a raw
+  reverse scan, newest first.  Keying at the finest line granularity in
+  the hierarchy keeps the win exact for every cache level; coarser
+  duplicates are absorbed by the caches' own reconstructed bits, as in
+  the raw scan.  Addresses are unsigned 64-bit throughout.
+- **BTB**: the newest taken target of each pc.  Older claims by the same
+  pc lose to the newer one in a raw reverse scan anyway.
+- **GHR**: the newest ``history_bits`` conditional outcomes.
+- **RAS**: the unmatched-call stack.  A return pops the newest
+  outstanding call, the same pairing the reverse push/pop counter
+  discovers, so the stack filtered to the tail and read top first equals
+  the counter algorithm's answer for every cutoff.
 - **PHT** (full-fraction tails only): per-entry packed reverse outcome
   windows ``code = (length << max_history) | bits`` with bit 0 the
   newest outcome, indexed by ``(pc ^ GHR) & mask`` with the same
-  zero-initialised online GHR the raw walker reconstructs.  The
-  counter-inference table resolves a window to the identical value the
-  raw newest-to-oldest walk produces, because an exact inference is
+  zero-initialised GHR the raw walker reconstructs, carried across folds.
+  The counter-inference table resolves a window to the value the raw
+  newest-to-oldest walk produces, because an exact inference is
   insensitive to outcomes older than its pin point.  Partial fractions
-  re-zero the walker's GHR at the tail start, which no online index can
-  anticipate, so those geometries keep a packed typed-array conditional
-  stream (8-byte pcs/positions plus 1-byte outcomes — ~6x denser than
-  raw tuples) and replay it through the fallback walker.
+  re-zero the walker's GHR at the tail start, which no running index can
+  anticipate, so those geometries keep the packed conditional stream and
+  replay it through the fallback walker.
+
+**Exact tail trim.**  The log knows the fraction its consumer reads.
+``tail_cutoff(n, f) = n - round(n * f)`` never decreases as `n` grows, so
+a record whose position is below the cutoff of the count seen so far can
+never enter the final tail.  Each fold drops such records from the
+pending columns and from every retained structure.  At a 20% tail this
+skips the dedup work for most of the gap.
+
+**Retention accounting.**  :meth:`~CompactedSkipRegionLog.stored_records`
+counts pending plus retained records.  The per-gap peak is taken just
+before each fold, so ``peak_stored_records`` and the
+``log.gap_stored_*`` histograms include what piles up between folds.
 
 Every query is bit-identical to the raw reverse scan; the equivalence is
-enforced by tests/test_properties_compaction.py and re-proved in
+enforced by tests/test_properties_compaction.py and argued in
 docs/rsr-algorithm.md ("Online log compaction").
 """
 
@@ -50,61 +73,180 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import deque
 
 import numpy as np
 
-from .logging import REF_INSTRUCTION, REF_LOAD, REF_STORE
+from .logging import BR_CALL, BR_COND, BR_JUMP, BR_RET, REF_INSTRUCTION
 from .source import ReconstructionSource, tail_cutoff
 
-#: Deterministic per-slot byte model for :meth:`CompactedSkipRegionLog.
-#: stored_bytes` — fixed documented constants (dict slot + payload tuple
-#: for the last-touch indexes, deque/list slot + pair for outcome and RAS
-#: tails, dict slot + packed int for PHT windows, raw element widths for
-#: the typed-array conditional stream).  Like the raw log's model these
-#: are chosen, not measured, so storage telemetry is platform-stable.
-COMPACT_MEMORY_SLOT_BYTES = 120
-COMPACT_BTB_SLOT_BYTES = 120
-COMPACT_OUTCOME_BYTES = 72
+#: Deterministic byte model for :meth:`CompactedSkipRegionLog.
+#: stored_bytes`: the element widths of each column (pending columns and
+#: numpy survivor arrays), and list slot plus tuple for the RAS stack.
+#: Like the raw log's model these are chosen, not measured, so storage
+#: telemetry is platform-stable.
+#: Pending memory record: uint64 address + kind byte.
+COMPACT_PENDING_MEMORY_BYTES = 9
+#: Pending branch record: pc + next pc (8 bytes each) + kind/taken byte.
+COMPACT_PENDING_BRANCH_BYTES = 17
+#: Memory survivor: int64 seq + uint64 address + uint8 kind.
+COMPACT_MEMORY_SURVIVOR_BYTES = 17
+#: BTB survivor: int64 seq + int64 pc + uint64 target.
+COMPACT_BTB_SURVIVOR_BYTES = 24
+#: Newest conditional outcome: int64 seq + uint8 outcome.
+COMPACT_OUTCOME_BYTES = 9
+#: RAS stack slot: list slot + (seq, return pc) tuple.
 COMPACT_RAS_SLOT_BYTES = 72
-COMPACT_PHT_WINDOW_BYTES = 88
+#: PHT window: int64 entry + int64 packed window.
+COMPACT_PHT_WINDOW_BYTES = 16
+#: Conditional-stream record: int64 seq + int64 pc + uint8 outcome.
 COMPACT_CONDITIONAL_BYTES = 17
+
+_COND_CODE = BR_COND << 1
+_CALL_CODE = BR_CALL << 1
+_RET_CODE = BR_RET << 1
+_JUMP_CODE = BR_JUMP << 1
+
+
+def _columns(*dtypes) -> tuple:
+    return tuple(np.empty(0, dtype) for dtype in dtypes)
+
+
+def _trim(columns: tuple, cutoff: int) -> tuple:
+    """Seq-ordered columns (seq first) without the rows below `cutoff`."""
+    start = int(np.searchsorted(columns[0], cutoff))
+    return tuple(column[start:] for column in columns) if start else columns
+
+
+def _append(old: tuple, new: tuple) -> tuple:
+    return tuple(np.concatenate(pair) for pair in zip(old, new))
+
+
+def _drain(column, dtype, skip: int) -> np.ndarray:
+    """A copy of `column` from position `skip` on; empties it in place.
+
+    The copy ends the column's buffer export, so it can be emptied, and
+    in place, because the hooks hold its bound append method.
+    """
+    values = np.frombuffer(column, dtype)[skip:].copy()
+    del column[:]
+    return values
+
+
+def _last_touch(keys: np.ndarray) -> np.ndarray:
+    """Ascending positions of each key's last occurrence in `keys`."""
+    _, first = np.unique(keys[::-1], return_index=True)
+    last = (len(keys) - 1) - first
+    last.sort()
+    return last
+
+
+def _ghr_before(outcomes: np.ndarray, history_bits: int,
+               carry: int = 0) -> np.ndarray:
+    """The GHR in effect before each conditional outcome, as int64.
+
+    `carry` is the GHR before the first outcome; each outcome shifts in
+    at bit 0 and the register keeps `history_bits` bits.
+    """
+    count = len(outcomes)
+    ghr = np.zeros(count, np.int64)
+    if not count or not history_bits:
+        return ghr
+    # ext[history_bits + i] is outcome i; the carry's bit t sits at
+    # ext[history_bits - 1 - t], so bit t of ghr_before[i] is always
+    # ext[history_bits - 1 + i - t].
+    carry_bits = (carry >> np.arange(history_bits - 1, -1, -1)) & 1
+    ext = np.concatenate((carry_bits, outcomes.astype(np.int64)))
+    for age in range(history_bits):
+        start = history_bits - 1 - age
+        ghr |= ext[start:start + count] << age
+    return ghr
+
+
+def _merge_windows(windows: tuple, entries: np.ndarray,
+                   outcomes: np.ndarray, depth: int) -> tuple:
+    """Shift one fold's outcomes into the per-entry packed windows.
+
+    `windows` is ``(entries, codes)`` sorted by entry; `entries` and
+    `outcomes` are the fold's conditionals in program order.  Each touched
+    entry's newest `depth` outcomes land at the low bits, newest at bit 0.
+    """
+    if not len(entries):
+        return windows
+    order = np.argsort(entries, kind="stable")
+    unique, starts, counts = np.unique(entries[order], return_index=True,
+                                       return_counts=True)
+    # Age 0 is the entry's newest outcome of this fold.
+    age = np.repeat(starts + counts - 1, counts) - np.arange(len(order))
+    shifted = np.where(age < depth,
+                       outcomes[order].astype(np.int64)
+                       << np.minimum(age, depth), 0)
+    new_bits = np.add.reduceat(shifted, starts)
+
+    old_entries, old_codes = windows
+    position = np.searchsorted(old_entries, unique)
+    found = np.zeros(len(unique), bool)
+    inside = position < len(old_entries)
+    found[inside] = old_entries[position[inside]] == unique[inside]
+    prior = np.zeros(len(unique), np.int64)
+    prior[found] = old_codes[position[found]]
+    window_mask = (1 << depth) - 1
+    bits = (((prior & window_mask) << np.minimum(counts, depth))
+            | new_bits) & window_mask
+    length = np.minimum((prior >> depth) + counts, depth)
+    kept = np.ones(len(old_entries), bool)
+    kept[position[found]] = False
+    merged_entries = np.concatenate((old_entries[kept], unique))
+    merged_codes = np.concatenate((old_codes[kept], (length << depth) | bits))
+    order = np.argsort(merged_entries)
+    return merged_entries[order], merged_codes[order]
 
 
 class CompactedSkipRegionLog(ReconstructionSource):
-    """Skip-region log that dedups during cold simulation.
+    """Skip-region log with append-only hooks and a numpy fold.
 
-    Geometry parameters size the last-touch indexes to the bound
+    Geometry parameters size the retained structures to the bound
     simulation context (see :func:`repro.core.source.make_source`):
     `line_bytes` is the finest cache-line granularity in the hierarchy,
     `pht_entries`/`history_bits` mirror the gshare PHT, and `max_history`
     is the counter-inference window depth.  `index_pht` enables the
     per-entry outcome windows (exact only for full-fraction tails);
     `store_conditionals` keeps the packed conditional stream needed to
-    replay partial-fraction tails.
+    replay partial-fraction tails.  `fraction` is the largest tail the
+    consumer will query; each fold drops what lies before it.
     """
 
     __slots__ = (
         "telemetry", "peak_stored_records", "peak_stored_bytes",
-        "_line_shift", "_pht_mask", "_history_bits", "_ghr_mask",
-        "_max_history", "_window_mask", "_index_pht", "_store_conditionals",
-        "_mem_index", "_mem_count", "_branch_count", "_btb_index",
-        "_outcomes", "_ras_stack", "_pht_windows", "_ghr",
-        "_cond_pcs", "_cond_taken", "_cond_positions",
+        "_gap_peak_records", "_gap_peak_bytes",
+        "_fraction", "_line_shift", "_pht_mask", "_history_bits",
+        "_ghr_mask", "_max_history", "_window_mask", "_index_pht",
+        "_store_conditionals",
+        # Pending columns, appended by the hooks, and the stream position
+        # of their first record.
+        "_addresses", "_kinds", "_branch_pcs", "_branch_targets",
+        "_branch_codes", "_mem_base", "_branch_base",
+        # Retained structures, built by the fold.
+        "_memory", "_btb", "_outcomes", "_ras_stack", "_windows", "_ghr",
+        "_conditionals",
     )
 
     def __init__(self, *, line_bytes: int = 64, pht_entries: int = 0,
                  history_bits: int = 0, max_history: int = 0,
                  index_pht: bool = False, store_conditionals: bool = False,
-                 telemetry=None) -> None:
-        if line_bytes <= 0 or line_bytes & (line_bytes - 1):
-            raise ValueError("line_bytes must be a positive power of two")
+                 fraction: float = 1.0, telemetry=None) -> None:
+        if line_bytes < 2 or line_bytes & (line_bytes - 1):
+            raise ValueError("line_bytes must be a power of two >= 2")
+        tail_cutoff(0, fraction)
         if index_pht:
             if pht_entries <= 0 or pht_entries & (pht_entries - 1):
                 raise ValueError(
                     "PHT indexing needs a positive power-of-two entry count")
             if max_history <= 0:
                 raise ValueError("PHT indexing needs a positive window depth")
+            if fraction < 1.0:
+                raise ValueError(
+                    "PHT windows are exact only for full-fraction tails")
+        self._fraction = fraction
         self._line_shift = line_bytes.bit_length() - 1
         self._pht_mask = pht_entries - 1 if pht_entries else 0
         self._history_bits = history_bits
@@ -114,157 +256,212 @@ class CompactedSkipRegionLog(ReconstructionSource):
         self._index_pht = index_pht
         self._store_conditionals = store_conditionals
         self.telemetry = telemetry
-        # Last-touch memory index: (block, domain) -> (seq, address, kind).
-        # del+reinsert on every touch keeps insertion order == last-touch
-        # order, so reversed() iteration is newest-first and sequence
-        # numbers decrease monotonically (tail cutoffs can early-break).
-        self._mem_index: dict[int, tuple[int, int, int]] = {}
-        self._mem_count = 0
-        self._branch_count = 0
-        self._btb_index: dict[int, tuple[int, int]] = {}
-        self._outcomes: deque = deque(maxlen=history_bits)
-        self._ras_stack: list[tuple[int, int]] = []
-        self._pht_windows: dict[int, int] = {}
-        self._ghr = 0
-        self._cond_pcs = array("q")
-        self._cond_taken = bytearray()
-        self._cond_positions = array("q")
+        self._addresses = array("Q")
+        self._kinds = bytearray()
+        self._branch_pcs = array("q")
+        self._branch_targets = array("Q")
+        self._branch_codes = bytearray()
         self.peak_stored_records = 0
         self.peak_stored_bytes = 0
+        self._reset()
 
-    # -- hook factories (the compaction hot path) ---------------------------
+    def _reset(self) -> None:
+        """Empty every structure except the hooks' captured columns."""
+        self._mem_base = 0
+        self._branch_base = 0
+        self._memory = _columns(np.int64, np.uint64, np.uint8)
+        self._btb = _columns(np.int64, np.int64, np.uint64)
+        self._outcomes = _columns(np.int64, np.uint8)
+        self._ras_stack: list[tuple[int, int]] = []
+        self._windows = _columns(np.int64, np.int64)
+        self._ghr = 0
+        self._conditionals = _columns(np.int64, np.int64, np.uint8)
+        self._gap_peak_records = 0
+        self._gap_peak_bytes = 0
+
+    # -- hook factories (append-only hot path) ------------------------------
 
     def make_mem_hook(self):
-        index = self._mem_index
-        shift = self._line_shift
+        append_address = self._addresses.append
+        append_kind = self._kinds.append
 
         def mem_hook(pc, next_pc, address, is_store):
-            # Data domain: even keys.  The newest reference's address and
-            # load/store kind are exactly what a raw reverse scan would
-            # apply for this block; older touches would be skipped.
-            key = (address >> shift) << 1
-            if key in index:
-                del index[key]
-            index[key] = (self._mem_count, address,
-                          REF_STORE if is_store else REF_LOAD)
-            self._mem_count += 1
+            append_address(address)
+            append_kind(is_store)  # REF_LOAD == 0, REF_STORE == 1
 
         return mem_hook
 
     def make_ifetch_hook(self):
-        index = self._mem_index
-        shift = self._line_shift
+        append_address = self._addresses.append
+        append_kind = self._kinds.append
 
         def ifetch_hook(address):
-            # Instruction domain: odd keys.  Kept separate from data so a
-            # line fetched and loaded warms both L1I and L1D; the shared
-            # L2 dedups the pair through its reconstructed bits.
-            key = ((address >> shift) << 1) | 1
-            if key in index:
-                del index[key]
-            index[key] = (self._mem_count, address, REF_INSTRUCTION)
-            self._mem_count += 1
+            append_address(address)
+            append_kind(REF_INSTRUCTION)
 
         return ifetch_hook
 
     def make_branch_hook(self):
-        outcomes = self._outcomes
-        btb_index = self._btb_index
-        ras_stack = self._ras_stack
-        windows = self._pht_windows
-        cond_pcs = self._cond_pcs
-        cond_taken = self._cond_taken
-        cond_positions = self._cond_positions
-        index_pht = self._index_pht
-        store_conditionals = self._store_conditionals
-        pht_mask = self._pht_mask
-        ghr_mask = self._ghr_mask
-        max_history = self._max_history
-        window_mask = self._window_mask
+        append_pc = self._branch_pcs.append
+        append_target = self._branch_targets.append
+        append_code = self._branch_codes.append
 
         def branch_hook(pc, next_pc, inst, taken):
-            seq = self._branch_count
-            self._branch_count = seq + 1
+            append_pc(pc)
+            append_target(next_pc)
             if inst.is_cond_branch:
-                bit = 1 if taken else 0
-                outcomes.append((seq, bit))
-                if index_pht:
-                    # Same index the on-demand walker computes: pc XOR the
-                    # GHR in effect before this branch, zero at gap start.
-                    entry = (pc ^ self._ghr) & pht_mask
-                    code = windows.get(entry, 0)
-                    length = code >> max_history
-                    if length < max_history:
-                        length += 1
-                    # Shift older outcomes up; the newest lands at bit 0.
-                    windows[entry] = ((length << max_history)
-                                      | (((code << 1) | bit) & window_mask))
-                    self._ghr = ((self._ghr << 1) | bit) & ghr_mask
-                if store_conditionals:
-                    cond_pcs.append(pc)
-                    cond_taken.append(bit)
-                    cond_positions.append(seq)
+                append_code(_COND_CODE | taken)
             elif inst.is_call:
-                ras_stack.append((seq, pc + 1))
+                append_code(_CALL_CODE | taken)
             elif inst.is_ret:
-                # A return consumes the newest outstanding call — the same
-                # pairing the reverse push/pop counter cancels — and never
-                # claims a BTB entry.
-                if ras_stack:
-                    ras_stack.pop()
-                return
-            if taken:
-                if pc in btb_index:
-                    del btb_index[pc]
-                btb_index[pc] = (seq, next_pc)
+                append_code(_RET_CODE | taken)
+            else:
+                append_code(_JUMP_CODE | taken)
 
         return branch_hook
+
+    # -- the fold --------------------------------------------------------------
+
+    def compact(self) -> None:
+        """Fold the pending columns into the retained structures."""
+        if not (self._kinds or self._branch_codes):
+            return
+        self._note_peak()
+        if self._kinds:
+            self._fold_memory()
+        if self._branch_codes:
+            self._fold_branches()
+
+    def _note_peak(self) -> None:
+        records = self.stored_records()
+        stored_bytes = self.stored_bytes()
+        if records > self._gap_peak_records:
+            self._gap_peak_records = records
+        if stored_bytes > self._gap_peak_bytes:
+            self._gap_peak_bytes = stored_bytes
+        if records > self.peak_stored_records:
+            self.peak_stored_records = records
+        if stored_bytes > self.peak_stored_bytes:
+            self.peak_stored_bytes = stored_bytes
+
+    def _fold_memory(self) -> None:
+        base = self._mem_base
+        count = len(self._kinds)
+        cutoff = tail_cutoff(base + count, self._fraction)
+        skip = max(0, cutoff - base)
+        addresses = _drain(self._addresses, np.uint64, skip)
+        kinds = _drain(self._kinds, np.uint8, skip)
+        self._mem_base = base + count
+        seq = np.arange(base + skip, base + count, dtype=np.int64)
+        seq, addresses, kinds = _append(_trim(self._memory, cutoff),
+                                        (seq, addresses, kinds))
+        # Data keys are even, instruction keys odd: a line fetched and
+        # loaded warms both L1I and L1D; the shared L2 dedups the pair
+        # through its reconstructed bits.
+        keys = ((addresses >> self._line_shift) << 1) | (
+            kinds == REF_INSTRUCTION)
+        keep = _last_touch(keys)
+        self._memory = (seq[keep], addresses[keep], kinds[keep])
+
+    def _fold_branches(self) -> None:
+        base = self._branch_base
+        count = len(self._branch_codes)
+        cutoff = tail_cutoff(base + count, self._fraction)
+        skip = max(0, cutoff - base)
+        pcs = _drain(self._branch_pcs, np.int64, skip)
+        targets = _drain(self._branch_targets, np.uint64, skip)
+        codes = _drain(self._branch_codes, np.uint8, skip)
+        self._branch_base = base + count
+        seq = np.arange(base + skip, base + count, dtype=np.int64)
+        kinds = codes >> 1
+        taken = codes & 1
+
+        # BTB: taken transfers other than returns claim their pc.
+        claim = (taken == 1) & (kinds != BR_RET)
+        btb = _append(_trim(self._btb, cutoff),
+                      (seq[claim], pcs[claim], targets[claim]))
+        keep = _last_touch(btb[1])
+        self._btb = tuple(column[keep] for column in btb)
+
+        cond = kinds == BR_COND
+        cond_seq = seq[cond]
+        cond_pcs = pcs[cond]
+        outcomes = taken[cond]
+        history = self._history_bits
+        seqs, bits = _append(_trim(self._outcomes, cutoff),
+                             (cond_seq, outcomes))
+        newest = max(0, len(seqs) - history)
+        self._outcomes = (seqs[newest:], bits[newest:])
+        if self._index_pht and len(outcomes):
+            ghr = _ghr_before(outcomes, history, self._ghr)
+            self._ghr = ((int(ghr[-1]) << 1) | int(outcomes[-1])) \
+                & self._ghr_mask
+            self._windows = _merge_windows(
+                self._windows, (cond_pcs ^ ghr) & self._pht_mask, outcomes,
+                self._max_history)
+        if self._store_conditionals:
+            self._conditionals = _append(_trim(self._conditionals, cutoff),
+                                         (cond_seq, cond_pcs, outcomes))
+
+        # RAS: a return consumes the newest outstanding call.  Calls below
+        # the cutoff sit at the bottom of the stack and can never be read.
+        stack = self._ras_stack
+        del stack[:bisect_left(stack, (cutoff,))]
+        transfers = np.flatnonzero((kinds == BR_CALL) | (kinds == BR_RET))
+        for position, kind, pc in zip(seq[transfers].tolist(),
+                                      kinds[transfers].tolist(),
+                                      pcs[transfers].tolist()):
+            if kind == BR_CALL:
+                stack.append((position, pc + 1))
+            elif stack:
+                stack.pop()
 
     # -- record accounting ---------------------------------------------------
 
     def memory_record_count(self) -> int:
-        return self._mem_count
+        return self._mem_base + len(self._kinds)
 
     def branch_record_count(self) -> int:
-        return self._branch_count
+        return self._branch_base + len(self._branch_codes)
 
     def stored_records(self) -> int:
-        return (len(self._mem_index) + len(self._btb_index)
-                + len(self._outcomes) + len(self._ras_stack)
-                + len(self._pht_windows) + len(self._cond_positions))
+        """Pending plus retained record slots."""
+        return (len(self._kinds) + len(self._branch_codes)
+                + len(self._memory[0]) + len(self._btb[0])
+                + len(self._outcomes[0]) + len(self._ras_stack)
+                + len(self._windows[0]) + len(self._conditionals[0]))
 
     def stored_bytes(self) -> int:
-        return (len(self._mem_index) * COMPACT_MEMORY_SLOT_BYTES
-                + len(self._btb_index) * COMPACT_BTB_SLOT_BYTES
-                + len(self._outcomes) * COMPACT_OUTCOME_BYTES
+        return (len(self._kinds) * COMPACT_PENDING_MEMORY_BYTES
+                + len(self._branch_codes) * COMPACT_PENDING_BRANCH_BYTES
+                + len(self._memory[0]) * COMPACT_MEMORY_SURVIVOR_BYTES
+                + len(self._btb[0]) * COMPACT_BTB_SURVIVOR_BYTES
+                + len(self._outcomes[0]) * COMPACT_OUTCOME_BYTES
                 + len(self._ras_stack) * COMPACT_RAS_SLOT_BYTES
-                + len(self._pht_windows) * COMPACT_PHT_WINDOW_BYTES
-                + len(self._cond_positions) * COMPACT_CONDITIONAL_BYTES)
+                + len(self._windows[0]) * COMPACT_PHT_WINDOW_BYTES
+                + len(self._conditionals[0]) * COMPACT_CONDITIONAL_BYTES)
 
     # -- consumer queries (each bit-identical to the raw reverse scan) ------
 
+    def _cutoff(self, count: int, fraction: float) -> int:
+        cutoff = tail_cutoff(count, fraction)
+        if fraction > self._fraction:
+            raise ValueError(
+                f"this compacted log keeps the newest {self._fraction!r} of "
+                f"its records; a {fraction!r} tail was requested")
+        return cutoff
+
     def iter_memory_reverse(self, fraction: float):
-        cutoff = tail_cutoff(self._mem_count, fraction)
-        for seq, address, kind in reversed(self._mem_index.values()):
-            if seq < cutoff:
-                break
-            yield address, kind
+        addresses, kinds = self.memory_reverse_arrays(fraction)
+        return zip(addresses.tolist(), kinds.tolist())
 
     def memory_reverse_arrays(self, fraction: float):
-        """Materialize the surviving-reference tail as (addresses, kinds).
-
-        The last-touch index keeps insertion order == last-touch order,
-        so its value sequence is ascending; the tail cutoff becomes one
-        binary search instead of a per-record early-break test.
-        """
-        cutoff = tail_cutoff(self._mem_count, fraction)
-        if not self._mem_index:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        columns = np.array(list(self._mem_index.values()), dtype=np.int64)
-        if cutoff > 0:
-            start = int(np.searchsorted(columns[:, 0], cutoff, side="left"))
-            columns = columns[start:]
-        return columns[::-1, 1], columns[::-1, 2]
+        """The surviving-reference tail as (uint64 addresses, uint8 kinds),
+        newest first."""
+        self.compact()
+        seq, addresses, kinds = _trim(
+            self._memory, self._cutoff(self._mem_base, fraction))
+        return addresses[::-1], kinds[::-1]
 
     def recent_conditional_outcomes(self, fraction: float,
                                     limit: int) -> list:
@@ -272,37 +469,25 @@ class CompactedSkipRegionLog(ReconstructionSource):
             raise ValueError(
                 f"this compacted log keeps the newest {self._history_bits} "
                 f"conditional outcomes; {limit} were requested")
-        cutoff = tail_cutoff(self._branch_count, fraction)
-        recent: list[int] = []
-        for seq, bit in reversed(self._outcomes):
-            if seq < cutoff or len(recent) >= limit:
-                break
-            recent.append(bit)
-        return recent
+        self.compact()
+        _seq, bits = _trim(self._outcomes,
+                           self._cutoff(self._branch_base, fraction))
+        return bits[::-1][:limit].tolist()
 
     def iter_btb_claims_reverse(self, fraction: float):
-        cutoff = tail_cutoff(self._branch_count, fraction)
-        for pc, (seq, target) in reversed(self._btb_index.items()):
-            if seq < cutoff:
-                break
-            yield pc, target
+        pcs, targets = self.btb_claims_arrays(fraction)
+        return zip(pcs.tolist(), targets.tolist())
 
     def btb_claims_arrays(self, fraction: float):
-        """Materialize the surviving BTB-claim tail as (pcs, targets)."""
-        cutoff = tail_cutoff(self._branch_count, fraction)
-        if not self._btb_index:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        pcs = np.fromiter(self._btb_index.keys(), np.int64,
-                          len(self._btb_index))
-        values = np.array(list(self._btb_index.values()), dtype=np.int64)
-        if cutoff > 0:
-            start = int(np.searchsorted(values[:, 0], cutoff, side="left"))
-            pcs = pcs[start:]
-            values = values[start:]
-        return pcs[::-1], values[::-1, 1]
+        """The surviving BTB-claim tail as (pcs, targets), newest first."""
+        self.compact()
+        _seq, pcs, targets = _trim(
+            self._btb, self._cutoff(self._branch_base, fraction))
+        return pcs[::-1], targets[::-1]
 
     def ras_tail_contents(self, fraction: float, capacity: int) -> list:
-        cutoff = tail_cutoff(self._branch_count, fraction)
+        self.compact()
+        cutoff = self._cutoff(self._branch_base, fraction)
         contents: list[int] = []
         for seq, return_pc in reversed(self._ras_stack):
             if seq < cutoff or len(contents) >= capacity:
@@ -317,10 +502,11 @@ class CompactedSkipRegionLog(ReconstructionSource):
                 or history_bits != self._history_bits
                 or max_history > self._max_history):
             return None
-        shift = self._max_history
-        window_mask = self._window_mask
-        return {entry: (code >> shift, code & window_mask)
-                for entry, code in self._pht_windows.items()}
+        self.compact()
+        entries, codes = self._windows
+        return dict(zip(entries.tolist(),
+                        zip((codes >> self._max_history).tolist(),
+                            (codes & self._window_mask).tolist())))
 
     def conditional_history(self, fraction: float,
                             history_bits: int) -> list:
@@ -329,47 +515,32 @@ class CompactedSkipRegionLog(ReconstructionSource):
                 "this compacted log was built without the conditional-stream"
                 " fallback; construct it with store_conditionals=True to"
                 " replay partial-fraction tails")
-        cutoff = tail_cutoff(self._branch_count, fraction)
-        positions = self._cond_positions
-        start = bisect_left(positions, cutoff)
-        pcs = self._cond_pcs
-        taken = self._cond_taken
-        ghr_mask = (1 << history_bits) - 1
-        conditionals: list[tuple[int, int, int]] = []
-        running = 0
-        for position in range(start, len(positions)):
-            bit = taken[position]
-            conditionals.append((pcs[position], bit, running))
-            running = ((running << 1) | bit) & ghr_mask
-        return conditionals
+        self.compact()
+        _seq, pcs, bits = _trim(self._conditionals,
+                                self._cutoff(self._branch_base, fraction))
+        return list(zip(pcs.tolist(), bits.tolist(),
+                        _ghr_before(bits, history_bits).tolist()))
 
     # -- lifecycle -----------------------------------------------------------
 
     def clear(self) -> None:
-        stored = self.stored_records()
-        stored_bytes = self.stored_bytes()
-        if stored > self.peak_stored_records:
-            self.peak_stored_records = stored
-        if stored_bytes > self.peak_stored_bytes:
-            self.peak_stored_bytes = stored_bytes
+        # One branch record can leave several survivors (BTB claim,
+        # outcome, window), so the folded state is a peak candidate too.
+        self.compact()
+        self._note_peak()
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
-            telemetry.count("log.memory_records", self._mem_count)
-            telemetry.count("log.branch_records", self._branch_count)
-            telemetry.count("log.stored_records", stored)
-            telemetry.count("log.stored_bytes", stored_bytes)
-            telemetry.observe("log.gap_stored_records", stored)
-            telemetry.observe("log.gap_stored_bytes", stored_bytes)
-        # The hook closures captured these containers, so they must be
-        # emptied in place — rebinding would silently orphan the hooks.
-        self._mem_index.clear()
-        self._btb_index.clear()
-        self._outcomes.clear()
-        self._ras_stack.clear()
-        self._pht_windows.clear()
-        del self._cond_pcs[:]
-        self._cond_taken.clear()
-        del self._cond_positions[:]
-        self._mem_count = 0
-        self._branch_count = 0
-        self._ghr = 0
+            telemetry.count("log.memory_records", self._mem_base)
+            telemetry.count("log.branch_records", self._branch_base)
+            telemetry.count("log.stored_records", self.stored_records())
+            telemetry.count("log.stored_bytes", self.stored_bytes())
+            telemetry.observe("log.gap_stored_records",
+                              self._gap_peak_records)
+            telemetry.observe("log.gap_stored_bytes", self._gap_peak_bytes)
+        # The hooks captured the pending columns' append methods, so those
+        # were emptied in place by the fold; the rest is rebuilt.
+        self._reset()
+
+    def handoff(self) -> "CompactedSkipRegionLog":
+        self.compact()
+        return super().handoff()

@@ -21,7 +21,7 @@ of execution" — :meth:`SkipRegionLog.clear` is called after every cluster.
 :class:`SkipRegionLog` is the *raw* implementation of the
 :class:`~repro.core.source.ReconstructionSource` protocol: it retains the
 full reference streams and answers every reverse-scan query by walking
-them.  The online-compacted sibling lives in
+them.  The compacted sibling lives in
 :mod:`repro.core.compaction`.
 """
 
@@ -166,8 +166,9 @@ class SkipRegionLog(ReconstructionSource):
         cutoff = tail_cutoff(len(records), fraction)
         tail = records[cutoff:] if cutoff > 0 else records
         if not tail:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        columns = np.array(tail, dtype=np.int64)
+            return np.empty(0, np.uint64), np.empty(0, np.uint64)
+        # Unsigned: effective addresses span the whole 64-bit space.
+        columns = np.array(tail, dtype=np.uint64)
         return columns[::-1, 0], columns[::-1, 1]
 
     def recent_conditional_outcomes(self, fraction: float,

@@ -23,6 +23,10 @@ from .counter_table import CounterInferenceTable, default_table
 from .logging import SkipRegionLog
 from .source import make_source, resolved_source_kind
 
+#: Skipped instructions between two folds of the skip log
+#: (:meth:`~repro.core.source.ReconstructionSource.compact`).
+SKIP_FOLD_INSTRUCTIONS = 8192
+
 
 class ReverseStateReconstruction(WarmupMethod):
     """Paper Table 2 entries R$ (x%), RBP, and R$BP (x%)."""
@@ -117,13 +121,20 @@ class ReverseStateReconstruction(WarmupMethod):
         ifetch_hook = log.make_ifetch_hook() if self.warm_cache else None
         branch_hook = log.make_branch_hook() if self.warm_predictor else None
 
-        executed = context.machine.run(
-            count,
-            mem_hook=mem_hook,
-            branch_hook=branch_hook,
-            ifetch_hook=ifetch_hook,
-            ifetch_block_bytes=context.hierarchy.l1i.config.line_bytes,
-        )
+        machine = context.machine
+        block_bytes = context.hierarchy.l1i.config.line_bytes
+        executed = 0
+        # Slices bound the records pending between folds; the machine
+        # carries ifetch continuity across run() calls.
+        while executed < count and not machine.halted:
+            executed += machine.run(
+                min(SKIP_FOLD_INSTRUCTIONS, count - executed),
+                mem_hook=mem_hook,
+                branch_hook=branch_hook,
+                ifetch_hook=ifetch_hook,
+                ifetch_block_bytes=block_bytes,
+            )
+            log.compact()
         self.cost.functional_instructions += executed
         self.cost.log_records += log.record_count() - records_before
 

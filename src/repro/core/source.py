@@ -11,10 +11,11 @@ Reverse State Reconstruction separates two roles that the original
 :class:`ReconstructionSource` names that contract.  Two implementations
 ship with the package — the raw tuple-list :class:`~repro.core.logging.
 SkipRegionLog` (a faithful rendering of the paper's "log of all
-references") and the online-compacted
-:class:`~repro.core.compaction.CompactedSkipRegionLog`, which performs
-the reverse-scan dedup *while logging* so that reconstruction work is
-O(unique entries) instead of O(gap length).  Both are drop-in
+references") and the compacted
+:class:`~repro.core.compaction.CompactedSkipRegionLog`, whose hooks only
+append and whose periodic fold performs the reverse-scan dedup during the
+gap, so that reconstruction work is O(unique entries) instead of O(gap
+length).  Both are drop-in
 interchangeable: every consumer query is defined so that the compacted
 answers are bit-identical to a reverse scan of the raw stream
 (docs/rsr-algorithm.md, "Online log compaction").
@@ -44,6 +45,10 @@ def tail_cutoff(count: int, fraction: float) -> int:
     newest ``int(round(count * fraction))`` are kept, i.e. positions
     ``>= count - keep`` survive.  Raising on out-of-range fractions keeps
     the raw and compacted paths failing identically.
+
+    The cutoff never decreases as `count` grows (``keep`` rises by at
+    most one per record because ``fraction <= 1``); the compacted log's
+    fold relies on this to drop records that can never reach the tail.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(
@@ -79,6 +84,11 @@ class ReconstructionSource:
         """``hook(pc, next_pc, inst, taken)`` recording one control
         transfer, classified by the instruction's flags."""
         raise NotImplementedError
+
+    def compact(self) -> None:
+        """Fold records appended since the last call into the retained
+        form.  The skip loop calls this periodically; sources that keep
+        their records as appended (the default) do nothing."""
 
     # -- record accounting ---------------------------------------------------
 
@@ -120,8 +130,8 @@ class ReconstructionSource:
     def memory_reverse_arrays(self, fraction: float):
         """Bulk form of :meth:`iter_memory_reverse`, or None.
 
-        Returns ``(addresses, kinds)`` — two parallel numpy arrays
-        (int64/uint8) holding exactly the sequence
+        Returns ``(addresses, kinds)`` — two parallel numpy arrays (uint64
+        addresses, integer kinds) holding exactly the sequence
         :meth:`iter_memory_reverse` would yield, newest first — so the
         vectorized reverse reconstructor can filter whole reference
         columns at once.  The default returns None, which tells consumers
@@ -144,7 +154,7 @@ class ReconstructionSource:
     def btb_claims_arrays(self, fraction: float):
         """Bulk form of :meth:`iter_btb_claims_reverse`, or None.
 
-        Returns ``(pcs, targets)`` — parallel int64 numpy arrays holding
+        Returns ``(pcs, targets)`` — parallel integer numpy arrays holding
         exactly the claims :meth:`iter_btb_claims_reverse` would yield,
         newest first.  None (the default) selects the scalar iterator.
         """
@@ -233,9 +243,10 @@ def make_source(kind: str = "auto", *, context=None, fraction: float = 1.0,
     ``REPRO_LOG_COMPACTION`` environment variable, default compacted), or
     a zero-argument factory returning a ready :class:`ReconstructionSource`
     (the third-party extension point).  For the compacted engine,
-    `context` supplies the geometry the last-touch indexes are sized to:
+    `context` supplies the geometry the retained structures are sized to:
     the finest cache line granularity, the PHT index mask and GHR width,
-    and the counter-inference window depth from `table`.
+    and the counter-inference window depth from `table`; `fraction` is the
+    tail the consumer reads, which lets its fold drop older records.
     """
     if callable(kind):
         return kind()
@@ -255,7 +266,7 @@ def make_source(kind: str = "auto", *, context=None, fraction: float = 1.0,
 
     if context is None:
         raise ValueError("a compacted source needs a simulation context "
-                         "to size its last-touch indexes")
+                         "to size its retained structures")
     line_bytes = 64
     if warm_cache:
         hierarchy = context.hierarchy
@@ -274,7 +285,7 @@ def make_source(kind: str = "auto", *, context=None, fraction: float = 1.0,
         history_bits = pht.history_bits
         max_history = (table if table is not None
                        else default_table()).max_history
-        # A full-fraction tail starts where the gap starts, so the online
+        # A full-fraction tail starts where the gap starts, so the running
         # GHR-indexed windows are exact; partial fractions re-zero the
         # GHR at the tail start and must replay the conditional stream.
         index_pht = fraction >= 1.0
@@ -286,5 +297,6 @@ def make_source(kind: str = "auto", *, context=None, fraction: float = 1.0,
         max_history=max_history,
         index_pht=index_pht,
         store_conditionals=store_conditionals,
+        fraction=fraction,
         telemetry=telemetry,
     )

@@ -1,18 +1,21 @@
 """Property tests: compacted-log reconstruction == raw reverse scan.
 
-The online compaction engine (repro/core/compaction.py) claims that every
+The compaction engine (repro/core/compaction.py) claims that every
 ReconstructionSource query answers bit-identically to a reverse scan of
-the raw stream, for every tail fraction and both reconstruction modes.
-These tests drive randomized gap streams through both sources via the
-same hook calls and compare the *reconstructed state* — cache tags, LRU
-order and dirty bits, GHR, BTB, RAS, and PHT counters — plus the raw
-equality of the direct queries.
+the raw stream, for every tail fraction and both reconstruction modes,
+wherever the folds fall and however much of the gap they trim.  These
+tests drive randomized gap streams through both sources via the same
+hook calls and compare the *reconstructed state* — cache tags, LRU order
+and dirty bits, GHR, BTB, RAS, and PHT counters — plus the raw equality
+of the direct queries.
 """
 
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.branch import BranchPredictor, PredictorConfig
 from repro.cache import MemoryHierarchy, paper_hierarchy_config
@@ -25,8 +28,13 @@ from repro.core import (
     SkipRegionLog,
     default_table,
 )
+from repro.core.source import tail_cutoff
+from repro.functional.memory import Memory
+from repro.isa.assembler import assemble
 from repro.sampling import SampledSimulator, SamplingRegimen
+from repro.telemetry import Telemetry
 from repro.workloads import build_workload
+from repro.workloads.generator import Workload
 
 FRACTIONS = (1.0, 0.8, 0.5, 0.33, 0.2)
 
@@ -47,22 +55,39 @@ class FakeInst:
 INSTS = {kind: FakeInst(kind) for kind in ("cond", "call", "ret", "jump")}
 
 
-def make_pair():
-    """A raw and a compacted log sized to the shared test geometry."""
+def make_pair(fraction=1.0):
+    """A raw and a compacted log sized to the shared test geometry.
+
+    The compacted log is told the tail `fraction` its consumer reads, as
+    make_source does, so its folds trim everything older.
+    """
     raw = SkipRegionLog()
     compacted = CompactedSkipRegionLog(
         line_bytes=64,
         pht_entries=PHT_ENTRIES,
         history_bits=HISTORY_BITS,
         max_history=default_table().max_history,
-        index_pht=True,
+        index_pht=fraction >= 1.0,
         store_conditionals=True,
+        fraction=fraction,
     )
     return raw, compacted
 
 
-def feed_random_stream(logs, rng, memory_events=600, branch_events=600):
-    """Drive identical randomized hook calls into every log in `logs`."""
+def feed_random_stream(logs, rng, memory_events=600, branch_events=600,
+                       fold=None):
+    """Drive identical randomized hook calls into every log in `logs`.
+
+    `fold(rng, index)`, when given, is asked after record `index` whether
+    to call compact() on every log (a no-op on the raw one).
+    """
+    records = iter(range(memory_events + branch_events))
+
+    def after_record():
+        if fold is not None and fold(rng, next(records)):
+            for log in logs:
+                log.compact()
+
     mem_hooks = [(log.make_mem_hook(), log.make_ifetch_hook())
                  for log in logs]
     branch_hooks = [log.make_branch_hook() for log in logs]
@@ -79,6 +104,7 @@ def feed_random_stream(logs, rng, memory_events=600, branch_events=600):
             is_store = roll < 0.6
             for mem, _ifetch in mem_hooks:
                 mem(0, 0, address, is_store)
+        after_record()
     depth = 0
     for _ in range(branch_events):
         roll = rng.random()
@@ -99,7 +125,21 @@ def feed_random_stream(logs, rng, memory_events=600, branch_events=600):
         target = 0x8000 + rng.randrange(40)
         for hook in branch_hooks:
             hook(pc, target, INSTS[kind], taken)
+        after_record()
     return logs
+
+
+#: When the compacted side folds: never (queries fold everything at
+#: once), after every record, at random intervals, or at long ones.  On
+#: the 3600-record streams below the long interval ends the stream with a
+#: fold that shifts more than a full window of outcomes into PHT entries
+#: already filled by the previous fold.
+FOLD_SCHEDULES = {
+    "never": None,
+    "every_record": lambda rng, index: True,
+    "random": lambda rng, index: rng.random() < 0.03,
+    "every_1800": lambda rng, index: index % 1800 == 1799,
+}
 
 
 def cache_state(cache):
@@ -218,6 +258,123 @@ class TestBranchEquivalence:
         assert steps[1] < steps[0]
 
 
+def reconstructed_hierarchy(source, fraction):
+    hierarchy = MemoryHierarchy(paper_hierarchy_config(scale=64))
+    ReverseCacheReconstructor(hierarchy).reconstruct(source, fraction)
+    return tuple(cache_state(level)
+                 for level in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2))
+
+
+def reconstructed_predictor(source, fraction, mode, demand_entries):
+    predictor = BranchPredictor(
+        PredictorConfig(PHT_ENTRIES, BTB_ENTRIES, RAS_ENTRIES))
+    reconstructor = ReverseBranchReconstructor(predictor)
+    reconstructor.prepare(source, fraction)
+    if mode == "on_demand":
+        for entry in demand_entries:
+            reconstructor.demand(entry)
+    reconstructor.drain()
+    return predictor_state(predictor), reconstructor.counter_writes
+
+
+class TestFolding:
+    """The compacted side knows the method's fraction and folds anywhere."""
+
+    @pytest.mark.parametrize("schedule", sorted(FOLD_SCHEDULES))
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    def test_direct_queries_identical(self, fraction, schedule):
+        rng = random.Random(int(fraction * 100) + len(schedule))
+        raw, compacted = feed_random_stream(
+            make_pair(fraction), rng, branch_events=3000,
+            fold=FOLD_SCHEDULES[schedule])
+        assert raw.record_count() == compacted.record_count()
+        assert (raw.recent_conditional_outcomes(fraction, HISTORY_BITS)
+                == compacted.recent_conditional_outcomes(fraction,
+                                                         HISTORY_BITS))
+        for capacity in (1, RAS_ENTRIES, 64):
+            assert (raw.ras_tail_contents(fraction, capacity)
+                    == compacted.ras_tail_contents(fraction, capacity))
+        assert (raw.conditional_history(fraction, HISTORY_BITS)
+                == compacted.conditional_history(fraction, HISTORY_BITS))
+
+    @pytest.mark.parametrize("mode", ["eager", "on_demand"])
+    @pytest.mark.parametrize("schedule", sorted(FOLD_SCHEDULES))
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    def test_reconstructed_state_identical(self, fraction, schedule, mode):
+        rng = random.Random(int(fraction * 100) + 7 * len(schedule)
+                            + (1000 if mode == "eager" else 0))
+        raw, compacted = feed_random_stream(
+            make_pair(fraction), rng, branch_events=3000,
+            fold=FOLD_SCHEDULES[schedule])
+        demand_entries = [rng.randrange(PHT_ENTRIES) for _ in range(40)]
+        assert (reconstructed_hierarchy(raw, fraction)
+                == reconstructed_hierarchy(compacted, fraction))
+        assert (reconstructed_predictor(raw, fraction, mode, demand_entries)
+                == reconstructed_predictor(compacted, fraction, mode,
+                                           demand_entries))
+
+    @pytest.mark.parametrize("schedule", sorted(FOLD_SCHEDULES))
+    def test_pht_windows_match_reverse_walk(self, schedule):
+        """Each entry's window holds exactly its newest `max_history`
+        outcomes of the raw conditional stream, wherever folds fell."""
+        raw, compacted = feed_random_stream(
+            make_pair(), random.Random(len(schedule)), branch_events=3000,
+            fold=FOLD_SCHEDULES[schedule])
+        depth = default_table().max_history
+        expected = {}
+        for pc, taken, ghr in reversed(raw.conditional_history(
+                1.0, HISTORY_BITS)):
+            entry = (pc ^ ghr) & (PHT_ENTRIES - 1)
+            length, bits = expected.get(entry, (0, 0))
+            if length < depth:
+                expected[entry] = (length + 1, bits | (taken << length))
+        assert compacted.pht_entry_windows(
+            1.0, PHT_ENTRIES - 1, HISTORY_BITS, depth) == expected
+
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    def test_oldest_tail_record_survives_every_fold(self, fraction):
+        """With no aliasing every record survives dedup, so the direct
+        queries equal the raw ones element for element; folding after
+        every record puts the final cutoff on a fold boundary."""
+        raw, compacted = make_pair(fraction)
+        hooks = [(log.make_mem_hook(), log.make_ifetch_hook(),
+                  log.make_branch_hook()) for log in (raw, compacted)]
+        for position in range(90):
+            for mem, ifetch, branch in hooks:
+                if position % 3 == 0:
+                    ifetch(0x100000 + 64 * position)
+                else:
+                    mem(0, 0, 0x200000 + 64 * position, position % 3 == 1)
+                kind = ("call", "jump", "cond")[position % 3]
+                branch(0x4000 + position, 0x8000 + position, INSTS[kind],
+                       True)
+            compacted.compact()
+        assert ([tuple(map(int, pair))
+                 for pair in zip(*raw.memory_reverse_arrays(fraction))]
+                == list(compacted.iter_memory_reverse(fraction)))
+        assert (list(raw.iter_btb_claims_reverse(fraction))
+                == list(compacted.iter_btb_claims_reverse(fraction)))
+        assert (raw.ras_tail_contents(fraction, 100)
+                == compacted.ras_tail_contents(fraction, 100))
+        assert (raw.conditional_history(fraction, HISTORY_BITS)
+                == compacted.conditional_history(fraction, HISTORY_BITS))
+
+    def test_wider_tail_than_trimmed_is_refused(self):
+        _raw, compacted = feed_random_stream(make_pair(0.2),
+                                             random.Random(5))
+        with pytest.raises(ValueError, match="0.5 tail"):
+            compacted.memory_reverse_arrays(0.5)
+
+    @given(count=st.integers(min_value=0, max_value=10 ** 9),
+           fraction=st.floats(min_value=0.0, max_value=1.0,
+                              exclude_min=True, allow_nan=False))
+    def test_tail_cutoff_never_decreases(self, count, fraction):
+        """The fold's trim is exact only because of this property: a
+        record below today's cutoff stays below every later one."""
+        assert tail_cutoff(count + 1, fraction) >= tail_cutoff(count,
+                                                               fraction)
+
+
 class TestRasEdgeCases:
     def test_deep_nesting_and_orphans(self):
         """Many randomized call/return shapes across every cutoff."""
@@ -265,6 +422,36 @@ class TestEndToEndEquivalence:
         assert 0 < peaks["compacted"] < peaks["raw"]
 
 
+#: A loop whose loads and stores walk downwards from address -64, i.e.
+#: through effective addresses at or above 2**63.
+HIGH_HALF_PROGRAM = """
+start: li r1, 0
+       li r2, -64
+loop:  addi r1, r1, 1
+       store r1, r2, 0
+       load r3, r2, 8
+       addi r2, r2, -64
+       bne r1, r0, loop
+       halt
+"""
+
+
+class TestHighHalfAddresses:
+    @pytest.mark.parametrize("source", ["raw", "compacted"])
+    @pytest.mark.parametrize("fraction", [0.2, 1.0])
+    def test_batched_matches_scalar(self, monkeypatch, fraction, source):
+        workload = Workload("high-half", assemble(HIGH_HALF_PROGRAM),
+                            Memory())
+        regimen = SamplingRegimen(20_000, 4, 200, seed=1)
+        results = {}
+        for core in ("on", "off"):
+            monkeypatch.setenv("REPRO_BATCH_CORE", core)
+            result = SampledSimulator(workload, regimen).run(
+                ReverseStateReconstruction(fraction, source=source))
+            results[core] = (result.cluster_ipcs, result.cost.as_dict())
+        assert results["on"] == results["off"]
+
+
 class TestSourceLifecycle:
     def test_clear_preserves_hook_bindings(self):
         """clear() must empty the captured containers in place — hooks
@@ -292,3 +479,20 @@ class TestSourceLifecycle:
         compacted.clear()
         assert compacted.peak_stored_records == expected
         assert compacted.peak_stored_bytes > 0
+
+    def test_peak_counts_records_pending_between_folds(self):
+        """A gap that piles up more pending records than it retains
+        reports the pending pile as its peak, not the folded survivors."""
+        telemetry = Telemetry()
+        _raw, compacted = make_pair()
+        compacted.telemetry = telemetry
+        mem = compacted.make_mem_hook()
+        for _ in range(1000):
+            mem(0, 0, 0x1000, False)
+        compacted.compact()
+        assert compacted.stored_records() == 1
+        assert compacted.peak_stored_records >= 1000
+        compacted.clear()
+        snapshot = telemetry.snapshot()
+        assert snapshot.counters["log.stored_records"] == 1
+        assert snapshot.histograms["log.gap_stored_records"].max >= 1000
