@@ -9,10 +9,10 @@ quality.  This bench quantifies the update-count gap.
 
 from conftest import emit
 from repro.cache import MemoryHierarchy
-from repro.core import ReverseCacheReconstructor, SkipRegionLog
-from repro.core.logging import REF_INSTRUCTION, REF_STORE
+from repro.core import REF_INSTRUCTION, REF_STORE, ReverseCacheReconstructor
 from repro.harness import format_table
 from repro.workloads import build_workload
+from tests.oracle_skiplog import SkipRegionLog
 
 
 def _collect_log(workload_name, skip_instructions, scale):

@@ -12,9 +12,10 @@ booleans — they must never flip:
   ``cluster_jobs=4`` execute the identical two-phase schedule, so their
   results are bit-identical (this is what lets the result-cache key
   ignore the worker count).
-- **Raw == compacted.**  Both skip-log representations hand shards the
-  same reconstruction sources, so sharded runs are bit-identical across
-  them.
+- **Raw == compacted.**  The compacted skip log and the raw oracle
+  (tests/oracle_skiplog.py) hand shards the same reconstruction answers,
+  so sharded runs are bit-identical across them: per-cluster IPCs and
+  the full WarmupCost ledger.
 
 What shards legitimately change is the stale microarchitectural state a
 serial run carries into each cluster underneath the reconstruction; the
@@ -38,6 +39,7 @@ from repro.harness import audit_summary, format_table
 from repro.sampling import SampledSimulator
 from repro.telemetry import AUDIT_ENV_VAR, COLLECT_ENV_VAR, Telemetry
 from repro.workloads import build_workload
+from tests.oracle_skiplog import SkipRegionLog
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pr5.json"
 WORKLOADS = ("gcc", "mcf")
@@ -92,15 +94,16 @@ def test_cluster_shard(benchmark, scale):
         sharded = _run(_simulator(workload, scale, cluster_jobs=2),
                        audit=True)
         wide = _run(_simulator(workload, scale, cluster_jobs=4))
-        compacted = _run(_simulator(workload, scale, cluster_jobs=2),
-                         source="compacted")
+        raw = _run(_simulator(workload, scale, cluster_jobs=2),
+                   source=SkipRegionLog)
 
         if sharded.cost.as_dict() != serial.cost.as_dict():
             equivalent_costs = False
         if (wide.cluster_ipcs != sharded.cluster_ipcs
                 or wide.cost.as_dict() != sharded.cost.as_dict()):
             worker_invariant = False
-        if compacted.cluster_ipcs != sharded.cluster_ipcs:
+        if (raw.cluster_ipcs != sharded.cluster_ipcs
+                or raw.cost.as_dict() != sharded.cost.as_dict()):
             raw_equals_compacted = False
 
         biases = [abs(shard_ipc - serial_ipc)

@@ -10,9 +10,9 @@ import numpy as np
 from conftest import emit
 from repro.cache import Cache, CacheConfig, MemoryHierarchy, WritePolicy, \
     paper_hierarchy_config
-from repro.core import ReverseCacheReconstructor, SkipRegionLog
-from repro.core.logging import REF_LOAD
+from repro.core import REF_LOAD, ReverseCacheReconstructor
 from repro.harness import format_table
+from tests.oracle_skiplog import SkipRegionLog
 
 
 def _figure2_cache():

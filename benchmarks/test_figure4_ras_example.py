@@ -9,7 +9,7 @@ import numpy as np
 from conftest import emit
 from repro.branch import PredictorConfig, ReturnAddressStack
 from repro.core import reconstruct_ras_contents
-from repro.core.logging import BR_CALL, BR_RET
+from repro.core import BR_CALL, BR_RET
 from repro.harness import format_table
 
 

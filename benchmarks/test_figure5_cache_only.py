@@ -15,7 +15,7 @@ from repro.harness import (
     format_speedups,
 )
 from repro.sampling import SampledSimulator
-from repro.warmup import make_method
+from repro.warmup import resolve_method
 from repro.workloads import build_workload
 
 METHODS = ["R$ (20%)", "R$ (40%)", "R$ (80%)", "R$ (100%)", "S$"]
@@ -27,7 +27,7 @@ def test_figure5_cache_only(benchmark, scale, matrix):
             build_workload("vpr"), scale.regimen(), scale.configs(),
             warmup_prefix=scale.warmup_prefix,
         )
-        return simulator.run(make_method("R$ (20%)"))
+        return simulator.run(resolve_method("R$ (20%)"))
 
     benchmark.pedantic(representative_run, rounds=1, iterations=1)
 

@@ -1,8 +1,9 @@
-"""Perf bench: online skip-log compaction versus the raw tuple log.
+"""Perf bench: the compacted skip log versus the raw tuple-log oracle.
 
-Runs R$BP through both reconstruction sources on a three-workload slice
-at two log fractions, asserts the compacted path is bit-identical to the
-raw reverse scan (per-cluster IPCs and the full cost breakdown), and
+Runs R$BP on the package's compacted log and on the raw oracle
+(tests/oracle_skiplog.py) over a three-workload slice at two log
+fractions, asserts the compacted path is bit-identical to the raw
+reverse scan (per-cluster IPCs and the full cost breakdown), and
 records the retention/walk-step ratios into ``BENCH_pr3.json`` at the
 repo root so CI can track the compaction win as a regression metric.
 
@@ -23,16 +24,17 @@ from repro.harness import compaction_stats, format_table
 from repro.sampling import SampledSimulator
 from repro.telemetry import Telemetry
 from repro.workloads import build_workload
+from tests.oracle_skiplog import SOURCES
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pr3.json"
 WORKLOADS = ("gcc", "twolf", "mcf")
 FRACTIONS = (1.0, 0.4)
-SOURCES = ("raw", "compacted")
 
 
 def _run_cell(simulator, fraction: float, source: str) -> dict:
     result = simulator.run(
-        ReverseStateReconstruction(fraction=fraction, source=source)
+        ReverseStateReconstruction(fraction=fraction,
+                                   source=SOURCES[source])
     )
     snapshot = result.extra["telemetry"]
     stats = compaction_stats(snapshot)

@@ -3,8 +3,9 @@
 Runs R$BP with the batch core on (``REPRO_BATCH_CORE=on``: batched
 functional interpreter + vectorized reverse reconstruction) and off
 (the scalar `step()` loop and per-reference reverse scans) across the
-full equivalence matrix — all nine paper workloads x {raw, compacted}
-skip-log sources x {serial, cluster-sharded} topologies — and records
+full equivalence matrix — all nine paper workloads x {the raw oracle
+(tests/oracle_skiplog.py), the compacted skip log} x {serial,
+cluster-sharded} topologies — and records
 ``BENCH_pr6.json`` at the repo root for the trajectory gate.
 
 Equivalence booleans (asserted, and gated in ``benchmarks/TRAJECTORY.json``
@@ -37,9 +38,9 @@ from repro.harness import format_table
 from repro.sampling import SampledSimulator
 from repro.telemetry import Telemetry
 from repro.workloads import PAPER_WORKLOADS, build_workload
+from tests.oracle_skiplog import SOURCES
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pr6.json"
-SOURCES = ("raw", "compacted")
 TOPOLOGIES = (("serial", None), ("sharded", 2))
 #: Phases whose engine the REPRO_BATCH_CORE switch selects.
 GATED_PHASES = ("cold_skip", "prefix", "reconstruct")
@@ -50,7 +51,8 @@ def _run_cell(simulator, source: str, batched: bool) -> dict:
     os.environ["REPRO_BATCH_CORE"] = "on" if batched else "off"
     try:
         result = simulator.run(
-            ReverseStateReconstruction(fraction=1.0, source=source)
+            ReverseStateReconstruction(fraction=1.0,
+                                       source=SOURCES[source])
         )
     finally:
         if previous is None:

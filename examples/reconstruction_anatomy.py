@@ -13,7 +13,7 @@ inputs, printing each step:
 
 from repro.cache import Cache, CacheConfig, WritePolicy
 from repro.core import default_table, reconstruct_ras_contents
-from repro.core.logging import BR_CALL, BR_RET
+from repro.core import BR_CALL, BR_RET
 
 
 def show_set(cache: Cache, label: str) -> None:

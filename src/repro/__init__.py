@@ -70,7 +70,6 @@ from .warmup import (
     BLRLWarmup,
     paper_method_suite,
     paper_method_names,
-    make_method,
     register_method,
     unregister_method,
     resolve_method,
@@ -86,7 +85,6 @@ from .cachesim import (
 )
 from .core import (
     ReverseStateReconstruction,
-    SkipRegionLog,
     CompactedSkipRegionLog,
     ReconstructionSource,
     make_source,
@@ -140,7 +138,6 @@ __all__ = [
     "BLRLWarmup",
     "paper_method_suite",
     "paper_method_names",
-    "make_method",
     "register_method",
     "unregister_method",
     "resolve_method",
@@ -153,7 +150,6 @@ __all__ = [
     "time_sampling_estimate",
     "set_sampling_estimate",
     "ReverseStateReconstruction",
-    "SkipRegionLog",
     "CompactedSkipRegionLog",
     "ReconstructionSource",
     "make_source",

@@ -29,8 +29,8 @@ this module makes the accuracy side continuously observable:
   Records ride the normal telemetry session (``"type": "audit"``), so
   they merge deterministically across the parallel engine and contain
   no timing or source-representation fields — the audit JSON is
-  bit-for-bit identical between raw and compacted log sources and
-  between serial and parallel runs.
+  bit-for-bit identical between the compacted log and the raw test
+  oracle and between serial and parallel runs.
 """
 
 from __future__ import annotations

@@ -4,11 +4,6 @@ from .source import (
     ReconstructionSource,
     make_source,
     tail_cutoff,
-    COMPACTION_ENV_VAR,
-)
-from .compaction import CompactedSkipRegionLog
-from .logging import (
-    SkipRegionLog,
     REF_LOAD,
     REF_STORE,
     REF_INSTRUCTION,
@@ -17,6 +12,7 @@ from .logging import (
     BR_RET,
     BR_JUMP,
 )
+from .compaction import CompactedSkipRegionLog
 from .counter_table import (
     CounterInferenceTable,
     Inference,
@@ -41,9 +37,7 @@ __all__ = [
     "ReconstructionSource",
     "make_source",
     "tail_cutoff",
-    "COMPACTION_ENV_VAR",
     "CompactedSkipRegionLog",
-    "SkipRegionLog",
     "REF_LOAD",
     "REF_STORE",
     "REF_INSTRUCTION",

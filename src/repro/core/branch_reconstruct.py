@@ -104,8 +104,7 @@ class ReverseBranchReconstructor:
 
         # --- step 2: BTB, newest claimant wins ----------------------------
         btb = predictor.btb
-        arrays = source.btb_claims_arrays(fraction) if self.batched else None
-        if arrays is not None:
+        if self.batched:
             # Vectorized: in a direct-mapped structure only each entry's
             # newest claim writes — older claimants find the entry already
             # reconstructed — so the winner set is the first occurrence of
@@ -114,7 +113,7 @@ class ReverseBranchReconstructor:
             # `updates` accounting); losers never needed a call.  The
             # telemetry counter keeps counting every scanned claim, as the
             # scalar loop does.
-            pcs, targets = arrays
+            pcs, targets = source.btb_claims_arrays(fraction)
             btb_writes = len(pcs)
             if btb_writes:
                 entries = pcs & (btb.entries - 1)
@@ -276,8 +275,8 @@ class ReverseBranchReconstructor:
         it.  Both engines yield identical censuses for the same log —
         an exact inference is insensitive to outcomes older than its pin
         point, and the table truncates longer histories — which is what
-        lets the audit assert the raw/compacted equivalence claim on
-        every run.
+        lets the audit JSON of the compacted log and of the raw test
+        oracle agree bit-for-bit.
 
         Returns counts keyed for the audit record: entries mentioned in
         the log, how many resolve exactly, the two/three-wide ambiguous

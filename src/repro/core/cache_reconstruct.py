@@ -17,8 +17,8 @@ Vectorized scan
 ---------------
 
 When the batch core is enabled (``REPRO_BATCH_CORE``, same switch as the
-batched functional interpreter) and the source can materialize its tail
-as arrays, the reverse scan runs as a numpy pre-filter instead of a
+batched functional interpreter), the source materializes its tail as
+arrays and the reverse scan runs as a numpy pre-filter instead of a
 per-reference Python loop.  This rests on a property of the §3.1 rules:
 whether a reverse scan *applies* a reference at a cache level depends
 only on the reference stream, never on the cache's current contents.  A
@@ -43,8 +43,7 @@ import numpy as np
 
 from ..cache import MemoryHierarchy
 from ..functional.machine import batch_core_enabled
-from .logging import REF_INSTRUCTION, REF_STORE
-from .source import ReconstructionSource
+from .source import REF_INSTRUCTION, REF_STORE, ReconstructionSource
 
 
 def _reverse_scan_winners(set_indices: np.ndarray, lines: np.ndarray,
@@ -138,11 +137,12 @@ class ReverseCacheReconstructor:
         """Rebuild L1I/L1D/L2 state from the most recent `fraction` of the
         logged reference stream.
 
-        `source` supplies the newest-first reference iterator; a compacted
-        source yields only each block's winning reference, so `scanned`
-        then counts unique blocks rather than raw log length (the cache's
+        `source` supplies the newest-first references; the compacted log
+        yields only each block's winning reference, so `scanned` counts
+        unique blocks rather than raw log length (the cache's
         reconstructed bits make the extra raw references no-ops either
-        way, which is why both sources rebuild identical state).
+        way, which is why the raw test oracle rebuilds identical
+        state).
 
         Returns statistics on how many scanned references actually changed
         state — the savings relative to SMARTS, which applies them all.
@@ -159,10 +159,8 @@ class ReverseCacheReconstructor:
         scanned = 0
         applied = 0
 
-        arrays = source.memory_reverse_arrays(fraction) if self.batched \
-            else None
-        if arrays is not None:
-            addresses, kinds = arrays
+        if self.batched:
+            addresses, kinds = source.memory_reverse_arrays(fraction)
             scanned = len(addresses)
             if scanned:
                 is_inst = kinds == REF_INSTRUCTION

@@ -1,8 +1,8 @@
 """Skip-log compaction by periodic fold.
 
-The raw :class:`~repro.core.logging.SkipRegionLog` buffers one tuple per
-skipped reference and lets the reconstructors rediscover, by reverse
-scan, that almost all of them are redundant: in reverse order "the first
+A raw skip log would buffer one tuple per skipped reference and let the
+reconstructors rediscover, by reverse scan, that almost all of them are
+redundant: in reverse order "the first
 reference to a block wins" (paper §3.1), the BTB keeps one target per
 entry, the GHR needs only the newest ``history_bits`` outcomes, the RAS
 only the unmatched call tail, and the counter-inference table can consume
@@ -65,8 +65,9 @@ before each fold, so ``peak_stored_records`` and the
 ``log.gap_stored_*`` histograms include what piles up between folds.
 
 Every query is bit-identical to the raw reverse scan; the equivalence is
-enforced by tests/test_properties_compaction.py and argued in
-docs/rsr-algorithm.md ("Online log compaction").
+enforced against the raw oracle in tests/oracle_skiplog.py by
+tests/test_properties_compaction.py and argued in docs/rsr-algorithm.md
+("Online log compaction").
 """
 
 from __future__ import annotations
@@ -76,13 +77,20 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .logging import BR_CALL, BR_COND, BR_JUMP, BR_RET, REF_INSTRUCTION
-from .source import ReconstructionSource, tail_cutoff
+from .source import (
+    BR_CALL,
+    BR_COND,
+    BR_JUMP,
+    BR_RET,
+    REF_INSTRUCTION,
+    ReconstructionSource,
+    tail_cutoff,
+)
 
 #: Deterministic byte model for :meth:`CompactedSkipRegionLog.
 #: stored_bytes`: the element widths of each column (pending columns and
 #: numpy survivor arrays), and list slot plus tuple for the RAS stack.
-#: Like the raw log's model these are chosen, not measured, so storage
+#: Like the raw oracle's model these are chosen, not measured, so storage
 #: telemetry is platform-stable.
 #: Pending memory record: uint64 address + kind byte.
 COMPACT_PENDING_MEMORY_BYTES = 9

@@ -20,8 +20,7 @@ from ..warmup.base import WarmupMethod, SimulationContext
 from .branch_reconstruct import ReverseBranchReconstructor
 from .cache_reconstruct import CacheReconstructionStats, ReverseCacheReconstructor
 from .counter_table import CounterInferenceTable, default_table
-from .logging import SkipRegionLog
-from .source import make_source, resolved_source_kind
+from .source import make_source
 
 #: Skipped instructions between two folds of the skip log
 #: (:meth:`~repro.core.source.ReconstructionSource.compact`).
@@ -43,7 +42,7 @@ class ReverseStateReconstruction(WarmupMethod):
         table: CounterInferenceTable | None = None,
         on_demand: bool = True,
         infer_counters: bool = True,
-        source: str = "auto",
+        source=None,
     ) -> None:
         super().__init__()
         if not 0.0 < fraction <= 1.0:
@@ -52,6 +51,11 @@ class ReverseStateReconstruction(WarmupMethod):
             )
         if not (warm_cache or warm_predictor):
             raise ValueError("at least one structure must be warmed")
+        if source is not None and not callable(source):
+            raise TypeError(
+                f"source must be None or a zero-argument factory, "
+                f"got {source!r}"
+            )
         self.fraction = fraction
         self.warm_cache = warm_cache
         self.warm_predictor = warm_predictor
@@ -60,8 +64,7 @@ class ReverseStateReconstruction(WarmupMethod):
         #: False` skips counter inference (GHR/BTB/RAS repair only).
         self.on_demand = on_demand
         self.infer_counters = infer_counters
-        #: Skip-log source kind: "auto" (the REPRO_LOG_COMPACTION env var,
-        #: default compacted), "compacted", "raw", or a zero-argument
+        #: Skip-log source: None (the compacted log) or a zero-argument
         #: factory returning a ready ReconstructionSource.
         self.source = source
         self.warms_cache = warm_cache
@@ -74,9 +77,9 @@ class ReverseStateReconstruction(WarmupMethod):
         else:
             self.name = "RBP"
 
-        #: Placeholder until bind(); a compacted source needs the context's
-        #: geometry, so the real source is built per run.
-        self.log = SkipRegionLog()
+        #: None until bind(): the log is sized to the context's geometry,
+        #: so it is built per run.
+        self.log = None
         self._cache_reconstructor: ReverseCacheReconstructor | None = None
         self._branch_reconstructor: ReverseBranchReconstructor | None = None
         self._table = table
@@ -148,7 +151,7 @@ class ReverseStateReconstruction(WarmupMethod):
         entangled) live instances.
         """
         clone = super().clone_unbound()
-        clone.log = SkipRegionLog()
+        clone.log = None
         clone._cache_reconstructor = None
         clone._branch_reconstructor = None
         clone.cache_stats_history = []
@@ -159,8 +162,8 @@ class ReverseStateReconstruction(WarmupMethod):
 
         The surrendered source is prepared for pickling (telemetry
         stripped — see :meth:`ReconstructionSource.handoff`); the
-        replacement is built with the same kind and geometry, so the cold
-        scan keeps logging seamlessly.
+        replacement is built with the same factory and geometry, so the
+        cold scan keeps logging seamlessly.
         """
         filled = self.log.handoff()
         self.log = make_source(
@@ -182,15 +185,12 @@ class ReverseStateReconstruction(WarmupMethod):
     def store_identity(self) -> "dict | None":
         """Checkpoint-store identity: every knob shaping the cold scan.
 
-        None for callable source factories — a third-party source has no
+        None when a source factory is set — a third-party source has no
         stable identity the store could key on, so those runs are simply
-        not persisted.  The resolved source kind (raw vs compacted) is
-        part of the identity because the two log representations produce
-        different shard payloads; `max_history` matters because the
-        compacted engine sizes its PHT windows to it.
+        not persisted.  `max_history` matters because the compacted log
+        sizes its PHT windows to it.
         """
-        source_kind = resolved_source_kind(self.source)
-        if source_kind is None:
+        if self.source is not None:
             return None
         table = self._table if self._table is not None else default_table()
         return {
@@ -201,7 +201,6 @@ class ReverseStateReconstruction(WarmupMethod):
             "warm_predictor": self.warm_predictor,
             "on_demand": self.on_demand,
             "infer_counters": self.infer_counters,
-            "source": source_kind,
             "max_history": table.max_history,
         }
 
@@ -252,9 +251,9 @@ class ReverseStateReconstruction(WarmupMethod):
         if self.warm_predictor:
             # Residual finalisation: entries the cluster never probed are
             # resolved now, so the counter state carried into later
-            # clusters is independent of the probe order and of the log
-            # representation (raw walker vs compacted windows).  Entries
-            # the cluster trained stay authoritative.
+            # clusters is independent of the probe order and of the PHT
+            # engine (walker vs windows).  Entries the cluster trained
+            # stay authoritative.
             self._branch_reconstructor.drain()
             # On-demand counter writes happened during the hot cluster.
             self.cost.predictor_updates += (

@@ -16,7 +16,7 @@ first.
 from __future__ import annotations
 
 from ..branch import ReturnAddressStack
-from .logging import BR_CALL, BR_RET
+from .source import BR_CALL, BR_RET
 
 
 def reconstruct_ras_contents(
@@ -64,10 +64,11 @@ def reconstruct_ras_from_source(ras: ReturnAddressStack, source,
                                 fraction: float = 1.0) -> int:
     """Rebuild `ras` from a :class:`~repro.core.source.ReconstructionSource`.
 
-    The source answers the push/pop counter question directly: a raw log
-    replays its branch tail through :func:`reconstruct_ras_contents`, a
-    compacted log reads its online unmatched-call stack.  Returns the
-    number of entries recovered.
+    The source answers the push/pop counter question directly: the
+    compacted log reads its unmatched-call stack, while the raw test
+    oracle replays its branch tail through
+    :func:`reconstruct_ras_contents`.  Returns the number of entries
+    recovered.
     """
     contents = source.ras_tail_contents(fraction, ras.size)
     ras.set_contents(contents)

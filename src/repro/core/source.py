@@ -1,24 +1,20 @@
-"""The reconstruction-source protocol (log API redesign).
+"""The reconstruction-source protocol.
 
-Reverse State Reconstruction separates two roles that the original
-`SkipRegionLog` fused together:
+Reverse State Reconstruction has two roles around one skip-region log:
 
-- **producing** a skip-region log: the hook factories installed on the
-  functional machine while the gap executes cold;
+- **producing** it: the hook factories installed on the functional
+  machine while the gap executes cold;
 - **consuming** it: the reverse-scan queries the cache, branch, and RAS
   reconstructors run immediately before (and during) the next cluster.
 
-:class:`ReconstructionSource` names that contract.  Two implementations
-ship with the package — the raw tuple-list :class:`~repro.core.logging.
-SkipRegionLog` (a faithful rendering of the paper's "log of all
-references") and the compacted
-:class:`~repro.core.compaction.CompactedSkipRegionLog`, whose hooks only
-append and whose periodic fold performs the reverse-scan dedup during the
-gap, so that reconstruction work is O(unique entries) instead of O(gap
-length).  Both are drop-in
-interchangeable: every consumer query is defined so that the compacted
-answers are bit-identical to a reverse scan of the raw stream
-(docs/rsr-algorithm.md, "Online log compaction").
+:class:`ReconstructionSource` names that contract.  The package ships one
+implementation, :class:`~repro.core.compaction.CompactedSkipRegionLog`,
+whose hooks only append and whose periodic fold performs the reverse-scan
+dedup during the gap, so that reconstruction work is O(unique entries)
+instead of O(gap length).  Every query is defined so that its answer is
+bit-identical to a reverse scan of the full reference stream; the test
+suite keeps that literal scan as an oracle (tests/oracle_skiplog.py;
+docs/rsr-algorithm.md, "Online log compaction").
 
 Third-party warm-up methods can supply their own source by implementing
 this interface and passing a factory to
@@ -27,15 +23,16 @@ this interface and passing a factory to
 
 from __future__ import annotations
 
-import os
+#: Memory-record reference kinds.
+REF_LOAD = 0
+REF_STORE = 1
+REF_INSTRUCTION = 2
 
-#: Environment variable selecting the default source kind for
-#: ``kind="auto"``: any of ``off``/``0``/``raw``/``false`` selects the
-#: raw tuple-list log, everything else (including unset) the compacted
-#: engine.
-COMPACTION_ENV_VAR = "REPRO_LOG_COMPACTION"
-
-_RAW_SENTINELS = frozenset({"off", "0", "raw", "false", "no"})
+#: Branch-record kinds.
+BR_COND = 0
+BR_CALL = 1
+BR_RET = 2
+BR_JUMP = 3
 
 
 def tail_cutoff(count: int, fraction: float) -> int:
@@ -44,7 +41,7 @@ def tail_cutoff(count: int, fraction: float) -> int:
     The shared rounding rule for every tail query: of `count` records the
     newest ``int(round(count * fraction))`` are kept, i.e. positions
     ``>= count - keep`` survive.  Raising on out-of-range fractions keeps
-    the raw and compacted paths failing identically.
+    every source failing identically.
 
     The cutoff never decreases as `count` grows (``keep`` rises by at
     most one per record because ``fraction <= 1``); the compacted log's
@@ -112,8 +109,7 @@ class ReconstructionSource:
 
     def stored_bytes(self) -> int:
         """Deterministic estimate of the bytes retained (see the byte
-        model constants in :mod:`repro.core.logging` /
-        :mod:`repro.core.compaction`)."""
+        model constants in :mod:`repro.core.compaction`)."""
         raise NotImplementedError
 
     # -- consumer side (reverse-scan queries) --------------------------------
@@ -128,17 +124,15 @@ class ReconstructionSource:
         raise NotImplementedError
 
     def memory_reverse_arrays(self, fraction: float):
-        """Bulk form of :meth:`iter_memory_reverse`, or None.
+        """Bulk form of :meth:`iter_memory_reverse`.
 
         Returns ``(addresses, kinds)`` — two parallel numpy arrays (uint64
         addresses, integer kinds) holding exactly the sequence
         :meth:`iter_memory_reverse` would yield, newest first — so the
         vectorized reverse reconstructor can filter whole reference
-        columns at once.  The default returns None, which tells consumers
-        to fall back to the scalar iterator; sources that can materialize
-        their tail cheaply override this.
+        columns at once.
         """
-        return None
+        raise NotImplementedError
 
     def recent_conditional_outcomes(self, fraction: float,
                                     limit: int) -> list:
@@ -152,13 +146,13 @@ class ReconstructionSource:
         raise NotImplementedError
 
     def btb_claims_arrays(self, fraction: float):
-        """Bulk form of :meth:`iter_btb_claims_reverse`, or None.
+        """Bulk form of :meth:`iter_btb_claims_reverse`.
 
         Returns ``(pcs, targets)`` — parallel integer numpy arrays holding
         exactly the claims :meth:`iter_btb_claims_reverse` would yield,
-        newest first.  None (the default) selects the scalar iterator.
+        newest first.
         """
-        return None
+        raise NotImplementedError
 
     def ras_tail_contents(self, fraction: float, capacity: int) -> list:
         """Final RAS contents (top first, at most `capacity`) implied by
@@ -174,17 +168,17 @@ class ReconstructionSource:
         width, windows at least `max_history` outcomes deep), returns
         ``{entry: (length, bits)}`` where bit i of `bits` is the entry's
         (i+1)-th most recent outcome.  Returns None when the query must
-        fall back to :meth:`conditional_history` (raw sources always;
-        compacted sources for partial-fraction tails, whose reverse scan
-        re-zeroes the GHR at the tail start).
+        fall back to :meth:`conditional_history` (for instance a
+        partial-fraction tail, whose reverse scan re-zeroes the GHR at
+        the tail start, or a source that keeps no such index).
         """
         raise NotImplementedError
 
     def conditional_history(self, fraction: float,
                             history_bits: int) -> list:
         """``(pc, taken, ghr_before)`` for each conditional in the tail,
-        program order, with the GHR zeroed at the tail start — the raw
-        on-demand walker's input."""
+        program order, with the GHR zeroed at the tail start — the
+        fallback on-demand walker's input."""
         raise NotImplementedError
 
     # -- lifecycle -----------------------------------------------------------
@@ -217,55 +211,30 @@ class ReconstructionSource:
         self.telemetry = telemetry
 
 
-def resolved_source_kind(kind: str = "auto") -> "str | None":
-    """The concrete source kind `kind` resolves to, without building one.
-
-    ``"auto"`` consults ``REPRO_LOG_COMPACTION`` exactly as
-    :func:`make_source` does; concrete kinds pass through unchanged.  A
-    callable factory resolves to None — its output has no stable
-    identity, which tells content-addressed stores (checkpoint-store
-    keys) the run is not storable.
-    """
-    if callable(kind):
-        return None
-    if kind == "auto":
-        setting = os.environ.get(COMPACTION_ENV_VAR, "").strip().lower()
-        return "raw" if setting in _RAW_SENTINELS else "compacted"
-    return kind
-
-
-def make_source(kind: str = "auto", *, context=None, fraction: float = 1.0,
+def make_source(factory=None, *, context=None, fraction: float = 1.0,
                 warm_cache: bool = True, warm_predictor: bool = True,
                 table=None, telemetry=None) -> ReconstructionSource:
     """Build a reconstruction source for one bound warm-up method.
 
-    `kind` is ``"compacted"``, ``"raw"``, ``"auto"`` (the
-    ``REPRO_LOG_COMPACTION`` environment variable, default compacted), or
-    a zero-argument factory returning a ready :class:`ReconstructionSource`
-    (the third-party extension point).  For the compacted engine,
-    `context` supplies the geometry the retained structures are sized to:
-    the finest cache line granularity, the PHT index mask and GHR width,
-    and the counter-inference window depth from `table`; `fraction` is the
-    tail the consumer reads, which lets its fold drop older records.
+    With no `factory` this is the compacted log, sized to `context`: the
+    finest cache line granularity, the PHT index mask and GHR width, and
+    the counter-inference window depth from `table`; `fraction` is the
+    tail the consumer reads, which lets its fold drop older records.  A
+    zero-argument `factory` returning a ready
+    :class:`ReconstructionSource` replaces it (the third-party extension
+    point, and the seam the test oracle uses); the built source then
+    adopts `telemetry` like a handed-off one.
     """
-    if callable(kind):
-        return kind()
-    kind = resolved_source_kind(kind)
-    if kind == "raw":
-        from .logging import SkipRegionLog
-
-        return SkipRegionLog(telemetry=telemetry)
-    if kind != "compacted":
-        raise ValueError(
-            f"unknown reconstruction source kind {kind!r}; "
-            "known: auto, compacted, raw"
-        )
+    if factory is not None:
+        source = factory()
+        source.adopt_telemetry(telemetry)
+        return source
 
     from .compaction import CompactedSkipRegionLog
     from .counter_table import default_table
 
     if context is None:
-        raise ValueError("a compacted source needs a simulation context "
+        raise ValueError("the skip log needs a simulation context "
                          "to size its retained structures")
     line_bytes = 64
     if warm_cache:

@@ -112,9 +112,8 @@ def audit_to_json(snapshot, indent: int = 2) -> str:
     deterministic quantities (no timing, no log-representation fields)
     and is serialised with sorted keys, so two runs that reconstruct
     identical state produce byte-identical text.  That is the form in
-    which the raw==compacted and serial==parallel equivalence claims
-    are asserted, by the test suite and by ``repro audit --source
-    both``.
+    which the test suite asserts its equivalence claims: the compacted
+    log against the raw oracle, and serial against sharded runs.
     """
     payload = {
         "schema": "repro-audit-v1",

@@ -2,7 +2,7 @@
 
 Before this module, a dozen environment variables were read — and
 error-checked — at a dozen different depths of the stack: the scale in
-the harness, cluster jobs in the pipeline, compaction in the core,
+the harness, cluster jobs in the pipeline, the batch core switch,
 telemetry switches in four telemetry modules.  A typo surfaced wherever
 the first consumer happened to live, sometimes deep inside a worker
 process.  :class:`RunOptions` consolidates the reads: entry points (the
@@ -31,7 +31,6 @@ The consolidated variables::
     REPRO_SPANS              span recording: off/1/<jsonl path>
     REPRO_EVENTS             live progress event JSONL path
     REPRO_AUDIT              accuracy-audit probes switch
-    REPRO_LOG_COMPACTION     skip-log source: auto/raw/compacted
     REPRO_BATCH_CORE         vectorized hot-path core switch
     REPRO_RUN_ID             correlation id stamped on telemetry output
     REPRO_SERVICE_LOG        structured service log JSONL path
@@ -52,9 +51,6 @@ from dataclasses import dataclass, fields, replace
 #: silently enabling audit probes.
 _OFF_VALUES = frozenset({"", "0", "off", "none", "no", "false", "disabled"})
 _ON_VALUES = frozenset({"1", "on", "yes", "true", "enabled"})
-
-_COMPACTION_VALUES = frozenset({"auto", "raw", "compacted",
-                                "off", "0", "false", "no"})
 
 
 def _parse_bool(name: str, raw: str, *, default: bool) -> bool:
@@ -111,7 +107,6 @@ class RunOptions:
     spans: "str | None" = None
     events: "str | None" = None
     audit: bool = False
-    log_compaction: str = "auto"
     batch_core: bool = True
     run_id: "str | None" = None
     service_log: "str | None" = None
@@ -130,10 +125,6 @@ class RunOptions:
             from .executor import executor_factory
 
             executor_factory(self.executor)  # readable ValueError
-        if self.log_compaction.strip().lower() not in _COMPACTION_VALUES:
-            raise ValueError(
-                f"REPRO_LOG_COMPACTION must be one of auto, raw, "
-                f"compacted, got {self.log_compaction!r}")
         if self.run_id is not None:
             from ..telemetry.runid import validate_run_id
 
@@ -172,7 +163,6 @@ class RunOptions:
             "events": env("REPRO_EVENTS") or None,
             "audit": _parse_bool("REPRO_AUDIT", env("REPRO_AUDIT"),
                                  default=False),
-            "log_compaction": (env("REPRO_LOG_COMPACTION") or "auto"),
             # "scalar" is the batch core's historical off-spelling.
             "batch_core": (False
                            if env("REPRO_BATCH_CORE").lower() == "scalar"
@@ -251,8 +241,6 @@ class RunOptions:
             "REPRO_SPANS": self.spans or "",
             "REPRO_EVENTS": self.events or "",
             "REPRO_AUDIT": "1" if self.audit else "",
-            "REPRO_LOG_COMPACTION": ("" if self.log_compaction == "auto"
-                                     else self.log_compaction),
             "REPRO_BATCH_CORE": "" if self.batch_core else "0",
             "REPRO_RUN_ID": self.run_id or "",
             "REPRO_SERVICE_LOG": self.service_log or "",
@@ -277,8 +265,8 @@ class RunOptions:
             "REPRO_CLUSTER_JOBS", "REPRO_EXECUTOR", "REPRO_RESULT_CACHE",
             "REPRO_CHECKPOINT_STORE",
             "REPRO_TRACE", "REPRO_TELEMETRY", "REPRO_SPANS",
-            "REPRO_EVENTS", "REPRO_AUDIT", "REPRO_LOG_COMPACTION",
-            "REPRO_BATCH_CORE", "REPRO_RUN_ID", "REPRO_SERVICE_LOG",
+            "REPRO_EVENTS", "REPRO_AUDIT", "REPRO_BATCH_CORE",
+            "REPRO_RUN_ID", "REPRO_SERVICE_LOG",
         ]
         saved = {name: os.environ.get(name) for name in owned}
         target = self.environ()

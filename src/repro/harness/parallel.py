@@ -33,7 +33,6 @@ import contextlib
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -528,19 +527,3 @@ def execute_matrix(
             )
         grid[workload_name] = experiment
     return grid
-
-
-def run_matrix_parallel(*args, **kwargs) -> dict[str, WorkloadExperiment]:
-    """Deprecated name for :func:`execute_matrix`.
-
-    Kept as a thin shim over the executor protocol so existing callers
-    keep working unchanged; new code should go through
-    :func:`repro.api.run_matrix` / :func:`repro.api.submit` (the
-    supported facade) or :func:`execute_matrix` directly.
-    """
-    warnings.warn(
-        "run_matrix_parallel is deprecated; use repro.api.run_matrix / "
-        "repro.api.submit, or repro.harness.execute_matrix",
-        DeprecationWarning, stacklevel=2,
-    )
-    return execute_matrix(*args, **kwargs)

@@ -12,8 +12,8 @@ from .experiment import WorkloadExperiment, average_over_workloads
 #: Stable column order of one audit record (``"type": "audit"``), as
 #: exported by :func:`audit_rows` / ``repro audit --json``.  Everything
 #: here is deterministic — no timing, no log-representation fields — so
-#: the exported JSON is bit-for-bit identical between raw and compacted
-#: sources and between serial and parallel runs.
+#: the exported JSON is bit-for-bit identical between the compacted log
+#: and the raw test oracle and between serial and parallel runs.
 AUDIT_COLUMNS = (
     "workload", "method", "cluster", "start",
     "l1i_tag_agreement", "l1i_lru_agreement",

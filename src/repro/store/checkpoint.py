@@ -25,7 +25,7 @@ JSON-stable rendering of exactly the inputs Phase A depends on —
   sized to it; the core config is deliberately absent — Phase A is
   timing-independent, which is the whole point),
 - the **warm-up method identity** (class, fraction, warmed structures,
-  ablation switches) and the resolved **source kind** (raw/compacted).
+  ablation switches, counter-inference window depth).
 
 Entries are written via temp-file + atomic rename with a JSON manifest
 alongside each blob (byte count, content digest, geometry echo); loads
@@ -121,9 +121,9 @@ def shard_store_key(workload, regimen, configs, *, warmup_prefix: int,
     """Content hash addressing one run's Phase A shard set.
 
     `method_identity` comes from
-    :meth:`~repro.warmup.base.WarmupMethod.store_identity` and carries
-    the resolved source kind; ``configs.core`` is deliberately excluded
-    (see the module docstring).
+    :meth:`~repro.warmup.base.WarmupMethod.store_identity`;
+    ``configs.core`` is deliberately excluded (see the module
+    docstring).
     """
     return digest_key({
         "kind": "shards",
@@ -134,7 +134,6 @@ def shard_store_key(workload, regimen, configs, *, warmup_prefix: int,
         "hierarchy": stable_payload(configs.hierarchy),
         "predictor": stable_payload(configs.predictor),
         "method": stable_payload(method_identity),
-        "source": method_identity.get("source"),
         "code": functional_code_version(),
     })
 

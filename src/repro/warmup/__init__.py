@@ -8,7 +8,6 @@ from .blrl import BLRLWarmup
 from .suite import (
     paper_method_suite,
     paper_method_names,
-    make_method,
     PAPER_FRACTIONS,
     REVERSE_FRACTIONS,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "reuse_latency_percentile",
     "paper_method_suite",
     "paper_method_names",
-    "make_method",
     "PAPER_FRACTIONS",
     "REVERSE_FRACTIONS",
     "register_method",

@@ -26,19 +26,6 @@ PAPER_FRACTIONS = (0.2, 0.4, 0.8)
 REVERSE_FRACTIONS = (0.2, 0.4, 0.8, 1.0)
 
 
-def make_method(name: str) -> WarmupMethod:
-    """Build a warm-up method from its paper Table 2 name.
-
-    Compatibility shim: lookup now lives in the method registry
-    (:mod:`repro.warmup.registry`), which also accepts registered
-    aliases and third-party methods; prefer
-    :func:`repro.warmup.resolve_method`.
-    """
-    from .registry import resolve_method
-
-    return resolve_method(name)
-
-
 def _catalogue():
     """(prototype instance, factory) pairs for every Table 2 entry."""
     entries = [

@@ -1,4 +1,4 @@
-"""Skip-region logging (paper §3) — the raw tuple-list source.
+"""The raw skip-region log: the reference the compacted log is tested against.
 
 "While skipping between clusters, the data necessary for reconstruction
 are recorded."  During cold simulation the Reverse State Reconstruction
@@ -12,35 +12,32 @@ method buffers two streams:
   next PC, outcome, and the classification needed to replay effects on
   the PHT, BTB, and RAS.
 
-Records are plain tuples appended to lists: logging must be cheap because
-it happens for *every* skipped instruction, while reconstruction — the
-expensive part — touches only the log tail.  "To minimize the storage
-requirements of the algorithm, data are kept only for the current cluster
-of execution" — :meth:`SkipRegionLog.clear` is called after every cluster.
-
-:class:`SkipRegionLog` is the *raw* implementation of the
-:class:`~repro.core.source.ReconstructionSource` protocol: it retains the
-full reference streams and answers every reverse-scan query by walking
-them.  The compacted sibling lives in
-:mod:`repro.core.compaction`.
+:class:`SkipRegionLog` keeps both streams as plain tuples in lists and
+answers every reverse-scan query of the
+:class:`~repro.core.source.ReconstructionSource` protocol by literally
+walking them — the paper's "log of all references".  The package ships
+only the compacted :class:`~repro.core.compaction.CompactedSkipRegionLog`;
+this module is the oracle the equivalence suites compare it with.  The
+class doubles as a zero-argument source factory:
+``ReverseStateReconstruction(source=SkipRegionLog)`` runs a method on it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .source import ReconstructionSource, tail_cutoff
-
-#: Memory-record reference kinds.
-REF_LOAD = 0
-REF_STORE = 1
-REF_INSTRUCTION = 2
-
-#: Branch-record kinds.
-BR_COND = 0
-BR_CALL = 1
-BR_RET = 2
-BR_JUMP = 3
+from repro.core.ras_reconstruct import reconstruct_ras_contents
+from repro.core.source import (
+    BR_CALL,
+    BR_COND,
+    BR_JUMP,
+    BR_RET,
+    REF_INSTRUCTION,
+    REF_LOAD,
+    REF_STORE,
+    ReconstructionSource,
+    tail_cutoff,
+)
 
 #: Deterministic per-record byte model for :meth:`SkipRegionLog.
 #: stored_bytes` (CPython-flavoured estimates — tuple header plus element
@@ -206,8 +203,6 @@ class SkipRegionLog(ReconstructionSource):
         return claims[::-1, 0], claims[::-1, 1]
 
     def ras_tail_contents(self, fraction: float, capacity: int) -> list:
-        from .ras_reconstruct import reconstruct_ras_contents
-
         return reconstruct_ras_contents(self.branch_tail(fraction), capacity)
 
     def pht_entry_windows(self, fraction: float, mask: int,
@@ -253,3 +248,8 @@ class SkipRegionLog(ReconstructionSource):
             telemetry.observe("log.gap_stored_bytes", stored_bytes)
         self.memory_records.clear()
         self.branch_records.clear()
+
+
+#: ``ReverseStateReconstruction(source=...)`` for each equivalence-cell
+#: label: the raw oracle, and the package's compacted log (the default).
+SOURCES = {"raw": SkipRegionLog, "compacted": None}

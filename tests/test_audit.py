@@ -1,6 +1,7 @@
 """Tests for the accuracy-audit subsystem: reference trajectories,
 divergence probes, error attribution, and the equivalence guarantees
-(raw == compacted sources, serial == parallel merges, S$BP == reference).
+(compacted log == raw oracle, serial == parallel merges,
+S$BP == reference).
 """
 
 import json
@@ -20,8 +21,9 @@ from repro.harness.reporting import (
 )
 from repro.sampling import SampledSimulator
 from repro.telemetry import RECORD_AUDIT, Telemetry, audit_enabled
-from repro.warmup import SmartsWarmup, make_method
+from repro.warmup import SmartsWarmup, resolve_method
 from repro.workloads import build_workload
+from tests.oracle_skiplog import SOURCES
 
 CI = SCALES["ci"]
 METHOD_NAMES = ("S$BP", "R$BP (100%)")
@@ -29,16 +31,18 @@ METHOD_NAMES = ("S$BP", "R$BP (100%)")
 
 def audit_suite():
     """Picklable module-level method factory (crosses the pool boundary)."""
-    return [make_method(name) for name in METHOD_NAMES]
+    return [resolve_method(name) for name in METHOD_NAMES]
 
 
-def make_simulator(workload_name="ammp", telemetry=Telemetry):
+def make_simulator(workload_name="ammp", telemetry=Telemetry,
+                   cluster_jobs=None):
     workload = build_workload(workload_name, mem_scale=CI.mem_scale)
     return SampledSimulator(
         workload, CI.regimen(), CI.configs(),
         warmup_prefix=CI.warmup_prefix,
         detail_ramp=CI.detail_ramp,
         telemetry=telemetry,
+        cluster_jobs=cluster_jobs,
     )
 
 
@@ -48,13 +52,12 @@ def audit_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_AUDIT", "1")
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-    monkeypatch.delenv("REPRO_LOG_COMPACTION", raising=False)
     monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "cache"))
     return tmp_path
 
 
-def run_audited(method, workload_name="ammp"):
-    simulator = make_simulator(workload_name)
+def run_audited(method, workload_name="ammp", cluster_jobs=None):
+    simulator = make_simulator(workload_name, cluster_jobs=cluster_jobs)
     result = simulator.run(method)
     return result, result.extra["telemetry"]
 
@@ -142,31 +145,28 @@ class TestProbeRecords:
 
 
 class TestSourceEquivalence:
-    @pytest.mark.parametrize("fraction", [1.0, 0.4])
+    @pytest.mark.parametrize("fraction,cluster_jobs", [
+        pytest.param(1.0, None, id="1.0"),
+        pytest.param(0.4, None, id="0.4"),
+        pytest.param(1.0, 2, id="1.0-sharded"),
+        pytest.param(0.4, 2, id="0.4-sharded"),
+    ])
     def test_raw_and_compacted_audits_bit_identical(self, audit_env,
-                                                    fraction):
+                                                    fraction, cluster_jobs):
+        """The compacted log and the raw oracle audit bit-identically,
+        serially and with the probes running inside shard workers."""
         texts = {}
-        for source in ("raw", "compacted"):
+        for label, source in SOURCES.items():
             _, snapshot = run_audited(
                 ReverseStateReconstruction(fraction=fraction,
-                                           source=source)
+                                           source=source),
+                cluster_jobs=cluster_jobs,
             )
-            texts[source] = audit_to_json(snapshot)
+            texts[label] = audit_to_json(snapshot)
         assert texts["raw"] == texts["compacted"]
         payload = json.loads(texts["raw"])
         assert payload["schema"] == "repro-audit-v1"
         assert len(payload["clusters"]) == CI.regimen().num_clusters
-
-    def test_compaction_env_composes(self, audit_env, monkeypatch):
-        """REPRO_AUDIT + REPRO_LOG_COMPACTION: the env-selected source
-        produces the same audit as the explicitly pinned one."""
-        monkeypatch.setenv("REPRO_LOG_COMPACTION", "1")
-        _, via_env = run_audited(ReverseStateReconstruction(0.4))
-        monkeypatch.delenv("REPRO_LOG_COMPACTION")
-        _, pinned = run_audited(
-            ReverseStateReconstruction(0.4, source="compacted")
-        )
-        assert audit_to_json(via_env) == audit_to_json(pinned)
 
 
 class TestParallelEquivalence:

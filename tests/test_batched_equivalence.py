@@ -3,7 +3,8 @@
 The batch core (`REPRO_BATCH_CORE`) swaps the functional interpreter and
 the reverse-reconstruction scans for vectorized kernels; nothing about
 the simulated machine may change.  These tests run complete sampled
-simulations both ways — raw and compacted skip-log sources, serial and
+simulations both ways — the compacted skip log and the raw oracle
+(tests/oracle_skiplog.py), serial and
 cluster-sharded topologies — and require bit-identical per-cluster IPCs,
 identical WarmupCost ledgers, identical IPC estimates, and identical
 telemetry event counters (which subsume the gap-log record counts and
@@ -24,9 +25,9 @@ from repro.harness import scale_from_env
 from repro.sampling import SampledSimulator
 from repro.telemetry import Telemetry
 from repro.workloads import build_workload
+from tests.oracle_skiplog import SOURCES
 
 WORKLOADS = ("gcc", "mcf")
-SOURCES = ("raw", "compacted")
 TOPOLOGIES = {"serial": None, "sharded": 2}
 
 
@@ -44,7 +45,8 @@ def _run(workload_name: str, source: str, cluster_jobs, batched: bool):
     os.environ["REPRO_BATCH_CORE"] = "on" if batched else "off"
     try:
         result = simulator.run(
-            ReverseStateReconstruction(fraction=1.0, source=source)
+            ReverseStateReconstruction(fraction=1.0,
+                                       source=SOURCES[source])
         )
     finally:
         if previous is None:

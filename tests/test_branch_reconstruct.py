@@ -11,8 +11,9 @@ import numpy as np
 
 from repro.branch import BranchPredictor, PredictorConfig
 from repro.core.branch_reconstruct import ReverseBranchReconstructor
-from repro.core.logging import SkipRegionLog, BR_COND, BR_CALL, BR_RET, BR_JUMP
+from repro.core import BR_COND, BR_CALL, BR_RET, BR_JUMP
 from repro.isa import Instruction, Opcode
+from tests.oracle_skiplog import SkipRegionLog
 
 
 def config():

@@ -3,8 +3,7 @@
 Covers the store engine itself (atomic serialization helpers, key
 discipline, manifest cross-checks, gc), the pipeline's read-through
 integration (cold vs warm bit-identity for IPCs, the full WarmupCost
-ledger, per-cluster gap logs, and audit output across raw/compacted
-sources), corruption degradation (truncated blob, tampered manifest,
+ledger, per-cluster gap logs, and audit output), corruption degradation (truncated blob, tampered manifest,
 geometry-tampered shards all re-scan with identical results), the
 streaming fold's ordering guarantees (adversarial completion order,
 executors without a streaming hook, duplicate deliveries, every
@@ -19,7 +18,6 @@ import pickle
 import pytest
 
 from repro.core import ReverseStateReconstruction
-from repro.core.source import resolved_source_kind
 from repro.harness.executor import (
     Executor,
     register_executor,
@@ -53,6 +51,7 @@ from repro.store.serialization import (
 from repro.warmup import SmartsWarmup
 from repro.warmup.base import WarmupMethod
 from repro.workloads import build_workload
+from tests.oracle_skiplog import SkipRegionLog
 
 REGIMEN = SamplingRegimen(total_instructions=24_000, num_clusters=4,
                           cluster_size=600, seed=7)
@@ -192,15 +191,6 @@ class TestStoreKeys:
         assert self._key(workload, method_identity=other) != \
             self._key(workload)
 
-    def test_source_kind_changes_the_key(self, workload):
-        raw = ReverseStateReconstruction(0.3, source="raw").store_identity()
-        compacted = ReverseStateReconstruction(
-            0.3, source="compacted").store_identity()
-        assert raw["source"] == "raw"
-        assert compacted["source"] == "compacted"
-        assert self._key(workload, method_identity=raw) != \
-            self._key(workload, method_identity=compacted)
-
     def test_livepoint_key_differs_from_shard_key(self, workload):
         livepoint = livepoint_store_key(
             workload, REGIMEN, SimulatorConfigs(), warmup_prefix=PREFIX,
@@ -217,22 +207,8 @@ class TestStoreKeys:
         assert SmartsWarmup().store_identity() is None
 
     def test_callable_source_is_not_storable(self):
-        method = ReverseStateReconstruction(0.3, source=_raw_source_factory)
+        method = ReverseStateReconstruction(0.3, source=SkipRegionLog)
         assert method.store_identity() is None
-
-    def test_resolved_source_kind(self, monkeypatch):
-        assert resolved_source_kind("raw") == "raw"
-        assert resolved_source_kind(_raw_source_factory) is None
-        monkeypatch.delenv("REPRO_LOG_COMPACTION", raising=False)
-        assert resolved_source_kind("auto") == "compacted"
-        monkeypatch.setenv("REPRO_LOG_COMPACTION", "raw")
-        assert resolved_source_kind("auto") == "raw"
-
-
-def _raw_source_factory():
-    from repro.core.logging import SkipRegionLog
-
-    return SkipRegionLog()
 
 
 # ---------------------------------------------------------------------------
@@ -384,24 +360,18 @@ class TestReadThrough:
         assert manifest["detail_ramp"] == RAMP
         assert manifest["digest"] == blob_digest(blob.read_bytes())
 
-    @pytest.mark.parametrize("source", ["raw", "compacted"])
-    def test_warm_run_bit_identical(self, workload, store_env, source):
+    def test_warm_run_bit_identical(self, workload, store_env):
         """Acceptance: a store hit reproduces the cold run exactly —
         per-cluster IPCs, the estimate, and every WarmupCost component
         (the stored shards replay their cold-scan gap-log deltas)."""
-        cold = _run(workload, source=source)
-        warm = _run(workload, source=source)
+        cold = _run(workload)
+        warm = _run(workload)
         assert cold.extra["checkpoint_store"] == "miss"
         assert warm.extra["checkpoint_store"] == "hit"
         assert warm.cluster_ipcs == cold.cluster_ipcs
         assert warm.cost.as_dict() == cold.cost.as_dict()
         assert warm.estimate.mean == cold.estimate.mean
         assert warm.estimate.error_bound == cold.estimate.error_bound
-
-    def test_raw_and_compacted_store_separately(self, workload, store_env):
-        _run(workload, source="raw")
-        _run(workload, source="compacted")
-        assert len(list(store_env.glob("shards/*/*.pkl"))) == 2
 
     def test_warm_run_matches_serial_cost_ledger(self, workload, store_env):
         """The serial == sharded cost contract survives the store: a
@@ -453,9 +423,9 @@ class TestReadThrough:
 
     def test_unstorable_method_bypasses_the_store(self, workload,
                                                   store_env):
-        """A callable source has no stable identity, so the run executes
+        """A source factory has no stable identity, so the run executes
         store-less even with the environment configured."""
-        run = _run(workload, source=_raw_source_factory)
+        run = _run(workload, source=SkipRegionLog)
         assert "checkpoint_store" not in run.extra
         assert not list(store_env.glob("shards/*/*.pkl"))
 
@@ -823,14 +793,14 @@ class TestLivePointsStore:
         assert len(loaded) == len(library)
         assert loaded.workload.name == library.workload.name
 
-    def test_legacy_bare_pickle_warns_and_loads(self, library, tmp_path):
+    def test_legacy_bare_pickle_rejected(self, library, tmp_path):
         from repro.livepoints import LivePointLibrary
 
         path = tmp_path / "legacy.lpz"
         path.write_bytes(pickle.dumps(library))
-        with pytest.warns(DeprecationWarning, match="legacy bare-pickle"):
-            loaded = LivePointLibrary.load(path)
-        assert len(loaded) == len(library)
+        with pytest.raises(TypeError,
+                           match="does not contain a LivePointLibrary"):
+            LivePointLibrary.load(path)
 
     def test_tampered_digest_raises(self, library, tmp_path):
         from repro.livepoints import LivePointLibrary

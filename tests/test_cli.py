@@ -285,21 +285,15 @@ class TestAuditCommand:
         args = build_parser().parse_args(["audit", "ammp"])
         assert args.command == "audit"
         assert args.method is None
-        assert args.source == "auto"
         assert args.json is None
 
     def test_audit_parser_flags(self):
         args = build_parser().parse_args(
-            ["audit", "gcc", "--method", "rsr", "--source", "both",
+            ["audit", "gcc", "--method", "rsr",
              "--json", "audit.json", "--scale", "ci"],
         )
         assert args.method == ["rsr"]
-        assert args.source == "both"
         assert args.json == "audit.json"
-
-    def test_audit_rejects_unknown_source(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["audit", "ammp", "--source", "x"])
 
     def test_audit_reports_attribution(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
@@ -319,16 +313,15 @@ class TestAuditCommand:
         assert main(["audit", "ammp", "--method", "smarts"]) == 0
         assert "REPRO_AUDIT" not in os.environ
 
-    def test_audit_source_both_asserts_equivalence(
-            self, capsys, monkeypatch, tmp_path):
+    def test_audit_json_export(self, capsys, monkeypatch, tmp_path):
         import json
 
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
         path = tmp_path / "audit.json"
         assert main(["audit", "ammp", "--method", "rsr",
-                     "--source", "both", "--json", str(path)]) == 0
+                     "--json", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "bit-identical audit JSON" in out
+        assert f"audit JSON written to {path}" in out
         payload = json.loads(path.read_text())
         assert payload["schema"] == "repro-audit-v1"
         assert payload["clusters"]

@@ -329,20 +329,6 @@ class TestCancelCleanup:
         assert backend._pool is None
 
 
-class TestDeprecatedShim:
-    def test_run_matrix_parallel_warns_and_delegates(self):
-        from repro.harness import parallel
-
-        with pytest.deprecated_call():
-            matrix = parallel.run_matrix_parallel(
-                _EmptySuite, workload_names=(), jobs=1)
-        assert matrix == {}
-
-
-def _EmptySuite():
-    return []
-
-
 class TestAtomicEventAppends:
     """Concurrent multi-process appends must interleave whole lines
     (the events-JSONL half of the interrupted-run bugfix)."""

@@ -245,7 +245,7 @@ class TestTailFractionValidation:
 
     def test_log_tail_queries_validate(self):
         from repro.core.compaction import CompactedSkipRegionLog
-        from repro.core.logging import SkipRegionLog
+        from tests.oracle_skiplog import SkipRegionLog
 
         raw = SkipRegionLog()
         with pytest.raises(ValueError, match=r"\(0, 1\]"):

@@ -25,6 +25,7 @@ from repro.sampling import (
 from repro.telemetry import Telemetry
 from repro.warmup import SmartsWarmup
 from repro.workloads import build_workload
+from tests.oracle_skiplog import SkipRegionLog
 
 REGIMEN = SamplingRegimen(total_instructions=24_000, num_clusters=4,
                           cluster_size=600, seed=7)
@@ -143,12 +144,13 @@ class TestShardedEquivalence:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_raw_and_compacted_sources_identical(self, workload, jobs):
-        """Acceptance: both source representations produce bit-identical
-        results through the serial path and through shards."""
+        """Acceptance: the compacted log and the raw oracle produce
+        bit-identical results through the serial path and through
+        shards."""
         raw = _simulator(workload, cluster_jobs=jobs).run(
-            ReverseStateReconstruction(0.3, source="raw"))
+            ReverseStateReconstruction(0.3, source=SkipRegionLog))
         compacted = _simulator(workload, cluster_jobs=jobs).run(
-            ReverseStateReconstruction(0.3, source="compacted"))
+            ReverseStateReconstruction(0.3))
         assert raw.cluster_ipcs == compacted.cluster_ipcs
         assert raw.cost.as_dict() == compacted.cost.as_dict()
 

@@ -1,10 +1,11 @@
-"""Property tests: compacted-log reconstruction == raw reverse scan.
+"""Property tests: compacted-log reconstruction == raw oracle scan.
 
 The compaction engine (repro/core/compaction.py) claims that every
 ReconstructionSource query answers bit-identically to a reverse scan of
 the raw stream, for every tail fraction and both reconstruction modes,
 wherever the folds fall and however much of the gap they trim.  These
-tests drive randomized gap streams through both sources via the same
+tests drive randomized gap streams through the compacted log and the
+raw oracle (tests/oracle_skiplog.py) via the same
 hook calls and compare the *reconstructed state* — cache tags, LRU order
 and dirty bits, GHR, BTB, RAS, and PHT counters — plus the raw equality
 of the direct queries.
@@ -25,7 +26,6 @@ from repro.core import (
     ReverseBranchReconstructor,
     ReverseCacheReconstructor,
     ReverseStateReconstruction,
-    SkipRegionLog,
     default_table,
 )
 from repro.core.source import tail_cutoff
@@ -35,6 +35,7 @@ from repro.sampling import SampledSimulator, SamplingRegimen
 from repro.telemetry import Telemetry
 from repro.workloads import build_workload
 from repro.workloads.generator import Workload
+from tests.oracle_skiplog import SOURCES, SkipRegionLog
 
 FRACTIONS = (1.0, 0.8, 0.5, 0.33, 0.2)
 
@@ -406,7 +407,7 @@ class TestEndToEndEquivalence:
         simulator = SampledSimulator(build_workload("twolf"), self.REGIMEN)
         results = [
             simulator.run(ReverseStateReconstruction(
-                fraction, on_demand=on_demand, source=kind))
+                fraction, on_demand=on_demand, source=SOURCES[kind]))
             for kind in ("raw", "compacted")
         ]
         assert results[0].cluster_ipcs == results[1].cluster_ipcs
@@ -416,7 +417,7 @@ class TestEndToEndEquivalence:
         simulator = SampledSimulator(build_workload("gcc"), self.REGIMEN)
         peaks = {}
         for kind in ("raw", "compacted"):
-            method = ReverseStateReconstruction(1.0, source=kind)
+            method = ReverseStateReconstruction(1.0, source=SOURCES[kind])
             simulator.run(method)
             peaks[kind] = method.log.peak_stored_records
         assert 0 < peaks["compacted"] < peaks["raw"]
@@ -447,7 +448,8 @@ class TestHighHalfAddresses:
         for core in ("on", "off"):
             monkeypatch.setenv("REPRO_BATCH_CORE", core)
             result = SampledSimulator(workload, regimen).run(
-                ReverseStateReconstruction(fraction, source=source))
+                ReverseStateReconstruction(fraction,
+                                           source=SOURCES[source]))
             results[core] = (result.cluster_ipcs, result.cost.as_dict())
         assert results["on"] == results["off"]
 

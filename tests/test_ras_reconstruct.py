@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.branch import PredictorConfig, ReturnAddressStack
-from repro.core.logging import BR_CALL, BR_COND, BR_JUMP, BR_RET
+from repro.core import BR_CALL, BR_COND, BR_JUMP, BR_RET
 from repro.core.ras_reconstruct import (
     reconstruct_ras,
     reconstruct_ras_contents,

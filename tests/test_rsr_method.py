@@ -36,6 +36,10 @@ class TestConstruction:
             ReverseStateReconstruction(0.5, warm_cache=False,
                                        warm_predictor=False)
 
+    def test_source_must_be_a_factory(self):
+        with pytest.raises(TypeError, match="zero-argument factory"):
+            ReverseStateReconstruction(0.5, source="raw")
+
 
 class TestSkipAndLogging:
     def test_skip_logs_without_touching_state(self):

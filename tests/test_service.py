@@ -112,7 +112,7 @@ class TestExecuteRequest:
 
     def test_audit_payload_has_reports(self):
         request = RunRequest(kind="audit", workloads=("gcc",),
-                             methods=("rsr",), design="ci", source="raw")
+                             methods=("rsr",), design="ci")
         result = execute_request(request, cache="off")
         report = result.payload["reports"]["gcc"]
         assert {"summary", "clusters"} <= set(report)
@@ -451,7 +451,6 @@ class TestRunOptions:
         ("REPRO_EXECUTOR", "warp", "unknown executor"),
         ("REPRO_AUDIT", "maybe", "REPRO_AUDIT"),
         ("REPRO_TELEMETRY", "kinda", "REPRO_TELEMETRY"),
-        ("REPRO_LOG_COMPACTION", "zip", "REPRO_LOG_COMPACTION"),
         ("REPRO_BATCH_CORE", "turbo", "REPRO_BATCH_CORE"),
     ])
     def test_bad_values_name_the_variable(self, monkeypatch, name, value,

@@ -1,9 +1,8 @@
-"""Unit tests for skip-region logging."""
+"""Unit tests for the raw skip-region log oracle."""
 
 import pytest
 
-from repro.core.logging import (
-    SkipRegionLog,
+from repro.core import (
     REF_LOAD,
     REF_STORE,
     REF_INSTRUCTION,
@@ -14,6 +13,7 @@ from repro.core.logging import (
 )
 from repro.functional import FunctionalMachine
 from repro.isa import ProgramBuilder
+from tests.oracle_skiplog import SkipRegionLog
 
 
 def logging_machine():

@@ -7,9 +7,9 @@ from repro.warmup import (
     FixedPeriodWarmup,
     NoWarmup,
     SmartsWarmup,
-    make_method,
     paper_method_names,
     paper_method_suite,
+    resolve_method,
 )
 
 
@@ -56,15 +56,17 @@ class TestSuite:
 
 
 class TestMakeMethod:
+    """Building a method from its Table 2 name."""
+
     def test_builds_by_name(self):
-        method = make_method("R$BP (40%)")
+        method = resolve_method("R$BP (40%)")
         assert isinstance(method, ReverseStateReconstruction)
         assert method.fraction == pytest.approx(0.4)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown method"):
-            make_method("bogus")
+            resolve_method("bogus")
 
     def test_every_listed_name_buildable(self):
         for name in paper_method_names():
-            assert make_method(name).name == name
+            assert resolve_method(name).name == name

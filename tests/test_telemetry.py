@@ -22,7 +22,7 @@ from repro.telemetry import (
     telemetry_from_env,
     write_trace,
 )
-from repro.warmup import make_method
+from repro.warmup import resolve_method
 from repro.workloads import build_workload
 
 CI = SCALES["ci"]
@@ -31,7 +31,7 @@ METHOD_NAMES = ("None", "S$BP", "R$BP (20%)")
 
 def small_suite():
     """Picklable module-level method factory (crosses the pool boundary)."""
-    return [make_method(name) for name in METHOD_NAMES]
+    return [resolve_method(name) for name in METHOD_NAMES]
 
 
 def make_simulator(workload_name="ammp", telemetry=None):
@@ -221,7 +221,7 @@ class TestSession:
 @pytest.fixture(scope="module")
 def traced_run():
     simulator = make_simulator(telemetry=Telemetry)
-    return simulator.run(make_method("R$BP (20%)"))
+    return simulator.run(resolve_method("R$BP (20%)"))
 
 
 class TestTracedRun:
@@ -285,16 +285,16 @@ class TestTracedRun:
     def test_default_run_carries_no_telemetry(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        result = make_simulator().run(make_method("None"))
+        result = make_simulator().run(resolve_method("None"))
         assert "telemetry" not in result.extra
 
     def test_repro_trace_env_appends_file(self, monkeypatch, tmp_path):
         path = tmp_path / "trace.jsonl"
         monkeypatch.setenv("REPRO_TRACE", str(path))
-        make_simulator().run(make_method("None"))
+        make_simulator().run(resolve_method("None"))
         records = read_trace(path)
         assert len(records) == CI.num_clusters
-        make_simulator().run(make_method("None"))
+        make_simulator().run(resolve_method("None"))
         assert len(read_trace(path)) == 2 * CI.num_clusters
 
 
@@ -403,4 +403,4 @@ class TestHarmonicMeanGuard:
         # The harmonic-mean diagnostic must not raise ZeroDivisionError;
         # the run still fails later with the estimator's readable error.
         with pytest.raises(ValueError, match="no clusters"):
-            simulator.run(make_method("None"))
+            simulator.run(resolve_method("None"))
