@@ -11,10 +11,11 @@ in sampled simulation, mirroring the paper's §4:
 3. The oracle underneath *hot* simulation — the timing core single-steps
    the functional machine and times each retired instruction.
 
-Performance notes: the dispatch in :meth:`FunctionalMachine.run` is a flat
-``if/elif`` chain on the opcode's integer value with all hot attributes
-hoisted into locals, because this is the innermost loop of every
-experiment.
+Performance notes: bulk execution (:meth:`FunctionalMachine.run`) runs
+translated basic blocks (:mod:`repro.functional.blocks`), each compiled
+once into a Python function with its operands baked in, because this is
+the innermost loop of every experiment.  :meth:`FunctionalMachine.step`
+remains the one-instruction reference semantics and the fallback.
 """
 
 from __future__ import annotations
@@ -24,15 +25,14 @@ from dataclasses import dataclass, field
 
 from ..isa import Opcode, Program, NUM_REGISTERS, LINK_REGISTER, STACK_POINTER
 from .memory import Memory
-from .predecode import predecode_program
+from .blocks import block_table, divide_signed, to_signed
 
 _MASK64 = (1 << 64) - 1
-_SIGN_BIT = 1 << 63
 
 #: Environment variable selecting the bulk-execution engine used by
 #: :meth:`FunctionalMachine.run`: any of ``off``/``0``/``scalar``/
 #: ``false``/``no`` selects the per-step scalar reference loop,
-#: everything else (including unset) the batched span interpreter.
+#: everything else (including unset) the block-translated engine.
 BATCH_CORE_ENV_VAR = "REPRO_BATCH_CORE"
 
 _SCALAR_SENTINELS = frozenset({"off", "0", "scalar", "false", "no"})
@@ -42,65 +42,6 @@ def batch_core_enabled() -> bool:
     """Resolve ``REPRO_BATCH_CORE`` (unset means batched)."""
     setting = os.environ.get(BATCH_CORE_ENV_VAR, "").strip().lower()
     return setting not in _SCALAR_SENTINELS
-
-
-def to_signed(value: int) -> int:
-    """Interpret a 64-bit unsigned value as two's-complement signed."""
-    return value - (1 << 64) if value & _SIGN_BIT else value
-
-
-# Plain-int opcode values for the batched span interpreter: comparing a
-# list element against a cached small int avoids the enum identity check
-# and attribute traffic of the scalar chain.  Ordered here roughly by
-# dynamic frequency in the nine workload generators.
-_OP_ADDI = int(Opcode.ADDI)
-_OP_ADD = int(Opcode.ADD)
-_OP_LI = int(Opcode.LI)
-_OP_SUB = int(Opcode.SUB)
-_OP_MUL = int(Opcode.MUL)
-_OP_AND = int(Opcode.AND)
-_OP_OR = int(Opcode.OR)
-_OP_XOR = int(Opcode.XOR)
-_OP_SLL = int(Opcode.SLL)
-_OP_SRL = int(Opcode.SRL)
-_OP_SLT = int(Opcode.SLT)
-_OP_ANDI = int(Opcode.ANDI)
-_OP_ORI = int(Opcode.ORI)
-_OP_XORI = int(Opcode.XORI)
-_OP_SLTI = int(Opcode.SLTI)
-_OP_SLLI = int(Opcode.SLLI)
-_OP_SRLI = int(Opcode.SRLI)
-_OP_DIV = int(Opcode.DIV)
-_OP_NOP = int(Opcode.NOP)
-_OP_LOAD = int(Opcode.LOAD)
-_OP_STORE = int(Opcode.STORE)
-_OP_BEQ = int(Opcode.BEQ)
-_OP_BNE = int(Opcode.BNE)
-_OP_BLT = int(Opcode.BLT)
-_OP_BGE = int(Opcode.BGE)
-_OP_JMP = int(Opcode.JMP)
-_OP_JR = int(Opcode.JR)
-_OP_CALL = int(Opcode.CALL)
-_OP_CALLR = int(Opcode.CALLR)
-_OP_RET = int(Opcode.RET)
-
-
-def _divide_signed(dividend: int, divisor: int) -> int:
-    """Truncating signed 64-bit division over unsigned register fields.
-
-    Both operands are interpreted as two's complement; the quotient
-    truncates toward zero (C/RISC semantics, not Python floor) and wraps
-    into the unsigned field, so INT64_MIN / −1 yields INT64_MIN.
-    Division by zero returns 0 (the ISA's defined result).
-    """
-    a = to_signed(dividend)
-    b = to_signed(divisor)
-    if b == 0:
-        return 0
-    quotient = a // b
-    if quotient < 0 and quotient * b != a:
-        quotient += 1  # floor -> truncation for mixed-sign inexact results
-    return quotient & _MASK64
 
 
 @dataclass
@@ -145,8 +86,8 @@ class FunctionalMachine:
     memory:
         Optional pre-initialised memory (workload generators seed arrays).
     batched:
-        Bulk-execution engine for :meth:`run`: True selects the batched
-        span interpreter (:meth:`run_batch`), False the per-step scalar
+        Bulk-execution engine for :meth:`run`: True selects the block-
+        translated engine (:meth:`run_batch`), False the per-step scalar
         reference loop (:meth:`run_scalar`).  None (the default) resolves
         ``REPRO_BATCH_CORE`` at construction, so the choice propagates
         into shard workers through their environment.  Both engines are
@@ -208,18 +149,25 @@ class FunctionalMachine:
     def step(self) -> StepResult:
         """Execute exactly one instruction; return its :class:`StepResult`.
 
-        The returned object is reused by subsequent calls.
+        The returned object is reused by subsequent calls.  Raises
+        ``ValueError`` when the pc is outside the program (a wild
+        JR/CALLR/RET target, or running off the end without a HALT).
         """
         result = self._step_result
         if self.halted:
             result.halted = True
             return result
 
-        program = self.program
         regs = self.registers
-        inst = program.instructions[self.pc]
-        op = inst.opcode
         pc = self.pc
+        try:
+            inst = self.program.instructions[pc]
+        except IndexError:
+            program = self.program
+            raise ValueError(
+                f"program {program.name!r} reached instruction index {pc}, "
+                f"outside its {len(program)} instructions") from None
+        op = inst.opcode
         next_pc = pc + 1
         taken = False
         mem_address = -1
@@ -261,7 +209,7 @@ class FunctionalMachine:
                 regs[inst.rd] = (regs[inst.rs1] * regs[inst.rs2]) & _MASK64
         elif op is Opcode.DIV:
             if inst.rd:
-                regs[inst.rd] = _divide_signed(regs[inst.rs1], regs[inst.rs2])
+                regs[inst.rd] = divide_signed(regs[inst.rs1], regs[inst.rs2])
         elif op is Opcode.AND:
             if inst.rd:
                 regs[inst.rd] = regs[inst.rs1] & regs[inst.rs2]
@@ -357,7 +305,9 @@ class FunctionalMachine:
 
         Dispatches to :meth:`run_batch` or :meth:`run_scalar` according
         to :attr:`batched`; the two engines produce bit-identical
-        architectural state, hook-call sequences, and ifetch continuity.
+        architectural state, hook-call sequences, machine state seen by
+        each mem and branch hook, and ifetch continuity.  Raises
+        ``ValueError`` when execution reaches a pc outside the program.
 
         Parameters
         ----------
@@ -397,7 +347,7 @@ class FunctionalMachine:
 
         Every instruction goes through :meth:`step`; hooks fire inline.
         Kept verbatim as the semantic baseline the batched engine is
-        differentially fuzzed against.
+        differentially fuzzed against, and as that engine's fallback.
         """
         executed = 0
         step = self.step
@@ -450,260 +400,59 @@ class FunctionalMachine:
         ifetch_hook=None,
         ifetch_block_bytes: int = 64,
     ) -> int:
-        """Batched span engine (see :meth:`run` for the contract).
+        """Block-translated engine (see :meth:`run` for the contract).
 
-        Executes the predecoded program (:mod:`repro.functional.
-        predecode`) in straight-line ALU/NOP spans: operand columns are
-        indexed directly, no :class:`StepResult` is written, and ifetch
-        block crossings within a span are computed arithmetically instead
-        of being checked per instruction.  Execution falls back to
-        :meth:`step` at every *boundary* instruction — memory references
-        and control transfers, whose observation hooks must interleave
-        with execution order, plus HALT — so all non-trivial semantics
-        live in exactly one place.
-
-        Hook-call sequences are identical to the scalar engine's: a span
-        contains no memory or branch hooks by construction, so firing its
-        block crossings in ascending pc order reproduces the interleaved
-        scalar order exactly.
+        Executes one translated block (:mod:`repro.functional.blocks`)
+        per iteration: its ALU ops, memory references and hook calls run
+        inline in scalar order, and the ifetch check happens once at its
+        entry.  HALT, poisoned predecode slots, a pc outside the program
+        and a block longer than what is left of `count` go through
+        :meth:`run_scalar`, so that bookkeeping (and the wild-pc error)
+        lives in :meth:`step` alone.
         """
         if count <= 0 or self.halted:
             return 0
         program = self.program
-        decoded = predecode_program(program)
-        step = self.step
-        instructions = program.instructions
         instruction_bytes = program.instruction_bytes
         code_base = program.code_base
         per_block = max(1, ifetch_block_bytes // instruction_bytes)
-        stored_per_block, stored_block = self._last_fetch
-        last_fetch_block = stored_block if stored_per_block == per_block else -1
+        blocks = block_table(program, mem_hook is not None,
+                             branch_hook is not None,
+                             per_block if ifetch_hook is not None else 0)
+        stored_per_block, last_fetch = self._last_fetch
+        if stored_per_block != per_block:
+            last_fetch = -1
         regs = self.registers
-        memory_load = self.memory.load
-        memory_store = self.memory.store
-        link_register = LINK_REGISTER
-        ops = decoded.op_list
-        rds = decoded.rd_list
-        rs1s = decoded.rs1_list
-        rs2s = decoded.rs2_list
-        imms = decoded.imm_list
-        targets = decoded.target_list
-        span_end = decoded.span_end_list
-        is_store_col = decoded.is_store
-        is_control_col = decoded.is_control
-
-        executed = 0
-        last_pc = -1
+        load = self.memory.load
+        store = self.memory.store
         pc = self.pc
-        while executed < count and not self.halted:
-            end = span_end[pc]
-            if end > pc:
-                # ---- straight-line ALU/NOP span ---------------------------
-                remaining = count - executed
-                if end - pc > remaining:
-                    end = pc + remaining
-                if ifetch_hook is not None:
-                    block = pc // per_block
-                    if block != last_fetch_block:
-                        ifetch_hook(code_base + pc * instruction_bytes)
-                    crossing = (block + 1) * per_block
-                    while crossing < end:
-                        ifetch_hook(code_base + crossing * instruction_bytes)
-                        crossing += per_block
-                    last_fetch_block = (end - 1) // per_block
-                i = pc
-                while i < end:
-                    op = ops[i]
-                    if op == _OP_ADDI:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = (regs[rs1s[i]] + imms[i]) & _MASK64
-                    elif op == _OP_ADD:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = (regs[rs1s[i]] + regs[rs2s[i]]) & _MASK64
-                    elif op == _OP_LI:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = imms[i] & _MASK64
-                    elif op == _OP_SUB:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = (regs[rs1s[i]] - regs[rs2s[i]]) & _MASK64
-                    elif op == _OP_MUL:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = (regs[rs1s[i]] * regs[rs2s[i]]) & _MASK64
-                    elif op == _OP_AND:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = regs[rs1s[i]] & regs[rs2s[i]]
-                    elif op == _OP_OR:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = regs[rs1s[i]] | regs[rs2s[i]]
-                    elif op == _OP_XOR:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = regs[rs1s[i]] ^ regs[rs2s[i]]
-                    elif op == _OP_SLLI:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = (regs[rs1s[i]] << (imms[i] & 63)) & _MASK64
-                    elif op == _OP_SRLI:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = regs[rs1s[i]] >> (imms[i] & 63)
-                    elif op == _OP_ANDI:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = regs[rs1s[i]] & (imms[i] & _MASK64)
-                    elif op == _OP_ORI:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = regs[rs1s[i]] | (imms[i] & _MASK64)
-                    elif op == _OP_XORI:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = regs[rs1s[i]] ^ (imms[i] & _MASK64)
-                    elif op == _OP_SLT:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = int(
-                                to_signed(regs[rs1s[i]])
-                                < to_signed(regs[rs2s[i]])
-                            )
-                    elif op == _OP_SLTI:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = int(to_signed(regs[rs1s[i]]) < imms[i])
-                    elif op == _OP_SLL:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = (
-                                regs[rs1s[i]] << (regs[rs2s[i]] & 63)
-                            ) & _MASK64
-                    elif op == _OP_SRL:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = regs[rs1s[i]] >> (regs[rs2s[i]] & 63)
-                    elif op == _OP_DIV:
-                        rd = rds[i]
-                        if rd:
-                            regs[rd] = _divide_signed(
-                                regs[rs1s[i]], regs[rs2s[i]]
-                            )
-                    elif op == _OP_NOP:
-                        pass
-                    else:  # pragma: no cover - spans hold only ALU/NOP ops
-                        raise RuntimeError(
-                            f"unimplemented opcode {Opcode(op)!r}"
-                        )
-                    i += 1
-                executed += end - pc
-                self.instructions_retired += end - pc
-                last_pc = end - 1
-                pc = end
+        start = retired = self.instructions_retired
+        stop = start + count
+        while retired < stop:
+            block, length, last_block = blocks[pc]
+            if not 0 < length <= stop - retired:
                 self.pc = pc
-                continue
-
-            # ---- boundary instruction -------------------------------------
-            # Memory references and control transfers are inlined with
-            # their hook calls in scalar order; HALT (and any instruction
-            # whose operands overflowed the predecode columns) falls back
-            # to step(), keeping its bookkeeping in one place.
-            if ifetch_hook is not None:
-                block = pc // per_block
-                if block != last_fetch_block:
-                    last_fetch_block = block
-                    ifetch_hook(code_base + pc * instruction_bytes)
-            op = ops[pc]
-            if op == _OP_LOAD:
-                address = (regs[rs1s[pc]] + imms[pc]) & _MASK64
-                rd = rds[pc]
-                if rd:
-                    regs[rd] = memory_load(address)
-                next_pc = pc + 1
-                self.pc = next_pc
-                self.instructions_retired += 1
-                executed += 1
-                last_pc = pc
-                if mem_hook is not None:
-                    mem_hook(pc, next_pc, address, False)
-                pc = next_pc
-                continue
-            if op == _OP_STORE:
-                address = (regs[rs1s[pc]] + imms[pc]) & _MASK64
-                memory_store(address, regs[rs2s[pc]])
-                next_pc = pc + 1
-                self.pc = next_pc
-                self.instructions_retired += 1
-                executed += 1
-                last_pc = pc
-                if mem_hook is not None:
-                    mem_hook(pc, next_pc, address, True)
-                pc = next_pc
-                continue
-            if op == _OP_BEQ:
-                taken = regs[rs1s[pc]] == regs[rs2s[pc]]
-                next_pc = targets[pc] if taken else pc + 1
-            elif op == _OP_BNE:
-                taken = regs[rs1s[pc]] != regs[rs2s[pc]]
-                next_pc = targets[pc] if taken else pc + 1
-            elif op == _OP_BLT:
-                taken = to_signed(regs[rs1s[pc]]) < to_signed(regs[rs2s[pc]])
-                next_pc = targets[pc] if taken else pc + 1
-            elif op == _OP_BGE:
-                taken = to_signed(regs[rs1s[pc]]) >= to_signed(regs[rs2s[pc]])
-                next_pc = targets[pc] if taken else pc + 1
-            elif op == _OP_JMP:
-                taken = True
-                next_pc = targets[pc]
-            elif op == _OP_CALL:
-                taken = True
-                regs[link_register] = pc + 1
-                next_pc = targets[pc]
-            elif op == _OP_CALLR:
-                taken = True
-                regs[link_register] = pc + 1
-                next_pc = regs[rs1s[pc]]
-            elif op == _OP_RET:
-                taken = True
-                next_pc = regs[link_register]
-            elif op == _OP_JR:
-                taken = True
-                next_pc = regs[rs1s[pc]]
-            else:
-                # HALT, or an overflow-poisoned column: step() fallback.
-                result = step()
-                executed += 1
-                last_pc = pc
-                if result.halted:
-                    break
-                if result.mem_address >= 0 and mem_hook is not None:
-                    mem_hook(
-                        result.index, result.next_index,
-                        result.mem_address,
-                        is_store_col[result.index],
-                    )
-                if branch_hook is not None and is_control_col[result.index]:
-                    branch_hook(
-                        result.index, result.next_index,
-                        instructions[result.index], result.taken,
-                    )
+                self.instructions_retired = retired
+                self._last_fetch = (per_block, last_fetch)
+                self.run_scalar(stop - retired if length else 1, mem_hook,
+                                branch_hook, ifetch_hook, ifetch_block_bytes)
                 pc = self.pc
+                retired = self.instructions_retired
+                last_fetch = self._last_fetch[1]
+                if self.halted:
+                    break
                 continue
-            self.pc = next_pc
-            self.instructions_retired += 1
-            executed += 1
-            last_pc = pc
-            if branch_hook is not None:
-                branch_hook(pc, next_pc, instructions[pc], taken)
-            pc = next_pc
-
-        if executed:
             if ifetch_hook is not None:
-                self._last_fetch = (per_block, last_pc // per_block)
-            else:
-                self.invalidate_fetch_block()
-        return executed
+                if pc // per_block != last_fetch:
+                    ifetch_hook(code_base + pc * instruction_bytes)
+                last_fetch = last_block
+            pc = block(self, regs, load, store, mem_hook, branch_hook,
+                       ifetch_hook, retired)
+            retired += length
+        self.pc = pc
+        self.instructions_retired = retired
+        if ifetch_hook is not None:
+            self._last_fetch = (per_block, last_fetch)
+        else:
+            self.invalidate_fetch_block()
+        return retired - start

@@ -1,35 +1,30 @@
 """Predecoded program representation (columnar decode cache).
 
-The scalar interpreter reads one :class:`~repro.isa.instructions.
-Instruction` object per step and pays an attribute lookup for every
-operand field.  The batched interpreter in
-:meth:`~repro.functional.machine.FunctionalMachine.run_batch` instead
-executes over *parallel columns* — one typed array per operand field —
+Reading an :class:`~repro.isa.instructions.Instruction` object costs an
+attribute lookup per operand field.  Consumers that walk a program many
+times instead read *parallel columns*, one typed array per field,
 decoded once per :class:`~repro.isa.program.Program`:
 
 - ``ops``/``rds``/``rs1s``/``rs2s`` (``array('h')``/``array('B')``) and
-  ``imms``/``targets`` (``array('q')``) hold the operand fields;
-- ``boundary`` marks instructions the batched span loop must leave to
-  the boundary handler: memory references and control transfers (which
-  fire observation hooks) and HALT;
-- ``span_end[i]`` is the index of the first boundary instruction at or
-  after ``i`` — the straight-line ALU/NOP span ``[i, span_end[i])`` can
-  execute with no hook checks and no per-step object churn;
+  ``imms``/``targets`` (``array('q')``) hold the operand fields; the
+  block translator (:mod:`repro.functional.blocks`) bakes them into its
+  compiled blocks;
+- ``boundary`` marks memory references, control transfers and HALT,
+  plus every *poisoned* slot (below);
 - the timing-simulator columns (``is_mem``/``is_control``/``is_load``/
   ``is_store`` bytearrays, ``latency``, ``dest`` with −1 for "no
   destination", and per-instruction ``sources`` tuples) let the hot
   loop replace five attribute/method lookups per retired instruction
-  with list indexing.
+  with list indexing;
+- ``blocks`` holds the translated blocks, one table per hook signature.
 
-The interpreter additionally keeps plain-list mirrors of the operand
-columns (``op_list`` and friends): CPython indexes a list of cached
-small ints faster than a typed array, which re-boxes on every read.
-The typed arrays remain the canonical, compact storage (and the form
-bulk/numpy consumers view); the mirrors are derived once here and never
-mutated.
+An operand too wide for its 64-bit column *poisons* the slot: its opcode
+column reads −1, so no translated block covers it and it runs through
+``step()``.
 
 Decoding is memoized on the program object (``program._predecoded``),
-so every machine over the same image shares one decode.
+so every machine over the same image shares one decode and one set of
+translated blocks; ``Program.__getstate__`` drops it from pickles.
 """
 
 from __future__ import annotations
@@ -38,9 +33,9 @@ from array import array
 
 from ..isa import Opcode
 
-#: Opcodes at which a straight-line batched span must stop: memory
-#: references and control transfers (their observation hooks interleave
-#: with execution order) plus HALT.
+#: Opcodes marked in the ``boundary`` column: memory references and
+#: control transfers (their observation hooks interleave with execution
+#: order) plus HALT.
 _BOUNDARY_OPS = frozenset({
     Opcode.LOAD, Opcode.STORE,
     Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE,
@@ -54,11 +49,8 @@ class PredecodedProgram:
 
     __slots__ = (
         "ops", "rds", "rs1s", "rs2s", "imms", "targets",
-        "boundary", "span_end",
-        "is_mem", "is_control", "is_load", "is_store",
-        "latency", "dest", "sources",
-        "op_list", "rd_list", "rs1_list", "rs2_list", "imm_list",
-        "target_list", "span_end_list",
+        "boundary", "is_mem", "is_control", "is_load", "is_store",
+        "latency", "dest", "sources", "blocks",
     )
 
     def __init__(self, program) -> None:
@@ -91,11 +83,8 @@ class PredecodedProgram:
                 boundary[index] = op in _BOUNDARY_OPS
             except OverflowError:
                 # An operand that does not fit the 64-bit column is left
-                # to the step() fallback: marking the instruction as a
-                # boundary keeps the batched span loop away from it, and
-                # poisoning its opcode column keeps the boundary
-                # dispatcher from matching an inline case on the stale
-                # column values.
+                # to the step() fallback: the poisoned opcode keeps the
+                # block translator from reading the stale column values.
                 ops[index] = -1
                 boundary[index] = True
             is_mem[index] = inst.is_mem
@@ -107,15 +96,6 @@ class PredecodedProgram:
             dest[index] = -1 if destination is None else destination
             sources[index] = inst.sources()
 
-        # span_end[i]: first boundary index at or after i (or n).  Walked
-        # backwards so each element is filled in O(1).
-        span_end = array("q", bytes(8 * n))
-        nearest = n
-        for index in range(n - 1, -1, -1):
-            if boundary[index]:
-                nearest = index
-            span_end[index] = nearest
-
         self.ops = ops
         self.rds = rds
         self.rs1s = rs1s
@@ -123,7 +103,6 @@ class PredecodedProgram:
         self.imms = imms
         self.targets = targets
         self.boundary = boundary
-        self.span_end = span_end
         self.is_mem = is_mem
         self.is_control = is_control
         self.is_load = is_load
@@ -131,14 +110,8 @@ class PredecodedProgram:
         self.latency = latency
         self.dest = dest
         self.sources = sources
-        # Interpreter-facing list mirrors (see module docstring).
-        self.op_list = ops.tolist()
-        self.rd_list = rds.tolist()
-        self.rs1_list = rs1s.tolist()
-        self.rs2_list = rs2s.tolist()
-        self.imm_list = imms.tolist()
-        self.target_list = targets.tolist()
-        self.span_end_list = span_end.tolist()
+        #: Hook signature -> repro.functional.blocks.BlockTable.
+        self.blocks: dict = {}
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -103,6 +103,14 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
+    def __getstate__(self) -> dict:
+        # The predecode cache (``_predecoded``, with its translated blocks)
+        # is derived, holds unpicklable compiled functions, and is rebuilt
+        # on first use.
+        state = dict(self.__dict__)
+        state.pop("_predecoded", None)
+        return state
+
     def address_of(self, index: int) -> int:
         """Byte address of the instruction at `index`."""
         return self.code_base + index * self.instruction_bytes

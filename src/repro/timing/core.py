@@ -156,6 +156,12 @@ class TimingSimulator:
 
         while retired < max_instructions and not machine.halted:
             pc = machine.pc
+            # ---- execute architecturally --------------------------------
+            # First, so a pc outside the program raises step()'s
+            # ValueError before the columns are indexed with it; no
+            # timing decision below reads machine state.
+            result = step()
+            retired += 1
             is_mem = is_mem_col[pc]
             is_control = is_control_col[pc]
 
@@ -181,9 +187,6 @@ class TimingSimulator:
                 dispatch_ready = checkpoints.acquire(dispatch_ready)
             dispatch_cycle = dispatch_limiter.take(dispatch_ready)
 
-            # ---- execute architecturally --------------------------------
-            result = step()
-            retired += 1
             if result.halted:
                 last_retire = max(last_retire, dispatch_cycle + 1)
                 break

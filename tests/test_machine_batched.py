@@ -21,7 +21,7 @@ from repro.core.source import tail_cutoff
 from repro.functional import FunctionalMachine, to_signed
 from repro.functional.checkpoint import FunctionalCheckpoint
 from repro.functional.predecode import predecode_program
-from repro.isa import Instruction, Opcode, Program
+from repro.isa import Instruction, Opcode, Program, ProgramBuilder
 from repro.warmup import register_method, unregister_method
 from repro.workloads import PAPER_WORKLOADS, build_workload
 
@@ -30,16 +30,26 @@ INT64_MIN = -(1 << 63)
 
 
 class HookTrace:
-    """Records every observation-hook call, in order, for comparison."""
+    """Records every observation-hook call, in order, for comparison.
 
-    def __init__(self) -> None:
+    Mem and branch events also record the machine's ``pc`` and
+    ``instructions_retired`` at call time: hooks such as SimPoint's BBV
+    profiler and the BLRL/MRRL reuse-latency profilers read them.
+    """
+
+    def __init__(self, machine: FunctionalMachine) -> None:
+        self.machine = machine
         self.events: list[tuple] = []
 
     def mem_hook(self, pc, next_pc, address, is_store):
-        self.events.append(("mem", pc, next_pc, address, bool(is_store)))
+        self.events.append(("mem", pc, next_pc, address, bool(is_store),
+                            self.machine.pc,
+                            self.machine.instructions_retired))
 
     def branch_hook(self, pc, next_pc, inst, taken):
-        self.events.append(("br", pc, next_pc, inst.opcode, bool(taken)))
+        self.events.append(("br", pc, next_pc, inst.opcode, bool(taken),
+                            self.machine.pc,
+                            self.machine.instructions_retired))
 
     def ifetch_hook(self, address):
         self.events.append(("ifetch", address))
@@ -62,12 +72,13 @@ def run_differential(program, memory, *, seed: int, total: int) -> None:
     hookless chunks, which exercise the fetch-block continuity
     bookkeeping across hooked/hookless transitions); after every chunk
     the full architectural state must match, and at the end the hook
-    traces must be identical element for element.
+    traces, with the machine state each mem and branch hook saw, must be
+    identical element for element.
     """
     scalar = FunctionalMachine(program, memory.copy(), batched=False)
     batched = FunctionalMachine(program, memory.copy(), batched=True)
     assert scalar.batched is False and batched.batched is True
-    scalar_trace, batched_trace = HookTrace(), HookTrace()
+    scalar_trace, batched_trace = HookTrace(scalar), HookTrace(batched)
     rng = random.Random(seed)
     remaining = total
     while remaining > 0 and not scalar.halted:
@@ -277,3 +288,318 @@ class TestTailFractionValidation:
         captured = capsys.readouterr()
         assert "fraction must be in (0, 1]" in captured.err
         assert "1.5" in captured.err
+
+
+def _mixed_program(limit: int = 100) -> Program:
+    """A loop over every opcode class that halts after `limit` iterations.
+
+    Its JR, CALLR and RET land in the middle of a straight-line run that
+    the loop also enters from the top (labels ``jr_target``,
+    ``callr_target``, ``ret_target``), and it has an rd=0 load and an
+    rd=0 ALU write.
+    """
+    b = ProgramBuilder(name="mixed")
+    b.li(1, 0)
+    b.li(5, 0x1000)
+    b.li(22, limit)
+    b.label("top")
+    b.addi(1, 1, 1)
+    b.slli(2, 1, 3)
+    b.andi(2, 2, 255)
+    b.add(3, 5, 2)
+    b.store(1, 3, 0)
+    b.load(4, 3, 0)
+    b.load(0, 3, 8)
+    b.addi(0, 1, 7)
+    b.sub(6, 4, 1)
+    b.xor(7, 6, 2)
+    b.slt(8, 6, 1)
+    b.slti(9, 1, -3)
+    b.bne(0, 0, "top")
+    b.bge(1, 0, "dispatch")
+    b.label("dispatch")
+    b.andi(12, 1, 3)
+    b.li(10, 1)
+    b.beq(12, 0, "jr")
+    b.beq(12, 10, "callr")
+    b.li(10, 2)
+    b.beq(12, 10, "ret")
+    b.addi(14, 14, 1)
+    b.mul(15, 14, 1)
+    jr_target = b.here()
+    b.label("jr_target")
+    b.srli(16, 15, 2)
+    callr_target = b.here()
+    b.label("callr_target")
+    b.or_(17, 16, 7)
+    ret_target = b.here()
+    b.label("ret_target")
+    b.sll(18, 1, 12)
+    b.srl(19, 18, 12)
+    b.xori(20, 19, 5)
+    b.ori(21, 20, 8)
+    b.div(23, 21, 12)
+    b.blt(1, 22, "top")
+    b.halt()
+    b.label("jr")
+    b.li(10, jr_target)
+    b.jr(10)
+    b.label("callr")
+    b.li(13, callr_target)
+    b.callr(13)
+    b.label("ret")
+    b.li(31, ret_target)
+    b.ret()
+    return b.build()
+
+
+def _hooks(trace: HookTrace, signature) -> dict:
+    return {f"{name}_hook": getattr(trace, f"{name}_hook")
+            for name in signature}
+
+
+def lockstep(program, chunk: int, *, signature=("mem", "branch", "ifetch"),
+             block_bytes: int = 64, machines=None):
+    """Run a scalar and a batched machine to HALT in `chunk`-sized calls
+    with the hooks in `signature`, checking state after every call and
+    the hook traces at the end; returns the two machines."""
+    from repro.functional import Memory
+
+    if machines is None:
+        machines = (FunctionalMachine(program, Memory(), batched=False),
+                    FunctionalMachine(program, Memory(), batched=True))
+    traces = [HookTrace(machine) for machine in machines]
+    while not machines[0].halted:
+        counts = [machine.run(chunk, ifetch_block_bytes=block_bytes,
+                              **_hooks(trace, signature))
+                  for machine, trace in zip(machines, traces)]
+        assert counts[0] == counts[1]
+        assert machine_state(machines[0]) == machine_state(machines[1])
+    assert machines[1].halted
+    assert traces[0].events == traces[1].events
+    return machines
+
+
+class TestBlockTranslation:
+    @pytest.mark.parametrize("chunk", range(1, 41))
+    def test_every_chunk_size(self, chunk):
+        """Chunk ends split the translated blocks at every offset."""
+        lockstep(_mixed_program(), chunk)
+
+    def test_ifetch_block_sizes_have_their_own_tables(self):
+        program = _mixed_program()
+        for block_bytes in (16, 32, 64, 128):
+            lockstep(program, 29, block_bytes=block_bytes)
+        ifetch_sizes = {key[2] for key in predecode_program(program).blocks}
+        assert {4, 8, 16, 32} <= ifetch_sizes
+
+    def test_interleaved_hook_signatures_on_one_program(self):
+        from repro.functional import Memory
+
+        program = _mixed_program()
+        pairs = [
+            [FunctionalMachine(program, Memory(), batched=batched)
+             for batched in (False, True)]
+            for _ in range(2)
+        ]
+        signatures = (("mem",), ("branch", "ifetch"))
+        traces = [[HookTrace(machine) for machine in pair] for pair in pairs]
+        while not pairs[0][0].halted or not pairs[1][0].halted:
+            for pair, pair_traces, signature in zip(pairs, traces,
+                                                    signatures):
+                for machine, trace in zip(pair, pair_traces):
+                    machine.run(13, **_hooks(trace, signature))
+                assert machine_state(pair[0]) == machine_state(pair[1])
+        for pair_traces in traces:
+            assert pair_traces[0].events == pair_traces[1].events
+        assert len(predecode_program(program).blocks) >= 2
+
+    def test_checkpoint_restored_mid_block(self):
+        from repro.functional import Memory
+
+        program = _mixed_program()
+        warm = FunctionalMachine(program, Memory(), batched=True)
+        warm.run(200)  # translate the loop from its top
+        probe = FunctionalMachine(program, Memory(), batched=False)
+        middle = program.labels["top"] + 5
+        while probe.pc != middle:
+            probe.step()
+        table = predecode_program(program).blocks[(False, False, 0)]
+        assert program.labels["top"] in table and middle not in table
+        checkpoint = FunctionalCheckpoint.capture(probe)
+        machines = tuple(
+            checkpoint.restore(FunctionalMachine(program, Memory(),
+                                                 batched=batched))
+            for batched in (False, True))
+        lockstep(program, 57, machines=machines)
+
+    def test_straight_line_longer_than_block_cap(self):
+        from repro.functional import Memory
+        from repro.functional.blocks import BLOCK_CAP
+
+        b = ProgramBuilder(name="straight")
+        b.li(5, 0x2000)
+        for index in range(2 * BLOCK_CAP + 5):
+            if index % 9 == 4:
+                b.store(index % 7 + 1, 5, 8 * index)
+            else:
+                b.addi(index % 7 + 1, (index + 3) % 7 + 1, index - 50)
+        b.halt()
+        program = b.build()
+        for chunk in (1, BLOCK_CAP - 1, BLOCK_CAP + 1, 10_000):
+            lockstep(program, chunk)
+        machine = FunctionalMachine(program, Memory(), batched=True)
+        machine.run(10_000)
+        table = predecode_program(program).blocks[(False, False, 0)]
+        assert table[0][1] == BLOCK_CAP
+
+    def test_rd0_load_and_alu_writes(self):
+        from repro.functional import Memory
+
+        b = ProgramBuilder(name="rd0")
+        b.li(5, 0x3000)
+        b.li(0, 7)
+        b.addi(0, 5, 3)
+        b.load(0, 5, 16)
+        b.store(5, 5, 16)
+        b.load(0, 5, 16)
+        b.halt()
+        program = b.build()
+        _, batched = lockstep(program, 100)
+        assert batched.registers[0] == 0
+        machine = FunctionalMachine(program, Memory(), batched=True)
+        trace = HookTrace(machine)
+        machine.run(100, mem_hook=trace.mem_hook)
+        assert [event[3] for event in trace.events] == [0x3010] * 3
+
+    def test_indirect_transfers_land_mid_block(self):
+        program = _mixed_program()
+        lockstep(program, 1000)
+        table = predecode_program(program).blocks[(True, True, 16)]
+        for label in ("jr_target", "callr_target", "ret_target"):
+            landing = program.labels[label]
+            assert landing in table, label
+            # The landing pc is also covered by a block from an earlier pc.
+            assert any(start < landing < start + length
+                       for start, (_, length, _) in table.items()), label
+
+
+class TestHookVisibleState:
+    """Hooks read `machine.pc` and `machine.instructions_retired`."""
+
+    @pytest.mark.parametrize("signature", (
+        ("mem",), ("branch",), ("mem", "branch"), ("mem", "branch", "ifetch"),
+    ))
+    @pytest.mark.parametrize("name", PAPER_WORKLOADS)
+    def test_state_seen_by_hooks_matches_scalar(self, name, signature):
+        workload = build_workload(name, mem_scale=1, seed=11)
+        machines = [FunctionalMachine(workload.program,
+                                      workload.memory.copy(), batched=flag)
+                    for flag in (False, True)]
+        traces = [HookTrace(machine) for machine in machines]
+        for chunk in (700, 3000, 1, 2500):
+            for machine, trace in zip(machines, traces):
+                machine.run(chunk, **_hooks(trace, signature))
+        assert traces[0].events == traces[1].events
+        assert machine_state(machines[0]) == machine_state(machines[1])
+
+    @pytest.mark.parametrize("name", PAPER_WORKLOADS)
+    def test_simpoint_bbv_matches_scalar(self, name, monkeypatch):
+        import numpy as np
+
+        from repro.simpoint.bbv import profile_bbv
+
+        workload = build_workload(name, mem_scale=1)
+        profiles = []
+        for setting in ("off", "on"):
+            monkeypatch.setenv("REPRO_BATCH_CORE", setting)
+            profiles.append(profile_bbv(workload, 24_000, 2_000).vectors)
+        assert np.array_equal(profiles[0], profiles[1])
+
+
+def _wild_programs():
+    """Programs that leave their instruction range, by name."""
+    def jr(b):
+        b.li(1, 1000)
+        b.jr(1)
+
+    def callr(b):
+        b.li(1, 1 << 40)
+        b.callr(1)
+
+    def ret(b):
+        b.li(31, 5)
+        b.ret()
+
+    def fall_off(b):
+        b.addi(1, 1, 1)
+        b.addi(2, 2, 2)
+
+    programs = {}
+    for emit in (jr, callr, ret, fall_off):
+        b = ProgramBuilder(name=f"wild-{emit.__name__}")
+        b.nop()
+        b.nop()
+        emit(b)
+        programs[emit.__name__] = b.build()
+    return programs
+
+
+class TestWildPc:
+    @pytest.mark.parametrize("batched", (False, True))
+    @pytest.mark.parametrize("kind", ("jr", "callr", "ret", "fall_off"))
+    def test_run_raises_value_error(self, kind, batched):
+        from repro.functional import Memory
+
+        program = _wild_programs()[kind]
+        machine = FunctionalMachine(program, Memory(), batched=batched)
+        with pytest.raises(ValueError) as caught:
+            machine.run(100, mem_hook=lambda *a: None,
+                        branch_hook=lambda *a: None)
+        message = str(caught.value)
+        assert f"wild-{kind}" in message
+        assert str(machine.pc) in message
+        assert f"{len(program)} instructions" in message
+        assert machine.pc >= len(program)
+        assert machine.instructions_retired == len(program)
+        with pytest.raises(ValueError, match=f"wild-{kind}"):
+            machine.step()
+
+    @pytest.mark.parametrize("kind", ("jr", "ret", "fall_off"))
+    def test_timing_run_raises_value_error(self, kind):
+        from repro.branch import BranchPredictor, PredictorConfig
+        from repro.cache import MemoryHierarchy, paper_hierarchy_config
+        from repro.functional import Memory
+        from repro.timing import TimingSimulator
+
+        program = _wild_programs()[kind]
+        simulator = TimingSimulator(
+            FunctionalMachine(program, Memory()),
+            MemoryHierarchy(paper_hierarchy_config(scale=16)),
+            BranchPredictor(PredictorConfig(1024, 256, 8)))
+        with pytest.raises(ValueError, match=f"wild-{kind}"):
+            simulator.run(100)
+
+
+class TestPickledProgram:
+    def test_pickle_drops_predecode_and_blocks(self):
+        workload = build_workload("gcc", mem_scale=1, seed=5)
+        machine = workload.make_machine()
+        trace = HookTrace(machine)
+        machine.run(5000, mem_hook=trace.mem_hook,
+                    branch_hook=trace.branch_hook,
+                    ifetch_hook=trace.ifetch_hook)
+        assert predecode_program(workload.program).blocks
+        data = pickle.dumps(workload)
+        assert b"_predecoded" not in data
+        assert vars(workload.program)["_predecoded"].blocks
+        clone = pickle.loads(data)
+        assert "_predecoded" not in vars(clone.program)
+        machines = (workload.make_machine(), clone.make_machine())
+        traces = [HookTrace(machine) for machine in machines]
+        for machine, trace in zip(machines, traces):
+            machine.run(8000, mem_hook=trace.mem_hook,
+                        branch_hook=trace.branch_hook,
+                        ifetch_hook=trace.ifetch_hook)
+        assert machine_state(machines[0]) == machine_state(machines[1])
+        assert traces[0].events == traces[1].events
