@@ -30,14 +30,12 @@ machine's ``pc`` and ``instructions_retired``, so a hook sees the state
 Translations are cached per program and per hook signature (which hooks
 are present, and the ifetch block size in instructions) in
 ``PredecodedProgram.blocks``.  An absent hook costs nothing, and the
-ifetch block crossings inside a block are emitted inline.  Code objects
-are shared across programs by source text, so a rebuilt program (a
-service request, an unpickled shard task) translates without compiling.
+ifetch block crossings inside a block are emitted inline.  Each
+translation defines its function in a namespace of its own, so threads
+sharing one program (the ``threads`` executor) may translate at once.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from ..isa import LINK_REGISTER, Opcode
 from .predecode import predecode_program
@@ -117,11 +115,6 @@ _CONTROL = frozenset({*_BRANCH, *_INDIRECT, Opcode.JMP, Opcode.CALL})
 _NO_BLOCK = (None, 0, -1)
 
 
-@lru_cache(maxsize=8192)
-def _compile(source: str):
-    return compile(source, "<translated block>", "exec")
-
-
 class BlockTable(dict):
     """``pc -> (function, length, last ifetch block)`` for one program
     and one hook signature; a pc is translated on its first lookup.
@@ -196,9 +189,11 @@ class BlockTable(dict):
             body.append(f"return {pc}")
         source = "def block(m, r, ld, st, mh, bh, ih, n):\n" + "".join(
             f"    {line}\n" for line in body)
-        exec(_compile(source), self._globals)
+        namespace: dict = {}
+        exec(compile(source, "<translated block>", "exec"), self._globals,
+             namespace)
         last_block = (pc - 1) // per_block if per_block else -1
-        return self._globals.pop("block"), pc - start, last_block
+        return namespace["block"], pc - start, last_block
 
     def _transfer(self, op: int, pc: int, fields: dict, target: int,
                   retired: int) -> list[str]:

@@ -472,6 +472,50 @@ class TestBlockTranslation:
         machine.run(100, mem_hook=trace.mem_hook)
         assert [event[3] for event in trace.events] == [0x3010] * 3
 
+    def test_threads_translating_one_table(self):
+        """Threads missing on one shared table each cache their own pc's
+        block, as the `threads` executor's shard tasks do."""
+        import sys
+        import threading
+
+        from repro.functional.blocks import block_table
+
+        signature = (True, True, 16)
+        reference = block_table(_mixed_program(), *signature)
+        pcs = list(range(len(_mixed_program()) + 2))
+        for pc in pcs:
+            reference[pc]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(20):
+                program = _mixed_program()
+                shared = block_table(program, *signature)
+                errors = []
+
+                def translate(offset):
+                    try:
+                        for pc in pcs[offset:] + pcs[:offset]:
+                            shared[pc]
+                    except Exception as error:  # noqa: BLE001
+                        errors.append(error)
+
+                threads = [threading.Thread(target=translate, args=(k,))
+                           for k in range(0, len(pcs), 3)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert errors == []
+                assert shared.keys() == reference.keys()
+                for pc, (function, length, last) in reference.items():
+                    entry = shared[pc]
+                    assert entry[1:] == (length, last), pc
+                    if function is not None:
+                        assert entry[0].__code__ == function.__code__, pc
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_indirect_transfers_land_mid_block(self):
         program = _mixed_program()
         lockstep(program, 1000)
