@@ -103,9 +103,9 @@ def test_checkpoint_store(benchmark, scale, tmp_path, monkeypatch):
     base_configs = scale.configs()
     sweep = [dataclasses.replace(base_configs, core=core)
              for core in _core_sweep(base_configs.core)]
-    # Threads keep Phase B genuinely parallel without paying a process
-    # pool's spawn latency on both sides of the comparison.
-    monkeypatch.setenv("REPRO_EXECUTOR", "threads")
+    # In process, Phase B pays no process pool's spawn latency on
+    # either side of the comparison.
+    monkeypatch.setenv("REPRO_EXECUTOR", "inprocess")
 
     # -- cold sweep: no store, every run pays its own Phase A scan ------
     monkeypatch.delenv(STORE_ENV_VAR, raising=False)
@@ -149,7 +149,7 @@ def test_checkpoint_store(benchmark, scale, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", _BarrierExecutor.name)
         barrier_result, _ = _timed_run(workload, scale, regimen, sweep[0])
     finally:
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
+        monkeypatch.setenv("REPRO_EXECUTOR", "inprocess")
         unregister_executor(_BarrierExecutor.name)
     streaming_result = warm[0][0]
     streaming_fold_bit_identical = (

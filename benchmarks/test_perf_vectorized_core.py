@@ -1,8 +1,9 @@
-"""Perf bench: the vectorized batch core versus the scalar baseline.
+"""Perf bench: the production engine versus the scalar reference engine.
 
-Runs R$BP with the batch core on (``REPRO_BATCH_CORE=on``: batched
-functional interpreter + vectorized reverse reconstruction) and off
-(the scalar `step()` loop and per-reference reverse scans) across the
+Runs R$BP on the production engine (block-translated functional core +
+vectorized reverse reconstruction) and on the reference engine of
+tests/oracle_engine.py (the scalar `step()` loop and per-reference
+reverse scans; cells labelled ``batched`` and ``scalar``) across the
 full equivalence matrix — all nine paper workloads x {the raw oracle
 (tests/oracle_skiplog.py), the compacted skip log} x {serial,
 cluster-sharded} topologies — and records
@@ -14,10 +15,11 @@ the IPC estimate, and the telemetry event counters (which subsume the
 gap-log record counts and the reconstruction scan/apply/skip accounting)
 are bit-identical between the two modes in every cell.
 
-Headline speedup (asserted): the phases the batch-core switch actually
-gates — the cold functional simulation of skip regions (``cold_skip``,
-plus the functional ``prefix``) and reverse reconstruction
-(``reconstruct``) — run >= 2x faster batched than scalar, aggregated
+Headline speedup (asserted): the phases the two engines implement
+differently — the cold functional simulation of skip regions
+(``cold_skip``, plus the functional ``prefix``) and reverse
+reconstruction (``reconstruct``) — run >= 2x faster batched than
+scalar, aggregated
 over the whole matrix at the bench tier.  The detailed hot-simulation
 phase (``hot_sim``) is reported alongside but not part of the gated
 aggregate: its speedups from this PR (predecoded program columns and
@@ -28,8 +30,8 @@ recorded as an informational metric.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import os
 import pathlib
 
 from conftest import emit
@@ -38,27 +40,22 @@ from repro.harness import format_table
 from repro.sampling import SampledSimulator
 from repro.telemetry import Telemetry
 from repro.workloads import PAPER_WORKLOADS, build_workload
+from tests.oracle_engine import reference_engine
 from tests.oracle_skiplog import SOURCES
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pr6.json"
 TOPOLOGIES = (("serial", None), ("sharded", 2))
-#: Phases whose engine the REPRO_BATCH_CORE switch selects.
+#: Phases the reference engine runs on its scalar twins.
 GATED_PHASES = ("cold_skip", "prefix", "reconstruct")
 
 
 def _run_cell(simulator, source: str, batched: bool) -> dict:
-    previous = os.environ.get("REPRO_BATCH_CORE")
-    os.environ["REPRO_BATCH_CORE"] = "on" if batched else "off"
-    try:
+    engine = contextlib.nullcontext if batched else reference_engine
+    with engine():
         result = simulator.run(
             ReverseStateReconstruction(fraction=1.0,
                                        source=SOURCES[source])
         )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_BATCH_CORE", None)
-        else:
-            os.environ["REPRO_BATCH_CORE"] = previous
     snapshot = result.extra["telemetry"]
     phases = dict(snapshot.phase_seconds)
     return {
@@ -184,8 +181,8 @@ def test_perf_vectorized_core(benchmark, scale):
             ["workload", "source", "scalar gated", "batched gated",
              "gated speedup", "hot_sim", "wall speedup"],
             rows,
-            title=f"Vectorized batch core ({scale.name} tier, serial "
-                  f"rows): gated phases {batch_phase_speedup:.2f}x, "
+            title=f"Production vs reference engine ({scale.name} tier, "
+                  f"serial rows): gated phases {batch_phase_speedup:.2f}x, "
                   f"wall {wall_speedup:.2f}x, all cells bit-identical",
         )
 

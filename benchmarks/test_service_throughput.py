@@ -61,7 +61,7 @@ def test_service_throughput(benchmark, scale, tmp_path):
     cache_dir = tmp_path / "service-cache"
     service = SimulationService(
         options=RunOptions(scale=scale.name),
-        executor="threads",
+        executor="inprocess",
         cache=str(cache_dir),
         port=0,
     )

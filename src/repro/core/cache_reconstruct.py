@@ -16,12 +16,12 @@ write", so every logged reference allocates during reconstruction.
 Vectorized scan
 ---------------
 
-When the batch core is enabled (``REPRO_BATCH_CORE``, same switch as the
-batched functional interpreter), the source materializes its tail as
-arrays and the reverse scan runs as a numpy pre-filter instead of a
-per-reference Python loop.  This rests on a property of the §3.1 rules:
-whether a reverse scan *applies* a reference at a cache level depends
-only on the reference stream, never on the cache's current contents.  A
+The source materializes its tail as arrays and the reverse scan runs as
+a numpy pre-filter instead of a per-reference Python loop (the test
+suite keeps that loop as its oracle, tests/oracle_engine.py).  This
+rests on a property of the §3.1 rules: whether a reverse scan *applies*
+a reference at a cache level depends only on the reference stream,
+never on the cache's current contents.  A
 reference wins exactly when it is (a) the first (newest) occurrence of
 its line and (b) among the first `associativity` distinct lines of its
 set — a set keeps applying lines until it holds `associativity`
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cache import MemoryHierarchy
-from ..functional.machine import batch_core_enabled
 from .source import REF_INSTRUCTION, REF_STORE, ReconstructionSource
 
 
@@ -121,16 +120,12 @@ class CacheReconstructionStats:
 class ReverseCacheReconstructor:
     """Reverse-scans a skip-region memory log into a hierarchy."""
 
-    def __init__(self, hierarchy: MemoryHierarchy, telemetry=None,
-                 batched: bool | None = None) -> None:
+    def __init__(self, hierarchy: MemoryHierarchy, telemetry=None) -> None:
         self.hierarchy = hierarchy
         #: Optional telemetry session; each pass reports how many logged
         #: references it scanned, applied (blocks actually reconstructed),
         #: and skipped by the temporal-locality filter.
         self.telemetry = telemetry
-        #: Vectorized-scan switch; None resolves ``REPRO_BATCH_CORE``
-        #: (the same default as the batched functional interpreter).
-        self.batched = batch_core_enabled() if batched is None else bool(batched)
 
     def reconstruct(self, source: ReconstructionSource,
                     fraction: float = 1.0) -> CacheReconstructionStats:
@@ -148,64 +143,43 @@ class ReverseCacheReconstructor:
         state — the savings relative to SMARTS, which applies them all.
         """
         hierarchy = self.hierarchy
-        l1i = hierarchy.l1i
-        l1d = hierarchy.l1d
-        l2 = hierarchy.l2
-        l1i.begin_reconstruction()
-        l1d.begin_reconstruction()
-        l2.begin_reconstruction()
+        hierarchy.l1i.begin_reconstruction()
+        hierarchy.l1d.begin_reconstruction()
+        hierarchy.l2.begin_reconstruction()
 
-        stats = CacheReconstructionStats()
-        scanned = 0
-        applied = 0
-
-        if self.batched:
-            addresses, kinds = source.memory_reverse_arrays(fraction)
-            scanned = len(addresses)
-            if scanned:
-                is_inst = kinds == REF_INSTRUCTION
-                is_store = kinds == REF_STORE
-                touched = np.zeros(scanned, dtype=bool)
-                inst_idx = np.flatnonzero(is_inst)
-                data_idx = np.flatnonzero(~is_inst)
-                for cache, idx in ((l1i, inst_idx), (l1d, data_idx),
-                                   (l2, None)):
-                    if idx is None:
-                        level_addresses = addresses
-                        level_stores = is_store
-                    elif len(idx):
-                        level_addresses = addresses[idx]
-                        level_stores = is_store[idx]
-                    else:
-                        continue
-                    winners = _apply_level(cache, level_addresses,
-                                           level_stores)
-                    touched[winners if idx is None else idx[winners]] = True
-                applied = int(touched.sum())
-        else:
-            l1i_reconstruct = l1i.reconstruct_reference
-            l1d_reconstruct = l1d.reconstruct_reference
-            l2_reconstruct = l2.reconstruct_reference
-
-            # "the reference stream is scanned in reverse order"
-            for address, kind in source.iter_memory_reverse(fraction):
-                scanned += 1
-                if kind == REF_INSTRUCTION:
-                    touched = l1i_reconstruct(address, False)
-                    touched |= l2_reconstruct(address, False)
-                else:
-                    is_store = kind == REF_STORE
-                    touched = l1d_reconstruct(address, is_store)
-                    touched |= l2_reconstruct(address, is_store)
-                if touched:
-                    applied += 1
-
-        stats.scanned = scanned
-        stats.applied = applied
-        stats.skipped = scanned - applied
+        scanned, applied = self._apply_tail(source, fraction)
+        stats = CacheReconstructionStats(scanned, applied, scanned - applied)
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
             telemetry.count("reconstruct.refs_scanned", stats.scanned)
             telemetry.count("reconstruct.blocks_applied", stats.applied)
             telemetry.count("reconstruct.refs_skipped", stats.skipped)
         return stats
+
+    def _apply_tail(self, source: ReconstructionSource,
+                    fraction: float) -> tuple[int, int]:
+        """Reverse-scan the tail into the hierarchy; return how many
+        references were scanned and how many changed some level."""
+        hierarchy = self.hierarchy
+        addresses, kinds = source.memory_reverse_arrays(fraction)
+        scanned = len(addresses)
+        if not scanned:
+            return 0, 0
+        is_inst = kinds == REF_INSTRUCTION
+        is_store = kinds == REF_STORE
+        touched = np.zeros(scanned, dtype=bool)
+        inst_idx = np.flatnonzero(is_inst)
+        data_idx = np.flatnonzero(~is_inst)
+        for cache, idx in ((hierarchy.l1i, inst_idx),
+                           (hierarchy.l1d, data_idx), (hierarchy.l2, None)):
+            if idx is None:
+                level_addresses = addresses
+                level_stores = is_store
+            elif len(idx):
+                level_addresses = addresses[idx]
+                level_stores = is_store[idx]
+            else:
+                continue
+            winners = _apply_level(cache, level_addresses, level_stores)
+            touched[winners if idx is None else idx[winners]] = True
+        return scanned, int(touched.sum())

@@ -459,10 +459,6 @@ class CompactedSkipRegionLog(ReconstructionSource):
                 f"its records; a {fraction!r} tail was requested")
         return cutoff
 
-    def iter_memory_reverse(self, fraction: float):
-        addresses, kinds = self.memory_reverse_arrays(fraction)
-        return zip(addresses.tolist(), kinds.tolist())
-
     def memory_reverse_arrays(self, fraction: float):
         """The surviving-reference tail as (uint64 addresses, uint8 kinds),
         newest first."""
@@ -481,10 +477,6 @@ class CompactedSkipRegionLog(ReconstructionSource):
         _seq, bits = _trim(self._outcomes,
                            self._cutoff(self._branch_base, fraction))
         return bits[::-1][:limit].tolist()
-
-    def iter_btb_claims_reverse(self, fraction: float):
-        pcs, targets = self.btb_claims_arrays(fraction)
-        return zip(pcs.tolist(), targets.tolist())
 
     def btb_claims_arrays(self, fraction: float):
         """The surviving BTB-claim tail as (pcs, targets), newest first."""

@@ -100,17 +100,13 @@ class ReverseStateReconstruction(WarmupMethod):
             telemetry=self.telemetry,
         )
         self.cache_stats_history = []
-        # The bound machine's batch-core switch governs the reconstructors
-        # too, so one knob selects scalar or vectorized kernels run-wide.
-        batched = getattr(context.machine, "batched", None)
         self._cache_reconstructor = ReverseCacheReconstructor(
-            context.hierarchy, telemetry=self.telemetry, batched=batched
+            context.hierarchy, telemetry=self.telemetry
         )
         self._branch_reconstructor = ReverseBranchReconstructor(
             context.predictor, table=self._table,
             infer_counters=self.infer_counters,
             telemetry=self.telemetry,
-            batched=batched,
         )
 
     # -- skip region: cold execution + logging -------------------------------

@@ -114,23 +114,15 @@ class ReconstructionSource:
 
     # -- consumer side (reverse-scan queries) --------------------------------
 
-    def iter_memory_reverse(self, fraction: float):
-        """Yield ``(address, kind)`` memory references newest-first.
+    def memory_reverse_arrays(self, fraction: float):
+        """The tail's memory references, newest first, as two parallel
+        numpy arrays ``(addresses, kinds)`` (uint64 addresses, integer
+        kinds) — so the reverse reconstructor can filter whole reference
+        columns at once.
 
         A compacted source may omit references that a reverse scan would
         skip as redundant (older touches of an already-claimed block);
         the surviving sequence must preserve reverse order.
-        """
-        raise NotImplementedError
-
-    def memory_reverse_arrays(self, fraction: float):
-        """Bulk form of :meth:`iter_memory_reverse`.
-
-        Returns ``(addresses, kinds)`` — two parallel numpy arrays (uint64
-        addresses, integer kinds) holding exactly the sequence
-        :meth:`iter_memory_reverse` would yield, newest first — so the
-        vectorized reverse reconstructor can filter whole reference
-        columns at once.
         """
         raise NotImplementedError
 
@@ -140,18 +132,10 @@ class ReconstructionSource:
         tail, newest first (0/1 ints) — the GHR reconstruction input."""
         raise NotImplementedError
 
-    def iter_btb_claims_reverse(self, fraction: float):
-        """Yield ``(pc, target)`` BTB claims (taken, non-return transfers)
-        newest-first; compacted sources may keep only each pc's newest."""
-        raise NotImplementedError
-
     def btb_claims_arrays(self, fraction: float):
-        """Bulk form of :meth:`iter_btb_claims_reverse`.
-
-        Returns ``(pcs, targets)`` — parallel integer numpy arrays holding
-        exactly the claims :meth:`iter_btb_claims_reverse` would yield,
-        newest first.
-        """
+        """The tail's BTB claims (taken, non-return transfers), newest
+        first, as parallel integer numpy arrays ``(pcs, targets)``;
+        compacted sources may keep only each pc's newest."""
         raise NotImplementedError
 
     def ras_tail_contents(self, fraction: float, capacity: int) -> list:

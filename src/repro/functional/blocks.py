@@ -1,6 +1,6 @@
 """Block translation: the bulk-execution engine's compiled blocks.
 
-:meth:`~repro.functional.machine.FunctionalMachine.run_batch` executes
+:meth:`~repro.functional.machine.FunctionalMachine.run` executes
 a program one *block* at a time.  A block starts at an entry pc and runs
 through its first control transfer.  It ends early before a HALT or a
 poisoned predecode slot (both left to ``step()``), at the end of the
@@ -32,7 +32,7 @@ are present, and the ifetch block size in instructions) in
 ``PredecodedProgram.blocks``.  An absent hook costs nothing, and the
 ifetch block crossings inside a block are emitted inline.  Each
 translation defines its function in a namespace of its own, so threads
-sharing one program (the ``threads`` executor) may translate at once.
+sharing one program may translate at once.
 """
 
 from __future__ import annotations

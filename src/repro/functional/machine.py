@@ -20,7 +20,6 @@ remains the one-instruction reference semantics and the fallback.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..isa import Opcode, Program, NUM_REGISTERS, LINK_REGISTER, STACK_POINTER
@@ -28,20 +27,6 @@ from .memory import Memory
 from .blocks import block_table, divide_signed, to_signed
 
 _MASK64 = (1 << 64) - 1
-
-#: Environment variable selecting the bulk-execution engine used by
-#: :meth:`FunctionalMachine.run`: any of ``off``/``0``/``scalar``/
-#: ``false``/``no`` selects the per-step scalar reference loop,
-#: everything else (including unset) the block-translated engine.
-BATCH_CORE_ENV_VAR = "REPRO_BATCH_CORE"
-
-_SCALAR_SENTINELS = frozenset({"off", "0", "scalar", "false", "no"})
-
-
-def batch_core_enabled() -> bool:
-    """Resolve ``REPRO_BATCH_CORE`` (unset means batched)."""
-    setting = os.environ.get(BATCH_CORE_ENV_VAR, "").strip().lower()
-    return setting not in _SCALAR_SENTINELS
 
 
 @dataclass
@@ -85,20 +70,11 @@ class FunctionalMachine:
         The workload image to execute.
     memory:
         Optional pre-initialised memory (workload generators seed arrays).
-    batched:
-        Bulk-execution engine for :meth:`run`: True selects the block-
-        translated engine (:meth:`run_batch`), False the per-step scalar
-        reference loop (:meth:`run_scalar`).  None (the default) resolves
-        ``REPRO_BATCH_CORE`` at construction, so the choice propagates
-        into shard workers through their environment.  Both engines are
-        bit-identical (tests/test_machine_batched.py).
     """
 
-    def __init__(self, program: Program, memory: Memory | None = None,
-                 batched: bool | None = None) -> None:
+    def __init__(self, program: Program, memory: Memory | None = None) -> None:
         self.program = program
         self.memory = memory if memory is not None else Memory()
-        self.batched = batch_core_enabled() if batched is None else bool(batched)
         self.registers: list[int] = [0] * NUM_REGISTERS
         self.registers[STACK_POINTER] = program.stack_base
         self.pc = program.entry
@@ -303,11 +279,17 @@ class FunctionalMachine:
     ) -> int:
         """Execute up to `count` instructions; return how many retired.
 
-        Dispatches to :meth:`run_batch` or :meth:`run_scalar` according
-        to :attr:`batched`; the two engines produce bit-identical
-        architectural state, hook-call sequences, machine state seen by
-        each mem and branch hook, and ifetch continuity.  Raises
-        ``ValueError`` when execution reaches a pc outside the program.
+        Executes one translated block (:mod:`repro.functional.blocks`)
+        per iteration: its ALU ops, memory references and hook calls run
+        inline in scalar order, and the ifetch check happens once at its
+        entry.  HALT, poisoned predecode slots, a pc outside the program
+        and a block longer than what is left of `count` go through
+        :meth:`run_scalar`, so that bookkeeping (and the wild-pc error)
+        lives in :meth:`step` alone.  The result is bit-identical to
+        :meth:`run_scalar` — architectural state, hook-call sequences,
+        the machine state each mem and branch hook sees, and ifetch
+        continuity.  Raises ``ValueError`` when execution reaches a pc
+        outside the program.
 
         Parameters
         ----------
@@ -328,87 +310,6 @@ class FunctionalMachine:
             observed call ended in does not re-report it (the controller
             invokes :meth:`run` once per phase, and a phase boundary is
             not a fetch).
-        """
-        if self.batched:
-            return self.run_batch(count, mem_hook, branch_hook, ifetch_hook,
-                                  ifetch_block_bytes)
-        return self.run_scalar(count, mem_hook, branch_hook, ifetch_hook,
-                               ifetch_block_bytes)
-
-    def run_scalar(
-        self,
-        count: int,
-        mem_hook=None,
-        branch_hook=None,
-        ifetch_hook=None,
-        ifetch_block_bytes: int = 64,
-    ) -> int:
-        """The per-step reference engine (see :meth:`run` for the contract).
-
-        Every instruction goes through :meth:`step`; hooks fire inline.
-        Kept verbatim as the semantic baseline the batched engine is
-        differentially fuzzed against, and as that engine's fallback.
-        """
-        executed = 0
-        step = self.step
-        program = self.program
-        instruction_bytes = program.instruction_bytes
-        code_base = program.code_base
-        per_block = max(1, ifetch_block_bytes // instruction_bytes)
-        stored_per_block, stored_block = self._last_fetch
-        last_fetch_block = stored_block if stored_per_block == per_block else -1
-        pc_before = -1
-
-        while executed < count and not self.halted:
-            pc_before = self.pc
-            if ifetch_hook is not None:
-                fetch_block = pc_before // per_block
-                if fetch_block != last_fetch_block:
-                    last_fetch_block = fetch_block
-                    ifetch_hook(code_base + pc_before * instruction_bytes)
-            result = step()
-            executed += 1
-            if result.halted:
-                break
-            if result.mem_address >= 0 and mem_hook is not None:
-                mem_hook(
-                    result.index, result.next_index,
-                    result.mem_address,
-                    program.instructions[result.index].is_store,
-                )
-            if branch_hook is not None:
-                inst = program.instructions[result.index]
-                if inst.is_control:
-                    branch_hook(
-                        result.index, result.next_index, inst, result.taken
-                    )
-        if executed:
-            if ifetch_hook is not None:
-                # The last executed instruction's block is, by induction,
-                # the last one reported; remember it for the next phase.
-                self._last_fetch = (per_block, pc_before // per_block)
-            else:
-                # Blocks were fetched unobserved; continuity is broken.
-                self.invalidate_fetch_block()
-        return executed
-
-    def run_batch(
-        self,
-        count: int,
-        mem_hook=None,
-        branch_hook=None,
-        ifetch_hook=None,
-        ifetch_block_bytes: int = 64,
-    ) -> int:
-        """Block-translated engine (see :meth:`run` for the contract).
-
-        Executes one translated block (:mod:`repro.functional.blocks`)
-        per iteration: its ALU ops, memory references and hook calls run
-        inline in scalar order, and the ifetch check happens once at its
-        entry.  HALT, poisoned predecode slots, a pc outside the program
-        and a block longer than what is left of `count` go through
-        :meth:`run_scalar`, so that bookkeeping (and the wild-pc error)
-        lives in :meth:`step` alone.
         """
         if count <= 0 or self.halted:
             return 0
@@ -456,3 +357,60 @@ class FunctionalMachine:
         else:
             self.invalidate_fetch_block()
         return retired - start
+
+    def run_scalar(
+        self,
+        count: int,
+        mem_hook=None,
+        branch_hook=None,
+        ifetch_hook=None,
+        ifetch_block_bytes: int = 64,
+    ) -> int:
+        """The per-step reference engine (see :meth:`run` for the contract).
+
+        Every instruction goes through :meth:`step`; hooks fire inline.
+        Kept as the semantic baseline :meth:`run` is differentially
+        fuzzed against, and as its fallback.
+        """
+        executed = 0
+        step = self.step
+        program = self.program
+        instruction_bytes = program.instruction_bytes
+        code_base = program.code_base
+        per_block = max(1, ifetch_block_bytes // instruction_bytes)
+        stored_per_block, stored_block = self._last_fetch
+        last_fetch_block = stored_block if stored_per_block == per_block else -1
+        pc_before = -1
+
+        while executed < count and not self.halted:
+            pc_before = self.pc
+            if ifetch_hook is not None:
+                fetch_block = pc_before // per_block
+                if fetch_block != last_fetch_block:
+                    last_fetch_block = fetch_block
+                    ifetch_hook(code_base + pc_before * instruction_bytes)
+            result = step()
+            executed += 1
+            if result.halted:
+                break
+            if result.mem_address >= 0 and mem_hook is not None:
+                mem_hook(
+                    result.index, result.next_index,
+                    result.mem_address,
+                    program.instructions[result.index].is_store,
+                )
+            if branch_hook is not None:
+                inst = program.instructions[result.index]
+                if inst.is_control:
+                    branch_hook(
+                        result.index, result.next_index, inst, result.taken
+                    )
+        if executed:
+            if ifetch_hook is not None:
+                # The last executed instruction's block is, by induction,
+                # the last one reported; remember it for the next phase.
+                self._last_fetch = (per_block, pc_before // per_block)
+            else:
+                # Blocks were fetched unobserved; continuity is broken.
+                self.invalidate_fetch_block()
+        return executed

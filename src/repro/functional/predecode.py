@@ -9,8 +9,6 @@ decoded once per :class:`~repro.isa.program.Program`:
   ``imms``/``targets`` (``array('q')``) hold the operand fields; the
   block translator (:mod:`repro.functional.blocks`) bakes them into its
   compiled blocks;
-- ``boundary`` marks memory references, control transfers and HALT,
-  plus every *poisoned* slot (below);
 - the timing-simulator columns (``is_mem``/``is_control``/``is_load``/
   ``is_store`` bytearrays, ``latency``, ``dest`` with −1 for "no
   destination", and per-instruction ``sources`` tuples) let the hot
@@ -31,25 +29,13 @@ from __future__ import annotations
 
 from array import array
 
-from ..isa import Opcode
-
-#: Opcodes marked in the ``boundary`` column: memory references and
-#: control transfers (their observation hooks interleave with execution
-#: order) plus HALT.
-_BOUNDARY_OPS = frozenset({
-    Opcode.LOAD, Opcode.STORE,
-    Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE,
-    Opcode.JMP, Opcode.JR, Opcode.CALL, Opcode.CALLR, Opcode.RET,
-    Opcode.HALT,
-})
-
 
 class PredecodedProgram:
     """Columnar decode of one program (see module docstring)."""
 
     __slots__ = (
         "ops", "rds", "rs1s", "rs2s", "imms", "targets",
-        "boundary", "is_mem", "is_control", "is_load", "is_store",
+        "is_mem", "is_control", "is_load", "is_store",
         "latency", "dest", "sources", "blocks",
     )
 
@@ -62,7 +48,6 @@ class PredecodedProgram:
         rs2s = array("B", bytes(n))
         imms = array("q", bytes(8 * n))
         targets = array("q", bytes(8 * n))
-        boundary = bytearray(n)
         is_mem = bytearray(n)
         is_control = bytearray(n)
         is_load = bytearray(n)
@@ -72,21 +57,18 @@ class PredecodedProgram:
         sources: list[tuple[int, ...]] = [()] * n
 
         for index, inst in enumerate(instructions):
-            op = inst.opcode
-            ops[index] = op
+            ops[index] = inst.opcode
             rds[index] = inst.rd
             rs1s[index] = inst.rs1
             rs2s[index] = inst.rs2
             try:
                 imms[index] = inst.imm
                 targets[index] = inst.target
-                boundary[index] = op in _BOUNDARY_OPS
             except OverflowError:
                 # An operand that does not fit the 64-bit column is left
                 # to the step() fallback: the poisoned opcode keeps the
                 # block translator from reading the stale column values.
                 ops[index] = -1
-                boundary[index] = True
             is_mem[index] = inst.is_mem
             is_control[index] = inst.is_control
             is_load[index] = inst.is_load
@@ -102,7 +84,6 @@ class PredecodedProgram:
         self.rs2s = rs2s
         self.imms = imms
         self.targets = targets
-        self.boundary = boundary
         self.is_mem = is_mem
         self.is_control = is_control
         self.is_load = is_load

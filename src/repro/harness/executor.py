@@ -11,31 +11,19 @@ task order.  This module lifts that interface out of the hard-wired
 ``inprocess``
     Plain in-process loop.  No pickling requirements, deterministic,
     the reference semantics every other backend must match bit for bit.
-``threads``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  Tasks share the
-    interpreter (no pickling), so it suits workloads dominated by the
-    numpy batch core, and it is the default engine behind the
-    :func:`repro.api.submit` background handles.
 ``pool``
-    The historical behavior: a ``ProcessPoolExecutor`` fan-out with
-    graceful in-process fallbacks (``jobs <= 1``, unpicklable work,
-    daemonic caller, platforms without working pools).
-``subprocess-queue``
-    Independently launched worker *subprocesses* consuming pickled task
-    files from a spooled on-disk queue (see :mod:`~.workerq`) — no
-    shared ``multiprocessing`` machinery at all, which is the stepping
-    stone to multi-machine dispatch: the spool directory is the wire
-    format, and a remote scheduler only needs to run
-    ``python -m repro.harness.workerq <spool>`` somewhere it can see
-    the directory.
+    The default (including :func:`repro.api.gather`): a
+    ``ProcessPoolExecutor`` fan-out with graceful in-process fallbacks
+    (``jobs <= 1``, unpicklable work, daemonic caller, platforms without
+    working pools, a worker killed underneath the pool).
 
 Every backend preserves the two invariants the simulation relies on:
 
 - **Deterministic fold order** — ``map`` returns ``[worker(t) for t in
   tasks]`` in task order regardless of completion order, so folds stay
   bit-identical to serial execution.
-- **Environment propagation** — process-spawning backends inherit the
-  caller's environment at launch, so span parents
+- **Environment propagation** — pool workers inherit the caller's
+  environment at launch, so span parents
   (``REPRO_SPAN_PARENT``), telemetry collection flags, and the rest of
   the ``REPRO_*`` surface ride into workers exactly as they do today.
 
@@ -55,16 +43,7 @@ from __future__ import annotations
 
 import os
 import pickle
-import subprocess
-import sys
-import tempfile
-import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import Callable
@@ -82,7 +61,7 @@ DEFAULT_EXECUTOR = "pool"
 def _pickle_each(items: list) -> "list[bytes] | None":
     """Every item pickled once, or None when any of them does not pickle.
 
-    The pass doubles as the picklability probe of the process backends:
+    The pass doubles as the picklability probe of the process pool:
     None sends the whole map to the in-process fallback, and the blobs
     are what crosses the process boundary, so nothing pickles twice.
     """
@@ -118,10 +97,6 @@ class Executor:
     name = "base"
     #: One-line description for ``repro executors``.
     description = ""
-    #: Whether tasks and results cross a process boundary (and must
-    #: therefore pickle).  Backends that require pickling fall back to
-    #: in-process execution when the probe fails.
-    requires_pickling = False
 
     def __init__(self, jobs: int = 1) -> None:
         self.jobs = max(1, int(jobs))
@@ -147,7 +122,7 @@ class Executor:
         self.close(cancel=exc_type is not None)
 
     def _fallback(self, worker, tasks, on_result):
-        """Shared in-process degradation path for picky backends."""
+        """In-process degradation path for backends that cannot run."""
         return InProcessExecutor(1).map(worker, tasks, on_result=on_result)
 
 
@@ -167,57 +142,25 @@ class InProcessExecutor(Executor):
         return results
 
 
-class ThreadExecutor(Executor):
-    """Thread-pool execution: shared interpreter, no pickling."""
-
-    name = "threads"
-    description = "thread pool (shared interpreter, no pickling)"
-
-    def __init__(self, jobs: int = 1) -> None:
-        super().__init__(jobs)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def map(self, worker, tasks, *, on_result=None) -> list:
-        if len(tasks) <= 1 or self.jobs <= 1:
-            return self._fallback(worker, tasks, on_result)
-        self._pool = ThreadPoolExecutor(
-            max_workers=min(self.jobs, len(tasks)),
-            thread_name_prefix="repro-exec",
-        )
-        try:
-            return _drain_futures(self._pool, worker, tasks, on_result)
-        finally:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def close(self, *, cancel: bool = False) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=not cancel, cancel_futures=cancel)
-            self._pool = None
-
-
-def _drain_futures(pool, worker, tasks, on_result) -> list:
-    """Submit everything, surface results in completion order, return
-    them in task order.  A worker exception cancels the rest and
-    re-raises."""
+def _drain_futures(pool, worker, tasks, on_result, delivered: dict) -> None:
+    """Submit everything and record each result in `delivered` (index ->
+    result) as it lands, in completion order.  A worker exception
+    cancels the rest and re-raises; what landed before stays recorded."""
     futures = {pool.submit(worker, task): index
                for index, task in enumerate(tasks)}
-    results: list = [None] * len(tasks)
     remaining = set(futures)
     try:
         while remaining:
             done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
             for future in done:
                 index = futures[future]
-                result = future.result()
-                results[index] = result
+                delivered[index] = result = future.result()
                 if on_result is not None:
                     on_result(index, result)
     except BaseException:
         for future in remaining:
             future.cancel()
         raise
-    return results
 
 
 class ProcessPoolBackend(Executor):
@@ -227,13 +170,13 @@ class ProcessPoolBackend(Executor):
     the work does not pickle, the caller is already a daemonic pool
     worker (children of children are forbidden), or the platform cannot
     build a process pool.  A *broken* pool (a worker killed by the OS)
-    also degrades to in-process re-execution; a genuine exception
-    raised by `worker` propagates as itself.
+    also degrades to in-process execution of the tasks it had not
+    delivered yet; a genuine exception raised by `worker` propagates as
+    itself.
     """
 
     name = "pool"
     description = "local process pool (the historical default)"
-    requires_pickling = True
 
     def __init__(self, jobs: int = 1) -> None:
         super().__init__(jobs)
@@ -254,9 +197,10 @@ class ProcessPoolBackend(Executor):
                 max_workers=min(self.jobs, len(tasks)))
         except (NotImplementedError, OSError, PermissionError, ValueError):
             return self._fallback(worker, tasks, on_result)
+        delivered: dict = {}
         try:
-            return _drain_futures(self._pool, partial(_call_pickled, worker),
-                                  blobs[1:], on_result)
+            _drain_futures(self._pool, partial(_call_pickled, worker),
+                           blobs[1:], on_result, delivered)
         except BrokenProcessPool:
             if self._cancelled:
                 # The breakage is our own close(cancel=True) terminating
@@ -264,15 +208,21 @@ class ProcessPoolBackend(Executor):
                 # through the fallback path.
                 raise
             # Pool infrastructure died underneath us (OOM-killed worker,
-            # fork failure): re-run in process, where a genuine worker
-            # exception would re-raise identically.
+            # fork failure): run in process what was not delivered, so
+            # `on_result` still sees each index once, and a genuine
+            # worker exception re-raises identically.
             self.close(cancel=True)
-            return self._fallback(worker, tasks, on_result)
+            for index, task in enumerate(tasks):
+                if index not in delivered:
+                    delivered[index] = result = worker(task)
+                    if on_result is not None:
+                        on_result(index, result)
         except BaseException:
             self.close(cancel=True)
             raise
         finally:
             self.close()
+        return [delivered[index] for index in range(len(tasks))]
 
     def close(self, *, cancel: bool = False) -> None:
         if cancel:
@@ -294,127 +244,6 @@ class ProcessPoolBackend(Executor):
                     process.terminate()
         else:
             pool.shutdown()
-
-
-class SubprocessQueueExecutor(Executor):
-    """Independently launched workers over a spooled file queue.
-
-    Tasks are pickled into a spool directory; ``jobs`` freshly launched
-    ``python -m repro.harness.workerq`` subprocesses claim task files
-    atomically (``os.rename``), execute them, and write result files
-    back; the parent folds results in task order as they appear.  The
-    workers share nothing with the parent but the directory and the
-    inherited environment — exactly the contract a multi-machine job
-    scheduler can satisfy.
-
-    Crash propagation: a task that raises ships its exception back in
-    the result file and re-raises here; a worker that dies without
-    writing results (segfault, ``kill -9``) turns into a
-    ``RuntimeError`` naming the exit status instead of a hang.
-    """
-
-    name = "subprocess-queue"
-    description = ("spooled file queue + worker subprocesses "
-                   "(multi-machine stepping stone)")
-    requires_pickling = True
-
-    #: Parent-side poll interval while waiting on result files.
-    poll_seconds = 0.02
-    #: Grace period for workers to exit after the queue drains.
-    shutdown_timeout = 10.0
-
-    def __init__(self, jobs: int = 1) -> None:
-        super().__init__(jobs)
-        self._workers: list[subprocess.Popen] = []
-        self._spool: str | None = None
-
-    def map(self, worker, tasks, *, on_result=None) -> list:
-        from . import workerq
-
-        if self.jobs <= 1 or len(tasks) <= 1:
-            return self._fallback(worker, tasks, on_result)
-        payloads = _pickle_each([(worker, task) for task in tasks])
-        if payloads is None:
-            return self._fallback(worker, tasks, on_result)
-        self._spool = tempfile.mkdtemp(prefix="repro-spool-")
-        try:
-            # Spool every task before any worker launches: a worker
-            # exits as soon as it sees an empty queue, so partially
-            # spooled queues would race it into early exit.
-            for index, payload in enumerate(payloads):
-                workerq.spool_task(self._spool, index, payload)
-            launch = min(self.jobs, len(tasks))
-            self._workers = [
-                subprocess.Popen(
-                    [sys.executable, "-m", "repro.harness.workerq",
-                     self._spool],
-                    env=os.environ.copy(),
-                )
-                for _ in range(launch)
-            ]
-            return self._collect(len(tasks), on_result)
-        except BaseException:
-            self.close(cancel=True)
-            raise
-        finally:
-            self.close()
-
-    def _collect(self, count: int, on_result) -> list:
-        from . import workerq
-
-        results: list = [None] * count
-        seen: set[int] = set()
-        while True:
-            spool = self._spool
-            if spool is None:
-                # A concurrent close(cancel=True) tore the spool down.
-                raise RuntimeError(
-                    "subprocess-queue executor closed before finishing "
-                    f"the queue ({len(seen)}/{count} results)")
-            # Liveness is sampled *before* the drain: a worker that
-            # writes its last result and exits between the two is
-            # caught by this drain (results precede exit), and one that
-            # dies after the sample is caught next iteration.
-            workers_gone = not any(proc.poll() is None
-                                   for proc in self._workers)
-            for index, outcome in workerq.drain_results(spool, seen):
-                status, payload = outcome
-                if status == "error":
-                    raise payload
-                results[index] = payload
-                seen.add(index)
-                if on_result is not None:
-                    on_result(index, payload)
-            if len(seen) >= count:
-                return results
-            if workers_gone:
-                statuses = [proc.returncode for proc in self._workers]
-                raise RuntimeError(
-                    f"subprocess-queue workers exited with status "
-                    f"{statuses or '(cancelled)'} before finishing the "
-                    f"queue ({len(seen)}/{count} results)"
-                )
-            time.sleep(self.poll_seconds)
-
-    def close(self, *, cancel: bool = False) -> None:
-        workers, self._workers = self._workers, []
-        deadline = time.monotonic() + self.shutdown_timeout
-        for proc in workers:
-            if proc.poll() is None and cancel:
-                proc.terminate()
-        for proc in workers:
-            if proc.poll() is None:
-                try:
-                    proc.wait(timeout=max(0.0,
-                                          deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-        spool, self._spool = self._spool, None
-        if spool is not None:
-            import shutil
-
-            shutil.rmtree(spool, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +320,5 @@ def describe_executors() -> list[tuple[str, str, str]]:
     return rows
 
 
-for _cls in (InProcessExecutor, ThreadExecutor, ProcessPoolBackend,
-             SubprocessQueueExecutor):
+for _cls in (InProcessExecutor, ProcessPoolBackend):
     register_executor(_cls.name, _cls)

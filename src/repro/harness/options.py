@@ -2,11 +2,11 @@
 
 Before this module, a dozen environment variables were read — and
 error-checked — at a dozen different depths of the stack: the scale in
-the harness, cluster jobs in the pipeline, the batch core switch,
-telemetry switches in four telemetry modules.  A typo surfaced wherever
-the first consumer happened to live, sometimes deep inside a worker
-process.  :class:`RunOptions` consolidates the reads: entry points (the
-CLI's ``main``, the simulation service) construct it **once**, every
+the harness, cluster jobs in the pipeline, telemetry switches in four
+telemetry modules.  A typo surfaced wherever the first consumer happened
+to live, sometimes deep inside a worker process.  :class:`RunOptions`
+consolidates the reads: entry points (the CLI's ``main``, the
+simulation service) construct it **once**, every
 value is validated up front with a readable ``ValueError`` naming the
 offending variable (the CLI maps it to exit status 2), and the object
 is threaded explicitly from there.
@@ -31,7 +31,6 @@ The consolidated variables::
     REPRO_SPANS              span recording: off/1/<jsonl path>
     REPRO_EVENTS             live progress event JSONL path
     REPRO_AUDIT              accuracy-audit probes switch
-    REPRO_BATCH_CORE         vectorized hot-path core switch
     REPRO_RUN_ID             correlation id stamped on telemetry output
     REPRO_SERVICE_LOG        structured service log JSONL path
 
@@ -53,10 +52,10 @@ _OFF_VALUES = frozenset({"", "0", "off", "none", "no", "false", "disabled"})
 _ON_VALUES = frozenset({"1", "on", "yes", "true", "enabled"})
 
 
-def _parse_bool(name: str, raw: str, *, default: bool) -> bool:
+def _parse_bool(name: str, raw: str) -> bool:
     value = raw.strip().lower()
     if value in _OFF_VALUES:
-        return False if raw.strip() else default
+        return False
     if value in _ON_VALUES:
         return True
     raise ValueError(
@@ -107,7 +106,6 @@ class RunOptions:
     spans: "str | None" = None
     events: "str | None" = None
     audit: bool = False
-    batch_core: bool = True
     run_id: "str | None" = None
     service_log: "str | None" = None
 
@@ -157,18 +155,10 @@ class RunOptions:
             "checkpoint_store": env("REPRO_CHECKPOINT_STORE") or None,
             "trace": env("REPRO_TRACE") or None,
             "telemetry": _parse_bool("REPRO_TELEMETRY",
-                                     env("REPRO_TELEMETRY"),
-                                     default=False),
+                                     env("REPRO_TELEMETRY")),
             "spans": env("REPRO_SPANS") or None,
             "events": env("REPRO_EVENTS") or None,
-            "audit": _parse_bool("REPRO_AUDIT", env("REPRO_AUDIT"),
-                                 default=False),
-            # "scalar" is the batch core's historical off-spelling.
-            "batch_core": (False
-                           if env("REPRO_BATCH_CORE").lower() == "scalar"
-                           else _parse_bool("REPRO_BATCH_CORE",
-                                            env("REPRO_BATCH_CORE"),
-                                            default=True)),
+            "audit": _parse_bool("REPRO_AUDIT", env("REPRO_AUDIT")),
             "run_id": env("REPRO_RUN_ID") or None,
             "service_log": env("REPRO_SERVICE_LOG") or None,
         }
@@ -225,9 +215,9 @@ class RunOptions:
 
     # -- environment round-trip --------------------------------------------
 
-    def environ(self) -> dict[str, str]:
-        """The validated values as their environment-variable spelling."""
-        mapping = {
+    def _environ_all(self) -> dict[str, str]:
+        """Every owned variable's spelling, ``""`` for an unset one."""
+        return {
             "REPRO_EXPERIMENT_SCALE": self.scale,
             "REPRO_MATRIX_JOBS": ("" if self.matrix_jobs is None
                                   else str(self.matrix_jobs)),
@@ -241,11 +231,14 @@ class RunOptions:
             "REPRO_SPANS": self.spans or "",
             "REPRO_EVENTS": self.events or "",
             "REPRO_AUDIT": "1" if self.audit else "",
-            "REPRO_BATCH_CORE": "" if self.batch_core else "0",
             "REPRO_RUN_ID": self.run_id or "",
             "REPRO_SERVICE_LOG": self.service_log or "",
         }
-        return {name: value for name, value in mapping.items() if value}
+
+    def environ(self) -> dict[str, str]:
+        """The validated values as their environment-variable spelling."""
+        return {name: value for name, value in self._environ_all().items()
+                if value}
 
     @contextlib.contextmanager
     def apply(self):
@@ -260,20 +253,12 @@ class RunOptions:
         ``REPRO_AUDIT`` from the parent shell cannot leak into a job
         that did not ask for it.
         """
-        owned = [
-            "REPRO_EXPERIMENT_SCALE", "REPRO_MATRIX_JOBS",
-            "REPRO_CLUSTER_JOBS", "REPRO_EXECUTOR", "REPRO_RESULT_CACHE",
-            "REPRO_CHECKPOINT_STORE",
-            "REPRO_TRACE", "REPRO_TELEMETRY", "REPRO_SPANS",
-            "REPRO_EVENTS", "REPRO_AUDIT", "REPRO_BATCH_CORE",
-            "REPRO_RUN_ID", "REPRO_SERVICE_LOG",
-        ]
-        saved = {name: os.environ.get(name) for name in owned}
-        target = self.environ()
+        target = self._environ_all()
+        saved = {name: os.environ.get(name) for name in target}
         try:
-            for name in owned:
-                if name in target:
-                    os.environ[name] = target[name]
+            for name, value in target.items():
+                if value:
+                    os.environ[name] = value
                 else:
                     os.environ.pop(name, None)
             yield self

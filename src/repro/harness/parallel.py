@@ -5,9 +5,8 @@ method) matrix whose cells are mutually independent: each sampled run
 builds its own machine, hierarchy, and predictor, and the regimen seed —
 not execution order — determines cluster placement.  This module fans
 those cells out as small picklable task specs through the pluggable
-:class:`~.executor.Executor` protocol (``inprocess``, ``threads``,
-``pool``, ``subprocess-queue``; see :mod:`~.executor`) and
-deterministically reassembles the same
+:class:`~.executor.Executor` protocol (``inprocess`` or ``pool``;
+see :mod:`~.executor`) and deterministically reassembles the same
 :class:`~.experiment.WorkloadExperiment` grids the serial
 :func:`~.experiment.run_matrix` produces: same regimen seed, same
 cluster IPCs, bit-identical estimates — whichever backend ran the
@@ -421,8 +420,7 @@ def execute_matrix(
         inside pool workers degrades to in-process execution with
         identical results.
     executor:
-        Registered backend name (``"inprocess"``, ``"threads"``,
-        ``"pool"``, ``"subprocess-queue"``) or a ready
+        Registered backend name (``"inprocess"``, ``"pool"``) or a ready
         :class:`~.executor.Executor`; ``None`` resolves
         ``REPRO_EXECUTOR`` and defaults to ``"pool"``.
     """

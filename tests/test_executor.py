@@ -12,6 +12,7 @@ parametrized over :func:`registered_executor_names`.
 """
 
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -25,11 +26,8 @@ from repro.core import ReverseStateReconstruction
 from repro.harness.executor import (
     DEFAULT_EXECUTOR,
     EXECUTOR_ENV_VAR,
-    Executor,
     InProcessExecutor,
     ProcessPoolBackend,
-    SubprocessQueueExecutor,
-    ThreadExecutor,
     describe_executors,
     executor_factory,
     register_executor,
@@ -75,6 +73,13 @@ def _read_run_id(_task):
 
 def _sleep_forever(_task):
     time.sleep(120)
+
+
+def _square_unless_three_in_child(task):
+    """Kills its pool worker on task 3; runs normally in the parent."""
+    if task == 3 and multiprocessing.parent_process() is not None:
+        os._exit(9)
+    return task * task
 
 
 class _Unpicklable:
@@ -156,7 +161,7 @@ class TestConformance:
 
     def test_run_id_propagates(self, name, monkeypatch):
         # The correlation-id leg of the conformance contract: every
-        # backend's workers — threads or separate processes — see the
+        # backend's workers — in process or in pool processes — see the
         # run_id map_tasks plants, and it never leaks past the call.
         monkeypatch.delenv(RUN_ID_ENV_VAR, raising=False)
         seen = map_tasks(_read_run_id, list(range(4)), jobs=2,
@@ -203,6 +208,17 @@ def test_pool_pickles_each_task_once(monkeypatch):
     assert _CountingTask.pickled == len(tasks)
 
 
+def test_broken_pool_delivers_each_index_once():
+    """A worker killed under the pool re-runs in process only the tasks
+    not yet delivered, so `on_result` sees every index exactly once."""
+    delivered = []
+    with resolve_executor("pool", jobs=2) as backend:
+        results = backend.map(_square_unless_three_in_child, list(range(4)),
+                              on_result=lambda i, r: delivered.append(i))
+    assert results == [0, 1, 4, 9]
+    assert sorted(delivered) == [0, 1, 2, 3]
+
+
 class TestRegistry:
     def test_unknown_name_is_readable(self):
         with pytest.raises(ValueError, match="unknown executor 'warp'"):
@@ -235,8 +251,8 @@ class TestRegistry:
         assert executor_factory("inprocess") is original
 
     def test_env_var_picks_backend(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "threads")
-        assert isinstance(resolve_executor(None), ThreadExecutor)
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "inprocess")
+        assert isinstance(resolve_executor(None), InProcessExecutor)
 
     def test_default_is_pool(self, monkeypatch):
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
@@ -244,7 +260,7 @@ class TestRegistry:
         assert isinstance(resolve_executor(None), ProcessPoolBackend)
 
     def test_instance_passes_through(self):
-        backend = ThreadExecutor(3)
+        backend = InProcessExecutor(3)
         assert resolve_executor(backend) is backend
 
     def test_describe_covers_all_backends(self):
@@ -292,37 +308,8 @@ class TestCancelCleanup:
             if b._pool is not None else [],
         )
 
-    def test_subprocess_queue_cancel_terminates_workers(self):
-        backend = SubprocessQueueExecutor(jobs=2)
-        self._assert_cancel_kills_workers(
-            backend,
-            lambda b: [(lambda p: lambda: p.poll() is None)(proc)
-                       for proc in list(b._workers)],
-        )
-
-    def test_subprocess_queue_cancel_removes_spool(self):
-        backend = SubprocessQueueExecutor(jobs=2)
-        thread = threading.Thread(
-            target=lambda: self._swallow(backend), daemon=True)
-        thread.start()
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline and backend._spool is None:
-            time.sleep(0.05)
-        spool = backend._spool
-        assert spool is not None and os.path.isdir(spool)
-        backend.close(cancel=True)
-        thread.join(timeout=30)
-        assert not os.path.isdir(spool)
-
-    @staticmethod
-    def _swallow(backend):
-        try:
-            backend.map(_sleep_forever, list(range(4)))
-        except BaseException:
-            pass
-
     def test_context_manager_cancels_on_exception(self):
-        backend = ThreadExecutor(jobs=2)
+        backend = ProcessPoolBackend(jobs=2)
         with pytest.raises(RuntimeError, match="interrupted"):
             with backend:
                 raise RuntimeError("interrupted")

@@ -1,7 +1,8 @@
-"""Differential fuzz: the batched interpreter against the scalar baseline.
+"""Differential fuzz: the translated engine against the scalar baseline.
 
-The batched core (`FunctionalMachine.run_batch`) must be architecturally
-indistinguishable from the scalar `step()` loop: same registers, pc,
+`FunctionalMachine.run` (translated basic blocks) must be architecturally
+indistinguishable from the scalar `run_scalar` loop over `step()`, which
+the reference machine of tests/oracle_engine.py runs: same registers, pc,
 memory image, retired count, halt flag, and the same observation-hook
 call sequence — for every workload, chunk size, and hook configuration.
 These tests drive both engines side by side over randomized programs
@@ -24,9 +25,14 @@ from repro.functional.predecode import predecode_program
 from repro.isa import Instruction, Opcode, Program, ProgramBuilder
 from repro.warmup import register_method, unregister_method
 from repro.workloads import PAPER_WORKLOADS, build_workload
+from tests.oracle_engine import ScalarMachine, reference_engine
 
 _MASK64 = (1 << 64) - 1
 INT64_MIN = -(1 << 63)
+
+#: The reference and the production machine, in that order.
+ENGINES = (ScalarMachine, FunctionalMachine)
+ENGINE_IDS = ("scalar", "translated")
 
 
 class HookTrace:
@@ -66,7 +72,7 @@ def machine_state(machine: FunctionalMachine) -> tuple:
 
 
 def run_differential(program, memory, *, seed: int, total: int) -> None:
-    """Drive scalar and batched machines through identical chunked runs.
+    """Drive scalar and translated machines through identical chunked runs.
 
     Chunk sizes and hook configurations vary pseudo-randomly (including
     hookless chunks, which exercise the fetch-block continuity
@@ -75,10 +81,9 @@ def run_differential(program, memory, *, seed: int, total: int) -> None:
     traces, with the machine state each mem and branch hook saw, must be
     identical element for element.
     """
-    scalar = FunctionalMachine(program, memory.copy(), batched=False)
-    batched = FunctionalMachine(program, memory.copy(), batched=True)
-    assert scalar.batched is False and batched.batched is True
-    scalar_trace, batched_trace = HookTrace(scalar), HookTrace(batched)
+    scalar = ScalarMachine(program, memory.copy())
+    translated = FunctionalMachine(program, memory.copy())
+    scalar_trace, translated_trace = HookTrace(scalar), HookTrace(translated)
     rng = random.Random(seed)
     remaining = total
     while remaining > 0 and not scalar.halted:
@@ -86,7 +91,7 @@ def run_differential(program, memory, *, seed: int, total: int) -> None:
         hooked = rng.random() < 0.7
         counts = []
         for machine, trace in ((scalar, scalar_trace),
-                               (batched, batched_trace)):
+                               (translated, translated_trace)):
             if hooked:
                 counts.append(machine.run(
                     chunk,
@@ -98,35 +103,34 @@ def run_differential(program, memory, *, seed: int, total: int) -> None:
             else:
                 counts.append(machine.run(chunk))
         assert counts[0] == counts[1], "retired counts diverged"
-        assert machine_state(scalar) == machine_state(batched), (
+        assert machine_state(scalar) == machine_state(translated), (
             f"architectural state diverged after a {chunk}-instruction "
             f"{'hooked' if hooked else 'hookless'} chunk"
         )
         remaining -= chunk
-    assert scalar_trace.events == batched_trace.events, (
+    assert scalar_trace.events == translated_trace.events, (
         "observation-hook call sequences diverged"
     )
 
 
 class TestWorkloadFuzz:
     @pytest.mark.parametrize("name", PAPER_WORKLOADS)
-    def test_batched_matches_scalar(self, name):
+    def test_translated_matches_scalar(self, name):
         workload = build_workload(name, mem_scale=1, seed=17)
         run_differential(workload.program, workload.memory,
                          seed=hash(name) & 0xFFFF, total=6000)
 
     @pytest.mark.parametrize("name", ("gcc", "mcf"))
     def test_single_step_chunks(self, name):
-        """chunk=1 forces the batched engine through every boundary."""
+        """chunk=1 forces the translated engine through every boundary."""
         workload = build_workload(name, mem_scale=1, seed=3)
-        scalar = FunctionalMachine(workload.program,
-                                   workload.memory.copy(), batched=False)
-        batched = FunctionalMachine(workload.program,
-                                    workload.memory.copy(), batched=True)
+        scalar = ScalarMachine(workload.program, workload.memory.copy())
+        translated = FunctionalMachine(workload.program,
+                                       workload.memory.copy())
         for _ in range(700):
             scalar.run(1)
-            batched.run(1)
-            assert machine_state(scalar) == machine_state(batched)
+            translated.run(1)
+            assert machine_state(scalar) == machine_state(translated)
 
 
 class TestForcedFallback:
@@ -143,36 +147,26 @@ class TestForcedFallback:
         ]
         program = Program(instructions, name="poisoned")
         decoded = predecode_program(program)
-        assert decoded.boundary[1], "oversized imm must become a boundary"
         assert decoded.ops[1] == -1, "oversized imm must poison its opcode"
         from repro.functional import Memory
 
         run_differential(program, Memory(), seed=1, total=10)
-        machine = FunctionalMachine(program, Memory(), batched=True)
+        machine = FunctionalMachine(program, Memory())
         machine.run(10)
         assert machine.halted
         assert machine.registers[2] == huge & _MASK64
         assert machine.registers[3] == 12
         assert machine.registers[4] == 17
 
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_CORE", "off")
-        workload = build_workload("gcc", mem_scale=1, seed=5)
-        assert workload.make_machine().batched is False
-        monkeypatch.setenv("REPRO_BATCH_CORE", "on")
-        assert workload.make_machine().batched is True
-        monkeypatch.delenv("REPRO_BATCH_CORE")
-        assert workload.make_machine().batched is True
 
-
-def _div_result(dividend: int, divisor: int, batched: bool) -> int:
+def _div_result(dividend: int, divisor: int, engine) -> int:
     program = Program([
         Instruction(Opcode.DIV, rd=3, rs1=1, rs2=2),
         Instruction(Opcode.HALT),
     ], name="div")
     from repro.functional import Memory
 
-    machine = FunctionalMachine(program, Memory(), batched=batched)
+    machine = engine(program, Memory())
     machine.registers[1] = dividend & _MASK64
     machine.registers[2] = divisor & _MASK64
     machine.run(4)
@@ -180,7 +174,7 @@ def _div_result(dividend: int, divisor: int, batched: bool) -> int:
 
 
 class TestSignedDivision:
-    @pytest.mark.parametrize("batched", (False, True))
+    @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
     @pytest.mark.parametrize("dividend,divisor,expected", [
         (-7, 2, -3),     # truncates toward zero, not floor (-4)
         (7, -2, -3),
@@ -193,14 +187,14 @@ class TestSignedDivision:
         (-5, 0, 0),
     ])
     def test_truncating_signed_division(self, dividend, divisor, expected,
-                                        batched):
-        assert _div_result(dividend, divisor, batched) == expected
+                                        engine):
+        assert _div_result(dividend, divisor, engine) == expected
 
-    @pytest.mark.parametrize("batched", (False, True))
-    def test_overflow_wraps_like_hardware(self, batched):
+    @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+    def test_overflow_wraps_like_hardware(self, engine):
         # INT64_MIN / -1 overflows a 64-bit signed result; the two's
         # complement wraparound keeps the register at INT64_MIN.
-        assert _div_result(INT64_MIN, -1, batched) == INT64_MIN
+        assert _div_result(INT64_MIN, -1, engine) == INT64_MIN
 
 
 class TestHaltedCheckpoint:
@@ -267,7 +261,7 @@ class TestTailFractionValidation:
             raw.memory_reverse_arrays(-1.0)
         compacted = CompactedSkipRegionLog(line_bytes=64)
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            list(compacted.iter_memory_reverse(0.0))
+            compacted.memory_reverse_arrays(0.0)
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             compacted.btb_claims_arrays(4.0)
 
@@ -360,14 +354,13 @@ def _hooks(trace: HookTrace, signature) -> dict:
 
 def lockstep(program, chunk: int, *, signature=("mem", "branch", "ifetch"),
              block_bytes: int = 64, machines=None):
-    """Run a scalar and a batched machine to HALT in `chunk`-sized calls
+    """Run a scalar and a translated machine to HALT in `chunk`-sized calls
     with the hooks in `signature`, checking state after every call and
     the hook traces at the end; returns the two machines."""
     from repro.functional import Memory
 
     if machines is None:
-        machines = (FunctionalMachine(program, Memory(), batched=False),
-                    FunctionalMachine(program, Memory(), batched=True))
+        machines = tuple(engine(program, Memory()) for engine in ENGINES)
     traces = [HookTrace(machine) for machine in machines]
     while not machines[0].halted:
         counts = [machine.run(chunk, ifetch_block_bytes=block_bytes,
@@ -398,8 +391,7 @@ class TestBlockTranslation:
 
         program = _mixed_program()
         pairs = [
-            [FunctionalMachine(program, Memory(), batched=batched)
-             for batched in (False, True)]
+            [engine(program, Memory()) for engine in ENGINES]
             for _ in range(2)
         ]
         signatures = (("mem",), ("branch", "ifetch"))
@@ -418,19 +410,17 @@ class TestBlockTranslation:
         from repro.functional import Memory
 
         program = _mixed_program()
-        warm = FunctionalMachine(program, Memory(), batched=True)
+        warm = FunctionalMachine(program, Memory())
         warm.run(200)  # translate the loop from its top
-        probe = FunctionalMachine(program, Memory(), batched=False)
+        probe = FunctionalMachine(program, Memory())
         middle = program.labels["top"] + 5
         while probe.pc != middle:
             probe.step()
         table = predecode_program(program).blocks[(False, False, 0)]
         assert program.labels["top"] in table and middle not in table
         checkpoint = FunctionalCheckpoint.capture(probe)
-        machines = tuple(
-            checkpoint.restore(FunctionalMachine(program, Memory(),
-                                                 batched=batched))
-            for batched in (False, True))
+        machines = tuple(checkpoint.restore(engine(program, Memory()))
+                         for engine in ENGINES)
         lockstep(program, 57, machines=machines)
 
     def test_straight_line_longer_than_block_cap(self):
@@ -448,7 +438,7 @@ class TestBlockTranslation:
         program = b.build()
         for chunk in (1, BLOCK_CAP - 1, BLOCK_CAP + 1, 10_000):
             lockstep(program, chunk)
-        machine = FunctionalMachine(program, Memory(), batched=True)
+        machine = FunctionalMachine(program, Memory())
         machine.run(10_000)
         table = predecode_program(program).blocks[(False, False, 0)]
         assert table[0][1] == BLOCK_CAP
@@ -465,16 +455,16 @@ class TestBlockTranslation:
         b.load(0, 5, 16)
         b.halt()
         program = b.build()
-        _, batched = lockstep(program, 100)
-        assert batched.registers[0] == 0
-        machine = FunctionalMachine(program, Memory(), batched=True)
+        _, translated = lockstep(program, 100)
+        assert translated.registers[0] == 0
+        machine = FunctionalMachine(program, Memory())
         trace = HookTrace(machine)
         machine.run(100, mem_hook=trace.mem_hook)
         assert [event[3] for event in trace.events] == [0x3010] * 3
 
     def test_threads_translating_one_table(self):
         """Threads missing on one shared table each cache their own pc's
-        block, as the `threads` executor's shard tasks do."""
+        block, as threads simulating one program at once do."""
         import sys
         import threading
 
@@ -537,9 +527,8 @@ class TestHookVisibleState:
     @pytest.mark.parametrize("name", PAPER_WORKLOADS)
     def test_state_seen_by_hooks_matches_scalar(self, name, signature):
         workload = build_workload(name, mem_scale=1, seed=11)
-        machines = [FunctionalMachine(workload.program,
-                                      workload.memory.copy(), batched=flag)
-                    for flag in (False, True)]
+        machines = [engine(workload.program, workload.memory.copy())
+                    for engine in ENGINES]
         traces = [HookTrace(machine) for machine in machines]
         for chunk in (700, 3000, 1, 2500):
             for machine, trace in zip(machines, traces):
@@ -548,17 +537,16 @@ class TestHookVisibleState:
         assert machine_state(machines[0]) == machine_state(machines[1])
 
     @pytest.mark.parametrize("name", PAPER_WORKLOADS)
-    def test_simpoint_bbv_matches_scalar(self, name, monkeypatch):
+    def test_simpoint_bbv_matches_scalar(self, name):
         import numpy as np
 
         from repro.simpoint.bbv import profile_bbv
 
         workload = build_workload(name, mem_scale=1)
-        profiles = []
-        for setting in ("off", "on"):
-            monkeypatch.setenv("REPRO_BATCH_CORE", setting)
-            profiles.append(profile_bbv(workload, 24_000, 2_000).vectors)
-        assert np.array_equal(profiles[0], profiles[1])
+        with reference_engine():
+            reference = profile_bbv(workload, 24_000, 2_000).vectors
+        production = profile_bbv(workload, 24_000, 2_000).vectors
+        assert np.array_equal(reference, production)
 
 
 def _wild_programs():
@@ -590,13 +578,13 @@ def _wild_programs():
 
 
 class TestWildPc:
-    @pytest.mark.parametrize("batched", (False, True))
+    @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
     @pytest.mark.parametrize("kind", ("jr", "callr", "ret", "fall_off"))
-    def test_run_raises_value_error(self, kind, batched):
+    def test_run_raises_value_error(self, kind, engine):
         from repro.functional import Memory
 
         program = _wild_programs()[kind]
-        machine = FunctionalMachine(program, Memory(), batched=batched)
+        machine = engine(program, Memory())
         with pytest.raises(ValueError) as caught:
             machine.run(100, mem_hook=lambda *a: None,
                         branch_hook=lambda *a: None)

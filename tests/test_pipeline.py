@@ -230,8 +230,7 @@ class TestShardHandOff:
         finally:
             patch.undo()
 
-    @pytest.mark.parametrize("executor", ["inprocess", "threads", "pool",
-                                          "subprocess-queue"])
+    @pytest.mark.parametrize("executor", ["inprocess", "pool"])
     def test_batched_results_match_per_shard(self, workload, monkeypatch,
                                              tmp_path, per_shard_reference,
                                              executor):

@@ -7,10 +7,12 @@ wherever the folds fall and however much of the gap they trim.  These
 tests drive randomized gap streams through the compacted log and the
 raw oracle (tests/oracle_skiplog.py) via the same
 hook calls and compare the *reconstructed state* — cache tags, LRU order
-and dirty bits, GHR, BTB, RAS, and PHT counters — plus the raw equality
-of the direct queries.
+and dirty bits, GHR, BTB, RAS, and PHT counters, each rebuilt by the
+production scans and by the reference engine's per-reference scans
+(tests/oracle_engine.py) — plus the raw equality of the direct queries.
 """
 
+import contextlib
 import random
 from dataclasses import replace
 
@@ -35,6 +37,7 @@ from repro.sampling import SampledSimulator, SamplingRegimen
 from repro.telemetry import Telemetry
 from repro.workloads import build_workload
 from repro.workloads.generator import Workload
+from tests.oracle_engine import reference_engine
 from tests.oracle_skiplog import SOURCES, SkipRegionLog
 
 FRACTIONS = (1.0, 0.8, 0.5, 0.33, 0.2)
@@ -135,6 +138,10 @@ def feed_random_stream(logs, rng, memory_events=600, branch_events=600,
 #: the 3600-record streams below the long interval ends the stream with a
 #: fold that shifts more than a full window of outcomes into PHT entries
 #: already filled by the previous fold.
+#: The reverse scans of the reference engine (tests/oracle_engine.py)
+#: and of production.
+ENGINES = (reference_engine, contextlib.nullcontext)
+
 FOLD_SCHEDULES = {
     "never": None,
     "every_record": lambda rng, index: True,
@@ -180,13 +187,16 @@ class TestCacheEquivalence:
                                              write_policy=l1d_policy))
         states = []
         for source in (raw, compacted):
-            hierarchy = MemoryHierarchy(config)
-            ReverseCacheReconstructor(hierarchy).reconstruct(source, fraction)
-            states.append(tuple(
-                cache_state(level)
-                for level in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
-            ))
-        assert states[0] == states[1]
+            for engine in ENGINES:
+                hierarchy = MemoryHierarchy(config)
+                with engine():
+                    ReverseCacheReconstructor(hierarchy).reconstruct(
+                        source, fraction)
+                states.append(tuple(
+                    cache_state(level)
+                    for level in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
+                ))
+        assert all(state == states[0] for state in states)
 
     def test_compacted_scans_fewer_references(self):
         rng = random.Random(7)
@@ -221,23 +231,23 @@ class TestBranchEquivalence:
                             + (1000 if mode == "eager" else 0))
         raw, compacted = feed_random_stream(make_pair(), rng)
         demand_entries = [rng.randrange(PHT_ENTRIES) for _ in range(40)]
-        states = []
-        writes = []
+        outcomes = []
         for source in (raw, compacted):
-            predictor = BranchPredictor(
-                PredictorConfig(PHT_ENTRIES, BTB_ENTRIES, RAS_ENTRIES))
-            reconstructor = ReverseBranchReconstructor(predictor)
-            reconstructor.prepare(source, fraction)
-            if mode == "on_demand":
-                # The same probe sequence a hot cluster would issue,
-                # followed by the post-cluster residual drain.
-                for entry in demand_entries:
-                    reconstructor.demand(entry)
-            reconstructor.drain()
-            states.append(predictor_state(predictor))
-            writes.append(reconstructor.counter_writes)
-        assert states[0] == states[1]
-        assert writes[0] == writes[1]
+            for engine in ENGINES:
+                predictor = BranchPredictor(
+                    PredictorConfig(PHT_ENTRIES, BTB_ENTRIES, RAS_ENTRIES))
+                reconstructor = ReverseBranchReconstructor(predictor)
+                with engine():
+                    reconstructor.prepare(source, fraction)
+                if mode == "on_demand":
+                    # The same probe sequence a hot cluster would issue,
+                    # followed by the post-cluster residual drain.
+                    for entry in demand_entries:
+                        reconstructor.demand(entry)
+                reconstructor.drain()
+                outcomes.append((predictor_state(predictor),
+                                 reconstructor.counter_writes))
+        assert all(outcome == outcomes[0] for outcome in outcomes)
 
     def test_window_mode_walks_less(self):
         """At full fraction the compacted source serves bounded windows,
@@ -350,11 +360,17 @@ class TestFolding:
                 branch(0x4000 + position, 0x8000 + position, INSTS[kind],
                        True)
             compacted.compact()
-        assert ([tuple(map(int, pair))
-                 for pair in zip(*raw.memory_reverse_arrays(fraction))]
-                == list(compacted.iter_memory_reverse(fraction)))
+        for query in ("memory_reverse_arrays", "btb_claims_arrays"):
+            raw_columns = getattr(raw, query)(fraction)
+            compacted_columns = getattr(compacted, query)(fraction)
+            assert ([column.tolist() for column in raw_columns]
+                    == [column.tolist() for column in compacted_columns])
+        assert (list(raw.iter_memory_reverse(fraction))
+                == list(zip(*(column.tolist() for column in
+                              compacted.memory_reverse_arrays(fraction)))))
         assert (list(raw.iter_btb_claims_reverse(fraction))
-                == list(compacted.iter_btb_claims_reverse(fraction)))
+                == list(zip(*(column.tolist() for column in
+                              compacted.btb_claims_arrays(fraction)))))
         assert (raw.ras_tail_contents(fraction, 100)
                 == compacted.ras_tail_contents(fraction, 100))
         assert (raw.conditional_history(fraction, HISTORY_BITS)
@@ -440,18 +456,18 @@ loop:  addi r1, r1, 1
 class TestHighHalfAddresses:
     @pytest.mark.parametrize("source", ["raw", "compacted"])
     @pytest.mark.parametrize("fraction", [0.2, 1.0])
-    def test_batched_matches_scalar(self, monkeypatch, fraction, source):
+    def test_matches_reference_engine(self, fraction, source):
         workload = Workload("high-half", assemble(HIGH_HALF_PROGRAM),
                             Memory())
         regimen = SamplingRegimen(20_000, 4, 200, seed=1)
-        results = {}
-        for core in ("on", "off"):
-            monkeypatch.setenv("REPRO_BATCH_CORE", core)
-            result = SampledSimulator(workload, regimen).run(
-                ReverseStateReconstruction(fraction,
-                                           source=SOURCES[source]))
-            results[core] = (result.cluster_ipcs, result.cost.as_dict())
-        assert results["on"] == results["off"]
+        results = []
+        for engine in ENGINES:
+            with engine():
+                result = SampledSimulator(workload, regimen).run(
+                    ReverseStateReconstruction(fraction,
+                                               source=SOURCES[source]))
+            results.append((result.cluster_ipcs, result.cost.as_dict()))
+        assert results[0] == results[1]
 
 
 class TestSourceLifecycle:
@@ -470,7 +486,7 @@ class TestSourceLifecycle:
         branch(0x4004, 0x8004, INSTS["call"], True)
         assert compacted.memory_record_count() == 1
         assert compacted.branch_record_count() == 1
-        assert list(compacted.iter_memory_reverse(1.0))
+        assert len(compacted.memory_reverse_arrays(1.0)[0]) == 1
         assert compacted.ras_tail_contents(1.0, 4) == [0x4005]
 
     def test_peaks_updated_at_clear(self):

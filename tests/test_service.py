@@ -105,7 +105,7 @@ class TestExecuteRequest:
                              methods=("rsr", "smarts"), design="ci")
         payloads = [
             execute_request(request, executor=name, cache="off").payload
-            for name in ("inprocess", "threads")
+            for name in ("inprocess", "pool")
         ]
         blobs = {json.dumps(p, sort_keys=True) for p in payloads}
         assert len(blobs) == 1
@@ -121,7 +121,7 @@ class TestExecuteRequest:
         inline = execute_request(SAMPLE, cache="off")
         handles = [submit(SAMPLE, cache="off"),
                    submit(SAMPLE, cache="off")]
-        outcomes = gather(handles, executor="threads")
+        outcomes = gather(handles, executor="pool")
         assert [o.payload for o in outcomes] == [inline.payload] * 2
 
     def test_handle_is_lazy_until_needed(self):
@@ -289,7 +289,7 @@ class TestServiceObservability:
                 except (ValueError, ServiceError) as exc:
                     failures.append(exc)
 
-        with _service(tmp_path, executor="threads") as service:
+        with _service(tmp_path, executor="inprocess") as service:
             client = ServiceClient(service.url)
             scrapers = [threading.Thread(target=scrape, args=(client,))
                         for _ in range(3)]
@@ -436,12 +436,12 @@ class TestRunOptions:
     def test_reads_and_validates_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
         monkeypatch.setenv("REPRO_MATRIX_JOBS", "3")
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
+        monkeypatch.setenv("REPRO_EXECUTOR", "inprocess")
         monkeypatch.setenv("REPRO_AUDIT", "1")
         options = RunOptions.from_env()
         assert options.scale == "ci"
         assert options.matrix_jobs == 3
-        assert options.executor == "threads"
+        assert options.executor == "inprocess"
         assert options.audit is True
 
     @pytest.mark.parametrize("name,value,fragment", [
@@ -451,7 +451,6 @@ class TestRunOptions:
         ("REPRO_EXECUTOR", "warp", "unknown executor"),
         ("REPRO_AUDIT", "maybe", "REPRO_AUDIT"),
         ("REPRO_TELEMETRY", "kinda", "REPRO_TELEMETRY"),
-        ("REPRO_BATCH_CORE", "turbo", "REPRO_BATCH_CORE"),
     ])
     def test_bad_values_name_the_variable(self, monkeypatch, name, value,
                                           fragment):
@@ -469,10 +468,6 @@ class TestRunOptions:
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
         assert RunOptions.from_env(scale=None).scale == "ci"
 
-    def test_batch_core_scalar_spelling(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_CORE", "scalar")
-        assert RunOptions.from_env().batch_core is False
-
     def test_apply_exports_and_restores(self, monkeypatch):
         monkeypatch.setenv("REPRO_AUDIT", "1")
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
@@ -486,6 +481,39 @@ class TestRunOptions:
             assert "REPRO_AUDIT" not in os.environ
         assert os.environ["REPRO_AUDIT"] == "1"
         assert "REPRO_TELEMETRY" not in os.environ
+
+    def test_apply_covers_every_field(self, monkeypatch, tmp_path):
+        """apply() exports a variable for every field, restores the
+        previous values on exit, and removes the variables of fields a
+        run leaves unset."""
+        import os
+        from dataclasses import fields
+
+        full = RunOptions(
+            scale="ci", matrix_jobs=3, cluster_jobs=2, executor="inprocess",
+            result_cache=str(tmp_path / "cache"),
+            checkpoint_store=str(tmp_path / "store"),
+            trace=str(tmp_path / "trace.jsonl"), telemetry=True,
+            spans=str(tmp_path / "spans.jsonl"),
+            events=str(tmp_path / "events.jsonl"), audit=True,
+            run_id="rfields01",
+            service_log=str(tmp_path / "service.jsonl"),
+        )
+        assert all(getattr(full, field.name) != field.default
+                   for field in fields(RunOptions))
+        exported = full.environ()
+        assert len(exported) == len(fields(RunOptions))
+        previous = {name: f"previous {name}" for name in exported}
+        for name, value in previous.items():
+            monkeypatch.setenv(name, value)
+        with full.apply():
+            assert {name: os.environ[name] for name in exported} == exported
+            assert RunOptions.from_env() == full
+        assert {name: os.environ[name] for name in previous} == previous
+        with RunOptions(scale="ci").apply():
+            assert [name for name in exported if name in os.environ] == [
+                "REPRO_EXPERIMENT_SCALE"]
+        assert {name: os.environ[name] for name in previous} == previous
 
     def test_resolved_jobs(self):
         options = RunOptions(scale="ci", matrix_jobs=5, cluster_jobs=None)
