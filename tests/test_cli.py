@@ -388,6 +388,18 @@ class TestClusterJobs:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["threads", "subprocess-queue"])
+    def test_matrix_retired_executor_exits_2(self, capsys, monkeypatch,
+                                             name):
+        monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
+        assert main(["matrix", "--workload", "ammp", "--method", "None",
+                     "--jobs", "1", "--cache", "off", "--quiet",
+                     "--executor", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"unknown executor '{name}'" in err
+        assert "Traceback" not in err
+
     def test_matrix_bad_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
         monkeypatch.setenv("REPRO_CLUSTER_JOBS", "lots")

@@ -11,6 +11,7 @@ orphaning them (the interrupted-run bugfix).  Backends added via
 parametrized over :func:`registered_executor_names`.
 """
 
+import functools
 import json
 import multiprocessing
 import os
@@ -78,6 +79,14 @@ def _sleep_forever(_task):
 def _square_unless_three_in_child(task):
     """Kills its pool worker on task 3; runs normally in the parent."""
     if task == 3 and multiprocessing.parent_process() is not None:
+        os._exit(9)
+    return task * task
+
+
+def _square_unless_crash_in_child(crash, task):
+    """Kills its pool worker on task `crash`; runs normally in the
+    parent."""
+    if task == crash and multiprocessing.parent_process() is not None:
         os._exit(9)
     return task * task
 
@@ -219,10 +228,32 @@ def test_broken_pool_delivers_each_index_once():
     assert sorted(delivered) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("crash", [0, 5])
+def test_broken_pool_delivers_each_index_once_wherever_it_breaks(crash):
+    """The pool may break before anything was delivered (first task) or
+    after almost everything was (last task); either way the in-process
+    re-run covers exactly the indices still missing."""
+    delivered = []
+    with resolve_executor("pool", jobs=2) as backend:
+        results = backend.map(
+            functools.partial(_square_unless_crash_in_child, crash),
+            list(range(6)), on_result=lambda i, r: delivered.append(i))
+    assert results == [t * t for t in range(6)]
+    assert sorted(delivered) == list(range(6))
+
+
 class TestRegistry:
     def test_unknown_name_is_readable(self):
         with pytest.raises(ValueError, match="unknown executor 'warp'"):
             resolve_executor("warp")
+
+    @pytest.mark.parametrize("name", ["threads", "subprocess-queue"])
+    def test_retired_backends_are_unknown(self, name):
+        """The thread and spool-queue backends are gone; their names fail
+        like any other unknown name."""
+        assert name not in registered_executor_names()
+        with pytest.raises(ValueError, match=f"unknown executor '{name}'"):
+            resolve_executor(name)
 
     def test_known_names_listed_in_error(self):
         with pytest.raises(ValueError, match="pool"):

@@ -288,6 +288,54 @@ def reconstructed_predictor(source, fraction, mode, demand_entries):
     return predictor_state(predictor), reconstructor.counter_writes
 
 
+class TestScanAccounting:
+    """The production scans account for their work exactly as the
+    reference engine's per-reference scans do: the cache pass's
+    scanned/applied/skipped counts and the BTB claims scanned feed the
+    WarmupCost ledger and the telemetry counters."""
+
+    @pytest.mark.parametrize("source", ["raw", "compacted"])
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.2])
+    def test_cache_stats_match_reference_engine(self, fraction, source):
+        rng = random.Random(int(fraction * 100) + 7)
+        logs = dict(zip(("raw", "compacted"),
+                        feed_random_stream(make_pair(fraction), rng)))
+        config = paper_hierarchy_config(scale=64)
+        outcomes = []
+        for engine in ENGINES:
+            hierarchy = MemoryHierarchy(config)
+            with engine():
+                stats = ReverseCacheReconstructor(hierarchy).reconstruct(
+                    logs[source], fraction)
+            outcomes.append((stats, tuple(
+                cache_state(level)
+                for level in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
+            )))
+        assert outcomes[0] == outcomes[1]
+        stats = outcomes[0][0]
+        assert stats.scanned >= stats.applied > 0
+
+    @pytest.mark.parametrize("source", ["raw", "compacted"])
+    @pytest.mark.parametrize("fraction", [1.0, 0.2])
+    def test_btb_claims_match_reference_engine(self, fraction, source):
+        rng = random.Random(int(fraction * 100) + 11)
+        logs = dict(zip(("raw", "compacted"),
+                        feed_random_stream(make_pair(fraction), rng)))
+        outcomes = []
+        for engine in ENGINES:
+            predictor = BranchPredictor(
+                PredictorConfig(PHT_ENTRIES, BTB_ENTRIES, RAS_ENTRIES))
+            reconstructor = ReverseBranchReconstructor(predictor)
+            with engine():
+                scanned = reconstructor._rebuild_btb(logs[source], fraction)
+            btb = predictor.btb
+            outcomes.append((scanned, btb.updates, tuple(btb.tags),
+                             tuple(btb.targets), tuple(btb.reconstructed)))
+        assert outcomes[0] == outcomes[1]
+        scanned, updates = outcomes[0][:2]
+        assert scanned >= updates > 0
+
+
 class TestFolding:
     """The compacted side knows the method's fraction and folds anywhere."""
 

@@ -79,3 +79,13 @@ def test_run_matches_reference_engine(workload_name, source, topology,
             f"{label}: {key} diverges between the reference and "
             f"production engines"
         )
+
+
+def test_leftover_engine_switch_changes_nothing(monkeypatch):
+    """REPRO_BATCH_CORE no longer selects an engine: a run under a stale
+    `0` is the production run, bit for bit."""
+    monkeypatch.delenv("REPRO_BATCH_CORE", raising=False)
+    production = _run("gcc", "compacted", None, 0.2, contextlib.nullcontext)
+    monkeypatch.setenv("REPRO_BATCH_CORE", "0")
+    stale = _run("gcc", "compacted", None, 0.2, contextlib.nullcontext)
+    assert stale == production

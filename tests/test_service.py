@@ -458,6 +458,18 @@ class TestRunOptions:
         with pytest.raises(ValueError, match=fragment):
             RunOptions.from_env()
 
+    @pytest.mark.parametrize("value", ["0", "off", "turbo"])
+    def test_leftover_batch_core_variable_is_ignored(self, monkeypatch,
+                                                     value):
+        """There is one engine: a stale REPRO_BATCH_CORE, even a value
+        the old switch rejected, neither fails nor reaches environ()."""
+        monkeypatch.delenv("REPRO_BATCH_CORE", raising=False)
+        clean = RunOptions.from_env()
+        monkeypatch.setenv("REPRO_BATCH_CORE", value)
+        options = RunOptions.from_env()
+        assert options == clean
+        assert "REPRO_BATCH_CORE" not in options.environ()
+
     def test_overrides_win_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "bench")
         options = RunOptions.from_env(scale="ci", matrix_jobs=2)
