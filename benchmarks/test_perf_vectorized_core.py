@@ -1,9 +1,10 @@
 """Perf bench: the production engine versus the scalar reference engine.
 
-Runs R$BP on the production engine (block-translated functional core +
-vectorized reverse reconstruction) and on the reference engine of
-tests/oracle_engine.py (the scalar `step()` loop and per-reference
-reverse scans; cells labelled ``batched`` and ``scalar``) across the
+Runs R$BP on the production engine (block-translated functional and
+timing cores + vectorized reverse reconstruction) and on the reference
+engine of tests/oracle_engine.py (the scalar `step()` loops of the
+functional and timing cores and per-reference reverse scans; cells
+labelled ``batched`` and ``scalar``) across the
 full equivalence matrix — all nine paper workloads x {the raw oracle
 (tests/oracle_skiplog.py), the compacted skip log} x {serial,
 cluster-sharded} topologies — and records
@@ -22,10 +23,9 @@ reconstruction (``reconstruct``) — run >= 2x faster batched than
 scalar, aggregated
 over the whole matrix at the bench tier.  The detailed hot-simulation
 phase (``hot_sim``) is reported alongside but not part of the gated
-aggregate: its speedups from this PR (predecoded program columns and
-array-backed cache stores) are structural and present in both modes, so
-a same-build A/B cannot expose them.  Whole-run wall-clock speedup is
-recorded as an informational metric.
+aggregate: the two timing cores differ there, but much of its time is
+cache and predictor work that both modes share.  Whole-run wall-clock
+speedup is recorded as an informational metric.
 """
 
 from __future__ import annotations

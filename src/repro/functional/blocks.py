@@ -27,6 +27,10 @@ machine's ``pc`` and ``instructions_retired``, so a hook sees the state
 ``step()`` would leave.  Signed comparisons flip the sign bit of both
 64-bit register values instead of calling :func:`to_signed`.
 
+The op emitters (:func:`operand_fields`, :func:`execute_lines`,
+:func:`transfer_parts`) also write the functional part of the timing
+core's blocks (:mod:`repro.timing.blocks`).
+
 Translations are cached per program and per hook signature (which hooks
 are present, and the ifetch block size in instructions) in
 ``PredecodedProgram.blocks``.  An absent hook costs nothing, and the
@@ -115,6 +119,69 @@ _CONTROL = frozenset({*_BRANCH, *_INDIRECT, Opcode.JMP, Opcode.CALL})
 _NO_BLOCK = (None, 0, -1)
 
 
+#: The globals the op emitters' lines call.
+OP_GLOBALS = {"div": divide_signed}
+
+
+def operand_fields(columns, pc: int) -> dict:
+    """The format fields of the op emitters for the instruction at `pc`.
+
+    `columns` is ``(ops, rds, rs1s, rs2s, imms, targets)``: source
+    registers ``a``/``b``, the immediate ``i`` (``u`` masked to 64 bits,
+    ``sh`` to a shift amount, ``s`` biased by the sign bit), and the
+    masks ``M``/``S``.
+    """
+    _, _, rs1s, rs2s, imms, _ = columns
+    imm = imms[pc]
+    return dict(a=rs1s[pc], b=rs2s[pc], i=imm, u=imm & _MASK64,
+                sh=imm & 63, s=imm + _SIGN_BIT, M=_MASK64, S=_SIGN_BIT)
+
+
+def execute_lines(op: int, rd: int, fields: dict,
+                  address: str | None = None) -> list[str]:
+    """Lines that execute one ALU or memory op (nothing for NOP).
+
+    A LOAD/STORE first binds its effective address to the variable
+    `address` when one is named, so a hook or timed access can reuse it.
+    """
+    if op in _ALU:
+        return [f"r[{rd}] = " + _ALU[op].format_map(fields)] if rd else []
+    if op != Opcode.LOAD and op != Opcode.STORE:
+        return []
+    lines = []
+    effective = "(r[{a}] + {i}) & {M}".format_map(fields)
+    if address is not None:
+        lines.append(f"{address} = {effective}")
+        effective = address
+    if op == Opcode.STORE:
+        lines.append(f"st({effective}, r[{fields['b']}])")
+    elif rd:
+        lines.append(f"r[{rd}] = ld({effective})")
+    return lines
+
+
+def transfer_parts(op: int, fields: dict, target, fall_through):
+    """How a control transfer executes: ``(lines, condition, taken_pc)``.
+
+    `target` and `fall_through` are the expressions of its direct target
+    and of the pc after it.  `lines` run first (the link write, then the
+    indirect target bound to ``x``); `condition` is the taken test of a
+    conditional branch (None for a transfer that is always taken);
+    `taken_pc` is the expression of the pc it transfers to when taken.
+    """
+    if op in _BRANCH:
+        return [], _BRANCH[op].format_map(fields), str(target)
+    lines = []
+    if op == Opcode.CALL or op == Opcode.CALLR:
+        lines.append(f"r[{LINK_REGISTER}] = {fall_through}")
+    if op in _INDIRECT:
+        # After the link write: CALLR through the link register jumps
+        # to the new link value, as in step().
+        lines.append(f"x = {_INDIRECT[op].format_map(fields)}")
+        return lines, None, "x"
+    return lines, None, str(target)
+
+
 class BlockTable(dict):
     """``pc -> (function, length, last ifetch block)`` for one program
     and one hook signature; a pc is translated on its first lookup.
@@ -134,14 +201,15 @@ class BlockTable(dict):
         self._mem_hooked = mem_hooked
         self._branch_hooked = branch_hooked
         self._per_block = per_block
-        self._globals = {"div": divide_signed, "I": program.instructions}
+        self._globals = {**OP_GLOBALS, "I": program.instructions}
 
     def __missing__(self, pc: int):
         self[pc] = entry = self._translate(pc)
         return entry
 
     def _translate(self, start: int):
-        ops, rds, rs1s, rs2s, imms, targets = self._columns
+        columns = self._columns
+        ops, rds, _, _, _, targets = columns
         per_block = self._per_block
         body: list[str] = []
         pc = start
@@ -153,35 +221,21 @@ class BlockTable(dict):
             if per_block and pc > start and pc % per_block == 0:
                 fetched = self._code_base + pc * self._instruction_bytes
                 body.append(f"ih({fetched})")
-            imm = imms[pc]
-            fields = dict(
-                a=rs1s[pc], b=rs2s[pc], i=imm,
-                u=imm & _MASK64, sh=imm & 63, s=imm + _SIGN_BIT,
-                M=_MASK64, S=_SIGN_BIT)
-            rd = rds[pc]
+            fields = operand_fields(columns, pc)
             retired = pc - start + 1
-            if op in _ALU:
-                if rd:
-                    body.append(f"r[{rd}] = " + _ALU[op].format(**fields))
-            elif op == Opcode.LOAD or op == Opcode.STORE:
-                address = "(r[{a}] + {i}) & {M}".format(**fields)
-                if self._mem_hooked:
-                    body.append(f"x = {address}")
-                    address = "x"
-                if op == Opcode.STORE:
-                    body.append(f"st({address}, r[{fields['b']}])")
-                elif rd:
-                    body.append(f"r[{rd}] = ld({address})")
-                if self._mem_hooked:
-                    body.append(f"m.pc = {pc + 1}; "
-                                f"m.instructions_retired = n + {retired}")
-                    body.append(f"mh({pc}, {pc + 1}, x, "
-                                f"{op == Opcode.STORE})")
-            elif op in _CONTROL:
+            if op in _CONTROL:
                 body += self._transfer(op, pc, fields, targets[pc], retired)
                 transfer = True
                 pc += 1
                 break
+            mem_hooked = self._mem_hooked and (
+                op == Opcode.LOAD or op == Opcode.STORE)
+            body += execute_lines(op, rds[pc], fields,
+                                  "x" if mem_hooked else None)
+            if mem_hooked:
+                body.append(f"m.pc = {pc + 1}; "
+                            f"m.instructions_retired = n + {retired}")
+                body.append(f"mh({pc}, {pc + 1}, x, {op == Opcode.STORE})")
             pc += 1
         if pc == start:
             return _NO_BLOCK
@@ -209,20 +263,13 @@ class BlockTable(dict):
                 ]
             return lines
 
-        if op in _BRANCH:
-            taken = leave(target, True)
-            return [f"if {_BRANCH[op].format(**fields)}:",
-                    *(f"    {line}" for line in taken),
-                    *leave(pc + 1, False)]
-        lines = []
-        if op == Opcode.CALL or op == Opcode.CALLR:
-            lines.append(f"r[{LINK_REGISTER}] = {pc + 1}")
-        if op in _INDIRECT:
-            # After the link write: CALLR through the link register jumps
-            # to the new link value, as in step().
-            lines.append(f"x = {_INDIRECT[op].format(**fields)}")
-            return lines + leave("x", True)
-        return lines + leave(target, True)
+        lines, condition, taken_pc = transfer_parts(op, fields, target,
+                                                    pc + 1)
+        if condition is None:
+            return lines + leave(taken_pc, True)
+        return [f"if {condition}:",
+                *(f"    {line}" for line in leave(taken_pc, True)),
+                *leave(pc + 1, False)]
 
 
 def block_table(program, mem_hooked: bool, branch_hooked: bool,

@@ -8,8 +8,9 @@ in sampled simulation, mirroring the paper's §4:
    architectural state correct.
 2. The execution engine underneath *warm* simulation — warm-up methods
    attach hooks that observe memory references and branch outcomes.
-3. The oracle underneath *hot* simulation — the timing core single-steps
-   the functional machine and times each retired instruction.
+3. The state underneath *hot* simulation — the timing core's translated
+   blocks (:mod:`repro.timing.blocks`) execute on its registers and
+   memory and time each retired instruction.
 
 Performance notes: bulk execution (:meth:`FunctionalMachine.run`) runs
 translated basic blocks (:mod:`repro.functional.blocks`), each compiled

@@ -11,10 +11,10 @@ decoded once per :class:`~repro.isa.program.Program`:
   compiled blocks;
 - the timing-simulator columns (``is_mem``/``is_control``/``is_load``/
   ``is_store`` bytearrays, ``latency``, ``dest`` with −1 for "no
-  destination", and per-instruction ``sources`` tuples) let the hot
-  loop replace five attribute/method lookups per retired instruction
-  with list indexing;
-- ``blocks`` holds the translated blocks, one table per hook signature.
+  destination", and per-instruction ``sources`` tuples) are what the
+  timing translator (:mod:`repro.timing.blocks`) bakes into its blocks;
+- ``blocks`` holds the translated blocks: one functional table per hook
+  signature, and one timing table per fetch-block size and block cap.
 
 An operand too wide for its 64-bit column *poisons* the slot: its opcode
 column reads −1, so no translated block covers it and it runs through
@@ -91,7 +91,8 @@ class PredecodedProgram:
         self.latency = latency
         self.dest = dest
         self.sources = sources
-        #: Hook signature -> repro.functional.blocks.BlockTable.
+        #: Hook signature -> repro.functional.blocks.BlockTable, and
+        #: ("timing", ...) -> repro.timing.blocks.TimingBlockTable.
         self.blocks: dict = {}
 
     def __len__(self) -> int:

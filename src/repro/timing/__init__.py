@@ -2,14 +2,10 @@
 
 from .config import CoreConfig, paper_core_config
 from .core import TimingSimulator, TimingResult
-from .resources import BandwidthLimiter, FifoCapacity, PooledCapacity
 
 __all__ = [
     "CoreConfig",
     "paper_core_config",
     "TimingSimulator",
     "TimingResult",
-    "BandwidthLimiter",
-    "FifoCapacity",
-    "PooledCapacity",
 ]

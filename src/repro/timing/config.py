@@ -5,6 +5,11 @@ eight fully pipelined universal function units, 64 in-flight instructions,
 32-entry issue queue, 64-entry load/store queue, seven pipeline stages,
 five-cycle minimum branch misprediction penalty, 2 GHz clock, and
 architectural checkpoints allowing speculation past eight branches.
+
+Two of those have no field.  Eight fully pipelined units never bind when
+at most four instructions issue per cycle, so the model has no function
+units to count.  The model counts cycles, not seconds, so it has no
+clock.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ class CoreConfig:
     dispatch_width: int = 8
     issue_width: int = 4
     retire_width: int = 4
-    num_function_units: int = 8
     rob_entries: int = 64
     issue_queue_entries: int = 32
     lsq_entries: int = 64
@@ -29,14 +33,12 @@ class CoreConfig:
     frontend_depth: int = 3
     mispredict_penalty: int = 5
     max_inflight_branches: int = 8
-    frequency_ghz: float = 2.0
 
     def __post_init__(self) -> None:
         positive = (
             "fetch_width", "dispatch_width", "issue_width", "retire_width",
-            "num_function_units", "rob_entries", "issue_queue_entries",
-            "lsq_entries", "pipeline_depth", "frontend_depth",
-            "max_inflight_branches",
+            "rob_entries", "issue_queue_entries", "lsq_entries",
+            "pipeline_depth", "frontend_depth", "max_inflight_branches",
         )
         for name in positive:
             if getattr(self, name) <= 0:

@@ -1,9 +1,11 @@
 """The detailed ("hot") timing simulator.
 
 A dependence- and resource-constrained model of the paper's out-of-order
-superscalar core.  Instructions are processed in program order by driving
-the functional machine one step at a time; each instruction is assigned
-fetch, dispatch, issue, complete, and retire cycles constrained by:
+superscalar core.  Instructions are executed and timed in program order,
+one translated block at a time (:mod:`repro.timing.blocks`): each block
+executes its instructions on the functional machine's state and assigns
+each one fetch, dispatch, issue, complete, and retire cycles constrained
+by:
 
 - fetch bandwidth (8/cycle) and instruction-cache latency per fetched block;
 - front-end depth (fetch-to-dispatch stages of the 7-stage pipe);
@@ -28,10 +30,9 @@ from dataclasses import dataclass
 from ..branch import BranchPredictor
 from ..cache import MemoryHierarchy
 from ..functional import FunctionalMachine
-from ..functional.predecode import predecode_program
 from ..isa import NUM_REGISTERS
+from .blocks import timing_block_table
 from .config import CoreConfig, paper_core_config
-from .resources import BandwidthLimiter, FifoCapacity, PooledCapacity
 
 
 @dataclass
@@ -87,6 +88,12 @@ class TimingSimulator:
             measure_after: int = 0) -> TimingResult:
         """Simulate up to `max_instructions` in detail; return IPC data.
 
+        Runs translated code (:mod:`repro.timing.blocks`): a block per
+        iteration where a start has been entered often enough to be
+        compiled whole, one instruction per iteration elsewhere and
+        inside a block (a run that starts where the last one stopped,
+        or whose end or `measure_after` boundary falls inside one).
+
         Parameters
         ----------
         max_instructions:
@@ -103,159 +110,81 @@ class TimingSimulator:
         """
         config = self.config
         machine = self.machine
-        program = machine.program
-        instructions = program.instructions
         hierarchy = self.hierarchy
-        predictor = self.predictor
-        step = machine.step
-
-        # Predecoded columns replace the per-instruction attribute/method
-        # lookups (is_mem/is_control/is_load/is_store, latency,
-        # destination(), sources()) with list indexing; the Instruction
-        # object itself is only materialized for control transfers, which
-        # the branch hook and predictor interfaces take by object.
-        decoded = predecode_program(program)
-        is_mem_col = decoded.is_mem
-        is_control_col = decoded.is_control
-        is_load_col = decoded.is_load
-        is_store_col = decoded.is_store
-        latency_col = decoded.latency
-        dest_col = decoded.dest
-        sources_col = decoded.sources
-
         # The cycle counter restarts at zero each run; bus schedules from a
         # previous cluster would otherwise stall the whole pipeline.
         hierarchy.l1_bus.rewind()
         hierarchy.l2_bus.rewind()
+        if max_instructions <= 0 or machine.halted:
+            return TimingResult(instructions=0, cycles=1)
 
-        fetch_limiter = BandwidthLimiter(config.fetch_width)
-        dispatch_limiter = BandwidthLimiter(config.dispatch_width)
-        issue_limiter = BandwidthLimiter(config.issue_width)
-        retire_limiter = BandwidthLimiter(config.retire_width)
-        rob = FifoCapacity(config.rob_entries)
-        issue_queue = PooledCapacity(config.issue_queue_entries)
-        lsq = PooledCapacity(config.lsq_entries)
-        checkpoints = PooledCapacity(config.max_inflight_branches)
-
-        reg_ready = [0] * NUM_REGISTERS
-        frontend_depth = config.frontend_depth
-        mispredict_penalty = config.mispredict_penalty
-        instruction_bytes = program.instruction_bytes
-        code_base = program.code_base
-        insts_per_block = max(
-            1, hierarchy.l1i.config.line_bytes // instruction_bytes
+        program = machine.program
+        per_block = max(
+            1, hierarchy.l1i.config.line_bytes // program.instruction_bytes
         )
-        timed_access = hierarchy.timed_access
-
-        next_fetch_cycle = 0
-        current_fetch_block = -1
-        previous_retire = 0
-        last_retire = 0
-        retired = 0
+        table = timing_block_table(program, per_block, config.rob_entries)
+        memory = machine.memory
+        retire_width = config.retire_width
+        env = (machine, machine.registers, memory.load, memory.store,
+               program.instructions, [0] * NUM_REGISTERS,
+               [-1] * config.rob_entries, [-1] * config.issue_queue_entries,
+               [-1] * config.lsq_entries, [-1] * config.max_inflight_branches,
+               hierarchy.timed_access, self.predictor.predict_and_update,
+               pre_branch_hook, config.fetch_width, config.dispatch_width,
+               config.issue_width, retire_width, config.frontend_depth,
+               config.mispredict_penalty, config.rob_entries)
+        pc = machine.pc
+        # (pc, the fetch, dispatch, issue and retire limiters, next fetch
+        # cycle, current fetch block): see repro.timing.blocks.
+        state = (pc, -1, -1, -1, -1, 0, -1)
+        start = done = machine.instructions_retired
+        stop = start + max_instructions
+        ramped = 0 < measure_after < max_instructions
+        bound = start + measure_after if ramped else stop
         ramp_boundary_cycle = 0
-
-        while retired < max_instructions and not machine.halted:
-            pc = machine.pc
-            # ---- execute architecturally --------------------------------
-            # First, so a pc outside the program raises step()'s
-            # ValueError before the columns are indexed with it; no
-            # timing decision below reads machine state.
-            result = step()
-            retired += 1
-            is_mem = is_mem_col[pc]
-            is_control = is_control_col[pc]
-
-            # ---- fetch ---------------------------------------------------
-            fetch_ready = next_fetch_cycle
-            fetch_block = pc // insts_per_block
-            if fetch_block != current_fetch_block:
-                current_fetch_block = fetch_block
-                latency = timed_access(
-                    code_base + pc * instruction_bytes, False, True,
-                    fetch_ready,
-                )
-                fetch_ready += latency - 1  # a hit adds no bubble
-            fetch_cycle = fetch_limiter.take(fetch_ready)
-
-            # ---- dispatch ------------------------------------------------
-            dispatch_ready = fetch_cycle + frontend_depth
-            dispatch_ready = rob.acquire(dispatch_ready)
-            dispatch_ready = issue_queue.acquire(dispatch_ready)
-            if is_mem:
-                dispatch_ready = lsq.acquire(dispatch_ready)
-            if is_control:
-                dispatch_ready = checkpoints.acquire(dispatch_ready)
-            dispatch_cycle = dispatch_limiter.take(dispatch_ready)
-
-            if result.halted:
-                last_retire = max(last_retire, dispatch_cycle + 1)
+        halted = False
+        starts = table.starts
+        while True:
+            # Inside a block (where the last run, or the ramp, stopped)
+            # and up to a bound inside one, step one instruction at a time.
+            stepping = pc < len(starts) and not starts[pc]
+            while done < bound:
+                if stepping:
+                    block, length = table.single(pc)
+                else:
+                    block, length = table[pc]
+                    if not 0 < length <= bound - done:
+                        if length < 0:
+                            block, length = table.enter(pc)
+                        if not length:
+                            # HALT; step() raises for a pc outside the
+                            # program.
+                            state = block(env, state, done)
+                            done += 1
+                            halted = True
+                            break
+                        if length > bound - done:
+                            block, length = table.single(pc)
+                            stepping = True
+                state = block(env, state, done)
+                pc = state[0]
+                done += length
+                if stepping:
+                    stepping = pc < len(starts) and not starts[pc]
+            if halted or bound == stop:
                 break
+            ramp_boundary_cycle = state[4] // retire_width
+            bound = stop
+        machine.pc = pc
+        machine.instructions_retired = done
 
-            # ---- issue ---------------------------------------------------
-            ready = dispatch_cycle + 1
-            for source in sources_col[pc]:
-                source_ready = reg_ready[source]
-                if source_ready > ready:
-                    ready = source_ready
-            issue_cycle = issue_limiter.take(ready)
-            issue_queue.release_at(issue_cycle)
-
-            # ---- complete ------------------------------------------------
-            is_store = False
-            if is_load_col[pc]:
-                latency = timed_access(
-                    result.mem_address, False, False, issue_cycle
-                )
-                complete = issue_cycle + latency
-            elif is_store_col[pc]:
-                # The store leaves the pipe once address+data are ready;
-                # the write drains through the hierarchy in the background.
-                is_store = True
-                complete = issue_cycle + 1
-                timed_access(result.mem_address, True, False, complete)
-            else:
-                complete = issue_cycle + latency_col[pc]
-
-            destination = dest_col[pc]
-            if destination >= 0:
-                reg_ready[destination] = complete
-
-            # ---- control resolution -------------------------------------
-            if is_control:
-                inst = instructions[pc]
-                if pre_branch_hook is not None:
-                    pre_branch_hook(pc, inst)
-                mispredicted = predictor.predict_and_update(
-                    pc, inst, result.taken, result.next_index
-                )
-                checkpoints.release_at(complete)
-                if mispredicted:
-                    next_fetch_cycle = complete + mispredict_penalty
-                    current_fetch_block = -1  # refetch after redirect
-                elif result.taken:
-                    # Even a correctly predicted taken transfer ends the
-                    # current fetch group.
-                    next_fetch_cycle = fetch_cycle + 1
-
-            # ---- retire --------------------------------------------------
-            retire_ready = complete + 1
-            if previous_retire > retire_ready:
-                retire_ready = previous_retire
-            retire_cycle = retire_limiter.take(retire_ready)
-            previous_retire = retire_cycle
-            rob.release_at(retire_cycle)
-            if is_mem:
-                lsq.release_at(retire_cycle if is_store else complete)
-            last_retire = retire_cycle
-            if retired == measure_after:
-                ramp_boundary_cycle = retire_cycle
-
-        total_cycles = last_retire + 1
-        if measure_after > 0 and retired > measure_after:
+        retired = done - start
+        last_retire = max(state[4] // retire_width, 0)
+        if ramped and retired > measure_after:
             return TimingResult(
                 instructions=retired,
-                cycles=total_cycles,
+                cycles=last_retire + 1,
                 measured_instructions=retired - measure_after,
                 measured_cycles=last_retire - ramp_boundary_cycle,
             )
-        return TimingResult(instructions=retired, cycles=total_cycles)
+        return TimingResult(instructions=retired, cycles=last_retire + 1)

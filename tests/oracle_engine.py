@@ -1,32 +1,47 @@
 """The reference engine: scalar twins of the production hot paths.
 
 The simulator has one engine.  Cold and warm execution run translated
-basic blocks (:meth:`~repro.functional.FunctionalMachine.run`), and the
-reverse scans of cache and BTB reconstruction pre-filter their winners
-with numpy.  This module keeps the straightforward versions those paths
-are checked against, bit for bit:
+basic blocks (:meth:`~repro.functional.FunctionalMachine.run`), hot
+simulation runs translated timing blocks
+(:meth:`~repro.timing.TimingSimulator.run`), and the reverse scans of
+cache and BTB reconstruction pre-filter their winners with numpy.  This
+module keeps the straightforward versions those paths are checked
+against, bit for bit:
 
 - :class:`ScalarMachine` — a machine whose ``run`` is the per-step
   :meth:`~repro.functional.FunctionalMachine.run_scalar` loop;
+- :func:`step_driven_run` — the timing core as one loop over
+  ``step()``, timing each instruction through the resource objects
+  :class:`BandwidthLimiter`, :class:`FifoCapacity` and
+  :class:`PooledCapacity`;
 - :func:`scalar_cache_scan` — the paper's literal reverse cache scan,
   one ``reconstruct_reference`` call per logged reference and level;
 - :func:`scalar_btb_scan` — one ``btb.reconstruct`` call per claim,
   newest first;
 - :func:`reference_engine` — a context manager that runs whole
-  simulations on all three.
+  simulations on all four;
+- :func:`sampled_run_record` — what two engines' runs of one sampled
+  simulation are compared on.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
 import os
+from collections import deque
 from unittest import mock
 
 from repro.core.branch_reconstruct import ReverseBranchReconstructor
 from repro.core.cache_reconstruct import ReverseCacheReconstructor
 from repro.core.source import REF_INSTRUCTION, REF_STORE
 from repro.functional import FunctionalMachine
+from repro.functional.predecode import predecode_program
 from repro.harness.executor import EXECUTOR_ENV_VAR
+from repro.isa import NUM_REGISTERS
+from repro.sampling import SampledSimulator, pipeline
+from repro.timing import TimingResult, TimingSimulator
+from repro.warmup import resolve_method
 
 
 class ScalarMachine(FunctionalMachine):
@@ -34,6 +49,255 @@ class ScalarMachine(FunctionalMachine):
     at a time."""
 
     run = FunctionalMachine.run_scalar
+
+
+class BandwidthLimiter:
+    """At most `width` events per cycle.
+
+    `take(cycle)` returns the earliest cycle >= `cycle` with a free slot
+    and consumes that slot.  Requests arrive in program order, so a
+    request never precedes the current cycle by a full cycle boundary:
+    the limiter tracks only the current cycle and its used slots, and
+    serves an earlier request in the current cycle.
+    """
+
+    __slots__ = ("width", "_cycle", "_used")
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self._cycle = -1
+        self._used = 0
+
+    def take(self, cycle: int) -> int:
+        if cycle > self._cycle:
+            self._cycle = cycle
+            self._used = 1
+            return cycle
+        if cycle < self._cycle:
+            cycle = self._cycle
+        if self._used < self.width:
+            self._used += 1
+            return cycle
+        self._cycle = cycle + 1
+        self._used = 1
+        return cycle + 1
+
+    def reset(self) -> None:
+        self._cycle = -1
+        self._used = 0
+
+
+class FifoCapacity:
+    """Capacity constraint for a structure freed in program order (ROB).
+
+    `acquire(ready)` returns the earliest cycle >= `ready` at which a slot
+    is free; `release_at(cycle)` records when the acquired slot will free.
+    """
+
+    __slots__ = ("capacity", "_release_times")
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._release_times: deque[int] = deque()
+
+    def acquire(self, ready: int) -> int:
+        if len(self._release_times) >= self.capacity:
+            oldest = self._release_times.popleft()
+            if oldest + 1 > ready:
+                ready = oldest + 1
+        return ready
+
+    def release_at(self, cycle: int) -> None:
+        self._release_times.append(cycle)
+
+    def occupancy(self) -> int:
+        return len(self._release_times)
+
+    def reset(self) -> None:
+        self._release_times.clear()
+
+
+class PooledCapacity:
+    """Capacity constraint for a structure freed out of order (IQ, LSQ,
+    branch checkpoints): the next free slot is the minimum release time."""
+
+    __slots__ = ("capacity", "_release_times")
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._release_times: list[int] = []
+
+    def acquire(self, ready: int) -> int:
+        if len(self._release_times) >= self.capacity:
+            earliest = heapq.heappop(self._release_times)
+            if earliest + 1 > ready:
+                ready = earliest + 1
+        return ready
+
+    def release_at(self, cycle: int) -> None:
+        heapq.heappush(self._release_times, cycle)
+
+    def occupancy(self) -> int:
+        return len(self._release_times)
+
+    def reset(self) -> None:
+        self._release_times.clear()
+
+
+def step_driven_run(self, max_instructions: int, pre_branch_hook=None,
+                    measure_after: int = 0) -> TimingResult:
+    """Per-instruction twin of :meth:`TimingSimulator.run` (same
+    contract): one ``step()``, then the instruction's fetch, dispatch,
+    issue, complete and retire cycles."""
+    config = self.config
+    machine = self.machine
+    program = machine.program
+    instructions = program.instructions
+    hierarchy = self.hierarchy
+    predictor = self.predictor
+    step = machine.step
+
+    decoded = predecode_program(program)
+    is_mem_col = decoded.is_mem
+    is_control_col = decoded.is_control
+    is_load_col = decoded.is_load
+    is_store_col = decoded.is_store
+    latency_col = decoded.latency
+    dest_col = decoded.dest
+    sources_col = decoded.sources
+
+    hierarchy.l1_bus.rewind()
+    hierarchy.l2_bus.rewind()
+
+    fetch_limiter = BandwidthLimiter(config.fetch_width)
+    dispatch_limiter = BandwidthLimiter(config.dispatch_width)
+    issue_limiter = BandwidthLimiter(config.issue_width)
+    retire_limiter = BandwidthLimiter(config.retire_width)
+    rob = FifoCapacity(config.rob_entries)
+    issue_queue = PooledCapacity(config.issue_queue_entries)
+    lsq = PooledCapacity(config.lsq_entries)
+    checkpoints = PooledCapacity(config.max_inflight_branches)
+
+    reg_ready = [0] * NUM_REGISTERS
+    frontend_depth = config.frontend_depth
+    mispredict_penalty = config.mispredict_penalty
+    instruction_bytes = program.instruction_bytes
+    code_base = program.code_base
+    insts_per_block = max(
+        1, hierarchy.l1i.config.line_bytes // instruction_bytes
+    )
+    timed_access = hierarchy.timed_access
+
+    next_fetch_cycle = 0
+    current_fetch_block = -1
+    previous_retire = 0
+    last_retire = 0
+    retired = 0
+    ramp_boundary_cycle = 0
+
+    while retired < max_instructions and not machine.halted:
+        pc = machine.pc
+        # ---- execute architecturally ------------------------------------
+        # First, so a pc outside the program raises step()'s ValueError
+        # before the columns are indexed with it.
+        result = step()
+        retired += 1
+        is_mem = is_mem_col[pc]
+        is_control = is_control_col[pc]
+
+        # ---- fetch -------------------------------------------------------
+        fetch_ready = next_fetch_cycle
+        fetch_block = pc // insts_per_block
+        if fetch_block != current_fetch_block:
+            current_fetch_block = fetch_block
+            latency = timed_access(
+                code_base + pc * instruction_bytes, False, True, fetch_ready,
+            )
+            fetch_ready += latency - 1  # a hit adds no bubble
+        fetch_cycle = fetch_limiter.take(fetch_ready)
+
+        # ---- dispatch ----------------------------------------------------
+        dispatch_ready = fetch_cycle + frontend_depth
+        dispatch_ready = rob.acquire(dispatch_ready)
+        dispatch_ready = issue_queue.acquire(dispatch_ready)
+        if is_mem:
+            dispatch_ready = lsq.acquire(dispatch_ready)
+        if is_control:
+            dispatch_ready = checkpoints.acquire(dispatch_ready)
+        dispatch_cycle = dispatch_limiter.take(dispatch_ready)
+
+        if result.halted:
+            last_retire = max(last_retire, dispatch_cycle + 1)
+            break
+
+        # ---- issue -------------------------------------------------------
+        ready = dispatch_cycle + 1
+        for source in sources_col[pc]:
+            source_ready = reg_ready[source]
+            if source_ready > ready:
+                ready = source_ready
+        issue_cycle = issue_limiter.take(ready)
+        issue_queue.release_at(issue_cycle)
+
+        # ---- complete ----------------------------------------------------
+        is_store = False
+        if is_load_col[pc]:
+            latency = timed_access(
+                result.mem_address, False, False, issue_cycle
+            )
+            complete = issue_cycle + latency
+        elif is_store_col[pc]:
+            # The store leaves the pipe once address+data are ready; the
+            # write drains through the hierarchy in the background.
+            is_store = True
+            complete = issue_cycle + 1
+            timed_access(result.mem_address, True, False, complete)
+        else:
+            complete = issue_cycle + latency_col[pc]
+
+        destination = dest_col[pc]
+        if destination >= 0:
+            reg_ready[destination] = complete
+
+        # ---- control resolution ------------------------------------------
+        if is_control:
+            inst = instructions[pc]
+            if pre_branch_hook is not None:
+                pre_branch_hook(pc, inst)
+            mispredicted = predictor.predict_and_update(
+                pc, inst, result.taken, result.next_index
+            )
+            checkpoints.release_at(complete)
+            if mispredicted:
+                next_fetch_cycle = complete + mispredict_penalty
+                current_fetch_block = -1  # refetch after redirect
+            elif result.taken:
+                # Even a correctly predicted taken transfer ends the
+                # current fetch group.
+                next_fetch_cycle = fetch_cycle + 1
+
+        # ---- retire ------------------------------------------------------
+        retire_ready = complete + 1
+        if previous_retire > retire_ready:
+            retire_ready = previous_retire
+        retire_cycle = retire_limiter.take(retire_ready)
+        previous_retire = retire_cycle
+        rob.release_at(retire_cycle)
+        if is_mem:
+            lsq.release_at(retire_cycle if is_store else complete)
+        last_retire = retire_cycle
+        if retired == measure_after:
+            ramp_boundary_cycle = retire_cycle
+
+    total_cycles = last_retire + 1
+    if measure_after > 0 and retired > measure_after:
+        return TimingResult(
+            instructions=retired,
+            cycles=total_cycles,
+            measured_instructions=retired - measure_after,
+            measured_cycles=last_retire - ramp_boundary_cycle,
+        )
+    return TimingResult(instructions=retired, cycles=total_cycles)
 
 
 def scalar_cache_scan(reconstructor, source, fraction):
@@ -82,9 +346,40 @@ def reference_engine():
         stack.enter_context(mock.patch.object(
             FunctionalMachine, "run", FunctionalMachine.run_scalar))
         stack.enter_context(mock.patch.object(
+            TimingSimulator, "run", step_driven_run))
+        stack.enter_context(mock.patch.object(
             ReverseCacheReconstructor, "_apply_tail", scalar_cache_scan))
         stack.enter_context(mock.patch.object(
             ReverseBranchReconstructor, "_rebuild_btb", scalar_btb_scan))
         stack.enter_context(mock.patch.dict(
             os.environ, {EXECUTOR_ENV_VAR: "inprocess"}))
         yield
+
+
+def sampled_run_record(workload, scale, method_name: str) -> dict:
+    """One serial sampled run of `method_name` on `workload` at `scale`:
+    its per-cluster IPCs, `WarmupCost`, estimate, and the final cache
+    and predictor statistics and state of the simulation it ran."""
+    simulator = SampledSimulator(
+        workload, scale.regimen(), scale.configs(),
+        warmup_prefix=scale.warmup_prefix, detail_ramp=scale.detail_ramp)
+    stacks = []
+    build = pipeline.build_simulation
+
+    def recording_build(*args, **kwargs):
+        stacks.append(build(*args, **kwargs))
+        return stacks[-1]
+
+    with mock.patch.object(pipeline, "build_simulation", recording_build):
+        result = simulator.run(resolve_method(method_name))
+    hierarchy, predictor = stacks[0].hierarchy, stacks[0].predictor
+    return {
+        "cluster_ipcs": result.cluster_ipcs,
+        "cost": result.cost.as_dict(),
+        "estimate": result.estimate.mean,
+        "cache_stats": [dict(vars(cache.stats))
+                        for cache in hierarchy.caches()],
+        "cache_state": [cache.export_state() for cache in hierarchy.caches()],
+        "predictor_stats": dict(vars(predictor.stats)),
+        "predictor_state": predictor.export_state(),
+    }

@@ -1,6 +1,6 @@
 """Unit tests for timing-core resource constraints."""
 
-from repro.timing import BandwidthLimiter, FifoCapacity, PooledCapacity
+from tests.oracle_engine import BandwidthLimiter, FifoCapacity, PooledCapacity
 
 
 class TestBandwidthLimiter:

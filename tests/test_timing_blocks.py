@@ -1,0 +1,403 @@
+"""Differential fuzz: the translated timing core against the step-driven
+oracle.
+
+`TimingSimulator.run` (translated blocks and singles,
+:mod:`repro.timing.blocks`) must be indistinguishable from the step-driven
+loop kept in tests/oracle_engine.py: the same `TimingResult`, the same
+`pre_branch_hook` calls (with the machine state each one sees), the same
+cache statistics and tag/LRU state, bus schedules and predictor state,
+and the same architectural state — for every paper workload, the three
+core configs of the `sharded-sweep` ledger workload, run lengths that end
+inside blocks, every `measure_after` offset in the first block, and both
+translation tiers.  Directed cases cover HALT inside a block, poisoned
+predecode slots, pcs outside the program, and threads translating one
+shared table.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import sys
+import threading
+
+import pytest
+
+from repro.branch import BranchPredictor, PredictorConfig
+from repro.cache import MemoryHierarchy, paper_hierarchy_config
+from repro.functional import FunctionalMachine, Memory
+from repro.functional.predecode import predecode_program
+from repro.harness import scale_from_env
+from repro.isa import Instruction, Opcode, Program, ProgramBuilder
+from repro.timing import CoreConfig, TimingSimulator
+from repro.timing import blocks as timing_blocks
+from repro.warmup import registered_method_names
+from repro.workloads import PAPER_WORKLOADS, build_workload
+from tests.oracle_engine import (
+    reference_engine, sampled_run_record, step_driven_run,
+)
+from tests.test_machine_batched import _mixed_program
+
+BASE = CoreConfig()
+#: The core configs of the sharded-sweep ledger workload.
+CONFIGS = {
+    "base": BASE,
+    "rob-iq-x2": dataclasses.replace(BASE, rob_entries=128,
+                                     issue_queue_entries=64),
+    "issue-1-penalty+4": dataclasses.replace(BASE, issue_width=3,
+                                             mispredict_penalty=9),
+}
+
+
+@pytest.fixture(autouse=True)
+def fresh_tables():
+    """Each test translates from scratch: no table shared by content
+    with an earlier test."""
+    timing_blocks._SHARED.clear()
+    yield
+    timing_blocks._SHARED.clear()
+
+
+def snapshot(simulator: TimingSimulator) -> tuple:
+    """Everything a timing run may change."""
+    machine = simulator.machine
+    hierarchy = simulator.hierarchy
+    predictor = simulator.predictor
+    return (
+        machine.pc, machine.halted, machine.instructions_retired,
+        tuple(machine.registers), dict(machine.memory._words),
+        [dict(vars(cache.stats)) for cache in hierarchy.caches()],
+        [cache.export_state() for cache in hierarchy.caches()],
+        [(bus.busy_until, bus.transfers, bus.bytes_moved,
+          bus.contention_cycles)
+         for bus in (hierarchy.l1_bus, hierarchy.l2_bus)],
+        hierarchy.memory_accesses,
+        dict(vars(predictor.stats)), predictor.export_state(),
+    )
+
+
+class Pair:
+    """The oracle and the production core over copies of one program."""
+
+    def __init__(self, program: Program, memory: Memory,
+                 core: CoreConfig = BASE) -> None:
+        self.simulators = [
+            TimingSimulator(
+                FunctionalMachine(program, memory.copy()),
+                MemoryHierarchy(paper_hierarchy_config(scale=16)),
+                BranchPredictor(PredictorConfig(1024, 256, 8)), core)
+            for _ in range(2)]
+        self.hook_calls: list[list] = [[], []]
+
+    def _hook(self, index: int):
+        calls = self.hook_calls[index]
+        machine = self.simulators[index].machine
+
+        def hook(pc, inst):
+            calls.append((pc, inst, machine.pc, machine.instructions_retired))
+        return hook
+
+    def run(self, count: int, *, hooked: bool, measure_after: int = 0):
+        results = [
+            run(simulator, count, self._hook(index) if hooked else None,
+                measure_after)
+            for index, (simulator, run) in enumerate(zip(
+                self.simulators, (step_driven_run, TimingSimulator.run)))]
+        assert results[0] == results[1], (count, measure_after)
+        assert snapshot(self.simulators[0]) == snapshot(self.simulators[1])
+        assert self.hook_calls[0] == self.hook_calls[1]
+        return results[1]
+
+
+def _first_block_length(program: Program) -> int:
+    decoded = predecode_program(program)
+    starts = timing_blocks.timing_block_table(program, 16, 64).starts
+    length = 1
+    pc = program.entry
+    while (pc + length < len(starts) and not starts[pc + length]
+           and not decoded.is_control[pc + length - 1]):
+        length += 1
+    return length
+
+
+class TestWorkloadFuzz:
+    @pytest.mark.parametrize("hooked", (False, True),
+                             ids=("hookless", "hooked"))
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("name", PAPER_WORKLOADS)
+    def test_chunked_runs_match_oracle(self, name, config, hooked):
+        workload = build_workload(name, mem_scale=1, seed=23)
+        pair = Pair(workload.program, workload.memory, CONFIGS[config])
+        rng = random.Random(f"{name}/{config}/{hooked}")
+        for _ in range(40):
+            count = rng.choice((1, 2, 3, 5, 7, 13, 29, 61, 150, 400))
+            measure_after = rng.choice(
+                (0, 0, 1, count // 2, count - 1, count, count + 1))
+            pair.run(count, hooked=hooked, measure_after=measure_after)
+
+    @pytest.mark.parametrize("name", PAPER_WORKLOADS)
+    def test_measure_after_every_offset_in_first_block(self, name):
+        workload = build_workload(name, mem_scale=1, seed=29)
+        length = _first_block_length(workload.program)
+        for offset in range(1, length + 2):
+            pair = Pair(workload.program, workload.memory)
+            result = pair.run(length + 40, hooked=True, measure_after=offset)
+            assert result.measured_instructions == length + 40 - offset
+            pair.run(offset, hooked=False, measure_after=offset - 1)
+
+    @pytest.mark.parametrize("promote_after", (1, 10**9))
+    @pytest.mark.parametrize("name", ("gcc", "mcf", "parser", "perl"))
+    def test_each_tier_matches_oracle(self, name, promote_after,
+                                      monkeypatch):
+        """Blocks from their first entry, and singles throughout."""
+        monkeypatch.setattr(timing_blocks, "PROMOTE_AFTER", promote_after)
+        workload = build_workload(name, mem_scale=1, seed=31)
+        pair = Pair(workload.program, workload.memory)
+        rng = random.Random(name)
+        for _ in range(12):
+            count = rng.choice((1, 9, 100, 700))
+            pair.run(count, hooked=rng.random() < 0.5,
+                     measure_after=rng.choice((0, 3, count // 3)))
+        decoded = predecode_program(workload.program)
+        table = next(table for key, table in decoded.blocks.items()
+                     if key[0] == "timing")
+        longest = max(length for _, length in table.values())
+        assert (longest > 1) == (promote_after == 1)
+
+
+def _halt_program() -> Program:
+    b = ProgramBuilder(name="halt")
+    b.li(1, 7)
+    b.label("top")
+    b.addi(2, 2, 1)
+    b.addi(3, 2, 5)
+    b.store(3, 1, 64)
+    b.blt(2, 1, "top")
+    b.addi(4, 3, 1)
+    b.load(5, 1, 64)
+    b.halt()
+    b.addi(6, 6, 1)
+    return b.build()
+
+
+def _poisoned_program() -> Program:
+    """A loop through an oversized LI and an oversized (unused) JMP
+    immediate: both slots poison their opcode column."""
+    huge = 1 << 70
+    instructions = [
+        Instruction(Opcode.LI, rd=5, imm=0x4000),
+        Instruction(Opcode.ADDI, rd=1, rs1=1, imm=1),          # 1: top
+        Instruction(Opcode.LI, rd=2, imm=huge),
+        Instruction(Opcode.ADD, rd=3, rs1=2, rs2=1),
+        Instruction(Opcode.STORE, rs1=5, rs2=3, imm=8),
+        Instruction(Opcode.JMP, imm=huge, target=6),
+        Instruction(Opcode.LOAD, rd=4, rs1=5, imm=8),           # 6
+        Instruction(Opcode.SLTI, rd=6, rs1=1, imm=300),
+        Instruction(Opcode.BNE, rs1=6, rs2=0, target=1),
+        Instruction(Opcode.HALT),
+    ]
+    return Program(instructions, name="poisoned")
+
+
+class TestDirected:
+    @pytest.mark.parametrize("chunk", (1, 2, 3, 5, 8, 13, 21, 34, 55))
+    def test_every_opcode_class_in_chunks(self, chunk):
+        """All opcode classes, rd=0 writes, and JR/CALLR/RET landing
+        inside straight-line code, run to HALT in `chunk`-sized runs."""
+        pair = Pair(_mixed_program(), Memory())
+        calls = 0
+        while not pair.simulators[0].machine.halted:
+            pair.run(chunk, hooked=calls % 2 == 0, measure_after=chunk // 2)
+            calls += 1
+        assert pair.simulators[1].machine.halted
+
+    @pytest.mark.parametrize("rob_entries", (1, 3, 64, 200))
+    def test_straight_line_longer_than_block_cap(self, rob_entries,
+                                                 monkeypatch):
+        """Blocks are cut at BLOCK_CAP, or at a smaller ROB."""
+        from repro.functional.blocks import BLOCK_CAP
+
+        monkeypatch.setattr(timing_blocks, "PROMOTE_AFTER", 1)
+        b = ProgramBuilder(name="straight")
+        b.li(5, 0x2000)
+        b.label("top")
+        for index in range(2 * BLOCK_CAP + 5):
+            if index % 9 == 4:
+                b.store(index % 7 + 1, 5, 8 * index)
+            elif index % 11 == 6:
+                b.load(index % 5 + 1, 5, 8 * index - 32)
+            else:
+                b.addi(index % 7 + 1, (index + 3) % 7 + 1, index - 50)
+        b.jmp("top")
+        core = dataclasses.replace(BASE, rob_entries=rob_entries)
+        pair = Pair(b.build(), Memory(), core)
+        for count in (1, BLOCK_CAP - 1, 3 * BLOCK_CAP, 1000):
+            pair.run(count, hooked=False, measure_after=count // 2)
+        table = predecode_program(pair.simulators[1].machine.program
+                                  ).blocks[("timing", 16,
+                                            min(BLOCK_CAP, rob_entries))]
+        assert max(length for _, length in table.values()) == min(
+            BLOCK_CAP, rob_entries)
+
+    @pytest.mark.parametrize("count", range(1, 12))
+    def test_halt_inside_a_block(self, count):
+        pair = Pair(_halt_program(), Memory())
+        while not pair.simulators[0].machine.halted:
+            pair.run(count, hooked=True, measure_after=count // 2)
+        assert pair.simulators[1].machine.halted
+        pair.run(count, hooked=True)
+
+    def test_halt_retires_at_the_ramp_boundary(self):
+        program = _halt_program()
+        total = 0
+        probe = FunctionalMachine(program, Memory())
+        while not probe.halted:
+            probe.step()
+            total += 1
+        for measure_after in (total - 1, total, total + 1):
+            Pair(program, Memory()).run(total + 5, hooked=False,
+                                        measure_after=measure_after)
+
+    def test_poisoned_slots(self):
+        program = _poisoned_program()
+        decoded = predecode_program(program)
+        assert decoded.ops[2] == -1 and decoded.ops[5] == -1
+        for promote_after in (1, 10**9):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(timing_blocks, "PROMOTE_AFTER", promote_after)
+                timing_blocks._SHARED.clear()
+                pair = Pair(program, Memory())
+                for count in (1, 2, 5, 40, 700):
+                    pair.run(count, hooked=True, measure_after=count // 3)
+                while not pair.simulators[0].machine.halted:
+                    pair.run(500, hooked=False)
+        assert pair.simulators[1].machine.registers[2] == (1 << 70) & (
+            (1 << 64) - 1)
+
+    @pytest.mark.parametrize("kind", ("jr", "callr", "ret", "fall_off"))
+    def test_wild_pc_raises_like_oracle(self, kind):
+        b = ProgramBuilder(name=f"wild-{kind}")
+        b.nop()
+        b.nop()
+        if kind == "jr":
+            b.li(1, 1000)
+            b.jr(1)
+        elif kind == "callr":
+            b.li(1, 1 << 40)
+            b.callr(1)
+        elif kind == "ret":
+            b.li(31, 5)
+            b.ret()
+        else:
+            b.addi(1, 1, 1)
+            b.addi(2, 2, 2)
+        program = b.build()
+        pair = Pair(program, Memory())
+        messages = []
+        for simulator, run in zip(pair.simulators,
+                                  (step_driven_run, TimingSimulator.run)):
+            with pytest.raises(ValueError, match=f"wild-{kind}") as caught:
+                run(simulator, 100, None, 0)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert snapshot(pair.simulators[0]) == snapshot(pair.simulators[1])
+
+    @pytest.mark.parametrize("name", (*PAPER_WORKLOADS, "mixed", "halt",
+                                      "poisoned"))
+    def test_singles_of_one_shape_compile_alike(self, name):
+        """A single whose shape was compiled for another pc is the code
+        and operands its own source would give."""
+        if name == "mixed":
+            program = _mixed_program()
+        elif name == "halt":
+            program = _halt_program()
+        elif name == "poisoned":
+            program = _poisoned_program()
+        else:
+            program = build_workload(name, mem_scale=1, seed=5).program
+        table = timing_blocks.TimingBlockTable(
+            program, predecode_program(program), 16, 64)
+        for pc in range(len(program) + 2):
+            function, length = table.single(pc)
+            source, operands, own_length = table.single_source(pc)
+            assert function.__code__ == timing_blocks._compile(
+                source).__code__, pc
+            assert function.__defaults__ == (tuple(operands.values()),), pc
+            assert length == own_length, pc
+
+    def test_tables_shared_by_content_configs_and_hooks(self):
+        """A rebuilt program, another core config and a hooked run reuse
+        one table; another ROB cap or fetch-block size does not."""
+        first = build_workload("gcc", mem_scale=1, seed=5).program
+        again = build_workload("gcc", mem_scale=1, seed=5).program
+        table = timing_blocks.timing_block_table(first, 16, 64)
+        assert timing_blocks.timing_block_table(again, 16, 128) is table
+        assert timing_blocks.timing_block_table(again, 16, 32) is not table
+        assert timing_blocks.timing_block_table(again, 8, 64) is not table
+        # Beside the functional tables, under a key of its own.
+        first_machine = FunctionalMachine(first, Memory())
+        first_machine.run(100, ifetch_hook=lambda address: None,
+                          ifetch_block_bytes=64)
+        assert set(predecode_program(first).blocks) == {
+            ("timing", 16, 64), (False, False, 16)}
+
+    def test_threads_translating_one_table(self):
+        """Threads missing on one shared table each cache their own pc's
+        translation, as threads simulating one program at once do."""
+        program = build_workload("perl", mem_scale=1, seed=7).program
+        pcs = list(range(len(program) + 2))
+        reference = timing_blocks.TimingBlockTable(
+            program, predecode_program(program), 16, 64)
+        for pc in pcs:
+            reference[pc]
+            if pc < len(program) and reference.starts[pc]:
+                reference.entered[pc] = timing_blocks.PROMOTE_AFTER
+                reference.enter(pc)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared = timing_blocks.TimingBlockTable(
+                    program, predecode_program(program), 16, 64)
+                errors = []
+
+                def translate(offset):
+                    try:
+                        for pc in pcs[offset:] + pcs[:offset]:
+                            shared[pc]
+                            if pc < len(program) and shared.starts[pc]:
+                                shared.entered[pc] = \
+                                    timing_blocks.PROMOTE_AFTER
+                                shared.enter(pc)
+                    except Exception as error:  # noqa: BLE001
+                        errors.append(error)
+
+                threads = [threading.Thread(target=translate, args=(k,))
+                           for k in range(0, len(pcs), 97)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert errors == []
+                assert shared.keys() == reference.keys()
+                for pc, (function, length) in reference.items():
+                    entry = shared[pc]
+                    assert entry[1] == length, pc
+                    assert entry[0].__code__ == function.__code__, pc
+                    assert entry[0].__defaults__ == function.__defaults__, pc
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("method_name", registered_method_names())
+def test_every_method_matches_reference_engine(method_name):
+    """All methods on gcc; benchmarks/test_timing_core_equivalence.py
+    runs all nine programs."""
+    scale = scale_from_env(default="ci")
+    workload = build_workload("gcc", mem_scale=scale.mem_scale)
+    with reference_engine():
+        reference = sampled_run_record(workload, scale, method_name)
+    production = sampled_run_record(workload, scale, method_name)
+    for key in reference:
+        assert reference[key] == production[key], f"{method_name}: {key}"
