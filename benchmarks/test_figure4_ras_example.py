@@ -7,10 +7,11 @@ benchmarks reconstruction over a deep call trace.
 import numpy as np
 
 from conftest import emit
-from repro.branch import PredictorConfig, ReturnAddressStack
+from repro.branch import BranchPredictor, PredictorConfig
 from repro.core import reconstruct_ras_contents
 from repro.core import BR_CALL, BR_RET
 from repro.harness import format_table
+from repro.isa import Instruction, Opcode
 
 
 def test_figure4_worked_example(benchmark):
@@ -31,13 +32,11 @@ def test_figure4_worked_example(benchmark):
         lambda: reconstruct_ras_contents(log, 8), rounds=100, iterations=100,
     )
     # Forward simulation agrees: only D and E frames survive.
-    forward = ReturnAddressStack(PredictorConfig(64, 64, 8))
-    for pc, _next, _taken, kind in log:
-        if kind == BR_CALL:
-            forward.push(pc + 1)
-        else:
-            forward.pop()
-    assert contents == forward.contents_from_top() == [51, 41]
+    forward = BranchPredictor(PredictorConfig(64, 64, 8))
+    for pc, next_pc, _taken, kind in log:
+        opcode = Opcode.CALL if kind == BR_CALL else Opcode.RET
+        forward.update(pc, Instruction(opcode), True, next_pc)
+    assert contents == forward.ras.contents_from_top() == [51, 41]
 
     rows = []
     counter = 0

@@ -1,8 +1,10 @@
-"""Bench: the translated timing core against the reference engine.
+"""Bench: the production engine against the reference engine.
 
 Runs every registered warm-up method on every paper workload twice — on
 the production engine and inside ``reference_engine()`` of
-tests/oracle_engine.py, whose timing core is the step-driven loop — and
+tests/oracle_engine.py, whose timing core is the step-driven loop and
+whose cache access and predictor training are the straightforward
+``enumerate`` scan and per-structure call chain — and
 requires bit-identical per-cluster IPCs, `WarmupCost` ledgers,
 estimates, and final cache and predictor statistics and state.  At the
 ``ci`` tier this is 16 methods x 9 programs; tests/test_timing_blocks.py

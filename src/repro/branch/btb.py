@@ -22,6 +22,10 @@ class BranchTargetBuffer:
         self.tags: list[int | None] = [None] * self.entries
         self.targets: list[int] = [0] * self.entries
         self.reconstructed = [False] * self.entries
+        # Templates for slice fills that keep each list's identity.
+        self._empty_tags = [None] * self.entries
+        self._zero_targets = [0] * self.entries
+        self._cleared = [False] * self.entries
         self.lookups = 0
         self.updates = 0
 
@@ -35,13 +39,6 @@ class BranchTargetBuffer:
         if self.tags[entry] == pc:
             return self.targets[entry]
         return None
-
-    def update(self, pc: int, target: int) -> None:
-        """Record `pc` -> `target` (called for taken control transfers)."""
-        entry = pc & self._mask
-        self.tags[entry] = pc
-        self.targets[entry] = target
-        self.updates += 1
 
     def reconstruct(self, pc: int, target: int) -> bool:
         """Reverse-order reconstruction: first claimant of an entry wins.
@@ -59,13 +56,11 @@ class BranchTargetBuffer:
         return True
 
     def clear_reconstructed(self) -> None:
-        for entry in range(self.entries):
-            self.reconstructed[entry] = False
+        self.reconstructed[:] = self._cleared
 
     def reset(self) -> None:
-        for entry in range(self.entries):
-            self.tags[entry] = None
-            self.targets[entry] = 0
-            self.reconstructed[entry] = False
+        self.tags[:] = self._empty_tags
+        self.targets[:] = self._zero_targets
+        self.reconstructed[:] = self._cleared
         self.lookups = 0
         self.updates = 0

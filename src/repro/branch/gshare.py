@@ -8,7 +8,7 @@ paper's on-demand branch-predictor reconstruction (§3.2).
 from __future__ import annotations
 
 from .config import PredictorConfig
-from .counters import WEAK_NOT_TAKEN, predict_taken, update_counter
+from .counters import WEAK_NOT_TAKEN, predict_taken
 
 
 class GsharePHT:
@@ -23,6 +23,9 @@ class GsharePHT:
         #: Counters initialised to weakly-not-taken, the usual reset state.
         self.counters = [WEAK_NOT_TAKEN] * self.entries
         self.reconstructed = [False] * self.entries
+        # Templates for slice fills that keep each list's identity.
+        self._initial_counters = [WEAK_NOT_TAKEN] * self.entries
+        self._cleared = [False] * self.entries
         self.history = 0
         self.lookups = 0
         self.updates = 0
@@ -37,34 +40,16 @@ class GsharePHT:
         self.lookups += 1
         return predict_taken(self.counters[self.index(pc)])
 
-    def update(self, pc: int, taken: bool, history: int | None = None) -> None:
-        """Train the counter for (`pc`, GHR) and shift the outcome into
-        the GHR.
-
-        `history` overrides the GHR used for indexing (needed when the
-        update is performed after later branches already shifted it).
-        """
-        entry = self.index(pc, history)
-        self.counters[entry] = update_counter(self.counters[entry], taken)
-        self.updates += 1
-        self.push_history(taken)
-
-    def push_history(self, taken: bool) -> None:
-        """Shift one outcome into the global history register."""
-        self.history = ((self.history << 1) | int(taken)) & self._history_mask
-
     def set_history(self, history: int) -> None:
         """Overwrite the GHR (used by reconstruction)."""
         self.history = history & self._history_mask
 
     def clear_reconstructed(self) -> None:
-        for entry in range(self.entries):
-            self.reconstructed[entry] = False
+        self.reconstructed[:] = self._cleared
 
     def reset(self) -> None:
-        for entry in range(self.entries):
-            self.counters[entry] = WEAK_NOT_TAKEN
-            self.reconstructed[entry] = False
+        self.counters[:] = self._initial_counters
+        self.reconstructed[:] = self._cleared
         self.history = 0
         self.lookups = 0
         self.updates = 0

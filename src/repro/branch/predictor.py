@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from ..isa import Instruction, Opcode
 from .btb import BranchTargetBuffer
 from .config import PredictorConfig, paper_predictor_config
+from .counters import STRONG_NOT_TAKEN, STRONG_TAKEN
 from .gshare import GsharePHT
 from .ras import ReturnAddressStack
 
@@ -72,18 +73,56 @@ class BranchPredictor:
 
     def update(self, pc: int, inst: Instruction, taken: bool,
                next_pc: int) -> None:
-        """Train all structures with the resolved outcome of one transfer."""
+        """Train all structures with the resolved outcome of one transfer.
+
+        The one implementation of the training rule: a conditional
+        branch steps its Gshare counter (indexed with the GHR before the
+        outcome shifts in) and records its target when taken; a return
+        pops the RAS; a call pushes its return address; every other
+        transfer writes the BTB.
+        """
         if inst.is_cond_branch:
-            self.pht.update(pc, taken)
+            pht = self.pht
+            history = pht.history
+            counters = pht.counters
+            entry = (pc ^ history) & pht._mask
+            counter = counters[entry]
+            pht.updates += 1
             if taken:
-                self.btb.update(pc, next_pc)
+                if counter < STRONG_TAKEN:
+                    counters[entry] = counter + 1
+                pht.history = ((history << 1) | 1) & pht._history_mask
+                btb = self.btb
+                slot = pc & btb._mask
+                btb.tags[slot] = pc
+                btb.targets[slot] = next_pc
+                btb.updates += 1
+            else:
+                if counter > STRONG_NOT_TAKEN:
+                    counters[entry] = counter - 1
+                pht.history = (history << 1) & pht._history_mask
             return
+        ras = self.ras
         if inst.is_ret:
-            self.ras.pop()
+            # A pop of an empty stack changes only the pop count.
+            ras.pops += 1
+            if ras.depth:
+                ras.top = (ras.top - 1) % ras.size
+                ras.depth -= 1
             return
         if inst.is_call:
-            self.ras.push(pc + 1)
-        self.btb.update(pc, next_pc)
+            # A push beyond capacity overwrites the oldest entry.
+            top = (ras.top + 1) % ras.size
+            ras.top = top
+            ras.stack[top] = pc + 1
+            if ras.depth < ras.size:
+                ras.depth += 1
+            ras.pushes += 1
+        btb = self.btb
+        slot = pc & btb._mask
+        btb.tags[slot] = pc
+        btb.targets[slot] = next_pc
+        btb.updates += 1
 
     def predict_and_update(self, pc: int, inst: Instruction, taken: bool,
                            next_pc: int) -> bool:

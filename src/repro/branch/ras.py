@@ -3,6 +3,8 @@
 Modelled as a circular buffer: pushes beyond capacity silently overwrite
 the oldest entry, pops of an empty stack return a garbage (zero) target —
 both behaviours match real hardware and matter for reconstruction fidelity.
+:meth:`~repro.branch.BranchPredictor.update` pushes and pops; this class
+holds the state, the prediction and the reverse-reconstruction entry.
 """
 
 from __future__ import annotations
@@ -21,24 +23,6 @@ class ReturnAddressStack:
         self.depth = 0            # live entries (<= size)
         self.pushes = 0
         self.pops = 0
-
-    def push(self, return_address: int) -> None:
-        """Push on CALL; overwrites the oldest entry when full."""
-        self.top = (self.top + 1) % self.size
-        self.stack[self.top] = return_address
-        if self.depth < self.size:
-            self.depth += 1
-        self.pushes += 1
-
-    def pop(self) -> int:
-        """Pop on RET; returns 0 when the stack has underflowed."""
-        self.pops += 1
-        if self.depth == 0:
-            return 0
-        value = self.stack[self.top]
-        self.top = (self.top - 1) % self.size
-        self.depth -= 1
-        return value
 
     def peek(self) -> int:
         """Predicted return target (top of stack) without popping."""

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import CacheConfig, WritePolicy
 
@@ -79,15 +80,39 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-@dataclass
-class AccessResult:
-    """Outcome of one forward cache access."""
+class AccessResult(NamedTuple):
+    """Outcome of one forward cache access.
+
+    Immutable, so a hit and a miss that changes no line (a no-allocate
+    write miss, or a fill into an invalid way) share the module
+    constants :data:`HIT` and :data:`MISS` instead of allocating.
+    """
 
     hit: bool
     #: Byte address of a dirty line written back, or None.
     writeback_address: int | None = None
-    #: Byte address of the line evicted (clean or dirty), or None.
-    evicted_address: int | None = None
+    #: ``(cache, set index, tag)`` of the line evicted, or None; read
+    #: through :attr:`evicted_address`.
+    victim: tuple | None = None
+
+    @property
+    def evicted_address(self) -> int | None:
+        """Byte address of the line evicted (clean or dirty), or None.
+
+        Computed when read: the simulator never reads it, so a clean
+        eviction does not pay for the address arithmetic.
+        """
+        if self.victim is None:
+            return None
+        cache, set_index, tag = self.victim
+        return cache._address_of(set_index, tag)
+
+
+HIT = AccessResult(True)
+MISS = AccessResult(False)
+#: Builds an evicting miss's result without the named tuple's
+#: Python-level ``__new__``, which costs about as much again.
+_new_result = tuple.__new__
 
 
 class _SetView:
@@ -227,43 +252,39 @@ class Cache:
             tag = line // self.num_sets
         row = self._tag_rows[set_index]
         order = self.order[set_index]
-
-        for way, stored in enumerate(row):
-            if stored == tag:
-                stats.hits += 1
-                if order[0] != way:
-                    order.remove(way)
-                    order.insert(0, way)
-                if is_write and self._wbwa:
-                    self.dirty_bits[set_index * self.associativity + way] = 1
-                return AccessResult(hit=True)
+        if tag in row:
+            way = row.index(tag)
+            stats.hits += 1
+            if order[0] != way:
+                order.remove(way)
+                order.insert(0, way)
+            if is_write and self._wbwa:
+                self.dirty_bits[set_index * self.associativity + way] = 1
+            return HIT
 
         stats.misses += 1
         if is_write and self._wtna:
             # Write miss with no-write-allocate: the line is not brought in.
-            return AccessResult(hit=False)
+            return MISS
 
-        victim = order[-1]
-        base = set_index * self.associativity
-        evicted_tag = row[victim]
-        writeback_address = None
-        evicted_address = None
-        if evicted_tag >= 0:
-            evicted_address = self._address_of(set_index, evicted_tag)
-            stats.evictions += 1
-            if self.dirty_bits[base + victim]:
-                stats.writebacks += 1
-                writeback_address = evicted_address
-        row[victim] = tag
-        self.tag_store[base + victim] = tag
-        self.dirty_bits[base + victim] = 1 if is_write and self._wbwa else 0
-        order.remove(victim)
+        victim = order.pop()
         order.insert(0, victim)
-        return AccessResult(
-            hit=False,
-            writeback_address=writeback_address,
-            evicted_address=evicted_address,
-        )
+        index = set_index * self.associativity + victim
+        evicted_tag = row[victim]
+        row[victim] = tag
+        self.tag_store[index] = tag
+        dirty_bits = self.dirty_bits
+        dirty = dirty_bits[index]
+        dirty_bits[index] = 1 if is_write and self._wbwa else 0
+        if evicted_tag < 0:
+            return MISS
+        stats.evictions += 1
+        writeback_address = None
+        if dirty:
+            stats.writebacks += 1
+            writeback_address = self._address_of(set_index, evicted_tag)
+        return _new_result(AccessResult, (
+            False, writeback_address, (self, set_index, evicted_tag)))
 
     def probe(self, address: int) -> bool:
         """Check residency without perturbing any state."""

@@ -26,7 +26,7 @@ from ..branch import BranchPredictor, PredictorConfig, paper_predictor_config
 from ..cache import HierarchyConfig, MemoryHierarchy, paper_hierarchy_config
 from ..telemetry import telemetry_from_env
 from ..timing import CoreConfig, TimingSimulator, paper_core_config
-from ..warmup.base import WarmupCost, WarmupMethod
+from ..warmup.base import WarmupCost, WarmupMethod, warming_hooks
 from ..workloads import Workload
 from .regimen import SamplingRegimen
 from .statistics import SampleEstimate, relative_error
@@ -95,14 +95,7 @@ def steady_state_prefix(machine, hierarchy, predictor, count: int) -> None:
     """
     if count <= 0:
         return
-    machine.run(
-        count,
-        mem_hook=lambda pc, np_, a, w: hierarchy.warm_access(a, w, False),
-        branch_hook=lambda pc, np_, inst, taken: predictor.update(
-            pc, inst, taken, np_),
-        ifetch_hook=lambda a: hierarchy.warm_access(a, False, True),
-        ifetch_block_bytes=hierarchy.l1i.config.line_bytes,
-    )
+    machine.run(count, **warming_hooks(hierarchy, predictor))
 
 
 @dataclass

@@ -77,6 +77,39 @@ class WarmupCost:
         }
 
 
+def warming_hooks(hierarchy, predictor, warm_cache: bool = True,
+                  warm_predictor: bool = True) -> dict:
+    """Keyword arguments that make ``FunctionalMachine.run`` warm.
+
+    The one construction of functional warming, shared by the warm-up
+    methods' skips and the steady-state prefix: every data reference and
+    every fetched instruction block goes through
+    ``MemoryHierarchy.warm_access`` when `warm_cache`, and every control
+    transfer trains ``BranchPredictor.update`` when `warm_predictor`.
+    The hooks hold bound methods only, never a structure's state lists
+    (``reset`` and ``load_state`` rebind those).
+    """
+    hooks = {"ifetch_block_bytes": hierarchy.l1i.config.line_bytes}
+    if warm_cache:
+        access = hierarchy.warm_access
+
+        def mem_hook(pc, next_pc, address, is_store, _access=access):
+            _access(address, is_store, False)
+
+        def ifetch_hook(address, _access=access):
+            _access(address, False, True)
+
+        hooks["mem_hook"] = mem_hook
+        hooks["ifetch_hook"] = ifetch_hook
+    if warm_predictor:
+
+        def branch_hook(pc, next_pc, inst, taken, _update=predictor.update):
+            _update(pc, inst, taken, next_pc)
+
+        hooks["branch_hook"] = branch_hook
+    return hooks
+
+
 @dataclass
 class SimulationContext:
     """Everything a warm-up method may touch during the skip region."""
@@ -208,6 +241,32 @@ class WarmupMethod:
         return None
 
     # -- shared helpers ------------------------------------------------------
+
+    def _warm_skip(self, count: int, fraction: float,
+                   warm_cache: bool = True,
+                   warm_predictor: bool = True) -> None:
+        """Skip `count` instructions, warming the trailing `fraction`.
+
+        The skip of every functional-warming method (fixed period,
+        SMARTS, MRRL, BLRL): the head runs cold, the tail runs with
+        :func:`warming_hooks`, and the tail's cache and predictor updates
+        are charged to :attr:`cost` and the run's telemetry.
+        """
+        context = self.context
+        machine = context.machine
+        warm_count = int(round(count * fraction))
+        cold_count = count - warm_count
+        if cold_count > 0:
+            self.cost.functional_instructions += machine.run(cold_count)
+        if warm_count <= 0:
+            return
+        before = self._updates_now()
+        self.cost.functional_instructions += machine.run(
+            warm_count,
+            **warming_hooks(context.hierarchy, context.predictor,
+                            warm_cache, warm_predictor),
+        )
+        self._charge_updates(before)
 
     def _updates_now(self) -> tuple[int, int]:
         context = self.context

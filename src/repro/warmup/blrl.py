@@ -12,7 +12,6 @@ references whose previous touch is also inside the cluster are ignored
 from __future__ import annotations
 
 from .base import WarmupMethod
-from .fixed_period import FixedPeriodWarmup
 from .mrrl import reuse_latency_percentile
 
 
@@ -75,12 +74,5 @@ class BLRLWarmup(WarmupMethod):
     def skip(self, count: int) -> None:
         window = self._profile_window(count)
         self.window_history.append(window)
-        fraction = window / count if count else 1.0
-        if fraction <= 0.0:
-            executed = self.context.machine.run(count)
-            self.cost.functional_instructions += executed
-            return
-        delegate = FixedPeriodWarmup(fraction=min(1.0, fraction))
-        delegate.context = self.context
-        delegate.cost = self.cost
-        delegate.skip(count)
+        fraction = min(1.0, window / count) if count else 1.0
+        self._warm_skip(count, fraction)

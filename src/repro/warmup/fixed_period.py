@@ -44,48 +44,8 @@ class FixedPeriodWarmup(WarmupMethod):
             self.name = f"FP ({int(round(fraction * 100))}%)"
 
     def skip(self, count: int) -> None:
-        context = self.context
-        machine = context.machine
-        hierarchy = context.hierarchy
-        predictor = context.predictor
-
-        warm_count = int(round(count * self.fraction))
-        cold_count = count - warm_count
-        if cold_count > 0:
-            executed = machine.run(cold_count)
-            self.cost.functional_instructions += executed
-        if warm_count <= 0:
-            return
-
-        before = self._updates_now()
-        mem_hook = None
-        ifetch_hook = None
-        branch_hook = None
-        if self.warm_cache:
-            warm_access = hierarchy.warm_access
-
-            def mem_hook(pc, next_pc, address, is_store,
-                         _access=warm_access):
-                _access(address, is_store, False)
-
-            def ifetch_hook(address, _access=warm_access):
-                _access(address, False, True)
-
-        if self.warm_predictor:
-            update = predictor.update
-
-            def branch_hook(pc, next_pc, inst, taken, _update=update):
-                _update(pc, inst, taken, next_pc)
-
-        executed = machine.run(
-            warm_count,
-            mem_hook=mem_hook,
-            branch_hook=branch_hook,
-            ifetch_hook=ifetch_hook,
-            ifetch_block_bytes=hierarchy.l1i.config.line_bytes,
-        )
-        self.cost.functional_instructions += executed
-        self._charge_updates(before)
+        self._warm_skip(count, self.fraction, self.warm_cache,
+                        self.warm_predictor)
 
 
 class SmartsWarmup(FixedPeriodWarmup):

@@ -16,7 +16,6 @@ the real cold/warm execution.
 from __future__ import annotations
 
 from .base import WarmupMethod
-from .fixed_period import FixedPeriodWarmup
 
 
 def reuse_latency_percentile(latencies: list[int], percentile: float) -> int:
@@ -82,13 +81,5 @@ class MRRLWarmup(WarmupMethod):
     def skip(self, count: int) -> None:
         window = self._profile_window(count)
         self.window_history.append(window)
-        fraction = window / count if count else 1.0
-        if fraction <= 0.0:
-            executed = self.context.machine.run(count)
-            self.cost.functional_instructions += executed
-            return
-        # Reuse the fixed-period machinery for the cold + warm split.
-        delegate = FixedPeriodWarmup(fraction=min(1.0, fraction))
-        delegate.context = self.context
-        delegate.cost = self.cost
-        delegate.skip(count)
+        fraction = min(1.0, window / count) if count else 1.0
+        self._warm_skip(count, fraction)

@@ -18,8 +18,16 @@ against, bit for bit:
   one ``reconstruct_reference`` call per logged reference and level;
 - :func:`scalar_btb_scan` — one ``btb.reconstruct`` call per claim,
   newest first;
+- :func:`reference_cache_access` — ``Cache.access`` as an
+  ``enumerate`` scan of the set that allocates a
+  :class:`ReferenceAccessResult` per access and computes the evicted
+  address eagerly;
+- :func:`chained_predictor_update` — ``BranchPredictor.update`` as
+  the call chain through the per-structure training methods
+  :func:`pht_update` (:func:`push_history`, ``update_counter``),
+  :func:`btb_update`, :func:`ras_push` and :func:`ras_pop`;
 - :func:`reference_engine` — a context manager that runs whole
-  simulations on all four;
+  simulations on all six;
 - :func:`sampled_run_record` — what two engines' runs of one sampled
   simulation are compared on.
 """
@@ -30,8 +38,11 @@ import contextlib
 import heapq
 import os
 from collections import deque
+from dataclasses import dataclass
 from unittest import mock
 
+from repro.branch import BranchPredictor, update_counter
+from repro.cache import Cache
 from repro.core.branch_reconstruct import ReverseBranchReconstructor
 from repro.core.cache_reconstruct import ReverseCacheReconstructor
 from repro.core.source import REF_INSTRUCTION, REF_STORE
@@ -300,6 +311,129 @@ def step_driven_run(self, max_instructions: int, pre_branch_hook=None,
     return TimingResult(instructions=retired, cycles=total_cycles)
 
 
+@dataclass
+class ReferenceAccessResult:
+    """Outcome of one :func:`reference_cache_access`."""
+
+    hit: bool
+    #: Byte address of a dirty line written back, or None.
+    writeback_address: int | None = None
+    #: Byte address of the line evicted (clean or dirty), or None.
+    evicted_address: int | None = None
+
+
+def reference_cache_access(self, address: int,
+                           is_write: bool = False) -> ReferenceAccessResult:
+    """Twin of :meth:`Cache.access` (same contract)."""
+    stats = self.stats
+    stats.accesses += 1
+    stats.updates += 1
+    line = address >> self._line_shift
+    if self._sets_power_of_two:
+        set_index = line & self._index_mask
+        tag = line >> self._set_bits
+    else:
+        set_index = line % self.num_sets
+        tag = line // self.num_sets
+    row = self._tag_rows[set_index]
+    order = self.order[set_index]
+
+    for way, stored in enumerate(row):
+        if stored == tag:
+            stats.hits += 1
+            if order[0] != way:
+                order.remove(way)
+                order.insert(0, way)
+            if is_write and self._wbwa:
+                self.dirty_bits[set_index * self.associativity + way] = 1
+            return ReferenceAccessResult(hit=True)
+
+    stats.misses += 1
+    if is_write and self._wtna:
+        # Write miss with no-write-allocate: the line is not brought in.
+        return ReferenceAccessResult(hit=False)
+
+    victim = order[-1]
+    base = set_index * self.associativity
+    evicted_tag = row[victim]
+    writeback_address = None
+    evicted_address = None
+    if evicted_tag >= 0:
+        evicted_address = self._address_of(set_index, evicted_tag)
+        stats.evictions += 1
+        if self.dirty_bits[base + victim]:
+            stats.writebacks += 1
+            writeback_address = evicted_address
+    row[victim] = tag
+    self.tag_store[base + victim] = tag
+    self.dirty_bits[base + victim] = 1 if is_write and self._wbwa else 0
+    order.remove(victim)
+    order.insert(0, victim)
+    return ReferenceAccessResult(
+        hit=False,
+        writeback_address=writeback_address,
+        evicted_address=evicted_address,
+    )
+
+
+def push_history(pht, taken: bool) -> None:
+    """Shift one outcome into the global history register."""
+    pht.history = ((pht.history << 1) | int(taken)) & pht._history_mask
+
+
+def pht_update(pht, pc: int, taken: bool, history: int | None = None) -> None:
+    """Train the counter for (`pc`, GHR) and shift the outcome into the
+    GHR; `history` overrides the GHR used for indexing."""
+    entry = pht.index(pc, history)
+    pht.counters[entry] = update_counter(pht.counters[entry], taken)
+    pht.updates += 1
+    push_history(pht, taken)
+
+
+def btb_update(btb, pc: int, target: int) -> None:
+    """Record `pc` -> `target` (a taken control transfer)."""
+    entry = pc & btb._mask
+    btb.tags[entry] = pc
+    btb.targets[entry] = target
+    btb.updates += 1
+
+
+def ras_push(ras, return_address: int) -> None:
+    """Push on CALL; overwrites the oldest entry when full."""
+    ras.top = (ras.top + 1) % ras.size
+    ras.stack[ras.top] = return_address
+    if ras.depth < ras.size:
+        ras.depth += 1
+    ras.pushes += 1
+
+
+def ras_pop(ras) -> int:
+    """Pop on RET; returns 0 when the stack has underflowed."""
+    ras.pops += 1
+    if ras.depth == 0:
+        return 0
+    value = ras.stack[ras.top]
+    ras.top = (ras.top - 1) % ras.size
+    ras.depth -= 1
+    return value
+
+
+def chained_predictor_update(self, pc: int, inst, taken: bool,
+                             next_pc: int) -> None:
+    """Twin of :meth:`BranchPredictor.update` (same contract)."""
+    if inst.is_cond_branch:
+        pht_update(self.pht, pc, taken)
+        if taken:
+            btb_update(self.btb, pc, next_pc)
+        return
+    if inst.is_ret:
+        ras_pop(self.ras)
+        return
+    if inst.is_call:
+        ras_push(self.ras, pc + 1)
+    btb_update(self.btb, pc, next_pc)
+
+
 def scalar_cache_scan(reconstructor, source, fraction):
     """Per-reference twin of ``ReverseCacheReconstructor._apply_tail``:
     returns ``(scanned, applied)``."""
@@ -351,15 +485,22 @@ def reference_engine():
             ReverseCacheReconstructor, "_apply_tail", scalar_cache_scan))
         stack.enter_context(mock.patch.object(
             ReverseBranchReconstructor, "_rebuild_btb", scalar_btb_scan))
+        stack.enter_context(mock.patch.object(
+            Cache, "access", reference_cache_access))
+        stack.enter_context(mock.patch.object(
+            BranchPredictor, "update", chained_predictor_update))
         stack.enter_context(mock.patch.dict(
             os.environ, {EXECUTOR_ENV_VAR: "inprocess"}))
         yield
 
 
-def sampled_run_record(workload, scale, method_name: str) -> dict:
-    """One serial sampled run of `method_name` on `workload` at `scale`:
-    its per-cluster IPCs, `WarmupCost`, estimate, and the final cache
-    and predictor statistics and state of the simulation it ran."""
+def sampled_run_record(workload, scale, method) -> dict:
+    """One serial sampled run of `method` (a registered name or an
+    unbound method) on `workload` at `scale`: its per-cluster IPCs,
+    `WarmupCost`, estimate, and the final cache and predictor statistics
+    and state of the simulation it ran."""
+    if isinstance(method, str):
+        method = resolve_method(method)
     simulator = SampledSimulator(
         workload, scale.regimen(), scale.configs(),
         warmup_prefix=scale.warmup_prefix, detail_ramp=scale.detail_ramp)
@@ -371,7 +512,7 @@ def sampled_run_record(workload, scale, method_name: str) -> dict:
         return stacks[-1]
 
     with mock.patch.object(pipeline, "build_simulation", recording_build):
-        result = simulator.run(resolve_method(method_name))
+        result = simulator.run(method)
     hierarchy, predictor = stacks[0].hierarchy, stacks[0].predictor
     return {
         "cluster_ipcs": result.cluster_ipcs,

@@ -1,4 +1,10 @@
-"""Unit tests for counters, Gshare PHT, BTB, and RAS."""
+"""Unit tests for counters, Gshare PHT, BTB, and RAS.
+
+The per-structure training steps (PHT update and history shift, BTB
+write, RAS push and pop) are the reference engine's
+(tests/oracle_engine.py); ``BranchPredictor.update`` trains all three
+inline and is fuzzed against them in tests/test_primitives_fuzz.py.
+"""
 
 import pytest
 
@@ -15,6 +21,13 @@ from repro.branch import (
     GsharePHT,
     BranchTargetBuffer,
     ReturnAddressStack,
+)
+from tests.oracle_engine import (
+    btb_update,
+    pht_update,
+    push_history,
+    ras_pop,
+    ras_push,
 )
 
 
@@ -66,7 +79,7 @@ class TestGshare:
     def test_index_mixes_history(self):
         pht = GsharePHT(small_config())
         base = pht.index(0x12)
-        pht.push_history(True)
+        push_history(pht, True)
         assert pht.index(0x12) != base
 
     def test_initial_prediction_not_taken(self):
@@ -76,22 +89,22 @@ class TestGshare:
     def test_training_flips_prediction(self):
         pht = GsharePHT(small_config())
         history = pht.history
-        pht.update(5, True, history=history)
+        pht_update(pht, 5, True, history=history)
         # Re-point the GHR at the trained entry.
         pht.set_history(history)
         assert pht.predict(5)
 
     def test_update_shifts_history(self):
         pht = GsharePHT(small_config())
-        pht.update(5, True)
+        pht_update(pht, 5, True)
         assert pht.history & 1 == 1
-        pht.update(5, False)
+        pht_update(pht, 5, False)
         assert pht.history & 1 == 0
 
     def test_history_masked_to_width(self):
         pht = GsharePHT(small_config(pht=16))  # 4 history bits
         for _ in range(10):
-            pht.push_history(True)
+            push_history(pht, True)
         assert pht.history == 0b1111
 
     def test_set_history_masks(self):
@@ -101,7 +114,7 @@ class TestGshare:
 
     def test_reset(self):
         pht = GsharePHT(small_config())
-        pht.update(3, True)
+        pht_update(pht, 3, True)
         pht.reset()
         assert pht.history == 0
         assert all(c == WEAK_NOT_TAKEN for c in pht.counters)
@@ -120,13 +133,13 @@ class TestBTB:
 
     def test_update_then_hit(self):
         btb = BranchTargetBuffer(small_config())
-        btb.update(10, 55)
+        btb_update(btb, 10, 55)
         assert btb.lookup(10) == 55
 
     def test_aliasing_eviction(self):
         btb = BranchTargetBuffer(small_config(btb=64))
-        btb.update(10, 55)
-        btb.update(10 + 64, 77)   # same entry, different tag
+        btb_update(btb, 10, 55)
+        btb_update(btb, 10 + 64, 77)   # same entry, different tag
         assert btb.lookup(10) is None
         assert btb.lookup(10 + 64) == 77
 
@@ -145,7 +158,7 @@ class TestBTB:
 
     def test_reset(self):
         btb = BranchTargetBuffer(small_config())
-        btb.update(10, 55)
+        btb_update(btb, 10, 55)
         btb.reset()
         assert btb.lookup(10) is None
 
@@ -153,41 +166,41 @@ class TestBTB:
 class TestRAS:
     def test_push_pop(self):
         ras = ReturnAddressStack(small_config())
-        ras.push(100)
-        ras.push(200)
-        assert ras.pop() == 200
-        assert ras.pop() == 100
+        ras_push(ras, 100)
+        ras_push(ras, 200)
+        assert ras_pop(ras) == 200
+        assert ras_pop(ras) == 100
 
     def test_peek_does_not_pop(self):
         ras = ReturnAddressStack(small_config())
-        ras.push(42)
+        ras_push(ras, 42)
         assert ras.peek() == 42
         assert ras.depth == 1
 
     def test_underflow_returns_zero(self):
         ras = ReturnAddressStack(small_config())
-        assert ras.pop() == 0
+        assert ras_pop(ras) == 0
         assert ras.depth == 0
 
     def test_overflow_wraps(self):
         ras = ReturnAddressStack(small_config(ras=4))
         for value in (1, 2, 3, 4, 5):
-            ras.push(value)
+            ras_push(ras, value)
         assert ras.depth == 4
-        assert [ras.pop() for _ in range(4)] == [5, 4, 3, 2]
-        assert ras.pop() == 0  # 1 was overwritten
+        assert [ras_pop(ras) for _ in range(4)] == [5, 4, 3, 2]
+        assert ras_pop(ras) == 0  # 1 was overwritten
 
     def test_contents_from_top(self):
         ras = ReturnAddressStack(small_config(ras=4))
         for value in (1, 2, 3):
-            ras.push(value)
+            ras_push(ras, value)
         assert ras.contents_from_top() == [3, 2, 1]
 
     def test_set_contents_roundtrip(self):
         ras = ReturnAddressStack(small_config(ras=4))
         ras.set_contents([9, 8, 7])
         assert ras.contents_from_top() == [9, 8, 7]
-        assert ras.pop() == 9
+        assert ras_pop(ras) == 9
 
     def test_set_contents_truncates_to_capacity(self):
         ras = ReturnAddressStack(small_config(ras=2))
@@ -196,7 +209,7 @@ class TestRAS:
 
     def test_reset(self):
         ras = ReturnAddressStack(small_config())
-        ras.push(5)
+        ras_push(ras, 5)
         ras.reset()
         assert ras.depth == 0
         assert ras.peek() == 0

@@ -2,8 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.branch import PredictorConfig, ReturnAddressStack
+from repro.branch import BranchPredictor, PredictorConfig, ReturnAddressStack
 from repro.core import BR_CALL, BR_COND, BR_JUMP, BR_RET
+from repro.isa import Instruction, Opcode
 from repro.core.ras_reconstruct import (
     reconstruct_ras,
     reconstruct_ras_contents,
@@ -104,12 +105,13 @@ def test_reverse_reconstruction_matches_forward_simulation(log, capacity):
     paper's counter algorithm is a best-effort approximation: a circular
     overwrite destroys a frame the reverse walk cannot observe.)"""
     config = PredictorConfig(64, 64, capacity)
-    forward = ReturnAddressStack(config)
-    for pc, _next, _taken, kind in log:
+    predictor = BranchPredictor(config)
+    for pc, next_pc, _taken, kind in log:
         if kind == BR_CALL:
-            forward.push(pc + 1)
+            predictor.update(pc, Instruction(Opcode.CALL), True, next_pc)
         elif kind == BR_RET:
-            forward.pop()
+            predictor.update(pc, Instruction(Opcode.RET), True, next_pc)
+    forward = predictor.ras
 
     reconstructed = reconstruct_ras_contents(log, capacity)
     if not _forward_overflowed(log, capacity):
