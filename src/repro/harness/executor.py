@@ -14,10 +14,11 @@ task order.  This module lifts that interface out of the hard-wired
 ``pool``
     The default (including :func:`repro.api.gather`): a
     ``ProcessPoolExecutor`` fan-out with graceful in-process fallbacks
-    (``jobs <= 1``, unpicklable work, daemonic caller, platforms without
-    working pools, a worker killed underneath the pool).
+    (``jobs <= 1``, daemonic caller, platforms without working pools,
+    work a spawn-started worker cannot unpickle, a worker killed
+    underneath the pool).
 
-Every backend preserves the two invariants the simulation relies on:
+Every backend preserves the invariants the simulation relies on:
 
 - **Deterministic fold order** — ``map`` returns ``[worker(t) for t in
   tasks]`` in task order regardless of completion order, so folds stay
@@ -26,6 +27,12 @@ Every backend preserves the two invariants the simulation relies on:
   environment at launch, so span parents
   (``REPRO_SPAN_PARENT``), telemetry collection flags, and the rest of
   the ``REPRO_*`` surface ride into workers exactly as they do today.
+- **Tasks are inherited, not shipped** — the pool hands ``(worker,
+  tasks)`` to its workers through the pool initializer and submits
+  only task indices.  Forked workers inherit them: the parent pickles
+  no task, and workers run on its own objects (a workload's predecode
+  and translated blocks included).  Spawn and forkserver pickle them
+  once per worker.
 
 Backends are context managers: ``close(cancel=True)`` cancels pending
 work and *terminates* live worker processes, so an interrupted run
@@ -42,10 +49,8 @@ to exit status 2); third-party backends register via
 from __future__ import annotations
 
 import os
-import pickle
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
 from typing import Callable
 
 #: Environment variable naming the default backend for fan-out sites
@@ -58,23 +63,20 @@ EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 DEFAULT_EXECUTOR = "pool"
 
 
-def _pickle_each(items: list) -> "list[bytes] | None":
-    """Every item pickled once, or None when any of them does not pickle.
-
-    The pass doubles as the picklability probe of the process pool:
-    None sends the whole map to the in-process fallback, and the blobs
-    are what crosses the process boundary, so nothing pickles twice.
-    """
-    try:
-        return [pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
-                for item in items]
-    except Exception:
-        return None
+#: ``(worker, tasks)`` of the running ``map``; set in pool workers only.
+_WORK: "tuple[Callable, list] | None" = None
 
 
-def _call_pickled(worker, blob: bytes):
-    """Pool-side trampoline: unpickle one pre-pickled task and run it."""
-    return worker(pickle.loads(blob))
+def _adopt_work(worker, tasks) -> None:
+    """Pool initializer: keep the map's work for :func:`_run_index`."""
+    global _WORK
+    _WORK = (worker, tasks)
+
+
+def _run_index(index: int):
+    """Pool-side: run the adopted worker on one task."""
+    worker, tasks = _WORK
+    return worker(tasks[index])
 
 
 def _in_daemon() -> bool:
@@ -142,12 +144,11 @@ class InProcessExecutor(Executor):
         return results
 
 
-def _drain_futures(pool, worker, tasks, on_result, delivered: dict) -> None:
-    """Submit everything and record each result in `delivered` (index ->
-    result) as it lands, in completion order.  A worker exception
-    cancels the rest and re-raises; what landed before stays recorded."""
-    futures = {pool.submit(worker, task): index
-               for index, task in enumerate(tasks)}
+def _drain_futures(futures: dict, on_result, delivered: dict) -> None:
+    """Record each result of `futures` (future -> index) in `delivered`
+    (index -> result) as it lands, in completion order.  A worker
+    exception cancels the rest and re-raises; what landed before stays
+    recorded."""
     remaining = set(futures)
     try:
         while remaining:
@@ -167,12 +168,12 @@ class ProcessPoolBackend(Executor):
     """The historical ``ProcessPoolExecutor`` fan-out, as one peer.
 
     Falls back to in-process execution — with identical results — when
-    the work does not pickle, the caller is already a daemonic pool
-    worker (children of children are forbidden), or the platform cannot
-    build a process pool.  A *broken* pool (a worker killed by the OS)
-    also degrades to in-process execution of the tasks it had not
-    delivered yet; a genuine exception raised by `worker` propagates as
-    itself.
+    the caller is already a daemonic pool worker (children of children
+    are forbidden), the platform cannot build a process pool, or the
+    work does not pickle for a spawn-started worker.  A *broken* pool (a
+    worker killed by the OS) also degrades to in-process execution of
+    the tasks it had not delivered yet; a genuine exception raised by
+    `worker` propagates as itself.
     """
 
     name = "pool"
@@ -186,31 +187,31 @@ class ProcessPoolBackend(Executor):
     def map(self, worker, tasks, *, on_result=None) -> list:
         if self.jobs <= 1 or len(tasks) <= 1 or _in_daemon():
             return self._fallback(worker, tasks, on_result)
-        # The worker's own blob only proves it pickles; the pool ships it
-        # by reference with every submit.
-        blobs = _pickle_each([worker, *tasks])
-        if blobs is None:
-            return self._fallback(worker, tasks, on_result)
         self._cancelled = False
-        try:
-            self._pool = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(tasks)))
-        except (NotImplementedError, OSError, PermissionError, ValueError):
-            return self._fallback(worker, tasks, on_result)
         delivered: dict = {}
+        started = False
         try:
-            _drain_futures(self._pool, partial(_call_pickled, worker),
-                           blobs[1:], on_result, delivered)
-        except BrokenProcessPool:
-            if self._cancelled:
-                # The breakage is our own close(cancel=True) terminating
-                # the workers — cancellation must not resurrect the work
-                # through the fallback path.
+            # Workers start at the first submit: forked ones inherit
+            # (worker, tasks), spawned ones unpickle them, so work that
+            # does not pickle raises here, in the parent.
+            self._pool = pool = ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(tasks)),
+                initializer=_adopt_work, initargs=(worker, tasks))
+            futures = {pool.submit(_run_index, index): index
+                       for index in range(len(tasks))}
+            started = True
+            _drain_futures(futures, on_result, delivered)
+        except Exception as error:
+            # Our own close(cancel=True) must not resurrect the work,
+            # and a genuine worker exception propagates as itself.
+            broken = isinstance(error, BrokenProcessPool)
+            if self._cancelled or (started and not broken):
+                self.close(cancel=True)
                 raise
-            # Pool infrastructure died underneath us (OOM-killed worker,
-            # fork failure): run in process what was not delivered, so
-            # `on_result` still sees each index once, and a genuine
-            # worker exception re-raises identically.
+            # The pool never started (no pools on this platform, work
+            # that does not pickle) or died underneath us (OOM-killed
+            # worker, fork failure): run in process what was not
+            # delivered, so `on_result` still sees each index once.
             self.close(cancel=True)
             for index, task in enumerate(tasks):
                 if index not in delivered:

@@ -52,6 +52,18 @@ _OFF_VALUES = frozenset({"", "0", "off", "none", "no", "false", "disabled"})
 _ON_VALUES = frozenset({"1", "on", "yes", "true", "enabled"})
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: "one worker per CPU" for ``0`` jobs.
+
+    Counts the process's CPU affinity (``taskset``, container cpusets)
+    where the platform exposes it, else every CPU of the machine.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def _parse_bool(name: str, raw: str) -> bool:
     value = raw.strip().lower()
     if value in _OFF_VALUES:
@@ -201,7 +213,7 @@ class RunOptions:
         """Matrix-cell workers: configured value, else one per CPU."""
         jobs = self.matrix_jobs
         if jobs is None or jobs == 0:
-            return os.cpu_count() or 1
+            return available_cpus()
         return jobs
 
     def resolved_cluster_jobs(self) -> int:
@@ -210,7 +222,7 @@ class RunOptions:
         if jobs is None:
             return 1
         if jobs == 0:
-            return os.cpu_count() or 1
+            return available_cpus()
         return jobs
 
     # -- environment round-trip --------------------------------------------

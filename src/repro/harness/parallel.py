@@ -21,9 +21,10 @@ Two task kinds exist per grid:
 Both are pure functions of their spec, so both are memoised through the
 optional on-disk :class:`~.cache.ResultCache`; a warm cache turns a grid
 into pure deserialisation.  The engine degrades gracefully: ``jobs=1``,
-an unpicklable method factory, or a platform without working process
-pools all fall back to in-process serial execution of the same task
-list (cache and progress reporting included).
+a platform without working process pools, or (under the spawn start
+method) an unpicklable method factory all fall back to in-process
+serial execution of the same task list (cache and progress reporting
+included).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from ..warmup.base import WarmupCost
 from ..workloads import PAPER_WORKLOADS, build_workload
 from .cache import ResultCache, cache_key
 from .executor import Executor, resolve_executor
+from .options import available_cpus
 from .experiment import (
     ExperimentScale,
     MethodOutcome,
@@ -298,8 +300,8 @@ def map_tasks(worker, tasks, jobs: int, span_context=None,
     names a registered backend or passes a ready instance; ``None``
     resolves ``REPRO_EXECUTOR`` and falls back to the historical
     ``pool`` behavior, whose in-process degradations (``jobs <= 1``,
-    unpicklable work, daemonic caller, pool-less platform) are
-    preserved bit for bit.  Whatever the backend, results come back in
+    daemonic caller, pool-less platform, work a spawn-started worker
+    cannot unpickle) are preserved bit for bit.  Whatever the backend, results come back in
     task order, so folds stay deterministic.
 
     `span_context` (a :class:`~repro.telemetry.SpanContext`) re-parents
@@ -405,7 +407,7 @@ def execute_matrix(
     Parameters
     ----------
     jobs:
-        Worker parallelism; ``None`` means ``os.cpu_count()``.  ``1``
+        Worker parallelism; ``None`` means one per available CPU.  ``1
         executes in-process (no pool, no pickling requirements).
     cache:
         Optional on-disk :class:`ResultCache`; hits skip execution
@@ -427,7 +429,7 @@ def execute_matrix(
     scale = scale if scale is not None else scale_from_env()
     configs = configs if configs is not None else scale.configs()
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = available_cpus()
     method_names = [method.name for method in method_factory()]
     specs = matrix_specs(method_names, workload_names, scale, configs,
                          cluster_jobs=cluster_jobs)

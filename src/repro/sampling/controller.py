@@ -124,16 +124,20 @@ def build_simulation(
     workload: Workload,
     configs: SimulatorConfigs | None = None,
     warmup_prefix: int = 0,
+    machine=None,
 ) -> SimulationStack:
     """Construct a fresh machine + hierarchy + predictor + timing stack.
 
     `warmup_prefix` > 0 additionally runs the steady-state prefix; paths
     that need the prefix under their own phase timer (or skip it, like
     shard workers restoring a checkpoint) pass 0 and call
-    :meth:`SimulationStack.warm_prefix` themselves.
+    :meth:`SimulationStack.warm_prefix` themselves.  `machine` replaces
+    the fresh one (a shard worker's, already restored from its
+    checkpoint, so the image is copied once).
     """
     configs = configs if configs is not None else SimulatorConfigs()
-    machine = workload.make_machine()
+    if machine is None:
+        machine = workload.make_machine()
     hierarchy = MemoryHierarchy(configs.hierarchy)
     predictor = BranchPredictor(configs.predictor)
     timing = TimingSimulator(machine, hierarchy, predictor, configs.core)

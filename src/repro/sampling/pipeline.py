@@ -24,7 +24,8 @@ two-phase pipeline (:func:`run_sharded`) exploits it:
   and method travel once per worker rather than once per cluster, and
   each checkpoint carries only the memory words that differ from the
   workload's initial image.  Tasks fan out over
-  :func:`repro.harness.parallel.map_tasks` and fold back through a
+  :func:`repro.harness.parallel.map_tasks` (forked pool workers inherit
+  them; spawn-started ones receive them pickled) and fold back through a
   **streaming fold**: each finished task's results are consumed via the
   executor's ``on_result`` callback in completion order and folded
   deterministically in cluster order with a pending-heap
@@ -64,7 +65,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 
-from ..functional import FunctionalCheckpoint
+from ..functional import FunctionalCheckpoint, FunctionalMachine
 from ..store.checkpoint import resolve_store, shard_store_key
 from ..store.serialization import warn_once
 from ..telemetry import (
@@ -113,7 +114,10 @@ def resolve_cluster_jobs(explicit: int | None = None) -> int:
             f"cluster jobs must be >= 0 (0 = one per CPU), got {jobs}"
         )
     if jobs == 0:
-        jobs = os.cpu_count() or 1
+        # Lazy: the harness package imports sampling at top level.
+        from ..harness.options import available_cpus
+
+        jobs = available_cpus()
     return jobs
 
 
@@ -478,8 +482,8 @@ def run_sharded(simulator, method, jobs: int) -> SampledRunResult:
             _capture_shards(store, store_key, shards, simulator, telemetry)
 
     # -- Phase B: hot shards in parallel ----------------------------------
-    # One task per worker, shards dealt round-robin: the run-wide inputs
-    # are pickled once per worker instead of once per cluster.
+    # One task per worker, shards dealt round-robin: a spawn-started
+    # worker unpickles the run-wide inputs once, not once per cluster.
     workers = min(jobs, len(shards))
     tasks = [
         ShardTask(
@@ -564,8 +568,9 @@ def run_shard(task: ShardTask, shard: ClusterShard) -> ShardResult:
     """One cluster, restored from its shard onto a fresh stack."""
     telemetry = telemetry_from_env()
     traced = telemetry.enabled
-    stack = build_simulation(task.workload, task.configs)
-    shard.checkpoint.restore(stack.machine, task.workload.memory)
+    machine = shard.checkpoint.restore(
+        FunctionalMachine(task.workload.program), task.workload.memory)
+    stack = build_simulation(task.workload, task.configs, machine=machine)
     context = SimulationContext(
         machine=stack.machine,
         hierarchy=stack.hierarchy,

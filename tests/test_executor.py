@@ -209,12 +209,40 @@ class TestConformance:
         assert sharded.cost == serial.cost
 
 
-def test_pool_pickles_each_task_once(monkeypatch):
+def _forking() -> bool:
+    return multiprocessing.get_start_method() == "fork"
+
+
+def test_pool_parent_pickles_no_task_under_fork(monkeypatch):
+    """Forked workers inherit their tasks: the parent pickles none.
+    (Spawn and forkserver pickle them once per worker instead.)"""
     monkeypatch.setattr(_CountingTask, "pickled", 0)
     tasks = [_CountingTask(value) for value in range(4)]
     with resolve_executor("pool", jobs=2) as backend:
         assert backend.map(_task_value, tasks) == [0, 1, 2, 3]
-    assert _CountingTask.pickled == len(tasks)
+    if _forking():
+        assert _CountingTask.pickled == 0
+
+
+class _UnpicklablePid(_Unpicklable):
+    """An unpicklable task reporting the process that ran it."""
+
+    def __call__(self, task):
+        return task + 1, os.getpid()
+
+
+def test_unpicklable_task_runs_in_child_under_fork():
+    """A task that cannot pickle still reaches a forked worker; under
+    spawn or forkserver it degrades to the parent with the same result."""
+    tasks = [_UnpicklablePid() for _ in range(4)]
+    with resolve_executor("pool", jobs=2) as backend:
+        results = backend.map(lambda task: task(1), tasks)
+    assert [value for value, _ in results] == [2] * 4
+    pids = {pid for _, pid in results}
+    if _forking():
+        assert os.getpid() not in pids
+    else:
+        assert pids == {os.getpid()}
 
 
 def test_broken_pool_delivers_each_index_once():

@@ -8,11 +8,13 @@ workers, and the harness-side plumbing (map_tasks, shard cache keys).
 """
 
 import dataclasses
+import os
 
 import pytest
 
 from repro.core import ReverseStateReconstruction
-from repro.harness import ExperimentScale
+from repro.harness import SCALES, ExperimentScale, RunOptions, parallel
+from repro.harness.options import available_cpus
 from repro.harness.parallel import CellSpec, map_tasks
 from repro.sampling import (
     CLUSTER_JOBS_ENV_VAR,
@@ -83,6 +85,43 @@ class TestResolveClusterJobs:
         monkeypatch.setenv(CLUSTER_JOBS_ENV_VAR, "many")
         with pytest.raises(ValueError, match=CLUSTER_JOBS_ENV_VAR):
             resolve_cluster_jobs()
+
+
+class TestOneWorkerPerCpu:
+    """``0`` jobs (and matrix jobs ``None``) count the CPUs the process
+    may run on, not every CPU of the machine."""
+
+    def test_affinity_counted_everywhere(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert available_cpus() == 1
+        assert resolve_cluster_jobs(0) == 1
+        monkeypatch.setenv(CLUSTER_JOBS_ENV_VAR, "0")
+        assert resolve_cluster_jobs() == 1
+        options = RunOptions(scale="ci", matrix_jobs=0, cluster_jobs=0)
+        assert options.resolved_matrix_jobs() == 1
+        assert options.resolved_cluster_jobs() == 1
+        assert RunOptions(scale="ci").resolved_matrix_jobs() == 1
+
+        class Resolved(Exception):
+            pass
+
+        def resolve(executor, jobs):
+            raise Resolved(jobs)
+
+        monkeypatch.setattr(parallel, "resolve_executor", resolve)
+        with pytest.raises(Resolved) as resolved:
+            parallel.execute_matrix(lambda: [], workload_names=("gcc",),
+                                    scale=SCALES["ci"])
+        assert resolved.value.args == (1,)
+
+    def test_without_affinity_counts_every_cpu(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert available_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert available_cpus() == 1
 
 
 class TestClusterGeometry:
