@@ -55,7 +55,7 @@ from .harness.experiment import (
 from .harness.parallel import execute_matrix, map_tasks
 from .sampling import SampledRunResult, SampledSimulator, SamplingRegimen
 from .warmup import WarmupMethod, method_factory, resolve_method
-from .workloads import PAPER_WORKLOADS, Workload, build_workload
+from .workloads import PAPER_WORKLOADS, Workload, cached_workload
 
 
 def _resolve_design(design) -> ExperimentScale | SamplingRegimen:
@@ -100,10 +100,12 @@ def simulate(workload, method="rsr", design=None, *,
     """Run one sampled simulation and return its
     :class:`~repro.sampling.SampledRunResult`.
 
-    `workload` is a name or a :class:`~repro.workloads.Workload`;
-    `method` a registry name/alias or a ready
-    :class:`~repro.warmup.WarmupMethod` instance; `design` as described
-    in the module docstring.  `configs` overrides the design's
+    `workload` is a name (resolved through
+    :func:`~repro.workloads.cached_workload`, so runs of one program
+    share its translations and steady-state prefix) or a
+    :class:`~repro.workloads.Workload`; `method` a registry name/alias
+    or a ready :class:`~repro.warmup.WarmupMethod` instance; `design` as
+    described in the module docstring.  `configs` overrides the design's
     microarchitecture; `telemetry` is passed through to
     :class:`~repro.sampling.SampledSimulator`.
     """
@@ -120,7 +122,7 @@ def simulate(workload, method="rsr", design=None, *,
         detail_ramp = 0
         mem_scale = 1
     if not isinstance(workload, Workload):
-        workload = build_workload(workload, mem_scale=mem_scale)
+        workload = cached_workload(workload, mem_scale=mem_scale)
     if isinstance(method, str):
         method = resolve_method(method)
     simulator = SampledSimulator(

@@ -25,7 +25,7 @@ from ..sampling import (
     measure_true_ipc,
 )
 from ..warmup import WarmupMethod
-from ..workloads import PAPER_WORKLOADS, build_workload
+from ..workloads import PAPER_WORKLOADS, cached_workload
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ class WorkloadExperiment:
 def _true_run_cached(workload_name: str,
                      scale: ExperimentScale,
                      configs: SimulatorConfigs) -> TrueRunResult:
-    workload = build_workload(workload_name, mem_scale=scale.mem_scale)
+    workload = cached_workload(workload_name, mem_scale=scale.mem_scale)
     return measure_true_ipc(workload, scale.total_instructions,
                             configs,
                             warmup_prefix=scale.warmup_prefix)
@@ -174,7 +174,7 @@ def run_workload_experiment(
 ) -> WorkloadExperiment:
     """Run every method on one workload (same clusters for all methods)."""
     configs = configs if configs is not None else scale.configs()
-    workload = build_workload(workload_name, mem_scale=scale.mem_scale)
+    workload = cached_workload(workload_name, mem_scale=scale.mem_scale)
     true_run = true_run_for(workload_name, scale, configs)
     simulator = SampledSimulator(
         workload, scale.regimen(), configs,

@@ -52,7 +52,7 @@ from ..telemetry import (
     spans_enabled,
 )
 from ..warmup.base import WarmupCost
-from ..workloads import PAPER_WORKLOADS, build_workload
+from ..workloads import PAPER_WORKLOADS, cached_workload
 from .cache import ResultCache, cache_key
 from .executor import Executor, resolve_executor
 from .options import available_cpus
@@ -217,8 +217,8 @@ def _run_cell_task(spec: CellSpec, method_factory) -> SampledRunResult:
             f"method factory produced no method named "
             f"{spec.method_name!r}; known: {known}"
         ) from None
-    workload = build_workload(spec.workload_name,
-                              mem_scale=spec.scale.mem_scale)
+    workload = cached_workload(spec.workload_name,
+                               mem_scale=spec.scale.mem_scale)
     simulator = SampledSimulator(
         workload, spec.scale.regimen(), spec.configs,
         warmup_prefix=spec.scale.warmup_prefix,

@@ -20,10 +20,15 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from ..branch import BranchPredictor, PredictorConfig, paper_predictor_config
-from ..cache import HierarchyConfig, MemoryHierarchy, paper_hierarchy_config
+from ..branch import (
+    BranchPredictor, PredictorConfig, PredictorStats, paper_predictor_config,
+)
+from ..cache import (
+    CacheStats, HierarchyConfig, MemoryHierarchy, paper_hierarchy_config,
+)
+from ..functional.checkpoint import FunctionalCheckpoint
 from ..telemetry import telemetry_from_env
 from ..timing import CoreConfig, TimingSimulator, paper_core_config
 from ..warmup.base import WarmupCost, WarmupMethod, warming_hooks
@@ -91,11 +96,90 @@ def steady_state_prefix(machine, hierarchy, predictor, count: int) -> None:
     but at laptop scale it would contaminate the true-IPC baseline.  Both
     the full-trace run and every sampled run execute the same warmed
     prefix before instruction 0 of the measured population, so all
-    simulators start from identical state (see DESIGN.md §2).
+    simulators start from identical state (see DESIGN.md §2);
+    :meth:`SimulationStack.warm_prefix` runs it once per process and
+    restores it afterwards.
     """
     if count <= 0:
         return
     machine.run(count, **warming_hooks(hierarchy, predictor))
+
+
+#: Steady-state prefixes memoized per workload, one per hierarchy
+#: config, predictor config and prefix length; the oldest goes first.
+PREFIX_MEMO_LIMIT = 4
+
+# Counters are snapshotted and restored field by field.  Reading a live
+# stats object's ``__dict__`` (``vars``, ``copy``, pickle) makes CPython
+# 3.11 drop its specialised attribute stores, which slows every later
+# counter update on that object.
+_CACHE_STATS = tuple(f.name for f in fields(CacheStats))
+_PREDICTOR_STATS = tuple(f.name for f in fields(PredictorStats))
+_PREDICTOR_COUNTERS = (("pht", "lookups"), ("pht", "updates"),
+                       ("btb", "lookups"), ("btb", "updates"),
+                       ("ras", "pushes"), ("ras", "pops"))
+
+
+@dataclass(frozen=True)
+class PrefixSnapshot:
+    """What a steady-state prefix leaves on a fresh stack.
+
+    The architectural state is a :class:`FunctionalCheckpoint` delta
+    against the workload's initial memory, plus the machine's
+    ifetch-continuity marker.  Caches and predictor keep their contents
+    and every counter, so a restored stack is indistinguishable from one
+    that ran the prefix.
+    """
+
+    checkpoint: FunctionalCheckpoint
+    last_fetch: tuple[int, int]
+    caches: tuple[dict, ...]
+    cache_stats: tuple[tuple[int, ...], ...]
+    memory_accesses: int
+    predictor: dict
+    predictor_counters: tuple[int, ...]
+    predictor_stats: tuple[int, ...]
+
+    @classmethod
+    def capture(cls, stack: "SimulationStack") -> "PrefixSnapshot":
+        machine, hierarchy, predictor = (stack.machine, stack.hierarchy,
+                                         stack.predictor)
+        caches = hierarchy.caches()
+        return cls(
+            checkpoint=FunctionalCheckpoint.capture(machine,
+                                                    stack.workload.memory),
+            last_fetch=machine._last_fetch,
+            caches=tuple(cache.export_state() for cache in caches),
+            cache_stats=tuple(
+                tuple(getattr(cache.stats, name) for name in _CACHE_STATS)
+                for cache in caches),
+            memory_accesses=hierarchy.memory_accesses,
+            predictor=predictor.export_state(),
+            predictor_counters=tuple(
+                getattr(getattr(predictor, part), name)
+                for part, name in _PREDICTOR_COUNTERS),
+            predictor_stats=tuple(getattr(predictor.stats, name)
+                                  for name in _PREDICTOR_STATS),
+        )
+
+    def restore(self, stack: "SimulationStack") -> None:
+        machine, hierarchy, predictor = (stack.machine, stack.hierarchy,
+                                         stack.predictor)
+        self.checkpoint.restore(machine, stack.workload.memory)
+        # After restore(), which invalidates the marker.
+        machine._last_fetch = self.last_fetch
+        for cache, state, values in zip(hierarchy.caches(), self.caches,
+                                        self.cache_stats):
+            cache.load_state(state)
+            for name, value in zip(_CACHE_STATS, values):
+                setattr(cache.stats, name, value)
+        hierarchy.memory_accesses = self.memory_accesses
+        predictor.load_state(self.predictor)
+        for (part, name), value in zip(_PREDICTOR_COUNTERS,
+                                       self.predictor_counters):
+            setattr(getattr(predictor, part), name, value)
+        for name, value in zip(_PREDICTOR_STATS, self.predictor_stats):
+            setattr(predictor.stats, name, value)
 
 
 @dataclass
@@ -113,11 +197,38 @@ class SimulationStack:
     hierarchy: MemoryHierarchy
     predictor: BranchPredictor
     timing: TimingSimulator
+    workload: Workload
 
     def warm_prefix(self, count: int) -> None:
-        """Functionally warm `count` instructions (steady-state prefix)."""
+        """Functionally warm `count` instructions (steady-state prefix).
+
+        On a machine that has not run yet, the prefix is computed once
+        per process for each workload, hierarchy config, predictor
+        config and length, and memoized on the workload as a
+        :class:`PrefixSnapshot`; later stacks restore it.  The memo is
+        bounded by :data:`PREFIX_MEMO_LIMIT` and is not pickled with the
+        workload.
+        """
+        # Threads sharing a workload may race on the memo; a lost
+        # update only means one more computed prefix.
+        workload = self.workload
+        if count <= 0 or self.machine.instructions_retired:
+            steady_state_prefix(self.machine, self.hierarchy,
+                                self.predictor, count)
+            return
+        memo = getattr(workload, "_prefix_memo", None)
+        if memo is None:
+            memo = workload._prefix_memo = {}
+        key = (self.hierarchy.config, self.predictor.config, count)
+        snapshot = memo.get(key)
+        if snapshot is not None:
+            snapshot.restore(self)
+            return
         steady_state_prefix(self.machine, self.hierarchy, self.predictor,
                             count)
+        if len(memo) >= PREFIX_MEMO_LIMIT:
+            memo.pop(next(iter(memo)), None)
+        memo[key] = PrefixSnapshot.capture(self)
 
 
 def build_simulation(
@@ -133,7 +244,9 @@ def build_simulation(
     shard workers restoring a checkpoint) pass 0 and call
     :meth:`SimulationStack.warm_prefix` themselves.  `machine` replaces
     the fresh one (a shard worker's, already restored from its
-    checkpoint, so the image is copied once).
+    checkpoint, so the image is copied once).  The stack keeps
+    `workload`, on which :meth:`SimulationStack.warm_prefix` memoizes
+    the prefix.
     """
     configs = configs if configs is not None else SimulatorConfigs()
     if machine is None:
@@ -142,7 +255,8 @@ def build_simulation(
     predictor = BranchPredictor(configs.predictor)
     timing = TimingSimulator(machine, hierarchy, predictor, configs.core)
     stack = SimulationStack(machine=machine, hierarchy=hierarchy,
-                            predictor=predictor, timing=timing)
+                            predictor=predictor, timing=timing,
+                            workload=workload)
     if warmup_prefix:
         stack.warm_prefix(warmup_prefix)
     return stack

@@ -113,17 +113,13 @@ Tables are cached in ``PredecodedProgram.blocks`` under ``("timing",
 fetch-block size in instructions, block cap)``, apart from the
 functional tables' three-field keys.  Nothing else is baked in, so one
 table serves every core config (with 64 or more ROB entries) and both
-hook signatures.  A process-wide cache keyed by the program's content
-lets a rebuilt or unpickled copy (a service request, a shard worker
-forked from its parent) reuse them.  Each translation defines its
-function in a namespace of its own, so threads sharing one program may
-translate at once.
+hook signatures.  Each translation defines its function in a namespace
+of its own, so threads sharing one program may translate at once.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from heapq import heapreplace
 from types import FunctionType
 
@@ -471,27 +467,6 @@ class TimingBlockTable(dict):
         return following if (is_control or op < 0) else None
 
 
-#: Tables of recently used program images, by content.
-_SHARED: dict = {}
-_SHARED_LIMIT = 16
-_SHARED_LOCK = threading.Lock()
-
-
-def _content_key(program, decoded) -> tuple:
-    """Everything about `program` a translation reads: the operand
-    columns, the code layout and the opcodes of poisoned slots (whose
-    column reads −1)."""
-    ops = decoded.ops
-    poisoned = ()
-    if -1 in ops:
-        poisoned = tuple((pc, program.instructions[pc].opcode)
-                         for pc, op in enumerate(ops) if op < 0)
-    return (program.code_base, program.instruction_bytes, program.entry,
-            ops.tobytes(), decoded.rds.tobytes(), decoded.rs1s.tobytes(),
-            decoded.rs2s.tobytes(), decoded.imms.tobytes(),
-            decoded.targets.tobytes(), poisoned)
-
-
 def timing_block_table(program, per_block: int,
                        rob_entries: int) -> TimingBlockTable:
     """The cached :class:`TimingBlockTable` of `program` for `per_block`
@@ -500,14 +475,6 @@ def timing_block_table(program, per_block: int,
     key = ("timing", per_block, min(BLOCK_CAP, rob_entries))
     table = decoded.blocks.get(key)
     if table is None:
-        shared_key = (_content_key(program, decoded), key)
-        with _SHARED_LOCK:
-            # Popped and put back: the dict keeps the newest last.
-            table = _SHARED.pop(shared_key, None)
-            if table is None:
-                table = TimingBlockTable(program, decoded, per_block, key[2])
-                if len(_SHARED) >= _SHARED_LIMIT:
-                    del _SHARED[next(iter(_SHARED))]
-            _SHARED[shared_key] = table
-        decoded.blocks[key] = table
+        table = decoded.blocks[key] = TimingBlockTable(
+            program, decoded, per_block, key[2])
     return table

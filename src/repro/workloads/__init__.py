@@ -12,6 +12,7 @@ from .spec_like import (
     WORKLOAD_BUILDERS,
     available_workloads,
     build_workload,
+    cached_workload,
     build_ammp,
     build_art,
     build_gcc,
@@ -33,6 +34,7 @@ __all__ = [
     "WORKLOAD_BUILDERS",
     "available_workloads",
     "build_workload",
+    "cached_workload",
     "build_ammp",
     "build_art",
     "build_gcc",

@@ -32,6 +32,14 @@ class Workload:
         """Fresh functional machine over a private copy of the image."""
         return FunctionalMachine(self.program, self.memory.copy())
 
+    def __getstate__(self) -> dict:
+        # The steady-state prefix memo (``_prefix_memo``, see
+        # :meth:`repro.sampling.SimulationStack.warm_prefix`) is derived
+        # per process and rebuilt on first use.
+        state = dict(self.__dict__)
+        state.pop("_prefix_memo", None)
+        return state
+
     def __repr__(self) -> str:
         return (
             f"Workload({self.name!r}, {len(self.program)} instructions, "

@@ -43,6 +43,8 @@ given seed, so workloads are bit-reproducible.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..functional import Memory
@@ -557,6 +559,23 @@ def build_workload(name: str, mem_scale: int = 1,
     if seed is None:
         return builder(mem_scale=mem_scale)
     return builder(mem_scale=mem_scale, seed=seed)
+
+
+#: Workloads :func:`cached_workload` keeps per process: the nine paper
+#: programs at one memory scale.
+CACHED_WORKLOADS = 9
+
+
+@lru_cache(maxsize=CACHED_WORKLOADS)
+def cached_workload(name: str, mem_scale: int = 1) -> Workload:
+    """The process's one :class:`Workload` for `name` at `mem_scale`.
+
+    Every by-name run shares it, and with it the program's predecode,
+    its translated functional and timing blocks and its memoized
+    steady-state prefix.  Callers must not mutate it;
+    :func:`build_workload` returns a fresh object.
+    """
+    return build_workload(name, mem_scale=mem_scale)
 
 
 def available_workloads() -> tuple[str, ...]:

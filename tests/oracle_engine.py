@@ -26,8 +26,11 @@ against, bit for bit:
   the call chain through the per-structure training methods
   :func:`pht_update` (:func:`push_history`, ``update_counter``),
   :func:`btb_update`, :func:`ras_push` and :func:`ras_pop`;
+- :func:`uncached_warm_prefix` — ``SimulationStack.warm_prefix`` as a
+  plain call of ``steady_state_prefix``, which neither reads nor
+  writes the workload's prefix memo;
 - :func:`reference_engine` — a context manager that runs whole
-  simulations on all six;
+  simulations on all seven;
 - :func:`sampled_run_record` — what two engines' runs of one sampled
   simulation are compared on.
 """
@@ -51,6 +54,7 @@ from repro.functional.predecode import predecode_program
 from repro.harness.executor import EXECUTOR_ENV_VAR
 from repro.isa import NUM_REGISTERS
 from repro.sampling import SampledSimulator, pipeline
+from repro.sampling.controller import SimulationStack, steady_state_prefix
 from repro.timing import TimingResult, TimingSimulator
 from repro.warmup import resolve_method
 
@@ -467,6 +471,14 @@ def scalar_btb_scan(reconstructor, source, fraction):
     return len(pcs)
 
 
+def uncached_warm_prefix(stack, count):
+    """``SimulationStack.warm_prefix`` without the prefix memo: the
+    reference run computes its own prefix, and leaves none behind for a
+    production run to restore."""
+    steady_state_prefix(stack.machine, stack.hierarchy, stack.predictor,
+                        count)
+
+
 @contextlib.contextmanager
 def reference_engine():
     """Run every simulation inside the block on the reference engine.
@@ -489,6 +501,8 @@ def reference_engine():
             Cache, "access", reference_cache_access))
         stack.enter_context(mock.patch.object(
             BranchPredictor, "update", chained_predictor_update))
+        stack.enter_context(mock.patch.object(
+            SimulationStack, "warm_prefix", uncached_warm_prefix))
         stack.enter_context(mock.patch.dict(
             os.environ, {EXECUTOR_ENV_VAR: "inprocess"}))
         yield

@@ -49,15 +49,6 @@ CONFIGS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def fresh_tables():
-    """Each test translates from scratch: no table shared by content
-    with an earlier test."""
-    timing_blocks._SHARED.clear()
-    yield
-    timing_blocks._SHARED.clear()
-
-
 def snapshot(simulator: TimingSimulator) -> tuple:
     """Everything a timing run may change."""
     machine = simulator.machine
@@ -265,7 +256,6 @@ class TestDirected:
         for promote_after in (1, 10**9):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(timing_blocks, "PROMOTE_AFTER", promote_after)
-                timing_blocks._SHARED.clear()
                 pair = Pair(program, Memory())
                 for count in (1, 2, 5, 40, 700):
                     pair.run(count, hooked=True, measure_after=count // 3)
@@ -325,21 +315,21 @@ class TestDirected:
             assert function.__defaults__ == (tuple(operands.values()),), pc
             assert length == own_length, pc
 
-    def test_tables_shared_by_content_configs_and_hooks(self):
-        """A rebuilt program, another core config and a hooked run reuse
-        one table; another ROB cap or fetch-block size does not."""
-        first = build_workload("gcc", mem_scale=1, seed=5).program
-        again = build_workload("gcc", mem_scale=1, seed=5).program
-        table = timing_blocks.timing_block_table(first, 16, 64)
-        assert timing_blocks.timing_block_table(again, 16, 128) is table
-        assert timing_blocks.timing_block_table(again, 16, 32) is not table
-        assert timing_blocks.timing_block_table(again, 8, 64) is not table
+    def test_tables_shared_by_configs_and_hooks(self):
+        """Another core config and a hooked run reuse the program's
+        table; another ROB cap or fetch-block size does not."""
+        program = build_workload("gcc", mem_scale=1, seed=5).program
+        table = timing_blocks.timing_block_table(program, 16, 64)
+        assert timing_blocks.timing_block_table(program, 16, 128) is table
+        assert timing_blocks.timing_block_table(program, 16, 32) is not table
+        assert timing_blocks.timing_block_table(program, 8, 64) is not table
         # Beside the functional tables, under a key of its own.
-        first_machine = FunctionalMachine(first, Memory())
-        first_machine.run(100, ifetch_hook=lambda address: None,
-                          ifetch_block_bytes=64)
-        assert set(predecode_program(first).blocks) == {
-            ("timing", 16, 64), (False, False, 16)}
+        machine = FunctionalMachine(program, Memory())
+        machine.run(100, ifetch_hook=lambda address: None,
+                    ifetch_block_bytes=64)
+        assert set(predecode_program(program).blocks) == {
+            ("timing", 16, 64), ("timing", 16, 32), ("timing", 8, 64),
+            (False, False, 16)}
 
     def test_threads_translating_one_table(self):
         """Threads missing on one shared table each cache their own pc's
