@@ -2,7 +2,6 @@
 
 from .audit import (
     AuditProbe,
-    ReferenceState,
     ReferenceTrajectory,
     compute_reference_trajectory,
     diff_against_reference,
@@ -25,7 +24,6 @@ __all__ = [
     "IPCProfile",
     "measure_ipc_profile",
     "AuditProbe",
-    "ReferenceState",
     "ReferenceTrajectory",
     "compute_reference_trajectory",
     "diff_against_reference",

@@ -10,13 +10,14 @@ this module makes the accuracy side continuously observable:
 
 - :func:`reference_trajectory_for` runs the workload once under the
   SMARTS reference (full functional warming, the paper's "perfect
-  warm-up" proxy) through a loop that mirrors
-  :meth:`~repro.sampling.controller.SampledSimulator.run` exactly, and
-  captures the complete microarchitectural state at every cluster entry
-  plus each cluster's reference IPC and the population's true IPC.  The
-  trajectory is deterministic, picklable, and cached — in-process and,
-  via :mod:`repro.harness.cache`, on disk — so auditing a whole method
-  matrix pays for the reference once.
+  warm-up" proxy) through the serial walk itself
+  (:func:`~repro.sampling.pipeline.record_cluster_entries`), and keeps
+  the :class:`~repro.sampling.controller.WarmState` at every cluster
+  entry plus each cluster's reference IPC and the population's true IPC.
+  Being the same walk, the reference cannot drift from the runs it
+  audits.  The trajectory is deterministic, picklable, and cached —
+  in-process and, via :mod:`repro.harness.cache`, on disk — so auditing
+  a whole method matrix pays for the reference once.
 - :class:`AuditProbe` hangs off the controller loop behind
   ``REPRO_AUDIT``: at each cluster boundary it diffs the live
   reconstructed state against the reference state (cache tag and
@@ -42,13 +43,12 @@ from ..cache import MemoryHierarchy
 from ..harness.cache import cache_key, resolve_cache
 from ..sampling.controller import (
     SimulatorConfigs,
-    build_simulation,
+    WarmState,
     measure_true_ipc,
 )
-from ..sampling.pipeline import cluster_geometry
+from ..sampling.pipeline import ClusterEntry, record_cluster_entries
 from ..sampling.regimen import SamplingRegimen
 from ..telemetry import PHASE_AUDIT, RECORD_AUDIT
-from ..warmup.base import SimulationContext
 from ..warmup.fixed_period import SmartsWarmup
 from ..workloads import Workload
 from .fidelity import _jaccard, _ratio
@@ -69,37 +69,19 @@ CENSUS_KEYS = (
 
 
 @dataclass(frozen=True)
-class ReferenceState:
-    """Perfectly warmed microarchitectural state at one cluster entry.
-
-    Captured after the reference has skipped the gap (with full warming)
-    but before the detailed ramp + cluster execute — the same boundary
-    at which the controller's probe diffs the audited method.  All
-    fields are plain tuples/ints so the trajectory pickles unchanged
-    through the result cache and across worker processes.
-    """
-
-    cluster_index: int
-    start: int
-    #: level name -> Cache.state_fingerprint() (per-set MRU->LRU tags).
-    cache_fingerprints: dict[str, tuple]
-    pht_counters: tuple[int, ...]
-    ghr: int
-    btb_tags: tuple
-    btb_targets: tuple
-    ras_from_top: tuple[int, ...]
-    #: The reference's measured IPC for this cluster (same ramp/measure
-    #: window as the audited run).
-    ipc: float
-
-
-@dataclass(frozen=True)
 class ReferenceTrajectory:
-    """One workload's reference states, reference IPCs, and true IPC."""
+    """One workload's reference cluster entries and true IPC.
+
+    Each entry holds the SMARTS walk's :class:`WarmState` at a cluster
+    entry — after the gap's full warming, before the detailed ramp and
+    cluster, the boundary at which the probe diffs the audited method —
+    and that cluster's reference IPC (same ramp/measure window as the
+    audited run).
+    """
 
     workload_name: str
     true_ipc: float
-    states: tuple[ReferenceState, ...]
+    states: tuple[ClusterEntry, ...]
 
 
 def compute_reference_trajectory(
@@ -109,42 +91,17 @@ def compute_reference_trajectory(
     warmup_prefix: int = 0,
     detail_ramp: int = 0,
 ) -> ReferenceTrajectory:
-    """Run the SMARTS reference and capture state at every cluster entry.
+    """The serial walk of SMARTS, captured at every cluster entry.
 
-    The loop replicates the controller's ramp-borrowing arithmetic
-    exactly (`ramp` borrows from the end of the gap, `measure_after`
-    excludes it from the IPC), so a SMARTS run audited against this
-    trajectory scores perfect agreement and zero cold-start error —
-    the self-consistency test the audit suite asserts.
+    A SMARTS run audited against this trajectory scores perfect
+    agreement and zero cold-start error — the self-consistency test the
+    audit suite asserts.
     """
     configs = configs if configs is not None else SimulatorConfigs()
-    stack = build_simulation(workload, configs, warmup_prefix=warmup_prefix)
-    hierarchy = stack.hierarchy
-    predictor = stack.predictor
-    reference = SmartsWarmup()
-    reference.bind(SimulationContext(
-        machine=stack.machine, hierarchy=hierarchy, predictor=predictor,
-        regimen=regimen,
-    ))
-
-    states = []
-    cluster_size = regimen.cluster_size
-    position = 0
-    for index, cluster_start in enumerate(regimen.cluster_starts()):
-        ramp, gap = cluster_geometry(position, cluster_start, detail_ramp)
-        if gap > 0:
-            reference.skip(gap)
-        position = cluster_start - ramp
-        reference.pre_cluster()
-        captured = _capture_state(index, cluster_start, hierarchy, predictor)
-        result = stack.timing.run(cluster_size + ramp, measure_after=ramp)
-        reference.post_cluster()
-        # Mirror the controller loop: the hot cluster fetched blocks
-        # outside machine.run, so the ifetch-continuity marker is stale.
-        stack.machine.invalidate_fetch_block()
-        position += result.instructions
-        states.append(ReferenceState(ipc=result.ipc, **captured))
-
+    states = record_cluster_entries(
+        workload, regimen, configs, SmartsWarmup(),
+        warmup_prefix=warmup_prefix, detail_ramp=detail_ramp,
+    )
     true_run = measure_true_ipc(
         workload, regimen.total_instructions, configs,
         warmup_prefix=warmup_prefix,
@@ -152,25 +109,8 @@ def compute_reference_trajectory(
     return ReferenceTrajectory(
         workload_name=workload.name,
         true_ipc=true_run.ipc,
-        states=tuple(states),
+        states=states,
     )
-
-
-def _capture_state(index: int, start: int, hierarchy: MemoryHierarchy,
-                   predictor: BranchPredictor) -> dict:
-    return {
-        "cluster_index": index,
-        "start": start,
-        "cache_fingerprints": {
-            level: getattr(hierarchy, level).state_fingerprint()
-            for level in CACHE_LEVELS
-        },
-        "pht_counters": tuple(predictor.pht.counters),
-        "ghr": predictor.pht.history,
-        "btb_tags": tuple(predictor.btb.tags),
-        "btb_targets": tuple(predictor.btb.targets),
-        "ras_from_top": tuple(predictor.ras.contents_from_top()),
-    }
 
 
 #: In-process memo: trajectory computation is the audit's only expensive
@@ -251,20 +191,39 @@ def _diff_cache(cache, reference_fingerprint: tuple) -> tuple[float, float]:
     return _jaccard(lines, reference_lines), _ratio(matches, occupied)
 
 
+def _fingerprint(cache_state: dict) -> tuple:
+    """``Cache.state_fingerprint()`` of an ``export_state()`` snapshot:
+    per set, the stored tags in MRU->LRU order."""
+    return tuple(
+        tuple(tags[way] for way in order)
+        for tags, order in zip(cache_state["tags"], cache_state["order"])
+    )
+
+
+def _ras_from_top(predictor_state: dict) -> tuple[int, ...]:
+    """``ReturnAddressStack.contents_from_top()`` of a predictor
+    ``export_state()`` snapshot."""
+    stack = predictor_state["ras_stack"]
+    top = predictor_state["ras_top"]
+    return tuple(stack[(top - offset) % len(stack)]
+                 for offset in range(predictor_state["ras_depth"]))
+
+
 def diff_against_reference(hierarchy: MemoryHierarchy,
                            predictor: BranchPredictor,
-                           reference: ReferenceState) -> dict:
+                           reference: WarmState) -> dict:
     """Score the live state against one reference cluster-entry state."""
     metrics: dict = {}
-    for level in CACHE_LEVELS:
+    for level, cache_state in zip(CACHE_LEVELS, reference.caches):
         tag_agreement, lru_agreement = _diff_cache(
-            getattr(hierarchy, level), reference.cache_fingerprints[level]
+            getattr(hierarchy, level), _fingerprint(cache_state)
         )
         metrics[f"{level}_tag_agreement"] = tag_agreement
         metrics[f"{level}_lru_agreement"] = lru_agreement
 
+    reference_predictor = reference.predictor
     counters = predictor.pht.counters
-    reference_counters = reference.pht_counters
+    reference_counters = reference_predictor["counters"]
     total = len(reference_counters)
     equal = sum(
         1 for value, truth in zip(counters, reference_counters)
@@ -276,18 +235,21 @@ def diff_against_reference(hierarchy: MemoryHierarchy,
     )
     metrics["pht_counter_agreement"] = _ratio(equal, total)
     metrics["pht_prediction_agreement"] = _ratio(same_prediction, total)
-    metrics["ghr_match"] = predictor.pht.history == reference.ghr
+    metrics["ghr_match"] = (predictor.pht.history
+                            == reference_predictor["history"])
 
     btb = predictor.btb
+    reference_tags = reference_predictor["btb_tags"]
+    reference_targets = reference_predictor["btb_targets"]
     btb_equal = sum(
         1 for entry in range(btb.entries)
-        if btb.tags[entry] == reference.btb_tags[entry]
-        and btb.targets[entry] == reference.btb_targets[entry]
+        if btb.tags[entry] == reference_tags[entry]
+        and btb.targets[entry] == reference_targets[entry]
     )
     metrics["btb_agreement"] = _ratio(btb_equal, btb.entries)
 
     ras = tuple(predictor.ras.contents_from_top())
-    reference_ras = reference.ras_from_top
+    reference_ras = _ras_from_top(reference_predictor)
     if not ras and not reference_ras:
         metrics["ras_agreement"] = 1.0
     else:
@@ -317,11 +279,8 @@ class AuditProbe:
     phase cost split clean.
     """
 
-    def __init__(self, trajectory: ReferenceTrajectory, hierarchy,
-                 predictor, telemetry) -> None:
+    def __init__(self, trajectory: ReferenceTrajectory, telemetry) -> None:
         self.trajectory = trajectory
-        self.hierarchy = hierarchy
-        self.predictor = predictor
         self.telemetry = telemetry
         #: Reference states keyed by cluster index rather than position:
         #: a shard worker receives a single-state trajectory carrying
@@ -332,17 +291,16 @@ class AuditProbe:
         self._partial: dict[int, dict] = {}
 
     @classmethod
-    def for_run(cls, simulator, hierarchy, predictor,
-                telemetry) -> "AuditProbe":
+    def for_run(cls, simulator, telemetry) -> "AuditProbe":
         """Build a probe for one controller run (reference is cached)."""
         trajectory = reference_trajectory_for(
             simulator.workload, simulator.regimen, simulator.configs,
             warmup_prefix=simulator.warmup_prefix,
             detail_ramp=simulator.detail_ramp,
         )
-        return cls(trajectory, hierarchy, predictor, telemetry)
+        return cls(trajectory, telemetry)
 
-    def before_cluster(self, index: int, method) -> None:
+    def before_cluster(self, index: int, method, stack) -> None:
         """Diff reconstructed state at cluster entry (post pre_cluster)."""
         with self.telemetry.phase(PHASE_AUDIT):
             census = None
@@ -352,9 +310,8 @@ class AuditProbe:
                 # on-demand engine, which a drain consumes.
                 census = take_census()
             method.finalize_pending()
-            reference = self._states[index]
             metrics = diff_against_reference(
-                self.hierarchy, self.predictor, reference
+                stack.hierarchy, stack.predictor, self._states[index].state
             )
             for key in CENSUS_KEYS:
                 metrics[key] = None if census is None else census[key]

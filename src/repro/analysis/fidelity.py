@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 from ..branch import BranchPredictor
 from ..cache import MemoryHierarchy
-from ..sampling.controller import SimulatorConfigs, steady_state_prefix
+from ..sampling.controller import SimulatorConfigs, build_simulation
+from ..sampling.pipeline import record_cluster_entries
 from ..sampling.regimen import SamplingRegimen
-from ..timing import TimingSimulator
-from ..warmup.base import SimulationContext, WarmupMethod
+from ..warmup.base import WarmupMethod
 from ..warmup.fixed_period import SmartsWarmup
 from ..workloads import Workload
 
@@ -144,54 +144,29 @@ def measure_state_fidelity(
 ) -> FidelityReport:
     """Score `method`'s warmed state against SMARTS at every cluster.
 
-    Both pipelines execute the identical instruction stream (same
+    Both run the serial walk over the identical instruction stream (same
     program, same seeds), so any state difference is purely the warm-up
-    policy's doing.  The comparison happens *after* the method's eager
-    reconstruction (pre_cluster) and, for on-demand methods, after the
-    cluster has run — so lazily reconstructed entries are also scored.
+    policy's doing.  Each walk's state is captured at cluster *entry*,
+    the state hot execution will consume: after the method's eager
+    reconstruction (pre_cluster), with on-demand repairs finalised so
+    they are visible.
     """
     configs = configs if configs is not None else SimulatorConfigs()
-
-    def make_stack(warmup_method):
-        machine = workload.make_machine()
-        hierarchy = MemoryHierarchy(configs.hierarchy)
-        predictor = BranchPredictor(configs.predictor)
-        timing = TimingSimulator(machine, hierarchy, predictor,
-                                 configs.core)
-        steady_state_prefix(machine, hierarchy, predictor, warmup_prefix)
-        warmup_method.bind(SimulationContext(
-            machine=machine, hierarchy=hierarchy, predictor=predictor,
-            regimen=regimen,
-        ))
-        return machine, hierarchy, predictor, timing
-
-    machine, hierarchy, predictor, timing = make_stack(method)
-    reference = SmartsWarmup()
-    (ref_machine, ref_hierarchy, ref_predictor,
-     ref_timing) = make_stack(reference)
-
+    entries = record_cluster_entries(workload, regimen, configs, method,
+                                     warmup_prefix=warmup_prefix)
+    reference = record_cluster_entries(workload, regimen, configs,
+                                       SmartsWarmup(),
+                                       warmup_prefix=warmup_prefix)
+    stack = build_simulation(workload, configs)
+    ref_stack = build_simulation(workload, configs)
     report = FidelityReport(
         workload_name=workload.name, method_name=method.name,
     )
-    position = 0
-    for cluster_index, cluster_start in enumerate(regimen.cluster_starts()):
-        gap = cluster_start - position
-        if gap > 0:
-            method.skip(gap)
-            reference.skip(gap)
-        position = cluster_start
-        hook = method.pre_cluster()
-        reference.pre_cluster()
-        # Score at cluster *entry*: the state hot execution will consume.
-        # On-demand repairs are finalised first so they are visible.
-        method.finalize_pending()
+    for entry, ref_entry in zip(entries, reference):
+        entry.state.restore(stack)
+        ref_entry.state.restore(ref_stack)
         report.records.append(_compare_states(
-            cluster_index, cluster_start,
-            hierarchy, predictor, ref_hierarchy, ref_predictor,
+            entry.cluster_index, entry.start, stack.hierarchy,
+            stack.predictor, ref_stack.hierarchy, ref_stack.predictor,
         ))
-        timing.run(regimen.cluster_size, pre_branch_hook=hook)
-        ref_timing.run(regimen.cluster_size)
-        method.post_cluster()
-        reference.post_cluster()
-        position += regimen.cluster_size
     return report

@@ -164,21 +164,5 @@ class MemoryHierarchy:
     def caches(self) -> tuple[Cache, Cache, Cache]:
         return self.l1i, self.l1d, self.l2
 
-    def export_state(self) -> dict:
-        """Snapshot all three caches (live-points support)."""
-        return {
-            "l1i": self.l1i.export_state(),
-            "l1d": self.l1d.export_state(),
-            "l2": self.l2.export_state(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot from :meth:`export_state`; buses rewind."""
-        self.l1i.load_state(state["l1i"])
-        self.l1d.load_state(state["l1d"])
-        self.l2.load_state(state["l2"])
-        self.l1_bus.rewind()
-        self.l2_bus.rewind()
-
     def __repr__(self) -> str:
         return f"MemoryHierarchy({self.l1i!r}, {self.l1d!r}, {self.l2!r})"

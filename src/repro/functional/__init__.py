@@ -1,7 +1,7 @@
 """Functional (architectural-state) simulation."""
 
 from .memory import Memory, WORD_BYTES
-from .machine import FunctionalMachine, StepResult, Checkpoint, to_signed
+from .machine import FunctionalMachine, StepResult, to_signed
 from .checkpoint import FunctionalCheckpoint
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "WORD_BYTES",
     "FunctionalMachine",
     "StepResult",
-    "Checkpoint",
     "FunctionalCheckpoint",
     "to_signed",
 ]

@@ -1,33 +1,31 @@
-"""Picklable, base-relative functional checkpoints for the two-phase pipeline.
+"""Picklable, base-relative functional checkpoints.
 
-The in-process :class:`~repro.functional.machine.Checkpoint` shares the
-live :class:`~repro.functional.memory.Memory` implementation and is made
-for same-process save/restore (MRRL's look-ahead profiling).  The
-two-phase execution pipeline needs something stronger: a cluster shard
-restores architectural state in a *worker process*, so the captured
-state must cross a pickle boundary compactly and deterministically.
-
-:class:`FunctionalCheckpoint` is that form — plain ints, a tuple of
-registers, and the memory words that differ from a *base* image.  The
-base is the workload's initial :class:`~repro.functional.memory.Memory`,
-which every worker already holds (it arrives with the workload, once per
-worker), so a checkpoint carries only what the program has written since
-it started: on the bundled workloads 0–1.8k words of a 16.5k–36.9k-word
-image, and none at all on mcf.  Restoring copies the base and applies the
-delta, reproducing the exact architectural state (and therefore the exact
+:class:`FunctionalCheckpoint` is the one capture of a machine's
+architectural state: plain ints, a tuple of registers, and the memory
+words that differ from a *base* image.  The two-phase pipeline's cluster
+shards restore it in a worker process, so it must cross a pickle
+boundary compactly and deterministically.  The base is the workload's
+initial :class:`~repro.functional.memory.Memory`, which every worker
+already holds (it arrives with the workload, once per worker), so a
+checkpoint carries only what the program has written since it started:
+on the bundled workloads 0–1.8k words of a 16.5k–36.9k-word image, and
+none at all on mcf.  Restoring copies the base and applies the delta,
+reproducing the exact architectural state (and therefore the exact
 downstream instruction trace): the program image is immutable per
 workload, so only the mutable state travels.
 
 ``base=None`` means an empty image, so a checkpoint captured without a
 base carries the whole memory and restores onto any machine — one format,
-one code path.  The checkpoint records its base's word count and
+one code path.  MRRL's and BLRL's look-ahead save and restore the machine
+that way.  The checkpoint records its base's word count and
 :meth:`FunctionalCheckpoint.restore` refuses a base of a different size,
 so a delta can never be applied to the wrong image and yield a
 plausible-looking wrong state.
 
 Capture is one pass over the machine's resident words (a few ms for the
 36.9k words of mcf), far below the cost of the detailed cluster
-simulation the shard exists to parallelise.
+simulation the shard exists to parallelise; without a base it is a plain
+dict copy.
 """
 
 from __future__ import annotations
@@ -71,12 +69,13 @@ class FunctionalCheckpoint:
         are a superset of the base's and the delta is complete.
         """
         reference = _base_words(base)
+        words = machine.memory._words
         return cls(
             pc=machine.pc,
             registers=tuple(machine.registers),
-            memory_words={address: value
-                          for address, value in machine.memory._words.items()
-                          if reference.get(address) != value},
+            memory_words=({address: value for address, value in words.items()
+                           if reference.get(address) != value}
+                          if reference else dict(words)),
             instructions_retired=machine.instructions_retired,
             halted=machine.halted,
             base_words=len(reference),

@@ -21,7 +21,7 @@ remains the one-instruction reference semantics and the fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa import Opcode, Program, NUM_REGISTERS, LINK_REGISTER, STACK_POINTER
 from .memory import Memory
@@ -43,23 +43,6 @@ class StepResult:
     taken: bool = False     # for control instructions: was it taken?
     mem_address: int = -1   # effective byte address for LOAD/STORE, else -1
     halted: bool = False
-
-
-@dataclass
-class Checkpoint:
-    """A full architectural snapshot (registers, PC, memory, counters).
-
-    `halted` is part of the architectural state: a checkpoint taken
-    after HALT must restore to a machine that stays halted instead of
-    silently resuming execution past program end.
-    """
-
-    pc: int
-    registers: list[int]
-    memory: Memory
-    instructions_retired: int = 0
-    halted: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 class FunctionalMachine:
@@ -90,31 +73,11 @@ class FunctionalMachine:
         #: :meth:`invalidate_fetch_block` for when it resets.
         self._last_fetch: tuple[int, int] = (0, -1)
 
-    # -- checkpointing ------------------------------------------------------
-
-    def checkpoint(self) -> Checkpoint:
-        """Capture the full architectural state."""
-        return Checkpoint(
-            pc=self.pc,
-            registers=list(self.registers),
-            memory=self.memory.copy(),
-            instructions_retired=self.instructions_retired,
-            halted=self.halted,
-        )
-
-    def restore(self, checkpoint: Checkpoint) -> None:
-        """Restore state captured by :meth:`checkpoint`."""
-        self.pc = checkpoint.pc
-        self.registers = list(checkpoint.registers)
-        self.memory = checkpoint.memory.copy()
-        self.instructions_retired = checkpoint.instructions_retired
-        self.halted = checkpoint.halted
-        self.invalidate_fetch_block()
-
     def invalidate_fetch_block(self) -> None:
         """Forget the ifetch-continuity marker.
 
-        Called whenever execution discontinuously moves (checkpoint
+        Called whenever execution discontinuously moves (a
+        :class:`~repro.functional.checkpoint.FunctionalCheckpoint`
         restore) or when instructions were fetched without an observer
         (a hook-less :meth:`run`), so the next observed run re-reports
         its first block instead of wrongly deduplicating it.

@@ -46,7 +46,7 @@ class Memory:
         return len(self._words)
 
     def copy(self) -> "Memory":
-        """Deep copy (used by checkpoints)."""
+        """Deep copy (a fresh machine's private image)."""
         clone = Memory()
         clone._words = dict(self._words)
         return clone

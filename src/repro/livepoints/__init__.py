@@ -1,13 +1,11 @@
 """Live-points: reusable warmed checkpoints for sampled simulation."""
 
 from .library import (
-    LivePoint,
     LivePointLibrary,
     LivePointReplayResult,
 )
 
 __all__ = [
-    "LivePoint",
     "LivePointLibrary",
     "LivePointReplayResult",
 ]

@@ -16,34 +16,30 @@ Two caveats carried over from the original technique:
   generated with (changing those invalidates the warmed state);
 - the state stored is whatever the generating warm-up method produced
   (SMARTS warming by default, so replays inherit its accuracy).
+
+Generation is the serial walk itself
+(:func:`~repro.sampling.pipeline.record_cluster_entries`) with a
+capturing observer, so a replay reproduces the generating method's own
+sampled run exactly.  A library persists as the checkpoint store's
+``livepoints`` kind (:meth:`LivePointLibrary.store_in`), which gives it
+atomic writes and digest checks.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..branch import BranchPredictor
-from ..cache import MemoryHierarchy
-from ..functional import Checkpoint, FunctionalMachine
-from ..sampling.controller import SimulatorConfigs
+from ..sampling.controller import SimulatorConfigs, build_simulation
+from ..sampling.pipeline import ClusterEntry, record_cluster_entries
 from ..sampling.regimen import SamplingRegimen
-from ..sampling.statistics import SampleEstimate, cluster_estimate
-from ..timing import CoreConfig, TimingSimulator
-from ..warmup.base import SimulationContext, WarmupMethod
+from ..sampling.statistics import (
+    SampleEstimate, cluster_estimate, relative_error,
+)
+from ..timing import CoreConfig
+from ..warmup.base import WarmupMethod
 from ..warmup.fixed_period import SmartsWarmup
 from ..workloads import Workload
-
-
-@dataclass
-class LivePoint:
-    """One cluster's entry point: architectural + warmed microarch state."""
-
-    start_instruction: int
-    architectural: Checkpoint
-    cache_state: dict
-    predictor_state: dict
 
 
 @dataclass
@@ -57,7 +53,7 @@ class LivePointReplayResult:
     extra: dict = field(default_factory=dict)
 
     def relative_error(self, true_ipc: float) -> float:
-        return abs(true_ipc - self.estimate.mean) / abs(true_ipc)
+        return relative_error(true_ipc, self.estimate.mean)
 
     def passes_confidence_test(self, true_ipc: float) -> bool:
         return self.estimate.contains(true_ipc)
@@ -71,7 +67,7 @@ class LivePointLibrary:
         workload: Workload,
         regimen: SamplingRegimen,
         configs: SimulatorConfigs,
-        points: list[LivePoint],
+        points: tuple[ClusterEntry, ...],
         generation_seconds: float = 0.0,
     ) -> None:
         self.workload = workload
@@ -91,45 +87,19 @@ class LivePointLibrary:
         warmup: WarmupMethod | None = None,
         warmup_prefix: int = 0,
     ) -> "LivePointLibrary":
-        """Build a library by one pass of warmed functional simulation.
+        """Build a library by one serial walk of `warmup`.
 
         `warmup` controls how microarchitectural state is maintained
         between capture points (SMARTS full functional warming by
-        default, matching the original live-points recipe).
+        default, matching the original live-points recipe).  Each point
+        is the walk's :class:`~repro.sampling.controller.WarmState` at a
+        cluster entry.
         """
         configs = configs if configs is not None else SimulatorConfigs()
         method = warmup if warmup is not None else SmartsWarmup()
-        machine = workload.make_machine()
-        hierarchy = MemoryHierarchy(configs.hierarchy)
-        predictor = BranchPredictor(configs.predictor)
-        method.bind(SimulationContext(
-            machine=machine, hierarchy=hierarchy, predictor=predictor,
-            regimen=regimen,
-        ))
-
         start_time = time.perf_counter()
-        if warmup_prefix:
-            from ..sampling.controller import steady_state_prefix
-            steady_state_prefix(machine, hierarchy, predictor, warmup_prefix)
-
-        points: list[LivePoint] = []
-        position = 0
-        for cluster_start in regimen.cluster_starts():
-            gap = cluster_start - position
-            if gap > 0:
-                method.skip(gap)
-            method.pre_cluster()
-            points.append(LivePoint(
-                start_instruction=cluster_start,
-                architectural=machine.checkpoint(),
-                cache_state=hierarchy.export_state(),
-                predictor_state=predictor.export_state(),
-            ))
-            method.post_cluster()
-            # Advance architecturally through the cluster so the next gap
-            # starts from the right place; state stays warm via `method`.
-            method.skip(regimen.cluster_size)
-            position = cluster_start + regimen.cluster_size
+        points = record_cluster_entries(workload, regimen, configs, method,
+                                        warmup_prefix=warmup_prefix)
         generation_seconds = time.perf_counter() - start_time
         return cls(workload, regimen, configs, points, generation_seconds)
 
@@ -143,19 +113,14 @@ class LivePointLibrary:
         replay costs a small fraction of a full sampled simulation and
         can be repeated for many core configurations.
         """
-        configs = self.configs
-        core = core_config if core_config is not None else configs.core
+        core = core_config if core_config is not None else self.configs.core
+        configs = replace(self.configs, core=core)
         cluster_ipcs: list[float] = []
         start_time = time.perf_counter()
         for point in self.points:
-            machine = FunctionalMachine(self.workload.program)
-            machine.restore(point.architectural)
-            hierarchy = MemoryHierarchy(configs.hierarchy)
-            hierarchy.load_state(point.cache_state)
-            predictor = BranchPredictor(configs.predictor)
-            predictor.load_state(point.predictor_state)
-            timing = TimingSimulator(machine, hierarchy, predictor, core)
-            result = timing.run(
+            stack = build_simulation(self.workload, configs)
+            point.state.restore(stack)
+            result = stack.timing.run(
                 self.regimen.cluster_size, pre_branch_hook=pre_branch_hook,
             )
             cluster_ipcs.append(result.ipc)
@@ -167,68 +132,6 @@ class LivePointLibrary:
             wall_seconds=wall_seconds,
             extra={"core_config": core},
         )
-
-    # -- persistence ----------------------------------------------------------
-
-    #: Payload format marker for :meth:`save` / :meth:`load`.  Version 1
-    #: wraps the library in a manifest-style envelope written through
-    #: the checkpoint store's atomic serialization helpers; version 0,
-    #: the historical bare ``pickle.dump(self)`` layout, no longer loads.
-    PAYLOAD_VERSION = 1
-
-    def save(self, path) -> None:
-        """Serialise the library for later replays (atomic write).
-
-        Written through the shared store serialization helpers
-        (:func:`repro.store.serialization.atomic_write_pickle`), so a
-        crashed or concurrent writer can never leave a torn library on
-        disk.  The envelope carries a content digest and point count
-        that :meth:`load` cross-checks.
-        """
-        from ..store.serialization import atomic_write_pickle, blob_digest
-
-        blob = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        atomic_write_pickle(path, {
-            "format": "repro-livepoints",
-            "version": self.PAYLOAD_VERSION,
-            "workload": self.workload.name,
-            "points": len(self.points),
-            "digest": blob_digest(blob),
-            "library": blob,
-        })
-
-    @staticmethod
-    def load(path) -> "LivePointLibrary":
-        """Load a library saved by :meth:`save`.
-
-        Cross-checks the envelope's content digest and point count
-        before trusting the payload; any other file, including the bare
-        pickle older versions wrote, is a :class:`TypeError`.  Only load
-        files you created yourself: pickle executes arbitrary code on
-        malicious inputs.
-        """
-        from ..store.serialization import (
-            CorruptEntryError,
-            blob_digest,
-            read_pickle,
-        )
-
-        value, _ = read_pickle(path)
-        if (not isinstance(value, dict)
-                or value.get("format") != "repro-livepoints"):
-            raise TypeError("file does not contain a LivePointLibrary")
-        blob = value.get("library", b"")
-        if value.get("digest") != blob_digest(blob):
-            raise CorruptEntryError(
-                f"{path}: live-points payload digest mismatch")
-        library = pickle.loads(blob)
-        if not isinstance(library, LivePointLibrary):
-            raise TypeError("file does not contain a LivePointLibrary")
-        if value.get("points") != len(library.points):
-            raise CorruptEntryError(
-                f"{path}: envelope records {value.get('points')} points "
-                f"but the library holds {len(library.points)}")
-        return library
 
     # -- checkpoint-store integration ------------------------------------------
 

@@ -121,14 +121,16 @@ _PREDICTOR_COUNTERS = (("pht", "lookups"), ("pht", "updates"),
 
 
 @dataclass(frozen=True)
-class PrefixSnapshot:
-    """What a steady-state prefix leaves on a fresh stack.
+class WarmState:
+    """A stack's complete state at one point of a run.
 
-    The architectural state is a :class:`FunctionalCheckpoint` delta
-    against the workload's initial memory, plus the machine's
-    ifetch-continuity marker.  Caches and predictor keep their contents
-    and every counter, so a restored stack is indistinguishable from one
-    that ran the prefix.
+    The one representation of "the state at a point": the steady-state
+    prefix memo, the audit reference's cluster entries and the
+    live-points library all hold it.  The architectural state is a
+    :class:`FunctionalCheckpoint` delta against the workload's initial
+    memory, plus the machine's ifetch-continuity marker.  Caches and
+    predictor keep their contents and every counter, so a restored stack
+    is indistinguishable from the one captured.
     """
 
     checkpoint: FunctionalCheckpoint
@@ -141,7 +143,7 @@ class PrefixSnapshot:
     predictor_stats: tuple[int, ...]
 
     @classmethod
-    def capture(cls, stack: "SimulationStack") -> "PrefixSnapshot":
+    def capture(cls, stack: "SimulationStack") -> "WarmState":
         machine, hierarchy, predictor = (stack.machine, stack.hierarchy,
                                          stack.predictor)
         caches = hierarchy.caches()
@@ -205,7 +207,7 @@ class SimulationStack:
         On a machine that has not run yet, the prefix is computed once
         per process for each workload, hierarchy config, predictor
         config and length, and memoized on the workload as a
-        :class:`PrefixSnapshot`; later stacks restore it.  The memo is
+        :class:`WarmState`; later stacks restore it.  The memo is
         bounded by :data:`PREFIX_MEMO_LIMIT` and is not pickled with the
         workload.
         """
@@ -228,7 +230,7 @@ class SimulationStack:
                             count)
         if len(memo) >= PREFIX_MEMO_LIMIT:
             memo.pop(next(iter(memo)), None)
-        memo[key] = PrefixSnapshot.capture(self)
+        memo[key] = WarmState.capture(self)
 
 
 def build_simulation(

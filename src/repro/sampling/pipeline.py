@@ -71,6 +71,7 @@ from ..store.serialization import warn_once
 from ..telemetry import (
     EVENT_RUN_END,
     EVENT_RUN_START,
+    NULL_TELEMETRY,
     PHASE_COLD_SKIP,
     PHASE_HOT_SIM,
     PHASE_RECONSTRUCT,
@@ -81,7 +82,9 @@ from ..telemetry import (
     telemetry_from_env,
 )
 from ..warmup.base import SimulationContext
-from .controller import SampledRunResult, build_simulation
+from .controller import (
+    SampledRunResult, SampledSimulator, WarmState, build_simulation,
+)
 from .statistics import cluster_estimate
 
 #: Environment variable resolved when ``SampledSimulator.cluster_jobs``
@@ -128,7 +131,7 @@ def cluster_geometry(position: int, cluster_start: int,
     The detailed ramp borrows its instructions from the end of the gap
     so cluster positions stay comparable across methods; returns
     ``(ramp, gap)``.  Single-sourced here so the serial walk, the cold
-    scan, and the audit reference trajectory can never drift apart.
+    scan, and the stored-shard validation can never drift apart.
     """
     ramp = min(detail_ramp, max(0, cluster_start - position))
     gap = cluster_start - position - ramp
@@ -203,12 +206,20 @@ class ShardResult:
 # ---------------------------------------------------------------------------
 
 
-def run_serial(simulator, method) -> SampledRunResult:
+def run_serial(simulator, method, observer=None) -> SampledRunResult:
     """The continuous serial walk (the paper's Figure 1 loop).
 
     Cache and branch-predictor state flow continuously through the whole
     run; this is the reference semantics every other strategy is
     measured against.
+
+    `observer` is the walk's one cluster-entry hook: its
+    ``before_cluster(index, method, stack)`` runs after the method's
+    ``pre_cluster()``, just before the cluster's detailed simulation, and
+    its ``after_cluster(index, method, ipc)`` once the cluster's IPC is
+    known.  The audit probe, the audit reference trajectory and
+    live-points generation are observers (:func:`record_cluster_entries`).
+    With no observer, ``REPRO_AUDIT`` attaches the audit probe.
     """
     configs = simulator.configs
     telemetry = simulator._telemetry_session()
@@ -242,12 +253,10 @@ def run_serial(simulator, method) -> SampledRunResult:
     # test per cluster.  Audit data rides the telemetry session; with
     # an explicit null session there is nowhere to put it, so the
     # probe is skipped.
-    audit = None
-    if audit_enabled() and traced:
+    if observer is None and audit_enabled() and traced:
         from ..analysis.audit import AuditProbe
 
-        audit = AuditProbe.for_run(simulator, stack.hierarchy,
-                                   stack.predictor, telemetry)
+        observer = AuditProbe.for_run(simulator, telemetry)
 
     cluster_size = simulator.regimen.cluster_size
     detail_ramp = simulator.detail_ramp
@@ -271,9 +280,9 @@ def run_serial(simulator, method) -> SampledRunResult:
         with telemetry.span(PHASE_RECONSTRUCT, cat="phase"), \
                 telemetry.phase(PHASE_RECONSTRUCT):
             hook = method.pre_cluster()
-        if audit is not None:
+        if observer is not None:
             with telemetry.span("audit", cat="phase"):
-                audit.before_cluster(index, method)
+                observer.before_cluster(index, method, stack)
         with telemetry.span(PHASE_HOT_SIM, cat="phase"), \
                 telemetry.phase(PHASE_HOT_SIM):
             result = timing.run(
@@ -291,11 +300,11 @@ def run_serial(simulator, method) -> SampledRunResult:
         position += result.instructions
         cost.hot_instructions += result.instructions
         cluster_ipcs.append(result.ipc)
-        if audit is not None:
+        if observer is not None:
             # Emitted before end_cluster so the audit record sorts
             # (stably) ahead of its cluster record after any merge.
             with telemetry.span("audit", cat="phase"):
-                audit.after_cluster(index, method, result.ipc)
+                observer.after_cluster(index, method, result.ipc)
         if traced:
             cost_now = cost.as_dict()
             deltas = {
@@ -343,6 +352,59 @@ def run_serial(simulator, method) -> SampledRunResult:
         wall_seconds=wall_seconds,
         extra=extra,
     )
+
+
+@dataclass(frozen=True)
+class ClusterEntry:
+    """The serial walk at one cluster entry: its state and the cluster's IPC.
+
+    `state` is captured after the method's ``pre_cluster()`` with pending
+    on-demand repairs finalised (behaviour-neutral: they are exactly what
+    the cluster's probes would reconstruct), so it is the state the
+    cluster's detailed simulation consumes.
+    """
+
+    cluster_index: int
+    start: int
+    state: WarmState
+    ipc: float
+
+
+class _EntryRecorder:
+    """Cluster-entry observer capturing a :class:`ClusterEntry` per cluster."""
+
+    def __init__(self, starts) -> None:
+        self.starts = starts
+        self.entries: list[ClusterEntry] = []
+        self._state = None
+
+    def before_cluster(self, index: int, method, stack) -> None:
+        method.finalize_pending()
+        self._state = WarmState.capture(stack)
+
+    def after_cluster(self, index: int, method, ipc: float) -> None:
+        self.entries.append(ClusterEntry(
+            cluster_index=index, start=self.starts[index],
+            state=self._state, ipc=ipc))
+
+
+def record_cluster_entries(workload, regimen, configs, method,
+                           warmup_prefix: int = 0,
+                           detail_ramp: int = 0) -> tuple[ClusterEntry, ...]:
+    """Run `method`'s serial walk and capture every cluster entry.
+
+    The walk runs on the null telemetry session, so it emits no spans,
+    events or records (and attaches no audit probe).  The audit
+    reference trajectory is this walk of SMARTS; a live-points library
+    is this walk of its generating method.
+    """
+    simulator = SampledSimulator(
+        workload, regimen, configs, warmup_prefix=warmup_prefix,
+        detail_ramp=detail_ramp, telemetry=NULL_TELEMETRY,
+    )
+    recorder = _EntryRecorder(regimen.cluster_starts())
+    run_serial(simulator, method, observer=recorder)
+    return tuple(recorder.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +648,7 @@ def run_shard(task: ShardTask, shard: ClusterShard) -> ShardResult:
     if shard.audit_slice is not None and traced:
         from ..analysis.audit import AuditProbe
 
-        audit = AuditProbe(shard.audit_slice, stack.hierarchy,
-                           stack.predictor, telemetry)
+        audit = AuditProbe(shard.audit_slice, telemetry)
 
     cost = method.cost
     if traced:
@@ -603,7 +664,7 @@ def run_shard(task: ShardTask, shard: ClusterShard) -> ShardResult:
         hook = method.pre_cluster()
     if audit is not None:
         with telemetry.span("audit", cat="phase"):
-            audit.before_cluster(shard.index, method)
+            audit.before_cluster(shard.index, method, stack)
     with telemetry.span(PHASE_HOT_SIM, cat="phase"), \
             telemetry.phase(PHASE_HOT_SIM):
         result = stack.timing.run(

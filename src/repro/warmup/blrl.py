@@ -11,6 +11,7 @@ references whose previous touch is also inside the cluster are ignored
 
 from __future__ import annotations
 
+from ..functional.checkpoint import FunctionalCheckpoint
 from .base import WarmupMethod
 from .mrrl import reuse_latency_percentile
 
@@ -43,7 +44,7 @@ class BLRLWarmup(WarmupMethod):
         cluster_size = context.regimen.cluster_size if context.regimen else 0
         horizon = gap + cluster_size
 
-        checkpoint = machine.checkpoint()
+        checkpoint = FunctionalCheckpoint.capture(machine)
         line_shift = self.line_bytes.bit_length() - 1
         last_touch: dict[int, int] = {}
         boundary_latencies: list[int] = []
@@ -64,7 +65,7 @@ class BLRLWarmup(WarmupMethod):
 
         base_retired = machine.instructions_retired
         machine.run(horizon, mem_hook=mem_hook)
-        machine.restore(checkpoint)
+        checkpoint.restore(machine)
 
         window = reuse_latency_percentile(
             boundary_latencies, self.percentile

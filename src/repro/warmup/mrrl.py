@@ -15,6 +15,7 @@ the real cold/warm execution.
 
 from __future__ import annotations
 
+from ..functional.checkpoint import FunctionalCheckpoint
 from .base import WarmupMethod
 
 
@@ -57,7 +58,7 @@ class MRRLWarmup(WarmupMethod):
         cluster_size = context.regimen.cluster_size if context.regimen else 0
         horizon = gap + cluster_size
 
-        checkpoint = machine.checkpoint()
+        checkpoint = FunctionalCheckpoint.capture(machine)
         line_shift = self.line_bytes.bit_length() - 1
         last_touch: dict[int, int] = {}
         latencies: list[int] = []
@@ -73,7 +74,7 @@ class MRRLWarmup(WarmupMethod):
 
         base_retired = machine.instructions_retired
         machine.run(horizon, mem_hook=mem_hook)
-        machine.restore(checkpoint)
+        checkpoint.restore(machine)
 
         window = reuse_latency_percentile(latencies, self.percentile)
         return min(window, gap)

@@ -97,6 +97,7 @@ def test_checkpoint_is_frozen_and_carries_resident_words():
     machine.run(WARMUP)
     checkpoint = FunctionalCheckpoint.capture(machine)
     assert checkpoint.resident_words() > 0
+    assert checkpoint.memory_words == machine.memory._words
     with pytest.raises(AttributeError):
         checkpoint.pc = 0
 
@@ -193,6 +194,19 @@ def test_delta_holds_exactly_the_differing_words(base, writes):
     target = FunctionalMachine(_halting_program())
     checkpoint.restore(target, _memory(base))
     assert target.memory._words == machine.memory._words
+
+
+@given(words=images, write=values)
+@settings(max_examples=100, deadline=None)
+def test_capture_without_base_copies_every_word(words, write):
+    machine = FunctionalMachine(_halting_program(), _memory(words))
+    checkpoint = FunctionalCheckpoint.capture(machine)
+    assert checkpoint.memory_words == machine.memory._words
+    assert checkpoint.base_words == 0
+    # A copy, not the live image: later stores never reach the capture.
+    captured = dict(checkpoint.memory_words)
+    machine.memory.store(512, write)
+    assert checkpoint.memory_words == captured
 
 
 @given(base=images, other=images)

@@ -3,7 +3,9 @@ checkpointing."""
 
 import pytest
 
-from repro.functional import FunctionalMachine, Memory, to_signed
+from repro.functional import (
+    FunctionalCheckpoint, FunctionalMachine, Memory, to_signed,
+)
 from repro.isa import ProgramBuilder
 
 MASK64 = (1 << 64) - 1
@@ -235,11 +237,11 @@ class TestCheckpoint:
     def test_checkpoint_restore_roundtrip(self):
         machine = TestRunAndHooks()._looping_machine()
         machine.run(10)
-        checkpoint = machine.checkpoint()
+        checkpoint = FunctionalCheckpoint.capture(machine)
         registers = list(machine.registers)
         pc = machine.pc
         machine.run(100)
-        machine.restore(checkpoint)
+        checkpoint.restore(machine)
         assert machine.registers == registers
         assert machine.pc == pc
         assert machine.instructions_retired == 10
@@ -247,19 +249,19 @@ class TestCheckpoint:
     def test_restore_isolates_memory(self):
         machine = TestRunAndHooks()._looping_machine()
         machine.run(4)
-        checkpoint = machine.checkpoint()
+        checkpoint = FunctionalCheckpoint.capture(machine)
         word = machine.memory.load(0x5008)
         machine.memory.store(0x5008, 999)
-        machine.restore(checkpoint)
+        checkpoint.restore(machine)
         assert machine.memory.load(0x5008) == word
 
     def test_deterministic_replay_after_restore(self):
         machine = TestRunAndHooks()._looping_machine()
         machine.run(5)
-        checkpoint = machine.checkpoint()
+        checkpoint = FunctionalCheckpoint.capture(machine)
         machine.run(50)
         state_a = (machine.pc, list(machine.registers))
-        machine.restore(checkpoint)
+        checkpoint.restore(machine)
         machine.run(50)
         state_b = (machine.pc, list(machine.registers))
         assert state_a == state_b

@@ -212,10 +212,10 @@ class TestHaltedCheckpoint:
 
     def test_in_process_checkpoint_restores_halted(self):
         machine = self._halted_machine()
-        checkpoint = machine.checkpoint()
+        checkpoint = FunctionalCheckpoint.capture(machine)
         assert checkpoint.halted is True
         machine.halted = False  # simulate reuse of the same machine
-        machine.restore(checkpoint)
+        checkpoint.restore(machine)
         assert machine.halted is True
         # A restored halted machine must not resume past program end.
         assert machine.run(5) == 0

@@ -24,7 +24,7 @@ from repro.cache import paper_hierarchy_config
 from repro.harness import SCALES
 from repro.sampling import SampledSimulator, build_simulation, measure_true_ipc
 from repro.sampling.controller import (
-    PREFIX_MEMO_LIMIT, PrefixSnapshot, steady_state_prefix,
+    PREFIX_MEMO_LIMIT, WarmState, steady_state_prefix,
 )
 from repro.warmup import registered_method_names, resolve_method
 from repro.workloads import build_workload, cached_workload
@@ -67,13 +67,13 @@ def _state(stack) -> dict:
 def spy_restores(monkeypatch):
     """The snapshots restored inside the test, in order."""
     restored = []
-    restore = PrefixSnapshot.restore
+    restore = WarmState.restore
 
     def spy(snapshot, stack):
         restored.append(snapshot)
         restore(snapshot, stack)
 
-    monkeypatch.setattr(PrefixSnapshot, "restore", spy)
+    monkeypatch.setattr(WarmState, "restore", spy)
     return restored
 
 
@@ -205,7 +205,7 @@ class TestProcessScope:
         assert len(_memo(workload)) == 1
         blob = pickle.dumps(workload)
         assert b"_prefix_memo" not in blob
-        assert b"PrefixSnapshot" not in blob
+        assert b"WarmState" not in blob
         copy = pickle.loads(blob)
         assert _memo(copy) == {}
         assert len(_memo(workload)) == 1

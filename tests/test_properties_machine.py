@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.functional import FunctionalMachine, to_signed
+from repro.functional import FunctionalCheckpoint, FunctionalMachine, to_signed
 from repro.isa import ProgramBuilder
 
 MASK64 = (1 << 64) - 1
@@ -113,9 +113,9 @@ def test_checkpoint_restore_replays_identically(prefix):
     from repro.workloads import build_workload
     machine = build_workload("twolf").make_machine()
     machine.run(prefix)
-    checkpoint = machine.checkpoint()
+    checkpoint = FunctionalCheckpoint.capture(machine)
     machine.run(200)
     after_first = (machine.pc, tuple(machine.registers))
-    machine.restore(checkpoint)
+    checkpoint.restore(machine)
     machine.run(200)
     assert (machine.pc, tuple(machine.registers)) == after_first
