@@ -77,6 +77,7 @@ from bisect import bisect_left
 
 import numpy as np
 
+from ..functional.blocks import Emitter
 from .source import (
     BR_CALL,
     BR_COND,
@@ -113,6 +114,33 @@ _COND_CODE = BR_COND << 1
 _CALL_CODE = BR_CALL << 1
 _RET_CODE = BR_RET << 1
 _JUMP_CODE = BR_JUMP << 1
+
+
+def _branch_code(inst) -> int:
+    """``kind << 1`` of the transfer `inst`, classified by its flags."""
+    if inst.is_cond_branch:
+        return _COND_CODE
+    if inst.is_call:
+        return _CALL_CODE
+    if inst.is_ret:
+        return _RET_CODE
+    return _JUMP_CODE
+
+
+class _LogEmitter(Emitter):
+    """The hooks' appends, emitted into the translated blocks, with the
+    branch code ``kind << 1 | taken`` a constant."""
+
+    kind = "log"
+    params = ("a", "k", "p", "t", "c")
+
+    @staticmethod
+    def memory(pc, retired, address, ref) -> list[str]:
+        return [f"a({address}); k({ref})"]
+
+    @staticmethod
+    def transfer(pc, next_pc, inst, taken, retired) -> list[str]:
+        return [f"p({pc}); t({next_pc}); c({_branch_code(inst) | taken})"]
 
 
 def _columns(*dtypes) -> tuple:
@@ -317,16 +345,17 @@ class CompactedSkipRegionLog(ReconstructionSource):
         def branch_hook(pc, next_pc, inst, taken):
             append_pc(pc)
             append_target(next_pc)
-            if inst.is_cond_branch:
-                append_code(_COND_CODE | taken)
-            elif inst.is_call:
-                append_code(_CALL_CODE | taken)
-            elif inst.is_ret:
-                append_code(_RET_CODE | taken)
-            else:
-                append_code(_JUMP_CODE | taken)
+            append_code(_branch_code(inst) | taken)
 
         return branch_hook
+
+    def make_emitter(self) -> Emitter:
+        """The hooks' appends as emitted code, bound to the pending
+        columns, which every fold empties in place."""
+        return _LogEmitter(self._addresses.append, self._kinds.append,
+                           self._branch_pcs.append,
+                           self._branch_targets.append,
+                           self._branch_codes.append)
 
     # -- the fold --------------------------------------------------------------
 

@@ -119,6 +119,9 @@ class ReverseStateReconstruction(WarmupMethod):
         mem_hook = log.make_mem_hook() if self.warm_cache else None
         ifetch_hook = log.make_ifetch_hook() if self.warm_cache else None
         branch_hook = log.make_branch_hook() if self.warm_predictor else None
+        # A source may compile its appends into the translated blocks.
+        make_emitter = getattr(log, "make_emitter", None)
+        emitter = make_emitter() if make_emitter is not None else None
 
         machine = context.machine
         block_bytes = context.hierarchy.l1i.config.line_bytes
@@ -132,6 +135,7 @@ class ReverseStateReconstruction(WarmupMethod):
                 branch_hook=branch_hook,
                 ifetch_hook=ifetch_hook,
                 ifetch_block_bytes=block_bytes,
+                emitter=emitter,
             )
             log.compact()
         self.cost.functional_instructions += executed

@@ -7,34 +7,64 @@ poisoned predecode slot (both left to ``step()``), at the end of the
 program, or after :data:`BLOCK_CAP` instructions.  Each block is
 translated once into a Python function whose operands are integer
 constants from the predecoded columns.  ``addi r3, r1, 5; load r4,
-8(r3); bne r3, r4, 5`` at pc 10, with a mem hook, becomes::
+8(r3); bne r3, r4, 5`` at pc 10, with callable mem, branch and ifetch
+hooks (16 instructions per ifetch block), becomes::
 
-    def block(m, r, ld, st, mh, bh, ih, n):
+    def block(m, r, ld, st, h, n, lf):
+        mh, bh, ih = h
+        if lf != 0:
+            ih(4194344)
         r[3] = (r[1] + 5) & 18446744073709551615
         x = (r[3] + 8) & 18446744073709551615
         r[4] = ld(x)
         m.pc = 12; m.instructions_retired = n + 2
         mh(11, 12, x, False)
         if r[3] != r[4]:
+            m.pc = 5; m.instructions_retired = n + 3
+            bh(12, 5, I[12], True)
             return 5
+        m.pc = 13; m.instructions_retired = n + 3
+        bh(12, 13, I[12], False)
         return 13
 
 Everything a call may change arrives as an argument: the machine ``m``,
 its registers ``r`` and ``memory.load``/``store`` (``restore()``
-replaces both), the three hooks, and ``n``, the retired count at block
-entry.  Before every mem or branch hook call the block writes the
-machine's ``pc`` and ``instructions_retired``, so a hook sees the state
-``step()`` would leave.  Signed comparisons flip the sign bit of both
-64-bit register values instead of calling :func:`to_signed`.
+replaces both), the hooks ``h``, ``n``, the retired count at block
+entry, and ``lf``, the ifetch block fetched last (the block reports its
+entry fetch unless it starts in that block).  Before every mem or
+branch hook call the block writes the machine's ``pc`` and
+``instructions_retired``, so a hook sees the state ``step()`` would
+leave.  Signed comparisons flip the sign bit of both 64-bit register
+values instead of calling :func:`to_signed`.
+
+A consumer that needs neither a frame per event nor that state hands
+``run`` an :class:`Emitter` beside its callables.  The skip log
+(:mod:`repro.core.compaction`) appends to its columns, with the branch
+code ``kind << 1 | taken`` a constant; functional warming
+(:func:`repro.warmup.base.warming_hooks`) calls ``warm_access`` and
+``update``.  The same block, for each::
+
+        a, k, p, t, c = h                 wa, up = h
+        if lf != 0:                       if lf != 0:
+            a(4194344); k(2)                  wa(4194344, False, True)
+        ...                               ...
+        r[4] = ld(x)                      r[4] = ld(x)
+        a(x); k(0)                        wa(x, False, False)
+        if r[3] != r[4]:                  if r[3] != r[4]:
+            p(12); t(5); c(1)                 up(12, I[12], True, 5)
+            return 5                          return 5
+        p(12); t(13); c(0)                up(12, I[12], False, 13)
+        return 13                         return 13
 
 The op emitters (:func:`operand_fields`, :func:`execute_lines`,
 :func:`transfer_parts`) also write the functional part of the timing
 core's blocks (:mod:`repro.timing.blocks`).
 
-Translations are cached per program and per hook signature (which hooks
-are present, and the ifetch block size in instructions) in
-``PredecodedProgram.blocks``.  An absent hook costs nothing, and the
-ifetch block crossings inside a block are emitted inline.  Each
+Translations are cached per program, per emitter kind and per hook
+signature (which hooks are present, and the ifetch block size in
+instructions) in ``PredecodedProgram.blocks``, so callable hooks never
+run a block compiled for an emitter.  An absent hook costs nothing, and
+the ifetch block crossings inside a block are emitted inline.  Each
 translation defines its function in a namespace of its own, so threads
 sharing one program may translate at once.
 """
@@ -182,22 +212,65 @@ def transfer_parts(op: int, fields: dict, target, fall_through):
     return lines, None, str(target)
 
 
+class Emitter:
+    """What a hook consumer's events compile to in translated blocks.
+
+    This base class compiles them to calls of the callable hooks
+    ``names = (mem_hook, branch_hook, ifetch_hook)``, after writing the
+    machine's ``pc`` and ``instructions_retired``.  A subclass compiles
+    them to code of its own over its bound :attr:`names`, which each
+    block unpacks from ``h`` into :attr:`params`.  Tables are cached per
+    :attr:`kind`, so the code depends on the class, never on an instance.
+    """
+
+    kind = "hooks"
+    params = ("mh", "bh", "ih")
+
+    def __init__(self, *names) -> None:
+        self.names = names
+
+    @staticmethod
+    def memory(pc: int, retired: int, address: str, ref: int) -> list[str]:
+        """Lines recording a reference to the expression `address`: `ref`
+        is 0 for a load, 1 for a store and 2 for an ifetch (the ``REF_*``
+        codes of :mod:`repro.core.source`)."""
+        if ref == 2:
+            return [f"ih({address})"]
+        return [f"m.pc = {pc + 1}; m.instructions_retired = n + {retired}",
+                f"mh({pc}, {pc + 1}, {address}, {ref == 1})"]
+
+    @staticmethod
+    def transfer(pc: int, next_pc, inst, taken: bool,
+                 retired: int) -> list[str]:
+        """Lines recording the transfer `inst` at `pc` to the expression
+        `next_pc`."""
+        return [f"m.pc = {next_pc}; m.instructions_retired = n + {retired}",
+                f"bh({pc}, {next_pc}, I[{pc}], {taken})"]
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return [f"    {line}" for line in lines]
+
+
 class BlockTable(dict):
-    """``pc -> (function, length, last ifetch block)`` for one program
-    and one hook signature; a pc is translated on its first lookup.
+    """``pc -> (function, length, last ifetch block)`` for one program,
+    one :class:`Emitter` class and one hook signature; a pc is
+    translated on its first lookup.
 
     ``length`` 0 marks a pc with no block (:data:`_NO_BLOCK`).
     """
 
-    def __init__(self, program, decoded, mem_hooked: bool,
+    def __init__(self, program, decoded, emitter: type, mem_hooked: bool,
                  branch_hooked: bool, per_block: int) -> None:
         super().__init__()
         # The columns, not `decoded`: the table lives in `decoded.blocks`,
         # and a reference back would make a cycle only the collector frees.
         self._columns = (decoded.ops, decoded.rds, decoded.rs1s,
                          decoded.rs2s, decoded.imms, decoded.targets)
+        self._instructions = program.instructions
         self._code_base = program.code_base
         self._instruction_bytes = program.instruction_bytes
+        self._emitter = emitter
         self._mem_hooked = mem_hooked
         self._branch_hooked = branch_hooked
         self._per_block = per_block
@@ -207,11 +280,23 @@ class BlockTable(dict):
         self[pc] = entry = self._translate(pc)
         return entry
 
+    def _fetch(self, pc: int) -> list[str]:
+        """Lines recording the fetch of the instruction at `pc`."""
+        address = self._code_base + pc * self._instruction_bytes
+        return self._emitter.memory(pc, 0, str(address), 2)
+
     def _translate(self, start: int):
         columns = self._columns
         ops, rds, _, _, _, targets = columns
         per_block = self._per_block
         body: list[str] = []
+        if self._mem_hooked or self._branch_hooked or per_block:
+            body.append(", ".join(self._emitter.params) + " = h")
+        if per_block:
+            # The entry fetch, unless the block fetched last ended in this
+            # fetch block (``lf``).
+            body += [f"if lf != {start // per_block}:",
+                     *_indent(self._fetch(start))]
         pc = start
         transfer = False
         while 0 <= pc < len(ops) and pc - start < BLOCK_CAP:
@@ -219,8 +304,7 @@ class BlockTable(dict):
             if op == Opcode.HALT or op < 0:
                 break
             if per_block and pc > start and pc % per_block == 0:
-                fetched = self._code_base + pc * self._instruction_bytes
-                body.append(f"ih({fetched})")
+                body += self._fetch(pc)
             fields = operand_fields(columns, pc)
             retired = pc - start + 1
             if op in _CONTROL:
@@ -233,15 +317,14 @@ class BlockTable(dict):
             body += execute_lines(op, rds[pc], fields,
                                   "x" if mem_hooked else None)
             if mem_hooked:
-                body.append(f"m.pc = {pc + 1}; "
-                            f"m.instructions_retired = n + {retired}")
-                body.append(f"mh({pc}, {pc + 1}, x, {op == Opcode.STORE})")
+                body += self._emitter.memory(pc, retired, "x",
+                                             int(op == Opcode.STORE))
             pc += 1
         if pc == start:
             return _NO_BLOCK
         if not transfer:
             body.append(f"return {pc}")
-        source = "def block(m, r, ld, st, mh, bh, ih, n):\n" + "".join(
+        source = "def block(m, r, ld, st, h, n, lf):\n" + "".join(
             f"    {line}\n" for line in body)
         namespace: dict = {}
         exec(compile(source, "<translated block>", "exec"), self._globals,
@@ -252,34 +335,33 @@ class BlockTable(dict):
     def _transfer(self, op: int, pc: int, fields: dict, target: int,
                   retired: int) -> list[str]:
         """Lines that execute the control transfer at `pc` and return the
-        next pc, firing the branch hook first when there is one."""
+        next pc, recording it first when a branch hook is present."""
+        inst = self._instructions[pc]
 
         def leave(next_pc, taken: bool) -> list[str]:
             lines = [f"return {next_pc}"]
             if self._branch_hooked:
-                lines[:0] = [
-                    f"m.pc = {next_pc}; m.instructions_retired = n + {retired}",
-                    f"bh({pc}, {next_pc}, I[{pc}], {taken})",
-                ]
+                lines[:0] = self._emitter.transfer(pc, next_pc, inst, taken,
+                                                   retired)
             return lines
 
         lines, condition, taken_pc = transfer_parts(op, fields, target,
                                                     pc + 1)
         if condition is None:
             return lines + leave(taken_pc, True)
-        return [f"if {condition}:",
-                *(f"    {line}" for line in leave(taken_pc, True)),
+        return [f"if {condition}:", *_indent(leave(taken_pc, True)),
                 *leave(pc + 1, False)]
 
 
-def block_table(program, mem_hooked: bool, branch_hooked: bool,
-                per_block: int) -> BlockTable:
-    """The cached :class:`BlockTable` of `program` for one hook signature
-    (`per_block` 0 when there is no ifetch hook)."""
+def block_table(program, emitter: type, mem_hooked: bool,
+                branch_hooked: bool, per_block: int) -> BlockTable:
+    """The cached :class:`BlockTable` of `program` for one emitter class
+    and one hook signature (`per_block` 0 when there is no ifetch
+    hook)."""
     decoded = predecode_program(program)
-    key = (mem_hooked, branch_hooked, per_block)
+    key = (emitter.kind, mem_hooked, branch_hooked, per_block)
     table = decoded.blocks.get(key)
     if table is None:
         table = decoded.blocks[key] = BlockTable(
-            program, decoded, mem_hooked, branch_hooked, per_block)
+            program, decoded, emitter, mem_hooked, branch_hooked, per_block)
     return table

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from ..isa import Opcode, Program, NUM_REGISTERS, LINK_REGISTER, STACK_POINTER
 from .memory import Memory
-from .blocks import block_table, divide_signed, to_signed
+from .blocks import Emitter, block_table, divide_signed, to_signed
 
 _MASK64 = (1 << 64) - 1
 
@@ -240,6 +240,7 @@ class FunctionalMachine:
         branch_hook=None,
         ifetch_hook=None,
         ifetch_block_bytes: int = 64,
+        emitter=None,
     ) -> int:
         """Execute up to `count` instructions; return how many retired.
 
@@ -254,6 +255,13 @@ class FunctionalMachine:
         the machine state each mem and branch hook sees, and ifetch
         continuity.  Raises ``ValueError`` when execution reaches a pc
         outside the program.
+
+        With an `emitter`, the blocks run its code for the hooks' events
+        instead of calling them, and skip the ``pc`` and
+        ``instructions_retired`` writes: emitted code (the skip log's
+        appends, functional warming's calls) never reads the machine.
+        The hooks must record the same events, since :meth:`run_scalar`
+        calls them for what the blocks leave to it.
 
         Parameters
         ----------
@@ -274,16 +282,19 @@ class FunctionalMachine:
             observed call ended in does not re-report it (the controller
             invokes :meth:`run` once per phase, and a phase boundary is
             not a fetch).
+        emitter:
+            An :class:`~repro.functional.blocks.Emitter` for the hooks.
         """
         if count <= 0 or self.halted:
             return 0
         program = self.program
-        instruction_bytes = program.instruction_bytes
-        code_base = program.code_base
-        per_block = max(1, ifetch_block_bytes // instruction_bytes)
-        blocks = block_table(program, mem_hook is not None,
+        per_block = max(1, ifetch_block_bytes // program.instruction_bytes)
+        if emitter is None:
+            emitter = Emitter(mem_hook, branch_hook, ifetch_hook)
+        blocks = block_table(program, type(emitter), mem_hook is not None,
                              branch_hook is not None,
                              per_block if ifetch_hook is not None else 0)
+        hooks = emitter.names
         stored_per_block, last_fetch = self._last_fetch
         if stored_per_block != per_block:
             last_fetch = -1
@@ -307,12 +318,8 @@ class FunctionalMachine:
                 if self.halted:
                     break
                 continue
-            if ifetch_hook is not None:
-                if pc // per_block != last_fetch:
-                    ifetch_hook(code_base + pc * instruction_bytes)
-                last_fetch = last_block
-            pc = block(self, regs, load, store, mem_hook, branch_hook,
-                       ifetch_hook, retired)
+            pc = block(self, regs, load, store, hooks, retired, last_fetch)
+            last_fetch = last_block
             retired += length
         self.pc = pc
         self.instructions_retired = retired
@@ -329,10 +336,12 @@ class FunctionalMachine:
         branch_hook=None,
         ifetch_hook=None,
         ifetch_block_bytes: int = 64,
+        emitter=None,
     ) -> int:
         """The per-step reference engine (see :meth:`run` for the contract).
 
-        Every instruction goes through :meth:`step`; hooks fire inline.
+        Every instruction goes through :meth:`step`; hooks fire inline,
+        and `emitter` is ignored: the callables record the same events.
         Kept as the semantic baseline :meth:`run` is differentially
         fuzzed against, and as its fallback.
         """

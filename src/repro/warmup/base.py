@@ -21,6 +21,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
+from ..functional.blocks import Emitter
 from ..telemetry import NULL_TELEMETRY
 
 
@@ -77,6 +78,22 @@ class WarmupCost:
         }
 
 
+class _WarmEmitter(Emitter):
+    """Functional warming, emitted into the translated blocks: direct
+    calls of ``warm_access`` and ``update``."""
+
+    kind = "warm"
+    params = ("wa", "up")
+
+    @staticmethod
+    def memory(pc, retired, address, ref) -> list[str]:
+        return [f"wa({address}, {ref == 1}, {ref == 2})"]
+
+    @staticmethod
+    def transfer(pc, next_pc, inst, taken, retired) -> list[str]:
+        return [f"up({pc}, I[{pc}], {taken}, {next_pc})"]
+
+
 def warming_hooks(hierarchy, predictor, warm_cache: bool = True,
                   warm_predictor: bool = True) -> dict:
     """Keyword arguments that make ``FunctionalMachine.run`` warm.
@@ -87,11 +104,18 @@ def warming_hooks(hierarchy, predictor, warm_cache: bool = True,
     ``MemoryHierarchy.warm_access`` when `warm_cache`, and every control
     transfer trains ``BranchPredictor.update`` when `warm_predictor`.
     The hooks hold bound methods only, never a structure's state lists
-    (``reset`` and ``load_state`` rebind those).
+    (``reset``, ``load_state`` and ``WarmState.restore`` rebind those).
+
+    The translated blocks make those calls directly, through the
+    ``emitter``, with no hook frame in between and without writing the
+    machine's ``pc`` and ``instructions_retired`` first: neither
+    ``warm_access`` nor ``update`` reads the machine.  The callables
+    serve the instructions ``run`` steps one at a time.
     """
-    hooks = {"ifetch_block_bytes": hierarchy.l1i.config.line_bytes}
+    access, update = hierarchy.warm_access, predictor.update
+    hooks = {"ifetch_block_bytes": hierarchy.l1i.config.line_bytes,
+             "emitter": _WarmEmitter(access, update)}
     if warm_cache:
-        access = hierarchy.warm_access
 
         def mem_hook(pc, next_pc, address, is_store, _access=access):
             _access(address, is_store, False)
@@ -103,7 +127,7 @@ def warming_hooks(hierarchy, predictor, warm_cache: bool = True,
         hooks["ifetch_hook"] = ifetch_hook
     if warm_predictor:
 
-        def branch_hook(pc, next_pc, inst, taken, _update=predictor.update):
+        def branch_hook(pc, next_pc, inst, taken, _update=update):
             _update(pc, inst, taken, next_pc)
 
         hooks["branch_hook"] = branch_hook

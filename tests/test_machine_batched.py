@@ -383,7 +383,7 @@ class TestBlockTranslation:
         program = _mixed_program()
         for block_bytes in (16, 32, 64, 128):
             lockstep(program, 29, block_bytes=block_bytes)
-        ifetch_sizes = {key[2] for key in predecode_program(program).blocks}
+        ifetch_sizes = {key[3] for key in predecode_program(program).blocks}
         assert {4, 8, 16, 32} <= ifetch_sizes
 
     def test_interleaved_hook_signatures_on_one_program(self):
@@ -416,7 +416,7 @@ class TestBlockTranslation:
         middle = program.labels["top"] + 5
         while probe.pc != middle:
             probe.step()
-        table = predecode_program(program).blocks[(False, False, 0)]
+        table = predecode_program(program).blocks[("hooks", False, False, 0)]
         assert program.labels["top"] in table and middle not in table
         checkpoint = FunctionalCheckpoint.capture(probe)
         machines = tuple(checkpoint.restore(engine(program, Memory()))
@@ -440,7 +440,7 @@ class TestBlockTranslation:
             lockstep(program, chunk)
         machine = FunctionalMachine(program, Memory())
         machine.run(10_000)
-        table = predecode_program(program).blocks[(False, False, 0)]
+        table = predecode_program(program).blocks[("hooks", False, False, 0)]
         assert table[0][1] == BLOCK_CAP
 
     def test_rd0_load_and_alu_writes(self):
@@ -468,9 +468,9 @@ class TestBlockTranslation:
         import sys
         import threading
 
-        from repro.functional.blocks import block_table
+        from repro.functional.blocks import Emitter, block_table
 
-        signature = (True, True, 16)
+        signature = (Emitter, True, True, 16)
         reference = block_table(_mixed_program(), *signature)
         pcs = list(range(len(_mixed_program()) + 2))
         for pc in pcs:
@@ -509,7 +509,7 @@ class TestBlockTranslation:
     def test_indirect_transfers_land_mid_block(self):
         program = _mixed_program()
         lockstep(program, 1000)
-        table = predecode_program(program).blocks[(True, True, 16)]
+        table = predecode_program(program).blocks[("hooks", True, True, 16)]
         for label in ("jr_target", "callr_target", "ret_target"):
             landing = program.labels[label]
             assert landing in table, label
@@ -535,6 +535,39 @@ class TestHookVisibleState:
                 machine.run(chunk, **_hooks(trace, signature))
         assert traces[0].events == traces[1].events
         assert machine_state(machines[0]) == machine_state(machines[1])
+
+    @pytest.mark.parametrize("name", ("gcc", "parser"))
+    def test_emitted_tables_leave_callables_their_state(self, name):
+        """After the skip log's and functional warming's emitted blocks
+        ran on one program object, callable hooks still see the state
+        ``step()`` leaves before every call."""
+        from repro.branch import BranchPredictor
+        from repro.cache import MemoryHierarchy
+        from repro.core import ReverseStateReconstruction
+        from repro.harness import scale_from_env
+        from repro.warmup import resolve_method
+        from repro.warmup.base import SimulationContext
+
+        workload = build_workload(name, mem_scale=1, seed=11)
+        configs = scale_from_env(default="ci").configs()
+        for method in (ReverseStateReconstruction(0.2),
+                       resolve_method("S$BP")):
+            method.bind(SimulationContext(
+                machine=workload.make_machine(),
+                hierarchy=MemoryHierarchy(configs.hierarchy),
+                predictor=BranchPredictor(configs.predictor)))
+            method.skip(4000)
+        machines = [engine(workload.program, workload.memory.copy())
+                    for engine in ENGINES]
+        traces = [HookTrace(machine) for machine in machines]
+        for chunk in (700, 3000, 1, 2500):
+            for machine, trace in zip(machines, traces):
+                machine.run(chunk, **_hooks(trace, ("mem", "branch",
+                                                    "ifetch")))
+        assert traces[0].events == traces[1].events
+        assert {("log", True, True, 16), ("warm", True, True, 16),
+                ("hooks", True, True, 16)} <= set(
+            predecode_program(workload.program).blocks)
 
     @pytest.mark.parametrize("name", PAPER_WORKLOADS)
     def test_simpoint_bbv_matches_scalar(self, name):

@@ -11,7 +11,9 @@ window path) and at the paper's 20% tail (the walker PHT path and the
 partial-tail cache scan) — and require bit-identical per-cluster IPCs,
 identical WarmupCost ledgers, identical IPC estimates, and identical
 telemetry event counters (which subsume the gap-log record counts and
-the reconstruction scan/apply/skip accounting).
+the reconstruction scan/apply/skip accounting).  One serial gcc run per
+other way the skip hooks compile into translated blocks (S$BP, S$, SBP,
+R$ (100%), RBP) is held to the same record.
 
 The full nine-workload matrix runs in
 `benchmarks/test_perf_vectorized_core.py`; this tier-1 subset keeps the
@@ -28,6 +30,7 @@ from repro.core import ReverseStateReconstruction
 from repro.harness import scale_from_env
 from repro.sampling import SampledSimulator
 from repro.telemetry import Telemetry
+from repro.warmup import resolve_method
 from repro.workloads import build_workload
 from tests.oracle_engine import reference_engine
 from tests.oracle_skiplog import SOURCES
@@ -39,6 +42,15 @@ FRACTIONS = (1.0, 0.2)
 
 def _run(workload_name: str, source: str, cluster_jobs, fraction: float,
          engine) -> dict:
+    return _run_method(
+        workload_name,
+        lambda: ReverseStateReconstruction(fraction=fraction,
+                                           source=SOURCES[source]),
+        cluster_jobs, engine)
+
+
+def _run_method(workload_name: str, make_method, cluster_jobs,
+                engine) -> dict:
     scale = scale_from_env(default="ci")
     workload = build_workload(workload_name, mem_scale=scale.mem_scale)
     simulator = SampledSimulator(
@@ -49,10 +61,7 @@ def _run(workload_name: str, source: str, cluster_jobs, fraction: float,
         cluster_jobs=cluster_jobs,
     )
     with engine():
-        result = simulator.run(
-            ReverseStateReconstruction(fraction=fraction,
-                                       source=SOURCES[source])
-        )
+        result = simulator.run(make_method())
     snapshot = result.extra["telemetry"]
     return {
         "cluster_ipcs": result.cluster_ipcs,
@@ -77,6 +86,26 @@ def test_run_matches_reference_engine(workload_name, source, topology,
     for key in ("cluster_ipcs", "cost", "estimate", "counters"):
         assert reference[key] == production[key], (
             f"{label}: {key} diverges between the reference and "
+            f"production engines"
+        )
+
+
+#: One method per way the skip hooks compile into translated blocks:
+#: functional warming of the caches, the predictor or both, and the
+#: compacted log with its memory or its branch columns alone (the
+#: parametrized test above covers R$BP).
+EMITTER_VARIANTS = ("S$BP", "S$", "SBP", "R$ (100%)", "RBP")
+
+
+@pytest.mark.parametrize("method", EMITTER_VARIANTS)
+def test_emitter_variant_matches_reference_engine(method):
+    reference = _run_method("gcc", lambda: resolve_method(method), None,
+                            reference_engine)
+    production = _run_method("gcc", lambda: resolve_method(method), None,
+                             contextlib.nullcontext)
+    for key in ("cluster_ipcs", "cost", "estimate", "counters"):
+        assert reference[key] == production[key], (
+            f"gcc/{method}: {key} diverges between the reference and "
             f"production engines"
         )
 

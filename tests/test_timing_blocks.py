@@ -329,7 +329,7 @@ class TestDirected:
                     ifetch_block_bytes=64)
         assert set(predecode_program(program).blocks) == {
             ("timing", 16, 64), ("timing", 16, 32), ("timing", 8, 64),
-            (False, False, 16)}
+            ("hooks", False, False, 16)}
 
     def test_threads_translating_one_table(self):
         """Threads missing on one shared table each cache their own pc's
