@@ -1,4 +1,4 @@
-"""Analysis tools: fidelity scoring, IPC profiles, and accuracy audits."""
+"""Analysis tools: warm-up fidelity scoring and accuracy audits."""
 
 from .audit import (
     AuditProbe,
@@ -12,17 +12,11 @@ from .fidelity import (
     FidelityReport,
     measure_state_fidelity,
 )
-from .phases import (
-    IPCProfile,
-    measure_ipc_profile,
-)
 
 __all__ = [
     "StateFidelity",
     "FidelityReport",
     "measure_state_fidelity",
-    "IPCProfile",
-    "measure_ipc_profile",
     "AuditProbe",
     "ReferenceTrajectory",
     "compute_reference_trajectory",

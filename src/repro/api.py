@@ -15,15 +15,14 @@ Three levels of entry cover the common workflows:
       grid = run_matrix(methods=["S$BP", "R$BP (100%)"],
                         workloads=["gcc", "twolf"], design="ci")
 
-- :class:`RunRequest` / :func:`submit` / :func:`gather` — declarative
+- :class:`RunRequest` / :func:`execute_request` — declarative
   experiment requests with JSON-able, content-addressed results; the
   same objects the long-running simulation service
   (:mod:`repro.service`) accepts over HTTP::
 
-      from repro.api import RunRequest, gather, submit
-      handles = [submit(RunRequest(kind="sample", workloads=("gcc",))),
-                 submit(RunRequest(kind="matrix", methods=("rsr",)))]
-      results = gather(handles, executor="pool")
+      from repro.api import RunRequest, execute_request
+      result = execute_request(RunRequest(kind="sample",
+                                          workloads=("gcc",)))
 
 Methods are named: anything registered in the warm-up registry resolves,
 including the case-insensitive aliases ``"rsr"`` (R$BP at 100%) and
@@ -43,16 +42,16 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from .harness.cache import ResultCache, code_version, resolve_cache
+from .harness.cache import code_version, resolve_cache
 from .harness.experiment import (
     ExperimentScale,
     SCALES,
     scale_from_env,
     true_run_for,
 )
-from .harness.parallel import execute_matrix, map_tasks
+from .harness.parallel import execute_matrix
 from .sampling import SampledRunResult, SampledSimulator, SamplingRegimen
 from .warmup import WarmupMethod, method_factory, resolve_method
 from .workloads import PAPER_WORKLOADS, Workload, cached_workload
@@ -184,8 +183,7 @@ def run_matrix(methods=None, workloads=PAPER_WORKLOADS, design=None, *,
 
 
 # ---------------------------------------------------------------------------
-# Declarative requests: the JSON-able surface shared by submit()/gather()
-# and the simulation service.
+# Declarative requests: the JSON-able surface of the simulation service.
 # ---------------------------------------------------------------------------
 
 _REQUEST_KINDS = ("sample", "matrix", "audit")
@@ -420,8 +418,8 @@ def execute_request(request: RunRequest, *, executor=None,
                     cache=None, progress=None) -> RunResult:
     """Execute one :class:`RunRequest` and return its :class:`RunResult`.
 
-    This is the single execution path shared by :func:`gather` and the
-    simulation service.  `cache` (a :class:`~repro.harness.ResultCache`,
+    This is the simulation service's execution path, and inline calls
+    take the same one.  `cache` (a :class:`~repro.harness.ResultCache`,
     a directory path, or ``None`` for the ``REPRO_RESULT_CACHE``
     default) is read through first: a hit returns the stored payload
     without re-running anything — in particular without re-entering
@@ -450,68 +448,3 @@ def execute_request(request: RunRequest, *, executor=None,
         cache.put(key, payload)
     return RunResult(request=request, payload=payload, cached=False,
                      wall_seconds=time.perf_counter() - start)
-
-
-@dataclass
-class RunHandle:
-    """A submitted request awaiting :func:`gather` (or lazy execution)."""
-
-    request: RunRequest
-    cache_setting: "str | None" = None
-    _result: "RunResult | None" = field(default=None, repr=False)
-
-    def done(self) -> bool:
-        return self._result is not None
-
-    def result(self, *, executor=None) -> RunResult:
-        """The request's result, executing inline on first access."""
-        if self._result is None:
-            self._result = execute_request(
-                self.request, executor=executor,
-                cache=self.cache_setting,
-            )
-        return self._result
-
-
-def submit(request: RunRequest, *, cache=None) -> RunHandle:
-    """Record a request for a later :func:`gather` fan-out.
-
-    `cache` accepts a :class:`~repro.harness.ResultCache` (its root
-    directory is forwarded to workers), a directory path, ``"off"``, or
-    ``None`` for the environment default.
-    """
-    if isinstance(cache, ResultCache):
-        cache = str(cache.root)
-    return RunHandle(request=request, cache_setting=cache)
-
-
-def _gather_task(task) -> RunResult:
-    """Module-level worker for :func:`gather` (must pickle)."""
-    payload, cache_setting = task
-    return execute_request(RunRequest.from_payload(payload),
-                           cache=cache_setting)
-
-
-def gather(handles, *, executor=None, jobs=None) -> list[RunResult]:
-    """Execute submitted handles through an executor backend.
-
-    Results come back in submission order regardless of completion
-    order (the executor protocol's deterministic-fold guarantee).
-    Handles that already have results keep them; only pending requests
-    fan out.  `executor` is a backend name, an
-    :class:`~repro.harness.Executor` instance, or ``None`` for the
-    ``REPRO_EXECUTOR`` / default resolution.
-    """
-    handles = list(handles)
-    pending = [i for i, handle in enumerate(handles) if not handle.done()]
-    if pending:
-        tasks = [
-            (handles[i].request.to_payload(), handles[i].cache_setting)
-            for i in pending
-        ]
-        if jobs is None:
-            jobs = len(tasks)
-        results = map_tasks(_gather_task, tasks, jobs, executor=executor)
-        for i, result in zip(pending, results):
-            handles[i]._result = result
-    return [handle.result() for handle in handles]

@@ -26,7 +26,6 @@ from .cache_reconstruct import (
     CacheReconstructionStats,
 )
 from .ras_reconstruct import (
-    reconstruct_ras,
     reconstruct_ras_contents,
     reconstruct_ras_from_source,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "MAX_HISTORY",
     "ReverseCacheReconstructor",
     "CacheReconstructionStats",
-    "reconstruct_ras",
     "reconstruct_ras_contents",
     "reconstruct_ras_from_source",
     "ReverseBranchReconstructor",

@@ -45,21 +45,6 @@ def reconstruct_ras_contents(
     return contents
 
 
-def reconstruct_ras(ras: ReturnAddressStack,
-                    branch_records: list[tuple[int, int, bool, int]]) -> int:
-    """Rebuild `ras` in place; returns the number of entries recovered.
-
-    Note: entries that were live *before* the skip region and survive it
-    (calls still outstanding from earlier execution) are not recoverable
-    from the skip log alone; like the paper, reconstruction fills only
-    what the log proves, and deeper slots keep whatever the algorithm
-    recovered (a finite RAS loses deep history anyway).
-    """
-    contents = reconstruct_ras_contents(branch_records, ras.size)
-    ras.set_contents(contents)
-    return len(contents)
-
-
 def reconstruct_ras_from_source(ras: ReturnAddressStack, source,
                                 fraction: float = 1.0) -> int:
     """Rebuild `ras` from a :class:`~repro.core.source.ReconstructionSource`.

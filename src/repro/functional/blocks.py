@@ -104,12 +104,17 @@ def divide_signed(dividend: int, divisor: int) -> int:
     return quotient & _MASK64
 
 
+#: ``r[a] + i`` wrapped to 64 bits: an ADDI's value and a LOAD/STORE's
+#: effective address.  A zero immediate drops the add but keeps the
+#: mask, since a loaded word (``Memory.store`` does not wrap) may lie
+#: outside ``[0, 2**64)``.
+_BASE_PLUS_IMM = ("(r[{a}] + {i}) & {M}", "r[{a}] & {M}")
+
 #: The value a register-writing ALU op assigns, over source registers
 #: ``a``/``b`` and the immediate ``i`` (``u`` masked to 64 bits, ``sh``
 #: to a shift amount, ``s`` biased by the sign bit).
 _ALU = {
     Opcode.ADD: "(r[{a}] + r[{b}]) & {M}",
-    Opcode.ADDI: "(r[{a}] + {i}) & {M}",
     Opcode.LI: "{u}",
     Opcode.SUB: "(r[{a}] - r[{b}]) & {M}",
     Opcode.MUL: "(r[{a}] * r[{b}]) & {M}",
@@ -158,13 +163,15 @@ def operand_fields(columns, pc: int) -> dict:
 
     `columns` is ``(ops, rds, rs1s, rs2s, imms, targets)``: source
     registers ``a``/``b``, the immediate ``i`` (``u`` masked to 64 bits,
-    ``sh`` to a shift amount, ``s`` biased by the sign bit), and the
-    masks ``M``/``S``.
+    ``sh`` to a shift amount, ``s`` biased by the sign bit), the masks
+    ``M``/``S``, and ``Z``, whether the immediate is zero (which changes
+    the lines :func:`execute_lines` emits, not only their operands).
     """
     _, _, rs1s, rs2s, imms, _ = columns
     imm = imms[pc]
     return dict(a=rs1s[pc], b=rs2s[pc], i=imm, u=imm & _MASK64,
-                sh=imm & 63, s=imm + _SIGN_BIT, M=_MASK64, S=_SIGN_BIT)
+                sh=imm & 63, s=imm + _SIGN_BIT, M=_MASK64, S=_SIGN_BIT,
+                Z=imm == 0)
 
 
 def execute_lines(op: int, rd: int, fields: dict,
@@ -174,12 +181,14 @@ def execute_lines(op: int, rd: int, fields: dict,
     A LOAD/STORE first binds its effective address to the variable
     `address` when one is named, so a hook or timed access can reuse it.
     """
-    if op in _ALU:
-        return [f"r[{rd}] = " + _ALU[op].format_map(fields)] if rd else []
+    if op == Opcode.ADDI or op in _ALU:
+        template = (_BASE_PLUS_IMM[fields["Z"]] if op == Opcode.ADDI
+                    else _ALU[op])
+        return [f"r[{rd}] = " + template.format_map(fields)] if rd else []
     if op != Opcode.LOAD and op != Opcode.STORE:
         return []
     lines = []
-    effective = "(r[{a}] + {i}) & {M}".format_map(fields)
+    effective = _BASE_PLUS_IMM[fields["Z"]].format_map(fields)
     if address is not None:
         lines.append(f"{address} = {effective}")
         effective = address

@@ -12,7 +12,7 @@ task order.  This module lifts that interface out of the hard-wired
     Plain in-process loop.  No pickling requirements, deterministic,
     the reference semantics every other backend must match bit for bit.
 ``pool``
-    The default (including :func:`repro.api.gather`): a
+    The default: a
     ``ProcessPoolExecutor`` fan-out with graceful in-process fallbacks
     (``jobs <= 1``, daemonic caller, platforms without working pools,
     work a spawn-started worker cannot unpickle, a worker killed

@@ -9,7 +9,6 @@ from .opcodes import (
     is_alu,
     is_conditional_branch,
     is_control,
-    is_memory,
 )
 from .instructions import Instruction
 from .program import (
@@ -21,7 +20,6 @@ from .program import (
 )
 from .builder import ProgramBuilder, UndefinedLabelError
 from .assembler import assemble, AssemblyError
-from .disasm import disassemble, format_instruction
 
 __all__ = [
     "Opcode",
@@ -32,7 +30,6 @@ __all__ = [
     "is_alu",
     "is_conditional_branch",
     "is_control",
-    "is_memory",
     "Instruction",
     "Program",
     "BasicBlock",
@@ -43,6 +40,4 @@ __all__ = [
     "UndefinedLabelError",
     "assemble",
     "AssemblyError",
-    "disassemble",
-    "format_instruction",
 ]

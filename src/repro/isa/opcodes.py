@@ -106,11 +106,6 @@ def is_control(opcode: Opcode) -> bool:
     return opcode in _CONTROL
 
 
-def is_memory(opcode: Opcode) -> bool:
-    """Return True for LOAD or STORE."""
-    return opcode is Opcode.LOAD or opcode is Opcode.STORE
-
-
 #: Execution latency, in cycles, of each opcode on a universal function unit.
 #: LOAD latency listed here excludes the memory hierarchy; the timing core
 #: adds the cache access time on top of the 1-cycle address generation.

@@ -13,7 +13,6 @@ from .servicelog import (
     NULL_SERVICE_LOG,
     SERVICE_LOG_ENV_VAR,
     ServiceLog,
-    service_log_path_from_env,
 )
 
 __all__ = [

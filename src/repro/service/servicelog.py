@@ -33,12 +33,6 @@ SERVICE_LOG_ENV_VAR = "REPRO_SERVICE_LOG"
 _warned_paths: set[str] = set()
 
 
-def service_log_path_from_env() -> str | None:
-    """The ``REPRO_SERVICE_LOG`` path, or None when logging is off."""
-    path = os.environ.get(SERVICE_LOG_ENV_VAR, "").strip()
-    return path or None
-
-
 class ServiceLog:
     """Append-only structured log bound to one path (or disabled)."""
 

@@ -5,8 +5,6 @@ from .kmeans import (
     KMeansResult,
     kmeans,
     random_projection,
-    bic_score,
-    choose_k,
     DEFAULT_PROJECTED_DIMS,
 )
 from .simpoint import (
@@ -16,12 +14,6 @@ from .simpoint import (
     select_simpoints,
     run_simpoints,
 )
-from .variance import (
-    VarianceSimPointSelection,
-    VarianceSimPointResult,
-    select_variance_simpoints,
-    run_variance_simpoints,
-)
 
 __all__ = [
     "BBVProfile",
@@ -29,16 +21,10 @@ __all__ = [
     "KMeansResult",
     "kmeans",
     "random_projection",
-    "bic_score",
-    "choose_k",
     "DEFAULT_PROJECTED_DIMS",
     "SimPoint",
     "SimPointSelection",
     "SimPointRunResult",
     "select_simpoints",
     "run_simpoints",
-    "VarianceSimPointSelection",
-    "VarianceSimPointResult",
-    "select_variance_simpoints",
-    "run_variance_simpoints",
 ]

@@ -26,9 +26,6 @@ class KMeansResult:
     inertia: float              # sum of squared distances to centroids
     k: int
 
-    def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.assignments, minlength=self.k)
-
 
 def random_projection(vectors: np.ndarray, dims: int = DEFAULT_PROJECTED_DIMS,
                       seed: int = 0) -> np.ndarray:
@@ -105,43 +102,3 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0,
                 k=k,
             )
     return best
-
-
-def bic_score(points: np.ndarray, result: KMeansResult) -> float:
-    """Bayesian Information Criterion of a clustering (higher is better).
-
-    The x-means formulation SimPoint uses to pick k: log-likelihood of a
-    spherical-Gaussian mixture minus a complexity penalty.
-    """
-    n, dims = points.shape
-    k = result.k
-    if n <= k:
-        return float("-inf")
-    variance = result.inertia / max(1e-12, (n - k) * dims)
-    variance = max(variance, 1e-12)
-    sizes = result.cluster_sizes()
-    log_likelihood = 0.0
-    for cluster in range(k):
-        size = sizes[cluster]
-        if size <= 0:
-            continue
-        log_likelihood += (
-            size * np.log(size / n)
-            - 0.5 * size * dims * np.log(2.0 * np.pi * variance)
-            - 0.5 * (size - 1) * dims
-        )
-    num_parameters = k * (dims + 1)
-    return float(log_likelihood - 0.5 * num_parameters * np.log(n))
-
-
-def choose_k(points: np.ndarray, max_k: int, seed: int = 0) -> KMeansResult:
-    """Search k in [1, max_k], keeping the best BIC clustering."""
-    best_result: KMeansResult | None = None
-    best_score = float("-inf")
-    for k in range(1, max_k + 1):
-        result = kmeans(points, k, seed=seed + k)
-        score = bic_score(points, result)
-        if score > best_score:
-            best_score = score
-            best_result = result
-    return best_result

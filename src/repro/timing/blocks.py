@@ -20,8 +20,8 @@ smaller) instructions.
 Compiling a block costs far more than running it a few times, and at
 short run lengths most code runs only a few times.  So code first runs
 as *singles*: one-instruction translations whose operands arrive in a
-tuple ``K``.  Singles of one shape (opcode, flags, and which of their
-registers coincide) share one compiled function, so a single costs a
+tuple ``K``.  Singles of one shape (opcode, flags, a zero immediate,
+and which of their registers coincide) share one compiled function, so a single costs a
 tuple and a function object.  A start
 entered :data:`PROMOTE_AFTER` times is translated as a whole block with
 its operands as literals.  Singles also step a run to a bound inside a
@@ -159,10 +159,12 @@ def _compile(source: str):
 
 class _Operands(dict):
     """The op emitters' format fields, each spelled by `operand` the
-    first time a template reads it."""
+    first time a template reads it; the masks and the zero-immediate
+    flag stay literal."""
 
     def __init__(self, values: dict, operand) -> None:
-        super().__init__(M=values.pop("M"), S=values.pop("S"))
+        super().__init__(M=values.pop("M"), S=values.pop("S"),
+                         Z=values.pop("Z"))
         self._values = values
         self._operand = operand
 
@@ -267,8 +269,9 @@ class TimingBlockTable(dict):
 
     def _shape(self, pc: int) -> tuple:
         """Everything the single at `pc` is compiled from but its
-        operands: the opcode, whether it writes a register, its flags and
-        which of its registers coincide."""
+        operands: the opcode, whether it writes a register, whether its
+        immediate is zero, its flags and which of its registers
+        coincide."""
         ops = self._columns[0]
         if not 0 <= pc < len(ops):
             return ("wild",)
@@ -283,7 +286,8 @@ class TimingBlockTable(dict):
         else:
             written = (sources.index(destination)
                        if destination in sources else -1)
-        return (ops[pc], self._columns[1][pc] != 0, is_mem[pc],
+        return (ops[pc], self._columns[1][pc] != 0,
+                self._columns[4][pc] == 0, is_mem[pc],
                 is_control[pc], is_load[pc], is_store[pc],
                 tuple(map(sources.index, sources)), written)
 

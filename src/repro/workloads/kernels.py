@@ -47,89 +47,6 @@ def emit_lcg_advance(builder: ProgramBuilder) -> None:
     builder.add(RNG_REG, RNG_REG, 8)
 
 
-def emit_stream_sum(builder: ProgramBuilder, name: str) -> str:
-    """Sequential-read reduction:  sum mem[r10 .. r10 + 8*r11).
-
-    Streaming behaviour: perfectly predictable loop branch, one new cache
-    line every eight iterations.
-    """
-    entry = builder.label(name)
-    builder.add(1, 10, 0)          # ptr = base
-    builder.add(2, 11, 0)          # remaining = count
-    builder.add(4, 0, 0)           # acc = 0
-    loop = builder.label(name + "_loop")
-    builder.load(3, 1, 0)
-    builder.add(4, 4, 3)
-    builder.addi(1, 1, 8)
-    builder.addi(2, 2, -1)
-    builder.bne(2, 0, loop)
-    builder.add(15, 4, 0)
-    builder.ret()
-    return entry
-
-
-def emit_stride_walk(builder: ProgramBuilder, name: str) -> str:
-    """Strided read loop: r11 loads from r10 with stride r12 bytes.
-
-    With a stride larger than a line this defeats spatial locality and
-    generates one miss per access over a configurable footprint.
-    """
-    entry = builder.label(name)
-    builder.add(1, 10, 0)
-    builder.add(2, 11, 0)
-    builder.add(4, 0, 0)
-    loop = builder.label(name + "_loop")
-    builder.load(3, 1, 0)
-    builder.add(4, 4, 3)
-    builder.add(1, 1, 12)
-    builder.addi(2, 2, -1)
-    builder.bne(2, 0, loop)
-    builder.add(15, 4, 0)
-    builder.ret()
-    return entry
-
-
-def emit_pointer_chase(builder: ProgramBuilder, name: str) -> str:
-    """Chase a linked chain: r1 = mem[r1], r11 times, starting at r10.
-
-    Every load depends on the previous one, so latency is fully exposed —
-    the mcf-like cache-hostile kernel.
-    """
-    entry = builder.label(name)
-    builder.add(1, 10, 0)
-    builder.add(2, 11, 0)
-    loop = builder.label(name + "_loop")
-    builder.load(1, 1, 0)
-    builder.addi(2, 2, -1)
-    builder.bne(2, 0, loop)
-    builder.add(15, 1, 0)
-    builder.ret()
-    return entry
-
-
-def emit_hash_update(builder: ProgramBuilder, name: str) -> str:
-    """Random read-modify-write: r12 iterations over table r10, mask r11.
-
-    Each iteration picks a pseudo-random word index, loads it, adds, and
-    stores back — the vpr/twolf-style scattered store pattern.
-    """
-    entry = builder.label(name)
-    builder.add(2, 12, 0)          # remaining
-    loop = builder.label(name + "_loop")
-    emit_lcg_advance(builder)
-    builder.srli(3, RNG_REG, 30)
-    builder.and_(3, 3, 11)         # index = bits & mask
-    builder.slli(3, 3, 3)          # *8 bytes
-    builder.add(3, 3, 10)          # addr
-    builder.load(4, 3, 0)
-    builder.addi(4, 4, 1)
-    builder.store(4, 3, 0)
-    builder.addi(2, 2, -1)
-    builder.bne(2, 0, loop)
-    builder.ret()
-    return entry
-
-
 def emit_branch_maze(builder: ProgramBuilder, name: str,
                      threshold: int, work: int = 2) -> str:
     """Data-dependent branching: r11 iterations, taken bias = threshold/256.
@@ -244,24 +161,6 @@ def emit_matrix_accumulate(builder: ProgramBuilder, name: str) -> str:
     builder.addi(2, 2, -1)
     builder.bne(2, 0, row_loop)
     builder.add(15, 4, 0)
-    builder.ret()
-    return entry
-
-
-def emit_scatter_store(builder: ProgramBuilder, name: str) -> str:
-    """Write-only scatter: r12 stores at pseudo-random slots of table r10,
-    mask r11 (exercises WTNA write-miss/no-allocate paths)."""
-    entry = builder.label(name)
-    builder.add(2, 12, 0)
-    loop = builder.label(name + "_loop")
-    emit_lcg_advance(builder)
-    builder.srli(3, RNG_REG, 28)
-    builder.and_(3, 3, 11)
-    builder.slli(3, 3, 3)
-    builder.add(3, 3, 10)
-    builder.store(2, 3, 0)
-    builder.addi(2, 2, -1)
-    builder.bne(2, 0, loop)
     builder.ret()
     return entry
 

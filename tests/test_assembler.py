@@ -2,8 +2,46 @@
 
 import pytest
 
-from repro.isa import assemble, AssemblyError, Opcode
+from repro.isa import assemble, AssemblyError, Instruction, Opcode
 from repro.functional import FunctionalMachine
+
+
+# One line per opcode: each mnemonic parses to exactly the instruction
+# the builder would emit, with operands in the documented order.
+# Control transfers target instruction 0 through the label `top`.
+EVERY_OPCODE = [
+    ("add r1, r2, r3", Instruction(Opcode.ADD, rd=1, rs1=2, rs2=3)),
+    ("sub r1, r2, r3", Instruction(Opcode.SUB, rd=1, rs1=2, rs2=3)),
+    ("mul r1, r2, r3", Instruction(Opcode.MUL, rd=1, rs1=2, rs2=3)),
+    ("div r1, r2, r3", Instruction(Opcode.DIV, rd=1, rs1=2, rs2=3)),
+    ("and r1, r2, r3", Instruction(Opcode.AND, rd=1, rs1=2, rs2=3)),
+    ("or r1, r2, r3", Instruction(Opcode.OR, rd=1, rs1=2, rs2=3)),
+    ("xor r1, r2, r3", Instruction(Opcode.XOR, rd=1, rs1=2, rs2=3)),
+    ("sll r1, r2, r3", Instruction(Opcode.SLL, rd=1, rs1=2, rs2=3)),
+    ("srl r1, r2, r3", Instruction(Opcode.SRL, rd=1, rs1=2, rs2=3)),
+    ("slt r1, r2, r3", Instruction(Opcode.SLT, rd=1, rs1=2, rs2=3)),
+    ("addi r1, r2, -4", Instruction(Opcode.ADDI, rd=1, rs1=2, imm=-4)),
+    ("andi r1, r2, 6", Instruction(Opcode.ANDI, rd=1, rs1=2, imm=6)),
+    ("ori r1, r2, 6", Instruction(Opcode.ORI, rd=1, rs1=2, imm=6)),
+    ("xori r1, r2, 6", Instruction(Opcode.XORI, rd=1, rs1=2, imm=6)),
+    ("slti r1, r2, 6", Instruction(Opcode.SLTI, rd=1, rs1=2, imm=6)),
+    ("slli r1, r2, 3", Instruction(Opcode.SLLI, rd=1, rs1=2, imm=3)),
+    ("srli r1, r2, 3", Instruction(Opcode.SRLI, rd=1, rs1=2, imm=3)),
+    ("li r5, 99", Instruction(Opcode.LI, rd=5, imm=99)),
+    ("load r1, r2, 8", Instruction(Opcode.LOAD, rd=1, rs1=2, imm=8)),
+    ("store r1, r2, 8", Instruction(Opcode.STORE, rs1=2, rs2=1, imm=8)),
+    ("beq r1, r0, top", Instruction(Opcode.BEQ, rs1=1, target=0)),
+    ("bne r1, r0, top", Instruction(Opcode.BNE, rs1=1, target=0)),
+    ("blt r1, r2, top", Instruction(Opcode.BLT, rs1=1, rs2=2, target=0)),
+    ("bge r1, r2, top", Instruction(Opcode.BGE, rs1=1, rs2=2, target=0)),
+    ("jmp top", Instruction(Opcode.JMP, target=0)),
+    ("call top", Instruction(Opcode.CALL, target=0)),
+    ("jr r4", Instruction(Opcode.JR, rs1=4)),
+    ("callr r4", Instruction(Opcode.CALLR, rs1=4)),
+    ("ret", Instruction(Opcode.RET)),
+    ("nop", Instruction(Opcode.NOP)),
+    ("halt", Instruction(Opcode.HALT)),
+]
 
 
 class TestParsing:
@@ -52,6 +90,15 @@ class TestParsing:
         a = assemble("add r1, r2, r3\nhalt\n")
         b = assemble("add r1 r2 r3\nhalt\n")
         assert a.instructions[0] == b.instructions[0]
+
+    @pytest.mark.parametrize("text,expected", EVERY_OPCODE,
+                             ids=[text for text, _ in EVERY_OPCODE])
+    def test_every_opcode_parses(self, text, expected):
+        program = assemble(f"top: {text}\nhalt\n")
+        assert program.instructions[0] == expected
+
+    def test_opcode_table_is_complete(self):
+        assert {inst.opcode for _, inst in EVERY_OPCODE} == set(Opcode)
 
 
 class TestErrors:

@@ -31,42 +31,6 @@ def run_kernel(emit, args, memory=None, steps=100_000, setup=None):
 BASE = 0x1000_0000
 
 
-class TestStreamSum:
-    def test_sums_range(self):
-        memory = Memory()
-        memory.fill_words(BASE, [3, 5, 7, 11])
-        machine = run_kernel(
-            lambda b: kernels.emit_stream_sum(b, "k"),
-            {10: BASE, 11: 4}, memory,
-        )
-        assert machine.registers[15] == 26
-
-
-class TestStrideWalk:
-    def test_strided_sum(self):
-        memory = Memory()
-        for i in range(8):
-            memory.store(BASE + i * 128, i)
-        machine = run_kernel(
-            lambda b: kernels.emit_stride_walk(b, "k"),
-            {10: BASE, 11: 8, 12: 128}, memory,
-        )
-        assert machine.registers[15] == sum(range(8))
-
-
-class TestPointerChase:
-    def test_follows_chain(self):
-        memory = Memory()
-        rng = np.random.default_rng(0)
-        head = init_pointer_chain(memory, BASE, 16, rng)
-        machine = run_kernel(
-            lambda b: kernels.emit_pointer_chase(b, "k"),
-            {10: head, 11: 16}, memory,
-        )
-        # 16 steps around a 16-node cycle returns to the head.
-        assert machine.registers[15] == head
-
-
 class TestChaseCursor:
     def test_continues_across_calls(self):
         memory = Memory()
@@ -109,16 +73,6 @@ class TestStreamCursor:
 
 
 class TestHashKernels:
-    def test_hash_update_increments_in_range(self):
-        machine = run_kernel(
-            lambda b: kernels.emit_hash_update(b, "k"),
-            {10: BASE, 11: 63, 12: 40},
-        )
-        words = machine.memory._words
-        touched = [a for a in words if BASE <= a < BASE + 64 * 8]
-        assert touched, "no table slots written"
-        assert sum(words[a] for a in touched) == 40
-
     def test_walking_hash_stays_in_window(self):
         def setup(b):
             b.li(25, 8)  # window base at word 8
@@ -133,17 +87,6 @@ class TestHashKernels:
             assert 8 <= word <= 8 + 15 + 2, (
                 "write outside the drifting window"
             )
-
-    def test_scatter_store_writes_in_range(self):
-        machine = run_kernel(
-            lambda b: kernels.emit_scatter_store(b, "k"),
-            {10: BASE, 11: 63, 12: 25},
-        )
-        touched = [
-            a for a in machine.memory._words if BASE <= a < BASE + 64 * 8
-        ]
-        assert len(touched) >= 1
-        assert machine.memory.footprint_words() == len(touched)
 
     def test_walking_scatter_writes_fields(self):
         def setup(b):

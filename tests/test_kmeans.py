@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simpoint import (
-    kmeans,
-    random_projection,
-    bic_score,
-    choose_k,
-)
+from repro.simpoint import kmeans, random_projection
 
 
 def blobs(centers, per_cluster=20, spread=0.05, seed=0):
@@ -32,7 +27,7 @@ class TestKMeans:
     def test_recovers_separated_clusters(self):
         points = blobs([[0, 0], [10, 10], [0, 10]])
         result = kmeans(points, 3, seed=1)
-        sizes = sorted(result.cluster_sizes())
+        sizes = sorted(np.bincount(result.assignments, minlength=3))
         assert sizes == [20, 20, 20]
 
     def test_assignments_cover_all_points(self):
@@ -89,21 +84,6 @@ class TestProjection:
         assert reduced == pytest.approx(original, rel=0.6)
 
 
-class TestBIC:
-    def test_bic_prefers_true_cluster_count(self):
-        points = blobs([[0, 0], [20, 20], [0, 20]], spread=0.1)
-        scores = {
-            k: bic_score(points, kmeans(points, k, seed=5))
-            for k in (1, 2, 3, 6)
-        }
-        assert max(scores, key=scores.get) == 3
-
-    def test_choose_k_returns_best(self):
-        points = blobs([[0, 0], [20, 20]], spread=0.1)
-        result = choose_k(points, max_k=5, seed=1)
-        assert result.k == 2
-
-
 @given(st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=100))
 @settings(max_examples=30, deadline=None)
@@ -111,5 +91,5 @@ def test_kmeans_partitions_points(k, seed):
     rng = np.random.default_rng(seed)
     points = rng.random((24, 3))
     result = kmeans(points, k, seed=seed)
-    assert result.cluster_sizes().sum() == 24
+    assert np.bincount(result.assignments, minlength=k).sum() == 24
     assert result.inertia >= 0

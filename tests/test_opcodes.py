@@ -6,7 +6,6 @@ from repro.isa.opcodes import (
     is_alu,
     is_conditional_branch,
     is_control,
-    is_memory,
     LINK_REGISTER,
     STACK_POINTER,
     NUM_REGISTERS,
@@ -40,16 +39,9 @@ class TestClassification:
             assert is_control(op)
             assert not is_conditional_branch(op)
 
-    def test_memory_classification(self):
-        assert is_memory(Opcode.LOAD)
-        assert is_memory(Opcode.STORE)
-        assert not is_memory(Opcode.ADD)
-        assert not is_memory(Opcode.JMP)
-
     def test_nop_and_halt_are_plain(self):
         for op in (Opcode.NOP, Opcode.HALT):
             assert not is_control(op)
-            assert not is_memory(op)
             assert not is_alu(op)
 
 

@@ -2,13 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.branch import BranchPredictor, PredictorConfig, ReturnAddressStack
+from repro.branch import BranchPredictor, PredictorConfig
 from repro.core import BR_CALL, BR_COND, BR_JUMP, BR_RET
 from repro.isa import Instruction, Opcode
-from repro.core.ras_reconstruct import (
-    reconstruct_ras,
-    reconstruct_ras_contents,
-)
+from repro.core.ras_reconstruct import reconstruct_ras_contents
 
 
 def call(pc):
@@ -57,13 +54,6 @@ class TestCounterAlgorithm:
 
     def test_empty_log(self):
         assert reconstruct_ras_contents([], 8) == []
-
-    def test_reconstruct_ras_installs_contents(self):
-        ras = ReturnAddressStack(PredictorConfig(64, 64, 4))
-        recovered = reconstruct_ras(ras, [call(10), call(20)])
-        assert recovered == 2
-        assert ras.peek() == 21
-        assert ras.contents_from_top() == [21, 11]
 
 
 @st.composite

@@ -17,10 +17,7 @@ import pytest
 
 from repro.api import (
     RunRequest,
-    RunResult,
     execute_request,
-    gather,
-    submit,
 )
 from repro.harness.options import RunOptions
 from repro.service import (
@@ -116,20 +113,6 @@ class TestExecuteRequest:
         result = execute_request(request, cache="off")
         report = result.payload["reports"]["gcc"]
         assert {"summary", "clusters"} <= set(report)
-
-    def test_submit_gather_matches_inline(self):
-        inline = execute_request(SAMPLE, cache="off")
-        handles = [submit(SAMPLE, cache="off"),
-                   submit(SAMPLE, cache="off")]
-        outcomes = gather(handles, executor="pool")
-        assert [o.payload for o in outcomes] == [inline.payload] * 2
-
-    def test_handle_is_lazy_until_needed(self):
-        handle = submit(SAMPLE, cache="off")
-        assert not handle.done()
-        result = handle.result()
-        assert handle.done()
-        assert isinstance(result, RunResult)
 
 
 class TestServiceRoundTrip:

@@ -16,6 +16,7 @@ shared table.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import random
 import sys
@@ -190,6 +191,31 @@ def _poisoned_program() -> Program:
     return Program(instructions, name="poisoned")
 
 
+#: A data word, and the word its out-of-range image points at.
+WRAP_DATA, WRAP_TARGET = 0x2000_0000, 0x2000_1000
+
+
+def _wrapping_base_program() -> tuple[Program, Memory]:
+    """A loop whose zero-displacement LOAD, STORE and ADDI take their
+    base from a loaded word above ``2**64`` (``Memory`` stores any int)."""
+    b = ProgramBuilder(name="wrapping-base")
+    b.li(1, WRAP_DATA)
+    b.li(5, 40)
+    b.label("loop")
+    b.load(2, 1, 0)
+    b.load(3, 2, 0)
+    b.addi(4, 2, 0)
+    b.addi(3, 3, 1)
+    b.store(3, 2, 0)
+    b.addi(5, 5, -1)
+    b.bne(5, 0, "loop")
+    b.halt()
+    memory = Memory()
+    memory.store(WRAP_DATA, (1 << 64) + WRAP_TARGET)
+    memory.store(WRAP_TARGET, 7)
+    return b.build(), memory
+
+
 class TestDirected:
     @pytest.mark.parametrize("chunk", (1, 2, 3, 5, 8, 13, 21, 34, 55))
     def test_every_opcode_class_in_chunks(self, chunk):
@@ -263,6 +289,33 @@ class TestDirected:
                     pair.run(500, hooked=False)
         assert pair.simulators[1].machine.registers[2] == (1 << 70) & (
             (1 << 64) - 1)
+
+    def test_zero_displacement_wraps_an_out_of_range_base(self):
+        program, memory = _wrapping_base_program()
+        runs = []
+        for engine in (reference_engine, contextlib.nullcontext):
+            with engine():
+                for hooked in (False, True):
+                    machine = FunctionalMachine(program, memory.copy())
+                    addresses = []
+                    machine.run(10_000, mem_hook=(
+                        lambda pc, next_pc, address, is_store:
+                        addresses.append(address)) if hooked else None)
+                    runs.append((tuple(machine.registers),
+                                 dict(machine.memory._words), addresses))
+        assert all(run[:2] == runs[0][:2] for run in runs)
+        assert runs[1][2] == runs[3][2]
+        registers, words, addresses = runs[1]
+        assert registers[4] == WRAP_TARGET
+        assert words[WRAP_TARGET] == 7 + 40
+        assert set(addresses) == {WRAP_DATA, WRAP_TARGET}
+        for promote_after in (1, 10**9):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(timing_blocks, "PROMOTE_AFTER", promote_after)
+                pair = Pair(program, memory)
+                while not pair.simulators[0].machine.halted:
+                    pair.run(50, hooked=True)
+        assert pair.simulators[1].machine.registers[4] == WRAP_TARGET
 
     @pytest.mark.parametrize("kind", ("jr", "callr", "ret", "fall_off"))
     def test_wild_pc_raises_like_oracle(self, kind):

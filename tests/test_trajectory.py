@@ -8,8 +8,6 @@ import importlib.util
 import json
 import pathlib
 
-import pytest
-
 _MODULE_PATH = (pathlib.Path(__file__).resolve().parent.parent
                 / "benchmarks" / "trajectory.py")
 _spec = importlib.util.spec_from_file_location("trajectory", _MODULE_PATH)
