@@ -1163,10 +1163,11 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # Bad user input reaching past argparse (unknown --method name,
-        # invalid REPRO_EXPERIMENT_SCALE, malformed --output extension):
-        # a readable one-line diagnostic, not a traceback.
+        # invalid REPRO_EXPERIMENT_SCALE, malformed --output extension,
+        # an --output/--trace/--spans path that cannot be written): a
+        # readable one-line diagnostic, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

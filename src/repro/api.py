@@ -430,7 +430,10 @@ def execute_request(request: RunRequest, *, executor=None,
     cache = resolve_cache(cache)
     key = request.cache_key()
     if cache is not None:
-        hit = cache.get(key)
+        hit = cache.get(key, validate=lambda value: (
+            None if isinstance(value, dict)
+            and value.get("kind") == request.kind
+            else f"not a {request.kind} payload"))
         if hit is not None:
             return RunResult(request=request, payload=hit, cached=True,
                              wall_seconds=time.perf_counter() - start)

@@ -106,8 +106,7 @@ def divide_signed(dividend: int, divisor: int) -> int:
 
 #: ``r[a] + i`` wrapped to 64 bits: an ADDI's value and a LOAD/STORE's
 #: effective address.  A zero immediate drops the add but keeps the
-#: mask, since a loaded word (``Memory.store`` does not wrap) may lie
-#: outside ``[0, 2**64)``.
+#: mask, the one ``step()`` applies to every such value.
 _BASE_PLUS_IMM = ("(r[{a}] + {i}) & {M}", "r[{a}] & {M}")
 
 #: The value a register-writing ALU op assigns, over source registers

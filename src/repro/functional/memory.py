@@ -10,14 +10,17 @@ from __future__ import annotations
 
 WORD_BYTES = 8
 _WORD_MASK = ~(WORD_BYTES - 1)
+_VALUE_MASK = (1 << 64) - 1
 
 
 class Memory:
     """Word-granular sparse memory.
 
     Addresses are byte addresses; accesses are aligned down to the
-    containing 8-byte word.  Values are stored as Python ints masked to
-    64 bits by the callers (the machine masks on write).
+    containing 8-byte word.  Values are wrapped to 64 bits on write, so
+    a word stored as ``-1`` loads as ``2**64 - 1`` and every loaded
+    register value lies in ``[0, 2**64)``, as the ALU ops and branch
+    compares that do not mask their operands assume.
     """
 
     __slots__ = ("_words",)
@@ -30,15 +33,17 @@ class Memory:
         return self._words.get(address & _WORD_MASK, 0)
 
     def store(self, address: int, value: int) -> None:
-        """Write `value` to the word containing `address`."""
-        self._words[address & _WORD_MASK] = value
+        """Write `value`, wrapped to 64 bits, to the word containing
+        `address`."""
+        self._words[address & _WORD_MASK] = value & _VALUE_MASK
 
     def fill_words(self, base: int, values) -> None:
-        """Bulk-initialise consecutive words starting at `base`."""
+        """Bulk-initialise consecutive words starting at `base`, each
+        wrapped to 64 bits."""
         words = self._words
         address = base & _WORD_MASK
         for value in values:
-            words[address] = value
+            words[address] = value & _VALUE_MASK
             address += WORD_BYTES
 
     def footprint_words(self) -> int:

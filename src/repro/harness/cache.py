@@ -36,6 +36,7 @@ from ..store.serialization import (
     evict_lru,
     safe_read_pickle,
     stable_payload,
+    warn_once,
 )
 
 #: Environment variable controlling the default cache location.
@@ -43,6 +44,10 @@ CACHE_ENV_VAR = "REPRO_RESULT_CACHE"
 
 _OFF_VALUES = {"off", "0", "none", "no", "false", "disabled", ""}
 _ON_VALUES = {"on", "auto", "1", "default", "yes", "true"}
+
+#: An entry file.  A writer's temp file (``.tmp-*.pkl``, in flight or
+#: left by a killed writer) sits beside the entries but is not one.
+_ENTRY_GLOB = "*/[!.]*.pkl"
 
 
 def default_cache_dir() -> Path:
@@ -124,7 +129,8 @@ class ResultCache:
 
     Entries live at ``<root>/<key[:2]>/<key>.pkl``; the two-character
     fan-out keeps directories small for full-scale grids.  Unreadable or
-    corrupt entries are treated as misses, never as errors.
+    corrupt entries are treated as misses and failed writes are
+    skipped, never errors.
     """
 
     root: Path
@@ -136,16 +142,25 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
-    def get(self, key: str):
+    def get(self, key: str, validate=None):
         """The cached value for `key`, or None on a miss.
 
         A cache must never fail a run: a missing entry is a silent
         miss, and an unreadable or truncated one degrades to a miss
         with a warn-once stderr note (shared helper, same discipline as
-        the checkpoint store).
+        the checkpoint store).  `validate` (optional) inspects the
+        unpickled value and returns None to accept it or a description
+        of the problem; a rejected value is a warned miss too.
         """
-        value, _ = safe_read_pickle(self._path(key),
-                                    category="result-cache entry")
+        path = self._path(key)
+        value, _ = safe_read_pickle(path, category="result-cache entry")
+        problem = (validate(value)
+                   if value is not None and validate is not None else None)
+        if problem is not None:
+            warn_once("result-cache entry", str(path),
+                      f"warning: unusable result-cache entry at {path} "
+                      f"treated as a miss ({problem})")
+            value = None
         if value is None:
             self.stats.misses += 1
             return None
@@ -153,19 +168,32 @@ class ResultCache:
         return value
 
     def put(self, key: str, value) -> None:
-        """Atomically persist `value` under `key` (temp file + rename)."""
-        atomic_write_pickle(self._path(key), value)
+        """Atomically persist `value` under `key` (temp file + rename).
+
+        A write that fails (a full disk, a root that is not a
+        directory, a ``gc`` that removed the temp file before its
+        rename) warns once per cache root and leaves the run to go on
+        without the entry.
+        """
+        path = self._path(key)
+        try:
+            atomic_write_pickle(path, value)
+        except OSError as exc:
+            warn_once("result-cache write", str(self.root),
+                      f"warning: cannot write result-cache entry at {path}; "
+                      f"continuing without the cache ({exc})")
+            return
         self.stats.writes += 1
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
 
     def entry_count(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.pkl"))
+        return sum(1 for _ in self.root.glob(_ENTRY_GLOB))
 
     def total_bytes(self) -> int:
         """Bytes on disk across every entry."""
-        return directory_stats(self.root, "*/*.pkl")[1]
+        return directory_stats(self.root, _ENTRY_GLOB)[1]
 
     def gc(self, max_bytes: int) -> list[Path]:
         """Evict oldest-mtime entries until the cache fits `max_bytes`;

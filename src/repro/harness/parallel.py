@@ -201,6 +201,12 @@ class LiveProgress:
         self._stream.flush()
 
 
+def _instance_of(expected: type):
+    """A result-cache `validate` that accepts only `expected` values."""
+    return lambda value: (None if isinstance(value, expected)
+                          else f"not a {expected.__name__}")
+
+
 def _run_true_task(spec: TrueRunSpec) -> TrueRunResult:
     """Worker: compute one full-trace baseline."""
     return true_run_for(spec.workload_name, spec.scale, spec.configs)
@@ -478,7 +484,9 @@ def execute_matrix(
         with recorder.span("cache_lookup", cat="cache"):
             for spec in specs:
                 if cache is not None:
-                    hit = cache.get(spec.key())
+                    hit = cache.get(spec.key(), validate=_instance_of(
+                        TrueRunResult if spec.kind == "true"
+                        else SampledRunResult))
                     if hit is not None:
                         results[spec] = hit
                         emit(spec, hit, cached=True)

@@ -334,7 +334,7 @@ class CheckpointStore:
     def entry_count(self) -> int:
         """Blobs stored, across every kind."""
         return sum(1 for kind in self.KINDS
-                   for _ in self.root.glob(f"{kind}/*/*.pkl"))
+                   for _ in self.root.glob(f"{kind}/*/[!.]*.pkl"))
 
     def total_bytes(self) -> int:
         """Bytes on disk: blobs, manifests, and run provenance."""

@@ -66,3 +66,19 @@ class TestBasics:
         memory.clear()
         assert memory.load(0) == 0
         assert memory.footprint_words() == 0
+
+
+class TestWordWidth:
+    def test_store_wraps_to_64_bits(self):
+        memory = Memory()
+        for value, wrapped in ((-1, (1 << 64) - 1), ((1 << 64) + 5, 5),
+                               (-(1 << 63), 1 << 63), (1 << 70, 0),
+                               ((1 << 64) - 1, (1 << 64) - 1)):
+            memory.store(0x40, value)
+            assert memory.load(0x40) == wrapped
+
+    def test_fill_words_wraps_to_64_bits(self):
+        memory = Memory()
+        memory.fill_words(0x100, [-2, (1 << 64) + 9, 3])
+        assert [memory.load(0x100 + 8 * i) for i in range(3)] == [
+            (1 << 64) - 2, 9, 3]

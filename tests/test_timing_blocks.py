@@ -197,7 +197,8 @@ WRAP_DATA, WRAP_TARGET = 0x2000_0000, 0x2000_1000
 
 def _wrapping_base_program() -> tuple[Program, Memory]:
     """A loop whose zero-displacement LOAD, STORE and ADDI take their
-    base from a loaded word above ``2**64`` (``Memory`` stores any int)."""
+    base from a word stored as ``2**64 + WRAP_TARGET`` (``Memory`` wraps
+    it on store)."""
     b = ProgramBuilder(name="wrapping-base")
     b.li(1, WRAP_DATA)
     b.li(5, 40)
