@@ -19,7 +19,8 @@ import pathlib
 
 import pytest
 
-from repro.harness import execute_matrix, resolve_cache, scale_from_env
+from repro.harness import execute_matrix, scale_from_env
+from repro.store import resolve_store
 from repro.warmup import paper_method_suite
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -49,7 +50,7 @@ def get_full_matrix():
             paper_method_suite,
             scale=scale,
             jobs=jobs,
-            cache=resolve_cache(),
+            cache=resolve_store(layer="results"),
         )
     return _MATRICES[scale.name]
 

@@ -361,6 +361,19 @@ def cmd_design(args) -> int:
     return 0
 
 
+def _check_writable(path) -> None:
+    """Raise OSError now if `path` cannot be written once the grid is
+    done, so a bad ``--output`` costs no cells (main() turns it into a
+    one-line error and exit 2)."""
+    if not path:
+        return
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.unlink(path)
+
+
 def cmd_matrix(args) -> int:
     """Run the evaluation grid through the parallel engine."""
     import time
@@ -377,6 +390,7 @@ def cmd_matrix(args) -> int:
     from .warmup import paper_method_suite
     from .workloads import available_workloads
 
+    _check_writable(args.output)
     options = _options_for(args)
     scale = options.scale_obj()
     workloads = tuple(args.workload) if args.workload else available_workloads()
@@ -393,9 +407,8 @@ def cmd_matrix(args) -> int:
     else:
         suite_factory = paper_method_suite
         display_names = paper_method_names()
-    cache = options.cache(
-        None if args.cache == "auto" else args.cache, default="on"
-    )
+    cache = options.store(None if args.cache == "auto" else args.cache,
+                          layer="results", default="on")
     if args.quiet:
         progress = None
     elif args.progress:
@@ -628,6 +641,7 @@ def cmd_reproduce(args) -> int:
     from .harness.experiment import full_matrix
 
     scale = _resolve_scale(args)
+    _check_writable(args.output)
     matrix = full_matrix(scale.name)
     print(format_per_workload(
         matrix, paper_method_names(), value="error",
@@ -654,20 +668,21 @@ def cmd_cache(args) -> int:
     ``REPRO_RESULT_CACHE`` / ``REPRO_CHECKPOINT_STORE`` environment,
     then the default directories).
     """
+    from .store import LAYERS
+
     options = _options_for(args)
-    cache = options.cache(
-        None if args.cache == "auto" else args.cache, default="on")
-    store = options.store(args.store, default="on")
+    settings = {"results": None if args.cache == "auto" else args.cache,
+                "checkpoints": args.store}
     layers = []
-    if cache is not None:
-        layers.append(("results", cache))
-    if store is not None:
-        layers.append(("checkpoints", store))
+    for name, setting in settings.items():
+        store = options.store(setting, layer=name, default="on")
+        if store is not None:
+            layers.append((name, store, LAYERS[name][1]))
     if args.action == "stats":
         rows = [
-            [name, str(layer.root), str(layer.entry_count()),
-             f"{layer.total_bytes():,}"]
-            for name, layer in layers
+            [name, str(store.root), str(store.entry_count(kinds)),
+             f"{store.total_bytes(kinds):,}"]
+            for name, store, kinds in layers
         ]
         print(format_table(
             ["layer", "root", "entries", "bytes"], rows,
@@ -679,17 +694,16 @@ def cmd_cache(args) -> int:
     if args.max_bytes < 0:
         raise ValueError(
             f"--max-bytes must be >= 0, got {args.max_bytes}")
-    selected = [(name, layer) for name, layer in layers
-                if args.layer in ("all", name)]
+    selected = [layer for layer in layers if args.layer in ("all", layer[0])]
     if not selected:
         raise ValueError(
             f"layer {args.layer!r} is disabled "
             f"(resolved to no directory); nothing to prune")
-    for name, layer in selected:
-        removed = layer.gc(args.max_bytes)
+    for name, store, kinds in selected:
+        removed = store.gc(args.max_bytes, kinds)
         print(f"{name}: evicted {len(removed)} of "
-              f"{len(removed) + layer.entry_count()} entries from "
-              f"{layer.root} ({layer.total_bytes():,} bytes remain)")
+              f"{len(removed) + store.entry_count(kinds)} entries from "
+              f"{store.root} ({store.total_bytes(kinds):,} bytes remain)")
     return 0
 
 

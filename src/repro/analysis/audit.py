@@ -16,8 +16,8 @@ this module makes the accuracy side continuously observable:
   entry plus each cluster's reference IPC and the population's true IPC.
   Being the same walk, the reference cannot drift from the runs it
   audits.  The trajectory is deterministic, picklable, and cached —
-  in-process and, via :mod:`repro.harness.cache`, on disk — so auditing
-  a whole method matrix pays for the reference once.
+  in-process and, as a ``results`` entry of :mod:`repro.store`, on
+  disk — so auditing a whole method matrix pays for the reference once.
 - :class:`AuditProbe` hangs off the controller loop behind
   ``REPRO_AUDIT``: at each cluster boundary it diffs the live
   reconstructed state against the reference state (cache tag and
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from ..branch import BranchPredictor
 from ..cache import MemoryHierarchy
-from ..harness.cache import cache_key, resolve_cache
+from ..store import expect_instance, resolve_store, result_store_key
 from ..sampling.controller import (
     SimulatorConfigs,
     WarmState,
@@ -124,17 +124,17 @@ def reference_trajectory_for(
     configs: SimulatorConfigs | None = None,
     warmup_prefix: int = 0,
     detail_ramp: int = 0,
-    cache=None,
 ) -> ReferenceTrajectory:
     """Memoised/cached :func:`compute_reference_trajectory`.
 
-    `cache` follows :func:`repro.harness.cache.resolve_cache` semantics:
-    None consults ``REPRO_RESULT_CACHE``.  The key covers the full run
-    identity (workload, regimen, prefix, ramp, configs, code digest), so
-    worker processes and later sessions share one reference run.
+    The disk layer is the ``REPRO_RESULT_CACHE`` result cache.  The key
+    covers the full run identity (workload, regimen, prefix, ramp,
+    configs, code digest), so worker processes and later sessions share
+    one reference run; a stored value that is not a
+    :class:`ReferenceTrajectory` is a warned miss.
     """
     configs = configs if configs is not None else SimulatorConfigs()
-    key = cache_key(
+    key = result_store_key(
         "audit-ref", workload.name,
         {"regimen": regimen, "warmup_prefix": warmup_prefix,
          "detail_ramp": detail_ramp},
@@ -143,9 +143,10 @@ def reference_trajectory_for(
     trajectory = _TRAJECTORY_MEMO.get(key)
     if trajectory is not None:
         return trajectory
-    store = cache if cache is not None else resolve_cache()
+    store = resolve_store(layer="results")
     if store is not None:
-        trajectory = store.get(key)
+        trajectory = store.get(key, "results",
+                               validate=expect_instance(ReferenceTrajectory))
         if trajectory is not None:
             _TRAJECTORY_MEMO[key] = trajectory
             return trajectory
@@ -155,7 +156,7 @@ def reference_trajectory_for(
     )
     _TRAJECTORY_MEMO[key] = trajectory
     if store is not None:
-        store.put(key, trajectory)
+        store.put(key, trajectory, "results")
     return trajectory
 
 

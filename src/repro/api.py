@@ -39,12 +39,10 @@ is restricted to preset names so requests stay JSON-serialisable.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass
 
-from .harness.cache import code_version, resolve_cache
 from .harness.experiment import (
     ExperimentScale,
     SCALES,
@@ -53,6 +51,7 @@ from .harness.experiment import (
 )
 from .harness.parallel import execute_matrix
 from .sampling import SampledRunResult, SampledSimulator, SamplingRegimen
+from .store import code_version, digest_key, resolve_store
 from .warmup import WarmupMethod, method_factory, resolve_method
 from .workloads import PAPER_WORKLOADS, Workload, cached_workload
 
@@ -152,7 +151,7 @@ def run_matrix(methods=None, workloads=PAPER_WORKLOADS, design=None, *,
     sixteen-method Table 2 suite); names are validated before any
     worker process launches.  `design` must resolve to an
     :class:`~repro.harness.ExperimentScale`.  `cache` accepts a
-    :class:`~repro.harness.ResultCache`, a directory path, or ``None``
+    :class:`~repro.store.CheckpointStore`, a directory path, or ``None``
     (the ``REPRO_RESULT_CACHE`` environment default).  `executor` names
     a registered fan-out backend (see ``repro executors``) or passes an
     :class:`~repro.harness.Executor` instance; ``None`` defers to
@@ -175,7 +174,7 @@ def run_matrix(methods=None, workloads=PAPER_WORKLOADS, design=None, *,
         scale=design,
         configs=configs,
         jobs=jobs,
-        cache=resolve_cache(cache),
+        cache=resolve_store(cache, layer="results"),
         progress=progress,
         cluster_jobs=cluster_jobs,
         executor=executor,
@@ -287,7 +286,7 @@ class RunRequest:
 
         Two requests share a fingerprint exactly when they are
         guaranteed to produce byte-identical payloads, which makes the
-        fingerprint a safe :class:`~repro.harness.ResultCache` key.
+        fingerprint a safe result-cache key.
         Execution knobs that cannot change results (`jobs`,
         `cluster_jobs` — sharded folds are bit-identical to serial)
         are excluded; the ambient checkpoint store
@@ -299,8 +298,7 @@ class RunRequest:
         identity.pop("jobs")
         identity.pop("cluster_jobs")
         identity["code"] = code_version()
-        blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return digest_key(identity)
 
     def cache_key(self) -> str:
         return f"request-{self.fingerprint()}"
@@ -419,7 +417,7 @@ def execute_request(request: RunRequest, *, executor=None,
     """Execute one :class:`RunRequest` and return its :class:`RunResult`.
 
     This is the simulation service's execution path, and inline calls
-    take the same one.  `cache` (a :class:`~repro.harness.ResultCache`,
+    take the same one.  `cache` (a :class:`~repro.store.CheckpointStore`,
     a directory path, or ``None`` for the ``REPRO_RESULT_CACHE``
     default) is read through first: a hit returns the stored payload
     without re-running anything — in particular without re-entering
@@ -427,10 +425,10 @@ def execute_request(request: RunRequest, *, executor=None,
     content-addressed :meth:`~RunRequest.cache_key`.
     """
     start = time.perf_counter()
-    cache = resolve_cache(cache)
+    cache = resolve_store(cache, layer="results")
     key = request.cache_key()
     if cache is not None:
-        hit = cache.get(key, validate=lambda value: (
+        hit = cache.get(key, "results", validate=lambda value: (
             None if isinstance(value, dict)
             and value.get("kind") == request.kind
             else f"not a {request.kind} payload"))
@@ -448,6 +446,6 @@ def execute_request(request: RunRequest, *, executor=None,
         payload = {"kind": "audit", "design": request.design,
                    "reports": _audit_reports(request)}
     if cache is not None:
-        cache.put(key, payload)
+        cache.put(key, payload, "results")
     return RunResult(request=request, payload=payload, cached=False,
                      wall_seconds=time.perf_counter() - start)

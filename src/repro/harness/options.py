@@ -193,21 +193,16 @@ class RunOptions:
 
         return SCALES[self.scale]
 
-    def cache(self, setting=None, *, default: "str | None" = None):
-        """A :class:`~.cache.ResultCache` (or None) for this run."""
-        from .cache import resolve_cache
-
-        if setting is None:
-            setting = self.result_cache
-        return resolve_cache(setting, default=default)
-
-    def store(self, setting=None, *, default: "str | None" = None):
-        """A :class:`~repro.store.CheckpointStore` (or None) for this run."""
+    def store(self, setting=None, *, layer: str = "checkpoints",
+              default: "str | None" = None):
+        """One layer's :class:`~repro.store.CheckpointStore` (or None):
+        ``"results"`` (the result cache) or ``"checkpoints"``."""
         from ..store import resolve_store
 
         if setting is None:
-            setting = self.checkpoint_store
-        return resolve_store(setting, default=default)
+            setting = (self.result_cache if layer == "results"
+                       else self.checkpoint_store)
+        return resolve_store(setting, layer=layer, default=default)
 
     def resolved_matrix_jobs(self) -> int:
         """Matrix-cell workers: configured value, else one per CPU."""

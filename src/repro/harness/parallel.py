@@ -19,7 +19,8 @@ Two task kinds exist per grid:
 - one **cell** task per (workload, method) pair.
 
 Both are pure functions of their spec, so both are memoised through the
-optional on-disk :class:`~.cache.ResultCache`; a warm cache turns a grid
+optional on-disk result cache (the ``results`` layer of
+:class:`~repro.store.CheckpointStore`); a warm cache turns a grid
 into pure deserialisation.  The engine degrades gracefully: ``jobs=1``,
 a platform without working process pools, or (under the spawn start
 method) an unpicklable method factory all fall back to in-process
@@ -51,9 +52,9 @@ from ..telemetry import (
     recorder_from_env,
     spans_enabled,
 )
+from ..store import CheckpointStore, expect_instance, result_store_key
 from ..warmup.base import WarmupCost
 from ..workloads import PAPER_WORKLOADS, cached_workload
-from .cache import ResultCache, cache_key
 from .executor import Executor, resolve_executor
 from .options import available_cpus
 from .experiment import (
@@ -82,8 +83,8 @@ class TrueRunSpec:
         return "<true>"
 
     def key(self) -> str:
-        return cache_key("true", self.workload_name, self.scale,
-                         self.configs)
+        return result_store_key("true", self.workload_name, self.scale,
+                                self.configs)
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,8 @@ class CellSpec:
             kind += "+spans"
         if self.cluster_jobs > 1:
             kind += "+shards"
-        return cache_key(kind, self.workload_name, self.scale,
-                         self.configs, self.method_name)
+        return result_store_key(kind, self.workload_name, self.scale,
+                                self.configs, self.method_name)
 
 
 @dataclass(frozen=True)
@@ -199,12 +200,6 @@ class LiveProgress:
         else:
             self._stream.write(line + "\n")
         self._stream.flush()
-
-
-def _instance_of(expected: type):
-    """A result-cache `validate` that accepts only `expected` values."""
-    return lambda value: (None if isinstance(value, expected)
-                          else f"not a {expected.__name__}")
 
 
 def _run_true_task(spec: TrueRunSpec) -> TrueRunResult:
@@ -397,7 +392,7 @@ def execute_matrix(
     scale: ExperimentScale | None = None,
     configs: SimulatorConfigs | None = None,
     jobs: int | None = None,
-    cache: ResultCache | None = None,
+    cache: CheckpointStore | None = None,
     progress: ProgressHook | None = None,
     cluster_jobs: int = 1,
     executor: "str | Executor | None" = None,
@@ -416,8 +411,9 @@ def execute_matrix(
         Worker parallelism; ``None`` means one per available CPU.  ``1
         executes in-process (no pool, no pickling requirements).
     cache:
-        Optional on-disk :class:`ResultCache`; hits skip execution
-        entirely and count toward progress as ``cached`` events.
+        Optional result cache (entries of kind ``results``); hits skip
+        execution entirely and count toward progress as ``cached``
+        events.
     progress:
         Optional hook called with a :class:`CellProgress` per finished
         task, in completion order.
@@ -484,9 +480,10 @@ def execute_matrix(
         with recorder.span("cache_lookup", cat="cache"):
             for spec in specs:
                 if cache is not None:
-                    hit = cache.get(spec.key(), validate=_instance_of(
-                        TrueRunResult if spec.kind == "true"
-                        else SampledRunResult))
+                    expected = (TrueRunResult if spec.kind == "true"
+                                else SampledRunResult)
+                    hit = cache.get(spec.key(), "results",
+                                    validate=expect_instance(expected))
                     if hit is not None:
                         results[spec] = hit
                         emit(spec, hit, cached=True)
@@ -518,7 +515,7 @@ def execute_matrix(
                 with recorder.span("cache_store", cat="cache",
                                    entries=len(pending)):
                     for spec in pending:
-                        cache.put(spec.key(), results[spec])
+                        cache.put(spec.key(), results[spec], "results")
     recorder.flush()
 
     grid: dict[str, WorkloadExperiment] = {}

@@ -170,10 +170,10 @@ class LivePointLibrary:
     def from_store(store, key: str) -> "LivePointLibrary | None":
         """The stored library for `key`, or None on a (possibly
         corrupt-degraded) miss."""
-        value = store.get(key, kind="livepoints")
-        if value is not None and not isinstance(value, LivePointLibrary):
-            return None
-        return value
+        from ..store import expect_instance
+
+        return store.get(key, "livepoints",
+                         validate=expect_instance(LivePointLibrary))
 
     def __len__(self) -> int:
         return len(self.points)

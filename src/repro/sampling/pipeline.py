@@ -67,7 +67,6 @@ from dataclasses import dataclass, field
 
 from ..functional import FunctionalCheckpoint, FunctionalMachine
 from ..store.checkpoint import resolve_store, shard_store_key
-from ..store.serialization import warn_once
 from ..telemetry import (
     EVENT_RUN_END,
     EVENT_RUN_START,
@@ -846,9 +845,8 @@ def _materialize_shards(stored, audit_slices, cost):
 def _capture_shards(store, key, shards, simulator, telemetry):
     """Persist a live scan's shards (audit-stripped) for future runs.
 
-    A store must never fail a run: any write error degrades to a
-    warn-once stderr note and the run proceeds with its in-memory
-    shards.
+    A failed write is the store's warn-once note; the run proceeds with
+    its in-memory shards.
     """
     starts = [int(start) for start in simulator.regimen.cluster_starts()]
     stored = [dataclasses.replace(shard, audit_slice=None)
@@ -861,13 +859,8 @@ def _capture_shards(store, key, shards, simulator, telemetry):
         "detail_ramp": int(simulator.detail_ramp),
         "cold_instructions": int(sum(s.cold_instructions for s in shards)),
     }
-    try:
-        with telemetry.span("store_capture", cat="cache", kind="shards"):
-            store.put(key, stored, kind="shards", meta=meta)
-    except Exception as exc:  # pragma: no cover - defensive
-        warn_once("checkpoint-store capture", str(store.root),
-                  f"warning: failed to persist Phase A shards to "
-                  f"{store.root} ({exc}); continuing without the store")
+    with telemetry.span("store_capture", cat="cache", kind="shards"):
+        store.put(key, stored, kind="shards", meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,60 +1,55 @@
-"""Content-addressed checkpoint store (Phase A artifacts + live-points).
+"""The content-addressed on-disk store (results, shards, live-points).
 
-Public surface of the persistence subsystem introduced for O(sampled)
-core-parameter sweeps: the geometry-keyed :class:`CheckpointStore`
-(see :mod:`.checkpoint` for the key schema and invalidation rules) and
-the atomic-serialization helpers (:mod:`.serialization`) shared with the
-result cache and the live-points library.
+Public surface of the persistence subsystem: the one
+:class:`CheckpointStore` (see :mod:`.checkpoint` for the kinds, the key
+schema and invalidation rules), the key functions, and the
+atomic-serialization helpers (:mod:`.serialization`).
 """
 
 from .checkpoint import (
+    CACHE_ENV_VAR,
     CheckpointStore,
+    LAYERS,
     PHASE_A_PACKAGES,
     STORE_ENV_VAR,
     StoreStats,
+    code_version,
     default_store_dir,
-    functional_code_version,
+    expect_instance,
     global_store_stats,
     livepoint_store_key,
     resolve_store,
+    result_store_key,
     shard_store_key,
     workload_fingerprint,
 )
 from .serialization import (
-    CorruptEntryError,
     atomic_write_bytes,
     atomic_write_json,
-    atomic_write_pickle,
     blob_digest,
     digest_key,
-    directory_stats,
-    evict_lru,
-    read_pickle,
-    safe_read_pickle,
     stable_payload,
     warn_once,
 )
 
 __all__ = [
+    "CACHE_ENV_VAR",
     "CheckpointStore",
-    "CorruptEntryError",
+    "LAYERS",
     "PHASE_A_PACKAGES",
     "STORE_ENV_VAR",
     "StoreStats",
     "atomic_write_bytes",
     "atomic_write_json",
-    "atomic_write_pickle",
     "blob_digest",
+    "code_version",
     "default_store_dir",
     "digest_key",
-    "directory_stats",
-    "evict_lru",
-    "functional_code_version",
+    "expect_instance",
     "global_store_stats",
     "livepoint_store_key",
-    "read_pickle",
     "resolve_store",
-    "safe_read_pickle",
+    "result_store_key",
     "shard_store_key",
     "stable_payload",
     "warn_once",

@@ -1,51 +1,55 @@
-"""Geometry-keyed, content-addressed store for Phase A artifacts.
+"""The one content-addressed on-disk store: results, shards, live-points.
 
-The paper's central economy — pay the functional cold scan once, spend
-detailed simulation only on sampled clusters — dies with the process in
-a plain two-phase run: every matrix cell, re-run, or service job that
-varies only *core* parameters re-executes an identical Phase A scan.
-The :class:`CheckpointStore` persists what Phase A produces — the
-per-cluster :class:`~repro.sampling.pipeline.ClusterShard`s (functional
-checkpoint + detached skip log) and warmed live-point states — under a
-content-derived key, so any later run whose Phase A inputs match
-materialises the shards straight from disk and goes directly to Phase B.
+The paper's central economy — pay for each computation once and reuse
+it — dies with the process in a plain run.  The :class:`CheckpointStore`
+persists three kinds of entry under a content-derived key, so a later
+run whose inputs match reads the entry instead of recomputing it:
 
-Key discipline mirrors :mod:`repro.harness.cache`: a sha256 over the
-JSON-stable rendering of exactly the inputs Phase A depends on —
+- ``results`` — experiment results: grid cells, true-IPC baselines,
+  service payloads, audit reference trajectories
+  (:func:`result_store_key`, and ``RunRequest.cache_key`` for service
+  payloads);
+- ``shards`` — the per-cluster Phase A
+  :class:`~repro.sampling.pipeline.ClusterShard`\\ s (functional
+  checkpoint + detached skip log) of one run (:func:`shard_store_key`);
+- ``livepoints`` — a warmed live-point library
+  (:func:`livepoint_store_key`).
 
-- the **workload fingerprint** (name, tuning parameters, program length,
-  memory footprint),
-- the **functional-ISA code version** (:func:`functional_code_version`,
-  a digest of the subpackages whose edits change what a cold scan
-  produces — deliberately *excluding* timing, harness, telemetry, and
-  service code so core-parameter sweeps and observability changes keep
-  hitting),
-- the **sampling geometry** (regimen, warm-up prefix, detail ramp),
-- the **cache/predictor geometry** (compacted logs and warmed states are
-  sized to it; the core config is deliberately absent — Phase A is
-  timing-independent, which is the whole point),
-- the **warm-up method identity** (class, fraction, warmed structures,
-  ablation switches, counter-inference window depth).
+Every key is a sha256 over the JSON-stable rendering of exactly the
+inputs the entry depends on, plus a digest of the code that computes it
+(:func:`code_version`).  The digest is the kind's whole difference:
+results digest the whole package, since any edit can change a result;
+shards and live-points digest only :data:`PHASE_A_PACKAGES`, so edits to
+timing, harness, telemetry or service code keep stored cold scans
+serving core-parameter sweeps.  Shard and live-point keys leave the core
+config out for the same reason: Phase A is timing-independent.
 
-Entries are written via temp-file + atomic rename with a JSON manifest
-alongside each blob (byte count, content digest, geometry echo); loads
-cross-check the blob digest against the manifest, so a truncated or
-bit-rotted entry degrades to a re-scan instead of corrupting a run.
-Each run additionally appends the entries it wrote to a per-run manifest
-(``<root>/runs/<run_id>.jsonl``) for provenance.
+Each entry is a blob at ``<root>/<kind>/<key[:2]>/<key>.pkl`` with a
+JSON manifest (byte count, content digest, caller metadata) beside it.
+Both land via temp file + atomic rename; loads cross-check the blob
+against the manifest before unpickling, so a truncated or bit-rotted
+entry degrades to a recomputation instead of corrupting a run.  A store
+never fails a run: every read fault is a miss and every write fault a
+warning.  Each write also appends to a per-run provenance file
+(``<root>/runs/<run_id>.jsonl``).
 
-Control knob: the ``REPRO_CHECKPOINT_STORE`` environment variable
-(``off``/``on``/directory path, same spellings as the result cache),
-threaded through :class:`~repro.harness.options.RunOptions` and the
-``--store`` CLI flags.
+A run resolves two roots with one function, :func:`resolve_store`: the
+result cache (``REPRO_RESULT_CACHE`` / ``--cache``, the ``results``
+layer) and the checkpoint store (``REPRO_CHECKPOINT_STORE`` /
+``--store``, the ``checkpoints`` layer).  The two may share a directory:
+each layer's maintenance (``entry_count``, ``total_bytes``, ``gc``)
+touches only its own kinds.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
 import pickle
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -60,7 +64,8 @@ from .serialization import (
     warn_once,
 )
 
-#: Environment variable controlling the default store location.
+#: Environment variables naming the two roots a run resolves.
+CACHE_ENV_VAR = "REPRO_RESULT_CACHE"
 STORE_ENV_VAR = "REPRO_CHECKPOINT_STORE"
 
 _OFF_VALUES = {"off", "0", "none", "no", "false", "disabled", ""}
@@ -69,36 +74,72 @@ _ON_VALUES = {"on", "auto", "1", "default", "yes", "true"}
 #: Subpackages whose source a Phase A cold scan executes.  Edits outside
 #: this set (timing core, harness, telemetry, service, analysis, CLI)
 #: cannot change what the scan produces, so they do not invalidate
-#: stored shards — unlike the result cache's whole-package
-#: :func:`~repro.harness.cache.code_version`, which must also track
-#: timing-dependent outputs.
+#: stored shards or live-points.
 PHASE_A_PACKAGES = (
     "functional", "isa", "workloads", "core",
     "sampling", "warmup", "branch", "cache",
 )
 
+#: Each kind of entry and the code its keys digest (``None``: the whole
+#: package).
+KINDS = {
+    "results": None,
+    "shards": PHASE_A_PACKAGES,
+    "livepoints": PHASE_A_PACKAGES,
+}
+
+_ALL_KINDS = tuple(KINDS)
+
+#: Each layer a run resolves: its environment variable and its kinds.
+LAYERS = {
+    "results": (CACHE_ENV_VAR, ("results",)),
+    "checkpoints": (STORE_ENV_VAR, ("shards", "livepoints")),
+}
+
+#: A writer's temp file (``.tmp-*``) younger than this many seconds may
+#: belong to a write in flight, so :meth:`CheckpointStore.gc` leaves it
+#: alone; an older one is a killed writer's orphan and is removed.
+TEMP_FILE_GRACE_S = 15 * 60
+
+
+@contextlib.contextmanager
+def _dir_lock(directory: Path, operation: int):
+    """Hold ``flock`` `operation` on `directory` for the block.
+
+    A put writes an entry's manifest and blob under ``LOCK_EX`` and a
+    get reads them under ``LOCK_SH``, so a reader never pairs one
+    writer's manifest with another's blob.
+    """
+    handle = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(handle, operation)
+        yield
+    finally:
+        os.close(handle)
+
 
 def default_store_dir() -> Path:
-    """The XDG-style default location for the checkpoint store."""
+    """The XDG-style default root of both layers."""
     base = os.environ.get("XDG_CACHE_HOME")
     root = Path(base) if base else Path.home() / ".cache"
-    return root / "repro" / "checkpoints"
+    return root / "repro"
 
 
-@lru_cache(maxsize=1)
-def functional_code_version() -> str:
-    """Digest of the Phase-A-relevant subpackages (the store's code key).
+@lru_cache(maxsize=None)
+def code_version(packages: "tuple[str, ...] | None" = None) -> str:
+    """Digest of the ``repro`` source under `packages` (``None``: all).
 
-    Any edit under :data:`PHASE_A_PACKAGES` changes this digest and
-    therefore every store key; edits to timing, harness, or
-    observability code leave it untouched, so stored scans keep serving
-    core-parameter sweeps across simulator changes that cannot affect
-    them.
+    Any edit to a digested file changes this digest and therefore every
+    key that carries it; edits elsewhere (benches, docs, tests, or
+    outside `packages`) leave it untouched, which is what makes warm
+    re-runs cheap.
     """
     package_root = Path(__file__).resolve().parent.parent
+    roots = ([package_root] if packages is None
+             else [package_root / name for name in packages])
     digest = hashlib.sha256()
-    for name in PHASE_A_PACKAGES:
-        for path in sorted((package_root / name).rglob("*.py")):
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
             digest.update(str(path.relative_to(package_root)).encode())
             digest.update(b"\0")
             digest.update(path.read_bytes())
@@ -114,6 +155,26 @@ def workload_fingerprint(workload) -> dict:
         "instructions": len(workload.program),
         "memory_words": workload.memory.footprint_words(),
     }
+
+
+def result_store_key(kind: str, workload_name: str, scale, configs,
+                     method_name: str = "") -> str:
+    """Content hash addressing one experiment result.
+
+    `kind` distinguishes result families sharing the same inputs
+    (``"true"`` for full-trace baselines, ``"cell"`` for sampled runs,
+    ``"audit-ref"`` for audit references); `scale` and `configs` are
+    rendered field by field, so any change to regimen sizing, seeds or
+    microarchitecture produces a new key.
+    """
+    return digest_key({
+        "kind": kind,
+        "workload": workload_name,
+        "scale": stable_payload(scale),
+        "configs": stable_payload(configs),
+        "method": method_name,
+        "code": code_version(),
+    })
 
 
 def shard_store_key(workload, regimen, configs, *, warmup_prefix: int,
@@ -134,7 +195,7 @@ def shard_store_key(workload, regimen, configs, *, warmup_prefix: int,
         "hierarchy": stable_payload(configs.hierarchy),
         "predictor": stable_payload(configs.predictor),
         "method": stable_payload(method_identity),
-        "code": functional_code_version(),
+        "code": code_version(PHASE_A_PACKAGES),
     })
 
 
@@ -149,13 +210,20 @@ def livepoint_store_key(workload, regimen, configs, *, warmup_prefix: int,
         "hierarchy": stable_payload(configs.hierarchy),
         "predictor": stable_payload(configs.predictor),
         "method": stable_payload(method_identity),
-        "code": functional_code_version(),
+        "code": code_version(PHASE_A_PACKAGES),
     })
+
+
+def expect_instance(expected: type):
+    """A `validate` for :meth:`CheckpointStore.get` that accepts only
+    `expected` values."""
+    return lambda value: (None if isinstance(value, expected)
+                          else f"not a {expected.__name__}")
 
 
 @dataclass
 class StoreStats:
-    """Hit/miss/byte accounting for checkpoint-store traffic."""
+    """Hit/miss/byte accounting for store traffic."""
 
     hits: int = 0
     misses: int = 0
@@ -179,8 +247,9 @@ class StoreStats:
                 f"{self.writes} writes, {self.corrupt} corrupt")
 
 
-#: Process-wide totals across every store instance — the service folds
-#: deltas of this into its ``/metrics`` counters after each job.
+#: Process-wide totals of checkpoint traffic (shards and live-points,
+#: not results) across every store instance — the service folds deltas
+#: of this into its ``/metrics`` counters after each job.
 GLOBAL_STORE_STATS = StoreStats()
 
 
@@ -189,21 +258,38 @@ def global_store_stats() -> StoreStats:
     return GLOBAL_STORE_STATS
 
 
+def _check(payload: bytes, manifest: "dict | None",
+           expect: "dict | None") -> "str | None":
+    """None when `manifest` vouches for `payload`, else why not."""
+    if manifest is None:
+        return "manifest missing or unreadable"
+    if manifest.get("digest") != blob_digest(payload):
+        return "content digest mismatch"
+    for name, value in (expect or {}).items():
+        if manifest.get(name) != value:
+            return (f"manifest field {name!r} is {manifest.get(name)!r}, "
+                    f"expected {value!r}")
+    return None
+
+
+def _label(kind: str) -> str:
+    """How warnings name the layer an entry of `kind` belongs to."""
+    return "result-cache" if kind == "results" else "checkpoint-store"
+
+
 @dataclass
 class CheckpointStore:
-    """A directory of Phase A artifacts addressed by content key.
+    """A directory of entries addressed by kind and content key.
 
     Blobs live at ``<root>/<kind>/<key[:2]>/<key>.pkl`` with a JSON
-    manifest at ``<key>.json`` beside each; `kind` is ``"shards"`` or
-    ``"livepoints"``.  All failure modes degrade to a miss (with a
-    warn-once stderr note for corruption) — the store must never fail a
+    manifest at ``<key>.json`` beside each; `kind` is one of
+    :data:`KINDS`.  All failure modes degrade to a miss or a skipped
+    write (with a warn-once stderr note) — the store must never fail a
     run.
     """
 
     root: Path
     stats: StoreStats = field(default_factory=StoreStats)
-
-    KINDS = ("shards", "livepoints")
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -214,76 +300,81 @@ class CheckpointStore:
     def _manifest_path(self, key: str, kind: str) -> Path:
         return self.root / kind / key[:2] / f"{key}.json"
 
+    def _count(self, kind: str, **deltas: int) -> None:
+        targets = [self.stats]
+        if kind in LAYERS["checkpoints"][1]:
+            targets.append(GLOBAL_STORE_STATS)
+        for target in targets:
+            for name, delta in deltas.items():
+                setattr(target, name, getattr(target, name) + delta)
+
     # -- read path ---------------------------------------------------------
 
-    def get(self, key: str, *, kind: str = "shards",
-            expect: "dict | None" = None, validate=None):
+    def get(self, key: str, kind: str, *, expect: "dict | None" = None,
+            validate=None):
         """The stored value for `key`, or None on a miss.
 
         The blob's sha256 must match the manifest's recorded digest, and
         every item of `expect` must equal the manifest's metadata — the
-        cross-check that proves the entry matches what a live scan would
-        produce before a single byte is unpickled.  `validate` (optional)
-        inspects the unpickled value and returns None to accept it or a
-        description of the problem; a rejected value is corruption, so
-        it is counted and warned about like a bad digest, never as a hit.
+        cross-check that proves the entry is what a live computation
+        would produce before a single byte is unpickled.  `validate`
+        (optional) inspects the unpickled value and returns None to
+        accept it or a description of the problem; a rejected value is
+        corruption, so it is counted and warned about like a bad
+        digest, never as a hit.
         """
         blob_path = self._blob_path(key, kind)
         try:
-            payload = blob_path.read_bytes()
+            with _dir_lock(blob_path.parent, fcntl.LOCK_SH):
+                payload = blob_path.read_bytes()
+                manifest = read_json(self._manifest_path(key, kind))
         except FileNotFoundError:
-            return self._miss()
+            return self._miss(kind)
         except OSError as exc:
-            return self._corrupt(blob_path, exc)
-        manifest = read_json(self._manifest_path(key, kind))
-        if manifest is None:
-            return self._corrupt(blob_path, "manifest missing or unreadable")
-        if manifest.get("digest") != blob_digest(payload):
-            return self._corrupt(blob_path, "content digest mismatch")
-        for name, value in (expect or {}).items():
-            if manifest.get(name) != value:
-                return self._corrupt(
-                    blob_path,
-                    f"manifest field {name!r} is {manifest.get(name)!r}, "
-                    f"expected {value!r}")
+            if self.root.exists() and not self.root.is_dir():
+                warn_once(f"{_label(kind)} root", str(self.root),
+                          f"warning: {_label(kind)} root {self.root} is "
+                          f"not a directory; every lookup is a miss")
+                return self._miss(kind)
+            return self._corrupt(blob_path, kind, exc)
+        problem = _check(payload, manifest, expect)
+        if problem is not None:
+            return self._corrupt(blob_path, kind, problem)
         try:
             value = pickle.loads(payload)
         except Exception as exc:
-            return self._corrupt(blob_path, exc)
+            return self._corrupt(blob_path, kind, exc)
         problem = validate(value) if validate is not None else None
         if problem is not None:
-            return self._corrupt(blob_path, problem)
-        self.stats.hits += 1
-        self.stats.bytes_read += len(payload)
-        GLOBAL_STORE_STATS.hits += 1
-        GLOBAL_STORE_STATS.bytes_read += len(payload)
+            return self._corrupt(blob_path, kind, problem)
+        self._count(kind, hits=1, bytes_read=len(payload))
         return value
 
-    def _miss(self):
-        self.stats.misses += 1
-        GLOBAL_STORE_STATS.misses += 1
+    def _miss(self, kind: str):
+        self._count(kind, misses=1)
         return None
 
-    def _corrupt(self, path, reason):
+    def _corrupt(self, path, kind: str, reason):
         """Warn once per path, count, and degrade to a miss."""
-        warn_once("checkpoint-store entry", str(path),
-                  f"warning: corrupt checkpoint-store entry at {path} "
-                  f"treated as a miss; the cold scan will re-run "
-                  f"({reason})")
-        self.stats.corrupt += 1
-        GLOBAL_STORE_STATS.corrupt += 1
-        return self._miss()
+        warn_once(f"{_label(kind)} entry", str(path),
+                  f"warning: corrupt {_label(kind)} entry at {path} "
+                  f"treated as a miss ({reason})")
+        self._count(kind, corrupt=1)
+        return self._miss(kind)
 
     # -- write path --------------------------------------------------------
 
-    def put(self, key: str, value, *, kind: str = "shards",
+    def put(self, key: str, value, kind: str, *,
             meta: "dict | None" = None) -> int:
         """Atomically persist `value` under `key`; returns blob bytes.
 
         The manifest records the blob's size and content digest plus any
-        caller-supplied `meta` (geometry echo for the read-side
-        cross-check); both files land via temp-file + atomic rename, and
-        the entry is appended to the current run's manifest.
+        caller-supplied `meta` (echoed for the read-side `expect`
+        cross-check); both files land via temp file + atomic rename, and
+        the entry is appended to the current run's provenance file.  A
+        write that fails (a full disk, a root that is not a directory,
+        a temp file removed before its rename) warns once per root and
+        layer, returns 0 and leaves the run to go on without the entry.
         """
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         manifest = {
@@ -292,14 +383,22 @@ class CheckpointStore:
             "kind": kind,
             "bytes": len(blob),
             "digest": blob_digest(blob),
-            "code": functional_code_version(),
+            "code": code_version(KINDS[kind]),
         }
-        atomic_write_bytes(self._blob_path(key, kind), blob)
-        atomic_write_json(self._manifest_path(key, kind), manifest)
-        self.stats.writes += 1
-        self.stats.bytes_written += len(blob)
-        GLOBAL_STORE_STATS.writes += 1
-        GLOBAL_STORE_STATS.bytes_written += len(blob)
+        blob_path = self._blob_path(key, kind)
+        try:
+            blob_path.parent.mkdir(parents=True, exist_ok=True)
+            # Manifest first: the blob's rename commits the entry, so a
+            # gc between the two renames finds no entry to evict.
+            with _dir_lock(blob_path.parent, fcntl.LOCK_EX):
+                atomic_write_json(self._manifest_path(key, kind), manifest)
+                atomic_write_bytes(blob_path, blob)
+        except OSError as exc:
+            warn_once(f"{_label(kind)} write", str(self.root),
+                      f"warning: cannot write {_label(kind)} entry at "
+                      f"{blob_path}; continuing without it ({exc})")
+            return 0
+        self._count(kind, writes=1, bytes_written=len(blob))
         self._record_run_entry(manifest)
         return len(blob)
 
@@ -328,42 +427,54 @@ class CheckpointStore:
     # -- accounting + maintenance ------------------------------------------
 
     def __contains__(self, key: str) -> bool:
-        return any(self._blob_path(key, kind).exists()
-                   for kind in self.KINDS)
+        return any(self._blob_path(key, kind).exists() for kind in KINDS)
 
-    def entry_count(self) -> int:
-        """Blobs stored, across every kind."""
-        return sum(1 for kind in self.KINDS
-                   for _ in self.root.glob(f"{kind}/*/[!.]*.pkl"))
+    def _files(self, kinds):
+        """``(path, stat)`` of every file in `kinds`' fan-out directories,
+        writers' temp files included."""
+        for kind in kinds:
+            for path in self.root.glob(f"{kind}/*/*"):
+                try:
+                    yield path, path.stat()
+                except OSError:
+                    continue
 
-    def total_bytes(self) -> int:
-        """Bytes on disk: blobs, manifests, and run provenance."""
-        from .serialization import directory_stats
+    def _blobs(self, kinds) -> list:
+        return [(path, stat) for path, stat in self._files(kinds)
+                if path.suffix == ".pkl" and not path.name.startswith(".")]
 
-        return directory_stats(self.root)[1]
+    def entry_count(self, kinds=_ALL_KINDS) -> int:
+        """Entries stored, across `kinds` (default: every kind)."""
+        return len(self._blobs(kinds))
 
-    def gc(self, max_bytes: int) -> list[Path]:
-        """Evict oldest-mtime blobs until the store fits `max_bytes`.
+    def total_bytes(self, kinds=_ALL_KINDS) -> int:
+        """Blob bytes across `kinds` — the quantity :meth:`gc` budgets."""
+        return sum(stat.st_size for _, stat in self._blobs(kinds))
 
-        The budget is shared across kinds; a blob's manifest is removed
-        with it (the pair is useless apart) but only blob bytes count
-        toward the budget, and run provenance files are left alone.
-        Returns the removed blob paths.
+    def gc(self, max_bytes: int, kinds=_ALL_KINDS) -> list[Path]:
+        """Evict oldest-mtime entries of `kinds` until their blobs fit
+        `max_bytes`; returns the removed blob paths.
+
+        A blob's manifest is removed with it (the pair is useless
+        apart).  Writers' temp files older than
+        :data:`TEMP_FILE_GRACE_S` are removed as orphans; younger ones
+        may belong to a write in flight and are left alone.  Run
+        provenance files are never touched.
         """
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
+        horizon = time.time() - TEMP_FILE_GRACE_S
         entries = []
-        total = 0
-        for kind in self.KINDS:
-            for path in self.root.glob(f"{kind}/*/*.pkl"):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
+        for path, stat in self._files(kinds):
+            if path.name.startswith(".tmp-"):
+                if stat.st_mtime < horizon:
+                    with contextlib.suppress(OSError):
+                        path.unlink()
+            elif path.suffix == ".pkl":
                 entries.append((stat.st_mtime, str(path), path,
                                 stat.st_size))
-                total += stat.st_size
         entries.sort(key=lambda item: (item[0], item[1]))
+        total = sum(item[3] for item in entries)
         removed: list[Path] = []
         for _, _, path, size in entries:
             if total <= max_bytes:
@@ -374,37 +485,36 @@ class CheckpointStore:
                 continue
             total -= size
             removed.append(path)
-        for blob in removed:
-            try:
-                blob.with_suffix(".json").unlink()
-            except OSError:
-                pass
+            with contextlib.suppress(OSError):
+                path.with_suffix(".json").unlink()
         return removed
 
-    def clear(self) -> int:
-        """Delete every blob (manifests ride along); returns the count."""
-        return len(self.gc(0))
+    def clear(self, kinds=_ALL_KINDS) -> int:
+        """Delete every entry of `kinds`; returns the count."""
+        return len(self.gc(0, kinds))
 
 
 def resolve_store(
     setting: "str | Path | CheckpointStore | None" = None,
     *,
+    layer: str = "checkpoints",
     default: "str | None" = None,
 ) -> "CheckpointStore | None":
-    """Turn a store setting into a :class:`CheckpointStore` (or None).
+    """Turn one layer's setting into a :class:`CheckpointStore` (or None).
 
-    Precedence: an explicit `setting` wins; otherwise the
-    ``REPRO_CHECKPOINT_STORE`` environment variable; otherwise
-    `default`.  Value spellings match the result cache: ``off``-family
-    disables, ``on``-family selects :func:`default_store_dir`, anything
-    else is a directory path.
+    `layer` is ``"results"`` (the result cache) or ``"checkpoints"``
+    (the checkpoint store).  Precedence: an explicit `setting` wins;
+    otherwise the layer's environment variable (:data:`LAYERS`);
+    otherwise `default`.  ``off``-family spellings disable the layer,
+    ``on``-family ones select :func:`default_store_dir`, anything else
+    is a directory path.
     """
     if isinstance(setting, CheckpointStore):
         return setting
     if isinstance(setting, Path):
         return CheckpointStore(setting)
     if setting is None:
-        setting = os.environ.get(STORE_ENV_VAR)
+        setting = os.environ.get(LAYERS[layer][0])
     if setting is None:
         setting = default
     if setting is None:

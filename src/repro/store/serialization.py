@@ -1,8 +1,7 @@
-"""Atomic on-disk serialization shared by the result cache and the store.
+"""Atomic on-disk serialization for the content-addressed store.
 
-Both persistence layers — the result cache (`repro.harness.cache`) and
-the checkpoint store (`repro.store.checkpoint`) — obey the same three
-rules, implemented once here:
+The store (`repro.store.checkpoint`) obeys three rules, implemented
+here:
 
 - **Writes are atomic.**  Every file lands via a temp file in the target
   directory followed by :func:`os.replace`, so a concurrent reader (or a
@@ -15,8 +14,7 @@ rules, implemented once here:
   objects (dataclasses, enums, containers) into JSON-stable primitives
   so two processes derive byte-identical key material for equal inputs.
 
-This module is stdlib-only and import-cycle-free: the harness cache and
-the checkpoint store both import it, never each other.
+This module is stdlib-only and import-cycle-free.
 """
 
 from __future__ import annotations
@@ -26,15 +24,10 @@ import enum
 import hashlib
 import json
 import os
-import pickle
 import sys
 import tempfile
 import threading
 from pathlib import Path
-
-
-class CorruptEntryError(Exception):
-    """An on-disk entry exists but cannot be deserialised."""
 
 
 def stable_payload(value):
@@ -100,12 +93,6 @@ def atomic_write_bytes(path, data: bytes) -> int:
     return len(data)
 
 
-def atomic_write_pickle(path, value) -> int:
-    """Atomically pickle `value` to `path`; returns the byte count."""
-    return atomic_write_bytes(
-        path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-
-
 def atomic_write_json(path, payload: dict) -> int:
     """Atomically write `payload` as pretty JSON; returns the byte count."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -117,49 +104,12 @@ def atomic_write_json(path, payload: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def read_pickle(path):
-    """``(value, payload_bytes)`` for a pickled entry.
-
-    Raises :class:`FileNotFoundError` when the entry does not exist and
-    :class:`CorruptEntryError` for anything else — truncated files,
-    garbage bytes, unresolvable classes.  Callers that want
-    miss-semantics use :func:`safe_read_pickle`.
-    """
-    payload = Path(path).read_bytes()
-    try:
-        return pickle.loads(payload), payload
-    except Exception as exc:
-        raise CorruptEntryError(f"{path}: {exc}") from exc
-
-
-def safe_read_pickle(path, *, category: str = "entry"):
-    """``(value, payload_bytes)`` or ``(None, b"")`` on miss.
-
-    A missing entry is a silent miss; a present-but-unreadable entry is
-    a miss too, but warns once per (category, path) on stderr — a cache
-    must never fail a run, yet bit-rot should not be invisible.
-    """
-    try:
-        return read_pickle(path)
-    except FileNotFoundError:
-        return None, b""
-    except (CorruptEntryError, OSError) as exc:
-        warn_once(category, str(path),
-                  f"warning: unreadable {category} at {path} "
-                  f"treated as a miss ({exc})")
-        return None, b""
-
-
 def read_json(path) -> "dict | None":
-    """Parsed JSON mapping, or None when missing/unreadable (warn-once)."""
+    """Parsed JSON mapping, or None when missing, unreadable or not a
+    mapping (the caller decides whether that is worth a warning)."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return None
-    except (ValueError, OSError) as exc:
-        warn_once("manifest", str(path),
-                  f"warning: unreadable manifest at {path} "
-                  f"treated as a miss ({exc})")
+    except (ValueError, OSError):
         return None
     return payload if isinstance(payload, dict) else None
 
@@ -187,63 +137,3 @@ def reset_warnings() -> None:
     """Forget warn-once state (test isolation)."""
     with _WARNED_LOCK:
         _WARNED.clear()
-
-
-# ---------------------------------------------------------------------------
-# directory accounting + eviction
-# ---------------------------------------------------------------------------
-
-
-def directory_stats(root, pattern: str = "**/*") -> tuple[int, int]:
-    """``(entry_count, total_bytes)`` over files matching `pattern`."""
-    root = Path(root)
-    count = 0
-    total = 0
-    if not root.exists():
-        return 0, 0
-    for path in root.glob(pattern):
-        if not path.is_file():
-            continue
-        try:
-            total += path.stat().st_size
-        except OSError:
-            continue
-        count += 1
-    return count, total
-
-
-def evict_lru(root, max_bytes: int, pattern: str = "**/*") -> list[Path]:
-    """Delete oldest-mtime files under `root` until the matching files
-    total at most `max_bytes`; returns the paths removed.
-
-    Eviction order is (mtime, path) so ties break deterministically.
-    `max_bytes` must be >= 0 (0 empties the directory).
-    """
-    if max_bytes < 0:
-        raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-    root = Path(root)
-    if not root.exists():
-        return []
-    entries = []
-    total = 0
-    for path in root.glob(pattern):
-        if not path.is_file():
-            continue
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((stat.st_mtime, str(path), path, stat.st_size))
-        total += stat.st_size
-    entries.sort(key=lambda item: (item[0], item[1]))
-    removed: list[Path] = []
-    for _, _, path, size in entries:
-        if total <= max_bytes:
-            break
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        total -= size
-        removed.append(path)
-    return removed

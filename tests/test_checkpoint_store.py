@@ -26,26 +26,25 @@ from repro.harness.executor import (
 )
 from repro.sampling import SampledSimulator, SamplingRegimen, SimulatorConfigs
 from repro.store import (
+    LAYERS,
+    PHASE_A_PACKAGES,
     STORE_ENV_VAR,
     CheckpointStore,
-    CorruptEntryError,
+    code_version,
     default_store_dir,
-    functional_code_version,
     global_store_stats,
     livepoint_store_key,
     resolve_store,
     shard_store_key,
 )
+from repro.store.checkpoint import TEMP_FILE_GRACE_S
 from repro.store.serialization import (
     atomic_write_bytes,
     atomic_write_json,
     blob_digest,
     digest_key,
-    evict_lru,
     read_json,
-    read_pickle,
     reset_warnings,
-    safe_read_pickle,
     warn_once,
 )
 from repro.warmup import SmartsWarmup
@@ -104,27 +103,6 @@ class TestSerializationHelpers:
         path.write_text("[1, 2]")
         assert read_json(path) is None
 
-    def test_read_pickle_corrupt_raises(self, tmp_path):
-        path = tmp_path / "bad.pkl"
-        path.write_bytes(b"not a pickle")
-        with pytest.raises(CorruptEntryError):
-            read_pickle(path)
-
-    def test_safe_read_pickle_missing_is_silent(self, tmp_path, capsys):
-        value, payload = safe_read_pickle(tmp_path / "absent.pkl")
-        assert value is None and payload == b""
-        assert capsys.readouterr().err == ""
-
-    def test_safe_read_pickle_corrupt_warns_once(self, tmp_path, capsys):
-        reset_warnings()
-        path = tmp_path / "bad.pkl"
-        path.write_bytes(b"garbage")
-        for _ in range(2):
-            value, _ = safe_read_pickle(path, category="test entry")
-            assert value is None
-        err = capsys.readouterr().err
-        assert err.count("treated as a miss") == 1
-
     def test_warn_once_registry_and_reset(self, capsys):
         reset_warnings()
         assert warn_once("cat", "key", "message one") is True
@@ -139,21 +117,6 @@ class TestSerializationHelpers:
         assert digest_key({"a": 1, "b": [2, 3]}) == \
             digest_key({"b": [2, 3], "a": 1})
         assert digest_key({"a": 1}) != digest_key({"a": 2})
-
-    def test_evict_lru_removes_oldest_first(self, tmp_path):
-        for name, age in (("old", 100), ("mid", 50), ("new", 10)):
-            path = tmp_path / f"{name}.pkl"
-            path.write_bytes(b"x" * 10)
-            stamp = 1_000_000 - age
-            os.utime(path, (stamp, stamp))
-        removed = evict_lru(tmp_path, 20, "*.pkl")
-        assert [p.stem for p in removed] == ["old"]
-        assert sorted(p.stem for p in tmp_path.glob("*.pkl")) == \
-            ["mid", "new"]
-
-    def test_evict_lru_negative_budget_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match=">= 0"):
-            evict_lru(tmp_path, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +160,13 @@ class TestStoreKeys:
             method_identity={"method": "SmartsWarmup"})
         assert livepoint != self._key(workload)
 
-    def test_functional_code_version_shape(self):
-        version = functional_code_version()
-        assert len(version) == 16
-        int(version, 16)  # hex digest prefix
+    def test_code_version_shape(self):
+        for packages in (None, PHASE_A_PACKAGES):
+            version = code_version(packages)
+            assert len(version) == 16
+            int(version, 16)  # hex digest prefix
+        # The whole package covers more source than Phase A executes.
+        assert code_version() != code_version(PHASE_A_PACKAGES)
 
     def test_base_method_is_not_storable(self):
         assert WarmupMethod().store_identity() is None
@@ -223,48 +189,50 @@ class TestCheckpointStore:
         return CheckpointStore(tmp_path / "store")
 
     def test_round_trip_with_expect(self, store):
-        store.put("ab" + "0" * 62, {"value": 7}, meta={"clusters": 4})
-        value = store.get("ab" + "0" * 62, expect={"clusters": 4})
+        key = "ab" + "0" * 62
+        store.put(key, {"value": 7}, "shards", meta={"clusters": 4})
+        value = store.get(key, "shards", expect={"clusters": 4})
         assert value == {"value": 7}
         assert store.stats.hits == 1
         assert store.stats.writes == 1
         assert store.stats.bytes_read > 0
 
     def test_missing_entry_is_a_silent_miss(self, store, capsys):
-        assert store.get("cd" + "0" * 62) is None
+        assert store.get("cd" + "0" * 62, "shards") is None
         assert store.stats.misses == 1
         assert store.stats.corrupt == 0
         assert capsys.readouterr().err == ""
 
     def test_expect_mismatch_degrades_to_miss(self, store, capsys):
         key = "ab" + "0" * 62
-        store.put(key, [1, 2], meta={"clusters": 4})
-        assert store.get(key, expect={"clusters": 5}) is None
+        store.put(key, [1, 2], "shards", meta={"clusters": 4})
+        assert store.get(key, "shards", expect={"clusters": 5}) is None
         assert store.stats.corrupt == 1
         assert "expected 5" in capsys.readouterr().err
 
     def test_truncated_blob_degrades_to_miss(self, store, capsys):
         key = "ab" + "0" * 62
-        store.put(key, list(range(100)))
+        store.put(key, list(range(100)), "shards")
         blob = store._blob_path(key, "shards")
         blob.write_bytes(blob.read_bytes()[:10])
-        assert store.get(key) is None
+        assert store.get(key, "shards") is None
         assert store.stats.corrupt == 1
         assert "digest mismatch" in capsys.readouterr().err
 
     def test_missing_manifest_degrades_to_miss(self, store):
         key = "ab" + "0" * 62
-        store.put(key, "value")
+        store.put(key, "value", "shards")
         store._manifest_path(key, "shards").unlink()
-        assert store.get(key) is None
+        assert store.get(key, "shards") is None
         assert store.stats.corrupt == 1
 
     def test_validate_accepts_or_degrades_to_miss(self, store, capsys):
         key = "ab" + "0" * 62
-        store.put(key, [1, 2])
-        assert store.get(key, validate=lambda value: None) == [1, 2]
+        store.put(key, [1, 2], "shards")
+        assert store.get(key, "shards", validate=lambda value: None) == [1, 2]
         assert store.stats.hits == 1
-        assert store.get(key, validate=lambda value: "wrong shape") is None
+        assert store.get(key, "shards",
+                         validate=lambda value: "wrong shape") is None
         assert store.stats.hits == 1
         assert store.stats.corrupt == 1
         assert "wrong shape" in capsys.readouterr().err
@@ -275,12 +243,12 @@ class TestCheckpointStore:
         atomic_write_bytes(store._blob_path(key, "shards"), blob)
         atomic_write_json(store._manifest_path(key, "shards"),
                           {"digest": blob_digest(blob)})
-        assert store.get(key) is None
+        assert store.get(key, "shards") is None
         assert store.stats.corrupt == 1
 
     def test_provenance_recorded_under_run_id(self, store, monkeypatch):
         monkeypatch.setenv("REPRO_RUN_ID", "prov-test")
-        store.put("ab" + "0" * 62, "value", meta={"clusters": 4})
+        store.put("ab" + "0" * 62, "value", "shards", meta={"clusters": 4})
         lines = (store.root / "runs" / "prov-test.jsonl").read_text()
         entry = json.loads(lines.strip())
         assert entry["run_id"] == "prov-test"
@@ -289,31 +257,99 @@ class TestCheckpointStore:
 
     def test_no_provenance_without_run_id(self, store, monkeypatch):
         monkeypatch.delenv("REPRO_RUN_ID", raising=False)
-        store.put("ab" + "0" * 62, "value")
+        store.put("ab" + "0" * 62, "value", "shards")
         assert not (store.root / "runs").exists()
 
     def test_gc_leaves_provenance_and_pairs_manifests(self, store,
                                                       monkeypatch):
         monkeypatch.setenv("REPRO_RUN_ID", "gc-test")
         for index in range(3):
-            store.put(f"{index:02x}" + "0" * 62, list(range(50)))
+            store.put(f"{index:02x}" + "0" * 62, list(range(50)), "shards")
         assert store.entry_count() == 3
         removed = store.gc(0)
         assert len(removed) == 3
         assert store.entry_count() == 0
         assert not list(store.root.glob("shards/*/*.json"))
-        # Run provenance survives eviction.
+        # Run provenance survives eviction, and is not an entry's bytes.
         assert (store.root / "runs" / "gc-test.jsonl").exists()
-        assert store.total_bytes() > 0
+        assert store.total_bytes() == 0
 
     def test_gc_negative_budget_rejected(self, store):
         with pytest.raises(ValueError, match=">= 0"):
             store.gc(-1)
 
+    def test_gc_removes_oldest_first(self, store):
+        for index, age in enumerate((100, 50, 10)):
+            store.put(f"{index:02x}" + "0" * 62, b"x" * 10, "shards")
+            stamp = 1_000_000 - age
+            os.utime(store._blob_path(f"{index:02x}" + "0" * 62, "shards"),
+                     (stamp, stamp))
+        size = store.total_bytes() // 3
+        removed = store.gc(2 * size)
+        assert [path.stem[:2] for path in removed] == ["00"]
+        assert store.entry_count() == 2
+
+    def test_corrupt_entry_warns_once(self, store, capsys):
+        key = "ab" + "0" * 62
+        store.put(key, list(range(100)), "shards")
+        store._blob_path(key, "shards").write_bytes(b"garbage")
+        for _ in range(2):
+            assert store.get(key, "shards") is None
+        assert store.stats.corrupt == 2
+        assert capsys.readouterr().err.count("treated as a miss") == 1
+
+    def test_gc_spares_a_young_temp_file_and_removes_an_orphan(self, store):
+        key = "ab" + "0" * 62
+        store.put(key, "value", "shards")
+        directory = store._blob_path(key, "shards").parent
+        young = directory / ".tmp-inflight.pkl"
+        orphan = directory / ".tmp-killed.pkl"
+        young.write_bytes(b"partial")
+        orphan.write_bytes(b"partial")
+        stamp = orphan.stat().st_mtime - TEMP_FILE_GRACE_S - 1
+        os.utime(orphan, (stamp, stamp))
+        assert store.entry_count() == 1
+        assert store.total_bytes() == store._blob_path(
+            key, "shards").stat().st_size
+        assert len(store.gc(0)) == 1
+        assert young.exists() and not orphan.exists()
+
+    def test_root_that_is_a_file_warns_once(self, tmp_path, capsys):
+        reset_warnings()
+        root = tmp_path / "not-a-directory"
+        root.write_text("")
+        store = CheckpointStore(root)
+        for index in range(3):
+            assert store.get(f"{index:02x}" + "0" * 62, "shards") is None
+        assert store.stats.misses == 3 and store.stats.corrupt == 0
+        assert capsys.readouterr().err.count("is not a directory") == 1
+        assert store.put("ab" + "0" * 62, "value", "shards") == 0
+        assert store.put("cd" + "0" * 62, "value", "shards") == 0
+        assert capsys.readouterr().err.count("cannot write") == 1
+
+    def test_layers_share_a_root_without_mixing(self, store):
+        """Results and checkpoints in one root: each layer's accounting
+        and eviction see only its own kinds, and only checkpoint
+        traffic reaches the process-wide totals."""
+        results = LAYERS["results"][1]
+        checkpoints = LAYERS["checkpoints"][1]
+        before = global_store_stats().as_dict()
+        store.put("ab" + "0" * 62, "result", "results")
+        assert store.get("ab" + "0" * 62, "results") == "result"
+        assert global_store_stats().as_dict() == before
+        store.put("cd" + "0" * 62, "shards", "shards")
+        assert global_store_stats().writes == before["writes"] + 1
+        assert store.entry_count(results) == 1
+        assert store.entry_count(checkpoints) == 1
+        assert store.entry_count() == 2
+        assert len(store.gc(0, results)) == 1
+        assert store.entry_count(checkpoints) == 1
+        assert store.get("cd" + "0" * 62, "shards") == "shards"
+
     def test_contains_and_clear(self, store):
         key = "ab" + "0" * 62
         assert key not in store
-        store.put(key, "value")
+        store.put(key, "value", "shards")
         assert key in store
         assert store.clear() == 1
         assert key not in store
@@ -742,7 +778,7 @@ class TestCacheCLI:
         from repro.__main__ import main
 
         store = CheckpointStore(cli_env / "checkpoints")
-        store.put("ab" + "0" * 62, list(range(100)))
+        store.put("ab" + "0" * 62, list(range(100)), "shards")
         assert main(["cache", "gc", "--max-bytes", "0",
                      "--layer", "checkpoints"]) == 0
         out = capsys.readouterr().out

@@ -4,17 +4,20 @@ Each cell damages one boundary in one way and expects one of two
 outcomes: the bit-identical result of a run without the fault, or a
 one-line ``error:`` diagnostic with exit status 2.
 
-- **Result cache** (`ResultCache`, read through by `execute_request`
-  and by the matrix grid's cells): damaged entries (truncated, garbage,
-  empty, a valid pickle of the wrong thing, written by other code) and
-  failed writes (unwritable root, full disk, a ``gc`` that removes the
-  temp file before its rename, a writer killed mid-write).
-- **Checkpoint store** (`CheckpointStore`, read through by the sharded
+- **Result cache** (the ``results`` kind of `CheckpointStore`, read
+  through by `execute_request`, the matrix grid's cells and the audit
+  reference): damaged entries (truncated, garbage or empty blob, a
+  damaged manifest, a well-formed entry of the wrong value, written by
+  other code) and failed writes (unwritable root, full disk, a temp
+  file that vanishes before its rename, a ``gc`` during a put, a writer
+  killed mid-write).
+- **Checkpoint store** (the ``shards`` kind, read through by the sharded
   pipeline): failed writes, a killed writer's temp file, and entries
   written by other functional code.  Damaged store entries have their
   own cells in tests/test_checkpoint_store.py.
 - **CLI output paths**: ``--output``, ``--spans``, ``--trace`` and
-  ``REPRO_TRACE`` naming a path that cannot be written.
+  ``REPRO_TRACE`` naming a path that cannot be written; an unwritable
+  grid ``--output`` fails before any cell runs.
 """
 
 from __future__ import annotations
@@ -22,21 +25,25 @@ from __future__ import annotations
 import errno
 import os
 import threading
+import time
 
 import pytest
 
 from repro.__main__ import main
 from repro.api import RunRequest, execute_request
-from repro.harness.cache import ResultCache
-from repro.store import STORE_ENV_VAR, CheckpointStore
+from repro.harness import ResultCache
+from repro.store import CACHE_ENV_VAR, STORE_ENV_VAR, CheckpointStore
 from repro.store import checkpoint as store_module
-from repro.store.serialization import atomic_write_pickle, reset_warnings
+from repro.store.checkpoint import TEMP_FILE_GRACE_S
+from repro.store.serialization import reset_warnings
 from tests.test_checkpoint_store import _run, _shard_blob
 
 SAMPLE = RunRequest(kind="sample", workloads=("gcc",), methods=("rsr",),
                     design="ci")
 MATRIX = RunRequest(kind="matrix", workloads=("gcc",), methods=("rsr",),
                     design="ci")
+AUDIT = RunRequest(kind="audit", workloads=("gcc",), methods=("rsr",),
+                   design="ci")
 UNWRITABLE = "/dev/null/missing"
 
 
@@ -56,6 +63,12 @@ def _droppings(root) -> list:
     return sorted(root.rglob(".tmp-*"))
 
 
+def _back_date(path) -> None:
+    """Age a temp file past the grace period, as a killed writer's."""
+    stamp = time.time() - TEMP_FILE_GRACE_S - 1
+    os.utime(path, (stamp, stamp))
+
+
 # ---------------------------------------------------------------------------
 # result cache: damaged entries
 # ---------------------------------------------------------------------------
@@ -65,13 +78,25 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
+def _blob(cache, key):
+    return cache._blob_path(key, "results")
+
+
+#: Each damage takes the cache and the key.  File damage breaks the
+#: blob or manifest in place (the manifest check rejects it); a wrong
+#: value is planted through `put`, so it passes that check and only the
+#: reader's `validate` can reject it.
 ENTRY_DAMAGE = {
-    "truncated": _truncate,
-    "garbage": lambda path: path.write_bytes(b"\x00garbage\xff"),
-    "empty": lambda path: path.write_bytes(b""),
-    "wrong-value": lambda path: atomic_write_pickle(path, ["not", "rows"]),
-    "wrong-kind": lambda path: atomic_write_pickle(
-        path, {"kind": "audit", "design": "ci", "reports": {}}),
+    "truncated": lambda cache, key: _truncate(_blob(cache, key)),
+    "garbage": lambda cache, key: _blob(cache, key).write_bytes(
+        b"\x00garbage\xff"),
+    "empty": lambda cache, key: _blob(cache, key).write_bytes(b""),
+    "damaged-manifest": lambda cache, key: cache._manifest_path(
+        key, "results").write_text("{not json"),
+    "wrong-value": lambda cache, key: cache.put(
+        key, ["not", "rows"], "results"),
+    "wrong-kind": lambda cache, key: cache.put(
+        key, {"kind": "audit", "design": "ci", "reports": {}}, "results"),
 }
 
 
@@ -80,7 +105,7 @@ def test_damaged_request_entry_recomputes_identically(damage, baseline,
                                                       tmp_path, capsys):
     cache = ResultCache(tmp_path / "cache")
     execute_request(SAMPLE, cache=cache)
-    ENTRY_DAMAGE[damage](cache._path(SAMPLE.cache_key()))
+    ENTRY_DAMAGE[damage](cache, SAMPLE.cache_key())
     capsys.readouterr()
     rerun = execute_request(SAMPLE, cache=cache)
     assert not rerun.cached
@@ -97,11 +122,11 @@ def test_damaged_grid_cell_entry_recomputes_identically(damage, baseline,
     request entry gone, a damaged cell entry is a warned miss."""
     cache = ResultCache(tmp_path / "cache")
     execute_request(MATRIX, cache=cache)
-    cache._path(MATRIX.cache_key()).unlink()
-    cells = sorted(path for path in cache.root.glob("*/*.pkl"))
+    _blob(cache, MATRIX.cache_key()).unlink()
+    cells = sorted(path for path in cache.root.glob("results/*/*.pkl"))
     assert len(cells) == 2  # the true run and the one sampled cell
     for path in cells:
-        ENTRY_DAMAGE[damage](path)
+        ENTRY_DAMAGE[damage](cache, path.stem)
     capsys.readouterr()
     rerun = execute_request(MATRIX, cache=cache)
     assert not rerun.cached
@@ -135,7 +160,7 @@ def _gc_races_put(monkeypatch, cache):
     real_replace = os.replace
 
     def replace(source, target):
-        cache.gc(0)  # removes the temp file the rename is about to move
+        os.unlink(source)  # the temp file vanishes before its rename
         real_replace(source, target)
     monkeypatch.setattr(os, "replace", replace)
 
@@ -161,23 +186,46 @@ def test_failed_cache_write_keeps_the_result(fault, request_, baseline,
 
 def test_cache_root_that_is_a_file_keeps_the_result(baseline, tmp_path,
                                                     capsys):
+    """The request, the true run and the cell are three keys: one read
+    warning and one write warning for the root, none per key."""
     root = tmp_path / "not-a-directory"
     root.write_text("")
     result = execute_request(MATRIX, cache=ResultCache(root))
     assert result.payload == baseline["matrix"]
-    assert "cannot write result-cache" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("result-cache root") == 1
+    assert err.count("cannot write result-cache") == 1
+    assert "corrupt" not in err
+
+
+def test_gc_during_a_put_keeps_the_entry(tmp_path, monkeypatch, capsys):
+    cache = ResultCache(tmp_path / "cache")
+    key = SAMPLE.cache_key()
+    real_replace = os.replace
+
+    def replace(source, target):
+        cache.gc(0)  # a `repro cache gc` beside the writer
+        real_replace(source, target)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", replace)
+        cache.put(key, {"kind": "sample", "rows": []}, "results")
+    assert cache.get(key, "results") == {"kind": "sample", "rows": []}
+    assert cache.entry_count() == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_killed_writer_temp_file_is_not_an_entry(baseline, tmp_path):
     cache = ResultCache(tmp_path / "cache")
     execute_request(SAMPLE, cache=cache)
-    entry = cache._path(SAMPLE.cache_key())
+    entry = _blob(cache, SAMPLE.cache_key())
     dropping = entry.parent / ".tmp-killed.pkl"
     dropping.write_bytes(entry.read_bytes()[:10])
     rerun = execute_request(SAMPLE, cache=cache)
     assert rerun.cached and rerun.payload == baseline["sample"]
     assert cache.entry_count() == 1
     assert cache.total_bytes() == entry.stat().st_size
+    _back_date(dropping)
     cache.gc(0)
     assert not dropping.exists()
 
@@ -190,11 +238,11 @@ def test_concurrent_writers_never_tear_an_entry(tmp_path, capsys):
 
     def write(value):
         for _ in range(100):
-            cache.put(key, value)
+            cache.put(key, value, "results")
 
     def read():
         for _ in range(200):
-            reads.append(cache.get(key))
+            reads.append(cache.get(key, "results"))
 
     threads = [threading.Thread(target=write, args=(value,))
                for value in values] + [threading.Thread(target=read)]
@@ -203,10 +251,31 @@ def test_concurrent_writers_never_tear_an_entry(tmp_path, capsys):
     for thread in threads:
         thread.join()
     assert all(value is None or value in values for value in reads)
-    assert cache.get(key) in values
+    assert cache.get(key, "results") in values
     assert cache.entry_count() == 1
     assert capsys.readouterr().err == ""
     assert _droppings(tmp_path) == []
+
+
+def test_wrong_audit_reference_is_recomputed(tmp_path, monkeypatch, capsys):
+    """A well-formed `results` entry under the audit reference's key
+    that is not a trajectory is a warned miss, not a reference."""
+    from repro.analysis import audit as audit_module
+
+    def audit_payload():
+        audit_module._TRAJECTORY_MEMO.clear()
+        return execute_request(AUDIT, cache="off").payload
+
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    clean = audit_payload()
+    root = tmp_path / "cache"
+    monkeypatch.setenv(CACHE_ENV_VAR, str(root))
+    assert audit_payload() == clean
+    (reference,) = root.glob("results/*/*.pkl")
+    ResultCache(root).put(reference.stem, ["not", "a trajectory"], "results")
+    capsys.readouterr()
+    assert audit_payload() == clean
+    assert capsys.readouterr().err.count("result-cache entry") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +322,7 @@ def test_failed_store_write_keeps_the_result(fault, store_workload,
         WRITE_FAULTS[fault](patch, CheckpointStore(store_root))
         run = _run(store_workload)
     _same_run(run, storeless)
-    assert "failed to persist Phase A shards" in capsys.readouterr().err
+    assert "cannot write checkpoint-store" in capsys.readouterr().err
     assert _droppings(store_root) == []
     assert _run(store_workload).extra["checkpoint_store"] == "miss"
 
@@ -263,25 +332,30 @@ def test_store_root_that_is_a_file_keeps_the_result(store_workload,
                                                     capsys):
     store_root.write_text("")
     _same_run(_run(store_workload), storeless)
-    assert "failed to persist Phase A shards" in capsys.readouterr().err
+    assert "cannot write checkpoint-store" in capsys.readouterr().err
 
 
 def test_killed_writer_temp_file_is_not_a_store_entry(store_workload,
                                                       storeless, store_root):
     _run(store_workload)
     blob = _shard_blob(store_root)
-    (blob.parent / ".tmp-killed.pkl").write_bytes(blob.read_bytes()[:10])
+    dropping = blob.parent / ".tmp-killed.pkl"
+    dropping.write_bytes(blob.read_bytes()[:10])
     warm = _run(store_workload)
     assert warm.extra["checkpoint_store"] == "hit"
     _same_run(warm, storeless)
-    assert CheckpointStore(store_root).entry_count() == 1
+    store = CheckpointStore(store_root)
+    assert store.entry_count() == 1
+    _back_date(dropping)
+    store.gc(0)
+    assert not dropping.exists()
 
 
 def test_store_entry_of_other_functional_code_is_not_served(
         store_workload, storeless, store_root, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(store_module, "functional_code_version",
-                      lambda: "0" * 16)
+        patch.setattr(store_module, "code_version",
+                      lambda packages=None: "0" * 16)
         assert _run(store_workload).extra["checkpoint_store"] == "miss"
     rerun = _run(store_workload)
     assert rerun.extra["checkpoint_store"] == "miss"
@@ -316,3 +390,18 @@ def test_unwritable_output_path_exits_2(cell, monkeypatch, capsys):
     assert err.startswith("error: ") and UNWRITABLE in err
     assert "Traceback" not in err
 
+
+@pytest.mark.parametrize("argv", (
+    GRID + ["--output", f"{UNWRITABLE}/grid.json"],
+    ["reproduce", "--scale", "ci", "--output", f"{UNWRITABLE}/grid.json"],
+), ids=("matrix", "reproduce"))
+def test_unwritable_grid_output_fails_before_any_cell(argv, monkeypatch,
+                                                      capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid ran before --output was checked")
+
+    monkeypatch.setattr("repro.harness.execute_matrix", unreachable)
+    monkeypatch.setattr("repro.harness.experiment.full_matrix", unreachable)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and UNWRITABLE in err

@@ -1,22 +1,25 @@
-"""Tests for the on-disk result cache (harness/cache.py)."""
+"""Tests for the result cache: the ``results`` layer of the store."""
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
-from repro.harness.cache import (
+from repro.harness import ResultCache
+from repro.store import (
     CACHE_ENV_VAR,
-    ResultCache,
-    cache_key,
+    CheckpointStore,
     code_version,
-    default_cache_dir,
-    resolve_cache,
+    default_store_dir,
+    resolve_store,
+    result_store_key as cache_key,
 )
 from repro.harness.experiment import SCALES
 from repro.sampling import SimulatorConfigs
 
 CI = SCALES["ci"]
 BENCH = SCALES["bench"]
+resolve_cache = partial(resolve_store, layer="results")
 
 
 class TestCacheKey:
@@ -58,16 +61,23 @@ class TestCacheKey:
 
 
 class TestResultCache:
+    def test_result_cache_is_the_store(self):
+        assert ResultCache is CheckpointStore
+
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         key = cache_key("cell", "ammp", CI, CI.configs(), "S$BP")
-        assert cache.get(key) is None
+        assert cache.get(key, "results") is None
         assert cache.stats.misses == 1
-        cache.put(key, {"ipc": 1.25})
+        cache.put(key, {"ipc": 1.25}, "results")
         assert key in cache
-        assert cache.get(key) == {"ipc": 1.25}
+        assert cache.get(key, "results") == {"ipc": 1.25}
         assert cache.stats.hits == 1
         assert cache.entry_count() == 1
+        # One blob and its manifest, under the results kind.
+        entry = tmp_path / "cache" / "results" / key[:2] / key
+        assert entry.with_suffix(".pkl").is_file()
+        assert entry.with_suffix(".json").is_file()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         # pickle raises different exception types depending on the
@@ -78,15 +88,15 @@ class TestResultCache:
         ):
             cache = ResultCache(tmp_path / f"cache-{index}")
             key = "ab" + "0" * 62
-            cache.put(key, [1, 2, 3])
-            cache._path(key).write_bytes(garbage)
-            assert cache.get(key) is None
+            cache.put(key, [1, 2, 3], "results")
+            cache._blob_path(key, "results").write_bytes(garbage)
+            assert cache.get(key, "results") is None
             assert cache.stats.misses == 1
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         for prefix in ("aa", "bb", "cc"):
-            cache.put(prefix + "0" * 62, prefix)
+            cache.put(prefix + "0" * 62, prefix, "results")
         assert cache.clear() == 3
         assert cache.entry_count() == 0
 
@@ -100,7 +110,7 @@ class TestResolveCache:
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         cache = resolve_cache(default="on")
         assert cache is not None
-        assert cache.root == default_cache_dir()
+        assert cache.root == default_store_dir()
 
     def test_env_off_values(self, monkeypatch):
         for value in ("off", "0", "none", "false", ""):
