@@ -362,11 +362,14 @@ def cmd_design(args) -> int:
 
 
 def _check_writable(path) -> None:
-    """Raise OSError now if `path` cannot be written once the grid is
-    done, so a bad ``--output`` costs no cells (main() turns it into a
-    one-line error and exit 2)."""
+    """Raise now if grid output `path` has no export format or cannot
+    be written once the grid is done, so a bad ``--output`` costs no
+    cells (main() turns either into a one-line error and exit 2)."""
     if not path:
         return
+    from .harness.export import matrix_format
+
+    matrix_format(path)
     existed = os.path.exists(path)
     with open(path, "a", encoding="utf-8"):
         pass

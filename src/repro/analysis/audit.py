@@ -48,7 +48,7 @@ from ..sampling.controller import (
 )
 from ..sampling.pipeline import ClusterEntry, record_cluster_entries
 from ..sampling.regimen import SamplingRegimen
-from ..telemetry import PHASE_AUDIT, RECORD_AUDIT
+from ..telemetry import RECORD_AUDIT
 from ..warmup.fixed_period import SmartsWarmup
 from ..workloads import Workload
 from .fidelity import _jaccard, _ratio
@@ -275,9 +275,9 @@ class AuditProbe:
     first — finalisation is behaviour-neutral: drained values are
     identical to what in-cluster probes would reconstruct), and
     :meth:`after_cluster` completes the record with the error
-    attribution once the cluster's IPC is known.  All probe work is
-    charged to the ``audit`` phase timer, keeping the paper's three-
-    phase cost split clean.
+    attribution once the cluster's IPC is known.  The cluster step
+    charges both calls to the ``audit`` phase, keeping the paper's
+    three-phase cost split clean.
     """
 
     def __init__(self, trajectory: ReferenceTrajectory, telemetry) -> None:
@@ -291,69 +291,57 @@ class AuditProbe:
         }
         self._partial: dict[int, dict] = {}
 
-    @classmethod
-    def for_run(cls, simulator, telemetry) -> "AuditProbe":
-        """Build a probe for one controller run (reference is cached)."""
-        trajectory = reference_trajectory_for(
-            simulator.workload, simulator.regimen, simulator.configs,
-            warmup_prefix=simulator.warmup_prefix,
-            detail_ramp=simulator.detail_ramp,
-        )
-        return cls(trajectory, telemetry)
-
     def before_cluster(self, index: int, method, stack) -> None:
         """Diff reconstructed state at cluster entry (post pre_cluster)."""
-        with self.telemetry.phase(PHASE_AUDIT):
-            census = None
-            take_census = getattr(method, "audit_census", None)
-            if take_census is not None:
-                # The census must precede finalisation: it reads the armed
-                # on-demand engine, which a drain consumes.
-                census = take_census()
-            method.finalize_pending()
-            metrics = diff_against_reference(
-                stack.hierarchy, stack.predictor, self._states[index].state
-            )
-            for key in CENSUS_KEYS:
-                metrics[key] = None if census is None else census[key]
-            self._partial[index] = metrics
+        census = None
+        take_census = getattr(method, "audit_census", None)
+        if take_census is not None:
+            # The census must precede finalisation: it reads the armed
+            # on-demand engine, which a drain consumes.
+            census = take_census()
+        method.finalize_pending()
+        metrics = diff_against_reference(
+            stack.hierarchy, stack.predictor, self._states[index].state
+        )
+        for key in CENSUS_KEYS:
+            metrics[key] = None if census is None else census[key]
+        self._partial[index] = metrics
 
     def after_cluster(self, index: int, method, ipc: float) -> None:
         """Complete and emit the audit record once the IPC is known."""
-        with self.telemetry.phase(PHASE_AUDIT):
-            metrics = self._partial.pop(index)
-            reference = self._states[index]
-            record = {
-                "type": RECORD_AUDIT,
-                "workload": self.trajectory.workload_name,
-                "method": method.name,
-                "cluster": index,
-                "start": reference.start,
-                **metrics,
-                "ipc": ipc,
-                "ref_ipc": reference.ipc,
-                "true_ipc": self.trajectory.true_ipc,
-                "cold_start_error": ipc - reference.ipc,
-                "sampling_error": reference.ipc - self.trajectory.true_ipc,
-            }
-            telemetry = self.telemetry
-            telemetry.emit(record)
-            telemetry.count("audit.clusters_probed")
-            for name in ("l1d_tag_agreement", "l2_tag_agreement",
-                         "pht_counter_agreement", "btb_agreement",
-                         "ras_agreement"):
-                telemetry.observe(f"audit.{name}", record[name])
-            telemetry.observe("audit.cold_start_error",
-                              record["cold_start_error"])
-            telemetry.observe("audit.sampling_error",
-                              record["sampling_error"])
-            if record["pht_ambiguity_mass"] is not None:
-                telemetry.count("audit.pht_exact", record["pht_exact"])
-                telemetry.count(
-                    "audit.pht_ambiguous",
-                    record["pht_ambiguous_two"]
-                    + record["pht_ambiguous_three"],
-                )
-                telemetry.count("audit.pht_stale", record["pht_stale"])
-                telemetry.observe("audit.pht_ambiguity_mass",
-                                  record["pht_ambiguity_mass"])
+        metrics = self._partial.pop(index)
+        reference = self._states[index]
+        record = {
+            "type": RECORD_AUDIT,
+            "workload": self.trajectory.workload_name,
+            "method": method.name,
+            "cluster": index,
+            "start": reference.start,
+            **metrics,
+            "ipc": ipc,
+            "ref_ipc": reference.ipc,
+            "true_ipc": self.trajectory.true_ipc,
+            "cold_start_error": ipc - reference.ipc,
+            "sampling_error": reference.ipc - self.trajectory.true_ipc,
+        }
+        telemetry = self.telemetry
+        telemetry.emit(record)
+        telemetry.count("audit.clusters_probed")
+        for name in ("l1d_tag_agreement", "l2_tag_agreement",
+                     "pht_counter_agreement", "btb_agreement",
+                     "ras_agreement"):
+            telemetry.observe(f"audit.{name}", record[name])
+        telemetry.observe("audit.cold_start_error",
+                          record["cold_start_error"])
+        telemetry.observe("audit.sampling_error",
+                          record["sampling_error"])
+        if record["pht_ambiguity_mass"] is not None:
+            telemetry.count("audit.pht_exact", record["pht_exact"])
+            telemetry.count(
+                "audit.pht_ambiguous",
+                record["pht_ambiguous_two"]
+                + record["pht_ambiguous_three"],
+            )
+            telemetry.count("audit.pht_stale", record["pht_stale"])
+            telemetry.observe("audit.pht_ambiguity_mass",
+                              record["pht_ambiguity_mass"])

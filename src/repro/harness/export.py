@@ -129,14 +129,24 @@ def save_audit(snapshot, path) -> None:
         stream.write(audit_to_json(snapshot) + "\n")
 
 
+#: Grid export renderers by the extension that selects them.
+_MATRIX_FORMATS = {".csv": matrix_to_csv, ".json": matrix_to_json}
+
+
+def matrix_format(path):
+    """The grid renderer `path`'s extension selects (.csv or .json).
+
+    Raises ValueError for any other extension, so a caller can check an
+    output path before it runs the grid.
+    """
+    for extension, render in _MATRIX_FORMATS.items():
+        if str(path).endswith(extension):
+            return render
+    raise ValueError(f"path must end with .csv or .json (got {str(path)!r})")
+
+
 def save_matrix(matrix: dict[str, WorkloadExperiment], path) -> None:
     """Write a grid to `path`; format chosen by extension (.csv/.json)."""
-    path_text = str(path)
-    if path_text.endswith(".csv"):
-        payload = matrix_to_csv(matrix)
-    elif path_text.endswith(".json"):
-        payload = matrix_to_json(matrix)
-    else:
-        raise ValueError("path must end with .csv or .json")
+    payload = matrix_format(path)(matrix)
     with open(path, "w", encoding="utf-8") as stream:
         stream.write(payload)

@@ -6,7 +6,11 @@ timing — on one continuously evolving simulator.  Only the detailed
 timing is expensive, and for Reverse State Reconstruction it depends on
 nothing but (a) the architectural state at cluster entry and (b) the
 just-logged gap: exactly the locality the paper's §3 design buys.  The
-two-phase pipeline (:func:`run_sharded`) exploits it:
+two-phase pipeline (:func:`run_sharded`) exploits it.  Both strategies
+run the same per-cluster body (:class:`_ClusterStep`: reconstruct, the
+timed cluster, the cluster's trace record) inside the same run frame
+(:class:`_RunFrame`); they differ only in how a cluster's entry state is
+produced — by the serial walk's own skip, or by a restored checkpoint:
 
 - **Phase A — cold scan** (serial, fast): walk the regimen once doing
   cold functional simulation only.  For every cluster, skip the gap with
@@ -17,8 +21,9 @@ two-phase pipeline (:func:`run_sharded`) exploits it:
   :class:`ClusterShard`.
 - **Phase B — hot shards** (parallel): each shard independently restores
   its checkpoint onto a fresh simulator stack, adopts the gap source,
-  runs the method's reconstruction plus the detailed ramp + cluster, and
-  returns its IPC, cost deltas, and telemetry snapshot.  The shards are
+  runs the cluster step, and returns its IPC, cost deltas, and
+  telemetry snapshot (a worker's session is live exactly when the run's
+  is; the run's session absorbs each snapshot).  The shards are
   dealt round-robin into one :class:`ShardTask` per worker
   (``REPRO_CLUSTER_JOBS`` / ``--cluster-jobs``), so the workload, configs
   and method travel once per worker rather than once per cluster, and
@@ -70,15 +75,18 @@ from ..store.checkpoint import resolve_store, shard_store_key
 from ..telemetry import (
     EVENT_RUN_END,
     EVENT_RUN_START,
+    NULL_SPANS,
     NULL_TELEMETRY,
+    PHASE_AUDIT,
     PHASE_COLD_SKIP,
     PHASE_HOT_SIM,
     PHASE_RECONSTRUCT,
+    SpanContext,
+    SpanRecorder,
+    Telemetry,
     TelemetrySnapshot,
     audit_enabled,
     emit_event,
-    merge_snapshots,
-    telemetry_from_env,
 )
 from ..warmup.base import SimulationContext
 from .controller import (
@@ -184,6 +192,12 @@ class ShardTask:
     #: every task; each shard unpickles a private copy.
     method_blob: bytes
     shards: tuple[ClusterShard, ...]
+    #: Whether the run's telemetry session is live: a worker opens a
+    #: live session exactly then, and the parent absorbs its snapshot.
+    traced: bool = False
+    #: The run's open phase_b span, or None when the run records no
+    #: spans: a worker records spans exactly when this is set.
+    span_context: SpanContext | None = None
 
 
 @dataclass(frozen=True)
@@ -198,6 +212,202 @@ class ShardResult:
     #: on the parent's method already.
     cost_delta: dict
     snapshot: TelemetrySnapshot | None = None
+
+
+# ---------------------------------------------------------------------------
+# the run frame and the cluster step (shared by both strategies)
+# ---------------------------------------------------------------------------
+
+
+def _bind(method, stack, regimen, telemetry) -> None:
+    """Bind `method` to `stack` under `telemetry`."""
+    method.bind(SimulationContext(
+        machine=stack.machine,
+        hierarchy=stack.hierarchy,
+        predictor=stack.predictor,
+        regimen=regimen,
+        telemetry=telemetry,
+    ))
+
+
+class _RunFrame:
+    """What both strategies do around their cluster walk.
+
+    Construction resolves the run's telemetry session, emits the
+    ``run_start`` event and opens the ``run`` span; :meth:`begin` binds
+    the method and starts the wall clock; :meth:`finish` closes the span,
+    sets the run gauges, snapshots and flushes the session, emits
+    ``run_end`` and builds the :class:`SampledRunResult`.  `facts`
+    (``cluster_jobs`` for the sharded strategy) ride the ``run_start``
+    event and the ``run`` span and become ``run.<fact>`` gauges.
+    """
+
+    def __init__(self, simulator, method, strategy: str, **facts) -> None:
+        self.simulator = simulator
+        self.method = method
+        self.telemetry = telemetry = simulator._telemetry_session()
+        self._strategy = strategy
+        self._facts = facts
+        self._start_time = 0.0
+        emit_event(telemetry.events_path, EVENT_RUN_START,
+                   workload=simulator.workload.name, method=method.name,
+                   strategy=strategy, **facts)
+        self._span = telemetry.span(
+            "run", workload=simulator.workload.name, method=method.name,
+            strategy=strategy, **facts,
+        )
+        self._span.__enter__()
+
+    def begin(self, stack, audit: bool = True):
+        """Bind the method to `stack` and start the run's wall clock.
+
+        Returns the ``REPRO_AUDIT`` reference trajectory, or None.  The
+        reference is imported lazily (the analysis package depends on
+        the controller) and resolved per run, so the audit-off hot path
+        pays one env check.  Audit data rides the telemetry session; with
+        the null session there is nowhere to put it, so there is none.
+        """
+        simulator = self.simulator
+        telemetry = self.telemetry
+        _bind(self.method, stack, simulator.regimen, telemetry)
+        trajectory = None
+        if audit and audit_enabled() and telemetry.enabled:
+            from ..analysis.audit import reference_trajectory_for
+
+            trajectory = reference_trajectory_for(
+                simulator.workload, simulator.regimen, simulator.configs,
+                warmup_prefix=simulator.warmup_prefix,
+                detail_ramp=simulator.detail_ramp,
+            )
+        self._start_time = time.perf_counter()
+        return trajectory
+
+    def finish(self, cluster_ipcs: list[float], **extra) -> SampledRunResult:
+        """Close the run; `extra` lands in ``SampledRunResult.extra``."""
+        simulator = self.simulator
+        method = self.method
+        telemetry = self.telemetry
+        self._span.__exit__(None, None, None)
+        wall_seconds = time.perf_counter() - self._start_time
+        extra = {"harmonic_mean_ipc": _harmonic_mean(cluster_ipcs),
+                 "warmup_prefix": simulator.warmup_prefix, **extra}
+        if telemetry.enabled:
+            telemetry.set_gauge("run.wall_seconds", wall_seconds)
+            telemetry.set_gauge("run.clusters", len(cluster_ipcs))
+            for name, value in self._facts.items():
+                telemetry.set_gauge(f"run.{name}", value)
+            extra["telemetry"] = telemetry.snapshot()
+            telemetry.flush_trace()
+            telemetry.flush_spans()
+        emit_event(telemetry.events_path, EVENT_RUN_END,
+                   workload=simulator.workload.name, method=method.name,
+                   strategy=self._strategy, clusters=len(cluster_ipcs),
+                   wall_seconds=wall_seconds)
+        return SampledRunResult(
+            workload_name=simulator.workload.name,
+            method_name=method.name,
+            regimen=simulator.regimen,
+            cluster_ipcs=cluster_ipcs,
+            estimate=cluster_estimate(cluster_ipcs),
+            cost=method.cost,
+            wall_seconds=wall_seconds,
+            extra=extra,
+        )
+
+
+class _ClusterStep:
+    """One cluster of the paper's Figure 1 loop, for either strategy.
+
+    The serial walk calls one step per cluster on its continuously
+    evolving stack; a Phase B shard calls one on the stack it restored
+    from the cluster's checkpoint.  `observer` is the cluster-entry hook
+    (see :func:`run_serial`); its work is charged to the ``audit`` phase.
+    """
+
+    def __init__(self, telemetry, method, stack, regimen, workload_name,
+                 observer=None) -> None:
+        self.telemetry = telemetry
+        self.method = method
+        self.stack = stack
+        self.cluster_size = regimen.cluster_size
+        self.workload_name = workload_name
+        self.observer = observer
+
+    def __call__(self, index: int, start: int, gap: int, ramp: int,
+                 skip_cost: dict | None = None):
+        """Simulate cluster `index`; returns its timing result.
+
+        With `skip_cost` None the gap is skipped here first (the serial
+        walk).  A shard passes the cost deltas of Phase A's skip of the
+        gap instead, so its trace record shows the same per-cluster
+        totals as a serial run's.
+        """
+        telemetry = self.telemetry
+        method = self.method
+        stack = self.stack
+        observer = self.observer
+        cost = method.cost
+        traced = telemetry.enabled
+        if traced:
+            telemetry.begin_cluster()
+            cost_before = cost.as_dict()
+        # In a shard this is the worker's root span: its parent (the
+        # run's phase_b span) and the run clock origin arrive in the
+        # task's span context, so the subtree lands directly inside the
+        # run's trace when the parent absorbs the worker's snapshot.
+        with telemetry.span(f"cluster {index}", cluster=index):
+            if skip_cost is None:
+                with telemetry.phase(PHASE_COLD_SKIP):
+                    if gap > 0:
+                        method.skip(gap)
+            with telemetry.phase(PHASE_RECONSTRUCT):
+                hook = method.pre_cluster()
+            if observer is not None:
+                with telemetry.phase(PHASE_AUDIT):
+                    observer.before_cluster(index, method, stack)
+            with telemetry.phase(PHASE_HOT_SIM):
+                result = stack.timing.run(
+                    self.cluster_size + ramp, pre_branch_hook=hook,
+                    measure_after=ramp,
+                )
+            with telemetry.phase(PHASE_RECONSTRUCT):
+                method.post_cluster()
+            # The hot cluster fetched instruction blocks outside
+            # machine.run, so the ifetch-continuity marker no longer
+            # names the last block the caches saw; drop it so the next
+            # skip re-reports its first block (and logs stay identical
+            # to the sharded cold scan).
+            stack.machine.invalidate_fetch_block()
+            cost.hot_instructions += result.instructions
+            if observer is not None:
+                # Emitted before end_cluster so the audit record sorts
+                # (stably) ahead of its cluster record after any merge.
+                with telemetry.phase(PHASE_AUDIT):
+                    observer.after_cluster(index, method, result.ipc)
+            if traced:
+                cost_now = cost.as_dict()
+                skipped = skip_cost or {}
+                deltas = {
+                    name: (cost_now[name] - cost_before[name]
+                           + skipped.get(name, 0))
+                    for name in cost_now
+                }
+                telemetry.observe("cluster.ipc", result.ipc)
+                telemetry.observe("cluster.gap", gap)
+                telemetry.end_cluster({
+                    "workload": self.workload_name,
+                    "method": method.name,
+                    "cluster": index,
+                    "start": start,
+                    "gap": gap,
+                    "ramp": ramp,
+                    "instructions": result.instructions,
+                    "ipc": result.ipc,
+                    "warm_updates": (deltas["cache_updates"]
+                                     + deltas["predictor_updates"]),
+                    **deltas,
+                })
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -220,137 +430,27 @@ def run_serial(simulator, method, observer=None) -> SampledRunResult:
     live-points generation are observers (:func:`record_cluster_entries`).
     With no observer, ``REPRO_AUDIT`` attaches the audit probe.
     """
-    configs = simulator.configs
-    telemetry = simulator._telemetry_session()
-    traced = telemetry.enabled
-    stack = build_simulation(simulator.workload, configs)
-    machine = stack.machine
-    timing = stack.timing
-    emit_event(telemetry.events_path, EVENT_RUN_START,
-               workload=simulator.workload.name, method=method.name,
-               strategy="serial")
-    run_span = telemetry.span(
-        "run", workload=simulator.workload.name, method=method.name,
-        strategy="serial",
-    )
-    run_span.__enter__()
-    with telemetry.span("prefix", cat="phase"), telemetry.phase("prefix"):
+    frame = _RunFrame(simulator, method, "serial")
+    telemetry = frame.telemetry
+    stack = build_simulation(simulator.workload, simulator.configs)
+    with telemetry.phase("prefix"):
         stack.warm_prefix(simulator.warmup_prefix)
-    context = SimulationContext(
-        machine=machine,
-        hierarchy=stack.hierarchy,
-        predictor=stack.predictor,
-        regimen=simulator.regimen,
-        telemetry=telemetry,
-    )
-    method.bind(context)
-
-    # REPRO_AUDIT: per-cluster divergence probes against a cached
-    # perfectly-warmed reference trajectory.  Imported lazily — the
-    # analysis package depends on the controller — and resolved per
-    # run, so the audit-off hot path pays one env check and a None
-    # test per cluster.  Audit data rides the telemetry session; with
-    # an explicit null session there is nowhere to put it, so the
-    # probe is skipped.
-    if observer is None and audit_enabled() and traced:
+    trajectory = frame.begin(stack, audit=observer is None)
+    if trajectory is not None:
         from ..analysis.audit import AuditProbe
 
-        observer = AuditProbe.for_run(simulator, telemetry)
-
-    cluster_size = simulator.regimen.cluster_size
+        observer = AuditProbe(trajectory, telemetry)
+    step = _ClusterStep(telemetry, method, stack, simulator.regimen,
+                        simulator.workload.name, observer)
     detail_ramp = simulator.detail_ramp
     cluster_ipcs: list[float] = []
     position = 0
-    cost = method.cost
-    start_time = time.perf_counter()
-
     for index, cluster_start in enumerate(simulator.regimen.cluster_starts()):
         ramp, gap = cluster_geometry(position, cluster_start, detail_ramp)
-        if traced:
-            telemetry.begin_cluster()
-            cost_before = cost.as_dict()
-        cluster_span = telemetry.span(f"cluster {index}", cluster=index)
-        cluster_span.__enter__()
-        with telemetry.span(PHASE_COLD_SKIP, cat="phase"), \
-                telemetry.phase(PHASE_COLD_SKIP):
-            if gap > 0:
-                method.skip(gap)
-        position = cluster_start - ramp
-        with telemetry.span(PHASE_RECONSTRUCT, cat="phase"), \
-                telemetry.phase(PHASE_RECONSTRUCT):
-            hook = method.pre_cluster()
-        if observer is not None:
-            with telemetry.span("audit", cat="phase"):
-                observer.before_cluster(index, method, stack)
-        with telemetry.span(PHASE_HOT_SIM, cat="phase"), \
-                telemetry.phase(PHASE_HOT_SIM):
-            result = timing.run(
-                cluster_size + ramp, pre_branch_hook=hook,
-                measure_after=ramp,
-            )
-        with telemetry.span(PHASE_RECONSTRUCT, cat="phase"), \
-                telemetry.phase(PHASE_RECONSTRUCT):
-            method.post_cluster()
-        # The hot cluster fetched instruction blocks outside machine.run,
-        # so the ifetch-continuity marker no longer names the last block
-        # the caches saw; drop it so the next skip re-reports its first
-        # block (and logs stay identical to the sharded cold scan).
-        machine.invalidate_fetch_block()
-        position += result.instructions
-        cost.hot_instructions += result.instructions
+        result = step(index, cluster_start, gap, ramp)
+        position = cluster_start - ramp + result.instructions
         cluster_ipcs.append(result.ipc)
-        if observer is not None:
-            # Emitted before end_cluster so the audit record sorts
-            # (stably) ahead of its cluster record after any merge.
-            with telemetry.span("audit", cat="phase"):
-                observer.after_cluster(index, method, result.ipc)
-        if traced:
-            cost_now = cost.as_dict()
-            deltas = {
-                name: cost_now[name] - cost_before[name]
-                for name in cost_now
-            }
-            telemetry.observe("cluster.ipc", result.ipc)
-            telemetry.observe("cluster.gap", gap)
-            telemetry.end_cluster({
-                "workload": simulator.workload.name,
-                "method": method.name,
-                "cluster": index,
-                "start": cluster_start,
-                "gap": gap,
-                "ramp": ramp,
-                "instructions": result.instructions,
-                "ipc": result.ipc,
-                "warm_updates": (deltas["cache_updates"]
-                                 + deltas["predictor_updates"]),
-                **deltas,
-            })
-        cluster_span.__exit__(None, None, None)
-
-    run_span.__exit__(None, None, None)
-    wall_seconds = time.perf_counter() - start_time
-    extra = {"harmonic_mean_ipc": _harmonic_mean(cluster_ipcs),
-             "warmup_prefix": simulator.warmup_prefix}
-    if traced:
-        telemetry.set_gauge("run.wall_seconds", wall_seconds)
-        telemetry.set_gauge("run.clusters", len(cluster_ipcs))
-        extra["telemetry"] = telemetry.snapshot()
-        telemetry.flush_trace()
-        telemetry.flush_spans()
-    emit_event(telemetry.events_path, EVENT_RUN_END,
-               workload=simulator.workload.name, method=method.name,
-               strategy="serial", clusters=len(cluster_ipcs),
-               wall_seconds=wall_seconds)
-    return SampledRunResult(
-        workload_name=simulator.workload.name,
-        method_name=method.name,
-        regimen=simulator.regimen,
-        cluster_ipcs=cluster_ipcs,
-        estimate=cluster_estimate(cluster_ipcs),
-        cost=cost,
-        wall_seconds=wall_seconds,
-        extra=extra,
-    )
+    return frame.finish(cluster_ipcs)
 
 
 @dataclass(frozen=True)
@@ -419,17 +519,9 @@ def run_sharded(simulator, method, jobs: int) -> SampledRunResult:
     that and the serial fallback for everything else.
     """
     configs = simulator.configs
-    telemetry = simulator._telemetry_session()
-    traced = telemetry.enabled
     store, store_key = _shard_store_for(simulator, method)
-    emit_event(telemetry.events_path, EVENT_RUN_START,
-               workload=simulator.workload.name, method=method.name,
-               strategy="sharded", cluster_jobs=jobs)
-    run_span = telemetry.span(
-        "run", workload=simulator.workload.name, method=method.name,
-        strategy="sharded", cluster_jobs=jobs,
-    )
-    run_span.__enter__()
+    frame = _RunFrame(simulator, method, "sharded", cluster_jobs=jobs)
+    telemetry = frame.telemetry
 
     # Read-through: a validated store hit replaces the entire cold scan
     # (including the warm-up prefix — the stored checkpoints already
@@ -443,34 +535,17 @@ def run_sharded(simulator, method, jobs: int) -> SampledRunResult:
     stack = build_simulation(simulator.workload, configs)
     machine = stack.machine
     if stored_shards is None:
-        with telemetry.span("prefix", cat="phase"), \
-                telemetry.phase("prefix"):
+        with telemetry.phase("prefix"):
             stack.warm_prefix(simulator.warmup_prefix)
     # The clone template is pickled before bind, while the method holds
     # configuration only; every shard worker unpickles a private copy
     # and binds it to its own context.
     method_blob = pickle.dumps(method.clone_unbound())
-    context = SimulationContext(
-        machine=machine,
-        hierarchy=stack.hierarchy,
-        predictor=stack.predictor,
-        regimen=simulator.regimen,
-        telemetry=telemetry,
-    )
-    method.bind(context)
-
+    trajectory = frame.begin(stack)
     audit_slices = None
-    if audit_enabled() and traced:
-        from ..analysis.audit import (
-            ReferenceTrajectory,
-            reference_trajectory_for,
-        )
+    if trajectory is not None:
+        from ..analysis.audit import ReferenceTrajectory
 
-        trajectory = reference_trajectory_for(
-            simulator.workload, simulator.regimen, configs,
-            warmup_prefix=simulator.warmup_prefix,
-            detail_ramp=simulator.detail_ramp,
-        )
         # Each shard receives only its own cluster's reference state,
         # wrapped as a single-state trajectory (the probe keys states by
         # cluster index, not position).
@@ -486,7 +561,6 @@ def run_sharded(simulator, method, jobs: int) -> SampledRunResult:
     cluster_size = simulator.regimen.cluster_size
     detail_ramp = simulator.detail_ramp
     cost = method.cost
-    start_time = time.perf_counter()
 
     # -- Phase A: read-through cold scan, one ClusterShard per cluster ----
     if stored_shards is not None:
@@ -507,7 +581,6 @@ def run_sharded(simulator, method, jobs: int) -> SampledRunResult:
             functional_before = cost.functional_instructions
             records_before = cost.log_records
             with telemetry.span(f"cluster {index}", cluster=index), \
-                    telemetry.span(PHASE_COLD_SKIP, cat="phase"), \
                     telemetry.phase(PHASE_COLD_SKIP):
                 if gap > 0:
                     method.skip(gap)
@@ -543,76 +616,39 @@ def run_sharded(simulator, method, jobs: int) -> SampledRunResult:
             _capture_shards(store, store_key, shards, simulator, telemetry)
 
     # -- Phase B: hot shards in parallel ----------------------------------
-    # One task per worker, shards dealt round-robin: a spawn-started
-    # worker unpickles the run-wide inputs once, not once per cluster.
-    workers = min(jobs, len(shards))
-    tasks = [
-        ShardTask(
-            workload=simulator.workload,
-            configs=configs,
-            regimen=simulator.regimen,
-            method_blob=method_blob,
-            shards=tuple(shards[offset::workers]),
-        )
-        for offset in range(workers)
-    ]
     # Lazy: harness.parallel imports the sampling package at top level.
     from ..harness.parallel import map_tasks
 
-    # Workers re-parent their cluster spans under phase_b: the context
-    # (parent id + run clock origin) travels via the environment and is
-    # captured while the phase_b span is open.  The fold is streaming:
-    # each finished task lands through `on_result` and folds
-    # (deterministic cluster order, pending-heap) while other tasks
-    # still execute.
-    fold = _ShardFold(shards, cost, telemetry, traced)
+    # One task per worker, shards dealt round-robin: a spawn-started
+    # worker unpickles the run-wide inputs once, not once per cluster.
+    # The tasks are built while phase_b is open, so the span context
+    # they carry (parent id + run clock origin) re-parents the workers'
+    # cluster spans under it.  The fold is streaming: each finished task
+    # lands through `on_result` and folds (deterministic cluster order,
+    # pending-heap) while other tasks still execute.
+    workers = min(jobs, len(shards))
+    fold = _ShardFold(shards, cost, telemetry)
     with telemetry.span("phase_b", cat="phase"):
+        tasks = [
+            ShardTask(
+                workload=simulator.workload,
+                configs=configs,
+                regimen=simulator.regimen,
+                method_blob=method_blob,
+                shards=tuple(shards[offset::workers]),
+                traced=telemetry.enabled,
+                span_context=telemetry.spans.context(),
+            )
+            for offset in range(workers)
+        ]
         results = map_tasks(run_shards, tasks, jobs,
-                            span_context=telemetry.spans.context(),
                             on_result=fold.on_result)
     fold.finish(results)
-    cluster_ipcs = fold.cluster_ipcs
-    worker_snapshots = fold.snapshots
-
-    run_span.__exit__(None, None, None)
-    wall_seconds = time.perf_counter() - start_time
-    extra = {
-        "harmonic_mean_ipc": _harmonic_mean(cluster_ipcs),
-        "warmup_prefix": simulator.warmup_prefix,
-        "sharded": True,
-        "cluster_jobs": jobs,
-    }
+    extra = {"sharded": True, "cluster_jobs": jobs}
     if store is not None:
         extra["checkpoint_store"] = ("hit" if stored_shards is not None
                                      else "miss")
-    if traced:
-        telemetry.set_gauge("run.wall_seconds", wall_seconds)
-        telemetry.set_gauge("run.clusters", len(cluster_ipcs))
-        telemetry.set_gauge("run.cluster_jobs", jobs)
-        # ... while their counters/histograms/phase timers merge into
-        # the run snapshot, records-stripped (trace *and* spans, both
-        # re-emitted above) to avoid double counting.
-        merged = merge_snapshots(
-            [telemetry.snapshot()]
-            + [_without_records(s) for s in worker_snapshots]
-        )
-        extra["telemetry"] = merged
-        telemetry.flush_trace()
-        telemetry.flush_spans()
-    emit_event(telemetry.events_path, EVENT_RUN_END,
-               workload=simulator.workload.name, method=method.name,
-               strategy="sharded", clusters=len(cluster_ipcs),
-               wall_seconds=wall_seconds)
-    return SampledRunResult(
-        workload_name=simulator.workload.name,
-        method_name=method.name,
-        regimen=simulator.regimen,
-        cluster_ipcs=cluster_ipcs,
-        estimate=cluster_estimate(cluster_ipcs),
-        cost=cost,
-        wall_seconds=wall_seconds,
-        extra=extra,
-    )
+    return frame.finish(fold.cluster_ipcs, **extra)
 
 
 def run_shards(task: ShardTask) -> list[ShardResult]:
@@ -627,86 +663,32 @@ def run_shards(task: ShardTask) -> list[ShardResult]:
 
 def run_shard(task: ShardTask, shard: ClusterShard) -> ShardResult:
     """One cluster, restored from its shard onto a fresh stack."""
-    telemetry = telemetry_from_env()
-    traced = telemetry.enabled
+    telemetry = NULL_TELEMETRY
+    if task.traced:
+        telemetry = Telemetry(spans=(
+            SpanRecorder(context=task.span_context)
+            if task.span_context is not None else NULL_SPANS))
     machine = shard.checkpoint.restore(
         FunctionalMachine(task.workload.program), task.workload.memory)
     stack = build_simulation(task.workload, task.configs, machine=machine)
-    context = SimulationContext(
-        machine=stack.machine,
-        hierarchy=stack.hierarchy,
-        predictor=stack.predictor,
-        regimen=task.regimen,
-        telemetry=telemetry,
-    )
     method = pickle.loads(task.method_blob)
-    method.bind(context)
+    _bind(method, stack, task.regimen, telemetry)
     method.adopt_source(shard.source)
-
-    audit = None
-    if shard.audit_slice is not None and traced:
+    observer = None
+    if shard.audit_slice is not None:
         from ..analysis.audit import AuditProbe
 
-        audit = AuditProbe(shard.audit_slice, telemetry)
-
-    cost = method.cost
-    if traced:
-        telemetry.begin_cluster()
-    # The worker's root span: its parent (the run's phase_b span) and
-    # the run clock origin arrive via the propagated span context, so
-    # this subtree lands directly inside the run's trace at fold time.
-    cluster_span = telemetry.span(f"cluster {shard.index}",
-                                  cluster=shard.index)
-    cluster_span.__enter__()
-    with telemetry.span(PHASE_RECONSTRUCT, cat="phase"), \
-            telemetry.phase(PHASE_RECONSTRUCT):
-        hook = method.pre_cluster()
-    if audit is not None:
-        with telemetry.span("audit", cat="phase"):
-            audit.before_cluster(shard.index, method, stack)
-    with telemetry.span(PHASE_HOT_SIM, cat="phase"), \
-            telemetry.phase(PHASE_HOT_SIM):
-        result = stack.timing.run(
-            task.regimen.cluster_size + shard.ramp,
-            pre_branch_hook=hook,
-            measure_after=shard.ramp,
-        )
-    with telemetry.span(PHASE_RECONSTRUCT, cat="phase"), \
-            telemetry.phase(PHASE_RECONSTRUCT):
-        method.post_cluster()
-    cost.hot_instructions += result.instructions
-    if audit is not None:
-        with telemetry.span("audit", cat="phase"):
-            audit.after_cluster(shard.index, method, result.ipc)
-    if traced:
-        # The record shows the cluster's full per-phase cost: the
-        # worker's own (reconstruction, hot) plus the gap's cold-scan
-        # share handed over by Phase A.
-        deltas = cost.as_dict()
-        for name, value in shard.skip_cost.items():
-            deltas[name] += value
-        telemetry.observe("cluster.ipc", result.ipc)
-        telemetry.observe("cluster.gap", shard.gap)
-        telemetry.end_cluster({
-            "workload": task.workload.name,
-            "method": method.name,
-            "cluster": shard.index,
-            "start": shard.cluster_start,
-            "gap": shard.gap,
-            "ramp": shard.ramp,
-            "instructions": result.instructions,
-            "ipc": result.ipc,
-            "warm_updates": (deltas["cache_updates"]
-                             + deltas["predictor_updates"]),
-            **deltas,
-        })
-    cluster_span.__exit__(None, None, None)
+        observer = AuditProbe(shard.audit_slice, telemetry)
+    step = _ClusterStep(telemetry, method, stack, task.regimen,
+                        task.workload.name, observer)
+    result = step(shard.index, shard.cluster_start, shard.gap, shard.ramp,
+                  skip_cost=shard.skip_cost)
     return ShardResult(
         index=shard.index,
         ipc=result.ipc,
         instructions=result.instructions,
-        cost_delta=cost.as_dict(),
-        snapshot=telemetry.snapshot() if traced else None,
+        cost_delta=method.cost.as_dict(),
+        snapshot=telemetry.snapshot(),
     )
 
 
@@ -725,19 +707,6 @@ def _harmonic_mean(cluster_ipcs: list[float]) -> float:
     if cluster_ipcs and all(ipc > 0 for ipc in cluster_ipcs):
         return len(cluster_ipcs) / sum(1.0 / ipc for ipc in cluster_ipcs)
     return 0.0
-
-
-def _without_records(snapshot: TelemetrySnapshot) -> TelemetrySnapshot:
-    """A copy of `snapshot` minus trace/span records (already re-emitted
-    through the parent session and its span recorder)."""
-    return TelemetrySnapshot(
-        counters=snapshot.counters,
-        gauges=snapshot.gauges,
-        histograms=snapshot.histograms,
-        phase_seconds=snapshot.phase_seconds,
-        trace_records=[],
-        spans=[],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -875,23 +844,21 @@ class _ShardFold:
     executor's workers finish — with one task's list of shard results.
     Results queue on a pending-heap keyed by cluster index and fold
     strictly in cluster order, so the IPC list, cost accumulation, and
-    trace/span re-emission are bit-identical to a barrier fold while each
+    telemetry absorption are bit-identical to a barrier fold while each
     cluster's records land as soon as every earlier cluster has.
     :meth:`finish` folds anything the executor returned without
     signalling (the ordered-list fallback for backends that skip
     ``on_result``) and verifies completeness.
     """
 
-    def __init__(self, shards, cost, telemetry, traced):
+    def __init__(self, shards, cost, telemetry):
         self._shards = shards
         self._cost = cost
         self._telemetry = telemetry
-        self._traced = traced
         self._pending: list = []
         self._queued: set[int] = set()
         self._next = 0
         self.cluster_ipcs: list[float] = []
-        self.snapshots: list[TelemetrySnapshot] = []
 
     def on_result(self, index: int, results) -> None:
         del index  # each result carries its own cluster index
@@ -922,16 +889,10 @@ class _ShardFold:
         self._cost.cache_updates += delta["cache_updates"]
         self._cost.predictor_updates += delta["predictor_updates"]
         if result.snapshot is not None:
-            self.snapshots.append(result.snapshot)
-            if self._traced:
-                # Worker trace records flow through the parent session
-                # (a REPRO_TRACE file contains every cluster exactly
-                # once), and worker spans are adopted into the parent
-                # recorder — already parented under phase_b and stamped
-                # on the run timeline by the propagated context.
-                for record in result.snapshot.trace_records:
-                    self._telemetry.emit(record)
-                self._telemetry.spans.adopt(result.snapshot.spans)
+            # The worker's session was live exactly when the run's is:
+            # its records, spans and totals fold into the run's session
+            # (a REPRO_TRACE file contains every cluster exactly once).
+            self._telemetry.absorb(result.snapshot)
 
     def finish(self, task_results) -> None:
         """Fold any undelivered results and verify every shard landed."""

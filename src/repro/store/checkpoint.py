@@ -30,8 +30,9 @@ Both land via temp file + atomic rename; loads cross-check the blob
 against the manifest before unpickling, so a truncated or bit-rotted
 entry degrades to a recomputation instead of corrupting a run.  A store
 never fails a run: every read fault is a miss and every write fault a
-warning.  Each write also appends to a per-run provenance file
-(``<root>/runs/<run_id>.jsonl``).
+warning.  Each write of a Phase A kind (``shards``, ``livepoints``) also
+appends to a per-run provenance file (``<root>/runs/<run_id>.jsonl``);
+result writes record none, since nothing ever removes those files.
 
 A run resolves two roots with one function, :func:`resolve_store`: the
 result cache (``REPRO_RESULT_CACHE`` / ``--cache``, the ``results``
@@ -371,10 +372,11 @@ class CheckpointStore:
         The manifest records the blob's size and content digest plus any
         caller-supplied `meta` (echoed for the read-side `expect`
         cross-check); both files land via temp file + atomic rename, and
-        the entry is appended to the current run's provenance file.  A
-        write that fails (a full disk, a root that is not a directory,
-        a temp file removed before its rename) warns once per root and
-        layer, returns 0 and leaves the run to go on without the entry.
+        a Phase A entry is appended to the current run's provenance
+        file.  A write that fails (a full disk, a root that is not a
+        directory, a temp file removed before its rename) warns once per
+        root and layer, returns 0 and leaves the run to go on without
+        the entry.
         """
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         manifest = {
@@ -399,7 +401,8 @@ class CheckpointStore:
                       f"{blob_path}; continuing without it ({exc})")
             return 0
         self._count(kind, writes=1, bytes_written=len(blob))
-        self._record_run_entry(manifest)
+        if kind in LAYERS["checkpoints"][1]:
+            self._record_run_entry(manifest)
         return len(blob)
 
     def _record_run_entry(self, manifest: dict) -> None:

@@ -106,6 +106,13 @@ class Histogram:
         return HistogramSummary(count=self.count, total=self.total,
                                 min=self.min, max=self.max)
 
+    def absorb(self, summary: HistogramSummary) -> None:
+        """Fold another histogram's summary into this one."""
+        self.count += summary.count
+        self.total += summary.total
+        self.min = min(self.min, summary.min)
+        self.max = max(self.max, summary.max)
+
 
 class MetricsRegistry:
     """Lazily creates and stores instruments by name."""

@@ -7,8 +7,12 @@ down the stack (controller -> warm-up method -> core reconstruction) via
 - a :class:`~.registry.MetricsRegistry` of counters/gauges/histograms,
 - cumulative **phase timers** — ``cold_skip`` (functional skip of the
   inter-cluster gap), ``reconstruct`` (eager state repair at the cluster
-  boundary), ``hot_sim`` (detailed ramp + cluster simulation) — and
+  boundary), ``hot_sim`` (detailed ramp + cluster simulation) — each the
+  summed duration of its ``cat="phase"`` spans when spans are on, and
 - the buffered per-cluster **trace records**.
+
+In a sharded run the session takes in every shard worker's snapshot
+(:meth:`Telemetry.absorb`), so it ends holding the whole run's telemetry.
 
 The controller brackets each cluster with :meth:`begin_cluster` /
 :meth:`end_cluster`; any counter incremented and any phase timed inside
@@ -25,6 +29,7 @@ check and a handful of no-op calls per cluster).
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 from .events import EVENT_CLUSTER, emit_event, events_path_from_env
 from .registry import MetricsRegistry, NULL_REGISTRY
@@ -57,40 +62,6 @@ PHASE_AUDIT = "audit"
 #: Counter names promoted to top-level trace-record fields.
 METRIC_BLOCKS_RECONSTRUCTED = "reconstruct.blocks_applied"
 METRIC_PHT_ENTRIES = "reconstruct.pht_entries"
-
-
-class _PhaseTimer:
-    """Context manager accumulating wall time into one named phase."""
-
-    __slots__ = ("_telemetry", "_name", "_start")
-
-    def __init__(self, telemetry: "Telemetry", name: str) -> None:
-        self._telemetry = telemetry
-        self._name = name
-
-    def __enter__(self) -> "_PhaseTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._telemetry._add_phase(
-            self._name, time.perf_counter() - self._start
-        )
-
-
-class _NullPhaseTimer:
-    """Shared no-op context manager (no clock reads, no allocation)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullPhaseTimer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_PHASE = _NullPhaseTimer()
 
 
 class Telemetry:
@@ -127,8 +98,25 @@ class Telemetry:
 
     # -- phase timers --------------------------------------------------------
 
-    def phase(self, name: str) -> _PhaseTimer:
-        return _PhaseTimer(self, name)
+    @contextmanager
+    def phase(self, name: str):
+        """Time one phase: the only phase bracket.
+
+        The phase's seconds and, when spans are on, its ``cat="phase"``
+        span come from the same two clock readings, so a phase timer is
+        exactly the summed duration of its phase spans.
+        """
+        spans = self.spans
+        start_ns = time.perf_counter_ns()
+        if spans.enabled:
+            spans.open(name, "phase", start_ns)
+        try:
+            yield
+        finally:
+            end_ns = time.perf_counter_ns()
+            if spans.enabled:
+                spans.close(end_ns)
+            self._add_phase(name, (end_ns - start_ns) / 1e9)
 
     # -- spans ---------------------------------------------------------------
 
@@ -232,6 +220,27 @@ class Telemetry:
             record = {**record, "run_id": self.run_id}
         self.trace_records.append(record)
 
+    def absorb(self, snapshot: TelemetrySnapshot) -> None:
+        """Fold another session's snapshot into this one.
+
+        How a sharded run takes in each shard worker's session: trace
+        records are re-emitted, spans adopted as recorded (the propagated
+        span context already parented and timed them), counters and
+        phase seconds add, histograms merge.  Gauges are per-run facts
+        the absorbing session sets itself.
+        """
+        for record in snapshot.trace_records:
+            self.emit(record)
+        self.spans.adopt(snapshot.spans)
+        registry = self.registry
+        for name, value in snapshot.counters.items():
+            registry.counter(name).inc(value)
+        for name, summary in snapshot.histograms.items():
+            registry.histogram(name).absorb(summary)
+        phases = self.phase_seconds
+        for name, seconds in snapshot.phase_seconds.items():
+            phases[name] = phases.get(name, 0.0) + seconds
+
     # -- output --------------------------------------------------------------
 
     def snapshot(self) -> TelemetrySnapshot:
@@ -286,8 +295,8 @@ class NullTelemetry:
     def set_gauge(self, name: str, value: float) -> None:
         pass
 
-    def phase(self, name: str) -> _NullPhaseTimer:
-        return _NULL_PHASE
+    def phase(self, name: str):
+        return _NULL_SPAN
 
     def span(self, name: str, cat: str = "repro", **args):
         return _NULL_SPAN

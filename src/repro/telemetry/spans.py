@@ -139,7 +139,7 @@ class _OpenSpan:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._recorder._close()
+        self._recorder.close(time.perf_counter_ns())
 
 
 class _NullSpan:
@@ -207,15 +207,22 @@ class SpanRecorder:
 
     def span(self, name: str, cat: str = "repro", **args) -> _OpenSpan:
         """Open a span; close it by exiting the returned context."""
-        self._seq += 1
-        span_id = f"{self.pid}:{self._instance}:{self._seq}"
-        self._stack.append(
-            (span_id, name, cat, args or None, time.perf_counter_ns())
-        )
+        self.open(name, cat, time.perf_counter_ns(), args or None)
         return _OpenSpan(self)
 
-    def _close(self) -> None:
-        end_perf_ns = time.perf_counter_ns()
+    def open(self, name: str, cat: str, start_perf_ns: int,
+             args: dict | None = None) -> None:
+        """Push a span that began at monotonic reading `start_perf_ns`.
+
+        :meth:`close` pops it; callers that time the region themselves
+        (phase timers) pass their own clock readings to both.
+        """
+        self._seq += 1
+        span_id = f"{self.pid}:{self._instance}:{self._seq}"
+        self._stack.append((span_id, name, cat, args, start_perf_ns))
+
+    def close(self, end_perf_ns: int) -> None:
+        """Pop the innermost open span, ending it at `end_perf_ns`."""
         span_id, name, cat, args, start_perf_ns = self._stack.pop()
         parent = (self._stack[-1][0] if self._stack else self._root_parent)
         record = {

@@ -255,6 +255,15 @@ class TestCheckpointStore:
         assert entry["clusters"] == 4
         assert entry["kind"] == "shards"
 
+    def test_result_puts_record_no_provenance(self, store, monkeypatch):
+        """Only Phase A kinds record provenance: nothing removes those
+        files, and a result is written once per run."""
+        monkeypatch.setenv("REPRO_RUN_ID", "results-only")
+        store.put("ab" + "0" * 62, "value", "results")
+        assert not (store.root / "runs").exists()
+        store.put("cd" + "0" * 62, "value", "shards")
+        assert (store.root / "runs" / "results-only.jsonl").exists()
+
     def test_no_provenance_without_run_id(self, store, monkeypatch):
         monkeypatch.delenv("REPRO_RUN_ID", raising=False)
         store.put("ab" + "0" * 62, "value", "shards")

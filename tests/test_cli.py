@@ -368,6 +368,22 @@ class TestClusterJobs:
         assert "R$BP (100%)" in out
         assert "rel. error" in out
 
+    def test_sharded_trace_has_every_cluster(self, capsys, monkeypatch,
+                                             tmp_path):
+        """``--trace`` reaches the shard workers: the sharded run writes
+        one record per cluster, as the serial run does."""
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "cache"))
+        for name in ("REPRO_TELEMETRY", "REPRO_TRACE", "REPRO_SPANS"):
+            monkeypatch.delenv(name, raising=False)
+        counts = {}
+        for jobs in ("1", "2"):
+            path = tmp_path / f"trace-{jobs}.jsonl"
+            assert main(["sample", "gcc", "--scale", "ci", "--method", "rsr",
+                         "--trace", str(path), "--cluster-jobs", jobs]) == 0
+            counts[jobs] = len(path.read_text().splitlines())
+        capsys.readouterr()
+        assert counts["2"] == counts["1"] > 0
+
     def test_non_shardable_method_notice(self, capsys, monkeypatch,
                                          tmp_path):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")

@@ -391,17 +391,25 @@ def test_unwritable_output_path_exits_2(cell, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", (
-    GRID + ["--output", f"{UNWRITABLE}/grid.json"],
-    ["reproduce", "--scale", "ci", "--output", f"{UNWRITABLE}/grid.json"],
-), ids=("matrix", "reproduce"))
-def test_unwritable_grid_output_fails_before_any_cell(argv, monkeypatch,
-                                                      capsys):
+REPRODUCE = ["reproduce", "--scale", "ci"]
+
+
+@pytest.mark.parametrize("argv, message", (
+    (GRID + ["--output", f"{UNWRITABLE}/grid.json"], UNWRITABLE),
+    (REPRODUCE + ["--output", f"{UNWRITABLE}/grid.json"], UNWRITABLE),
+    (GRID + ["--output", "grid.txt"], "must end with .csv or .json"),
+    (REPRODUCE + ["--output", "grid.txt"], "must end with .csv or .json"),
+), ids=("matrix", "reproduce", "matrix-extension", "reproduce-extension"))
+def test_unwritable_grid_output_fails_before_any_cell(argv, message,
+                                                      monkeypatch, capsys,
+                                                      tmp_path):
     def unreachable(*args, **kwargs):
         raise AssertionError("the grid ran before --output was checked")
 
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("repro.harness.execute_matrix", unreachable)
     monkeypatch.setattr("repro.harness.experiment.full_matrix", unreachable)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and UNWRITABLE in err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "grid.txt").exists()

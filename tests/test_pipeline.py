@@ -340,7 +340,102 @@ class TestShardedTelemetry:
             records.sort(key=lambda r: r["cluster"])
             return [tuple(r[name] for name in fields) for r in records]
 
+        def key_sets(run):
+            return [set(r) for r in run.extra["telemetry"].trace_records
+                    if r["type"] == "cluster"]
+
         assert rows(sharded) == rows(serial)
+        assert key_sets(sharded) == key_sets(serial)
+
+    @pytest.fixture()
+    def untraced_env(self, monkeypatch, tmp_path):
+        for name in ("REPRO_TELEMETRY", "REPRO_TRACE", "REPRO_SPANS",
+                     "REPRO_AUDIT", "REPRO_EVENTS", CLUSTER_JOBS_ENV_VAR):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "cache"))
+
+    def test_session_factory_reaches_the_workers(self, workload,
+                                                 untraced_env):
+        """With no telemetry variable set, a live session passed to the
+        simulator still opens live sessions in the shard workers."""
+        run = _simulator(workload, cluster_jobs=2, telemetry=Telemetry).run(
+            ReverseStateReconstruction(0.3))
+        snapshot = run.extra["telemetry"]
+        clusters = [record["cluster"] for record in snapshot.trace_records
+                    if record["type"] == "cluster"]
+        assert clusters == list(range(REGIMEN.num_clusters))
+        for name in ("reconstruct", "hot_sim"):
+            assert snapshot.phase_seconds[name] > 0.0
+
+    def test_caller_session_holds_the_run_snapshot(self, workload,
+                                                   untraced_env):
+        """Worker snapshots fold into the run's own session, so the
+        caller's session and the returned snapshot agree."""
+        session = Telemetry()
+        run = _simulator(workload, cluster_jobs=2, telemetry=session).run(
+            ReverseStateReconstruction(0.3))
+        returned = run.extra["telemetry"]
+        mine = session.snapshot()
+        assert mine.counters == returned.counters
+        assert mine.histograms == returned.histograms
+        assert mine.phase_seconds == returned.phase_seconds
+        assert mine.trace_records == returned.trace_records
+        assert len(returned.trace_records) == REGIMEN.num_clusters
+
+    def test_injected_span_recorder_reaches_the_workers(self, workload,
+                                                        untraced_env):
+        """Shard workers record spans exactly when the run's session
+        does, here through a recorder passed in with REPRO_SPANS unset."""
+        from repro.telemetry import SpanRecorder, span_tree_shape
+
+        shapes = []
+        for jobs in (1, 2):
+            session = Telemetry(spans=SpanRecorder())
+            run = _simulator(workload, cluster_jobs=jobs,
+                             telemetry=session).run(
+                ReverseStateReconstruction(0.3))
+            shapes.append(span_tree_shape(run.extra["telemetry"].spans,
+                                          collapse=("phase_a", "phase_b")))
+        assert shapes[1] == shapes[0]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_phase_seconds_are_summed_span_durations(self, workload,
+                                                     untraced_env,
+                                                     monkeypatch, jobs):
+        """Each cluster record's ``<phase>_seconds`` is exactly the
+        summed duration of that cluster's ``<phase>`` spans."""
+        monkeypatch.setenv("REPRO_SPANS", "1")
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+        run = _simulator(workload, cluster_jobs=jobs,
+                         telemetry=Telemetry).run(
+            ReverseStateReconstruction(0.3))
+        snapshot = run.extra["telemetry"]
+        spans = [record for record in snapshot.spans
+                 if record["type"] == "span"]
+        by_id = {span["id"]: span for span in spans}
+        summed: dict = {}
+        for span in spans:
+            cluster = by_id.get(span["parent"])
+            if (span["cat"] != "phase" or cluster is None
+                    or not cluster["name"].startswith("cluster ")):
+                continue
+            # Phase A's cold scan belongs to no cluster record.
+            if by_id[cluster["parent"]]["name"] == "phase_a":
+                continue
+            key = (cluster["args"]["cluster"], span["name"])
+            summed[key] = summed.get(key, 0.0) + span["dur"] / 1e9
+        records = [record for record in snapshot.trace_records
+                   if record["type"] == "cluster"]
+        assert len(records) == REGIMEN.num_clusters
+        for record in records:
+            timed = [name for name in record if name.endswith("_seconds")
+                     and name != "wall_seconds"]
+            assert "audit_seconds" in timed
+            for name in timed:
+                phase = name[:-len("_seconds")]
+                assert record[name] == summed.get(
+                    (record["cluster"], phase), 0.0), (record["cluster"],
+                                                       phase)
 
     def test_phase_timers_cover_both_phases(self, workload, traced_env):
         run = _simulator(workload, cluster_jobs=2).run(
