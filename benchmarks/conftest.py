@@ -25,9 +25,9 @@ from repro.warmup import paper_method_suite
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Per-session grid memo (scale name -> matrix), mirroring the old
-#: process-level ``full_matrix`` cache but routed through the parallel
-#: engine so benches can opt into workers and the on-disk result cache.
+#: Per-session grid memo (scale name -> matrix), one run of the grid
+#: driver per tier, so benches can opt into workers and the on-disk
+#: result cache.
 _MATRICES: dict = {}
 
 
@@ -40,7 +40,7 @@ def get_full_matrix():
     """The shared 16-method x 9-workload grid (computed once per session).
 
     ``REPRO_MATRIX_JOBS`` sets the worker count (default 1: serial,
-    identical to the historical path); ``REPRO_RESULT_CACHE`` opts into
+    in-process); ``REPRO_RESULT_CACHE`` opts into
     the on-disk result cache, making warm bench re-runs near-instant.
     """
     scale = bench_scale()

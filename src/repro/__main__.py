@@ -15,7 +15,7 @@ compare WORKLOAD
     The full Table 2 method comparison on one workload.
 simpoint WORKLOAD
     SimPoint analysis and simulation (paper Figure 9 style).
-matrix
+matrix (alias: reproduce)
     The full evaluation grid through the parallel engine, with on-disk
     result caching (``--jobs``, ``--cache``, ``--method``, ``--workload``;
     see docs/parallel-execution.md).
@@ -638,29 +638,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_reproduce(args) -> int:
-    """Regenerate the full evaluation grid and export it."""
-    from .harness import format_per_workload, save_matrix
-    from .harness.experiment import full_matrix
-
-    scale = _resolve_scale(args)
-    _check_writable(args.output)
-    matrix = full_matrix(scale.name)
-    print(format_per_workload(
-        matrix, paper_method_names(), value="error",
-        title=f"Relative error ({scale.name} tier)",
-    ))
-    print()
-    print(format_per_workload(
-        matrix, paper_method_names(), value="ci",
-        title="95% confidence tests",
-    ))
-    if args.output:
-        save_matrix(matrix, args.output)
-        print(f"\nfull grid written to {args.output}")
-    return 0
-
-
 def cmd_cache(args) -> int:
     """Inspect or prune the on-disk persistence layers.
 
@@ -880,8 +857,9 @@ def build_parser() -> argparse.ArgumentParser:
     design_parser.set_defaults(handler=cmd_design)
 
     matrix_parser = subparsers.add_parser(
-        "matrix",
-        help="run the evaluation grid with the parallel engine",
+        "matrix", aliases=["reproduce"],
+        help="run the evaluation grid (with no filters, the full 16x9 "
+             "paper grid; 'reproduce' is an alias)",
     )
     matrix_parser.add_argument(
         "--jobs", type=int, default=None,
@@ -1131,17 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output HTML path (default: run-report.html)",
     )
     report_parser.set_defaults(handler=cmd_report)
-
-    reproduce_parser = subparsers.add_parser(
-        "reproduce",
-        help="regenerate the full 16x9 evaluation grid (slow)",
-    )
-    reproduce_parser.add_argument(
-        "--output", default=None,
-        help="also export the grid (.csv or .json)",
-    )
-    _add_scale_argument(reproduce_parser)
-    reproduce_parser.set_defaults(handler=cmd_reproduce)
 
     return parser
 

@@ -50,7 +50,12 @@ from .harness.experiment import (
     true_run_for,
 )
 from .harness.parallel import execute_matrix
-from .sampling import SampledRunResult, SampledSimulator, SamplingRegimen
+from .sampling import (
+    SampledRunResult,
+    SampledSimulator,
+    SamplingRegimen,
+    resolve_cluster_jobs,
+)
 from .store import code_version, digest_key, resolve_store
 from .warmup import WarmupMethod, method_factory, resolve_method
 from .workloads import PAPER_WORKLOADS, Workload, cached_workload
@@ -287,16 +292,22 @@ class RunRequest:
         Two requests share a fingerprint exactly when they are
         guaranteed to produce byte-identical payloads, which makes the
         fingerprint a safe result-cache key.
-        Execution knobs that cannot change results (`jobs`,
-        `cluster_jobs` — sharded folds are bit-identical to serial)
-        are excluded; the ambient checkpoint store
-        (``REPRO_CHECKPOINT_STORE``) is likewise absent because store
-        hits materialise exactly what a live Phase A scan would
-        produce — the payload is byte-identical either way.
+        `jobs` cannot change results and is excluded.  A sharded run
+        is not the serial walk: its shards start clusters from
+        reconstruction-only state, so its IPCs differ.  A ``matrix``
+        request (the only kind that honours `cluster_jobs`) therefore
+        carries whether its effective `cluster_jobs` is above 1, as a
+        cell key's ``+shards`` does; how many workers shard it does not
+        matter.  The ambient checkpoint store
+        (``REPRO_CHECKPOINT_STORE``) is absent because store hits
+        materialise exactly what a live Phase A scan would produce —
+        the payload is byte-identical either way.
         """
         identity = self.to_payload()
         identity.pop("jobs")
-        identity.pop("cluster_jobs")
+        cluster_jobs = identity.pop("cluster_jobs")
+        if self.kind == "matrix":
+            identity["sharded"] = resolve_cluster_jobs(cluster_jobs) > 1
         identity["code"] = code_version()
         return digest_key(identity)
 

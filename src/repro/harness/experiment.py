@@ -1,11 +1,12 @@
 """Experiment harness: the paper's evaluation matrix.
 
-Couples workloads, sampling regimens, warm-up methods, and true-IPC
-baselines into the (workload x method) grids behind every figure and
-table.  Scale presets map the paper's 6-billion-instruction runs onto
-laptop-sized populations; set ``REPRO_EXPERIMENT_SCALE`` to ``ci``,
-``bench``, ``default``, or ``full`` (or pass a :class:`ExperimentScale`)
-to trade fidelity for time.
+Defines the scales, the true-IPC baselines and the (workload x method)
+grid records behind every figure and table; the grids themselves are
+run by :func:`~.parallel.execute_matrix`.  Scale presets map the
+paper's 6-billion-instruction runs onto laptop-sized populations; set
+``REPRO_EXPERIMENT_SCALE`` to ``ci``, ``bench``, ``default``, or
+``full`` (or pass a :class:`ExperimentScale`) to trade fidelity for
+time.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from ..branch import paper_predictor_config
 from ..cache import paper_hierarchy_config
 from ..sampling import (
     SampledRunResult,
-    SampledSimulator,
     SamplingRegimen,
     SimulatorConfigs,
     TrueRunResult,
     measure_true_ipc,
 )
-from ..warmup import WarmupMethod
-from ..workloads import PAPER_WORKLOADS, cached_workload
+from ..store import result_store_key
+from ..workloads import cached_workload
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,55 @@ class WorkloadExperiment:
         return numerator / denominator if denominator else float("inf")
 
 
+@dataclass(frozen=True)
+class TrueRunSpec:
+    """Exactly what one full-trace baseline reads, and nothing more.
+
+    The program, its length, its steady-state prefix, its memory scale
+    and the microarchitecture identify a true run; the regimen (seed,
+    cluster count and size), the detail ramp and the scale's name do
+    not.  Grids that differ only in cluster placement therefore share
+    one baseline per program, in the per-process memo and in the store.
+    """
+
+    workload_name: str
+    total_instructions: int
+    warmup_prefix: int
+    mem_scale: int
+    configs: SimulatorConfigs
+
+    @classmethod
+    def of(cls, workload_name: str, scale: ExperimentScale,
+           configs: SimulatorConfigs) -> "TrueRunSpec":
+        return cls(workload_name, scale.total_instructions,
+                   scale.warmup_prefix, scale.mem_scale, configs)
+
+    @property
+    def kind(self) -> str:
+        return "true"
+
+    @property
+    def method_name(self) -> str:
+        return "<true>"
+
+    def key(self) -> str:
+        run = {"total_instructions": self.total_instructions,
+               "warmup_prefix": self.warmup_prefix,
+               "mem_scale": self.mem_scale}
+        return result_store_key("true", self.workload_name, run,
+                                self.configs)
+
+    def run(self) -> TrueRunResult:
+        """The baseline, memoized per process on this spec."""
+        return _measure_true_run(self)
+
+
 @lru_cache(maxsize=None)
-def _true_run_cached(workload_name: str,
-                     scale: ExperimentScale,
-                     configs: SimulatorConfigs) -> TrueRunResult:
-    workload = cached_workload(workload_name, mem_scale=scale.mem_scale)
-    return measure_true_ipc(workload, scale.total_instructions,
-                            configs,
-                            warmup_prefix=scale.warmup_prefix)
+def _measure_true_run(spec: TrueRunSpec) -> TrueRunResult:
+    workload = cached_workload(spec.workload_name, mem_scale=spec.mem_scale)
+    return measure_true_ipc(workload, spec.total_instructions,
+                            spec.configs,
+                            warmup_prefix=spec.warmup_prefix)
 
 
 def true_run_for(workload_name: str,
@@ -160,76 +201,12 @@ def true_run_for(workload_name: str,
     `configs` must match the microarchitecture the sampled runs use —
     it participates in the cache key, so a caller-supplied override is
     scored against a baseline built from the same configuration rather
-    than silently falling back to ``scale.configs()``.
+    than silently falling back to ``scale.configs()``.  The memo keys on
+    :class:`TrueRunSpec`, so scales that differ only in placement
+    return the same object.
     """
     configs = configs if configs is not None else scale.configs()
-    return _true_run_cached(workload_name, scale, configs)
-
-
-def run_workload_experiment(
-    workload_name: str,
-    methods: list[WarmupMethod],
-    scale: ExperimentScale,
-    configs: SimulatorConfigs | None = None,
-) -> WorkloadExperiment:
-    """Run every method on one workload (same clusters for all methods)."""
-    configs = configs if configs is not None else scale.configs()
-    workload = cached_workload(workload_name, mem_scale=scale.mem_scale)
-    true_run = true_run_for(workload_name, scale, configs)
-    simulator = SampledSimulator(
-        workload, scale.regimen(), configs,
-        warmup_prefix=scale.warmup_prefix,
-        detail_ramp=scale.detail_ramp,
-    )
-    experiment = WorkloadExperiment(
-        workload_name=workload_name, true_run=true_run
-    )
-    for method in methods:
-        run = simulator.run(method)
-        experiment.outcomes[run.method_name] = MethodOutcome(
-            run=run, true_ipc=true_run.ipc
-        )
-    return experiment
-
-
-def run_matrix(
-    method_factory,
-    workload_names: tuple[str, ...] = PAPER_WORKLOADS,
-    scale: ExperimentScale | None = None,
-    configs: SimulatorConfigs | None = None,
-) -> dict[str, WorkloadExperiment]:
-    """Run a methods-by-workloads grid.
-
-    `method_factory` is a zero-argument callable returning a fresh list of
-    warm-up methods (fresh per workload, so no state leaks between runs).
-    """
-    scale = scale if scale is not None else scale_from_env()
-    return {
-        name: run_workload_experiment(
-            name, method_factory(), scale, configs
-        )
-        for name in workload_names
-    }
-
-
-@lru_cache(maxsize=4)
-def _full_matrix_cached(scale_name: str) -> dict[str, WorkloadExperiment]:
-    from ..warmup import paper_method_suite
-
-    return run_matrix(paper_method_suite, scale=SCALES[scale_name])
-
-
-def full_matrix(scale_name: str = "") -> dict[str, WorkloadExperiment]:
-    """The complete Table 2 grid (16 methods x 9 workloads), cached.
-
-    Several figures and the appendix tables slice the same grid; caching
-    per process lets the benches share one run.  An empty `scale_name`
-    resolves through ``REPRO_EXPERIMENT_SCALE`` *before* the cache is
-    consulted, so changing the environment variable between calls never
-    returns the grid computed for the previous scale.
-    """
-    scale = SCALES[scale_name] if scale_name else scale_from_env()
-    return _full_matrix_cached(scale.name)
+    return TrueRunSpec.of(workload_name, scale, configs).run()
 
 
 def average_over_workloads(

@@ -1,4 +1,4 @@
-"""Parallel experiment execution engine.
+"""The grid driver: every methods-by-workloads grid runs here.
 
 The evaluation grid behind every figure and table is a (workload x
 method) matrix whose cells are mutually independent: each sampled run
@@ -6,16 +6,17 @@ builds its own machine, hierarchy, and predictor, and the regimen seed —
 not execution order — determines cluster placement.  This module fans
 those cells out as small picklable task specs through the pluggable
 :class:`~.executor.Executor` protocol (``inprocess`` or ``pool``;
-see :mod:`~.executor`) and deterministically reassembles the same
-:class:`~.experiment.WorkloadExperiment` grids the serial
-:func:`~.experiment.run_matrix` produces: same regimen seed, same
-cluster IPCs, bit-identical estimates — whichever backend ran the
-cells.
+see :mod:`~.executor`) and deterministically reassembles them into
+:class:`~.experiment.WorkloadExperiment` grids: each cell equals a
+direct :func:`repro.api.simulate` of the same program, method and
+scale, bit for bit, whichever backend ran it.
 
 Two task kinds exist per grid:
 
 - one **true-run** task per workload (the full-trace baseline, shared by
-  every method outcome of that workload), and
+  every method outcome of that workload, and by every grid whose scale
+  differs only in placement — see :class:`~.experiment.TrueRunSpec`),
+  and
 - one **cell** task per (workload, method) pair.
 
 Both are pure functions of their spec, so both are memoised through the
@@ -37,7 +38,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from ..sampling import SampledRunResult, SampledSimulator, SimulatorConfigs, TrueRunResult
+from ..sampling import (
+    SampledRunResult,
+    SampledSimulator,
+    SimulatorConfigs,
+    TrueRunResult,
+    resolve_cluster_jobs,
+)
 from ..telemetry import (
     EMPTY_SNAPSHOT,
     EVENT_CELL,
@@ -60,31 +67,10 @@ from .options import available_cpus
 from .experiment import (
     ExperimentScale,
     MethodOutcome,
+    TrueRunSpec,
     WorkloadExperiment,
     scale_from_env,
-    true_run_for,
 )
-
-
-@dataclass(frozen=True)
-class TrueRunSpec:
-    """Picklable description of one full-trace baseline task."""
-
-    workload_name: str
-    scale: ExperimentScale
-    configs: SimulatorConfigs
-
-    @property
-    def kind(self) -> str:
-        return "true"
-
-    @property
-    def method_name(self) -> str:
-        return "<true>"
-
-    def key(self) -> str:
-        return result_store_key("true", self.workload_name, self.scale,
-                                self.configs)
 
 
 @dataclass(frozen=True)
@@ -202,11 +188,6 @@ class LiveProgress:
         self._stream.flush()
 
 
-def _run_true_task(spec: TrueRunSpec) -> TrueRunResult:
-    """Worker: compute one full-trace baseline."""
-    return true_run_for(spec.workload_name, spec.scale, spec.configs)
-
-
 def _run_cell_task(spec: CellSpec, method_factory) -> SampledRunResult:
     """Worker: run one warm-up method on one workload."""
     methods = {method.name: method for method in method_factory()}
@@ -247,7 +228,7 @@ class _MatrixTask:
 def _run_matrix_task(task: _MatrixTask):
     """Worker: one grid task (true-run or cell), any backend."""
     if task.spec.kind == "true":
-        return _run_true_task(task.spec)
+        return task.spec.run()
     return _run_cell_task(task.spec, task.method_factory)
 
 
@@ -284,20 +265,15 @@ def _propagation_env(span_context, run_id):
                 os.environ[name] = value
 
 
-def _span_parent_env(span_context):
-    """Back-compat alias: span-context-only propagation."""
-    return _propagation_env(span_context, None)
-
-
 def map_tasks(worker, tasks, jobs: int, span_context=None,
               executor: "str | Executor | None" = None,
               run_id: "str | None" = None,
               on_result=None) -> list:
     """Order-preserving parallel map: ``[worker(t) for t in tasks]``.
 
-    The generic fan-out underneath the two-phase pipeline's shard
-    dispatch (and any future fixed-task-list parallelism), routed
-    through the :class:`~.executor.Executor` protocol.  `executor`
+    The one fan-out underneath the grid driver's cells and the
+    two-phase pipeline's shard dispatch, routed through the
+    :class:`~.executor.Executor` protocol.  `executor`
     names a registered backend or passes a ready instance; ``None``
     resolves ``REPRO_EXECUTOR`` and falls back to the historical
     ``pool`` behavior, whose in-process degradations (``jobs <= 1``,
@@ -374,8 +350,7 @@ def matrix_specs(
 ) -> list:
     """The full deterministic task list for one grid (true runs first)."""
     specs: list = [
-        TrueRunSpec(workload_name=name, scale=scale, configs=configs)
-        for name in workload_names
+        TrueRunSpec.of(name, scale, configs) for name in workload_names
     ]
     specs.extend(
         CellSpec(workload_name=workload_name, method_name=method_name,
@@ -399,11 +374,14 @@ def execute_matrix(
 ) -> dict[str, WorkloadExperiment]:
     """Run a methods-by-workloads grid through an executor backend.
 
-    Drop-in parallel equivalent of :func:`~.experiment.run_matrix`: the
-    same `method_factory` contract (zero-argument callable returning
-    fresh methods), the same grid shape, and — because every cell builds
-    its own simulator from the shared regimen seed — bit-identical
-    cluster IPCs and estimates, whichever backend runs the cells.
+    The one grid driver (``repro matrix``, ``repro reproduce``, the
+    benches and :func:`repro.api.run_matrix` all call it).
+    `method_factory` is a zero-argument callable returning fresh
+    methods; every cell builds its own simulator from the scale's
+    regimen seed, so cluster IPCs and estimates are bit-identical
+    whichever backend runs the cells.  The placement seed is
+    ``scale.seed``: grids over ``dataclasses.replace(scale, seed=k)``
+    get distinct cell keys but share one true run per program.
 
     Parameters
     ----------
@@ -419,7 +397,8 @@ def execute_matrix(
         task, in completion order.
     cluster_jobs:
         Shard workers for the two-phase pipeline *inside* each cell
-        (see :mod:`repro.sampling.pipeline`); with ``jobs > 1`` the
+        (see :mod:`repro.sampling.pipeline`; ``0`` = one per CPU,
+        resolved before any cell key is built); with ``jobs > 1`` the
         cells themselves already occupy the CPUs, so shard fan-out
         inside pool workers degrades to in-process execution with
         identical results.
@@ -432,6 +411,9 @@ def execute_matrix(
     configs = configs if configs is not None else scale.configs()
     if jobs is None:
         jobs = available_cpus()
+    # A cell key records whether its run is sharded, so 0 ("one per
+    # CPU") must become the count the simulator will use first.
+    cluster_jobs = resolve_cluster_jobs(cluster_jobs)
     method_names = [method.name for method in method_factory()]
     specs = matrix_specs(method_names, workload_names, scale, configs,
                          cluster_jobs=cluster_jobs)
@@ -498,19 +480,10 @@ def execute_matrix(
                 results[spec] = result
                 emit(spec, result, cached=False)
 
-            owned = not isinstance(executor, Executor)
-            backend = resolve_executor(executor, jobs=jobs)
-            with _span_parent_env(recorder.context()
-                                  if recorder.enabled else None):
-                try:
-                    backend.map(_run_matrix_task, tasks,
-                                on_result=on_result)
-                except BaseException:
-                    backend.close(cancel=True)
-                    raise
-                finally:
-                    if owned:
-                        backend.close()
+            map_tasks(_run_matrix_task, tasks, jobs,
+                      span_context=(recorder.context()
+                                    if recorder.enabled else None),
+                      executor=executor, on_result=on_result)
             if cache is not None:
                 with recorder.span("cache_store", cat="cache",
                                    entries=len(pending)):
@@ -520,7 +493,7 @@ def execute_matrix(
 
     grid: dict[str, WorkloadExperiment] = {}
     for workload_name in workload_names:
-        true_run = results[TrueRunSpec(workload_name, scale, configs)]
+        true_run = results[TrueRunSpec.of(workload_name, scale, configs)]
         experiment = WorkloadExperiment(
             workload_name=workload_name, true_run=true_run
         )

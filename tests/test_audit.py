@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis import reference_trajectory_for
 from repro.core import ReverseStateReconstruction
-from repro.harness.experiment import SCALES, run_matrix
+from repro.harness.experiment import SCALES
 from repro.harness.export import audit_to_json, save_audit
 from repro.harness.parallel import execute_matrix, merged_telemetry
 from repro.harness.reporting import (
@@ -171,10 +171,11 @@ class TestSourceEquivalence:
 
 class TestParallelEquivalence:
     def test_serial_and_parallel_audits_bit_identical(self, audit_env):
-        serial = run_matrix(audit_suite, workload_names=("ammp",),
-                            scale=CI)
+        serial = execute_matrix(audit_suite, workload_names=("ammp",),
+                                scale=CI, jobs=1, executor="inprocess")
         parallel = execute_matrix(
             audit_suite, workload_names=("ammp",), scale=CI, jobs=2,
+            executor="pool",
         )
         serial_snapshot = merged_telemetry(serial)
         parallel_snapshot = merged_telemetry(parallel)

@@ -12,7 +12,7 @@ from repro.harness import (
     matrix_rows,
     matrix_to_csv,
     matrix_to_json,
-    run_matrix,
+    execute_matrix,
     save_matrix,
 )
 from repro.warmup import NoWarmup, SmartsWarmup
@@ -25,11 +25,12 @@ TINY = ExperimentScale("tiny-export", total_instructions=24_000,
 
 @pytest.fixture(scope="module")
 def matrix():
-    return run_matrix(
+    return execute_matrix(
         lambda: [NoWarmup(), SmartsWarmup(),
                  ReverseStateReconstruction(0.2)],
         workload_names=("ammp",),
         scale=TINY,
+        jobs=1,
     )
 
 
@@ -69,10 +70,11 @@ class TestRows:
         from repro.telemetry import COLLECT_ENV_VAR
 
         monkeypatch.setenv(COLLECT_ENV_VAR, "1")
-        traced = run_matrix(
+        traced = execute_matrix(
             lambda: [ReverseStateReconstruction(1.0)],
             workload_names=("ammp",),
             scale=TINY,
+            jobs=1,
         )
         row = matrix_rows(traced)[0]
         assert row["log_raw_records"] > 0

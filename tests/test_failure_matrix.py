@@ -408,7 +408,6 @@ def test_unwritable_grid_output_fails_before_any_cell(argv, message,
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("repro.harness.execute_matrix", unreachable)
-    monkeypatch.setattr("repro.harness.experiment.full_matrix", unreachable)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

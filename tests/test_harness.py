@@ -6,8 +6,7 @@ from repro.harness import (
     ExperimentScale,
     SCALES,
     scale_from_env,
-    run_workload_experiment,
-    run_matrix,
+    execute_matrix,
     average_over_workloads,
     format_table,
     format_table1,
@@ -29,8 +28,8 @@ def tiny_methods():
 
 @pytest.fixture(scope="module")
 def matrix():
-    return run_matrix(tiny_methods, workload_names=("ammp", "mcf"),
-                      scale=TINY)
+    return execute_matrix(tiny_methods, workload_names=("ammp", "mcf"),
+                          scale=TINY, jobs=1)
 
 
 class TestScales:
@@ -123,7 +122,8 @@ class TestReporting:
 
 class TestWorkloadExperimentDirect:
     def test_single_workload(self):
-        experiment = run_workload_experiment("art", tiny_methods(), TINY)
+        experiment = execute_matrix(tiny_methods, workload_names=("art",),
+                                    scale=TINY, jobs=1)["art"]
         assert experiment.workload_name == "art"
         assert len(experiment.outcomes) == 3
 

@@ -8,7 +8,7 @@ absolute numbers.
 import pytest
 
 from repro.core import ReverseStateReconstruction
-from repro.harness import ExperimentScale, run_workload_experiment
+from repro.harness import ExperimentScale, execute_matrix
 from repro.warmup import FixedPeriodWarmup, NoWarmup, SmartsWarmup
 
 
@@ -31,12 +31,12 @@ def methods():
 
 @pytest.fixture(scope="module")
 def gcc():
-    return run_workload_experiment("gcc", methods(), SCALE)
+    return execute_matrix(methods, ("gcc",), SCALE, jobs=1)["gcc"]
 
 
 @pytest.fixture(scope="module")
 def vpr():
-    return run_workload_experiment("vpr", methods(), SCALE)
+    return execute_matrix(methods, ("vpr",), SCALE, jobs=1)["vpr"]
 
 
 class TestPaperShape:

@@ -10,6 +10,7 @@ pending-job quota get HTTP 429; and malformed requests get readable
 deprecation shim.
 """
 
+import dataclasses
 import json
 import threading
 
@@ -60,6 +61,26 @@ class TestRunRequest:
                            jobs=8, cluster_jobs=4)
         assert base.fingerprint() == tuned.fingerprint()
 
+    def test_matrix_fingerprint_separates_sharded_from_serial(
+            self, monkeypatch):
+        # A sharded matrix starts clusters from reconstruction-only
+        # state, so its rows differ from the serial walk's.
+        serial = RunRequest(kind="matrix", workloads=("gcc",),
+                            methods=("R$BP (20%)",), design="ci")
+        sharded = dataclasses.replace(serial, cluster_jobs=2)
+        assert serial.cache_key() != sharded.cache_key()
+        # Whether it is sharded counts; how many workers and jobs do not.
+        assert dataclasses.replace(
+            serial, cluster_jobs=4, jobs=3).fingerprint() == \
+            sharded.fingerprint()
+        assert dataclasses.replace(serial, jobs=8).fingerprint() == \
+            serial.fingerprint()
+        # 0 is one worker per CPU.
+        monkeypatch.setattr("repro.harness.options.available_cpus",
+                            lambda: 2)
+        assert dataclasses.replace(serial, cluster_jobs=0).fingerprint() \
+            == sharded.fingerprint()
+
     def test_fingerprint_differs_by_content(self):
         a = RunRequest(kind="sample", workloads=("gcc",), design="ci")
         b = RunRequest(kind="sample", workloads=("twolf",), design="ci")
@@ -91,6 +112,18 @@ class TestRunRequest:
 
 
 class TestExecuteRequest:
+    def test_serial_matrix_is_not_served_a_sharded_payload(self, tmp_path):
+        serial = RunRequest(kind="matrix", workloads=("gcc",),
+                            methods=("R$BP (20%)",), design="ci", jobs=1)
+        sharded = dataclasses.replace(serial, cluster_jobs=2)
+        first = execute_request(sharded, executor="inprocess",
+                                cache=str(tmp_path))
+        second = execute_request(serial, executor="inprocess",
+                                 cache=str(tmp_path))
+        assert not second.cached
+        assert [row["sharded"] for row in first.payload["rows"]] == [True]
+        assert [row["sharded"] for row in second.payload["rows"]] == [False]
+
     def test_cache_read_through(self, tmp_path):
         first = execute_request(SAMPLE, cache=str(tmp_path))
         second = execute_request(SAMPLE, cache=str(tmp_path))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.harness.experiment import SCALES, run_matrix
+from repro.harness.experiment import SCALES
 from repro.harness.parallel import execute_matrix, merged_telemetry
 from repro.harness.reporting import format_telemetry_summary
 from repro.sampling import SampledSimulator, SamplingRegimen
@@ -304,15 +304,17 @@ def _strip_timing(record):
 
 
 class TestParallelMerge:
-    """Per-cell snapshots merged by the parallel engine equal the serial
-    run's totals."""
+    """Per-cell snapshots merged from pool workers equal an in-process
+    serial grid's totals."""
 
     def test_parallel_merge_matches_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        serial = run_matrix(small_suite, workload_names=("ammp",), scale=CI)
+        serial = execute_matrix(small_suite, workload_names=("ammp",),
+                                scale=CI, jobs=1, executor="inprocess")
         parallel = execute_matrix(
             small_suite, workload_names=("ammp",), scale=CI, jobs=2,
+            executor="pool",
         )
         merged_serial = merged_telemetry(serial)
         merged_parallel = merged_telemetry(parallel)
