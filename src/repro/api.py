@@ -294,20 +294,23 @@ class RunRequest:
         fingerprint a safe result-cache key.
         `jobs` cannot change results and is excluded.  A sharded run
         is not the serial walk: its shards start clusters from
-        reconstruction-only state, so its IPCs differ.  A ``matrix``
-        request (the only kind that honours `cluster_jobs`) therefore
-        carries whether its effective `cluster_jobs` is above 1, as a
-        cell key's ``+shards`` does; how many workers shard it does not
-        matter.  The ambient checkpoint store
-        (``REPRO_CHECKPOINT_STORE``) is absent because store hits
+        reconstruction-only state, so its IPCs differ.  The fingerprint
+        therefore carries whether the effective cluster-job count is
+        above 1, as a cell key's ``+shards`` does; how many workers
+        shard a run does not matter.  A ``matrix`` request resolves its
+        own `cluster_jobs`; ``sample`` and ``audit`` requests run
+        :func:`simulate`, which reads ``REPRO_CLUSTER_JOBS`` (``repro
+        serve --cluster-jobs N`` exports it).  The ambient checkpoint
+        store (``REPRO_CHECKPOINT_STORE``) is absent because store hits
         materialise exactly what a live Phase A scan would produce —
         the payload is byte-identical either way.
         """
         identity = self.to_payload()
         identity.pop("jobs")
         cluster_jobs = identity.pop("cluster_jobs")
-        if self.kind == "matrix":
-            identity["sharded"] = resolve_cluster_jobs(cluster_jobs) > 1
+        if self.kind != "matrix":
+            cluster_jobs = None
+        identity["sharded"] = resolve_cluster_jobs(cluster_jobs) > 1
         identity["code"] = code_version()
         return digest_key(identity)
 

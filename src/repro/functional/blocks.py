@@ -40,21 +40,49 @@ values instead of calling :func:`to_signed`.
 A consumer that needs neither a frame per event nor that state hands
 ``run`` an :class:`Emitter` beside its callables.  The skip log
 (:mod:`repro.core.compaction`) appends to its columns, with the branch
-code ``kind << 1 | taken`` a constant; functional warming
-(:func:`repro.warmup.base.warming_hooks`) calls ``warm_access`` and
-``update``.  The same block, for each::
+code ``kind << 1 | taken`` a constant::
 
-        a, k, p, t, c = h                 wa, up = h
-        if lf != 0:                       if lf != 0:
-            a(4194344); k(2)                  wa(4194344, False, True)
-        ...                               ...
-        r[4] = ld(x)                      r[4] = ld(x)
-        a(x); k(0)                        wa(x, False, False)
-        if r[3] != r[4]:                  if r[3] != r[4]:
-            p(12); t(5); c(1)                 up(12, I[12], True, 5)
-            return 5                          return 5
-        p(12); t(13); c(0)                up(12, I[12], False, 13)
-        return 13                         return 13
+        a, k, p, t, c = h
+        if lf != 0:
+            a(4194344); k(2)
+        ...
+        r[4] = ld(x)
+        a(x); k(0)
+        if r[3] != r[4]:
+            p(12); t(5); c(1)
+            return 5
+        p(12); t(13); c(0)
+        return 13
+
+Functional warming (:func:`repro.warmup.base.warming_hooks`) tests a
+read or ifetch against the MRU way of its L1 set (tag rows ``DR``,
+recency orders ``DO``, line bytes ``DL``, set count ``DN`` and their
+product ``DT`` for the L1D; ``I*`` for the L1I), counts a hit in ``hc``
+and calls ``warm_access`` for anything else; a store always calls it,
+and a transfer calls ``update``::
+
+        wa, up, hc, IR, IO, IL, IN, IT, DR, DO, DL, DN, DT = h
+        if lf != 0:
+            s = 4194344 // IL % IN
+            if IR[s][IO[s][0]] == 4194344 // IT:
+                hc[0] += 1
+            else:
+                wa(4194344, False, True)
+        ...
+        r[4] = ld(x)
+        s = x // DL % DN
+        if DR[s][DO[s][0]] == x // DT:
+            hc[1] += 1
+        else:
+            wa(x, False, False)
+        if r[3] != r[4]:
+            up(12, I[12], True, 5)
+            return 5
+        up(12, I[12], False, 13)
+        return 13
+
+What the emitted code counts instead of calling, :meth:`Emitter.fold`
+settles when ``run`` returns or raises.
 
 The op emitters (:func:`operand_fields`, :func:`execute_lines`,
 :func:`transfer_parts`) also write the functional part of the timing
@@ -254,6 +282,10 @@ class Emitter:
         `next_pc`."""
         return [f"m.pc = {next_pc}; m.instructions_retired = n + {retired}",
                 f"bh({pc}, {next_pc}, I[{pc}], {taken})"]
+
+    def fold(self) -> None:
+        """Settle what the blocks counted instead of calling a hook;
+        ``run`` calls it before it returns or raises.  Nothing here."""
 
 
 def _indent(lines: list[str]) -> list[str]:

@@ -261,7 +261,10 @@ class FunctionalMachine:
         ``instructions_retired`` writes: emitted code (the skip log's
         appends, functional warming's calls) never reads the machine.
         The hooks must record the same events, since :meth:`run_scalar`
-        calls them for what the blocks leave to it.
+        calls them for what the blocks leave to it.  Whatever the emitted
+        code counted instead of recording is settled by
+        :meth:`Emitter.fold <repro.functional.blocks.Emitter.fold>` before
+        ``run`` returns or raises.
 
         Parameters
         ----------
@@ -304,23 +307,28 @@ class FunctionalMachine:
         pc = self.pc
         start = retired = self.instructions_retired
         stop = start + count
-        while retired < stop:
-            block, length, last_block = blocks[pc]
-            if not 0 < length <= stop - retired:
-                self.pc = pc
-                self.instructions_retired = retired
-                self._last_fetch = (per_block, last_fetch)
-                self.run_scalar(stop - retired if length else 1, mem_hook,
-                                branch_hook, ifetch_hook, ifetch_block_bytes)
-                pc = self.pc
-                retired = self.instructions_retired
-                last_fetch = self._last_fetch[1]
-                if self.halted:
-                    break
-                continue
-            pc = block(self, regs, load, store, hooks, retired, last_fetch)
-            last_fetch = last_block
-            retired += length
+        try:
+            while retired < stop:
+                block, length, last_block = blocks[pc]
+                if not 0 < length <= stop - retired:
+                    self.pc = pc
+                    self.instructions_retired = retired
+                    self._last_fetch = (per_block, last_fetch)
+                    self.run_scalar(stop - retired if length else 1,
+                                    mem_hook, branch_hook, ifetch_hook,
+                                    ifetch_block_bytes)
+                    pc = self.pc
+                    retired = self.instructions_retired
+                    last_fetch = self._last_fetch[1]
+                    if self.halted:
+                        break
+                    continue
+                pc = block(self, regs, load, store, hooks, retired,
+                           last_fetch)
+                last_fetch = last_block
+                retired += length
+        finally:
+            emitter.fold()
         self.pc = pc
         self.instructions_retired = retired
         if ifetch_hook is not None:

@@ -82,7 +82,8 @@ class CellSpec:
     scale: ExperimentScale
     configs: SimulatorConfigs
     #: Shard workers for the two-phase pipeline inside this cell
-    #: (1 = the serial walk; see repro.sampling.pipeline).
+    #: (1 = the serial walk, which a method that cannot shard always
+    #: runs; see repro.sampling.pipeline).
     cluster_jobs: int = 1
 
     @property
@@ -342,21 +343,27 @@ def merged_telemetry(
 
 
 def matrix_specs(
-    method_names: Iterable[str],
+    methods: list,
     workload_names: Iterable[str],
     scale: ExperimentScale,
     configs: SimulatorConfigs,
     cluster_jobs: int = 1,
 ) -> list:
-    """The full deterministic task list for one grid (true runs first)."""
+    """The full deterministic task list for one grid (true runs first).
+
+    A method that is not :attr:`~..warmup.base.WarmupMethod.shardable`
+    runs the serial walk whatever `cluster_jobs` asks, so its cells
+    carry 1 and share the serial grid's keys.
+    """
     specs: list = [
         TrueRunSpec.of(name, scale, configs) for name in workload_names
     ]
     specs.extend(
-        CellSpec(workload_name=workload_name, method_name=method_name,
-                 scale=scale, configs=configs, cluster_jobs=cluster_jobs)
+        CellSpec(workload_name=workload_name, method_name=method.name,
+                 scale=scale, configs=configs,
+                 cluster_jobs=cluster_jobs if method.shardable else 1)
         for workload_name in workload_names
-        for method_name in method_names
+        for method in methods
     )
     return specs
 
@@ -414,8 +421,8 @@ def execute_matrix(
     # A cell key records whether its run is sharded, so 0 ("one per
     # CPU") must become the count the simulator will use first.
     cluster_jobs = resolve_cluster_jobs(cluster_jobs)
-    method_names = [method.name for method in method_factory()]
-    specs = matrix_specs(method_names, workload_names, scale, configs,
+    methods = list(method_factory())
+    specs = matrix_specs(methods, workload_names, scale, configs,
                          cluster_jobs=cluster_jobs)
 
     # The matrix driver's own span recorder: the "matrix" span is the
@@ -492,16 +499,13 @@ def execute_matrix(
     recorder.flush()
 
     grid: dict[str, WorkloadExperiment] = {}
-    for workload_name in workload_names:
-        true_run = results[TrueRunSpec.of(workload_name, scale, configs)]
-        experiment = WorkloadExperiment(
-            workload_name=workload_name, true_run=true_run
+    for spec in specs:
+        if spec.kind == "true":
+            grid[spec.workload_name] = WorkloadExperiment(
+                workload_name=spec.workload_name, true_run=results[spec])
+            continue
+        experiment = grid[spec.workload_name]
+        experiment.outcomes[spec.method_name] = MethodOutcome(
+            run=results[spec], true_ipc=experiment.true_run.ipc
         )
-        for method_name in method_names:
-            run = results[CellSpec(workload_name, method_name, scale,
-                                   configs, cluster_jobs)]
-            experiment.outcomes[method_name] = MethodOutcome(
-                run=run, true_ipc=true_run.ipc
-            )
-        grid[workload_name] = experiment
     return grid

@@ -78,20 +78,65 @@ class WarmupCost:
         }
 
 
+def _mru_test(address: str, ifetch: bool) -> list[str]:
+    """A read or ifetch of `address` that hits the MRU way of its L1 set
+    changes only that L1's ``accesses``, ``hits`` and ``updates``: count
+    it in ``hc`` (L1I first); call ``warm_access`` otherwise."""
+    cache = "I" if ifetch else "D"
+    return [f"s = {address} // {cache}L % {cache}N",
+            f"if {cache}R[s][{cache}O[s][0]] == {address} // {cache}T:",
+            f"    hc[{int(not ifetch)}] += 1",
+            "else:",
+            f"    wa({address}, False, {ifetch})"]
+
+
+def _mru_names(cache) -> tuple:
+    """``R, O, L, N, T`` of `cache`: its per-set tag rows and recency
+    orders, line bytes, set count, and line bytes times set count."""
+    line_bytes, sets = cache.config.line_bytes, cache.num_sets
+    return cache._tag_rows, cache.order, line_bytes, sets, line_bytes * sets
+
+
 class _WarmEmitter(Emitter):
-    """Functional warming, emitted into the translated blocks: direct
-    calls of ``warm_access`` and ``update``."""
+    """Functional warming, emitted into the translated blocks.
+
+    A read or ifetch first tests the MRU way of its L1 set in the block
+    and counts a hit; anything else (a non-MRU hit, a miss, any store)
+    and every control transfer are direct calls of ``warm_access`` and
+    ``update``.  :meth:`fold` adds the counted hits to the L1s'
+    :class:`~repro.cache.CacheStats`.
+    """
 
     kind = "warm"
-    params = ("wa", "up")
+    params = ("wa", "up", "hc", "IR", "IO", "IL", "IN", "IT",
+              "DR", "DO", "DL", "DN", "DT")
+
+    def __init__(self, hierarchy, predictor) -> None:
+        l1i, l1d = hierarchy.l1i, hierarchy.l1d
+        self._stats = (l1i.stats, l1d.stats)
+        self._hits = [0, 0]
+        super().__init__(hierarchy.warm_access, predictor.update, self._hits,
+                         *_mru_names(l1i), *_mru_names(l1d))
 
     @staticmethod
     def memory(pc, retired, address, ref) -> list[str]:
-        return [f"wa({address}, {ref == 1}, {ref == 2})"]
+        if ref == 1:
+            return [f"wa({address}, True, False)"]
+        return _mru_test(address, ref == 2)
 
     @staticmethod
     def transfer(pc, next_pc, inst, taken, retired) -> list[str]:
         return [f"up({pc}, I[{pc}], {taken}, {next_pc})"]
+
+    def fold(self) -> None:
+        hits = self._hits
+        for index, stats in enumerate(self._stats):
+            count = hits[index]
+            if count:
+                hits[index] = 0
+                stats.accesses += count
+                stats.hits += count
+                stats.updates += count
 
 
 def warming_hooks(hierarchy, predictor, warm_cache: bool = True,
@@ -103,18 +148,25 @@ def warming_hooks(hierarchy, predictor, warm_cache: bool = True,
     every fetched instruction block goes through
     ``MemoryHierarchy.warm_access`` when `warm_cache`, and every control
     transfer trains ``BranchPredictor.update`` when `warm_predictor`.
-    The hooks hold bound methods only, never a structure's state lists
-    (``reset``, ``load_state`` and ``WarmState.restore`` rebind those).
+    The callables hold bound methods only.  The emitter also binds the
+    L1s' tag rows and recency orders (``Cache._tag_rows``, ``order``) as
+    they are now: ``reset``, ``load_state`` and ``WarmState.restore``
+    rebind those lists, so build the hooks for each run and never keep
+    them across one of those calls.  Nothing a warm run calls rebinds
+    them.
 
     The translated blocks make those calls directly, through the
     ``emitter``, with no hook frame in between and without writing the
     machine's ``pc`` and ``instructions_retired`` first: neither
-    ``warm_access`` nor ``update`` reads the machine.  The callables
-    serve the instructions ``run`` steps one at a time.
+    ``warm_access`` nor ``update`` reads the machine.  A read or ifetch
+    that hits the MRU way of its L1 set changes nothing but that L1's
+    counters, so the blocks test for it in line and count it; ``run``
+    adds the counts to the L1s' stats before it returns or raises.  The
+    callables serve the instructions ``run`` steps one at a time.
     """
     access, update = hierarchy.warm_access, predictor.update
     hooks = {"ifetch_block_bytes": hierarchy.l1i.config.line_bytes,
-             "emitter": _WarmEmitter(access, update)}
+             "emitter": _WarmEmitter(hierarchy, predictor)}
     if warm_cache:
 
         def mem_hook(pc, next_pc, address, is_store, _access=access):

@@ -10,22 +10,28 @@ alone through identical random run lengths, across
 ``SKIP_FOLD_INSTRUCTIONS`` fold boundaries and up to HALT, and require
 the same log (pending columns, retained structures, record counts and
 every query) and the same warmed state (cache tags, recency and dirty
-bits, predictor tables and every counter).
+bits, predictor tables and every counter).  Warming's blocks count an
+L1 read or ifetch that hits its set's MRU way instead of calling
+``warm_access``; :class:`TestMruFastPath` covers the fold of those
+counts, their per-run binding and the L1 geometries and policies.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.branch import BranchPredictor
-from repro.cache import MemoryHierarchy
+from repro.cache import MemoryHierarchy, WritePolicy
 from repro.core import CompactedSkipRegionLog, default_table
 from repro.core.method import SKIP_FOLD_INSTRUCTIONS
 from repro.functional import FunctionalMachine, Memory
 from repro.harness import scale_from_env
+from repro.isa import ProgramBuilder
+from repro.sampling import build_simulation
+from repro.sampling.controller import WarmState
 from repro.warmup.base import warming_hooks
 from repro.workloads import PAPER_WORKLOADS, build_workload
 from tests.test_machine_batched import _mixed_program, machine_state
@@ -162,6 +168,129 @@ def test_emitted_warming_equals_callable_warming(signature):
                                warm_predictor)
                  for hierarchy, predictor in stacks]
         del hooks[1]["emitter"]
-        _lockstep(program, memory, hooks, index, total, lambda crossed: None)
-        assert _warm_state(*stacks[0]) == _warm_state(*stacks[1]), name
+
+        def check(crossed, stacks=stacks, name=name):
+            assert _warm_state(*stacks[0]) == _warm_state(*stacks[1]), name
+
+        _lockstep(program, memory, hooks, index, total, check)
         assert stacks[0][0].total_updates() + stacks[0][1].total_updates()
+
+
+def _l1_variant(configs, variant: str):
+    """`configs` with both L1s of 6 or 12 sets (``non-pow2``) or
+    write-back write-allocate (``wbwa``); ``paper`` leaves them."""
+    hierarchy = configs.hierarchy
+    l1s = {}
+    for name in ("l1i", "l1d"):
+        l1 = getattr(hierarchy, name)
+        if variant == "non-pow2":
+            sets = l1.num_sets - l1.num_sets // 4
+            assert sets & (sets - 1)
+            l1s[name] = replace(l1, size_bytes=sets * l1.associativity
+                                * l1.line_bytes)
+        elif variant == "wbwa":
+            l1s[name] = replace(l1, write_policy=WritePolicy.WBWA)
+    return replace(configs, hierarchy=replace(hierarchy, **l1s))
+
+
+class _Counted:
+    """A callable that counts its calls."""
+
+    def __init__(self, target) -> None:
+        self.target, self.calls = target, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.target(*args, **kwargs)
+
+
+class TestMruFastPath:
+    """A read or ifetch that hits its L1 set's MRU way is counted in the
+    block and folded into ``CacheStats`` when ``run`` ends; everything
+    else calls ``warm_access``.  The fold, the per-run binding of the tag
+    rows and recency orders, every geometry and write policy, and the
+    ``run_scalar`` fallback each get the emitted side compared with the
+    callable side after every chunk."""
+
+    PROGRAMS = ("gcc", "mcf", "art", "parser")
+
+    @pytest.mark.parametrize("variant", ("paper", "non-pow2", "wbwa"))
+    def test_state_operations_between_runs(self, variant, monkeypatch):
+        configs = _l1_variant(_configs(), variant)
+        fallbacks = _Counted(FunctionalMachine.run_scalar)
+        monkeypatch.setattr(FunctionalMachine, "run_scalar",
+                            lambda *args, **kwargs: fallbacks(*args, **kwargs))
+        for name in self.PROGRAMS:
+            workload = build_workload(name, mem_scale=1)
+            stacks = [build_simulation(workload, configs) for _ in range(2)]
+            calls = []
+            for stack in stacks:
+                calls.append(_Counted(stack.hierarchy.warm_access))
+                stack.hierarchy.warm_access = calls[-1]
+            rng = random.Random(f"{variant}/{name}")
+            snapshot = saved = None
+            for _ in range(40):
+                operation = rng.choice(("run", "run", "run", "reset",
+                                        "load_state", "restore"))
+                if operation == "reset":
+                    for stack in stacks:
+                        stack.hierarchy.reset()
+                elif operation == "load_state" and snapshot is not None:
+                    for stack in stacks:
+                        for cache, state in zip(stack.hierarchy.caches(),
+                                                snapshot):
+                            cache.load_state(state)
+                elif operation == "restore" and saved is not None:
+                    for stack in stacks:
+                        saved.restore(stack)
+                count = rng.choice(LENGTHS[:-1])
+                hooks = [warming_hooks(stack.hierarchy, stack.predictor)
+                         for stack in stacks]
+                del hooks[1]["emitter"]
+                counts = [stack.machine.run(count, **kwargs)
+                          for stack, kwargs in zip(stacks, hooks)]
+                assert counts[0] == counts[1]
+                assert machine_state(stacks[0].machine) == \
+                    machine_state(stacks[1].machine), name
+                assert _warm_state(stacks[0].hierarchy, stacks[0].predictor) \
+                    == _warm_state(stacks[1].hierarchy,
+                                   stacks[1].predictor), (name, operation)
+                if rng.random() < 0.2:
+                    snapshot = [cache.export_state()
+                                for cache in stacks[0].hierarchy.caches()]
+                if rng.random() < 0.2:
+                    saved = WarmState.capture(stacks[0])
+            # The blocks took the fast path for some L1 reads.
+            assert calls[0].calls < calls[1].calls, name
+        assert fallbacks.calls > 0
+
+    def test_wild_pc_error_leaves_exact_stats(self):
+        b = ProgramBuilder(name="wild-warm")
+        b.li(5, 0x1000)
+        b.li(22, 300)
+        b.label("top")
+        b.load(4, 5, 0)
+        b.load(6, 5, 8)
+        b.store(6, 5, 16)
+        b.addi(22, 22, -1)
+        b.bne(22, 0, "top")
+        b.li(1, 1000)
+        b.jr(1)
+        program = b.build()
+        configs = _configs()
+        sides, l1d_stats = [], []
+        for emitted in (True, False):
+            machine = FunctionalMachine(program, Memory())
+            hierarchy = MemoryHierarchy(configs.hierarchy)
+            predictor = BranchPredictor(configs.predictor)
+            hooks = warming_hooks(hierarchy, predictor)
+            if not emitted:
+                del hooks["emitter"]
+            with pytest.raises(ValueError, match="wild-warm"):
+                machine.run(10 ** 6, **hooks)
+            sides.append((machine_state(machine),
+                          _warm_state(hierarchy, predictor)))
+            l1d_stats.append(hierarchy.l1d.stats)
+        assert sides[0] == sides[1]
+        # 300 iterations of two loads and a store, most loads MRU hits.
+        assert l1d_stats[0].accesses == 900 and l1d_stats[0].hits > 500

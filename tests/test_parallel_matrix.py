@@ -24,6 +24,7 @@ from repro.harness import (
     TrueRunSpec,
     WorkloadExperiment,
     execute_matrix,
+    matrix_specs,
     true_run_for,
 )
 from repro.harness import executor as executor_module
@@ -46,7 +47,10 @@ def assert_grids_identical(expected, actual):
     for workload_name in expected:
         left = expected[workload_name]
         right = actual[workload_name]
-        assert left.true_run == right.true_run
+        # Every field but the baseline's own wall time, which a spawned
+        # pool worker measures anew.
+        assert dataclasses.replace(left.true_run, wall_seconds=0.0) \
+            == dataclasses.replace(right.true_run, wall_seconds=0.0)
         assert list(left.outcomes) == list(right.outcomes)
         for method_name in left.outcomes:
             a = left.outcomes[method_name]
@@ -287,3 +291,35 @@ class TestClusterJobsResolution:
                        cache=cache, cluster_jobs=2, executor="inprocess",
                        progress=events.append)
         assert events and all(event.cached for event in events)
+
+    def test_only_shardable_cells_key_on_cluster_jobs(self):
+        # S$BP warms across cluster boundaries and runs the serial walk
+        # at any cluster-job count, so a sharded grid shares its cells
+        # with the serial one; R$BP shards, so its cells differ.
+        methods = [resolve_method("S$BP"), resolve_method("R$BP (20%)")]
+        configs = CI.configs()
+
+        def keys(cluster_jobs):
+            return {spec.method_name: spec.key()
+                    for spec in matrix_specs(methods, ("ammp",), CI, configs,
+                                             cluster_jobs=cluster_jobs)
+                    if spec.kind == "cell"}
+
+        serial, sharded = keys(1), keys(2)
+        assert serial["S$BP"] == sharded["S$BP"]
+        assert serial["R$BP (20%)"] != sharded["R$BP (20%)"]
+
+    def test_sharded_grid_reads_serial_cells_of_unshardable_methods(
+            self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        suite = lambda: [resolve_method("S$BP")]  # noqa: E731
+        serial = execute_matrix(suite, workload_names=("ammp",), scale=CI,
+                                jobs=1, cache=cache, executor="inprocess")
+        events: list[CellProgress] = []
+        sharded = execute_matrix(suite, workload_names=("ammp",), scale=CI,
+                                 jobs=1, cache=cache, cluster_jobs=2,
+                                 executor="inprocess",
+                                 progress=events.append)
+        assert events and all(event.cached for event in events)
+        assert sharded["ammp"].outcomes["S$BP"].run.cluster_ipcs == \
+            serial["ammp"].outcomes["S$BP"].run.cluster_ipcs

@@ -81,6 +81,23 @@ class TestRunRequest:
         assert dataclasses.replace(serial, cluster_jobs=0).fingerprint() \
             == sharded.fingerprint()
 
+    @pytest.mark.parametrize("kind", ("sample", "audit"))
+    def test_fingerprint_follows_the_ambient_cluster_jobs(self, kind,
+                                                          monkeypatch):
+        # ``sample`` and ``audit`` run simulate(), which shards when
+        # REPRO_CLUSTER_JOBS (exported by serve --cluster-jobs) is above 1.
+        request = RunRequest(kind=kind, workloads=("gcc",),
+                             methods=("R$BP (20%)",), design="ci")
+        monkeypatch.delenv("REPRO_CLUSTER_JOBS", raising=False)
+        serial = request.fingerprint()
+        monkeypatch.setenv("REPRO_CLUSTER_JOBS", "1")
+        assert request.fingerprint() == serial
+        monkeypatch.setenv("REPRO_CLUSTER_JOBS", "2")
+        sharded = request.fingerprint()
+        assert sharded != serial
+        monkeypatch.setenv("REPRO_CLUSTER_JOBS", "4")
+        assert request.fingerprint() == sharded
+
     def test_fingerprint_differs_by_content(self):
         a = RunRequest(kind="sample", workloads=("gcc",), design="ci")
         b = RunRequest(kind="sample", workloads=("twolf",), design="ci")
@@ -123,6 +140,20 @@ class TestExecuteRequest:
         assert not second.cached
         assert [row["sharded"] for row in first.payload["rows"]] == [True]
         assert [row["sharded"] for row in second.payload["rows"]] == [False]
+
+    def test_serial_sample_is_not_served_a_sharded_payload(
+            self, tmp_path, monkeypatch):
+        request = RunRequest(kind="sample", workloads=("gcc",),
+                             methods=("R$BP (20%)",), design="ci")
+        monkeypatch.setenv("REPRO_CLUSTER_JOBS", "2")
+        first = execute_request(request, executor="inprocess",
+                                cache=str(tmp_path))
+        monkeypatch.delenv("REPRO_CLUSTER_JOBS")
+        second = execute_request(request, executor="inprocess",
+                                 cache=str(tmp_path))
+        assert not second.cached
+        assert second.payload["rows"][0]["estimated_ipc"] != \
+            first.payload["rows"][0]["estimated_ipc"]
 
     def test_cache_read_through(self, tmp_path):
         first = execute_request(SAMPLE, cache=str(tmp_path))
