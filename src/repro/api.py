@@ -295,22 +295,26 @@ class RunRequest:
         `jobs` cannot change results and is excluded.  A sharded run
         is not the serial walk: its shards start clusters from
         reconstruction-only state, so its IPCs differ.  The fingerprint
-        therefore carries whether the effective cluster-job count is
-        above 1, as a cell key's ``+shards`` does; how many workers
-        shard a run does not matter.  A ``matrix`` request resolves its
-        own `cluster_jobs`; ``sample`` and ``audit`` requests run
-        :func:`simulate`, which reads ``REPRO_CLUSTER_JOBS`` (``repro
-        serve --cluster-jobs N`` exports it).  The ambient checkpoint
-        store (``REPRO_CHECKPOINT_STORE``) is absent because store hits
-        materialise exactly what a live Phase A scan would produce —
-        the payload is byte-identical either way.
+        therefore carries whether the run shards: the effective
+        cluster-job count is above 1 and at least one of its methods is
+        :attr:`~.warmup.base.WarmupMethod.shardable`, as a cell key's
+        ``+shards`` does; how many workers shard a run does not matter.
+        A ``matrix`` request resolves its own `cluster_jobs`; ``sample``
+        and ``audit`` requests run :func:`simulate`, which reads
+        ``REPRO_CLUSTER_JOBS`` (``repro serve --cluster-jobs N`` exports
+        it).  The ambient checkpoint store (``REPRO_CHECKPOINT_STORE``)
+        is absent because store hits materialise exactly what a live
+        Phase A scan would produce — the payload is byte-identical
+        either way.
         """
         identity = self.to_payload()
         identity.pop("jobs")
         cluster_jobs = identity.pop("cluster_jobs")
         if self.kind != "matrix":
             cluster_jobs = None
-        identity["sharded"] = resolve_cluster_jobs(cluster_jobs) > 1
+        identity["sharded"] = resolve_cluster_jobs(cluster_jobs) > 1 and any(
+            resolve_method(name).shardable
+            for name in self.resolved_methods())
         identity["code"] = code_version()
         return digest_key(identity)
 

@@ -10,13 +10,13 @@ constants from the predecoded columns.  ``addi r3, r1, 5; load r4,
 8(r3); bne r3, r4, 5`` at pc 10, with callable mem, branch and ifetch
 hooks (16 instructions per ifetch block), becomes::
 
-    def block(m, r, ld, st, h, n, lf):
+    def block(m, r, W, h, n, lf):
         mh, bh, ih = h
         if lf != 0:
             ih(4194344)
         r[3] = (r[1] + 5) & 18446744073709551615
         x = (r[3] + 8) & 18446744073709551615
-        r[4] = ld(x)
+        r[4] = W.get(x & 18446744073709551608, 0)
         m.pc = 12; m.instructions_retired = n + 2
         mh(11, 12, x, False)
         if r[3] != r[4]:
@@ -28,11 +28,13 @@ hooks (16 instructions per ifetch block), becomes::
         return 13
 
 Everything a call may change arrives as an argument: the machine ``m``,
-its registers ``r`` and ``memory.load``/``store`` (``restore()``
-replaces both), the hooks ``h``, ``n``, the retired count at block
+its registers ``r`` and its memory's word dictionary ``W``
+(``Memory._words``; ``restore()`` replaces both, so ``run`` binds them
+on every call), the hooks ``h``, ``n``, the retired count at block
 entry, and ``lf``, the ifetch block fetched last (the block reports its
-entry fetch unless it starts in that block).  Before every mem or
-branch hook call the block writes the machine's ``pc`` and
+entry fetch unless it starts in that block).  Loads and stores read and
+write ``W`` in line, at the address masked to its 8-byte word.  Before
+every mem or branch hook call the block writes the machine's ``pc`` and
 ``instructions_retired``, so a hook sees the state ``step()`` would
 leave.  Signed comparisons flip the sign bit of both 64-bit register
 values instead of calling :func:`to_signed`.
@@ -46,7 +48,7 @@ code ``kind << 1 | taken`` a constant::
         if lf != 0:
             a(4194344); k(2)
         ...
-        r[4] = ld(x)
+        r[4] = W.get(x & 18446744073709551608, 0)
         a(x); k(0)
         if r[3] != r[4]:
             p(12); t(5); c(1)
@@ -69,7 +71,7 @@ and a transfer calls ``update``::
             else:
                 wa(4194344, False, True)
         ...
-        r[4] = ld(x)
+        r[4] = W.get(x & 18446744073709551608, 0)
         s = x // DL % DN
         if DR[s][DO[s][0]] == x // DT:
             hc[1] += 1
@@ -80,6 +82,36 @@ and a transfer calls ``update``::
             return 5
         up(12, I[12], False, 13)
         return 13
+
+A block whose conditional branch targets its own entry closes the loop
+inside its function.  Its table length is negative, and ``run`` calls
+it only when a whole pass fits, with ``e``, the last retired count at
+which another pass still fits.  It goes round while ``n`` stays within
+``e``, and returns the next pc with the retired count.  With
+``bne r3, r4, 10`` and the skip log::
+
+    def block(m, r, W, h, n, lf, e):
+        a, k, p, t, c = h
+        if lf != 0:
+            a(4194344); k(2)
+        while True:
+            r[3] = (r[1] + 5) & 18446744073709551615
+            x = (r[3] + 8) & 18446744073709551615
+            r[4] = W.get(x & 18446744073709551608, 0)
+            a(x); k(0)
+            if r[3] != r[4]:
+                p(12); t(10); c(1)
+                n += 3
+                if n <= e:
+                    continue
+                return 10, n
+            p(12); t(13); c(0)
+            return 13, n + 3
+
+Events stay in program order, and a callable hook still sees ``pc`` and
+``instructions_retired`` as ``step()`` leaves them, since ``n`` moves
+on with each pass.  When a pass ends in another ifetch block than its
+entry's, the back edge fetches the entry again before ``continue``.
 
 What the emitted code counts instead of calling, :meth:`Emitter.fold`
 settles when ``run`` returns or raises.
@@ -133,9 +165,19 @@ def divide_signed(dividend: int, divisor: int) -> int:
 
 
 #: ``r[a] + i`` wrapped to 64 bits: an ADDI's value and a LOAD/STORE's
-#: effective address.  A zero immediate drops the add but keeps the
-#: mask, the one ``step()`` applies to every such value.
-_BASE_PLUS_IMM = ("(r[{a}] + {i}) & {M}", "r[{a}] & {M}")
+#: effective address.  A zero immediate drops the add and the mask
+#: ``step()`` applies: a register value already lies in ``[0, 2**64)``.
+_BASE_PLUS_IMM = ("(r[{a}] + {i}) & {M}", "r[{a}]")
+
+#: The byte address of the 8-byte word a LOAD/STORE at a 64-bit address
+#: reads or writes, the key of ``Memory._words`` (a positive mask, since
+#: ``& -8`` takes Python's slower negative-operand path).
+_WORD_MASK = _MASK64 & ~7
+
+#: The word of an effective address that no hook needs whole, with the
+#: masks of ``_BASE_PLUS_IMM`` and ``_WORD_MASK`` folded into one.
+_WORD_ADDRESS = (f"(r[{{a}}] + {{i}}) & {_WORD_MASK}",
+                 f"r[{{a}}] & {_WORD_MASK}")
 
 #: The value a register-writing ALU op assigns, over source registers
 #: ``a``/``b`` and the immediate ``i`` (``u`` masked to 64 bits, ``sh``
@@ -205,8 +247,12 @@ def execute_lines(op: int, rd: int, fields: dict,
                   address: str | None = None) -> list[str]:
     """Lines that execute one ALU or memory op (nothing for NOP).
 
-    A LOAD/STORE first binds its effective address to the variable
-    `address` when one is named, so a hook or timed access can reuse it.
+    A LOAD/STORE reads or writes the memory's word dictionary ``W``
+    (``Memory._words``) in line.  It first binds its effective address
+    to the variable `address` when one is named, so a hook or timed
+    access can reuse it.  A store writes the register unmasked: register
+    values lie in ``[0, 2**64)``, as the unmasked ALU ops assume, so
+    ``Memory.store``'s 64-bit wrap changes nothing.
     """
     if op == Opcode.ADDI or op in _ALU:
         template = (_BASE_PLUS_IMM[fields["Z"]] if op == Opcode.ADDI
@@ -215,14 +261,16 @@ def execute_lines(op: int, rd: int, fields: dict,
     if op != Opcode.LOAD and op != Opcode.STORE:
         return []
     lines = []
-    effective = _BASE_PLUS_IMM[fields["Z"]].format_map(fields)
-    if address is not None:
-        lines.append(f"{address} = {effective}")
-        effective = address
+    if address is None:
+        word = _WORD_ADDRESS[fields["Z"]].format_map(fields)
+    else:
+        lines.append(
+            f"{address} = " + _BASE_PLUS_IMM[fields["Z"]].format_map(fields))
+        word = f"{address} & {_WORD_MASK}"
     if op == Opcode.STORE:
-        lines.append(f"st({effective}, r[{fields['b']}])")
+        lines.append(f"W[{word}] = r[{fields['b']}]")
     elif rd:
-        lines.append(f"r[{rd}] = ld({effective})")
+        lines.append(f"r[{rd}] = W.get({word}, 0)")
     return lines
 
 
@@ -297,7 +345,8 @@ class BlockTable(dict):
     one :class:`Emitter` class and one hook signature; a pc is
     translated on its first lookup.
 
-    ``length`` 0 marks a pc with no block (:data:`_NO_BLOCK`).
+    ``length`` 0 marks a pc with no block (:data:`_NO_BLOCK`), and a
+    negative ``length`` a self-loop of ``-length`` instructions per pass.
     """
 
     def __init__(self, program, decoded, emitter: type, mem_hooked: bool,
@@ -329,16 +378,17 @@ class BlockTable(dict):
         columns = self._columns
         ops, rds, _, _, _, targets = columns
         per_block = self._per_block
-        body: list[str] = []
+        entry: list[str] = []
         if self._mem_hooked or self._branch_hooked or per_block:
-            body.append(", ".join(self._emitter.params) + " = h")
+            entry.append(", ".join(self._emitter.params) + " = h")
         if per_block:
             # The entry fetch, unless the block fetched last ended in this
             # fetch block (``lf``).
-            body += [f"if lf != {start // per_block}:",
-                     *_indent(self._fetch(start))]
+            entry += [f"if lf != {start // per_block}:",
+                      *_indent(self._fetch(start))]
+        body: list[str] = []
         pc = start
-        transfer = False
+        transfer = loops = False
         while 0 <= pc < len(ops) and pc - start < BLOCK_CAP:
             op = ops[pc]
             if op == Opcode.HALT or op < 0:
@@ -348,7 +398,9 @@ class BlockTable(dict):
             fields = operand_fields(columns, pc)
             retired = pc - start + 1
             if op in _CONTROL:
-                body += self._transfer(op, pc, fields, targets[pc], retired)
+                loops = op in _BRANCH and targets[pc] == start
+                body += self._transfer(op, pc, fields, targets[pc], retired,
+                                       start if loops else None)
                 transfer = True
                 pc += 1
                 break
@@ -364,22 +416,42 @@ class BlockTable(dict):
             return _NO_BLOCK
         if not transfer:
             body.append(f"return {pc}")
-        source = "def block(m, r, ld, st, h, n, lf):\n" + "".join(
-            f"    {line}\n" for line in body)
+        # A self-loop runs its entry lines once and its body per pass.
+        indent = "        " if loops else "    "
+        source = "".join([
+            f"def block(m, r, W, h, n, lf{', e' if loops else ''}):\n",
+            *(f"    {line}\n" for line in entry),
+            "    while True:\n" if loops else "",
+            *(f"{indent}{line}\n" for line in body)])
         namespace: dict = {}
         exec(compile(source, "<translated block>", "exec"), self._globals,
              namespace)
         last_block = (pc - 1) // per_block if per_block else -1
-        return namespace["block"], pc - start, last_block
+        length = pc - start
+        return namespace["block"], -length if loops else length, last_block
 
     def _transfer(self, op: int, pc: int, fields: dict, target: int,
-                  retired: int) -> list[str]:
+                  retired: int, loop: "int | None") -> list[str]:
         """Lines that execute the control transfer at `pc` and return the
-        next pc, recording it first when a branch hook is present."""
+        next pc, recording it first when a branch hook is present.
+
+        A conditional branch back to the block's entry `loop` closes the
+        loop: the taken side adds the pass to ``n`` and goes round again
+        (fetching the entry first when the pass ended in another fetch
+        block) unless ``n`` is past ``e``, the last count at which a whole
+        pass still fits; both exits return the next pc and the count.
+        """
         inst = self._instructions[pc]
 
         def leave(next_pc, taken: bool) -> list[str]:
-            lines = [f"return {next_pc}"]
+            if loop is None:
+                lines = [f"return {next_pc}"]
+            elif taken:
+                lines = [f"n += {retired}", "if n <= e:",
+                         *_indent(self._again(loop, pc)),
+                         f"return {next_pc}, n"]
+            else:
+                lines = [f"return {next_pc}, n + {retired}"]
             if self._branch_hooked:
                 lines[:0] = self._emitter.transfer(pc, next_pc, inst, taken,
                                                    retired)
@@ -391,6 +463,14 @@ class BlockTable(dict):
             return lines + leave(taken_pc, True)
         return [f"if {condition}:", *_indent(leave(taken_pc, True)),
                 *leave(pc + 1, False)]
+
+    def _again(self, start: int, pc: int) -> list[str]:
+        """The back edge of a loop from `pc` to its entry `start`."""
+        per_block = self._per_block
+        lines = ["continue"]
+        if per_block and start // per_block != pc // per_block:
+            lines[:0] = self._fetch(start)
+        return lines
 
 
 def block_table(program, emitter: type, mem_hooked: bool,

@@ -247,7 +247,9 @@ class FunctionalMachine:
         Executes one translated block (:mod:`repro.functional.blocks`)
         per iteration: its ALU ops, memory references and hook calls run
         inline in scalar order, and the ifetch check happens once at its
-        entry.  HALT, poisoned predecode slots, a pc outside the program
+        entry.  A block that branches back to its own entry goes round
+        inside its function while a whole pass fits in what is left of
+        `count`.  HALT, poisoned predecode slots, a pc outside the program
         and a block longer than what is left of `count` go through
         :meth:`run_scalar`, so that bookkeeping (and the wild-pc error)
         lives in :meth:`step` alone.  The result is bit-identical to
@@ -302,8 +304,8 @@ class FunctionalMachine:
         if stored_per_block != per_block:
             last_fetch = -1
         regs = self.registers
-        load = self.memory.load
-        store = self.memory.store
+        # Bound per call: a checkpoint restore replaces the memory.
+        words = self.memory._words
         pc = self.pc
         start = retired = self.instructions_retired
         stop = start + count
@@ -311,6 +313,13 @@ class FunctionalMachine:
             while retired < stop:
                 block, length, last_block = blocks[pc]
                 if not 0 < length <= stop - retired:
+                    if length < 0 and retired - length <= stop:
+                        # A self-loop goes round while whole passes fit.
+                        pc, retired = block(self, regs, words, hooks,
+                                            retired, last_fetch,
+                                            stop + length)
+                        last_fetch = last_block
+                        continue
                     self.pc = pc
                     self.instructions_retired = retired
                     self._last_fetch = (per_block, last_fetch)
@@ -323,8 +332,7 @@ class FunctionalMachine:
                     if self.halted:
                         break
                     continue
-                pc = block(self, regs, load, store, hooks, retired,
-                           last_fetch)
+                pc = block(self, regs, words, hooks, retired, last_fetch)
                 last_fetch = last_block
                 retired += length
         finally:

@@ -45,8 +45,10 @@ The core's pipeline state is
 
 The ROB ring and the heaps start full of −1, a slot free since before
 cycle 0.  A block receives them in its environment ``E``, with the
-machine ``m``, its registers ``r`` and ``memory.load``/``store``
-(``restore()`` replaces both), the program's instructions ``I``, the
+machine ``m``, its registers ``r`` and its memory's word dictionary
+``W`` (``restore()`` replaces both, so ``run`` binds them on every
+call; loads and stores read and write ``W`` in line, as in the
+functional blocks), the program's instructions ``I``, the
 per-register ready cycles ``rr``, ``hierarchy.timed_access``,
 ``predictor.predict_and_update``, the ``pre_branch_hook`` (or None) and
 the core's widths, front-end depth, mispredict penalty and ROB size.
@@ -59,13 +61,13 @@ pc first.  ``n`` is the machine's retired count at block entry.
 block) becomes::
 
     def block(E, S, n):
-        (m, r, ld, st, I, rr, rob, iq, lsq, cp, ta, pu, bh,
+        (m, r, W, I, rr, rob, iq, lsq, cp, ta, pu, bh,
          FW, DW, IW, RW, FD, PEN, C) = E
         _, pf, pd, pi, pr, nf, cb = S
         k = n % C - C
         y = nf * FW
         x = (r[3] + 8) & 18446744073709551615
-        r[4] = ld(x)
+        r[4] = W.get(x & 18446744073709551608, 0)
         pf += 1
         if cb != 1:
             w = (nf + ta(4136, False, True, nf) - 1) * FW
@@ -133,7 +135,7 @@ from ..isa import Opcode
 PROMOTE_AFTER = 32
 
 _ENTRY = ("def block(E, S, n{}):\n"
-          "    (m, r, ld, st, I, rr, rob, iq, lsq, cp, ta, pu, bh,\n"
+          "    (m, r, W, I, rr, rob, iq, lsq, cp, ta, pu, bh,\n"
           "     FW, DW, IW, RW, FD, PEN, C) = E\n"
           "    _, pf, pd, pi, pr, nf, cb = S\n"
           "    k = n % C - C\n"

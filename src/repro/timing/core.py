@@ -123,9 +123,8 @@ class TimingSimulator:
             1, hierarchy.l1i.config.line_bytes // program.instruction_bytes
         )
         table = timing_block_table(program, per_block, config.rob_entries)
-        memory = machine.memory
         retire_width = config.retire_width
-        env = (machine, machine.registers, memory.load, memory.store,
+        env = (machine, machine.registers, machine.memory._words,
                program.instructions, [0] * NUM_REGISTERS,
                [-1] * config.rob_entries, [-1] * config.issue_queue_entries,
                [-1] * config.lsq_entries, [-1] * config.max_inflight_branches,

@@ -28,13 +28,17 @@ from repro.cache import MemoryHierarchy, WritePolicy
 from repro.core import CompactedSkipRegionLog, default_table
 from repro.core.method import SKIP_FOLD_INSTRUCTIONS
 from repro.functional import FunctionalMachine, Memory
+from repro.functional.predecode import predecode_program
 from repro.harness import scale_from_env
 from repro.isa import ProgramBuilder
 from repro.sampling import build_simulation
 from repro.sampling.controller import WarmState
 from repro.warmup.base import warming_hooks
 from repro.workloads import PAPER_WORKLOADS, build_workload
-from tests.test_machine_batched import _mixed_program, machine_state
+from tests.test_machine_batched import (
+    LOOP_LENGTH, LOOP_TOPS, _mixed_program, _self_loop_program,
+    machine_state,
+)
 
 #: Which of the consumer's events are hooked.
 SIGNATURES = {"both": (True, True), "mem": (True, False),
@@ -59,17 +63,19 @@ def _programs():
     yield "halting", _mixed_program(limit=500), Memory(), 10 ** 9
 
 
-def _lockstep(program, memory, hooks, seed: int, total: int, on_chunk):
+def _lockstep(program, memory, hooks, seed: int, total: int, on_chunk,
+              lengths=LENGTHS):
     """Run an emitter machine and a callable machine side by side.
 
-    `hooks` is ``[(kwargs with emitter, kwargs without)]`` per side;
-    `on_chunk(fold_crossed)` checks the sides after every chunk.
+    `hooks` is ``[(kwargs with emitter, kwargs without)]`` per side; each
+    run's length is drawn from `lengths`; `on_chunk(fold_crossed)` checks
+    the sides after every chunk.
     """
     rng = random.Random(seed)
     machines = [FunctionalMachine(program, memory.copy()) for _ in hooks]
     done = 0
     while done < total and not machines[0].halted:
-        count = min(rng.choice(LENGTHS), total - done)
+        count = min(rng.choice(lengths), total - done)
         counts = [machine.run(count, **kwargs)
                   for machine, kwargs in zip(machines, hooks)]
         assert counts[0] == counts[1]
@@ -294,3 +300,51 @@ class TestMruFastPath:
         assert sides[0] == sides[1]
         # 300 iterations of two loads and a store, most loads MRU hits.
         assert l1d_stats[0].accesses == 900 and l1d_stats[0].hits > 500
+
+
+class TestSelfLoops:
+    """The log's and warming's blocks that branch back to their own entry
+    go round inside their function; at every run length from one
+    instruction to three passes, most ending mid-pass, the emitted side
+    matches the callable side after every run."""
+
+    @pytest.mark.parametrize("top", LOOP_TOPS.values(), ids=LOOP_TOPS)
+    def test_log_at_every_chunk_length(self, top):
+        program = _self_loop_program(top)
+        for chunk in range(1, 3 * LOOP_LENGTH + 1):
+            logs = (_log(1.0), _log(1.0))
+            hooks = [{"mem_hook": log.make_mem_hook(),
+                      "ifetch_hook": log.make_ifetch_hook(),
+                      "branch_hook": log.make_branch_hook(),
+                      "ifetch_block_bytes": 64} for log in logs]
+            hooks[0]["emitter"] = logs[0].make_emitter()
+
+            def check(crossed, logs=logs, chunk=chunk):
+                assert _pending(logs[0]) == _pending(logs[1]), chunk
+                for log in logs:
+                    log.compact()
+                assert _retained(logs[0]) == _retained(logs[1]), chunk
+
+            _lockstep(program, Memory(), hooks, 0, 10 ** 9, check, (chunk,))
+            assert _queries(logs[0], 1.0) == _queries(logs[1], 1.0), chunk
+        table = predecode_program(program).blocks[("log", True, True, 16)]
+        assert table[top][1] == -LOOP_LENGTH
+
+    @pytest.mark.parametrize("top", LOOP_TOPS.values(), ids=LOOP_TOPS)
+    def test_warming_at_every_chunk_length(self, top):
+        program = _self_loop_program(top)
+        configs = _configs()
+        for chunk in range(1, 3 * LOOP_LENGTH + 1):
+            stacks = [(MemoryHierarchy(configs.hierarchy),
+                       BranchPredictor(configs.predictor)) for _ in range(2)]
+            hooks = [warming_hooks(hierarchy, predictor)
+                     for hierarchy, predictor in stacks]
+            del hooks[1]["emitter"]
+
+            def check(crossed, stacks=stacks, chunk=chunk):
+                assert _warm_state(*stacks[0]) == _warm_state(*stacks[1]), \
+                    chunk
+
+            _lockstep(program, Memory(), hooks, 0, 10 ** 9, check, (chunk,))
+        table = predecode_program(program).blocks[("warm", True, True, 16)]
+        assert table[top][1] == -LOOP_LENGTH

@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.core.source import tail_cutoff
-from repro.functional import FunctionalMachine, to_signed
+from repro.functional import FunctionalMachine, Memory, to_signed
 from repro.functional.checkpoint import FunctionalCheckpoint
 from repro.functional.predecode import predecode_program
 from repro.isa import Instruction, Opcode, Program, ProgramBuilder
@@ -514,8 +514,116 @@ class TestBlockTranslation:
             landing = program.labels[label]
             assert landing in table, label
             # The landing pc is also covered by a block from an earlier pc.
-            assert any(start < landing < start + length
+            assert any(start < landing < start + abs(length)
                        for start, (_, length, _) in table.items()), label
+
+
+#: Instructions per pass of :func:`_self_loop_program`'s loop.
+LOOP_LENGTH = 8
+
+
+def _self_loop_program(top: int, passes: int = 30) -> Program:
+    """A loop of LOOP_LENGTH instructions at pc `top`, `passes` times
+    round, then HALT.
+
+    Straight-line code leads into the first pass, so the block at the
+    entry runs it and the block at `top` is the self-loop.  Each pass
+    loads (with a zero displacement) the word the pass before stored, so
+    memory carries from pass to pass.
+    """
+    b = ProgramBuilder(name=f"self-loop-{top}")
+    b.li(5, 0x4000)
+    b.li(6, passes)
+    while b.here() < top:
+        b.addi(7, 7, 3)
+    b.label("top")
+    b.load(1, 5, 0)
+    b.addi(1, 1, 3)
+    b.store(1, 5, 8)
+    b.load(2, 5, 8)
+    b.xor(3, 3, 2)
+    b.addi(5, 5, 8)
+    b.addi(6, 6, -1)
+    b.bne(6, 0, "top")
+    b.halt()
+    return b.build()
+
+
+#: Loop entries whose pass stays in one 16-instruction fetch block, and
+#: one whose pass spans two.
+LOOP_TOPS = {"one-fetch-block": 2, "two-fetch-blocks": 12}
+
+
+class TestSelfLoops:
+    """A block that branches back to its own entry goes round inside its
+    function while a whole pass fits in what is left of the run."""
+
+    @pytest.mark.parametrize("signature", (
+        ("mem", "branch", "ifetch"), ("mem",), ("branch", "ifetch"), (),
+    ), ids=("all", "mem", "branch-ifetch", "hookless"))
+    @pytest.mark.parametrize("top", LOOP_TOPS.values(), ids=LOOP_TOPS)
+    def test_every_chunk_length(self, top, signature):
+        """Runs of 1 to 3 passes, most ending mid-pass; the callable
+        hooks see ``pc`` and ``instructions_retired`` as in the scalar
+        run in every pass."""
+        program = _self_loop_program(top)
+        for chunk in range(1, 3 * LOOP_LENGTH + 1):
+            lockstep(program, chunk, signature=signature)
+        key = ("hooks", "mem" in signature, "branch" in signature,
+               16 if "ifetch" in signature else 0)
+        table = predecode_program(program).blocks[key]
+        assert table[top][1] == -LOOP_LENGTH
+        assert table[program.entry][1] > 0
+
+    def test_pass_across_two_fetch_blocks_fetches_both(self):
+        top = LOOP_TOPS["two-fetch-blocks"]
+        assert top // 16 != (top + LOOP_LENGTH - 1) // 16
+        program = _self_loop_program(top, passes=30)
+        traces = []
+        for engine in ENGINES:
+            machine = engine(program, Memory())
+            trace = HookTrace(machine)
+            machine.run(10_000, ifetch_hook=trace.ifetch_hook)
+            traces.append(trace.events)
+        assert traces[0] == traces[1]
+        # The entry, then per pass the fetch blocks of pcs `top` and 16.
+        fetched = [program.address_of(pc) for pc in (0, 16)]
+        fetched += [program.address_of(pc) for pc in (top, 16)] * 29
+        assert traces[1] == [("ifetch", address) for address in fetched]
+
+    @pytest.mark.parametrize("signature", (("mem", "branch", "ifetch"), ()),
+                             ids=("hooked", "hookless"))
+    def test_checkpoint_restore_between_runs(self, signature):
+        """``restore`` replaces the memory; the next run must read and
+        write the new one."""
+        program = _self_loop_program(LOOP_TOPS["one-fetch-block"])
+        machines = tuple(engine(program, Memory()) for engine in ENGINES)
+        traces = [HookTrace(machine) for machine in machines]
+        checkpoint = FunctionalCheckpoint.capture(machines[0])
+        for count in (100, 150):
+            for machine, trace in zip(machines, traces):
+                machine.run(count, **_hooks(trace, signature))
+            assert machine_state(machines[0]) == machine_state(machines[1])
+            for machine in machines:
+                checkpoint.restore(machine)
+        assert traces[0].events == traces[1].events
+
+    @pytest.mark.parametrize("promote_after", (1, 10**9),
+                             ids=("blocks", "singles"))
+    def test_timing_checkpoint_restore_between_runs(self, promote_after,
+                                                    monkeypatch):
+        from repro.timing import blocks as timing_blocks
+        from tests.test_timing_blocks import Pair
+
+        monkeypatch.setattr(timing_blocks, "PROMOTE_AFTER", promote_after)
+        program = _self_loop_program(LOOP_TOPS["one-fetch-block"])
+        pair = Pair(program, Memory())
+        checkpoint = FunctionalCheckpoint.capture(
+            pair.simulators[0].machine)
+        for count in (100, 150):
+            pair.run(count, hooked=True)
+            for simulator in pair.simulators:
+                checkpoint.restore(simulator.machine)
 
 
 class TestHookVisibleState:

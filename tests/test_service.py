@@ -98,6 +98,33 @@ class TestRunRequest:
         monkeypatch.setenv("REPRO_CLUSTER_JOBS", "4")
         assert request.fingerprint() == sharded
 
+    def test_unshardable_matrix_keys_as_serial(self):
+        # S$BP warms continuously and always runs the serial walk, so a
+        # cluster-job count above 1 leaves its payload unchanged.
+        serial = RunRequest(kind="matrix", workloads=("gcc",),
+                            methods=("S$BP",), design="ci")
+        assert dataclasses.replace(serial, cluster_jobs=2).fingerprint() \
+            == serial.fingerprint()
+
+    def test_unshardable_sample_keys_as_serial(self, monkeypatch):
+        sample = RunRequest(kind="sample", workloads=("gcc",),
+                            methods=("S$BP",), design="ci")
+        monkeypatch.delenv("REPRO_CLUSTER_JOBS", raising=False)
+        alone = sample.fingerprint()
+        monkeypatch.setenv("REPRO_CLUSTER_JOBS", "2")
+        assert sample.fingerprint() == alone
+
+    def test_one_shardable_method_keys_as_sharded(self, monkeypatch):
+        serial = RunRequest(kind="matrix", workloads=("gcc",),
+                            methods=("R$BP (20%)", "S$BP"), design="ci")
+        assert dataclasses.replace(serial, cluster_jobs=2).fingerprint() \
+            != serial.fingerprint()
+        sample = dataclasses.replace(serial, kind="sample")
+        monkeypatch.delenv("REPRO_CLUSTER_JOBS", raising=False)
+        alone = sample.fingerprint()
+        monkeypatch.setenv("REPRO_CLUSTER_JOBS", "2")
+        assert sample.fingerprint() != alone
+
     def test_fingerprint_differs_by_content(self):
         a = RunRequest(kind="sample", workloads=("gcc",), design="ci")
         b = RunRequest(kind="sample", workloads=("twolf",), design="ci")
