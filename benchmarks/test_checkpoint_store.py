@@ -17,8 +17,8 @@ The store's economy claim, made continuously observable:
   replaced.
 - **Streaming equals barrier.**  The pipeline's streaming fold
   (completions folded in arrival order through a pending-heap) produces
-  results bit-identical to a barrier fold (an executor that never
-  streams, forcing the return-value fallback path).
+  results bit-identical to a barrier fold (a fan-out that delivers no
+  result until every task has run).
 
 The speedup is gated (higher-is-better); both equalities are never-flip
 booleans.
@@ -33,12 +33,8 @@ import time
 
 from conftest import emit
 from repro.core import ReverseStateReconstruction
-from repro.harness import format_table
-from repro.harness.executor import (
-    Executor,
-    register_executor,
-    unregister_executor,
-)
+from repro.harness import format_table, parallel
+from repro.harness.executor import ProcessPool
 from repro.sampling import SampledSimulator, SamplingRegimen
 from repro.store import STORE_ENV_VAR, global_store_stats
 from repro.workloads import build_workload
@@ -58,16 +54,13 @@ CLUSTER_SIZE = 300
 REGIMEN_SEED = 17
 
 
-class _BarrierExecutor(Executor):
-    """Backend that never streams: the fold runs entirely from the
-    returned list (the barrier-equivalent path)."""
-
-    name = "bench-barrier"
-    description = "bench backend without a streaming hook"
-
-    def map(self, worker, tasks, *, on_result=None):
-        del on_result
-        return [worker(task) for task in tasks]
+def _barrier_map(worker, tasks, jobs, *, on_result, **kwargs):
+    """A fan-out that delivers no result until every task has run (the
+    barrier-equivalent fold)."""
+    results = [worker(task) for task in tasks]
+    for index, result in enumerate(results):
+        on_result(index, result)
+    return results
 
 
 def _core_sweep(base):
@@ -103,9 +96,10 @@ def test_checkpoint_store(benchmark, scale, tmp_path, monkeypatch):
     base_configs = scale.configs()
     sweep = [dataclasses.replace(base_configs, core=core)
              for core in _core_sweep(base_configs.core)]
-    # In process, Phase B pays no process pool's spawn latency on
-    # either side of the comparison.
-    monkeypatch.setenv("REPRO_EXECUTOR", "inprocess")
+    # In process (a one-worker pool), Phase B pays no process pool's
+    # spawn latency on either side of the comparison.
+    monkeypatch.setattr(parallel, "ProcessPool",
+                        lambda jobs: ProcessPool(1))
 
     # -- cold sweep: no store, every run pays its own Phase A scan ------
     monkeypatch.delenv(STORE_ENV_VAR, raising=False)
@@ -143,14 +137,9 @@ def test_checkpoint_store(benchmark, scale, tmp_path, monkeypatch):
     )
 
     # -- streaming fold == barrier fold on a warm hit -------------------
-    register_executor(_BarrierExecutor.name, _BarrierExecutor,
-                      replace=True)
-    try:
-        monkeypatch.setenv("REPRO_EXECUTOR", _BarrierExecutor.name)
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "map_tasks", _barrier_map)
         barrier_result, _ = _timed_run(workload, scale, regimen, sweep[0])
-    finally:
-        monkeypatch.setenv("REPRO_EXECUTOR", "inprocess")
-        unregister_executor(_BarrierExecutor.name)
     streaming_result = warm[0][0]
     streaming_fold_bit_identical = (
         barrier_result.extra["checkpoint_store"] == "hit"

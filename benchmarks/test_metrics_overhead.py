@@ -71,8 +71,7 @@ def _run_service_pass(scale, requests, *, observe, artifact_dir):
         )
     else:
         options = RunOptions(scale=scale.name)
-    service = SimulationService(options=options, executor="inprocess",
-                                cache="off", port=0)
+    service = SimulationService(options=options, cache="off", port=0)
     artifacts = {"run_ids": [], "metrics_text": None, "counters": None}
     with service:
         client = ServiceClient(service.url)

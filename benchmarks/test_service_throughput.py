@@ -1,5 +1,5 @@
 """Perf bench: service job throughput, cache-hit speedup, and
-backend equivalence.
+in-process vs process-pool equivalence.
 
 Three claims are asserted here and recorded into ``BENCH_pr8.json`` at
 the repo root for the trajectory gate:
@@ -12,9 +12,10 @@ the repo root for the trajectory gate:
   from the content-addressed result cache without re-entering
   execution — asserted via the service counters (``executed`` stays
   put, ``cache_hits`` rises) — and the per-job wall speedup is gated.
-- **Backends are interchangeable.**  The same matrix request run
-  through every registered executor backend yields one identical
-  payload (deterministic fold), recorded as a never-flip boolean.
+- **The fan-out is invisible.**  The same matrix request run with
+  ``jobs=1`` (cells in process) and ``jobs=2`` (cells in a process
+  pool) yields one identical payload (deterministic fold), recorded as
+  the never-flip boolean ``backends_bit_identical``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import time
 from conftest import emit
 from repro.api import RunRequest, execute_request
 from repro.harness import format_table
-from repro.harness.executor import registered_executor_names
 from repro.harness.options import RunOptions
 from repro.service import ServiceClient, SimulationService
 
@@ -61,7 +61,6 @@ def test_service_throughput(benchmark, scale, tmp_path):
     cache_dir = tmp_path / "service-cache"
     service = SimulationService(
         options=RunOptions(scale=scale.name),
-        executor="inprocess",
         cache=str(cache_dir),
         port=0,
     )
@@ -107,23 +106,23 @@ def test_service_throughput(benchmark, scale, tmp_path):
         f"cold pass (expected >= {MIN_CACHE_HIT_SPEEDUP:.0f}x)"
     )
 
-    # Backend equivalence: one matrix request, every registered backend,
-    # one payload.
-    matrix_request = RunRequest(
-        kind="matrix", workloads=WORKLOADS, methods=("rsr", "smarts"),
-        design=scale.name, jobs=2,
-    )
+    # Fan-out equivalence: one matrix request, in process (jobs=1) and
+    # in a process pool (jobs=2), one payload.
     payloads = {}
     backend_seconds = {}
-    for name in registered_executor_names():
+    for jobs in (1, 2):
+        matrix_request = RunRequest(
+            kind="matrix", workloads=WORKLOADS, methods=("rsr", "smarts"),
+            design=scale.name, jobs=jobs,
+        )
+        name = f"jobs={jobs}"
         start = time.perf_counter()
-        result = execute_request(matrix_request, executor=name,
-                                 cache="off")
+        result = execute_request(matrix_request, cache="off")
         backend_seconds[name] = time.perf_counter() - start
         payloads[name] = json.dumps(result.payload, sort_keys=True)
     backends_bit_identical = len(set(payloads.values())) == 1
     assert backends_bit_identical, (
-        "matrix payloads diverged across backends: "
+        "matrix payloads diverged between jobs=1 and jobs=2: "
         f"{sorted(payloads)}"
     )
 
@@ -131,7 +130,7 @@ def test_service_throughput(benchmark, scale, tmp_path):
         "bench": "service_throughput",
         "scale": scale.name,
         "workloads": list(WORKLOADS),
-        "backends": registered_executor_names(),
+        "backends": sorted(payloads),
         # Booleans are never-flip guarantees; the cache-hit speedup is
         # asserted >= MIN_CACHE_HIT_SPEEDUP above on both the baseline
         # and every future run.  Raw throughput is machine-dependent and

@@ -28,9 +28,6 @@ audit WORKLOAD
     perfectly warmed reference (cache/PHT/BTB/RAS agreement, inference
     ambiguity) and the cold-start vs sampling split of each cluster's
     IPC error.
-executors
-    List the registered executor fan-out backends (``--executor`` /
-    ``REPRO_EXECUTOR`` select one for ``matrix`` and ``serve``).
 cache stats | cache gc --max-bytes N
     Inspect or prune the on-disk persistence layers: the result cache
     and the Phase A checkpoint store (entry counts, bytes, oldest-first
@@ -121,14 +118,6 @@ def _add_cluster_jobs_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--executor", default=None, metavar="NAME",
-        help="fan-out backend (see 'repro executors'; default: "
-             "REPRO_EXECUTOR or 'pool')",
-    )
-
-
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store", default=None, metavar="DIR",
@@ -159,7 +148,6 @@ def _options_for(args):
         scale=getattr(args, "scale", None),
         matrix_jobs=getattr(args, "jobs", None),
         cluster_jobs=getattr(args, "cluster_jobs", None),
-        executor=getattr(args, "executor", None),
         checkpoint_store=getattr(args, "store", None),
     )
 
@@ -443,7 +431,6 @@ def cmd_matrix(args) -> int:
                 cache=cache,
                 progress=progress,
                 cluster_jobs=cluster_jobs,
-                executor=options.executor,
             )
     finally:
         if previous_collect is not collect_sentinel:
@@ -687,23 +674,6 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def cmd_executors(_args) -> int:
-    """List the registered executor fan-out backends."""
-    from .harness import (
-        DEFAULT_EXECUTOR,
-        EXECUTOR_ENV_VAR,
-        describe_executors,
-    )
-
-    rows = [[name, cls, desc] for name, cls, desc in describe_executors()]
-    print(format_table(
-        ["name", "class", "description"], rows,
-        title=f"Registered executor backends (default: {DEFAULT_EXECUTOR}; "
-              f"select with --executor or {EXECUTOR_ENV_VAR})",
-    ))
-    return 0
-
-
 def cmd_serve(args) -> int:
     """Run the long-running simulation service until interrupted."""
     import time
@@ -713,7 +683,6 @@ def cmd_serve(args) -> int:
     options = _options_for(args)
     service = SimulationService(
         options=options,
-        executor=options.executor,
         cache=None if args.cache == "auto" else args.cache,
         max_pending_per_tenant=args.quota,
         host=args.host,
@@ -721,8 +690,7 @@ def cmd_serve(args) -> int:
     )
     service.start()
     print(f"simulation service listening on {service.url}")
-    print(f"executor: {service.executor or 'default (pool)'}; "
-          f"scale: {options.scale}; "
+    print(f"scale: {options.scale}; "
           f"quota: {args.quota} pending job(s) per tenant")
     if options.service_log:
         print(f"structured service log: {options.service_log}")
@@ -901,13 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_argument(matrix_parser)
     _add_trace_argument(matrix_parser)
     _add_cluster_jobs_argument(matrix_parser)
-    _add_executor_argument(matrix_parser)
     _add_store_argument(matrix_parser)
     matrix_parser.set_defaults(handler=cmd_matrix)
-
-    subparsers.add_parser(
-        "executors", help="list registered executor fan-out backends",
-    ).set_defaults(handler=cmd_executors)
 
     cache_parser = subparsers.add_parser(
         "cache",
@@ -960,7 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
              "or a cache directory path",
     )
     _add_scale_argument(serve_parser)
-    _add_executor_argument(serve_parser)
     _add_store_argument(serve_parser)
     serve_parser.set_defaults(handler=cmd_serve)
 
@@ -1126,7 +1088,6 @@ def main(argv=None) -> int:
             scale=getattr(args, "scale", None),
             matrix_jobs=getattr(args, "jobs", None),
             cluster_jobs=getattr(args, "cluster_jobs", None),
-            executor=getattr(args, "executor", None),
             checkpoint_store=getattr(args, "store", None),
         )
         # One correlation id per invocation (REPRO_RUN_ID wins when the

@@ -9,7 +9,7 @@ Three levels of entry cover the common workflows:
       print(result.estimate.mean)
 
 - :func:`run_matrix` — a methods-by-workloads grid with the parallel
-  harness (executor fan-out, optional on-disk result cache)::
+  harness (process-pool fan-out, optional on-disk result cache)::
 
       from repro.api import run_matrix
       grid = run_matrix(methods=["S$BP", "R$BP (100%)"],
@@ -149,7 +149,7 @@ def true_run(workload_name: str, design=None, *, configs=None):
 
 def run_matrix(methods=None, workloads=PAPER_WORKLOADS, design=None, *,
                configs=None, jobs=None, cache=None, progress=None,
-               cluster_jobs=1, executor=None):
+               cluster_jobs=1):
     """Run a methods-by-workloads grid through the parallel harness.
 
     `methods` is a list of registry names (``None`` means the full
@@ -157,10 +157,7 @@ def run_matrix(methods=None, workloads=PAPER_WORKLOADS, design=None, *,
     worker process launches.  `design` must resolve to an
     :class:`~repro.harness.ExperimentScale`.  `cache` accepts a
     :class:`~repro.store.CheckpointStore`, a directory path, or ``None``
-    (the ``REPRO_RESULT_CACHE`` environment default).  `executor` names
-    a registered fan-out backend (see ``repro executors``) or passes an
-    :class:`~repro.harness.Executor` instance; ``None`` defers to
-    ``REPRO_EXECUTOR`` / the default process pool.  Returns
+    (the ``REPRO_RESULT_CACHE`` environment default).  Returns
     ``{workload_name: WorkloadExperiment}``.
     """
     design = _resolve_design(design)
@@ -182,7 +179,6 @@ def run_matrix(methods=None, workloads=PAPER_WORKLOADS, design=None, *,
         cache=resolve_store(cache, layer="results"),
         progress=progress,
         cluster_jobs=cluster_jobs,
-        executor=executor,
     )
 
 
@@ -383,8 +379,8 @@ def _sample_rows(request: RunRequest) -> list[dict]:
     return rows
 
 
-def _matrix_rows(request: RunRequest, *, executor=None,
-                 cache=None, progress=None) -> list[dict]:
+def _matrix_rows(request: RunRequest, *, cache=None,
+                 progress=None) -> list[dict]:
     from .harness.export import matrix_rows
 
     grid = run_matrix(
@@ -395,7 +391,6 @@ def _matrix_rows(request: RunRequest, *, executor=None,
         cache=cache if cache is not None else "off",
         progress=progress,
         cluster_jobs=request.cluster_jobs,
-        executor=executor,
     )
     rows = []
     for row in matrix_rows(grid):
@@ -430,8 +425,8 @@ def _audit_reports(request: RunRequest) -> dict:
     return reports
 
 
-def execute_request(request: RunRequest, *, executor=None,
-                    cache=None, progress=None) -> RunResult:
+def execute_request(request: RunRequest, *, cache=None,
+                    progress=None) -> RunResult:
     """Execute one :class:`RunRequest` and return its :class:`RunResult`.
 
     This is the simulation service's execution path, and inline calls
@@ -458,8 +453,8 @@ def execute_request(request: RunRequest, *, executor=None,
                    "rows": _sample_rows(request)}
     elif request.kind == "matrix":
         payload = {"kind": "matrix", "design": request.design,
-                   "rows": _matrix_rows(request, executor=executor,
-                                        cache=cache, progress=progress)}
+                   "rows": _matrix_rows(request, cache=cache,
+                                        progress=progress)}
     else:
         payload = {"kind": "audit", "design": request.design,
                    "reports": _audit_reports(request)}

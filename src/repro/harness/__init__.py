@@ -12,19 +12,6 @@ from .experiment import (
 )
 # The result cache is the ``results`` layer of the one store.
 from ..store import CheckpointStore as ResultCache
-from .executor import (
-    DEFAULT_EXECUTOR,
-    EXECUTOR_ENV_VAR,
-    Executor,
-    InProcessExecutor,
-    ProcessPoolBackend,
-    describe_executors,
-    executor_factory,
-    register_executor,
-    registered_executor_names,
-    resolve_executor,
-    unregister_executor,
-)
 from .options import RunOptions, options_from_env
 from .parallel import (
     CellProgress,
@@ -69,17 +56,6 @@ __all__ = [
     "true_run_for",
     "average_over_workloads",
     "ResultCache",
-    "DEFAULT_EXECUTOR",
-    "EXECUTOR_ENV_VAR",
-    "Executor",
-    "InProcessExecutor",
-    "ProcessPoolBackend",
-    "describe_executors",
-    "executor_factory",
-    "register_executor",
-    "registered_executor_names",
-    "resolve_executor",
-    "unregister_executor",
     "RunOptions",
     "options_from_env",
     "CellProgress",

@@ -1,32 +1,28 @@
-"""Pluggable task-execution backends (the `Executor` protocol).
+"""The one fan-out: a process pool with an in-process fallback.
 
 Every fan-out site in the repo — Phase B cluster shards
-(:func:`repro.sampling.pipeline.run_sharded` via
-:func:`~.parallel.map_tasks`) and matrix cells
-(:func:`~.parallel.execute_matrix`) — dispatches a fixed list of
-picklable tasks through one interface and folds the results back in
-task order.  This module lifts that interface out of the hard-wired
-``ProcessPoolExecutor`` into a registry of interchangeable backends:
+(:func:`repro.sampling.pipeline.run_sharded`) and matrix cells
+(:func:`~.parallel.execute_matrix`) — dispatches a fixed list of tasks
+through :func:`~.parallel.map_tasks`, which builds a
+:class:`ProcessPool` and closes it.  The pool runs the tasks in a
+``ProcessPoolExecutor`` and falls back to a plain in-process loop, with
+identical results, when ``jobs <= 1``, when the caller is itself one
+of its pool workers, when the platform cannot build a process pool,
+when the work does not pickle for a spawn-started worker, and — for
+the tasks not yet delivered — when a worker dies underneath the pool.
 
-``inprocess``
-    Plain in-process loop.  No pickling requirements, deterministic,
-    the reference semantics every other backend must match bit for bit.
-``pool``
-    The default: a
-    ``ProcessPoolExecutor`` fan-out with graceful in-process fallbacks
-    (``jobs <= 1``, daemonic caller, platforms without working pools,
-    work a spawn-started worker cannot unpickle, a worker killed
-    underneath the pool).
-
-Every backend preserves the invariants the simulation relies on:
+Whichever path runs, the pool keeps the invariants the simulation
+relies on:
 
 - **Deterministic fold order** — ``map`` returns ``[worker(t) for t in
   tasks]`` in task order regardless of completion order, so folds stay
   bit-identical to serial execution.
+- **Streaming delivery** — ``on_result(index, result)`` sees every
+  index exactly once, in completion order, also after a broken pool.
 - **Environment propagation** — pool workers inherit the caller's
   environment at launch, so span parents
   (``REPRO_SPAN_PARENT``), telemetry collection flags, and the rest of
-  the ``REPRO_*`` surface ride into workers exactly as they do today.
+  the ``REPRO_*`` surface ride into workers.
 - **Tasks are inherited, not shipped** — the pool hands ``(worker,
   tasks)`` to its workers through the pool initializer and submits
   only task indices.  Forked workers inherit them: the parent pickles
@@ -34,36 +30,21 @@ Every backend preserves the invariants the simulation relies on:
   and translated blocks included).  Spawn and forkserver pickle them
   once per worker.
 
-Backends are context managers: ``close(cancel=True)`` cancels pending
-work and *terminates* live worker processes, so an interrupted run
-(KeyboardInterrupt, a crashing worker) cannot leave orphans behind —
-``with resolve_executor("pool", jobs=4) as pool: ...`` is the safe
-idiom and what :func:`~.parallel.map_tasks` does internally.
-
-Names resolve through :func:`resolve_executor` with the same readable
-``ValueError`` contract as the warm-up method registry (the CLI maps it
-to exit status 2); third-party backends register via
-:func:`register_executor`.
+``map`` closes its pool before it returns or raises; on an exception
+(KeyboardInterrupt, a crashing worker) ``close(cancel=True)`` cancels
+pending work and *terminates* live worker processes, so an interrupted
+run cannot leave orphans behind.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable
 
-#: Environment variable naming the default backend for fan-out sites
-#: that are not handed an explicit executor (resolved through
-#: :class:`~.options.RunOptions` at CLI/service entry).
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
-#: The backend used when neither the caller nor the environment picks
-#: one (the historical process-pool behavior).
-DEFAULT_EXECUTOR = "pool"
-
-
-#: ``(worker, tasks)`` of the running ``map``; set in pool workers only.
+#: ``(worker, tasks)`` of the running ``map``; set in pool workers only,
+#: so it also tells a nested ``map`` that it runs in a pool worker.
 _WORK: "tuple[Callable, list] | None" = None
 
 
@@ -79,69 +60,13 @@ def _run_index(index: int):
     return worker(tasks[index])
 
 
-def _in_daemon() -> bool:
-    import multiprocessing
-
-    return multiprocessing.current_process().daemon
-
-
-class Executor:
-    """Order-preserving batch executor for a fixed list of tasks.
-
-    Subclasses implement :meth:`map`; :meth:`close` releases resources
-    (``cancel=True`` additionally abandons pending work and terminates
-    live worker processes).  Instances are context managers: leaving
-    the ``with`` block on an exception closes with ``cancel=True``, so
-    an interrupted fan-out never strands workers.
-    """
-
-    #: Registry name (set by :func:`register_executor`).
-    name = "base"
-    #: One-line description for ``repro executors``.
-    description = ""
-
-    def __init__(self, jobs: int = 1) -> None:
-        self.jobs = max(1, int(jobs))
-
-    def map(self, worker: Callable, tasks: list, *,
-            on_result: "Callable[[int, object], None] | None" = None) -> list:
-        """``[worker(t) for t in tasks]``, preserved in task order.
-
-        `on_result` (optional) is called with ``(index, result)`` as
-        each task finishes, in *completion* order — the progress-hook
-        channel.  A worker exception propagates to the caller;
-        remaining work is cancelled via :meth:`close`.
-        """
-        raise NotImplementedError
-
-    def close(self, *, cancel: bool = False) -> None:
-        """Release backend resources; `cancel` terminates live workers."""
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(cancel=exc_type is not None)
-
-    def _fallback(self, worker, tasks, on_result):
-        """In-process degradation path for backends that cannot run."""
-        return InProcessExecutor(1).map(worker, tasks, on_result=on_result)
-
-
-class InProcessExecutor(Executor):
-    """Serial in-process execution — the reference backend."""
-
-    name = "inprocess"
-    description = "serial in-process loop (reference semantics)"
-
-    def map(self, worker, tasks, *, on_result=None) -> list:
-        results = []
-        for index, task in enumerate(tasks):
-            result = worker(task)
-            results.append(result)
+def _run_in_process(worker, tasks, on_result, delivered: dict) -> None:
+    """Run every task not yet in `delivered` here, in task order."""
+    for index, task in enumerate(tasks):
+        if index not in delivered:
+            delivered[index] = result = worker(task)
             if on_result is not None:
                 on_result(index, result)
-        return results
 
 
 def _drain_futures(futures: dict, on_result, delivered: dict) -> None:
@@ -164,31 +89,37 @@ def _drain_futures(futures: dict, on_result, delivered: dict) -> None:
         raise
 
 
-class ProcessPoolBackend(Executor):
-    """The historical ``ProcessPoolExecutor`` fan-out, as one peer.
+class ProcessPool:
+    """Order-preserving ``ProcessPoolExecutor`` fan-out over `jobs`
+    workers.
 
     Falls back to in-process execution — with identical results — when
-    the caller is already a daemonic pool worker (children of children
-    are forbidden), the platform cannot build a process pool, or the
-    work does not pickle for a spawn-started worker.  A *broken* pool (a
-    worker killed by the OS) also degrades to in-process execution of
-    the tasks it had not delivered yet; a genuine exception raised by
+    ``jobs <= 1``, the caller is already a pool worker (a matrix cell
+    that shards its clusters: the cells already occupy the workers),
+    the platform cannot build a process pool, or the work does not
+    pickle for a spawn-started worker.  A *broken* pool (a worker
+    killed by the OS) also degrades to in-process execution of the
+    tasks it had not delivered yet; a genuine exception raised by
     `worker` propagates as itself.
     """
 
-    name = "pool"
-    description = "local process pool (the historical default)"
-
-    def __init__(self, jobs: int = 1) -> None:
-        super().__init__(jobs)
+    def __init__(self, jobs: int) -> None:
+        self.jobs = max(1, int(jobs))
         self._pool: ProcessPoolExecutor | None = None
         self._cancelled = False
 
-    def map(self, worker, tasks, *, on_result=None) -> list:
-        if self.jobs <= 1 or len(tasks) <= 1 or _in_daemon():
-            return self._fallback(worker, tasks, on_result)
-        self._cancelled = False
+    def map(self, worker: Callable, tasks: list, *,
+            on_result: "Callable[[int, object], None] | None" = None) -> list:
+        """``[worker(t) for t in tasks]``, preserved in task order.
+
+        `on_result` (optional) is called with ``(index, result)`` as
+        each task finishes, in *completion* order, once per index.
+        """
         delivered: dict = {}
+        if self.jobs <= 1 or len(tasks) <= 1 or _WORK is not None:
+            _run_in_process(worker, tasks, on_result, delivered)
+            return [delivered[index] for index in range(len(tasks))]
+        self._cancelled = False
         started = False
         try:
             # Workers start at the first submit: forked ones inherit
@@ -213,11 +144,7 @@ class ProcessPoolBackend(Executor):
             # worker, fork failure): run in process what was not
             # delivered, so `on_result` still sees each index once.
             self.close(cancel=True)
-            for index, task in enumerate(tasks):
-                if index not in delivered:
-                    delivered[index] = result = worker(task)
-                    if on_result is not None:
-                        on_result(index, result)
+            _run_in_process(worker, tasks, on_result, delivered)
         except BaseException:
             self.close(cancel=True)
             raise
@@ -226,6 +153,7 @@ class ProcessPoolBackend(Executor):
         return [delivered[index] for index in range(len(tasks))]
 
     def close(self, *, cancel: bool = False) -> None:
+        """Shut the pool down; `cancel` terminates live workers."""
         if cancel:
             self._cancelled = True
         pool, self._pool = self._pool, None
@@ -245,81 +173,3 @@ class ProcessPoolBackend(Executor):
                     process.terminate()
         else:
             pool.shutdown()
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-#: canonical name -> backend class (``factory(jobs) -> Executor``).
-_REGISTRY: dict[str, Callable[[int], Executor]] = {}
-
-
-def register_executor(name: str, factory: Callable[[int], Executor], *,
-                      replace: bool = False) -> None:
-    """Register `factory` (``factory(jobs) -> Executor``) as `name`.
-
-    Mirrors the warm-up method registry contract: re-registering an
-    existing name raises unless ``replace=True``.
-    """
-    if not callable(factory):
-        raise TypeError("factory must be a callable accepting a jobs count")
-    if not replace and name in _REGISTRY:
-        raise ValueError(f"executor {name!r} is already registered; "
-                         "pass replace=True to override")
-    _REGISTRY[name] = factory
-
-
-def unregister_executor(name: str) -> None:
-    """Remove a registered backend (readable ValueError on unknowns)."""
-    _canonical(name)
-    del _REGISTRY[name]
-
-
-def _canonical(name: str) -> str:
-    key = name.strip().lower()
-    if key in _REGISTRY:
-        return key
-    known = ", ".join(sorted(_REGISTRY))
-    raise ValueError(f"unknown executor {name!r}; known: {known}")
-
-
-def registered_executor_names() -> list[str]:
-    """Canonical backend names currently registered, sorted."""
-    return sorted(_REGISTRY)
-
-
-def executor_factory(name: str) -> Callable[[int], Executor]:
-    """The registered factory behind `name`."""
-    return _REGISTRY[_canonical(name)]
-
-
-def resolve_executor(setting: "str | Executor | None" = None, *,
-                     jobs: int = 1) -> Executor:
-    """Turn an executor setting into a ready :class:`Executor`.
-
-    Precedence: an explicit instance or name wins; otherwise the
-    ``REPRO_EXECUTOR`` environment variable; otherwise ``"pool"``.
-    Unknown names raise the registry's readable ``ValueError`` (the CLI
-    maps it to exit status 2).
-    """
-    if isinstance(setting, Executor):
-        return setting
-    if setting is None:
-        setting = os.environ.get(EXECUTOR_ENV_VAR, "").strip() or None
-    if setting is None:
-        setting = DEFAULT_EXECUTOR
-    return executor_factory(setting)(jobs)
-
-
-def describe_executors() -> list[tuple[str, str, str]]:
-    """``(name, class, description)`` rows for ``repro executors``."""
-    rows = []
-    for name in registered_executor_names():
-        backend = executor_factory(name)(1)
-        rows.append((name, type(backend).__name__, backend.description))
-    return rows
-
-
-for _cls in (InProcessExecutor, ProcessPoolBackend):
-    register_executor(_cls.name, _cls)

@@ -23,7 +23,6 @@ The consolidated variables::
     REPRO_EXPERIMENT_SCALE   experiment tier (ci/bench/default/full)
     REPRO_MATRIX_JOBS        matrix-cell workers (0 = one per CPU)
     REPRO_CLUSTER_JOBS       Phase B shard workers (0 = one per CPU)
-    REPRO_EXECUTOR           fan-out backend name (see `repro executors`)
     REPRO_RESULT_CACHE       result cache: off/on/<directory>
     REPRO_CHECKPOINT_STORE   Phase A checkpoint store: off/on/<directory>
     REPRO_TRACE              per-cluster JSONL trace path
@@ -35,7 +34,8 @@ The consolidated variables::
     REPRO_SERVICE_LOG        structured service log JSONL path
 
 (``REPRO_SPAN_PARENT`` is deliberately absent: it is cross-process
-plumbing owned by the executor layer, not user configuration.)
+plumbing owned by the fan-out in :mod:`~.parallel`, not user
+configuration.)
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ class RunOptions:
     scale: str = "bench"
     matrix_jobs: "int | None" = None
     cluster_jobs: "int | None" = None
-    executor: "str | None" = None
     result_cache: "str | None" = None
     checkpoint_store: "str | None" = None
     trace: "str | None" = None
@@ -131,10 +130,6 @@ class RunOptions:
                 f"known: {known}")
         _parse_jobs("REPRO_MATRIX_JOBS", self.matrix_jobs)
         _parse_jobs("REPRO_CLUSTER_JOBS", self.cluster_jobs)
-        if self.executor is not None:
-            from .executor import executor_factory
-
-            executor_factory(self.executor)  # readable ValueError
         if self.run_id is not None:
             from ..telemetry.runid import validate_run_id
 
@@ -147,7 +142,7 @@ class RunOptions:
         """Read and validate every ``REPRO_*`` variable, once.
 
         `overrides` (field name -> value) win over the environment —
-        the CLI threads its ``--scale`` / ``--jobs`` / ``--executor``
+        the CLI threads its ``--scale`` / ``--jobs`` / ``--cluster-jobs``
         flags through here so flags and env vars share one validation
         path.  An override of ``None`` means "no opinion" (keep the
         environment's value).
@@ -162,7 +157,6 @@ class RunOptions:
                                        env("REPRO_MATRIX_JOBS")),
             "cluster_jobs": _parse_jobs("REPRO_CLUSTER_JOBS",
                                         env("REPRO_CLUSTER_JOBS")),
-            "executor": env("REPRO_EXECUTOR") or None,
             "result_cache": env("REPRO_RESULT_CACHE") or None,
             "checkpoint_store": env("REPRO_CHECKPOINT_STORE") or None,
             "trace": env("REPRO_TRACE") or None,
@@ -230,7 +224,6 @@ class RunOptions:
                                   else str(self.matrix_jobs)),
             "REPRO_CLUSTER_JOBS": ("" if self.cluster_jobs is None
                                    else str(self.cluster_jobs)),
-            "REPRO_EXECUTOR": self.executor or "",
             "REPRO_RESULT_CACHE": self.result_cache or "",
             "REPRO_CHECKPOINT_STORE": self.checkpoint_store or "",
             "REPRO_TRACE": self.trace or "",

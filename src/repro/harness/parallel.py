@@ -4,12 +4,12 @@ The evaluation grid behind every figure and table is a (workload x
 method) matrix whose cells are mutually independent: each sampled run
 builds its own machine, hierarchy, and predictor, and the regimen seed —
 not execution order — determines cluster placement.  This module fans
-those cells out as small picklable task specs through the pluggable
-:class:`~.executor.Executor` protocol (``inprocess`` or ``pool``;
-see :mod:`~.executor`) and deterministically reassembles them into
+those cells out as small picklable task specs through
+:func:`map_tasks` (a process pool; see :mod:`~.executor`) and
+deterministically reassembles them into
 :class:`~.experiment.WorkloadExperiment` grids: each cell equals a
 direct :func:`repro.api.simulate` of the same program, method and
-scale, bit for bit, whichever backend ran it.
+scale, bit for bit, whether a pool worker or the caller ran it.
 
 Two task kinds exist per grid:
 
@@ -62,7 +62,7 @@ from ..telemetry import (
 from ..store import CheckpointStore, expect_instance, result_store_key
 from ..warmup.base import WarmupCost
 from ..workloads import PAPER_WORKLOADS, cached_workload
-from .executor import Executor, resolve_executor
+from .executor import ProcessPool
 from .options import available_cpus
 from .experiment import (
     ExperimentScale,
@@ -216,10 +216,10 @@ class _MatrixTask:
     """One grid task plus the factory that rebuilds its method suite.
 
     Bundling the factory into the task (instead of partial-applying it
-    into the worker) keeps the executor contract uniform — a
-    module-level worker function and a list of picklable tasks — so the
-    pickling probe inside process-based backends covers the factory
-    automatically.
+    into the worker) keeps the fan-out contract uniform — a
+    module-level worker function and a list of picklable tasks — so a
+    spawn-started pool that cannot pickle the factory falls back to
+    in-process execution like any other unpicklable work.
     """
 
     spec: object
@@ -227,7 +227,8 @@ class _MatrixTask:
 
 
 def _run_matrix_task(task: _MatrixTask):
-    """Worker: one grid task (true-run or cell), any backend."""
+    """Worker: one grid task (true-run or cell), in a pool worker or
+    in process."""
     if task.spec.kind == "true":
         return task.spec.run()
     return _run_cell_task(task.spec, task.method_factory)
@@ -237,7 +238,7 @@ def _run_matrix_task(task: _MatrixTask):
 def _propagation_env(span_context, run_id):
     """Plant cross-process observability context for task workers.
 
-    Pool workers inherit the environment at executor creation (fork or
+    Pool workers inherit the environment at pool creation (fork or
     spawn both copy it), and in-process fallbacks read it live — one
     mechanism covers both execution paths.  Two values ride it: the
     span parent context (:data:`~repro.telemetry.SPAN_PARENT_ENV_VAR`)
@@ -267,20 +268,17 @@ def _propagation_env(span_context, run_id):
 
 
 def map_tasks(worker, tasks, jobs: int, span_context=None,
-              executor: "str | Executor | None" = None,
               run_id: "str | None" = None,
               on_result=None) -> list:
     """Order-preserving parallel map: ``[worker(t) for t in tasks]``.
 
     The one fan-out underneath the grid driver's cells and the
-    two-phase pipeline's shard dispatch, routed through the
-    :class:`~.executor.Executor` protocol.  `executor`
-    names a registered backend or passes a ready instance; ``None``
-    resolves ``REPRO_EXECUTOR`` and falls back to the historical
-    ``pool`` behavior, whose in-process degradations (``jobs <= 1``,
-    daemonic caller, pool-less platform, work a spawn-started worker
-    cannot unpickle) are preserved bit for bit.  Whatever the backend, results come back in
-    task order, so folds stay deterministic.
+    two-phase pipeline's shard dispatch: a
+    :class:`~.executor.ProcessPool` of `jobs` workers, built and closed
+    here, whose in-process fallbacks (``jobs <= 1``, a caller that is
+    itself a pool worker, a pool-less platform, work a spawn-started
+    worker cannot unpickle, a worker that dies) give identical results.
+    Results come back in task order, so folds stay deterministic.
 
     `span_context` (a :class:`~repro.telemetry.SpanContext`) re-parents
     every worker's spans under the caller's open span and onto the run's
@@ -291,29 +289,18 @@ def map_tasks(worker, tasks, jobs: int, span_context=None,
     it once per run), an explicit value pins the fan-out's correlation
     id for library callers.
 
-    `on_result` is forwarded to the backend's ``map``: called as
-    ``on_result(index, result)`` from the calling thread in completion
-    order, it lets callers fold results as they land (streaming folds)
-    instead of waiting for the full ordered list.  Backends that do not
-    stream simply return the list; callers must treat ``on_result`` as
-    best-effort and fall back to the return value.
+    `on_result` is called as ``on_result(index, result)`` from the
+    calling thread in completion order, exactly once per index (also
+    when a broken pool's remaining tasks re-run in process), so callers
+    fold results as they land instead of waiting for the ordered list.
 
-    An interrupted or crashing fan-out closes the backend with
+    An interrupted or crashing fan-out closes the pool with
     ``cancel=True`` — pending work is abandoned and live worker
     processes are terminated, never orphaned.
     """
-    tasks = list(tasks)
-    owned = not isinstance(executor, Executor)
-    backend = resolve_executor(executor, jobs=jobs)
     with _propagation_env(span_context, run_id):
-        try:
-            return backend.map(worker, tasks, on_result=on_result)
-        except BaseException:
-            backend.close(cancel=True)
-            raise
-        finally:
-            if owned:
-                backend.close()
+        return ProcessPool(jobs).map(worker, list(tasks),
+                                     on_result=on_result)
 
 
 def merged_telemetry(
@@ -377,16 +364,15 @@ def execute_matrix(
     cache: CheckpointStore | None = None,
     progress: ProgressHook | None = None,
     cluster_jobs: int = 1,
-    executor: "str | Executor | None" = None,
 ) -> dict[str, WorkloadExperiment]:
-    """Run a methods-by-workloads grid through an executor backend.
+    """Run a methods-by-workloads grid through :func:`map_tasks`.
 
     The one grid driver (``repro matrix``, ``repro reproduce``, the
     benches and :func:`repro.api.run_matrix` all call it).
     `method_factory` is a zero-argument callable returning fresh
     methods; every cell builds its own simulator from the scale's
     regimen seed, so cluster IPCs and estimates are bit-identical
-    whichever backend runs the cells.  The placement seed is
+    whichever process runs the cells.  The placement seed is
     ``scale.seed``: grids over ``dataclasses.replace(scale, seed=k)``
     get distinct cell keys but share one true run per program.
 
@@ -409,10 +395,6 @@ def execute_matrix(
         cells themselves already occupy the CPUs, so shard fan-out
         inside pool workers degrades to in-process execution with
         identical results.
-    executor:
-        Registered backend name (``"inprocess"``, ``"pool"``) or a ready
-        :class:`~.executor.Executor`; ``None`` resolves
-        ``REPRO_EXECUTOR`` and defaults to ``"pool"``.
     """
     scale = scale if scale is not None else scale_from_env()
     configs = configs if configs is not None else scale.configs()
@@ -490,7 +472,7 @@ def execute_matrix(
             map_tasks(_run_matrix_task, tasks, jobs,
                       span_context=(recorder.context()
                                     if recorder.enabled else None),
-                      executor=executor, on_result=on_result)
+                      on_result=on_result)
             if cache is not None:
                 with recorder.span("cache_store", cat="cache",
                                    entries=len(pending)):

@@ -32,7 +32,7 @@ produced — by the serial walk's own skip, or by a restored checkpoint:
   :func:`repro.harness.parallel.map_tasks` (forked pool workers inherit
   them; spawn-started ones receive them pickled) and fold back through a
   **streaming fold**: each finished task's results are consumed via the
-  executor's ``on_result`` callback in completion order and folded
+  fan-out's ``on_result`` callback in completion order and folded
   deterministically in cluster order with a pending-heap
   (:class:`_ShardFold`), so each cluster's trace/audit records land as
   soon as every earlier cluster has — no barrier, identical results
@@ -641,9 +641,8 @@ def run_sharded(simulator, method, jobs: int) -> SampledRunResult:
             )
             for offset in range(workers)
         ]
-        results = map_tasks(run_shards, tasks, jobs,
-                            on_result=fold.on_result)
-    fold.finish(results)
+        map_tasks(run_shards, tasks, jobs, on_result=fold.on_result)
+    fold.finish()
     extra = {"sharded": True, "cluster_jobs": jobs}
     if store is not None:
         extra["checkpoint_store"] = ("hit" if stored_shards is not None
@@ -840,15 +839,13 @@ def _capture_shards(store, key, shards, simulator, telemetry):
 class _ShardFold:
     """Deterministic streaming fold over Phase B completions.
 
-    ``on_result`` fires in completion order — whatever order the
-    executor's workers finish — with one task's list of shard results.
+    ``on_result`` fires once per task in completion order — whatever
+    order the pool's workers finish — with that task's shard results.
     Results queue on a pending-heap keyed by cluster index and fold
     strictly in cluster order, so the IPC list, cost accumulation, and
     telemetry absorption are bit-identical to a barrier fold while each
     cluster's records land as soon as every earlier cluster has.
-    :meth:`finish` folds anything the executor returned without
-    signalling (the ordered-list fallback for backends that skip
-    ``on_result``) and verifies completeness.
+    :meth:`finish` verifies that every cluster landed.
     """
 
     def __init__(self, shards, cost, telemetry):
@@ -894,11 +891,8 @@ class _ShardFold:
             # (a REPRO_TRACE file contains every cluster exactly once).
             self._telemetry.absorb(result.snapshot)
 
-    def finish(self, task_results) -> None:
-        """Fold any undelivered results and verify every shard landed."""
-        for results in task_results:
-            for result in results or ():
-                self._push(result)
+    def finish(self) -> None:
+        """Verify every shard landed."""
         if self._next != len(self._shards):
             missing = [shard.index for shard in self._shards
                        if shard.index not in self._queued]

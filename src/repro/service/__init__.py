@@ -1,9 +1,9 @@
-"""Long-running simulation service: HTTP job API over the executor layer.
+"""Long-running simulation service: HTTP job API over the grid driver.
 
 See docs/parallel-execution.md for the deployment walkthrough.  The
 package is stdlib-only: ``http.server`` for transport, the
-:mod:`repro.api` request/result surface for the wire format, and the
-executor registry (:mod:`repro.harness.executor`) for fan-out.
+:mod:`repro.api` request/result surface for the wire format, and
+:func:`repro.harness.parallel.map_tasks` for fan-out.
 """
 
 from .client import ServiceClient, ServiceError

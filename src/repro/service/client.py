@@ -77,9 +77,6 @@ class ServiceClient:
                 raise ServiceError(response.status, {"error": "/metrics"})
             return response.read().decode("utf-8")
 
-    def executors(self) -> list:
-        return self._call("/executors")[1]["executors"]
-
     def submit(self, request: RunRequest, *,
                tenant: str = "default") -> str:
         """POST the request; returns the job id (raises on 4xx/5xx)."""

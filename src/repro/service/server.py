@@ -29,7 +29,6 @@ Routes::
                            queue-depth/in-flight gauges, queue-wait and
                            execution-latency histograms per job kind,
                            HTTP request counters and latency)
-    GET  /executors     -> 200 registered executor backends
 
 Observability: every submitted job gets a correlation ``run_id``
 (:mod:`repro.telemetry.runid`) exported into its execution extent, so
@@ -51,7 +50,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..api import RunRequest, execute_request
-from ..harness.executor import describe_executors
 from ..harness.options import RunOptions
 from ..store.checkpoint import global_store_stats
 from ..telemetry.expo import BucketHistogram, MetricsExposition
@@ -68,8 +66,7 @@ _WORKER_POLL_SECONDS = 0.2
 #: Known routes as they appear in metrics labels and access-log lines;
 #: per-job paths collapse to a template so label cardinality stays
 #: bounded no matter how many jobs a deployment serves.
-_ROUTES = frozenset({"/jobs", "/healthz", "/stats", "/metrics",
-                     "/executors"})
+_ROUTES = frozenset({"/jobs", "/healthz", "/stats", "/metrics"})
 
 _COUNTER_HELP = {
     "jobs_submitted": "Jobs accepted by POST /jobs.",
@@ -124,15 +121,12 @@ class SimulationService:
     """Owns the job store, the worker thread, and the HTTP server."""
 
     def __init__(self, *, options: "RunOptions | None" = None,
-                 executor: "str | None" = None,
                  cache=None,
                  max_pending_per_tenant: int = 4,
                  host: str = DEFAULT_HOST,
                  port: int = DEFAULT_PORT) -> None:
         self.options = options if options is not None \
             else RunOptions.from_env()
-        self.executor = executor if executor is not None \
-            else self.options.executor
         self._cache_setting = cache
         self.store = JobStore(
             max_pending_per_tenant=max_pending_per_tenant)
@@ -179,7 +173,6 @@ class SimulationService:
         return {
             "counters": counters,
             "jobs": self.store.counts(),
-            "executor": self.executor or "default",
             "options": dict(self.options.describe()),
         }
 
@@ -250,9 +243,8 @@ class SimulationService:
                    "Seconds since the HTTP server started.",
                    self.uptime_seconds())
         expo.gauge("repro_service_info",
-                   "Constant 1; version and executor ride the labels.",
-                   1, {"version": __version__,
-                       "executor": self.executor or "default"})
+                   "Constant 1; the version rides the label.",
+                   1, {"version": __version__})
         with self._metrics_lock:
             for kind in sorted(self._queue_wait_hist):
                 expo.attach_histogram(
@@ -316,7 +308,6 @@ class SimulationService:
             with options.apply():
                 result = execute_request(
                     job.request,
-                    executor=self.executor,
                     cache=self._resolve_job_cache(),
                 )
         except Exception as exc:  # a bad job must not kill the worker
@@ -505,10 +496,6 @@ def _make_handler(service: SimulationService):
                 self._send(200, service.stats_payload())
             elif path == "/metrics":
                 self._send_text(200, service.metrics_payload())
-            elif path == "/executors":
-                rows = [{"name": name, "class": cls, "description": desc}
-                        for name, cls, desc in describe_executors()]
-                self._send(200, {"executors": rows})
             elif path.startswith("/jobs/"):
                 self._job_status(path[len("/jobs/"):])
             elif path.startswith("/results/"):

@@ -56,7 +56,7 @@ def emit_event(path: str | None, event: str, **fields) -> None:
 
     The line goes out as a single ``os.write`` on an ``O_APPEND``
     descriptor — one syscall, no userspace buffering — so a worker
-    killed mid-run (executor ``close(cancel=True)``, SIGTERM) can never
+    killed mid-run (the pool's ``close(cancel=True)``, SIGTERM) can never
     leave a partially written line for concurrent writers to interleave
     with.  A failed append (full disk, revoked path) never takes the
     run down — the firehose is an observation channel — but the *first*

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-import os
 from collections import deque
 from dataclasses import dataclass
 from unittest import mock
@@ -51,7 +50,8 @@ from repro.core.cache_reconstruct import ReverseCacheReconstructor
 from repro.core.source import REF_INSTRUCTION, REF_STORE
 from repro.functional import FunctionalMachine
 from repro.functional.predecode import predecode_program
-from repro.harness.executor import EXECUTOR_ENV_VAR
+from repro.harness import parallel
+from repro.harness.executor import ProcessPool
 from repro.isa import NUM_REGISTERS
 from repro.sampling import SampledSimulator, pipeline
 from repro.sampling.controller import SimulationStack, steady_state_prefix
@@ -483,10 +483,10 @@ def uncached_warm_prefix(stack, count):
 def reference_engine():
     """Run every simulation inside the block on the reference engine.
 
-    Patches reach only this process, so the block also pins the
-    ``inprocess`` executor: sharded runs fold their shards here instead
-    of in pool workers (the backends are checked bit-identical to each
-    other by the streaming-fold suite).
+    Patches reach only this process, so the block also pins
+    ``map_tasks`` to a one-worker pool, its in-process fallback: sharded
+    runs fold their shards here instead of in pool workers (the pool
+    and the fallback are checked bit-identical by ``test_executor``).
     """
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(
@@ -503,8 +503,8 @@ def reference_engine():
             BranchPredictor, "update", chained_predictor_update))
         stack.enter_context(mock.patch.object(
             SimulationStack, "warm_prefix", uncached_warm_prefix))
-        stack.enter_context(mock.patch.dict(
-            os.environ, {EXECUTOR_ENV_VAR: "inprocess"}))
+        stack.enter_context(mock.patch.object(
+            parallel, "ProcessPool", lambda jobs: ProcessPool(1)))
         yield
 
 

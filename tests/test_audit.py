@@ -172,10 +172,9 @@ class TestSourceEquivalence:
 class TestParallelEquivalence:
     def test_serial_and_parallel_audits_bit_identical(self, audit_env):
         serial = execute_matrix(audit_suite, workload_names=("ammp",),
-                                scale=CI, jobs=1, executor="inprocess")
+                                scale=CI, jobs=1)
         parallel = execute_matrix(
             audit_suite, workload_names=("ammp",), scale=CI, jobs=2,
-            executor="pool",
         )
         serial_snapshot = merged_telemetry(serial)
         parallel_snapshot = merged_telemetry(parallel)

@@ -6,8 +6,8 @@ integration (cold vs warm bit-identity for IPCs, the full WarmupCost
 ledger, per-cluster gap logs, and audit output), corruption degradation (truncated blob, tampered manifest,
 geometry-tampered shards all re-scan with identical results), the
 streaming fold's ordering guarantees (adversarial completion order,
-executors without a streaming hook, duplicate deliveries, every
-registered backend), and the options/CLI/livepoints plumbing around it.
+duplicate deliveries), and the options/CLI/livepoints plumbing around
+it.
 """
 
 import dataclasses
@@ -18,12 +18,7 @@ import pickle
 import pytest
 
 from repro.core import ReverseStateReconstruction
-from repro.harness.executor import (
-    Executor,
-    register_executor,
-    registered_executor_names,
-    unregister_executor,
-)
+from repro.harness import parallel
 from repro.sampling import SampledSimulator, SamplingRegimen, SimulatorConfigs
 from repro.store import (
     LAYERS,
@@ -390,7 +385,6 @@ class TestReadThrough:
         root = tmp_path / "checkpoints"
         monkeypatch.setenv(STORE_ENV_VAR, str(root))
         monkeypatch.delenv("REPRO_CLUSTER_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         reset_warnings()
         return root
 
@@ -491,7 +485,6 @@ class TestCorruptionDegrades:
         root = tmp_path / "checkpoints"
         monkeypatch.setenv(STORE_ENV_VAR, str(root))
         monkeypatch.delenv("REPRO_CLUSTER_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         reset_warnings()
         cold = _run(workload)
         assert cold.extra["checkpoint_store"] == "miss"
@@ -582,44 +575,21 @@ class TestCorruptionDegrades:
 # ---------------------------------------------------------------------------
 
 
-class _ReverseOrderExecutor(Executor):
-    """Adversarial backend: deliveries arrive in *reverse* task order."""
-
-    name = "test-reverse-order"
-    description = "test backend streaming completions in reverse"
-
-    def map(self, worker, tasks, *, on_result=None):
-        results = [worker(task) for task in tasks]
-        if on_result is not None:
-            for index in reversed(range(len(results))):
-                on_result(index, results[index])
-        return results
+def _reverse_order_map(worker, tasks, jobs, *, on_result, **kwargs):
+    """Adversarial fan-out: deliveries arrive in *reverse* task order."""
+    results = [worker(task) for task in tasks]
+    for index in reversed(range(len(results))):
+        on_result(index, results[index])
+    return results
 
 
-class _SilentExecutor(Executor):
-    """Backend that never invokes the streaming hook (finish fallback)."""
-
-    name = "test-silent"
-    description = "test backend without a streaming hook"
-
-    def map(self, worker, tasks, *, on_result=None):
-        del on_result
-        return [worker(task) for task in tasks]
-
-
-class _StutteringExecutor(Executor):
-    """Backend that delivers every completion twice (dedup contract)."""
-
-    name = "test-stutter"
-    description = "test backend delivering every result twice"
-
-    def map(self, worker, tasks, *, on_result=None):
-        results = [worker(task) for task in tasks]
-        if on_result is not None:
-            for index, result in enumerate(results):
-                on_result(index, result)
-                on_result(index, result)
-        return results
+def _stuttering_map(worker, tasks, jobs, *, on_result, **kwargs):
+    """Adversarial fan-out: every completion is delivered twice."""
+    results = [worker(task) for task in tasks]
+    for index, result in enumerate(results):
+        on_result(index, result)
+        on_result(index, result)
+    return results
 
 
 class TestStreamingFold:
@@ -628,76 +598,39 @@ class TestStreamingFold:
         return _simulator(workload, cluster_jobs=2).run(
             ReverseStateReconstruction(0.3))
 
-    @pytest.fixture()
-    def adversarial_backends(self, monkeypatch):
-        backends = (_ReverseOrderExecutor, _SilentExecutor,
-                    _StutteringExecutor)
-        for cls in backends:
-            register_executor(cls.name, cls, replace=True)
+    def _run_with(self, workload, monkeypatch, fake_map):
         monkeypatch.delenv(STORE_ENV_VAR, raising=False)
-        yield
-        for cls in backends:
-            unregister_executor(cls.name)
-
-    def _run_with(self, workload, monkeypatch, name):
-        monkeypatch.setenv("REPRO_EXECUTOR", name)
+        monkeypatch.setattr(parallel, "map_tasks", fake_map)
         return _simulator(workload, cluster_jobs=2).run(
             ReverseStateReconstruction(0.3))
 
     def test_reverse_completion_order_is_bit_identical(
-            self, workload, baseline, adversarial_backends, monkeypatch):
+            self, workload, baseline, monkeypatch):
         """The pending-heap holds out-of-order completions until their
         turn; last-cluster-first delivery folds identically."""
-        run = self._run_with(workload, monkeypatch,
-                             _ReverseOrderExecutor.name)
-        assert run.cluster_ipcs == baseline.cluster_ipcs
-        assert run.cost.as_dict() == baseline.cost.as_dict()
-
-    def test_executor_without_hook_is_bit_identical(
-            self, workload, baseline, adversarial_backends, monkeypatch):
-        """Backends that ignore `on_result` are folded from the returned
-        list by `finish` — same results, no double counting."""
-        run = self._run_with(workload, monkeypatch, _SilentExecutor.name)
+        run = self._run_with(workload, monkeypatch, _reverse_order_map)
         assert run.cluster_ipcs == baseline.cluster_ipcs
         assert run.cost.as_dict() == baseline.cost.as_dict()
 
     def test_duplicate_deliveries_fold_once(
-            self, workload, baseline, adversarial_backends, monkeypatch):
-        """Each cluster folds exactly once even when the backend streams
-        it twice and the return-value pass replays it a third time."""
-        run = self._run_with(workload, monkeypatch,
-                             _StutteringExecutor.name)
+            self, workload, baseline, monkeypatch):
+        """Each cluster folds exactly once even when the fan-out streams
+        it twice."""
+        run = self._run_with(workload, monkeypatch, _stuttering_map)
         assert run.cluster_ipcs == baseline.cluster_ipcs
         assert run.cost.as_dict() == baseline.cost.as_dict()
-
-    @pytest.mark.parametrize("name", ["inprocess", "pool"])
-    def test_every_registered_backend_is_bit_identical(
-            self, workload, baseline, monkeypatch, name):
-        run = self._run_with(workload, monkeypatch, name)
-        assert run.cluster_ipcs == baseline.cluster_ipcs
-        assert run.cost.as_dict() == baseline.cost.as_dict()
-
-    def test_parametrized_backends_cover_the_registry(self):
-        """Fail loudly if a new backend lands without joining the
-        equivalence matrix above."""
-        assert set(registered_executor_names()) >= {"inprocess", "pool"}
 
     def test_streaming_equals_barrier_with_store(self, workload,
                                                  monkeypatch, tmp_path):
         """Cross product: adversarial delivery on a warm store hit still
         folds bit-identically to the plain cold run."""
-        register_executor(_ReverseOrderExecutor.name, _ReverseOrderExecutor,
-                          replace=True)
-        try:
-            monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "store"))
-            cold = _run(workload)
-            monkeypatch.setenv("REPRO_EXECUTOR", _ReverseOrderExecutor.name)
-            warm = _run(workload)
-            assert warm.extra["checkpoint_store"] == "hit"
-            assert warm.cluster_ipcs == cold.cluster_ipcs
-            assert warm.cost.as_dict() == cold.cost.as_dict()
-        finally:
-            unregister_executor(_ReverseOrderExecutor.name)
+        monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "store"))
+        cold = _run(workload)
+        monkeypatch.setattr(parallel, "map_tasks", _reverse_order_map)
+        warm = _run(workload)
+        assert warm.extra["checkpoint_store"] == "hit"
+        assert warm.cluster_ipcs == cold.cluster_ipcs
+        assert warm.cost.as_dict() == cold.cost.as_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -404,16 +404,22 @@ class TestClusterJobs:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("name", ["threads", "subprocess-queue"])
-    def test_matrix_retired_executor_exits_2(self, capsys, monkeypatch,
-                                             name):
-        monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
-        assert main(["matrix", "--workload", "ammp", "--method", "None",
-                     "--jobs", "1", "--cache", "off", "--quiet",
-                     "--executor", name]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--workload", "ammp", "--method", "None", "--jobs", "1",
+         "--cache", "off", "--quiet", "--executor", "pool"],
+        ["serve", "--port", "0", "--executor", "pool"],
+        ["executors"],
+    ], ids=["matrix-flag", "serve-flag", "executors-command"])
+    def test_matrix_retired_executor_exits_2(self, capsys, argv):
+        """The executor flag and subcommand are gone: argparse rejects
+        them with one error line and exit status 2, before any run."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert f"unknown executor '{name}'" in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert ("--executor" in errors[0]) != (argv == ["executors"])
         assert "Traceback" not in err
 
     def test_matrix_bad_env_exits_2(self, capsys, monkeypatch):

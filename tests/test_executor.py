@@ -1,14 +1,15 @@
-"""Conformance suite for the pluggable executor backends.
+"""Conformance suite for the one fan-out, `harness.parallel.map_tasks`.
 
-Every backend registered in :mod:`repro.harness.executor` must satisfy
-the same contract: results return in task order (deterministic fold),
-sharded simulation folds bit-identically to serial, unpicklable work
-degrades to in-process execution with identical results, span parents
-propagate into workers, worker crashes re-raise in the parent, and
-``close(cancel=True)`` terminates live worker processes instead of
-orphaning them (the interrupted-run bugfix).  Backends added via
-:func:`register_executor` are automatically covered when the suite is
-parametrized over :func:`registered_executor_names`.
+`map_tasks` runs its tasks in a process pool, or in process when
+``jobs <= 1`` or when the pool cannot run them.  Both paths satisfy
+the same contract, so the suite is parametrized over ``jobs`` in
+(1, 2): results return in task order (deterministic fold), sharded
+simulation folds bit-identically to the in-process reference,
+unpicklable work degrades to in-process execution with identical
+results, span parents and run ids propagate into workers, worker
+crashes re-raise in the parent, and ``close(cancel=True)`` terminates
+live worker processes instead of orphaning them (the interrupted-run
+bugfix).
 """
 
 import functools
@@ -24,25 +25,14 @@ import time
 import pytest
 
 from repro.core import ReverseStateReconstruction
-from repro.harness.executor import (
-    DEFAULT_EXECUTOR,
-    EXECUTOR_ENV_VAR,
-    InProcessExecutor,
-    ProcessPoolBackend,
-    describe_executors,
-    executor_factory,
-    register_executor,
-    registered_executor_names,
-    resolve_executor,
-    unregister_executor,
-)
+from repro.harness import executor as executor_module
+from repro.harness import parallel
+from repro.harness.executor import ProcessPool
 from repro.harness.parallel import map_tasks
 from repro.sampling import SampledSimulator, SamplingRegimen
 from repro.telemetry.runid import RUN_ID_ENV_VAR
 from repro.telemetry.spans import SPAN_PARENT_ENV_VAR, SpanContext
 from repro.workloads import build_workload
-
-BACKENDS = registered_executor_names()
 
 REGIMEN = SamplingRegimen(total_instructions=24_000, num_clusters=4,
                           cluster_size=600, seed=7)
@@ -121,88 +111,80 @@ class _CountingTask:
         return self.value
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "pool"])
 class TestConformance:
-    def test_results_in_task_order(self, name):
+    def test_results_in_task_order(self, jobs):
         tasks = list(range(8))
-        with resolve_executor(name, jobs=4) as backend:
-            assert backend.map(_square, tasks) == [t * t for t in tasks]
+        assert map_tasks(_square, tasks, jobs) == [t * t for t in tasks]
 
-    def test_order_preserved_under_skewed_completion(self, name):
+    def test_order_preserved_under_skewed_completion(self, jobs):
         # Later tasks finish first; the fold must still be in task order.
         tasks = [(i, 0.05 * (4 - i)) for i in range(5)]
-        with resolve_executor(name, jobs=5) as backend:
-            assert backend.map(_slow_square, tasks) == [
-                i * i for i in range(5)
-            ]
+        assert map_tasks(_slow_square, tasks, jobs) == [
+            i * i for i in range(5)
+        ]
 
-    def test_on_result_sees_every_index_once(self, name):
+    def test_on_result_sees_every_index_once(self, jobs):
         seen = []
-        with resolve_executor(name, jobs=4) as backend:
-            backend.map(_square, list(range(6)),
-                        on_result=lambda i, r: seen.append((i, r)))
+        map_tasks(_square, list(range(6)), jobs,
+                  on_result=lambda i, r: seen.append((i, r)))
         assert sorted(seen) == [(i, i * i) for i in range(6)]
 
-    def test_crash_propagates(self, name):
+    def test_crash_propagates(self, jobs):
         with pytest.raises(ValueError, match="boom 3"):
-            with resolve_executor(name, jobs=4) as backend:
-                backend.map(_boom, list(range(6)))
+            map_tasks(_boom, list(range(6)), jobs)
 
-    def test_unpicklable_worker_still_runs(self, name):
-        # Backends that require pickling must degrade to in-process
+    def test_unpicklable_worker_still_runs(self, jobs):
+        # Work a spawn-started pool cannot pickle degrades to in-process
         # execution (with identical results) instead of failing.
-        with resolve_executor(name, jobs=4) as backend:
-            assert backend.map(_Unpicklable(), list(range(5))) == [
-                1, 2, 3, 4, 5,
-            ]
+        assert map_tasks(_Unpicklable(), list(range(5)), jobs) == [
+            1, 2, 3, 4, 5,
+        ]
 
-    def test_unpicklable_later_task_still_runs(self, name):
+    def test_unpicklable_later_task_still_runs(self, jobs):
         # The picklability probe covers every task, not just the first.
         tasks = [5, 6, 7, _Unpicklable()]
-        with resolve_executor(name, jobs=4) as backend:
-            assert backend.map(_task_value, tasks) == [5, 6, 7, 1]
+        assert map_tasks(_task_value, tasks, jobs) == [5, 6, 7, 1]
 
-    def test_span_parent_propagates(self, name):
+    def test_span_parent_propagates(self, jobs):
         context = SpanContext(parent_id="span-conform", origin_wall_ns=12345)
-        parents = map_tasks(_read_span_parent, list(range(4)), jobs=2,
-                            span_context=context, executor=name)
+        parents = map_tasks(_read_span_parent, list(range(4)), jobs,
+                            span_context=context)
         assert parents == [context.encode()] * 4
 
-    def test_run_id_propagates(self, name, monkeypatch):
-        # The correlation-id leg of the conformance contract: every
-        # backend's workers — in process or in pool processes — see the
-        # run_id map_tasks plants, and it never leaks past the call.
+    def test_run_id_propagates(self, jobs, monkeypatch):
+        # The correlation-id leg of the conformance contract: workers —
+        # in process or in pool processes — see the run_id map_tasks
+        # plants, and it never leaks past the call.
         monkeypatch.delenv(RUN_ID_ENV_VAR, raising=False)
-        seen = map_tasks(_read_run_id, list(range(4)), jobs=2,
-                         executor=name, run_id="rconform01")
+        seen = map_tasks(_read_run_id, list(range(4)), jobs,
+                         run_id="rconform01")
         assert seen == ["rconform01"] * 4
         assert RUN_ID_ENV_VAR not in os.environ
         # Without an explicit id, the ambient environment wins.
         monkeypatch.setenv(RUN_ID_ENV_VAR, "rambient02")
-        assert map_tasks(_read_run_id, [0], jobs=1, executor=name) == \
-            ["rambient02"]
+        assert map_tasks(_read_run_id, [0], jobs) == ["rambient02"]
 
-    def test_sharded_fold_bit_identical_across_backends(self, name,
-                                                        monkeypatch):
-        """The acceptance bar: for the same sharding, every backend's
-        Phase B fold — cluster IPCs, estimate, WarmupCost (gap logs
-        included) — is bit-identical to the in-process reference, and
-        the cost ledger matches the serial walk exactly (the pipeline's
-        existing serial/sharded contract)."""
+    def test_sharded_fold_bit_identical(self, jobs, monkeypatch):
+        """The acceptance bar: for the same sharding, the Phase B fold —
+        cluster IPCs, estimate, WarmupCost (gap logs included) — is
+        bit-identical to the in-process reference, and the cost ledger
+        matches the serial walk exactly (the pipeline's existing
+        serial/sharded contract)."""
         workload = build_workload("ammp")
 
-        def run(cluster_jobs):
+        def run(cluster_jobs, pool_jobs):
+            monkeypatch.setattr(parallel, "ProcessPool",
+                                lambda _jobs: ProcessPool(pool_jobs))
             simulator = SampledSimulator(
                 workload, REGIMEN, warmup_prefix=2_000, detail_ramp=64,
                 cluster_jobs=cluster_jobs,
             )
             return simulator.run(ReverseStateReconstruction(0.3))
 
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "inprocess")
-        serial = run(1)
-        reference = run(2)
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, name)
-        sharded = run(2)
+        serial = run(1, 1)
+        reference = run(2, 1)
+        sharded = run(2, jobs)
         assert sharded.cluster_ipcs == reference.cluster_ipcs
         assert sharded.estimate == reference.estimate
         assert sharded.cost == reference.cost
@@ -218,8 +200,7 @@ def test_pool_parent_pickles_no_task_under_fork(monkeypatch):
     (Spawn and forkserver pickle them once per worker instead.)"""
     monkeypatch.setattr(_CountingTask, "pickled", 0)
     tasks = [_CountingTask(value) for value in range(4)]
-    with resolve_executor("pool", jobs=2) as backend:
-        assert backend.map(_task_value, tasks) == [0, 1, 2, 3]
+    assert ProcessPool(2).map(_task_value, tasks) == [0, 1, 2, 3]
     if _forking():
         assert _CountingTask.pickled == 0
 
@@ -235,8 +216,7 @@ def test_unpicklable_task_runs_in_child_under_fork():
     """A task that cannot pickle still reaches a forked worker; under
     spawn or forkserver it degrades to the parent with the same result."""
     tasks = [_UnpicklablePid() for _ in range(4)]
-    with resolve_executor("pool", jobs=2) as backend:
-        results = backend.map(lambda task: task(1), tasks)
+    results = ProcessPool(2).map(lambda task: task(1), tasks)
     assert [value for value, _ in results] == [2] * 4
     pids = {pid for _, pid in results}
     if _forking():
@@ -249,9 +229,9 @@ def test_broken_pool_delivers_each_index_once():
     """A worker killed under the pool re-runs in process only the tasks
     not yet delivered, so `on_result` sees every index exactly once."""
     delivered = []
-    with resolve_executor("pool", jobs=2) as backend:
-        results = backend.map(_square_unless_three_in_child, list(range(4)),
-                              on_result=lambda i, r: delivered.append(i))
+    results = ProcessPool(2).map(_square_unless_three_in_child,
+                                 list(range(4)),
+                                 on_result=lambda i, r: delivered.append(i))
     assert results == [0, 1, 4, 9]
     assert sorted(delivered) == [0, 1, 2, 3]
 
@@ -262,70 +242,76 @@ def test_broken_pool_delivers_each_index_once_wherever_it_breaks(crash):
     after almost everything was (last task); either way the in-process
     re-run covers exactly the indices still missing."""
     delivered = []
-    with resolve_executor("pool", jobs=2) as backend:
-        results = backend.map(
-            functools.partial(_square_unless_crash_in_child, crash),
-            list(range(6)), on_result=lambda i, r: delivered.append(i))
+    results = ProcessPool(2).map(
+        functools.partial(_square_unless_crash_in_child, crash),
+        list(range(6)), on_result=lambda i, r: delivered.append(i))
     assert results == [t * t for t in range(6)]
     assert sorted(delivered) == list(range(6))
 
 
-class TestRegistry:
-    def test_unknown_name_is_readable(self):
-        with pytest.raises(ValueError, match="unknown executor 'warp'"):
-            resolve_executor("warp")
+def _pid(_task):
+    return os.getpid()
 
-    @pytest.mark.parametrize("name", ["threads", "subprocess-queue"])
-    def test_retired_backends_are_unknown(self, name):
-        """The thread and spool-queue backends are gone; their names fail
-        like any other unknown name."""
-        assert name not in registered_executor_names()
-        with pytest.raises(ValueError, match=f"unknown executor '{name}'"):
-            resolve_executor(name)
 
-    def test_known_names_listed_in_error(self):
-        with pytest.raises(ValueError, match="pool"):
-            executor_factory("nope")
+def _nested_pids(_task):
+    """In a pool worker: the pids a nested fan-out ran on, and its own."""
+    return map_tasks(_pid, list(range(3)), 2), os.getpid()
 
-    def test_register_resolve_unregister(self):
-        class Custom(InProcessExecutor):
-            name = "custom-test"
 
-        register_executor("custom-test", Custom)
-        try:
-            backend = resolve_executor("custom-test", jobs=2)
-            assert isinstance(backend, Custom)
-            assert "custom-test" in registered_executor_names()
-        finally:
-            unregister_executor("custom-test")
-        assert "custom-test" not in registered_executor_names()
+def _no_pools(*args, **kwargs):
+    raise OSError("no process pools on this platform")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_executor("pool", ProcessPoolBackend)
 
-    def test_replace_allows_override(self):
-        original = executor_factory("inprocess")
-        register_executor("inprocess", InProcessExecutor, replace=True)
-        assert executor_factory("inprocess") is original
+@pytest.mark.parametrize("jobs, count, no_pools", [
+    (1, 4, False), (4, 1, False), (2, 4, True),
+], ids=["one-job", "one-task", "no-pools"])
+def test_fallback_runs_in_the_caller(jobs, count, no_pools, monkeypatch):
+    """Each fallback runs every task in the calling process and streams
+    each index once, in task order."""
+    if no_pools:
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                            _no_pools)
+    seen = []
+    pids = map_tasks(_pid, list(range(count)), jobs,
+                     on_result=lambda index, _: seen.append(index))
+    assert pids == [os.getpid()] * count
+    assert seen == list(range(count))
 
-    def test_env_var_picks_backend(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "inprocess")
-        assert isinstance(resolve_executor(None), InProcessExecutor)
 
-    def test_default_is_pool(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        assert DEFAULT_EXECUTOR == "pool"
-        assert isinstance(resolve_executor(None), ProcessPoolBackend)
+def test_fan_out_in_a_pool_worker_runs_in_that_worker():
+    """A fan-out inside a pool worker (a matrix cell sharding its
+    clusters) runs in that worker: the cells already occupy the pool,
+    so it starts no pool of its own."""
+    results = map_tasks(_nested_pids, [0, 1], 2)
+    for nested, worker in results:
+        assert nested == [worker] * 3
+    assert os.getpid() not in {worker for _, worker in results}
 
-    def test_instance_passes_through(self):
-        backend = InProcessExecutor(3)
-        assert resolve_executor(backend) is backend
 
-    def test_describe_covers_all_backends(self):
-        rows = describe_executors()
-        assert [name for name, _, _ in rows] == BACKENDS
-        assert all(desc for _, _, desc in rows)
+def test_pool_runs_tasks_in_worker_processes():
+    assert os.getpid() not in map_tasks(_pid, list(range(4)), 2)
+
+
+def _new_children(before, seconds=15):
+    """Child processes that are not in `before`, once they had `seconds`
+    to exit."""
+    deadline = time.monotonic() + seconds
+    while True:
+        new = set(multiprocessing.active_children()) - before
+        if not new or time.monotonic() > deadline:
+            return new
+        time.sleep(0.05)
+
+
+def test_map_tasks_leaves_no_worker_behind():
+    """`map_tasks` closes the pool it built, after a clean run and after
+    a worker raised."""
+    before = set(multiprocessing.active_children())
+    assert map_tasks(_square, list(range(4)), 2) == [0, 1, 4, 9]
+    assert _new_children(before) == set()
+    with pytest.raises(ValueError, match="boom 3"):
+        map_tasks(_boom, list(range(6)), 2)
+    assert _new_children(before) == set()
 
 
 class TestCancelCleanup:
@@ -359,20 +345,13 @@ class TestCancelCleanup:
         assert not thread.is_alive()
 
     def test_pool_cancel_terminates_workers(self):
-        backend = ProcessPoolBackend(jobs=2)
+        backend = ProcessPool(2)
         self._assert_cancel_kills_workers(
             backend,
             lambda b: [proc.is_alive for proc in
                        list(getattr(b._pool, "_processes", {}).values())]
             if b._pool is not None else [],
         )
-
-    def test_context_manager_cancels_on_exception(self):
-        backend = ProcessPoolBackend(jobs=2)
-        with pytest.raises(RuntimeError, match="interrupted"):
-            with backend:
-                raise RuntimeError("interrupted")
-        assert backend._pool is None
 
 
 class TestAtomicEventAppends:

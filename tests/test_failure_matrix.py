@@ -15,6 +15,8 @@ one-line ``error:`` diagnostic with exit status 2.
   pipeline): failed writes, a killed writer's temp file, and entries
   written by other functional code.  Damaged store entries have their
   own cells in tests/test_checkpoint_store.py.
+- **Pool workers**: a Phase B or grid pool worker that dies in the
+  middle of its task, and one whose task raises.
 - **CLI output paths**: ``--output``, ``--spans``, ``--trace`` and
   ``REPRO_TRACE`` naming a path that cannot be written; an unwritable
   grid ``--output`` fails before any cell runs.
@@ -23,6 +25,8 @@ one-line ``error:`` diagnostic with exit status 2.
 from __future__ import annotations
 
 import errno
+import functools
+import multiprocessing
 import os
 import threading
 import time
@@ -30,8 +34,9 @@ import time
 import pytest
 
 from repro.__main__ import main
-from repro.api import RunRequest, execute_request
-from repro.harness import ResultCache
+from repro.api import RunRequest, execute_request, simulate
+from repro.harness import ResultCache, parallel
+from repro.sampling import pipeline
 from repro.store import CACHE_ENV_VAR, STORE_ENV_VAR, CheckpointStore
 from repro.store import checkpoint as store_module
 from repro.store.checkpoint import TEMP_FILE_GRACE_S
@@ -295,7 +300,6 @@ def store_root(monkeypatch, tmp_path):
     root = tmp_path / "checkpoints"
     monkeypatch.setenv(STORE_ENV_VAR, str(root))
     monkeypatch.delenv("REPRO_CLUSTER_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     return root
 
 
@@ -304,7 +308,6 @@ def storeless(store_workload):
     with pytest.MonkeyPatch.context() as patch:
         patch.delenv(STORE_ENV_VAR, raising=False)
         patch.delenv("REPRO_CLUSTER_JOBS", raising=False)
-        patch.delenv("REPRO_EXECUTOR", raising=False)
         return _run(store_workload)
 
 
@@ -361,6 +364,158 @@ def test_store_entry_of_other_functional_code_is_not_served(
     assert rerun.extra["checkpoint_store"] == "miss"
     _same_run(rerun, storeless)
     assert CheckpointStore(store_root).entry_count() == 2
+
+
+# ---------------------------------------------------------------------------
+# pool workers
+# ---------------------------------------------------------------------------
+#
+# The workers below wrap the real ones and are module-level, so a
+# spawn-started pool imports them by reference; tier-1 runs these cells
+# under the platform's default start method and CI's spawn step runs
+# them again under spawn.
+
+#: Clusters whose shard kills the pool worker running it.  The ten
+#: clusters at ci are dealt round-robin over two tasks (0, 2, ..., 8 and
+#: 1, 3, ..., 9): a worker dies before it ran a shard, in the middle of
+#: its task, after it ran all but its last, or both workers die.
+VICTIMS = {"first-shard": (0,), "mid-task": (2,), "last-shard": (9,),
+           "every-worker": (0, 1)}
+
+
+def _in_pool_worker() -> bool:
+    return multiprocessing.parent_process() is not None
+
+
+def _die(marker):
+    open(marker, "w").close()
+    os._exit(9)
+
+
+def _die_at_shard(victims, marker, task):
+    """Phase B worker that kills its pool process on reaching a victim's
+    shard, leaving `marker` behind; in the parent (the in-process re-run
+    of a broken pool) it runs every shard."""
+    results = []
+    for shard in task.shards:
+        if shard.index in victims and _in_pool_worker():
+            _die(marker)
+        results.append(pipeline.run_shard(task, shard))
+    return results
+
+
+def _die_at_grid_task(kind, marker, task):
+    """Grid worker that kills its pool process on a task of `kind`."""
+    if task.spec.kind == kind and _in_pool_worker():
+        _die(marker)
+    return parallel._run_matrix_task(task)
+
+
+def _raise_at_shard(task):
+    results = []
+    for shard in task.shards:
+        if shard.index == 2:
+            raise ValueError("shard 2 failed")
+        results.append(pipeline.run_shard(task, shard))
+    return results
+
+
+def _raise_at_cell(task):
+    if task.spec.kind == "cell":
+        raise ValueError("cell failed")
+    return parallel._run_matrix_task(task)
+
+
+def _route_workers(monkeypatch, worker):
+    """Run every `map_tasks` call's tasks through `worker` instead."""
+    map_tasks = parallel.map_tasks
+    monkeypatch.setattr(
+        parallel, "map_tasks",
+        lambda _worker, tasks, jobs, **kwargs:
+            map_tasks(worker, tasks, jobs, **kwargs))
+
+
+def _sharded_rsr(monkeypatch, trace):
+    """R$BP (20%) on gcc at ci over two Phase B workers, traced."""
+    monkeypatch.setenv("REPRO_CLUSTER_JOBS", "2")
+    monkeypatch.setenv("REPRO_TRACE", str(trace))
+    monkeypatch.delenv(STORE_ENV_VAR, raising=False)
+    run = simulate("gcc", method="R$BP (20%)", design="ci")
+    assert run.extra["sharded"] is True
+    return run, len(trace.read_text().splitlines())
+
+
+def _grid_suite():
+    from repro.warmup import resolve_method
+
+    return [resolve_method("S$BP"), resolve_method("R$BP (20%)")]
+
+
+def _grid():
+    """S$BP and R$BP (20%) on gcc at ci: a true run and two cells over
+    two pool workers."""
+    from repro.harness import SCALES, execute_matrix
+
+    grid = execute_matrix(_grid_suite, workload_names=("gcc",),
+                          scale=SCALES["ci"], jobs=2)
+    experiment = grid["gcc"]
+    return experiment.true_run.ipc, {
+        name: (outcome.run.cluster_ipcs, outcome.run.cost.as_dict())
+        for name, outcome in experiment.outcomes.items()}
+
+
+@pytest.fixture(scope="module")
+def undisturbed(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as patch:
+        return _sharded_rsr(
+            patch, tmp_path_factory.mktemp("undisturbed") / "trace.jsonl")
+
+
+@pytest.fixture(scope="module")
+def undisturbed_grid():
+    return _grid()
+
+
+@pytest.mark.parametrize("victims", VICTIMS)
+def test_dying_phase_b_worker_is_bit_identical(victims, undisturbed,
+                                               tmp_path, monkeypatch):
+    marker = tmp_path / "worker-died"
+    _route_workers(monkeypatch, functools.partial(
+        _die_at_shard, VICTIMS[victims], str(marker)))
+    run, records = _sharded_rsr(monkeypatch, tmp_path / "trace.jsonl")
+    assert marker.exists(), "no pool worker reached a victim's shard"
+    reference, reference_records = undisturbed
+    assert run.cluster_ipcs == reference.cluster_ipcs
+    assert run.cost.as_dict() == reference.cost.as_dict()
+    assert records == reference_records > 0
+
+
+@pytest.mark.parametrize("kind", ("true", "cell"),
+                         ids=("true-run", "cell"))
+def test_dying_grid_worker_is_bit_identical(kind, undisturbed_grid,
+                                            tmp_path, monkeypatch):
+    marker = tmp_path / "worker-died"
+    _route_workers(monkeypatch, functools.partial(
+        _die_at_grid_task, kind, str(marker)))
+    grid = _grid()
+    assert marker.exists(), f"no pool worker reached a {kind} task"
+    assert grid == undisturbed_grid
+
+
+@pytest.mark.parametrize("worker, message", (
+    (_raise_at_shard, "shard 2 failed"), (_raise_at_cell, "cell failed"),
+), ids=("phase-b", "grid"))
+def test_raising_worker_propagates(worker, message, monkeypatch):
+    """A worker's own exception is not a broken pool: it reaches the
+    caller as itself."""
+    monkeypatch.setenv("REPRO_CLUSTER_JOBS", "2")
+    monkeypatch.delenv(STORE_ENV_VAR, raising=False)
+    _route_workers(monkeypatch, worker)
+    with pytest.raises(ValueError, match=message):
+        if worker is _raise_at_shard:
+            simulate("gcc", method="R$BP (20%)", design="ci")
+        else:
+            _grid()
 
 
 # ---------------------------------------------------------------------------

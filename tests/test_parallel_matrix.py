@@ -86,16 +86,8 @@ class TestEquivalence:
     def test_pool_matches_direct_runs(self, direct_grid):
         parallel_grid = execute_matrix(
             small_suite, workload_names=WORKLOADS, scale=CI, jobs=2,
-            executor="pool",
         )
         assert_grids_identical(direct_grid, parallel_grid)
-
-    def test_inprocess_backend_matches_direct_runs(self, direct_grid):
-        grid = execute_matrix(
-            small_suite, workload_names=WORKLOADS, scale=CI, jobs=2,
-            executor="inprocess",
-        )
-        assert_grids_identical(direct_grid, grid)
 
     def test_jobs_1_runs_in_process_and_matches(self, direct_grid,
                                                 monkeypatch):
@@ -283,12 +275,11 @@ class TestClusterJobsResolution:
         cache = ResultCache(tmp_path / "cache")
         suite = lambda: [resolve_method("R$BP (20%)")]  # noqa: E731
         zero = execute_matrix(suite, workload_names=("gcc",), scale=CI,
-                              jobs=1, cache=cache, cluster_jobs=0,
-                              executor="inprocess")
+                              jobs=1, cache=cache, cluster_jobs=0)
         assert zero["gcc"].outcomes["R$BP (20%)"].run.extra["sharded"]
         events: list[CellProgress] = []
         execute_matrix(suite, workload_names=("gcc",), scale=CI, jobs=1,
-                       cache=cache, cluster_jobs=2, executor="inprocess",
+                       cache=cache, cluster_jobs=2,
                        progress=events.append)
         assert events and all(event.cached for event in events)
 
@@ -314,11 +305,10 @@ class TestClusterJobsResolution:
         cache = ResultCache(tmp_path / "cache")
         suite = lambda: [resolve_method("S$BP")]  # noqa: E731
         serial = execute_matrix(suite, workload_names=("ammp",), scale=CI,
-                                jobs=1, cache=cache, executor="inprocess")
+                                jobs=1, cache=cache)
         events: list[CellProgress] = []
         sharded = execute_matrix(suite, workload_names=("ammp",), scale=CI,
                                  jobs=1, cache=cache, cluster_jobs=2,
-                                 executor="inprocess",
                                  progress=events.append)
         assert events and all(event.cached for event in events)
         assert sharded["ammp"].outcomes["S$BP"].run.cluster_ipcs == \

@@ -107,10 +107,10 @@ class TestOneWorkerPerCpu:
         class Resolved(Exception):
             pass
 
-        def resolve(executor, jobs):
+        def pool(jobs):
             raise Resolved(jobs)
 
-        monkeypatch.setattr(parallel, "resolve_executor", resolve)
+        monkeypatch.setattr(parallel, "ProcessPool", pool)
         with pytest.raises(Resolved) as resolved:
             parallel.execute_matrix(lambda: [], workload_names=("gcc",),
                                     scale=SCALES["ci"])
@@ -210,11 +210,13 @@ class TestShardedEquivalence:
         """The fold cross-checks each shard against the cold scan."""
         from repro.sampling.pipeline import run_shards
 
-        def tampering_map(worker, tasks, jobs, **kwargs):
+        def tampering_map(worker, tasks, jobs, *, on_result, **kwargs):
             results = [run_shards(task) for task in tasks]
             first = results[0][0]
             results[0][0] = dataclasses.replace(
                 first, instructions=first.instructions + 1)
+            for index, result in enumerate(results):
+                on_result(index, result)
             return results
 
         monkeypatch.setattr("repro.harness.parallel.map_tasks",
@@ -240,7 +242,6 @@ class TestShardHandOff:
             return original(worker, tasks, jobs, **kwargs)
 
         monkeypatch.setattr(parallel, "map_tasks", recording_map)
-        monkeypatch.setenv("REPRO_EXECUTOR", "inprocess")
         _simulator(workload, cluster_jobs=jobs).run(
             ReverseStateReconstruction(0.3))
         [tasks] = submitted
@@ -259,9 +260,13 @@ class TestShardHandOff:
         try:
             _traced_audited(patch, tmp_path_factory.mktemp("cache"))
 
-            def per_shard_map(worker, tasks, jobs, **kwargs):
-                return [worker(dataclasses.replace(task, shards=(shard,)))
-                        for task in tasks for shard in task.shards]
+            def per_shard_map(worker, tasks, jobs, *, on_result,
+                              **kwargs):
+                results = [worker(dataclasses.replace(task, shards=(shard,)))
+                           for task in tasks for shard in task.shards]
+                for index, result in enumerate(results):
+                    on_result(index, result)
+                return results
 
             patch.setattr("repro.harness.parallel.map_tasks", per_shard_map)
             return _simulator(workload, cluster_jobs=2).run(
@@ -269,14 +274,18 @@ class TestShardHandOff:
         finally:
             patch.undo()
 
-    @pytest.mark.parametrize("executor", ["inprocess", "pool"])
+    @pytest.mark.parametrize("pool_jobs", [1, 2])
     def test_batched_results_match_per_shard(self, workload, monkeypatch,
                                              tmp_path, per_shard_reference,
-                                             executor):
+                                             pool_jobs):
+        """One task per worker, in process (a one-worker pool) and in a
+        process pool, equals one in-process task per shard."""
+        from repro.harness.executor import ProcessPool
         from repro.harness.reporting import audit_rows
 
         _traced_audited(monkeypatch, tmp_path)
-        monkeypatch.setenv("REPRO_EXECUTOR", executor)
+        monkeypatch.setattr(parallel, "ProcessPool",
+                            lambda jobs: ProcessPool(pool_jobs))
         run = _simulator(workload, cluster_jobs=2).run(
             ReverseStateReconstruction(0.3))
         reference = per_shard_reference

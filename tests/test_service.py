@@ -35,7 +35,6 @@ pytestmark = pytest.mark.filterwarnings(
 
 def _service(tmp_path, **kwargs):
     kwargs.setdefault("options", RunOptions(scale="ci"))
-    kwargs.setdefault("executor", "inprocess")
     kwargs.setdefault("cache", str(tmp_path / "cache"))
     kwargs.setdefault("port", 0)
     return SimulationService(**kwargs)
@@ -160,10 +159,8 @@ class TestExecuteRequest:
         serial = RunRequest(kind="matrix", workloads=("gcc",),
                             methods=("R$BP (20%)",), design="ci", jobs=1)
         sharded = dataclasses.replace(serial, cluster_jobs=2)
-        first = execute_request(sharded, executor="inprocess",
-                                cache=str(tmp_path))
-        second = execute_request(serial, executor="inprocess",
-                                 cache=str(tmp_path))
+        first = execute_request(sharded, cache=str(tmp_path))
+        second = execute_request(serial, cache=str(tmp_path))
         assert not second.cached
         assert [row["sharded"] for row in first.payload["rows"]] == [True]
         assert [row["sharded"] for row in second.payload["rows"]] == [False]
@@ -173,11 +170,9 @@ class TestExecuteRequest:
         request = RunRequest(kind="sample", workloads=("gcc",),
                              methods=("R$BP (20%)",), design="ci")
         monkeypatch.setenv("REPRO_CLUSTER_JOBS", "2")
-        first = execute_request(request, executor="inprocess",
-                                cache=str(tmp_path))
+        first = execute_request(request, cache=str(tmp_path))
         monkeypatch.delenv("REPRO_CLUSTER_JOBS")
-        second = execute_request(request, executor="inprocess",
-                                 cache=str(tmp_path))
+        second = execute_request(request, cache=str(tmp_path))
         assert not second.cached
         assert second.payload["rows"][0]["estimated_ipc"] != \
             first.payload["rows"][0]["estimated_ipc"]
@@ -188,12 +183,14 @@ class TestExecuteRequest:
         assert not first.cached and second.cached
         assert second.payload == first.payload
 
-    def test_payload_is_deterministic_across_backends(self, tmp_path):
+    def test_payload_is_deterministic_in_process_and_in_pool(self):
+        """jobs=1 runs the cells in process, jobs=2 in a process pool."""
         request = RunRequest(kind="matrix", workloads=("gcc",),
                              methods=("rsr", "smarts"), design="ci")
         payloads = [
-            execute_request(request, executor=name, cache="off").payload
-            for name in ("inprocess", "pool")
+            execute_request(dataclasses.replace(request, jobs=jobs),
+                            cache="off").payload
+            for jobs in (1, 2)
         ]
         blobs = {json.dumps(p, sort_keys=True) for p in payloads}
         assert len(blobs) == 1
@@ -239,17 +236,16 @@ class TestServiceRoundTrip:
         assert status["job_id"] == job_id
         assert status["finished_at"] >= status["submitted_at"]
 
-    def test_health_stats_executors(self, tmp_path):
+    def test_health_and_stats(self, tmp_path):
         with _service(tmp_path) as service:
             client = ServiceClient(service.url)
             health = client.health()
-            assert "pool" in [e["name"] for e in client.executors()]
             stats = client.stats()
         assert health["status"] == "ok"
         assert health["version"]
         assert health["uptime_seconds"] >= 0
         assert health["queue_depth"] == 0
-        assert stats["executor"] == "inprocess"
+        assert set(stats) == {"counters", "jobs", "options"}
         assert set(stats["jobs"]) == {"queued", "running", "done",
                                       "failed"}
 
@@ -270,9 +266,11 @@ class TestServiceRejections:
         with _service(tmp_path, max_pending_per_tenant=1) as service:
             client = ServiceClient(service.url)
             # A matrix job holds the worker long enough for a second
-            # submission to collide with the quota.
+            # submission to collide with the quota; jobs=1 runs its
+            # cells in process.
             slow = RunRequest(kind="matrix", workloads=("gcc", "twolf"),
-                              methods=("rsr", "smarts"), design="ci")
+                              methods=("rsr", "smarts"), design="ci",
+                              jobs=1)
             job_id = client.submit(slow, tenant="quota-tenant")
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(SAMPLE, tenant="quota-tenant")
@@ -345,7 +343,7 @@ class TestServiceObservability:
                       if sample.endswith("_count")}
             assert counts == {(("kind", "sample"),): 2.0}
         info = families["repro_service_info"]["samples"][0][1]
-        assert info["executor"] == "inprocess"
+        assert set(info) == {"version"}
         routes = {labels["route"] for _, labels, _
                   in families["repro_http_requests_total"]["samples"]}
         assert {"/jobs", "/results/{id}"} <= routes
@@ -363,7 +361,7 @@ class TestServiceObservability:
                 except (ValueError, ServiceError) as exc:
                     failures.append(exc)
 
-        with _service(tmp_path, executor="inprocess") as service:
+        with _service(tmp_path) as service:
             client = ServiceClient(service.url)
             scrapers = [threading.Thread(target=scrape, args=(client,))
                         for _ in range(3)]
@@ -434,8 +432,7 @@ class TestServiceObservability:
                              service_log=str(paths["service"]),
                              events=str(paths["events"]),
                              spans=str(paths["spans"]))
-        with _service(tmp_path, options=options,
-                      executor="pool") as service:
+        with _service(tmp_path, options=options) as service:
             client = ServiceClient(service.url)
             job_id = client.submit(SAMPLE)
             run_id = client.status(job_id)["run_id"]
@@ -510,19 +507,16 @@ class TestRunOptions:
     def test_reads_and_validates_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
         monkeypatch.setenv("REPRO_MATRIX_JOBS", "3")
-        monkeypatch.setenv("REPRO_EXECUTOR", "inprocess")
         monkeypatch.setenv("REPRO_AUDIT", "1")
         options = RunOptions.from_env()
         assert options.scale == "ci"
         assert options.matrix_jobs == 3
-        assert options.executor == "inprocess"
         assert options.audit is True
 
     @pytest.mark.parametrize("name,value,fragment", [
         ("REPRO_EXPERIMENT_SCALE", "galactic", "REPRO_EXPERIMENT_SCALE"),
         ("REPRO_MATRIX_JOBS", "many", "REPRO_MATRIX_JOBS"),
         ("REPRO_CLUSTER_JOBS", "-2", "REPRO_CLUSTER_JOBS"),
-        ("REPRO_EXECUTOR", "warp", "unknown executor"),
         ("REPRO_AUDIT", "maybe", "REPRO_AUDIT"),
         ("REPRO_TELEMETRY", "kinda", "REPRO_TELEMETRY"),
     ])
@@ -543,6 +537,18 @@ class TestRunOptions:
         options = RunOptions.from_env()
         assert options == clean
         assert "REPRO_BATCH_CORE" not in options.environ()
+
+    @pytest.mark.parametrize("value", ["pool", "inprocess", "warp"])
+    def test_leftover_executor_variable_is_ignored(self, monkeypatch,
+                                                   value):
+        """There is one fan-out: a stale REPRO_EXECUTOR, even a name the
+        old registry rejected, neither fails nor reaches environ()."""
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        clean = RunOptions.from_env()
+        monkeypatch.setenv("REPRO_EXECUTOR", value)
+        options = RunOptions.from_env()
+        assert options == clean
+        assert "REPRO_EXECUTOR" not in options.environ()
 
     def test_overrides_win_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "bench")
@@ -576,7 +582,7 @@ class TestRunOptions:
         from dataclasses import fields
 
         full = RunOptions(
-            scale="ci", matrix_jobs=3, cluster_jobs=2, executor="inprocess",
+            scale="ci", matrix_jobs=3, cluster_jobs=2,
             result_cache=str(tmp_path / "cache"),
             checkpoint_store=str(tmp_path / "store"),
             trace=str(tmp_path / "trace.jsonl"), telemetry=True,
@@ -612,6 +618,6 @@ class TestRunOptions:
     def test_cli_exit_2_on_bad_env(self, monkeypatch, capsys):
         from repro.__main__ import main
 
-        monkeypatch.setenv("REPRO_EXECUTOR", "warp")
+        monkeypatch.setenv("REPRO_AUDIT", "maybe")
         assert main(["workloads"]) == 2
-        assert "unknown executor" in capsys.readouterr().err
+        assert "REPRO_AUDIT" in capsys.readouterr().err

@@ -311,10 +311,9 @@ class TestParallelMerge:
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         serial = execute_matrix(small_suite, workload_names=("ammp",),
-                                scale=CI, jobs=1, executor="inprocess")
+                                scale=CI, jobs=1)
         parallel = execute_matrix(
             small_suite, workload_names=("ammp",), scale=CI, jobs=2,
-            executor="pool",
         )
         merged_serial = merged_telemetry(serial)
         merged_parallel = merged_telemetry(parallel)
