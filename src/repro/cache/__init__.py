@@ -7,7 +7,7 @@ from .config import (
     WritePolicy,
     paper_hierarchy_config,
 )
-from .cache import Cache, CacheStats, AccessResult
+from .cache import Cache, CacheStats
 from .bus import Bus
 from .hierarchy import MemoryHierarchy
 
@@ -19,7 +19,6 @@ __all__ = [
     "paper_hierarchy_config",
     "Cache",
     "CacheStats",
-    "AccessResult",
     "Bus",
     "MemoryHierarchy",
 ]

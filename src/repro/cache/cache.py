@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .config import CacheConfig, WritePolicy
 
@@ -80,39 +79,11 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-class AccessResult(NamedTuple):
-    """Outcome of one forward cache access.
-
-    Immutable, so a hit and a miss that changes no line (a no-allocate
-    write miss, or a fill into an invalid way) share the module
-    constants :data:`HIT` and :data:`MISS` instead of allocating.
-    """
-
-    hit: bool
-    #: Byte address of a dirty line written back, or None.
-    writeback_address: int | None = None
-    #: ``(cache, set index, tag)`` of the line evicted, or None; read
-    #: through :attr:`evicted_address`.
-    victim: tuple | None = None
-
-    @property
-    def evicted_address(self) -> int | None:
-        """Byte address of the line evicted (clean or dirty), or None.
-
-        Computed when read: the simulator never reads it, so a clean
-        eviction does not pay for the address arithmetic.
-        """
-        if self.victim is None:
-            return None
-        cache, set_index, tag = self.victim
-        return cache._address_of(set_index, tag)
-
-
-HIT = AccessResult(True)
-MISS = AccessResult(False)
-#: Builds an evicting miss's result without the named tuple's
-#: Python-level ``__new__``, which costs about as much again.
-_new_result = tuple.__new__
+#: :meth:`Cache.access` returns HIT for a hit and MISS for a miss that
+#: writes no dirty line back; any other value (>= 0) is the byte address
+#: of the dirty line the miss wrote back.
+HIT = -1
+MISS = -2
 
 
 class _SetView:
@@ -238,8 +209,9 @@ class Cache:
 
     # -- forward-time access ------------------------------------------------
 
-    def access(self, address: int, is_write: bool = False) -> AccessResult:
-        """Perform one forward access, honouring the write policy."""
+    def access(self, address: int, is_write: bool = False) -> int:
+        """Perform one forward access, honouring the write policy;
+        return :data:`HIT`, :data:`MISS` or the written-back address."""
         stats = self.stats
         stats.accesses += 1
         stats.updates += 1
@@ -279,12 +251,10 @@ class Cache:
         if evicted_tag < 0:
             return MISS
         stats.evictions += 1
-        writeback_address = None
-        if dirty:
-            stats.writebacks += 1
-            writeback_address = self._address_of(set_index, evicted_tag)
-        return _new_result(AccessResult, (
-            False, writeback_address, (self, set_index, evicted_tag)))
+        if not dirty:
+            return MISS
+        stats.writebacks += 1
+        return self._address_of(set_index, evicted_tag)
 
     def probe(self, address: int) -> bool:
         """Check residency without perturbing any state."""

@@ -17,7 +17,7 @@ Two access families are provided:
 from __future__ import annotations
 
 from .bus import Bus
-from .cache import Cache
+from .cache import HIT, Cache
 from .config import HierarchyConfig, WritePolicy, paper_hierarchy_config
 
 
@@ -50,16 +50,17 @@ class MemoryHierarchy:
     def _l2_fill(self, address: int, is_write: bool, now: int) -> int:
         """Access L2 (and memory below it); return completion time."""
         line_bytes = self._l2_line_bytes
-        result = self.l2.access(address, is_write)
+        outcome = self.l2.access(address, is_write)
         time = now + self._l2_hit_latency
-        if not result.hit:
+        if outcome != HIT:
             self.memory_accesses += 1
             # Miss: fetch the line across the L2 bus from memory.
             time += self._memory_latency
             time = self.l2_bus.request(time, line_bytes)
-        if result.writeback_address is not None:
-            # Dirty victim drains to memory; occupies the bus after our fill.
-            self.l2_bus.request(time, line_bytes)
+            if outcome >= 0:
+                # Dirty victim drains to memory; occupies the bus after
+                # our fill.
+                self.l2_bus.request(time, line_bytes)
         return time
 
     # -- timed accesses (hot simulation) --------------------------------------
@@ -78,33 +79,28 @@ class MemoryHierarchy:
             l1_wtna = self._l1d_wtna
             hit_latency = self._l1d_hit_latency
             line_bytes = self._l1_line_bytes[1]
-        result = l1.access(address, is_write)
-
-        if result.hit:
-            finish = now + hit_latency
-            if is_write and l1_wtna:
-                # Write-through: the word crosses the L1 bus and updates L2.
-                # The store retires at L1 speed; the write-through drains in
-                # the background but still occupies bus/L2 bandwidth.
-                drain = self.l1_bus.request(now + hit_latency, 8)
-                self._l2_fill(address, True, drain)
-            return finish - now
+        outcome = l1.access(address, is_write)
 
         if is_write and l1_wtna:
-            # Write miss, no-write-allocate: forward the word to L2 only.
+            # Write-through: the word crosses the L1 bus and updates L2
+            # (a write miss does not allocate).  A hit retires at L1 speed
+            # while the write drains in the background, still occupying
+            # bus and L2 bandwidth; a miss completes once the bus accepts
+            # it.
             drain = self.l1_bus.request(now + hit_latency, 8)
-            finish = self._l2_fill(address, True, drain)
-            # The store itself completes once accepted by the bus.
-            return drain - now
+            self._l2_fill(address, True, drain)
+            return hit_latency if outcome == HIT else drain - now
+        if outcome == HIT:
+            return hit_latency
 
         # Read miss (or WBWA write miss): fetch line from L2 via the L1 bus.
         request_time = self.l1_bus.request(now + hit_latency, 8)
         fill_time = self._l2_fill(address, is_write, request_time)
         finish = self.l1_bus.request(fill_time, line_bytes)
-        if result.writeback_address is not None:
+        if outcome >= 0:
             # Dirty L1 victim (only possible for WBWA L1s) drains afterwards.
             drain = self.l1_bus.request(finish, line_bytes)
-            self._l2_fill(result.writeback_address, True, drain)
+            self._l2_fill(outcome, True, drain)
         return finish - now
 
     # -- untimed accesses (functional warming / cold-state repair) -----------
@@ -118,22 +114,17 @@ class MemoryHierarchy:
         so warmed state matches what detailed simulation would produce.
         """
         if is_instruction:
-            l1 = self.l1i
+            outcome = self.l1i.access(address, is_write)
             l1_wtna = self._l1i_wtna
         else:
-            l1 = self.l1d
+            outcome = self.l1d.access(address, is_write)
             l1_wtna = self._l1d_wtna
-        result = l1.access(address, is_write)
-        if result.hit:
-            if is_write and l1_wtna:
-                self.l2.access(address, True)
-            return
         if is_write and l1_wtna:
             self.l2.access(address, True)
-            return
-        self.l2.access(address, is_write)
-        if result.writeback_address is not None:
-            self.l2.access(result.writeback_address, True)
+        elif outcome != HIT:
+            self.l2.access(address, is_write)
+            if outcome >= 0:
+                self.l2.access(outcome, True)
 
     # -- maintenance ----------------------------------------------------------
 

@@ -23,12 +23,16 @@ relies on:
   environment at launch, so span parents
   (``REPRO_SPAN_PARENT``), telemetry collection flags, and the rest of
   the ``REPRO_*`` surface ride into workers.
-- **Tasks are inherited, not shipped** — the pool hands ``(worker,
-  tasks)`` to its workers through the pool initializer and submits
-  only task indices.  Forked workers inherit them: the parent pickles
-  no task, and workers run on its own objects (a workload's predecode
-  and translated blocks included).  Spawn and forkserver pickle them
-  once per worker.
+- **Forked workers inherit their tasks** — under fork the pool hands
+  ``(worker, tasks)`` to its workers through the pool initializer and
+  submits only task indices: the parent pickles no task, and workers
+  run on its own objects (a workload's predecode and translated blocks
+  included).  Under spawn and forkserver the parent pickles each
+  ``(worker, task)`` once and submits it.  It never puts the work in
+  the initializer's arguments: a spawned worker's start-up payload is
+  written while the parent still holds the worker's end of the pipe,
+  so a worker that died before reading a payload larger than the pipe
+  buffer would block the parent for good.
 
 ``map`` closes its pool before it returns or raises; on an exception
 (KeyboardInterrupt, a crashing worker) ``close(cancel=True)`` cancels
@@ -38,14 +42,17 @@ run cannot leave orphans behind.
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable
 
 
-#: ``(worker, tasks)`` of the running ``map``; set in pool workers only,
-#: so it also tells a nested ``map`` that it runs in a pool worker.
-_WORK: "tuple[Callable, list] | None" = None
+#: ``(worker, tasks)`` of the running ``map`` (``(None, None)`` in a
+#: spawned worker); set in pool workers only, so it also tells a nested
+#: ``map`` that it runs in a pool worker.
+_WORK: "tuple | None" = None
 
 
 def _adopt_work(worker, tasks) -> None:
@@ -55,9 +62,15 @@ def _adopt_work(worker, tasks) -> None:
 
 
 def _run_index(index: int):
-    """Pool-side: run the adopted worker on one task."""
+    """Pool-side, forked: run the adopted worker on one task."""
     worker, tasks = _WORK
     return worker(tasks[index])
+
+
+def _run_pickled(payload: bytes):
+    """Pool-side, spawned: run a pickled ``(worker, task)``."""
+    worker, task = pickle.loads(payload)
+    return worker(task)
 
 
 def _run_in_process(worker, tasks, on_result, delivered: dict) -> None:
@@ -122,14 +135,19 @@ class ProcessPool:
         self._cancelled = False
         started = False
         try:
-            # Workers start at the first submit: forked ones inherit
-            # (worker, tasks), spawned ones unpickle them, so work that
-            # does not pickle raises here, in the parent.
+            if multiprocessing.get_start_method() == "fork":
+                initargs, run = (worker, tasks), _run_index
+                args = range(len(tasks))
+            else:
+                # Work that does not pickle raises here, in the parent.
+                # The initializer still marks the workers as pool workers.
+                initargs, run = (None, None), _run_pickled
+                args = [pickle.dumps((worker, task)) for task in tasks]
             self._pool = pool = ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(tasks)),
-                initializer=_adopt_work, initargs=(worker, tasks))
-            futures = {pool.submit(_run_index, index): index
-                       for index in range(len(tasks))}
+                initializer=_adopt_work, initargs=initargs)
+            futures = {pool.submit(run, arg): index
+                       for index, arg in enumerate(args)}
             started = True
             _drain_futures(futures, on_result, delivered)
         except Exception as error:

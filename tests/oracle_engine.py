@@ -22,6 +22,9 @@ against, bit for bit:
   ``enumerate`` scan of the set that allocates a
   :class:`ReferenceAccessResult` per access and computes the evicted
   address eagerly;
+- :func:`reference_timed_access`, :func:`reference_l2_fill` and
+  :func:`reference_warm_access` — ``MemoryHierarchy``'s access paths
+  over :func:`reference_cache_access`, branching on its result object;
 - :func:`chained_predictor_update` — ``BranchPredictor.update`` as
   the call chain through the per-structure training methods
   :func:`pht_update` (:func:`push_history`, ``update_counter``),
@@ -30,7 +33,7 @@ against, bit for bit:
   plain call of ``steady_state_prefix``, which neither reads nor
   writes the workload's prefix memo;
 - :func:`reference_engine` — a context manager that runs whole
-  simulations on all seven;
+  simulations on all of them;
 - :func:`sampled_run_record` — what two engines' runs of one sampled
   simulation are compared on.
 """
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from unittest import mock
 
 from repro.branch import BranchPredictor, update_counter
-from repro.cache import Cache
+from repro.cache import Cache, MemoryHierarchy, WritePolicy
 from repro.core.branch_reconstruct import ReverseBranchReconstructor
 from repro.core.cache_reconstruct import ReverseCacheReconstructor
 from repro.core.source import REF_INSTRUCTION, REF_STORE
@@ -380,6 +383,66 @@ def reference_cache_access(self, address: int,
     )
 
 
+def reference_l2_fill(self, address: int, is_write: bool, now: int) -> int:
+    """Twin of ``MemoryHierarchy._l2_fill`` (same contract)."""
+    config = self.config
+    line_bytes = config.l2.line_bytes
+    result = reference_cache_access(self.l2, address, is_write)
+    time = now + config.l2.hit_latency
+    if not result.hit:
+        self.memory_accesses += 1
+        time += config.memory_latency
+        time = self.l2_bus.request(time, line_bytes)
+    if result.writeback_address is not None:
+        self.l2_bus.request(time, line_bytes)
+    return time
+
+
+def reference_timed_access(self, address: int, is_write: bool,
+                           is_instruction: bool, now: int) -> int:
+    """Twin of :meth:`MemoryHierarchy.timed_access` (same contract)."""
+    l1 = self.l1i if is_instruction else self.l1d
+    l1_wtna = l1.config.write_policy is WritePolicy.WTNA
+    hit_latency = l1.config.hit_latency
+    result = reference_cache_access(l1, address, is_write)
+    if result.hit:
+        if is_write and l1_wtna:
+            # The write-through drains in the background.
+            drain = self.l1_bus.request(now + hit_latency, 8)
+            reference_l2_fill(self, address, True, drain)
+        return hit_latency
+    if is_write and l1_wtna:
+        # No-write-allocate: the store completes once the bus accepts it.
+        drain = self.l1_bus.request(now + hit_latency, 8)
+        reference_l2_fill(self, address, True, drain)
+        return drain - now
+    request_time = self.l1_bus.request(now + hit_latency, 8)
+    fill_time = reference_l2_fill(self, address, is_write, request_time)
+    finish = self.l1_bus.request(fill_time, l1.config.line_bytes)
+    if result.writeback_address is not None:
+        drain = self.l1_bus.request(finish, l1.config.line_bytes)
+        reference_l2_fill(self, result.writeback_address, True, drain)
+    return finish - now
+
+
+def reference_warm_access(self, address: int, is_write: bool,
+                          is_instruction: bool) -> None:
+    """Twin of :meth:`MemoryHierarchy.warm_access` (same contract)."""
+    l1 = self.l1i if is_instruction else self.l1d
+    l1_wtna = l1.config.write_policy is WritePolicy.WTNA
+    result = reference_cache_access(l1, address, is_write)
+    if result.hit:
+        if is_write and l1_wtna:
+            reference_cache_access(self.l2, address, True)
+        return
+    if is_write and l1_wtna:
+        reference_cache_access(self.l2, address, True)
+        return
+    reference_cache_access(self.l2, address, is_write)
+    if result.writeback_address is not None:
+        reference_cache_access(self.l2, result.writeback_address, True)
+
+
 def push_history(pht, taken: bool) -> None:
     """Shift one outcome into the global history register."""
     pht.history = ((pht.history << 1) | int(taken)) & pht._history_mask
@@ -499,6 +562,11 @@ def reference_engine():
             ReverseBranchReconstructor, "_rebuild_btb", scalar_btb_scan))
         stack.enter_context(mock.patch.object(
             Cache, "access", reference_cache_access))
+        for name, twin in (("timed_access", reference_timed_access),
+                           ("_l2_fill", reference_l2_fill),
+                           ("warm_access", reference_warm_access)):
+            stack.enter_context(mock.patch.object(
+                MemoryHierarchy, name, twin))
         stack.enter_context(mock.patch.object(
             BranchPredictor, "update", chained_predictor_update))
         stack.enter_context(mock.patch.object(

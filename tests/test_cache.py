@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache import Cache, CacheConfig, WritePolicy
+from repro.cache.cache import HIT, MISS
 
 
 def make_cache(size=1024, line=64, assoc=4,
@@ -54,13 +55,13 @@ class TestAddressMath:
 class TestHitMiss:
     def test_cold_miss_then_hit(self):
         cache = make_cache()
-        assert not cache.access(0x1000).hit
-        assert cache.access(0x1000).hit
+        assert cache.access(0x1000) == MISS
+        assert cache.access(0x1000) == HIT
 
     def test_same_line_different_offsets_hit(self):
         cache = make_cache()
         cache.access(0x1000)
-        assert cache.access(0x103F).hit
+        assert cache.access(0x103F) == HIT
 
     def test_lru_eviction_order(self):
         cache = make_cache(assoc=2, size=512)  # 4 sets
@@ -107,8 +108,7 @@ class TestHitMiss:
 class TestWritePolicies:
     def test_wtna_write_miss_does_not_allocate(self):
         cache = make_cache(policy=WritePolicy.WTNA)
-        result = cache.access(0x1000, is_write=True)
-        assert not result.hit
+        assert cache.access(0x1000, is_write=True) == MISS
         assert not cache.probe(0x1000)
 
     def test_wtna_write_hit_updates_recency(self):
@@ -133,22 +133,31 @@ class TestWritePolicies:
         cache.access(0x1000, is_write=True)
         assert cache.probe(0x1000)
 
-    def test_wbwa_dirty_eviction_reports_writeback(self):
+    @pytest.mark.parametrize("line", (0x0, 0x1000))
+    def test_wbwa_dirty_eviction_reports_writeback(self, line):
         cache = make_cache(assoc=1, size=256, policy=WritePolicy.WBWA)
         stride = 4 * 64
-        cache.access(0x0, is_write=True)         # dirty
-        result = cache.access(stride)            # evicts dirty line 0
-        assert result.writeback_address == 0x0
-        assert result.evicted_address == 0x0
+        cache.access(line + 8, is_write=True)    # dirty
+        # Evicts the dirty line and returns its address, 0 included.
+        assert cache.access(line + stride) == line
         assert cache.stats.writebacks == 1
+        assert not cache.probe(line)
 
     def test_wbwa_clean_eviction_no_writeback(self):
         cache = make_cache(assoc=1, size=256, policy=WritePolicy.WBWA)
         stride = 4 * 64
         cache.access(0x0)                        # clean
-        result = cache.access(stride)
-        assert result.writeback_address is None
-        assert result.evicted_address == 0x0
+        assert cache.access(stride) == MISS
+        assert not cache.probe(0x0) and cache.probe(stride)
+        assert (cache.stats.evictions, cache.stats.writebacks) == (1, 0)
+
+    def test_wtna_eviction_never_writes_back(self):
+        cache = make_cache(assoc=1, size=256, policy=WritePolicy.WTNA)
+        stride = 4 * 64
+        cache.access(0x0)
+        cache.access(0x0, is_write=True)         # a write hit: still clean
+        assert cache.access(stride) == MISS
+        assert not cache.probe(0x0)
 
 
 class TestMaintenance:

@@ -17,6 +17,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import threading
@@ -197,12 +198,11 @@ def _forking() -> bool:
 
 def test_pool_parent_pickles_no_task_under_fork(monkeypatch):
     """Forked workers inherit their tasks: the parent pickles none.
-    (Spawn and forkserver pickle them once per worker instead.)"""
+    Spawn and forkserver pickle each task once instead."""
     monkeypatch.setattr(_CountingTask, "pickled", 0)
     tasks = [_CountingTask(value) for value in range(4)]
     assert ProcessPool(2).map(_task_value, tasks) == [0, 1, 2, 3]
-    if _forking():
-        assert _CountingTask.pickled == 0
+    assert _CountingTask.pickled == (0 if _forking() else len(tasks))
 
 
 class _UnpicklablePid(_Unpicklable):
@@ -223,6 +223,35 @@ def test_unpicklable_task_runs_in_child_under_fork():
         assert os.getpid() not in pids
     else:
         assert pids == {os.getpid()}
+
+
+#: Spawns pool workers that exit before reading their start-up
+#: payload, and fans out tasks larger than a pipe buffer.
+_DEAD_SPAWN_SCRIPT = """
+import multiprocessing
+from repro.harness.parallel import map_tasks
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    multiprocessing.set_executable(FALSE)
+    print(map_tasks(len, [b"x" * 100_000] * 4, 2))
+"""
+
+
+@pytest.mark.skipif(shutil.which("false") is None,
+                    reason="needs a `false` executable")
+def test_spawned_workers_that_die_at_start_do_not_hang_the_parent():
+    """Spawned workers that die before reading their start-up payload
+    break the pool, and the tasks run in process, however large they
+    are: the payload carries none of them, so the parent never blocks
+    writing it."""
+    script = f"FALSE = {shutil.which('false')!r}\n" + _DEAD_SPAWN_SCRIPT
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split("\n")[-2] == str([100_000] * 4)
 
 
 def test_broken_pool_delivers_each_index_once():

@@ -4,7 +4,8 @@
 warm-up method's skip, the steady-state prefix and the hot core share.
 Their straightforward versions are the reference engine's
 (tests/oracle_engine.py): an ``enumerate`` scan that allocates a result
-per access, and a call chain through per-structure training methods.
+per access, the hierarchy's access paths over it, and a call chain
+through per-structure training methods.
 These tests drive both with the same random streams and require the
 same results and the same state after every operation, then check the
 warm-up methods built on them end to end.
@@ -27,6 +28,7 @@ from repro.cache import (
     WritePolicy,
     paper_hierarchy_config,
 )
+from repro.cache.cache import HIT, MISS
 from repro.harness import scale_from_env
 from repro.isa import Instruction, Opcode
 from repro.sampling import SampledSimulator
@@ -37,6 +39,8 @@ from tests.oracle_engine import (
     chained_predictor_update,
     reference_cache_access,
     reference_engine,
+    reference_timed_access,
+    reference_warm_access,
     sampled_run_record,
 )
 
@@ -46,7 +50,17 @@ OPERATIONS = 1500
 
 def _cache_state(cache: Cache) -> tuple:
     return (vars(cache.stats), list(cache.tag_store), list(cache.tags),
-            bytes(cache.dirty_bits), [list(row) for row in cache.order])
+            bytes(cache.dirty_bits), bytes(cache.recon_bits),
+            list(cache.recon_count), [list(row) for row in cache.order])
+
+
+def _access_code(result) -> int:
+    """The ``Cache.access`` return value a reference result stands for."""
+    if result.hit:
+        return HIT
+    if result.writeback_address is None:
+        return MISS
+    return result.writeback_address
 
 
 class TestCacheAccessFuzz:
@@ -76,21 +90,110 @@ class TestCacheAccessFuzz:
             is_write = rng.random() < 0.4
             got = production.access(address, is_write)
             want = reference_cache_access(reference, address, is_write)
-            assert (got.hit, got.writeback_address, got.evicted_address) \
-                == (want.hit, want.writeback_address, want.evicted_address), \
+            assert got == _access_code(want), \
                 f"step {step}: access({address:#x}, {is_write})"
             assert _cache_state(production) == _cache_state(reference), \
                 f"step {step}: access({address:#x}, {is_write})"
 
-    def test_shared_results_are_immutable(self):
-        config = CacheConfig("fuzz", 2 * LINE, LINE, 1,
-                             WritePolicy.WTNA, 1)
-        cache = Cache(config)
-        cache.access(0)
-        hit = cache.access(0)
-        with pytest.raises(AttributeError):
-            hit.hit = False
-        assert cache.access(0) is hit
+
+def _hierarchy_config(l1_policy: WritePolicy, num_sets: int):
+    """Two-way L1s of `num_sets` sets over a four-way WBWA L2 of twice
+    as many, small enough that every access path occurs often."""
+    def cache(name, sets, associativity, policy, latency):
+        return CacheConfig(name, sets * associativity * LINE, LINE,
+                           associativity, policy, latency)
+
+    return dataclasses.replace(
+        paper_hierarchy_config(),
+        l1i=cache("L1I", num_sets, 2, l1_policy, 1),
+        l1d=cache("L1D", num_sets, 2, l1_policy, 1),
+        l2=cache("L2", 2 * num_sets, 4, WritePolicy.WBWA, 8))
+
+
+def _hierarchy_state(hierarchy: MemoryHierarchy) -> tuple:
+    return ([_cache_state(cache) for cache in hierarchy.caches()],
+            vars(hierarchy.l1_bus), vars(hierarchy.l2_bus),
+            hierarchy.memory_accesses)
+
+
+def _both(production, reference, warm, address, is_write,
+          is_instruction=False, now=0):
+    """One access on each hierarchy; the latencies (None when `warm`)."""
+    if warm:
+        return (production.warm_access(address, is_write, is_instruction),
+                reference_warm_access(reference, address, is_write,
+                                      is_instruction))
+    return (production.timed_access(address, is_write, is_instruction, now),
+            reference_timed_access(reference, address, is_write,
+                                   is_instruction, now))
+
+
+class TestHierarchyFuzz:
+    """``timed_access`` and ``warm_access`` against the reference
+    engine's twins: latency, buses, memory accesses and every cache's
+    state and stats after every access."""
+
+    @pytest.mark.parametrize("num_sets", (4, 6), ids=("pow2", "non-pow2"))
+    @pytest.mark.parametrize("l1_policy", tuple(WritePolicy),
+                             ids=lambda policy: policy.name)
+    def test_matches_reference(self, l1_policy, num_sets):
+        config = _hierarchy_config(l1_policy, num_sets)
+        production, reference = MemoryHierarchy(config), \
+            MemoryHierarchy(config)
+        rng = random.Random(f"{l1_policy.name}/{num_sets}")
+        lines = 3 * config.l2.size_bytes // LINE
+        now = 0
+        for step in range(OPERATIONS):
+            address = rng.randrange(lines) * LINE + rng.randrange(0, LINE, 8)
+            is_instruction = rng.random() < 0.25
+            is_write = not is_instruction and rng.random() < 0.4
+            warm = rng.random() < 0.5
+            now += rng.randrange(4)
+            got, want = _both(production, reference, warm, address,
+                              is_write, is_instruction, now)
+            assert got == want, f"step {step}: {address:#x}"
+            assert _hierarchy_state(production) \
+                == _hierarchy_state(reference), \
+                f"step {step}: {address:#x} write={is_write} " \
+                f"instruction={is_instruction} warm={warm}"
+
+    @pytest.mark.parametrize("warm", (False, True), ids=("timed", "warm"))
+    @pytest.mark.parametrize("num_sets", (4, 6), ids=("pow2", "non-pow2"))
+    def test_dirty_l1_victim_at_address_zero(self, num_sets, warm):
+        """A WBWA L1's dirty line 0 is written back to L2 when evicted."""
+        config = _hierarchy_config(WritePolicy.WBWA, num_sets)
+        production, reference = MemoryHierarchy(config), \
+            MemoryHierarchy(config)
+        stride = num_sets * LINE  # the next line of L1 set 0
+        for address, is_write in ((0, True), (stride, False),
+                                  (2 * stride, False)):
+            got, want = _both(production, reference, warm, address,
+                              is_write)
+            assert got == want
+            assert _hierarchy_state(production) \
+                == _hierarchy_state(reference)
+        l1d, l2 = production.l1d.stats, production.l2.stats
+        assert l1d.writebacks == 1
+        # Three fills, then the write-back of line 0, which hits.
+        assert (l2.accesses, l2.hits) == (4, 1)
+
+    @pytest.mark.parametrize("num_sets", (4, 6), ids=("pow2", "non-pow2"))
+    def test_dirty_l2_victim_at_address_zero(self, num_sets):
+        """The L2's dirty line 0 drains across the L2 bus when evicted."""
+        config = _hierarchy_config(WritePolicy.WTNA, num_sets)
+        production, reference = MemoryHierarchy(config), \
+            MemoryHierarchy(config)
+        stride = 2 * num_sets * LINE  # the next line of L2 set 0
+        accesses = [(0, True)] + [(k * stride, False) for k in range(1, 5)]
+        for step, (address, is_write) in enumerate(accesses):
+            got, want = _both(production, reference, False, address,
+                              is_write, now=1000 * step)
+            assert got == want
+            assert _hierarchy_state(production) \
+                == _hierarchy_state(reference)
+        assert production.l2.stats.writebacks == 1
+        # Five line fills from memory and the write-back of line 0.
+        assert production.l2_bus.transfers == 6
 
 
 class TestWarmAccessFuzz:
