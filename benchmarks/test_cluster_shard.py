@@ -37,7 +37,7 @@ from conftest import emit
 from repro.core import ReverseStateReconstruction
 from repro.harness import audit_summary, format_table
 from repro.sampling import SampledSimulator
-from repro.telemetry import AUDIT_ENV_VAR, COLLECT_ENV_VAR, Telemetry
+from repro.telemetry import AUDIT_ENV_VAR, Telemetry
 from repro.workloads import build_workload
 from tests.oracle_skiplog import SkipRegionLog
 
@@ -56,26 +56,19 @@ def _simulator(workload, scale, cluster_jobs=None):
 
 
 def _run(simulator, audit=False, **method_kwargs):
-    """One RSR run with REPRO_AUDIT (and, for shard workers, telemetry
-    collection) forced on or off around it."""
-    previous = {
-        name: os.environ.get(name)
-        for name in (AUDIT_ENV_VAR, COLLECT_ENV_VAR)
-    }
+    """One RSR run with REPRO_AUDIT forced on or off around it (shard
+    workers open live sessions because the run's session is live, so
+    their audit records flow back to the parent)."""
+    previous = os.environ.get(AUDIT_ENV_VAR)
     os.environ[AUDIT_ENV_VAR] = "1" if audit else "0"
-    if audit:
-        # Shard workers resolve telemetry from the environment; the
-        # audit records must flow through them back to the parent.
-        os.environ[COLLECT_ENV_VAR] = "1"
     try:
         return simulator.run(
             ReverseStateReconstruction(fraction=1.0, **method_kwargs))
     finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if previous is None:
+            os.environ.pop(AUDIT_ENV_VAR, None)
+        else:
+            os.environ[AUDIT_ENV_VAR] = previous
 
 
 def test_cluster_shard(benchmark, scale):

@@ -3,13 +3,14 @@
 Two claims are asserted here and recorded into ``BENCH_pr7.json`` at the
 repo root for the trajectory gate:
 
-- **Off is free.**  With ``REPRO_SPANS`` unset the sampled run is
-  bit-identical to a plain run — same per-cluster IPCs, same estimate,
-  zero span records — and the only residual hot-path work is the
-  :func:`repro.telemetry.spans_enabled` environment check, which is
-  microbenched and bounded here.
+- **Off is free.**  A session whose span recorder is the null one
+  (``Telemetry(spans=NULL_SPANS)``) runs bit-identical to a session that
+  records spans — same per-cluster IPCs, same estimate — and records
+  zero span records; with ``REPRO_TRACE`` unset the only residual
+  hot-path work is the :func:`repro.telemetry.collection_enabled`
+  environment check, which is microbenched and bounded here.
 - **On is cheap.**  Spans bracket phases, not instructions: the wall
-  overhead of a fully traced run is asserted ≤ 5% as the minimum of
+  overhead of recording spans is asserted ≤ 5% as the minimum of
   per-pair ratios over alternating off/on repetitions.  Each pair runs
   adjacent in time and shares whatever ambient load the machine has, so
   the quietest pair bounds the intrinsic overhead; scheduler
@@ -22,6 +23,7 @@ wall-clock numbers land in the informational ``timing`` block.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -32,11 +34,12 @@ from conftest import emit
 from repro.harness import format_table
 from repro.sampling import SampledSimulator
 from repro.telemetry import (
+    NULL_SPANS,
     RECORD_SPAN,
-    SPANS_ENV_VAR,
+    TRACE_ENV_VAR,
     Telemetry,
+    collection_enabled,
     span_tree_shape,
-    spans_enabled,
     to_chrome_trace,
 )
 from repro.warmup import resolve_method
@@ -51,17 +54,13 @@ OVERHEAD_BOUND = 1.05
 
 
 def _run(simulator, spans: bool):
-    previous = os.environ.get(SPANS_ENV_VAR)
-    os.environ[SPANS_ENV_VAR] = "1" if spans else "0"
-    try:
-        start = time.perf_counter()
-        result = simulator.run(resolve_method(METHOD))
-        wall = time.perf_counter() - start
-    finally:
-        if previous is None:
-            os.environ.pop(SPANS_ENV_VAR, None)
-        else:
-            os.environ[SPANS_ENV_VAR] = previous
+    # A fresh session per run; spans off injects the null recorder.
+    simulator.telemetry = (Telemetry if spans
+                           else functools.partial(Telemetry,
+                                                  spans=NULL_SPANS))
+    start = time.perf_counter()
+    result = simulator.run(resolve_method(METHOD))
+    wall = time.perf_counter() - start
     return result, result.extra["telemetry"], wall
 
 
@@ -76,7 +75,6 @@ def test_span_overhead(benchmark, scale):
             workload, scale.regimen(), scale.configs(),
             warmup_prefix=scale.warmup_prefix,
             detail_ramp=scale.detail_ramp,
-            telemetry=Telemetry,
         )
         walls_off, walls_on = [], []
         result_off = snapshot_on = result_on = None
@@ -88,8 +86,8 @@ def test_span_overhead(benchmark, scale):
             walls_off.append(wall_off)
             walls_on.append(wall_on)
             assert snapshot_off.spans == [], (
-                f"{workload_name}: span records emitted with "
-                f"{SPANS_ENV_VAR} off"
+                f"{workload_name}: span records emitted by a session "
+                f"with the null span recorder"
             )
         if (result_off.cluster_ipcs != result_on.cluster_ipcs
                 or result_off.estimate.mean != result_on.estimate.mean):
@@ -132,19 +130,25 @@ def test_span_overhead(benchmark, scale):
         ])
     assert identical, "spans-on run diverged from spans-off run"
 
-    # The entire spans-off hot-path cost is this environment check;
-    # bound it well under a microsecond apiece.
-    os.environ[SPANS_ENV_VAR] = "0"
+    # The entire recording-off hot-path cost is this environment check
+    # (one per run, resolving the null session); bound it well under a
+    # microsecond apiece.
+    previous = os.environ.get(TRACE_ENV_VAR)
+    os.environ[TRACE_ENV_VAR] = "0"
     try:
         start = time.perf_counter()
         for _ in range(GATE_CHECK_CALLS):
-            spans_enabled()
+            collection_enabled()
         per_call_us = ((time.perf_counter() - start)
                        / GATE_CHECK_CALLS * 1e6)
     finally:
-        os.environ.pop(SPANS_ENV_VAR, None)
+        if previous is None:
+            os.environ.pop(TRACE_ENV_VAR, None)
+        else:
+            os.environ[TRACE_ENV_VAR] = previous
     assert per_call_us < 50.0, (
-        f"spans_enabled() gate check costs {per_call_us:.2f}us per call"
+        f"collection_enabled() gate check costs {per_call_us:.2f}us per "
+        f"call"
     )
     timing["gate_check_microseconds"] = per_call_us
 

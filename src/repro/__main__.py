@@ -39,22 +39,25 @@ serve
 submit KIND
     Submit a job to a running service and (by default) wait for the
     result.
-trace export SPANS
-    Convert a ``REPRO_SPANS`` JSONL file into Chrome trace-event JSON
-    (loadable in Perfetto / chrome://tracing) or normalized JSONL.
+trace export TRACE
+    Convert the span and counter records of a ``--trace`` /
+    ``REPRO_TRACE`` file into Chrome trace-event JSON (loadable in
+    Perfetto / chrome://tracing) or normalized JSONL.
 metrics TRACE
     Render a completed run's ``REPRO_TRACE`` records as Prometheus text
     exposition — the offline twin of the service's ``GET /metrics``
     (see docs/observability.md).
 report
     Render a self-contained HTML run report (span timeline, audit error
-    bars, benchmark trajectory) from a spans file and optional audit /
+    bars, benchmark trajectory) from a record file and optional audit /
     trajectory JSON (see docs/observability.md).
 
 All commands accept ``--scale {ci,bench,default,full}`` (or the
 ``REPRO_EXPERIMENT_SCALE`` environment variable) to pick the experiment
 tier.  ``sample``, ``compare``, ``matrix``, and ``profile`` accept
-``--trace PATH`` to write one JSON-lines record per sampled cluster, and
+``--trace PATH`` (``REPRO_TRACE``, the one recording switch) to write
+every record of the run — clusters, spans, counters, run and cell
+progress — to one JSON-lines file, and
 ``sample``, ``matrix``, and ``profile`` accept ``--cluster-jobs N`` (or
 ``REPRO_CLUSTER_JOBS``) to run shardable methods through the two-phase
 pipeline with N hot-shard workers (see docs/parallel-execution.md).
@@ -63,8 +66,8 @@ pipeline with N hot-shard workers (see docs/parallel-execution.md).
 across runs (see docs/checkpoint-store.md).
 
 Every invocation mints one correlation ``run_id`` (unless ``REPRO_RUN_ID``
-is already set) and plants it for the run's extent, so span, event, and
-trace records produced anywhere — including worker processes — grep
+is already set) and plants it for the run's extent, so the records
+produced anywhere — including worker processes — grep
 under one id (see docs/observability.md).
 """
 
@@ -104,8 +107,9 @@ def _add_scale_argument(parser: argparse.ArgumentParser) -> None:
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="write a JSON-lines telemetry trace (one record per sampled "
-             "cluster) to PATH and print the telemetry profile",
+        help="write every record of the run (clusters, spans, counters, "
+             "run and cell progress) to the JSON-lines file PATH, like "
+             "REPRO_TRACE=PATH, and print the telemetry profile",
     )
 
 
@@ -185,17 +189,29 @@ def _env_overrides(overrides: dict):
                 os.environ[name] = previous
 
 
-def _report_telemetry(snapshots, trace_path, title="Telemetry profile"):
-    """Merge per-run snapshots; write the trace file and print the profile."""
+def _session_factory():
+    """A fresh live telemetry session per run, writing to the
+    ``REPRO_TRACE`` path when one is set (for commands that always
+    collect)."""
+    import functools
+
+    from .telemetry import Telemetry, trace_path_from_env
+
+    return functools.partial(Telemetry, trace_path=trace_path_from_env())
+
+
+def _report_telemetry(snapshots, trace, title="Telemetry profile"):
+    """Merge per-run snapshots and print the profile."""
     from .harness import format_telemetry_summary
-    from .telemetry import merge_snapshots, write_trace
+    from .telemetry import merge_snapshots, trace_path
 
     merged = merge_snapshots(snapshots)
     if merged is None or merged.is_empty():
         return
-    if trace_path:
-        count = write_trace(merged.trace_records, trace_path)
-        print(f"\n{count} trace records written to {trace_path}")
+    path = trace_path(trace)
+    if path is not None:
+        print(f"\nrecords written to {path} "
+              f"(export spans with: repro trace export {path})")
     print()
     print(format_telemetry_summary(merged, title=title))
 
@@ -247,14 +263,10 @@ def cmd_sample(args) -> int:
     scale = _resolve_scale(args)
     workload = build_workload(args.workload, mem_scale=scale.mem_scale)
     true_run = true_run_for(args.workload, scale)
-    trace_path = getattr(args, "trace", None)
-    telemetry = None
-    if trace_path:
-        # The Telemetry class doubles as a zero-argument factory: each
-        # method's run gets a fresh session, merged after the table.
-        from .telemetry import Telemetry
-        telemetry = Telemetry
-    simulator = _simulator(workload, scale, telemetry=telemetry,
+    # A --trace path rides REPRO_TRACE (main() plants it): each
+    # method's run gets a fresh session that appends to the file.
+    trace = getattr(args, "trace", None)
+    simulator = _simulator(workload, scale,
                            cluster_jobs=getattr(args, "cluster_jobs", None))
     results = []
     rows = []
@@ -275,10 +287,10 @@ def cmd_sample(args) -> int:
         title=f"{args.workload}: true IPC {true_run.ipc:.4f} — "
               f"{scale.regimen().describe()}",
     ))
-    if trace_path:
+    if trace:
         _report_telemetry(
             (result.extra.get("telemetry") for result in results),
-            trace_path,
+            trace,
             title=f"{args.workload} telemetry ({scale.name} tier)",
         )
     return 0
@@ -350,14 +362,11 @@ def cmd_design(args) -> int:
 
 
 def _check_writable(path) -> None:
-    """Raise now if grid output `path` has no export format or cannot
-    be written once the grid is done, so a bad ``--output`` costs no
-    cells (main() turns either into a one-line error and exit 2)."""
+    """Raise now if output `path` cannot be written once the run is
+    done, so a bad ``--output`` or ``--trace`` costs no cells (main()
+    turns it into a one-line error and exit 2)."""
     if not path:
         return
-    from .harness.export import matrix_format
-
-    matrix_format(path)
     existed = os.path.exists(path)
     with open(path, "a", encoding="utf-8"):
         pass
@@ -377,10 +386,13 @@ def cmd_matrix(args) -> int:
         format_per_workload,
         save_matrix,
     )
-    from .telemetry import SPANS_ENV_VAR
     from .warmup import paper_method_suite
     from .workloads import available_workloads
 
+    if args.output:
+        from .harness.export import matrix_format
+
+        matrix_format(args.output)  # a bad extension costs no cells
     _check_writable(args.output)
     options = _options_for(args)
     scale = options.scale_obj()
@@ -407,38 +419,21 @@ def cmd_matrix(args) -> int:
     else:
         progress = console_progress
     start = time.perf_counter()
-    collect_sentinel = object()
-    previous_collect = collect_sentinel
-    if args.trace:
-        # Collection-only mode for the worker processes: every cell
-        # buffers a snapshot into its result, and the parent writes one
-        # deterministic trace file from the merged profile below (the
-        # workers never touch the file themselves).
-        from .telemetry import COLLECT_ENV_VAR
-        previous_collect = os.environ.get(COLLECT_ENV_VAR)
-        os.environ[COLLECT_ENV_VAR] = "1"
     # Resolved in the parent (explicit flag, else REPRO_CLUSTER_JOBS) so
     # the value lands in every CellSpec — and hence the cache keys —
     # before any worker launches; a bad value exits 2 below.
     cluster_jobs = options.resolved_cluster_jobs()
-    try:
-        with _env_overrides({SPANS_ENV_VAR: args.spans}):
-            matrix = execute_matrix(
-                suite_factory,
-                workload_names=workloads,
-                scale=scale,
-                jobs=options.matrix_jobs,
-                cache=cache,
-                progress=progress,
-                cluster_jobs=cluster_jobs,
-            )
-    finally:
-        if previous_collect is not collect_sentinel:
-            from .telemetry import COLLECT_ENV_VAR
-            if previous_collect is None:
-                os.environ.pop(COLLECT_ENV_VAR, None)
-            else:
-                os.environ[COLLECT_ENV_VAR] = previous_collect
+    # A --trace path rides REPRO_TRACE (main() plants it): the grid
+    # driver's session owns the file, its cells collect in memory.
+    matrix = execute_matrix(
+        suite_factory,
+        workload_names=workloads,
+        scale=scale,
+        jobs=options.matrix_jobs,
+        cache=cache,
+        progress=progress,
+        cluster_jobs=cluster_jobs,
+    )
     elapsed = time.perf_counter() - start
     print(format_per_workload(
         matrix, display_names, value="error",
@@ -461,9 +456,6 @@ def cmd_matrix(args) -> int:
             [merged], args.trace,
             title=f"Grid telemetry ({scale.name} tier)",
         )
-    if args.spans:
-        print(f"spans written to {args.spans} "
-              f"(export with: repro trace export {args.spans})")
     if args.output:
         save_matrix(matrix, args.output)
         print(f"full grid written to {args.output}")
@@ -473,11 +465,11 @@ def cmd_matrix(args) -> int:
 def cmd_profile(args) -> int:
     """Phase breakdown of one workload's sampled simulation."""
     from .harness import format_telemetry_summary
-    from .telemetry import Telemetry, merge_snapshots, write_trace
+    from .telemetry import merge_snapshots, trace_path
 
     scale = _resolve_scale(args)
     workload = build_workload(args.workload, mem_scale=scale.mem_scale)
-    simulator = _simulator(workload, scale, telemetry=Telemetry,
+    simulator = _simulator(workload, scale, telemetry=_session_factory(),
                            cluster_jobs=getattr(args, "cluster_jobs", None))
     methods = args.method or ["S$BP", "R$BP (100%)"]
     snapshots = []
@@ -493,23 +485,23 @@ def cmd_profile(args) -> int:
         print(f"{title}\n\nno clusters recorded")
         return 0
     print(format_telemetry_summary(merged, title=title))
-    if args.trace:
-        count = write_trace(merged.trace_records, args.trace)
-        print(f"\n{count} trace records written to {args.trace}")
+    if trace_path(args.trace) is not None:
+        print(f"\nrecords written to {args.trace}")
     return 0
 
 
 def cmd_audit(args) -> int:
     """Per-cluster accuracy audit: bias attribution vs a warm reference."""
     from .harness import format_audit_report, save_audit
-    from .telemetry import AUDIT_ENV_VAR, Telemetry, merge_snapshots
+    from .telemetry import AUDIT_ENV_VAR, merge_snapshots
 
     scale = _resolve_scale(args)
     workload = build_workload(args.workload, mem_scale=scale.mem_scale)
     methods = args.method or ["S$BP", "R$BP (100%)"]
     snapshots = []
     with _env_overrides({AUDIT_ENV_VAR: "1"}):
-        simulator = _simulator(workload, scale, telemetry=Telemetry)
+        simulator = _simulator(workload, scale,
+                               telemetry=_session_factory())
         for method_name in methods:
             result = simulator.run(resolve_method(method_name))
             snapshots.append(result.extra.get("telemetry"))
@@ -526,24 +518,23 @@ def cmd_audit(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    """Convert a spans JSONL file for trace viewers."""
+    """Convert a record file's spans and counters for trace viewers."""
     from .telemetry import (
         RECORD_COUNTER,
         RECORD_SPAN,
-        read_spans,
+        read_trace,
         spans_to_jsonl,
         validate_chrome_trace,
         write_chrome_trace,
     )
 
-    records = read_spans(args.input)
+    records = [r for r in read_trace(args.input)
+               if r.get("type") in (RECORD_SPAN, RECORD_COUNTER)]
     span_count = sum(1 for r in records if r.get("type") == RECORD_SPAN)
-    counter_count = sum(
-        1 for r in records if r.get("type") == RECORD_COUNTER
-    )
+    counter_count = len(records) - span_count
     if span_count == 0:
         print(f"warning: no span records in {args.input} "
-              f"(was the run executed with REPRO_SPANS set?)",
+              f"(was the run executed with REPRO_TRACE or --trace set?)",
               file=sys.stderr)
     if args.format == "chrome":
         output = args.output or "trace.chrome.json"
@@ -599,9 +590,9 @@ def cmd_report(args) -> int:
     import json
 
     from .harness.report import render_report
-    from .telemetry import read_spans
+    from .telemetry import read_trace
 
-    spans = read_spans(args.spans) if args.spans else []
+    records = read_trace(args.input) if args.input else []
 
     def load(path, label):
         if not path:
@@ -614,7 +605,7 @@ def cmd_report(args) -> int:
             return None
 
     html = render_report(
-        spans=spans,
+        spans=records,
         audit=load(args.audit, "audit JSON"),
         trajectory=load(args.trajectory, "trajectory JSON"),
         title=args.title,
@@ -861,11 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="live streaming progress (done/total, cells/sec, ETA) "
              "instead of one line per cell",
     )
-    matrix_parser.add_argument(
-        "--spans", default=None, metavar="PATH",
-        help="record hierarchical spans to a JSONL file (equivalent to "
-             "REPRO_SPANS=PATH; export with 'repro trace export')",
-    )
     _add_scale_argument(matrix_parser)
     _add_trace_argument(matrix_parser)
     _add_cluster_jobs_argument(matrix_parser)
@@ -1014,11 +1000,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument(
         "action", choices=("export",),
-        help="what to do with the spans file",
+        help="what to do with the record file's spans",
     )
     trace_parser.add_argument(
-        "input", metavar="SPANS",
-        help="spans JSONL file recorded via REPRO_SPANS or --spans",
+        "input", metavar="TRACE",
+        help="record file written via REPRO_TRACE or --trace",
     )
     trace_parser.add_argument(
         "--format", choices=("chrome", "jsonl"), default="chrome",
@@ -1051,8 +1037,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a self-contained HTML run report",
     )
     report_parser.add_argument(
-        "--spans", default=None, metavar="PATH",
-        help="spans JSONL file for the timeline section",
+        "--trace", dest="input", default=None, metavar="PATH",
+        help="record file (REPRO_TRACE or --trace) for the timeline "
+             "section",
     )
     report_parser.add_argument(
         "--audit", default=None, metavar="PATH",
@@ -1084,12 +1071,23 @@ def main(argv=None) -> int:
         # (and the flags that override them) funnels through here, so a
         # bad value fails now with a readable exit-2 diagnostic instead
         # of deep inside a worker process.
+        trace = getattr(args, "trace", None)
         args.options = options_from_env(
             scale=getattr(args, "scale", None),
             matrix_jobs=getattr(args, "jobs", None),
             cluster_jobs=getattr(args, "cluster_jobs", None),
             checkpoint_store=getattr(args, "store", None),
+            trace=trace,
         )
+        # A record file that cannot be written fails now, before any
+        # cell runs (a failed append mid-run only warns).  A --trace
+        # file holds this invocation's records only; a REPRO_TRACE
+        # file is appended to.
+        from .telemetry import TRACE_ENV_VAR, trace_path
+        path = trace_path(args.options.trace)
+        _check_writable(path)
+        if trace and path is not None and os.path.exists(path):
+            open(path, "w", encoding="utf-8").close()
         # One correlation id per invocation (REPRO_RUN_ID wins when the
         # caller set one, e.g. an orchestrator correlating several
         # commands): planted for the handler's extent so every span,
@@ -1097,13 +1095,13 @@ def main(argv=None) -> int:
         if args.options.run_id is None:
             args.options = args.options.with_overrides(
                 run_id=mint_run_id())
-        # A --store flag rides the environment to wherever Phase A
-        # resolves it (the pipeline, matrix cells, service jobs) —
-        # the same mechanism REPRO_CHECKPOINT_STORE itself uses.
+        # A --store or --trace flag rides the environment to wherever
+        # it is resolved (the pipeline, matrix cells, service jobs) —
+        # the same mechanism the variables themselves use.
         from .store import STORE_ENV_VAR
         with bound_run_id(args.options.run_id), \
-                _env_overrides({STORE_ENV_VAR: getattr(args, "store",
-                                                       None)}):
+                _env_overrides({STORE_ENV_VAR: getattr(args, "store", None),
+                                TRACE_ENV_VAR: trace}):
             return args.handler(args)
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
@@ -1111,7 +1109,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         # Bad user input reaching past argparse (unknown --method name,
         # invalid REPRO_EXPERIMENT_SCALE, malformed --output extension,
-        # an --output/--trace/--spans path that cannot be written): a
+        # an --output/--trace path that cannot be written, a retired
+        # recording switch): a
         # readable one-line diagnostic, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2

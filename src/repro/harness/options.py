@@ -2,8 +2,8 @@
 
 Before this module, a dozen environment variables were read — and
 error-checked — at a dozen different depths of the stack: the scale in
-the harness, cluster jobs in the pipeline, telemetry switches in four
-telemetry modules.  A typo surfaced wherever the first consumer happened
+the harness, cluster jobs in the pipeline, the recording switch in the
+telemetry package.  A typo surfaced wherever the first consumer happened
 to live, sometimes deep inside a worker process.  :class:`RunOptions`
 consolidates the reads: entry points (the CLI's ``main``, the
 simulation service) construct it **once**, every
@@ -11,9 +11,9 @@ value is validated up front with a readable ``ValueError`` naming the
 offending variable (the CLI maps it to exit status 2), and the object
 is threaded explicitly from there.
 
-Environment variables remain the override mechanism — nothing changes
-for users — and the engine-internal readers
-(:func:`~repro.telemetry.collection_enabled` and friends) keep working:
+Environment variables remain the override mechanism, and the
+engine-internal readers (:func:`~repro.telemetry.collection_enabled`
+and friends) keep working:
 :meth:`RunOptions.apply` exports the validated values back into the
 environment for the dynamic extent of a run, which is how the service
 pins per-job settings without re-plumbing every constructor.
@@ -25,17 +25,18 @@ The consolidated variables::
     REPRO_CLUSTER_JOBS       Phase B shard workers (0 = one per CPU)
     REPRO_RESULT_CACHE       result cache: off/on/<directory>
     REPRO_CHECKPOINT_STORE   Phase A checkpoint store: off/on/<directory>
-    REPRO_TRACE              per-cluster JSONL trace path
-    REPRO_TELEMETRY          in-memory telemetry collection switch
-    REPRO_SPANS              span recording: off/1/<jsonl path>
-    REPRO_EVENTS             live progress event JSONL path
+    REPRO_TRACE              the one recording switch: off, 1 (in
+                             memory) or the path of one JSONL record file
     REPRO_AUDIT              accuracy-audit probes switch
     REPRO_RUN_ID             correlation id stamped on telemetry output
     REPRO_SERVICE_LOG        structured service log JSONL path
 
 (``REPRO_SPAN_PARENT`` is deliberately absent: it is cross-process
 plumbing owned by the fan-out in :mod:`~.parallel`, not user
-configuration.)
+configuration.)  The recording switches that ``REPRO_TRACE`` replaced
+(:data:`_RETIRED_SWITCHES`) fail validation when set to anything but an
+off value: ignoring them would hand back a run without the records its
+caller asked for.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ from dataclasses import dataclass, fields, replace
 #: silently enabling audit probes.
 _OFF_VALUES = frozenset({"", "0", "off", "none", "no", "false", "disabled"})
 _ON_VALUES = frozenset({"1", "on", "yes", "true", "enabled"})
+
+#: Recording switches that ``REPRO_TRACE`` replaced.
+_RETIRED_SWITCHES = ("REPRO_TELEMETRY", "REPRO_SPANS", "REPRO_EVENTS")
 
 
 def available_cpus() -> int:
@@ -113,9 +117,6 @@ class RunOptions:
     result_cache: "str | None" = None
     checkpoint_store: "str | None" = None
     trace: "str | None" = None
-    telemetry: bool = False
-    spans: "str | None" = None
-    events: "str | None" = None
     audit: bool = False
     run_id: "str | None" = None
     service_log: "str | None" = None
@@ -151,6 +152,12 @@ class RunOptions:
         def env(name: str) -> str:
             return os.environ.get(name, "").strip()
 
+        for name in _RETIRED_SWITCHES:
+            if env(name).lower() not in _OFF_VALUES:
+                raise ValueError(
+                    f"{name} is retired: REPRO_TRACE is the one recording "
+                    f"switch (REPRO_TRACE=1 collects in memory, "
+                    f"REPRO_TRACE=PATH writes every record to one file)")
         values = {
             "scale": env("REPRO_EXPERIMENT_SCALE") or "bench",
             "matrix_jobs": _parse_jobs("REPRO_MATRIX_JOBS",
@@ -160,10 +167,6 @@ class RunOptions:
             "result_cache": env("REPRO_RESULT_CACHE") or None,
             "checkpoint_store": env("REPRO_CHECKPOINT_STORE") or None,
             "trace": env("REPRO_TRACE") or None,
-            "telemetry": _parse_bool("REPRO_TELEMETRY",
-                                     env("REPRO_TELEMETRY")),
-            "spans": env("REPRO_SPANS") or None,
-            "events": env("REPRO_EVENTS") or None,
             "audit": _parse_bool("REPRO_AUDIT", env("REPRO_AUDIT")),
             "run_id": env("REPRO_RUN_ID") or None,
             "service_log": env("REPRO_SERVICE_LOG") or None,
@@ -227,9 +230,6 @@ class RunOptions:
             "REPRO_RESULT_CACHE": self.result_cache or "",
             "REPRO_CHECKPOINT_STORE": self.checkpoint_store or "",
             "REPRO_TRACE": self.trace or "",
-            "REPRO_TELEMETRY": "1" if self.telemetry else "",
-            "REPRO_SPANS": self.spans or "",
-            "REPRO_EVENTS": self.events or "",
             "REPRO_AUDIT": "1" if self.audit else "",
             "REPRO_RUN_ID": self.run_id or "",
             "REPRO_SERVICE_LOG": self.service_log or "",

@@ -47,17 +47,15 @@ from ..sampling import (
 )
 from ..telemetry import (
     EMPTY_SNAPSHOT,
-    EVENT_CELL,
+    RECORD_CELL,
     RUN_ID_ENV_VAR,
     SPAN_PARENT_ENV_VAR,
+    TRACE_ENV_VAR,
     TelemetrySnapshot,
     audit_enabled,
     collection_enabled,
-    emit_event,
-    events_path_from_env,
     merge_snapshots,
-    recorder_from_env,
-    spans_enabled,
+    telemetry_from_env,
 )
 from ..store import CheckpointStore, expect_instance, result_store_key
 from ..warmup.base import WarmupCost
@@ -95,17 +93,18 @@ class CellSpec:
         # result computed without telemetry carries no snapshot, and
         # serving it to a traced grid would silently drop that cell from
         # the merged profile (and vice versa would waste snapshot bytes).
-        # Audited runs are distinct again — their snapshots carry audit
-        # records a merely-traced run lacks.  Sharded runs are distinct
-        # too: shards start clusters from reconstruction-only state, so
-        # their IPCs legitimately differ from the serial walk's (but the
-        # key deliberately ignores *how many* workers sharded a run —
-        # any jobs > 1 executes the identical two-phase schedule).
-        kind = "cell+telemetry" if collection_enabled() else "cell"
+        # A traced run records the same whether REPRO_TRACE names a file
+        # or memory, so both share one "+trace" kind; untraced keys stay
+        # "cell".  Audited runs are distinct again — their snapshots
+        # carry audit records a merely-traced run lacks.  Sharded runs
+        # are distinct too: shards start clusters from reconstruction-
+        # only state, so their IPCs legitimately differ from the serial
+        # walk's (but the key deliberately ignores *how many* workers
+        # sharded a run — any jobs > 1 executes the identical two-phase
+        # schedule).
+        kind = "cell+trace" if collection_enabled() else "cell"
         if audit_enabled():
             kind += "+audit"
-        if spans_enabled():
-            kind += "+spans"
         if self.cluster_jobs > 1:
             kind += "+shards"
         return result_store_key(kind, self.workload_name, self.scale,
@@ -243,13 +242,17 @@ def _propagation_env(span_context, run_id):
     mechanism covers both execution paths.  Two values ride it: the
     span parent context (:data:`~repro.telemetry.SPAN_PARENT_ENV_VAR`)
     and the correlation id (:data:`~repro.telemetry.RUN_ID_ENV_VAR`).
-    ``None`` values are no-ops (an ambient ``REPRO_RUN_ID`` already in
-    the environment propagates untouched); previous values are always
+    With a span context the workers also collect in memory
+    (``REPRO_TRACE=1``): they never write the record file themselves,
+    the caller's session folds their snapshots and owns it.  ``None``
+    values are no-ops (an ambient ``REPRO_RUN_ID`` already in the
+    environment propagates untouched); previous values are always
     restored.
     """
     plants = {}
     if span_context is not None:
         plants[SPAN_PARENT_ENV_VAR] = span_context.encode()
+        plants[TRACE_ENV_VAR] = "1"
     if run_id is not None:
         plants[RUN_ID_ENV_VAR] = run_id
     if not plants:
@@ -407,13 +410,15 @@ def execute_matrix(
     specs = matrix_specs(methods, workload_names, scale, configs,
                          cluster_jobs=cluster_jobs)
 
-    # The matrix driver's own span recorder: the "matrix" span is the
-    # trace root every cell's "run" span parents under (the context
-    # rides the environment into pool workers and in-process cells
-    # alike); cache lookup/store get their own spans so a warm cache is
-    # visible on the timeline.  Null when REPRO_SPANS is off.
-    recorder = recorder_from_env()
-    events_path = events_path_from_env()
+    # The matrix driver's own session: its "matrix" span is the trace
+    # root every cell's "run" span parents under (the context rides the
+    # environment into pool workers and in-process cells alike, which
+    # then collect in memory); cache lookup/store get their own spans so
+    # a warm cache is visible on the timeline.  With a REPRO_TRACE path
+    # it appends a cell record as each cell lands and, at the end, the
+    # merged records of every cell, so a cache-served grid writes a
+    # complete file too.  Null when REPRO_TRACE is off.
+    telemetry = telemetry_from_env()
 
     results: dict = {}
     completed = 0
@@ -421,17 +426,12 @@ def execute_matrix(
     def emit(spec, result, cached: bool) -> None:
         nonlocal completed
         completed += 1
-        emit_event(
-            events_path,
-            EVENT_CELL,
-            completed=completed,
-            total=len(specs),
-            kind=spec.kind,
-            workload=spec.workload_name,
-            method=spec.method_name,
-            cached=cached,
-            wall_seconds=0.0 if cached else result.wall_seconds,
-        )
+        telemetry.spans.mark(
+            RECORD_CELL, completed=completed, total=len(specs),
+            kind=spec.kind, workload=spec.workload_name,
+            method=spec.method_name, cached=cached,
+            wall_seconds=0.0 if cached else result.wall_seconds)
+        telemetry.flush()
         if progress is None:
             return
         progress(CellProgress(
@@ -445,10 +445,10 @@ def execute_matrix(
             cost=getattr(result, "cost", None),
         ))
 
-    with recorder.span("matrix", cells=len(specs), jobs=jobs,
-                       cluster_jobs=cluster_jobs):
+    with telemetry.span("matrix", cells=len(specs), jobs=jobs,
+                        cluster_jobs=cluster_jobs):
         pending = []
-        with recorder.span("cache_lookup", cat="cache"):
+        with telemetry.span("cache_lookup", cat="cache"):
             for spec in specs:
                 if cache is not None:
                     expected = (TrueRunResult if spec.kind == "true"
@@ -470,15 +470,13 @@ def execute_matrix(
                 emit(spec, result, cached=False)
 
             map_tasks(_run_matrix_task, tasks, jobs,
-                      span_context=(recorder.context()
-                                    if recorder.enabled else None),
+                      span_context=telemetry.spans.context(),
                       on_result=on_result)
             if cache is not None:
-                with recorder.span("cache_store", cat="cache",
-                                   entries=len(pending)):
+                with telemetry.span("cache_store", cat="cache",
+                                    entries=len(pending)):
                     for spec in pending:
                         cache.put(spec.key(), results[spec], "results")
-    recorder.flush()
 
     grid: dict[str, WorkloadExperiment] = {}
     for spec in specs:
@@ -490,4 +488,6 @@ def execute_matrix(
         experiment.outcomes[spec.method_name] = MethodOutcome(
             run=results[spec], true_ipc=experiment.true_run.ipc
         )
+    if telemetry.trace_path is not None:
+        telemetry.absorb(merged_telemetry(grid))
     return grid

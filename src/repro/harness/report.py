@@ -3,7 +3,7 @@
 ``repro report`` fuses three observability artifacts into one file that
 opens anywhere with no server and no external assets:
 
-- the **span timeline** from a ``REPRO_SPANS`` JSONL file — one lane per
+- the **span timeline** from a ``REPRO_TRACE`` record file — one lane per
   (pid, tid), nested spans stacked by depth, phase spans colored by a
   fixed categorical palette, structural spans (run / phase_a / phase_b /
   cluster / cache) recessive gray; native SVG tooltips carry exact
@@ -176,7 +176,7 @@ def _timeline_section(spans: list[dict]) -> str:
     if not span_records:
         return ('<section class="panel"><h2>Span timeline</h2>'
                 '<p class="missing">no spans recorded — run with '
-                'REPRO_SPANS=&lt;path&gt; (or repro matrix --spans)'
+                'REPRO_TRACE=&lt;path&gt; (or repro matrix --trace)'
                 '</p></section>')
     processes = len({r["pid"] for r in span_records})
     legend = "".join(

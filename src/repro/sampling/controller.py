@@ -290,8 +290,8 @@ class SampledSimulator:
         #: extra leading instructions in full detail but excludes them from
         #: the measured IPC, hiding the empty-pipeline restart transient.
         self.detail_ramp = detail_ramp
-        #: Telemetry source: ``None`` resolves ``REPRO_TRACE`` /
-        #: ``REPRO_TELEMETRY`` per run; a zero-argument callable (e.g. the
+        #: Telemetry source: ``None`` resolves ``REPRO_TRACE`` per run;
+        #: a zero-argument callable (e.g. the
         #: :class:`~repro.telemetry.Telemetry` class itself) yields a
         #: fresh session per run, so snapshots stay per-run even when the
         #: same simulator runs several methods; a session instance is

@@ -73,20 +73,18 @@ from dataclasses import dataclass, field
 from ..functional import FunctionalCheckpoint, FunctionalMachine
 from ..store.checkpoint import resolve_store, shard_store_key
 from ..telemetry import (
-    EVENT_RUN_END,
-    EVENT_RUN_START,
-    NULL_SPANS,
     NULL_TELEMETRY,
     PHASE_AUDIT,
     PHASE_COLD_SKIP,
     PHASE_HOT_SIM,
     PHASE_RECONSTRUCT,
+    RECORD_RUN_END,
+    RECORD_RUN_START,
     SpanContext,
     SpanRecorder,
     Telemetry,
     TelemetrySnapshot,
     audit_enabled,
-    emit_event,
 )
 from ..warmup.base import SimulationContext
 from .controller import (
@@ -192,11 +190,9 @@ class ShardTask:
     #: every task; each shard unpickles a private copy.
     method_blob: bytes
     shards: tuple[ClusterShard, ...]
-    #: Whether the run's telemetry session is live: a worker opens a
-    #: live session exactly then, and the parent absorbs its snapshot.
-    traced: bool = False
-    #: The run's open phase_b span, or None when the run records no
-    #: spans: a worker records spans exactly when this is set.
+    #: The run's open phase_b span, or None when the run's session is
+    #: the null one: a worker opens a live session exactly when this is
+    #: set, and the parent absorbs its snapshot.
     span_context: SpanContext | None = None
 
 
@@ -233,13 +229,13 @@ def _bind(method, stack, regimen, telemetry) -> None:
 class _RunFrame:
     """What both strategies do around their cluster walk.
 
-    Construction resolves the run's telemetry session, emits the
-    ``run_start`` event and opens the ``run`` span; :meth:`begin` binds
-    the method and starts the wall clock; :meth:`finish` closes the span,
-    sets the run gauges, snapshots and flushes the session, emits
-    ``run_end`` and builds the :class:`SampledRunResult`.  `facts`
+    Construction resolves the run's telemetry session, records
+    ``run_start`` and opens the ``run`` span; :meth:`begin` binds the
+    method and starts the wall clock; :meth:`finish` closes the span,
+    sets the run gauges, records ``run_end``, then snapshots and flushes
+    the session and builds the :class:`SampledRunResult`.  `facts`
     (``cluster_jobs`` for the sharded strategy) ride the ``run_start``
-    event and the ``run`` span and become ``run.<fact>`` gauges.
+    record and the ``run`` span and become ``run.<fact>`` gauges.
     """
 
     def __init__(self, simulator, method, strategy: str, **facts) -> None:
@@ -249,9 +245,9 @@ class _RunFrame:
         self._strategy = strategy
         self._facts = facts
         self._start_time = 0.0
-        emit_event(telemetry.events_path, EVENT_RUN_START,
-                   workload=simulator.workload.name, method=method.name,
-                   strategy=strategy, **facts)
+        telemetry.spans.mark(
+            RECORD_RUN_START, workload=simulator.workload.name,
+            method=method.name, strategy=strategy, **facts)
         self._span = telemetry.span(
             "run", workload=simulator.workload.name, method=method.name,
             strategy=strategy, **facts,
@@ -296,13 +292,12 @@ class _RunFrame:
             telemetry.set_gauge("run.clusters", len(cluster_ipcs))
             for name, value in self._facts.items():
                 telemetry.set_gauge(f"run.{name}", value)
+            telemetry.spans.mark(
+                RECORD_RUN_END, workload=simulator.workload.name,
+                method=method.name, strategy=self._strategy,
+                clusters=len(cluster_ipcs), wall_seconds=wall_seconds)
             extra["telemetry"] = telemetry.snapshot()
-            telemetry.flush_trace()
-            telemetry.flush_spans()
-        emit_event(telemetry.events_path, EVENT_RUN_END,
-                   workload=simulator.workload.name, method=method.name,
-                   strategy=self._strategy, clusters=len(cluster_ipcs),
-                   wall_seconds=wall_seconds)
+            telemetry.flush()
         return SampledRunResult(
             workload_name=simulator.workload.name,
             method_name=method.name,
@@ -636,7 +631,6 @@ def run_sharded(simulator, method, jobs: int) -> SampledRunResult:
                 regimen=simulator.regimen,
                 method_blob=method_blob,
                 shards=tuple(shards[offset::workers]),
-                traced=telemetry.enabled,
                 span_context=telemetry.spans.context(),
             )
             for offset in range(workers)
@@ -663,10 +657,9 @@ def run_shards(task: ShardTask) -> list[ShardResult]:
 def run_shard(task: ShardTask, shard: ClusterShard) -> ShardResult:
     """One cluster, restored from its shard onto a fresh stack."""
     telemetry = NULL_TELEMETRY
-    if task.traced:
-        telemetry = Telemetry(spans=(
-            SpanRecorder(context=task.span_context)
-            if task.span_context is not None else NULL_SPANS))
+    if task.span_context is not None:
+        telemetry = Telemetry(
+            spans=SpanRecorder(context=task.span_context))
     machine = shard.checkpoint.restore(
         FunctionalMachine(task.workload.program), task.workload.memory)
     stack = build_simulation(task.workload, task.configs, machine=machine)

@@ -3,9 +3,9 @@
 The service's HTTP handler used to silence ``log_message`` entirely —
 good for test noise, terrible for operating a deployment.  This module
 is the replacement: one JSON object per line, appended with the same
-single-``write``-on-``O_APPEND`` discipline as the events firehose, so
-handler threads and the worker thread interleave whole lines, never
-fragments.
+single-``write``-on-``O_APPEND`` discipline as the ``REPRO_TRACE``
+record file, so handler threads and the worker thread interleave whole
+lines, never fragments.
 
 Two line kinds share the file:
 
@@ -16,7 +16,7 @@ Two line kinds share the file:
 
 Off by default (``path=None``): a logging-off service makes zero writes
 and stays byte-identical to previous releases.  A failing path warns
-once on stderr and goes quiet, like :func:`~repro.telemetry.emit_event`
+once on stderr and goes quiet, like :func:`~repro.telemetry.append_trace`
 — the log is an observation channel and must never take a request down.
 """
 

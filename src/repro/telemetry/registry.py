@@ -72,13 +72,6 @@ class HistogramSummary:
             max=max(self.max, other.max),
         )
 
-    def to_dict(self) -> dict:
-        if not self.count:
-            return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0,
-                    "mean": 0.0}
-        return {"count": self.count, "total": self.total, "min": self.min,
-                "max": self.max, "mean": self.mean}
-
 
 class Histogram:
     """Streaming value summary (no buckets: laptop-scale runs only need

@@ -1,10 +1,9 @@
 """Correlation IDs: one ``run_id`` joining every artifact of a run.
 
 A run — one CLI invocation, one service job — produces observability
-output in several places at once: span records (``REPRO_SPANS``), the
-live events firehose (``REPRO_EVENTS``), per-cluster trace records
-(``REPRO_TRACE``), the service's structured log, and the job status
-payload.  Without a shared key, a span recorded in a worker process
+output in several places at once: the records of its ``REPRO_TRACE``
+file (clusters, spans, counters, run and cell progress), the service's
+structured log, and the job status payload.  Without a shared key, a span recorded in a worker process
 cannot be tied back to the HTTP request that caused it.
 
 The ``run_id`` is that key.  It is minted **once per logical run** —
@@ -16,7 +15,7 @@ the environment for the run's dynamic extent, inherited by worker
 processes at launch, read live by in-process backends.  Every sink
 stamps the ambient id onto its records when one is set, so
 
-    grep <run_id> events.jsonl spans.jsonl service-log.jsonl
+    grep <run_id> trace.jsonl service-log.jsonl
 
 reconstructs the full cross-process story of one request.
 

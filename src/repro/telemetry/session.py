@@ -8,8 +8,15 @@ down the stack (controller -> warm-up method -> core reconstruction) via
 - cumulative **phase timers** — ``cold_skip`` (functional skip of the
   inter-cluster gap), ``reconstruct`` (eager state repair at the cluster
   boundary), ``hot_sim`` (detailed ramp + cluster simulation) — each the
-  summed duration of its ``cat="phase"`` spans when spans are on, and
-- the buffered per-cluster **trace records**.
+  summed duration of its ``cat="phase"`` spans,
+- a :class:`~.spans.SpanRecorder` of timeline records: spans, counter
+  samples and run markers (``run_start``/``run_end``), and
+- the buffered per-cluster **trace records** (cluster and audit).
+
+A session with a ``trace_path`` appends its pending records to that one
+file at each cluster boundary and at the end of the run
+(:meth:`Telemetry.flush`), so ``tail -f`` shows progress cluster by
+cluster.
 
 In a sharded run the session takes in every shard worker's snapshot
 (:meth:`Telemetry.absorb`), so it ends holding the whole run's telemetry.
@@ -28,17 +35,19 @@ check and a handful of no-op calls per cluster).
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import contextmanager
 
-from .events import EVENT_CLUSTER, emit_event, events_path_from_env
 from .registry import MetricsRegistry, NULL_REGISTRY
 from .runid import run_id_from_env
 from .snapshot import TelemetrySnapshot
 from .spans import (
     NULL_SPANS,
+    SPAN_PARENT_ENV_VAR,
     _NULL_SPAN,
-    recorder_from_env,
+    SpanContext,
+    SpanRecorder,
     rss_high_water_kb,
 )
 from .trace import (
@@ -72,15 +81,18 @@ class Telemetry:
     def __init__(self, trace_path: str | None = None, spans=None) -> None:
         self.registry = MetricsRegistry()
         self.trace_path = trace_path
-        #: Span backend — resolved from ``REPRO_SPANS`` unless an
-        #: explicit recorder (or the null one) is injected.
-        self.spans = spans if spans is not None else recorder_from_env()
-        self.events_path = events_path_from_env()
+        #: Span backend: a live recorder parented under the propagated
+        #: span context (:data:`SPAN_PARENT_ENV_VAR`, planted in fan-out
+        #: workers) unless one is injected.
+        self.spans = spans if spans is not None else SpanRecorder(
+            context=SpanContext.decode(
+                os.environ.get(SPAN_PARENT_ENV_VAR, "")))
         #: Ambient correlation id (None: trace records not stamped).
         self.run_id = run_id_from_env()
         self.phase_seconds: dict[str, float] = {}
         self.trace_records: list[dict] = []
         self._flushed = 0
+        self._flushed_spans = 0
         self._in_cluster = False
         self._cluster_phases: dict[str, float] = {}
         self._cluster_counters: dict[str, int] = {}
@@ -102,9 +114,9 @@ class Telemetry:
     def phase(self, name: str):
         """Time one phase: the only phase bracket.
 
-        The phase's seconds and, when spans are on, its ``cat="phase"``
-        span come from the same two clock readings, so a phase timer is
-        exactly the summed duration of its phase spans.
+        The phase's seconds and, when spans are recorded, its
+        ``cat="phase"`` span come from the same two clock readings, so a
+        phase timer is exactly the summed duration of its phase spans.
         """
         spans = self.spans
         start_ns = time.perf_counter_ns()
@@ -121,7 +133,7 @@ class Telemetry:
     # -- spans ---------------------------------------------------------------
 
     def span(self, name: str, cat: str = "repro", **args):
-        """Open a hierarchical span (no-op when spans are disabled)."""
+        """Open a hierarchical span (no-op on an injected null recorder)."""
         return self.spans.span(name, cat=cat, **args)
 
     def sample_span_counters(self) -> None:
@@ -130,7 +142,7 @@ class Telemetry:
         Samples the skip-log and reconstruction totals plus the
         process's RSS high-water (and tracemalloc peak, when tracing is
         already on) so the Perfetto export grows stepped counter tracks
-        alongside the span lanes.  Skipped entirely when spans are off.
+        alongside the span lanes.  Skipped on a null recorder.
         """
         recorder = self.spans
         if not recorder.enabled:
@@ -167,7 +179,7 @@ class Telemetry:
         self._cluster_counters = self.registry.counter_values()
 
     def end_cluster(self, fields: dict) -> dict:
-        """Close the cluster scope and buffer its trace record.
+        """Close the cluster scope, buffer its trace record and flush.
 
         `fields` carries the controller-known facts (workload, method,
         cluster index, gap, IPC, warm-update deltas...); the session adds
@@ -203,15 +215,7 @@ class Telemetry:
         self._in_cluster = False
         self.trace_records.append(record)
         self.sample_span_counters()
-        if self.events_path is not None:
-            emit_event(
-                self.events_path,
-                EVENT_CLUSTER,
-                workload=record.get("workload"),
-                method=record.get("method"),
-                cluster=record.get("cluster"),
-                wall_seconds=record.get("wall_seconds"),
-            )
+        self.flush()
         return record
 
     def emit(self, record: dict) -> None:
@@ -227,7 +231,8 @@ class Telemetry:
         records are re-emitted, spans adopted as recorded (the propagated
         span context already parented and timed them), counters and
         phase seconds add, histograms merge.  Gauges are per-run facts
-        the absorbing session sets itself.
+        the absorbing session sets itself.  A session with a path
+        flushes what it took in, as at a cluster boundary.
         """
         for record in snapshot.trace_records:
             self.emit(record)
@@ -240,6 +245,7 @@ class Telemetry:
         phases = self.phase_seconds
         for name, seconds in snapshot.phase_seconds.items():
             phases[name] = phases.get(name, 0.0) + seconds
+        self.flush()
 
     # -- output --------------------------------------------------------------
 
@@ -255,22 +261,25 @@ class Telemetry:
             spans=self.spans.export(),
         )
 
-    def flush_trace(self) -> int:
-        """Append not-yet-written records to ``trace_path`` (one batch).
+    def flush(self) -> int:
+        """Append not-yet-written trace and span records to
+        ``trace_path`` in one batch; returns the count written.
 
         A no-op without a trace path; safe to call repeatedly — each
-        record is written at most once.
+        record is written at most once (a failed append leaves them
+        pending).
         """
         if self.trace_path is None:
             return 0
-        pending = self.trace_records[self._flushed:]
-        written = append_trace(pending, self.trace_path)
-        self._flushed += written
+        # Timeline first: a batch closes with the cluster record that
+        # triggered it, and a run's last line is its run_end marker.
+        spans = self.spans.records[self._flushed_spans:]
+        records = self.trace_records[self._flushed:]
+        written = append_trace(spans + records, self.trace_path)
+        if written:
+            self._flushed_spans += len(spans)
+            self._flushed += len(records)
         return written
-
-    def flush_spans(self) -> int:
-        """Flush the span recorder's pending records to its JSONL path."""
-        return self.spans.flush()
 
 
 class NullTelemetry:
@@ -282,7 +291,6 @@ class NullTelemetry:
     phase_seconds: dict = {}
     trace_records: list = []
     spans = NULL_SPANS
-    events_path = None
 
     __slots__ = ()
 
@@ -316,10 +324,7 @@ class NullTelemetry:
     def snapshot(self) -> None:
         return None
 
-    def flush_trace(self) -> int:
-        return 0
-
-    def flush_spans(self) -> int:
+    def flush(self) -> int:
         return 0
 
 
@@ -329,13 +334,10 @@ NULL_TELEMETRY = NullTelemetry()
 def telemetry_from_env() -> Telemetry | NullTelemetry:
     """Resolve the default backend from the environment.
 
-    ``REPRO_TRACE=<path>`` enables collection and appends each run's
-    records to the file; ``REPRO_TELEMETRY=1`` enables in-memory
-    collection only (snapshots, no file).  Unset: the null backend.
+    ``REPRO_TRACE=<path>`` collects and appends the run's records to the
+    file; ``REPRO_TRACE=1`` (or ``REPRO_AUDIT`` alone) collects in
+    memory only.  Unset: the null backend.
     """
-    path = trace_path_from_env()
-    if path is not None:
-        return Telemetry(trace_path=path)
-    if collection_enabled():
-        return Telemetry()
-    return NULL_TELEMETRY
+    if not collection_enabled():
+        return NULL_TELEMETRY
+    return Telemetry(trace_path=trace_path_from_env())

@@ -14,10 +14,11 @@ their streaming summaries; gauges add (every gauge the stack sets is a
 per-run quantity — wall seconds, cluster counts — whose sum is the
 run-level total); trace records concatenate and are re-sorted into the
 deterministic (workload, method, cluster) order so the merged profile
-does not depend on worker completion order.  Span records concatenate
-and re-sort on the reconciled run timeline (ts, pid, tid, id), which is
-equally completion-order independent: ids are stamped per process and
-timestamps are run-origin relative.
+does not depend on worker completion order.  Timeline records (spans,
+counter samples, run markers) concatenate and re-sort on the reconciled
+run timeline (ts, pid, tid, id), which is equally completion-order
+independent: ids are stamped per process and timestamps are run-origin
+relative.
 """
 
 from __future__ import annotations
@@ -83,20 +84,6 @@ class TelemetrySnapshot:
 
     def total_phase_seconds(self) -> float:
         return sum(self.phase_seconds.values())
-
-    def to_dict(self) -> dict:
-        """JSON-ready rendering (histograms flattened to summaries)."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                name: summary.to_dict()
-                for name, summary in self.histograms.items()
-            },
-            "phase_seconds": dict(self.phase_seconds),
-            "trace_records": list(self.trace_records),
-            "spans": list(self.spans),
-        }
 
 
 def _record_order(record: dict) -> tuple:

@@ -26,17 +26,16 @@ same discipline as the cluster trace) carrying:
 **Cross-process propagation.**  A parent session exports its open-span
 context (:meth:`SpanRecorder.context`); the parallel engine plants it in
 the environment (:data:`SPAN_PARENT_ENV_VAR`) before fanning out, so
-worker sessions created via :func:`recorder_from_env` parent their root
-spans directly into the run's trace and stamp timestamps relative to the
-run's clock origin.  At fold time the parent *adopts* the workers' span
-records (:meth:`SpanRecorder.adopt`) — no id rewriting, no offset
-arithmetic left to do.
+worker sessions parent their root spans directly into the run's trace
+and stamp timestamps relative to the run's clock origin.  At fold time
+the parent *adopts* the workers' span records
+(:meth:`SpanRecorder.adopt`) — no id rewriting, no offset arithmetic
+left to do.
 
-**Off by default.**  Without :data:`SPANS_ENV_VAR` every call lands on
-the shared :data:`NULL_SPANS` recorder: one attribute load and a no-op
-context manager per bracket, preserving the telemetry layer's <5%
-disabled-overhead budget (measured far below in
-``benchmarks/test_span_overhead.py``).
+**Off by default.**  Every enabled telemetry session (``REPRO_TRACE``
+on) records spans; the null session holds the shared
+:data:`NULL_SPANS` recorder: one attribute load and a no-op context
+manager per bracket (measured in ``benchmarks/test_span_overhead.py``).
 """
 
 from __future__ import annotations
@@ -47,42 +46,13 @@ import threading
 import time
 
 from .runid import run_id_from_env
-
-#: Environment variable enabling span recording.  ``1``/``on`` collects
-#: in memory only (span records ride telemetry snapshots); any other
-#: non-off value is a JSONL file path the session appends its spans to
-#: at flush time (same whole-batch append discipline as ``REPRO_TRACE``).
-SPANS_ENV_VAR = "REPRO_SPANS"
+from .trace import RECORD_COUNTER, RECORD_SPAN
 
 #: Environment variable carrying a parent span context across process
 #: boundaries: ``"<parent span id>@<run clock origin ns>"``.  Set by the
-#: parallel engine around worker fan-out; read by
-#: :func:`recorder_from_env` in the workers.
+#: parallel engine around worker fan-out; read by every session a
+#: worker opens.
 SPAN_PARENT_ENV_VAR = "REPRO_SPAN_PARENT"
-
-#: Record type of one completed span.
-RECORD_SPAN = "span"
-
-#: Record type of one sampled counter value (a Perfetto counter track
-#: point: skip-log stored records, blocks reconstructed, RSS...).
-RECORD_COUNTER = "counter"
-
-_OFF_VALUES = ("", "0", "off", "false", "no")
-_MEMORY_VALUES = ("1", "on", "true", "yes")
-
-
-def spans_enabled() -> bool:
-    """True when ``REPRO_SPANS`` asks for span recording."""
-    flag = os.environ.get(SPANS_ENV_VAR, "").strip()
-    return flag.lower() not in _OFF_VALUES
-
-
-def span_path_from_env() -> str | None:
-    """The spans JSONL path, or None for off / in-memory-only modes."""
-    flag = os.environ.get(SPANS_ENV_VAR, "").strip()
-    if flag.lower() in _OFF_VALUES or flag.lower() in _MEMORY_VALUES:
-        return None
-    return flag
 
 
 class SpanContext:
@@ -174,11 +144,9 @@ class SpanRecorder:
 
     enabled = True
 
-    def __init__(self, context: SpanContext | None = None,
-                 path: str | None = None) -> None:
+    def __init__(self, context: SpanContext | None = None) -> None:
         self.pid = os.getpid()
         self.tid = threading.get_native_id()
-        self.path = path
         #: Ambient correlation id at session start (None: not stamped).
         #: Worker recorders inherit it through the environment exactly
         #: like the span parent context, so spans from every process of
@@ -186,7 +154,6 @@ class SpanRecorder:
         self.run_id = run_id_from_env()
         self._instance = _next_recorder_index()
         self._seq = 0
-        self._flushed = 0
         self._origin_perf_ns = time.perf_counter_ns()
         origin_wall_ns = time.time_ns()
         #: The run's clock origin: inherited from the propagated context
@@ -200,7 +167,8 @@ class SpanRecorder:
         self._root_parent = context.parent_id if context is not None else None
         #: Open-span stack: (id, name, cat, args, start_perf_ns).
         self._stack: list[tuple] = []
-        #: Completed span + counter records, in completion order.
+        #: Completed timeline records — spans, counter samples, run
+        #: and cell markers — in completion order.
         self.records: list[dict] = []
 
     # -- recording -----------------------------------------------------------
@@ -245,14 +213,19 @@ class SpanRecorder:
 
     def counter(self, name: str, value) -> None:
         """Record one counter-track sample at the current timestamp."""
+        self.mark(RECORD_COUNTER, name=name, value=value)
+
+    def mark(self, kind: str, /, **fields) -> None:
+        """Record one ``type=kind`` point on the timeline (a counter
+        sample, a run's start or end, a finished grid cell).  `kind` is
+        positional-only so a field named ``kind`` can ride `fields`."""
         record = {
-            "type": RECORD_COUNTER,
-            "name": name,
-            "value": value,
+            "type": kind,
             "pid": self.pid,
             "tid": self.tid,
             "ts": (time.perf_counter_ns() - self._origin_perf_ns
                    + self._wall_offset_ns),
+            **fields,
         }
         if self.run_id is not None:
             record["run_id"] = self.run_id
@@ -287,26 +260,11 @@ class SpanRecorder:
         """Copies of all completed records (open spans are not exported)."""
         return [dict(record) for record in self.records]
 
-    def flush(self) -> int:
-        """Append not-yet-written records to :attr:`path` (one batch).
-
-        A no-op without a path; each record is written at most once.
-        """
-        if self.path is None:
-            return 0
-        from .trace import append_trace
-
-        pending = self.records[self._flushed:]
-        written = append_trace(pending, self.path)
-        self._flushed += written
-        return written
-
 
 class NullSpanRecorder:
     """The disabled backend: the full recorder API as no-ops."""
 
     enabled = False
-    path = None
     records: list = []
     current_span_id = None
     origin_wall_ns = 0
@@ -319,6 +277,9 @@ class NullSpanRecorder:
     def counter(self, name: str, value) -> None:
         pass
 
+    def mark(self, kind: str, /, **fields) -> None:
+        pass
+
     def context(self) -> None:
         return None
 
@@ -328,27 +289,8 @@ class NullSpanRecorder:
     def export(self) -> list:
         return []
 
-    def flush(self) -> int:
-        return 0
-
 
 NULL_SPANS = NullSpanRecorder()
-
-
-def recorder_from_env() -> SpanRecorder | NullSpanRecorder:
-    """Resolve the span backend from the environment.
-
-    ``REPRO_SPANS`` off: the shared null recorder.  Otherwise a live
-    recorder whose parent context — if :data:`SPAN_PARENT_ENV_VAR` is
-    planted (worker processes) — re-parents roots and re-bases
-    timestamps onto the run's clock origin.
-    """
-    if not spans_enabled():
-        return NULL_SPANS
-    context = SpanContext.decode(
-        os.environ.get(SPAN_PARENT_ENV_VAR, "")
-    )
-    return SpanRecorder(context=context, path=span_path_from_env())
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +373,6 @@ def span_tree_shape(records, collapse: tuple = ()) -> tuple:
                 lifted.append(root)
         roots = lifted
     return tuple(sorted(shape_of(root) for root in roots))
-
-
-def read_spans(path: str) -> list[dict]:
-    """Parse a spans JSONL file (tolerant of a truncated final line)."""
-    from .trace import read_trace
-
-    return read_trace(path)
 
 
 def rss_high_water_kb() -> int | None:

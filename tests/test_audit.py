@@ -51,7 +51,6 @@ def audit_env(monkeypatch, tmp_path):
     """REPRO_AUDIT on, other switches neutral, cache in tmp."""
     monkeypatch.setenv("REPRO_AUDIT", "1")
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
     monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "cache"))
     return tmp_path
 
@@ -85,7 +84,7 @@ class TestEnvGate:
         assert "audit" not in snapshot.phase_seconds
 
     def test_audit_env_alone_enables_collection(self, audit_env):
-        """REPRO_AUDIT without REPRO_TELEMETRY still collects snapshots
+        """REPRO_AUDIT without REPRO_TRACE still collects snapshots
         (telemetry_from_env returns a live session)."""
         from repro.telemetry import collection_enabled
         assert collection_enabled()

@@ -428,7 +428,7 @@ class TestReadThrough:
         the audit JSON rows are bit-identical between cold and warm."""
         from repro.harness.reporting import audit_rows
 
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv("REPRO_TRACE", "1")
         monkeypatch.setenv("REPRO_AUDIT", "1")
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "cache"))
         fields = ("start", "gap", "ramp", "instructions",

@@ -208,10 +208,24 @@ class TestTraceCommands:
         out = capsys.readouterr().out
         assert "time per phase" in out
         lines = [line for line in path.read_text().splitlines() if line]
-        assert len(lines) == 10  # one record per ci-tier cluster
-        for line in lines:
-            record = json.loads(line)
-            assert record["type"] == "cluster"
+        types = [json.loads(line)["type"] for line in lines]
+        assert types.count("cluster") == 10  # one per ci-tier cluster
+        assert types.count("run_start") == types.count("run_end") == 1
+        assert set(types) == {"cluster", "span", "counter", "run_start",
+                              "run_end"}
+
+    def test_trace_flag_replaces_the_file(self, capsys, monkeypatch,
+                                          tmp_path):
+        monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
+        path = tmp_path / "trace.jsonl"
+        path.write_text("stale\n")
+        for _ in range(2):
+            assert main(["sample", "ammp", "--method", "None",
+                         "--trace", str(path)]) == 0
+        capsys.readouterr()
+        lines = path.read_text().splitlines()
+        assert "stale" not in lines
+        assert sum('"type":"run_start"' in line for line in lines) == 1
 
     def test_profile_prints_phase_split(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
@@ -372,15 +386,17 @@ class TestClusterJobs:
                                              tmp_path):
         """``--trace`` reaches the shard workers: the sharded run writes
         one record per cluster, as the serial run does."""
+        from repro.telemetry import read_trace
+
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "cache"))
-        for name in ("REPRO_TELEMETRY", "REPRO_TRACE", "REPRO_SPANS"):
-            monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         counts = {}
         for jobs in ("1", "2"):
             path = tmp_path / f"trace-{jobs}.jsonl"
             assert main(["sample", "gcc", "--scale", "ci", "--method", "rsr",
                          "--trace", str(path), "--cluster-jobs", jobs]) == 0
-            counts[jobs] = len(path.read_text().splitlines())
+            counts[jobs] = sum(1 for record in read_trace(str(path))
+                               if record["type"] == "cluster")
         capsys.readouterr()
         assert counts["2"] == counts["1"] > 0
 

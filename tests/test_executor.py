@@ -383,21 +383,21 @@ class TestCancelCleanup:
         )
 
 
-class TestAtomicEventAppends:
-    """Concurrent multi-process appends must interleave whole lines
-    (the events-JSONL half of the interrupted-run bugfix)."""
+class TestAtomicAppends:
+    """Concurrent multi-process appends to one record file must
+    interleave whole lines (the interrupted-run bugfix)."""
 
     def test_concurrent_writers_never_fragment_lines(self, tmp_path):
-        path = tmp_path / "events.jsonl"
+        path = tmp_path / "trace.jsonl"
         writers = 4
         per_writer = 50
         script = (
             "import sys\n"
-            "from repro.telemetry.events import emit_event\n"
+            "from repro.telemetry import append_trace\n"
             "wid, count, path = sys.argv[1], int(sys.argv[2]), sys.argv[3]\n"
             "for i in range(count):\n"
-            "    emit_event(path, 'cell', writer=wid, seq=i,\n"
-            "               pad='x' * 512)\n"
+            "    append_trace([{'type': 'cell', 'writer': wid, 'seq': i,\n"
+            "                   'pad': 'x' * 512}], path)\n"
         )
         procs = [
             subprocess.Popen(
@@ -417,7 +417,12 @@ class TestAtomicEventAppends:
             seqs = [r["seq"] for r in records if r["writer"] == str(w)]
             assert sorted(seqs) == list(range(per_writer))
 
-    def test_emit_without_path_is_noop(self):
-        from repro.telemetry.events import emit_event
+    def test_session_without_path_writes_nothing(self, tmp_path,
+                                                 monkeypatch):
+        from repro.telemetry import Telemetry
 
-        emit_event(None, "cell", nope=1)  # must not raise
+        monkeypatch.chdir(tmp_path)
+        session = Telemetry()
+        session.spans.mark("cell", completed=1)
+        assert session.flush() == 0
+        assert list(tmp_path.iterdir()) == []

@@ -67,9 +67,9 @@ class TestRows:
             assert row["cluster_jobs"] == 1
 
     def test_compaction_columns_populated_when_traced(self, monkeypatch):
-        from repro.telemetry import COLLECT_ENV_VAR
+        from repro.telemetry import TRACE_ENV_VAR
 
-        monkeypatch.setenv(COLLECT_ENV_VAR, "1")
+        monkeypatch.setenv(TRACE_ENV_VAR, "1")
         traced = execute_matrix(
             lambda: [ReverseStateReconstruction(1.0)],
             workload_names=("ammp",),

@@ -17,9 +17,9 @@ one-line ``error:`` diagnostic with exit status 2.
   own cells in tests/test_checkpoint_store.py.
 - **Pool workers**: a Phase B or grid pool worker that dies in the
   middle of its task, and one whose task raises.
-- **CLI output paths**: ``--output``, ``--spans``, ``--trace`` and
-  ``REPRO_TRACE`` naming a path that cannot be written; an unwritable
-  grid ``--output`` fails before any cell runs.
+- **CLI output paths**: ``--output``, ``--trace`` and ``REPRO_TRACE``
+  naming a path that cannot be written; an unwritable grid ``--output``
+  fails before any cell runs, and so does a retired recording switch.
 """
 
 from __future__ import annotations
@@ -527,7 +527,7 @@ GRID = ["matrix", "--workload", "gcc", "--method", "rsr", "--scale", "ci",
 
 UNWRITABLE_OUTPUTS = {
     "matrix-output": (GRID + ["--output", f"{UNWRITABLE}/grid.json"], {}),
-    "matrix-spans": (GRID + ["--spans", f"{UNWRITABLE}/spans.jsonl"], {}),
+    "matrix-trace": (GRID + ["--trace", f"{UNWRITABLE}/trace.jsonl"], {}),
     "sample-trace": (["sample", "gcc", "--method", "rsr", "--scale", "ci",
                       "--trace", f"{UNWRITABLE}/trace.jsonl"], {}),
     "env-trace": (["sample", "gcc", "--method", "rsr", "--scale", "ci"],
@@ -544,6 +544,23 @@ def test_unwritable_output_path_exits_2(cell, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and UNWRITABLE in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", (
+    "REPRO_TELEMETRY", "REPRO_SPANS", "REPRO_EVENTS"))
+def test_retired_recording_switch_exits_2(name, monkeypatch, capsys):
+    """REPRO_TRACE replaced the other recording switches: a grid run
+    with one of them set fails before any cell, naming REPRO_TRACE,
+    instead of running without the records it asked for."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid ran under a retired switch")
+
+    monkeypatch.setattr("repro.harness.execute_matrix", unreachable)
+    monkeypatch.setenv(name, "spans.jsonl")
+    assert main(GRID) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} is retired")
+    assert "REPRO_TRACE" in err and "Traceback" not in err
 
 
 REPRODUCE = ["reproduce", "--scale", "ci"]

@@ -298,10 +298,9 @@ class TestShardHandOff:
 
 
 def _traced_audited(monkeypatch, cache_dir):
-    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_AUDIT", "1")
     monkeypatch.setenv("REPRO_RESULT_CACHE", str(cache_dir))
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.delenv("REPRO_CHECKPOINT_STORE", raising=False)
     monkeypatch.delenv(CLUSTER_JOBS_ENV_VAR, raising=False)
 
@@ -316,8 +315,7 @@ def _untimed_records(run):
 class TestShardedTelemetry:
     @pytest.fixture()
     def traced_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        monkeypatch.setenv("REPRO_TRACE", "1")
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
         monkeypatch.delenv(CLUSTER_JOBS_ENV_VAR, raising=False)
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "cache"))
@@ -358,8 +356,7 @@ class TestShardedTelemetry:
 
     @pytest.fixture()
     def untraced_env(self, monkeypatch, tmp_path):
-        for name in ("REPRO_TELEMETRY", "REPRO_TRACE", "REPRO_SPANS",
-                     "REPRO_AUDIT", "REPRO_EVENTS", CLUSTER_JOBS_ENV_VAR):
+        for name in ("REPRO_TRACE", "REPRO_AUDIT", CLUSTER_JOBS_ENV_VAR):
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "cache"))
 
@@ -394,7 +391,7 @@ class TestShardedTelemetry:
     def test_injected_span_recorder_reaches_the_workers(self, workload,
                                                         untraced_env):
         """Shard workers record spans exactly when the run's session
-        does, here through a recorder passed in with REPRO_SPANS unset."""
+        does, here through a recorder passed in with REPRO_TRACE unset."""
         from repro.telemetry import SpanRecorder, span_tree_shape
 
         shapes = []
@@ -413,7 +410,6 @@ class TestShardedTelemetry:
                                                      monkeypatch, jobs):
         """Each cluster record's ``<phase>_seconds`` is exactly the
         summed duration of that cluster's ``<phase>`` spans."""
-        monkeypatch.setenv("REPRO_SPANS", "1")
         monkeypatch.setenv("REPRO_AUDIT", "1")
         run = _simulator(workload, cluster_jobs=jobs,
                          telemetry=Telemetry).run(

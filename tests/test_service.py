@@ -422,16 +422,16 @@ class TestServiceObservability:
         err = capsys.readouterr().err
         assert err.count("cannot append service log") == 1
 
-    def test_run_id_joins_log_events_and_spans(self, tmp_path):
+    def test_run_id_joins_log_and_trace_records(self, tmp_path):
         # The acceptance grep: one id stamped by the service joins its
-        # structured log, the events firehose, and the span records the
-        # sharded execution wrote from pool worker processes.
+        # structured log and the run, cluster and span records of the
+        # REPRO_TRACE file, spans included from the pool worker
+        # processes of the sharded execution.
         paths = {name: tmp_path / f"{name}.jsonl"
-                 for name in ("service", "events", "spans")}
+                 for name in ("service", "trace")}
         options = RunOptions(scale="ci", cluster_jobs=2,
                              service_log=str(paths["service"]),
-                             events=str(paths["events"]),
-                             spans=str(paths["spans"]))
+                             trace=str(paths["trace"]))
         with _service(tmp_path, options=options) as service:
             client = ServiceClient(service.url)
             job_id = client.submit(SAMPLE)
@@ -444,11 +444,13 @@ class TestServiceObservability:
             stamped = [line for line in lines
                        if line.get("run_id") == run_id]
             assert stamped, f"run_id missing from {name} log"
-        span_pids = {line["pid"]
-                     for line in map(
-                         json.loads,
-                         paths["spans"].read_text().splitlines())
-                     if line.get("run_id") == run_id}
+        records = [record for record
+                   in map(json.loads, paths["trace"].read_text().splitlines())
+                   if record.get("run_id") == run_id]
+        assert {"run_start", "run_end", "cluster", "span"} <= {
+            record["type"] for record in records}
+        span_pids = {record["pid"] for record in records
+                     if record["type"] == "span"}
         assert len(span_pids) >= 2  # worker processes joined the story
 
     def test_repeated_start_stop_joins_http_thread(self, tmp_path):
@@ -518,13 +520,32 @@ class TestRunOptions:
         ("REPRO_MATRIX_JOBS", "many", "REPRO_MATRIX_JOBS"),
         ("REPRO_CLUSTER_JOBS", "-2", "REPRO_CLUSTER_JOBS"),
         ("REPRO_AUDIT", "maybe", "REPRO_AUDIT"),
-        ("REPRO_TELEMETRY", "kinda", "REPRO_TELEMETRY"),
     ])
     def test_bad_values_name_the_variable(self, monkeypatch, name, value,
                                           fragment):
         monkeypatch.setenv(name, value)
         with pytest.raises(ValueError, match=fragment):
             RunOptions.from_env()
+
+    @pytest.mark.parametrize("name", [
+        "REPRO_TELEMETRY", "REPRO_SPANS", "REPRO_EVENTS"])
+    @pytest.mark.parametrize("value", ["1", "spans.jsonl", "kinda"])
+    def test_retired_recording_switch_names_repro_trace(
+            self, monkeypatch, name, value):
+        """REPRO_TRACE replaced the other recording switches: setting
+        one fails readably instead of handing back an unrecorded run."""
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=f"{name} is retired.*"
+                                             f"REPRO_TRACE"):
+            RunOptions.from_env()
+
+    @pytest.mark.parametrize("value", ["", "0", "off"])
+    def test_retired_recording_switch_off_is_accepted(self, monkeypatch,
+                                                      value):
+        clean = RunOptions.from_env()
+        for name in ("REPRO_TELEMETRY", "REPRO_SPANS", "REPRO_EVENTS"):
+            monkeypatch.setenv(name, value)
+        assert RunOptions.from_env() == clean
 
     @pytest.mark.parametrize("value", ["0", "off", "turbo"])
     def test_leftover_batch_core_variable_is_ignored(self, monkeypatch,
@@ -562,17 +583,17 @@ class TestRunOptions:
 
     def test_apply_exports_and_restores(self, monkeypatch):
         monkeypatch.setenv("REPRO_AUDIT", "1")
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         import os
 
-        options = RunOptions(scale="ci", telemetry=True, audit=False)
+        options = RunOptions(scale="ci", trace="1", audit=False)
         with options.apply():
             assert os.environ["REPRO_EXPERIMENT_SCALE"] == "ci"
-            assert os.environ["REPRO_TELEMETRY"] == "1"
+            assert os.environ["REPRO_TRACE"] == "1"
             # apply() removes strays the options leave unset.
             assert "REPRO_AUDIT" not in os.environ
         assert os.environ["REPRO_AUDIT"] == "1"
-        assert "REPRO_TELEMETRY" not in os.environ
+        assert "REPRO_TRACE" not in os.environ
 
     def test_apply_covers_every_field(self, monkeypatch, tmp_path):
         """apply() exports a variable for every field, restores the
@@ -585,9 +606,7 @@ class TestRunOptions:
             scale="ci", matrix_jobs=3, cluster_jobs=2,
             result_cache=str(tmp_path / "cache"),
             checkpoint_store=str(tmp_path / "store"),
-            trace=str(tmp_path / "trace.jsonl"), telemetry=True,
-            spans=str(tmp_path / "spans.jsonl"),
-            events=str(tmp_path / "events.jsonl"), audit=True,
+            trace=str(tmp_path / "trace.jsonl"), audit=True,
             run_id="rfields01",
             service_log=str(tmp_path / "service.jsonl"),
         )

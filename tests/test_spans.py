@@ -1,5 +1,5 @@
 """Tests for hierarchical span tracing: recorder semantics, cross-process
-propagation, the Chrome trace export, the events firehose, and the HTML
+propagation, the Chrome trace export, the one record file, and the HTML
 run report."""
 
 import json
@@ -14,21 +14,19 @@ from repro.sampling import SampledSimulator
 from repro.telemetry import (
     CHROME_TRACE_SCHEMA,
     NULL_SPANS,
+    NULL_TELEMETRY,
     SpanContext,
     SpanRecorder,
     Telemetry,
+    append_trace,
     build_span_tree,
     check_lane_nesting,
-    read_events,
-    read_spans,
     read_trace,
-    recorder_from_env,
     span_tree_shape,
-    spans_enabled,
+    telemetry_from_env,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
-    write_trace,
 )
 from repro.warmup import resolve_method
 from repro.workloads import build_workload
@@ -39,10 +37,14 @@ CI = SCALES["ci"]
 COLLAPSE = ("phase_a", "phase_b")
 
 
-def run_sampled(cluster_jobs, method="R$BP (20%)", workload="ammp"):
-    """One ci-tier sampled run; returns (result, telemetry snapshot)."""
+def run_sampled(cluster_jobs, method="R$BP (20%)", workload="ammp",
+                telemetry=None):
+    """One ci-tier sampled run; returns (result, telemetry snapshot).
+
+    Without `telemetry` the run gets a fresh live session; pass
+    ``NULL_TELEMETRY`` for an untraced run."""
     built = build_workload(workload, mem_scale=CI.mem_scale)
-    telemetry = Telemetry()
+    telemetry = Telemetry() if telemetry is None else telemetry
     simulator = SampledSimulator(
         built, CI.regimen(), CI.configs(),
         warmup_prefix=CI.warmup_prefix,
@@ -114,28 +116,35 @@ class TestSpanRecorder:
         with NULL_SPANS.span("anything"):
             pass
         assert NULL_SPANS.export() == []
-        assert NULL_SPANS.flush() == 0
         assert NULL_SPANS.context() is None
 
-    def test_recorder_from_env(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_SPANS", raising=False)
-        assert not spans_enabled()
-        assert recorder_from_env() is NULL_SPANS
-        monkeypatch.setenv("REPRO_SPANS", "1")
-        assert spans_enabled()
-        assert recorder_from_env().path is None
-        path = tmp_path / "spans.jsonl"
-        monkeypatch.setenv("REPRO_SPANS", str(path))
-        recorder = recorder_from_env()
-        assert recorder.path == str(path)
+    def test_every_live_session_records_spans(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        monkeypatch.delenv("REPRO_AUDIT", raising=False)
+        assert telemetry_from_env() is NULL_TELEMETRY
+        assert NULL_TELEMETRY.spans is NULL_SPANS
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        session = telemetry_from_env()
+        assert session.spans.enabled and session.trace_path is None
+
+    def test_session_parents_under_the_propagated_context(
+            self, monkeypatch):
+        parent = SpanRecorder()
+        with parent.span("phase_b"):
+            context = parent.context()
+        monkeypatch.setenv("REPRO_SPAN_PARENT", context.encode())
+        session = Telemetry()
+        with session.span("cluster 0"):
+            pass
+        (record,) = session.spans.records
+        assert record["parent"] == context.parent_id
 
 
 class TestTreeShapeDeterminism:
     """The acceptance property: the span tree is a deterministic function
     of the run, not of worker scheduling."""
 
-    def test_serial_vs_sharded_shapes_match(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPANS", "1")
+    def test_serial_vs_sharded_shapes_match(self):
         _, serial = run_sampled(1)
         _, sharded2 = run_sampled(2)
         _, sharded4 = run_sampled(4)
@@ -147,8 +156,7 @@ class TestTreeShapeDeterminism:
         raw = span_tree_shape(sharded2.spans)
         assert raw != shape1
 
-    def test_serial_tree_names_the_pipeline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPANS", "1")
+    def test_serial_tree_names_the_pipeline(self):
         _, snapshot = run_sampled(1)
         roots = build_span_tree(snapshot.spans)
         assert [node["name"] for node in roots] == ["run"]
@@ -159,20 +167,18 @@ class TestTreeShapeDeterminism:
         phases = {grand["name"] for grand in cluster["children"]}
         assert {"cold_skip", "reconstruct", "hot_sim"} <= phases
 
-    def test_spans_off_is_bit_identical(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPANS", raising=False)
-        plain, plain_snap = run_sampled(1)
-        monkeypatch.setenv("REPRO_SPANS", "1")
+    def test_spans_off_is_bit_identical(self):
+        plain, plain_snap = run_sampled(1, telemetry=NULL_TELEMETRY)
         traced, traced_snap = run_sampled(1)
         assert plain.cluster_ipcs == traced.cluster_ipcs
         assert plain.estimate.mean == traced.estimate.mean
-        assert plain_snap.spans == []
+        assert plain_snap is None
+        assert "telemetry" not in plain.extra
         assert traced_snap.spans
 
 
 class TestChromeExport:
-    def test_export_passes_checked_in_schema(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPANS", "1")
+    def test_export_passes_checked_in_schema(self):
         _, snapshot = run_sampled(2)
         payload = to_chrome_trace(snapshot.spans)
         assert validate_chrome_trace(payload) == []
@@ -227,8 +233,8 @@ class TestTruncatedTail:
     def test_truncated_final_line_is_skipped_with_warning(
             self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
-        write_trace([{"type": "cluster", "index": 0},
-                     {"type": "cluster", "index": 1}], str(path))
+        append_trace([{"type": "cluster", "index": 0},
+                      {"type": "cluster", "index": 1}], str(path))
         with open(path, "a") as fh:
             fh.write('{"type": "cluster", "ind')  # interrupted write
         records = read_trace(str(path))
@@ -243,66 +249,148 @@ class TestTruncatedTail:
         with pytest.raises(json.JSONDecodeError):
             read_trace(str(path))
 
-    def test_read_spans_shares_the_tolerance(self, tmp_path, capsys):
-        path = tmp_path / "spans.jsonl"
-        recorder = SpanRecorder(path=str(path))
-        with recorder.span("run"):
+    def test_session_file_shares_the_tolerance(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        session = Telemetry(trace_path=str(path))
+        with session.span("run"):
             pass
-        recorder.flush()
+        session.flush()
         with open(path, "a") as fh:
             fh.write('{"type": "span", "id": "1:1')
-        assert [r["name"] for r in read_spans(str(path))] == ["run"]
+        assert [r["name"] for r in read_trace(str(path))] == ["run"]
         assert "truncated final record" in capsys.readouterr().err
 
 
-class TestEventsFirehose:
-    def test_run_emits_cluster_and_run_events(self, monkeypatch, tmp_path):
-        path = tmp_path / "events.jsonl"
-        monkeypatch.setenv("REPRO_EVENTS", str(path))
-        run_sampled(1)
-        events = read_events(str(path))
-        kinds = [event["event"] for event in events]
-        assert kinds[0] == "run_start"
-        assert kinds[-1] == "run_end"
-        clusters = [event for event in events if event["event"] == "cluster"]
-        assert len(clusters) == CI.regimen().num_clusters
-        assert all("wall_seconds" in event for event in clusters)
+def _traced_to(path, monkeypatch):
+    """One ci-tier sampled run with REPRO_TRACE naming `path`."""
+    monkeypatch.setenv("REPRO_TRACE", str(path))
+    built = build_workload("ammp", mem_scale=CI.mem_scale)
+    SampledSimulator(
+        built, CI.regimen(), CI.configs(),
+        warmup_prefix=CI.warmup_prefix, detail_ramp=CI.detail_ramp,
+    ).run(resolve_method("R$BP (20%)"))
+    return read_trace(str(path))
 
-    def test_events_stamp_ambient_run_id(self, monkeypatch, tmp_path):
-        path = tmp_path / "events.jsonl"
-        monkeypatch.setenv("REPRO_EVENTS", str(path))
+
+class TestRecordFile:
+    """REPRO_TRACE=PATH: every record of a run in one JSON-lines file."""
+
+    def test_run_writes_every_record_type(self, monkeypatch, tmp_path):
+        records = _traced_to(tmp_path / "trace.jsonl", monkeypatch)
+        kinds = [record["type"] for record in records]
+        assert {"span", "counter"} <= set(kinds)
+        runs = [kind for kind in kinds if kind not in ("span", "counter")]
+        assert runs[0] == "run_start"
+        assert runs[-1] == "run_end"
+        assert runs.count("cluster") == CI.regimen().num_clusters
+        assert "run" in {r["name"] for r in records if r["type"] == "span"}
+
+    def test_records_stamp_ambient_run_id(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RUN_ID", "rfirehose1")
-        run_sampled(1)
-        events = read_events(str(path))
-        assert events and all(
-            event["run_id"] == "rfirehose1" for event in events)
+        records = _traced_to(tmp_path / "trace.jsonl", monkeypatch)
+        assert records and all(
+            record["run_id"] == "rfirehose1" for record in records)
 
     def test_no_run_id_field_without_ambient_id(self, monkeypatch,
                                                 tmp_path):
-        path = tmp_path / "events.jsonl"
-        monkeypatch.setenv("REPRO_EVENTS", str(path))
         monkeypatch.delenv("REPRO_RUN_ID", raising=False)
-        run_sampled(1)
-        assert all("run_id" not in event
-                   for event in read_events(str(path)))
+        records = _traced_to(tmp_path / "trace.jsonl", monkeypatch)
+        assert all("run_id" not in record for record in records)
+
+    def test_cluster_boundary_appends_pending_records(self, tmp_path):
+        # tail -f shows progress cluster by cluster: the record is in
+        # the file as soon as its cluster closes, not at the run's end.
+        path = tmp_path / "trace.jsonl"
+        session = Telemetry(trace_path=str(path))
+        session.begin_cluster()
+        session.end_cluster({"workload": "w", "method": "m", "cluster": 0})
+        clusters = [r for r in read_trace(str(path))
+                    if r["type"] == "cluster"]
+        assert [r["cluster"] for r in clusters] == [0]
+        assert session.flush() == 0
+
+    def test_memory_mode_writes_no_file(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        assert main(["sample", "gcc", "--method", "rsr"]) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_matrix_writes_one_complete_file(self, monkeypatch, tmp_path,
+                                             capsys):
+        """A traced two-worker grid: every record type in one file, spans
+        from the driver and a pool worker, progress that reaches its
+        total, and exactly the merged snapshot's cluster records."""
+        from repro.harness import parallel
+
+        merged = []
+
+        def capture(grid):
+            merged.append(real(grid))
+            return merged[-1]
+
+        real = parallel.merged_telemetry
+        monkeypatch.setattr(parallel, "merged_telemetry", capture)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        path = tmp_path / "trace.jsonl"
+        assert main(["matrix", "--scale", "ci", "--jobs", "2",
+                     "--workload", "gcc", "--method", "rsr",
+                     "--method", "smarts", "--cache", "off", "--quiet",
+                     "--trace", str(path)]) == 0
+        capsys.readouterr()
+        records = read_trace(str(path))
+        assert {r["type"] for r in records} == {
+            "cluster", "span", "counter", "run_start", "run_end", "cell"}
+        assert len({r["pid"] for r in records if r["type"] == "span"}) >= 2
+        cells = [r for r in records if r["type"] == "cell"]
+        assert cells[-1]["completed"] == cells[-1]["total"] == 3
+
+        def clusters(rows):
+            return sorted((r for r in rows if r["type"] == "cluster"),
+                          key=lambda r: (r["workload"], r["method"],
+                                         r["cluster"]))
+
+        assert clusters(records) == clusters(merged[0].trace_records)
+        assert len(clusters(records)) == 2 * CI.regimen().num_clusters
+
+    def test_cache_served_grid_writes_a_complete_file(
+            self, monkeypatch, tmp_path, capsys):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        argv = ["matrix", "--scale", "ci", "--jobs", "1", "--workload",
+                "gcc", "--method", "rsr", "--quiet",
+                "--cache", str(tmp_path / "cache")]
+        files = {}
+        for name in ("cold", "warm"):
+            files[name] = tmp_path / f"{name}.jsonl"
+            assert main(argv + ["--trace", str(files[name])]) == 0
+        capsys.readouterr()
+
+        def kept(name):
+            return [r for r in read_trace(str(files[name]))
+                    if r["type"] in ("cluster", "run_start", "run_end")]
+
+        assert kept("warm") == kept("cold") != []
+        cells = [r for r in read_trace(str(files["warm"]))
+                 if r["type"] == "cell"]
+        assert all(cell["cached"] for cell in cells)
 
     def test_failed_append_warns_once_per_path(self, tmp_path, capsys):
-        from repro.telemetry.events import emit_event
-
-        # A directory path makes every append raise OSError; the
-        # firehose must warn on the first failure and then go quiet.
+        # A directory path makes every append raise OSError; the writer
+        # must warn on the first failure and then go quiet, and leave
+        # the records pending.
         dead = tmp_path / "not-a-file"
         dead.mkdir()
-        emit_event(str(dead), "cluster", index=0)
-        emit_event(str(dead), "cluster", index=1)
+        assert append_trace([{"type": "cluster", "cluster": 0}],
+                            str(dead)) == 0
+        assert append_trace([{"type": "cluster", "cluster": 1}],
+                            str(dead)) == 0
         err = capsys.readouterr().err
-        assert err.count("cannot append events") == 1
+        assert err.count("cannot append records") == 1
         assert str(dead) in err
 
 
 class TestRunReport:
-    def test_report_renders_spans_audit_and_trajectory(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPANS", "1")
+    def test_report_renders_spans_audit_and_trajectory(self):
         _, snapshot = run_sampled(2)
         audit = {
             "schema": "repro-audit-v1",
@@ -356,42 +444,57 @@ class TestLiveProgress:
 
 
 class TestCLI:
-    def test_matrix_parser_accepts_progress_and_spans(self):
+    def test_matrix_parser_accepts_progress_and_trace(self):
         args = build_parser().parse_args(
-            ["matrix", "--progress", "--spans", "spans.jsonl"])
+            ["matrix", "--progress", "--trace", "trace.jsonl"])
         assert args.progress
-        assert args.spans == "spans.jsonl"
+        assert args.trace == "trace.jsonl"
+
+    @pytest.mark.parametrize("argv", (
+        ["matrix", "--spans", "spans.jsonl"],
+        ["report", "--spans", "spans.jsonl"],
+    ), ids=("matrix", "report"))
+    def test_spans_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
 
     def test_trace_export_parser(self):
         args = build_parser().parse_args(
-            ["trace", "export", "spans.jsonl", "--format", "jsonl"])
+            ["trace", "export", "trace.jsonl", "--format", "jsonl"])
         assert args.command == "trace"
         assert args.action == "export"
         assert args.format == "jsonl"
 
     def test_trace_export_writes_validated_chrome_json(
             self, tmp_path, capsys):
-        spans_path = tmp_path / "spans.jsonl"
-        recorder = SpanRecorder(path=str(spans_path))
-        with recorder.span("run"):
-            with recorder.span("cluster 0", cluster=0):
-                recorder.counter("log.stored_records", 3)
-        recorder.flush()
+        # A mixed record file: export keeps the spans and counters.
+        trace_path = tmp_path / "trace.jsonl"
+        session = Telemetry(trace_path=str(trace_path))
+        with session.span("run"):
+            with session.span("cluster 0", cluster=0):
+                session.begin_cluster()
+                session.spans.counter("log.stored_records", 3)
+                session.end_cluster({"workload": "w", "method": "m",
+                                     "cluster": 0})
+        session.flush()
         out_path = tmp_path / "trace.chrome.json"
-        assert main(["trace", "export", str(spans_path),
+        assert main(["trace", "export", str(trace_path),
                      "-o", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         assert validate_chrome_trace(payload) == []
+        assert {event["name"] for event in payload["traceEvents"]
+                if event["ph"] == "X"} == {"run", "cluster 0"}
         assert "perfetto" in capsys.readouterr().out
 
     def test_report_command_writes_html(self, tmp_path, capsys):
-        spans_path = tmp_path / "spans.jsonl"
-        recorder = SpanRecorder(path=str(spans_path))
-        with recorder.span("run"):
+        trace_path = tmp_path / "trace.jsonl"
+        session = Telemetry(trace_path=str(trace_path))
+        with session.span("run"):
             pass
-        recorder.flush()
+        session.flush()
         out_path = tmp_path / "report.html"
-        assert main(["report", "--spans", str(spans_path),
+        assert main(["report", "--trace", str(trace_path),
                      "-o", str(out_path)]) == 0
         html = out_path.read_text()
         assert "<svg" in html and "Span timeline" in html

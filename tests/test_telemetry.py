@@ -18,9 +18,9 @@ from repro.telemetry import (
     Telemetry,
     TelemetrySnapshot,
     merge_snapshots,
+    append_trace,
     read_trace,
     telemetry_from_env,
-    write_trace,
 )
 from repro.warmup import resolve_method
 from repro.workloads import build_workload
@@ -131,15 +131,17 @@ class TestSnapshotMerge:
 
 
 class TestTraceIO:
-    def test_write_read_roundtrip(self, tmp_path):
+    def test_append_read_roundtrip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         records = [{"type": "cluster", "cluster": i} for i in range(3)]
-        assert write_trace(records, path) == 3
+        assert append_trace(records[:2], str(path)) == 2
+        assert append_trace(records[2:], str(path)) == 1
+        assert append_trace([], str(path)) == 0
         assert read_trace(path) == records
 
     def test_every_line_is_json(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        write_trace([{"a": 1}, {"b": [1, 2]}], path)
+        append_trace([{"a": 1}, {"b": [1, 2]}], str(path))
         with open(path, encoding="utf-8") as stream:
             lines = [line for line in stream if line.strip()]
         assert len(lines) == 2
@@ -176,15 +178,28 @@ class TestSession:
         )
         assert telemetry.trace_records == [record]
 
-    def test_flush_trace_writes_each_record_once(self, tmp_path):
+    def test_flush_writes_each_record_once(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         telemetry = Telemetry(trace_path=str(path))
         telemetry.emit({"a": 1})
-        assert telemetry.flush_trace() == 1
-        assert telemetry.flush_trace() == 0
+        assert telemetry.flush() == 1
+        assert telemetry.flush() == 0
         telemetry.emit({"b": 2})
-        assert telemetry.flush_trace() == 1
-        assert len(read_trace(path)) == 2
+        with telemetry.span("run"):
+            pass
+        assert telemetry.flush() == 2
+        assert [r.get("type") for r in read_trace(path)] == [
+            None, "span", None]
+
+    def test_failed_flush_leaves_records_pending(self, tmp_path, capsys):
+        dead = tmp_path / "dir"
+        dead.mkdir()
+        telemetry = Telemetry(trace_path=str(dead))
+        telemetry.emit({"a": 1})
+        assert telemetry.flush() == 0
+        assert "cannot append records" in capsys.readouterr().err
+        telemetry.trace_path = str(tmp_path / "trace.jsonl")
+        assert telemetry.flush() == 1
 
     def test_null_session_accepts_full_api(self):
         null = NULL_TELEMETRY
@@ -196,25 +211,25 @@ class TestSession:
         null.begin_cluster()
         assert null.end_cluster({"cluster": 0}) is None
         assert null.snapshot() is None
-        assert null.flush_trace() == 0
+        assert null.flush() == 0
         assert not null.enabled
 
     def test_env_resolution(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        monkeypatch.delenv("REPRO_AUDIT", raising=False)
         assert telemetry_from_env() is NULL_TELEMETRY
 
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        session = telemetry_from_env()
-        assert session.enabled and session.trace_path is None
+        for memory in ("1", "on"):
+            monkeypatch.setenv("REPRO_TRACE", memory)
+            session = telemetry_from_env()
+            assert session.enabled and session.trace_path is None
 
         path = str(tmp_path / "trace.jsonl")
         monkeypatch.setenv("REPRO_TRACE", path)
         session = telemetry_from_env()
         assert session.enabled and session.trace_path == path
 
-        monkeypatch.delenv("REPRO_TRACE")
-        monkeypatch.setenv("REPRO_TELEMETRY", "off")
+        monkeypatch.setenv("REPRO_TRACE", "off")
         assert telemetry_from_env() is NULL_TELEMETRY
 
 
@@ -284,7 +299,6 @@ class TestTracedRun:
 
     def test_default_run_carries_no_telemetry(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         result = make_simulator().run(resolve_method("None"))
         assert "telemetry" not in result.extra
 
@@ -292,10 +306,13 @@ class TestTracedRun:
         path = tmp_path / "trace.jsonl"
         monkeypatch.setenv("REPRO_TRACE", str(path))
         make_simulator().run(resolve_method("None"))
-        records = read_trace(path)
-        assert len(records) == CI.num_clusters
+
+        def clusters():
+            return [r for r in read_trace(path) if r["type"] == "cluster"]
+
+        assert len(clusters()) == CI.num_clusters
         make_simulator().run(resolve_method("None"))
-        assert len(read_trace(path)) == 2 * CI.num_clusters
+        assert len(clusters()) == 2 * CI.num_clusters
 
 
 def _strip_timing(record):
@@ -308,8 +325,7 @@ class TestParallelMerge:
     serial grid's totals."""
 
     def test_parallel_merge_matches_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        monkeypatch.setenv("REPRO_TRACE", "1")
         serial = execute_matrix(small_suite, workload_names=("ammp",),
                                 scale=CI, jobs=1)
         parallel = execute_matrix(
@@ -335,7 +351,6 @@ class TestParallelMerge:
 
     def test_untraced_grid_merges_to_empty_sentinel(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
         grid = execute_matrix(
             small_suite, workload_names=("ammp",), scale=CI, jobs=1,
@@ -346,7 +361,7 @@ class TestParallelMerge:
         assert not merged
 
     def test_zero_cell_grid_folds_to_empty_sentinel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv("REPRO_TRACE", "1")
         grid = execute_matrix(
             small_suite, workload_names=(), scale=CI, jobs=1,
         )
