@@ -11,7 +11,8 @@ repo root for the trajectory gate:
   environment check, which is microbenched and bounded here.
 - **On is cheap.**  Spans bracket phases, not instructions: the wall
   overhead of recording spans is asserted ≤ 5% as the minimum of
-  per-pair ratios over alternating off/on repetitions.  Each pair runs
+  per-pair ratios over alternating off/on repetitions, after one
+  untimed warm-up run per program.  Each pair runs
   adjacent in time and shares whatever ambient load the machine has, so
   the quietest pair bounds the intrinsic overhead; scheduler
   interference on a shared runner cannot fail the gate spuriously.
@@ -78,6 +79,10 @@ def test_span_overhead(benchmark, scale):
         )
         walls_off, walls_on = [], []
         result_off = snapshot_on = result_on = None
+        # One untimed warm-up run: the first run of a program pays for
+        # its translations and its steady-state prefix, which would land
+        # on the "off" side of the first pair.
+        _run(simulator, False)
         # Alternate off/on so drift (thermal, cache residency) hits both
         # sides of the ratio equally.
         for _ in range(REPS):

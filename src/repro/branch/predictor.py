@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from ..isa import Instruction, Opcode
 from .btb import BranchTargetBuffer
 from .config import PredictorConfig, paper_predictor_config
-from .counters import STRONG_NOT_TAKEN, STRONG_TAKEN
+from .counters import STRONG_NOT_TAKEN, STRONG_TAKEN, WEAK_TAKEN
 from .gshare import GsharePHT
 from .ras import ReturnAddressStack
 
@@ -128,17 +128,50 @@ class BranchPredictor:
                            next_pc: int) -> bool:
         """Predict, record statistics, then train.  Returns True on a
         misprediction (direction or target)."""
-        predicted = self.predict(pc, inst)
-        mispredicted = predicted != next_pc
         if inst.is_cond_branch:
-            self.stats.conditional_branches += 1
-            if mispredicted:
-                self.stats.mispredictions += 1
-        else:
-            self.stats.control_transfers += 1
-            if mispredicted:
-                self.stats.target_mispredictions += 1
+            return self.conditional(pc, taken, next_pc)
+        mispredicted = self.predict(pc, inst) != next_pc
+        self.stats.control_transfers += 1
+        if mispredicted:
+            self.stats.target_mispredictions += 1
         self.update(pc, inst, taken, next_pc)
+        return mispredicted
+
+    def conditional(self, pc: int, taken: bool, next_pc: int) -> bool:
+        """:meth:`predict_and_update` of the conditional branch at `pc`,
+        in one frame: the Gshare lookup (and, predicted taken, the BTB
+        lookup), the statistics, then the training :meth:`update`
+        applies.  Returns True on a misprediction."""
+        pht = self.pht
+        history = pht.history
+        counters = pht.counters
+        entry = (pc ^ history) & pht._mask
+        counter = counters[entry]
+        pht.lookups += 1
+        pht.updates += 1
+        btb = self.btb
+        slot = pc & btb._mask
+        predicted = pc + 1
+        if counter >= WEAK_TAKEN:
+            btb.lookups += 1
+            if btb.tags[slot] == pc:
+                predicted = btb.targets[slot]
+        stats = self.stats
+        stats.conditional_branches += 1
+        mispredicted = predicted != next_pc
+        if mispredicted:
+            stats.mispredictions += 1
+        if taken:
+            if counter < STRONG_TAKEN:
+                counters[entry] = counter + 1
+            pht.history = ((history << 1) | 1) & pht._history_mask
+            btb.tags[slot] = pc
+            btb.targets[slot] = next_pc
+            btb.updates += 1
+        else:
+            if counter > STRONG_NOT_TAKEN:
+                counters[entry] = counter - 1
+            pht.history = (history << 1) & pht._history_mask
         return mispredicted
 
     # -- bookkeeping ----------------------------------------------------------

@@ -7,7 +7,7 @@ from .config import (
     WritePolicy,
     paper_hierarchy_config,
 )
-from .cache import Cache, CacheStats
+from .cache import Cache, CacheStats, mru_names
 from .bus import Bus
 from .hierarchy import MemoryHierarchy
 
@@ -19,6 +19,7 @@ __all__ = [
     "paper_hierarchy_config",
     "Cache",
     "CacheStats",
+    "mru_names",
     "Bus",
     "MemoryHierarchy",
 ]

@@ -12,11 +12,26 @@ from __future__ import annotations
 from .config import BusConfig
 
 
+class _TransferCycles(dict):
+    """``num_bytes -> config.transfer_cycles(num_bytes)``, computed once
+    per size (a bus sees two: a word and a line)."""
+
+    def __init__(self, config: BusConfig) -> None:
+        super().__init__()
+        self._config = config
+
+    def __missing__(self, num_bytes: int) -> int:
+        self[num_bytes] = cycles = self._config.transfer_cycles(num_bytes)
+        return cycles
+
+
 class Bus:
     """A single shared bus with first-come-first-served arbitration."""
 
     def __init__(self, config: BusConfig) -> None:
         self.config = config
+        #: ``config.transfer_cycles`` by transfer size, filled on first use.
+        self._cycles = _TransferCycles(config)
         #: Core-cycle time at which the current transfer completes.
         self.busy_until = 0
         self.transfers = 0
@@ -31,7 +46,7 @@ class Bus:
         """
         start = now if now >= self.busy_until else self.busy_until
         self.contention_cycles += start - now
-        completion = start + self.config.transfer_cycles(num_bytes)
+        completion = start + self._cycles[num_bytes]
         self.busy_until = completion
         self.transfers += 1
         self.bytes_moved += num_bytes

@@ -75,6 +75,14 @@ class CacheStats:
         self.reconstruction_skipped = 0
         self.updates = 0
 
+    def add_hits(self, count: int) -> None:
+        """Count `count` read hits on the MRU way of their set, which
+        translated blocks test in line instead of calling
+        :meth:`Cache.access`: such a hit changes nothing else."""
+        self.accesses += count
+        self.hits += count
+        self.updates += count
+
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
@@ -123,6 +131,15 @@ class _SetView:
 
     def __repr__(self) -> str:
         return repr(list(self))
+
+
+def mru_names(cache: "Cache") -> tuple:
+    """``R, O, L, N, T`` of `cache`, the names translated blocks test an
+    MRU hit with: its per-set tag rows and recency orders (bound as they
+    are now: ``reset`` and ``load_state`` rebind them), line bytes, set
+    count, and line bytes times set count."""
+    line_bytes, sets = cache.config.line_bytes, cache.num_sets
+    return cache._tag_rows, cache.order, line_bytes, sets, line_bytes * sets
 
 
 class Cache:

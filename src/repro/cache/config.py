@@ -42,6 +42,13 @@ class CacheConfig:
             )
         if self.line_bytes & (self.line_bytes - 1):
             raise ValueError("line size must be a power of two")
+        if self.hit_latency < 1:
+            # The timing blocks clamp the fetch only at a block's first
+            # instruction, which is exact only when a hit costs a cycle.
+            raise ValueError(
+                f"{self.name}: hit_latency {self.hit_latency} must be at "
+                f"least 1"
+            )
 
     @property
     def num_sets(self) -> int:

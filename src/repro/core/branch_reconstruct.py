@@ -343,12 +343,13 @@ class ReverseBranchReconstructor:
         pht = predictor.pht
         reconstructed = pht.reconstructed
         demand = self.demand
-        index = pht.index
+        mask = pht._mask
 
         def pre_branch_hook(pc, inst):
             if not inst.is_cond_branch:
                 return
-            entry = index(pc)
+            # pht.index(pc), in line.
+            entry = (pc ^ pht.history) & mask
             if not reconstructed[entry]:
                 demand(entry)
                 # The hot update that follows trains this entry, so it is

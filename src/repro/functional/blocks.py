@@ -296,6 +296,18 @@ def transfer_parts(op: int, fields: dict, target, fall_through):
     return lines, None, str(target)
 
 
+def mru_test(cache: str, set_index: str, tag: str, hit: list[str],
+             miss: list[str]) -> list[str]:
+    """Lines that test a read against the MRU way of set `set_index` of
+    the L1 `cache` (``"I"`` or ``"D"``), over its bound tag rows
+    ``{cache}R`` and recency orders ``{cache}O``.  Such a hit changes
+    only that L1's ``accesses``, ``hits`` and ``updates``: count it in
+    ``hc`` (L1I first) and run `hit`; run `miss` otherwise."""
+    return [f"if {cache}R[{set_index}][{cache}O[{set_index}][0]] == {tag}:",
+            f"    hc[{int(cache == 'D')}] += 1", *_indent(hit),
+            "else:", *_indent(miss)]
+
+
 class Emitter:
     """What a hook consumer's events compile to in translated blocks.
 

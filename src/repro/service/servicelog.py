@@ -2,9 +2,10 @@
 
 The service's HTTP handler used to silence ``log_message`` entirely —
 good for test noise, terrible for operating a deployment.  This module
-is the replacement: one JSON object per line, appended with the same
-single-``write``-on-``O_APPEND`` discipline as the ``REPRO_TRACE``
-record file, so handler threads and the worker thread interleave whole
+is the replacement: one JSON object per line, appended by the
+``REPRO_TRACE`` record file's own :func:`~repro.telemetry.append_trace`
+(one ``write`` on an ``O_APPEND`` descriptor, repeated for what a short
+write left), so handler threads and the worker thread interleave whole
 lines, never fragments.
 
 Two line kinds share the file:
@@ -16,21 +17,19 @@ Two line kinds share the file:
 
 Off by default (``path=None``): a logging-off service makes zero writes
 and stays byte-identical to previous releases.  A failing path warns
-once on stderr and goes quiet, like :func:`~repro.telemetry.append_trace`
-— the log is an observation channel and must never take a request down.
+once on stderr ("cannot append service log") and goes quiet — the log
+is an observation channel and must never take a request down.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import sys
 import time
+
+from ..telemetry.trace import append_trace
 
 #: Environment variable naming the service-log JSONL file.
 SERVICE_LOG_ENV_VAR = "REPRO_SERVICE_LOG"
-
-_warned_paths: set[str] = set()
 
 
 class ServiceLog:
@@ -55,24 +54,7 @@ class ServiceLog:
             (key, value) for key, value in fields.items()
             if value is not None
         )
-        line = json.dumps(record, separators=(",", ":"),
-                          sort_keys=True) + "\n"
-        try:
-            fd = os.open(self.path,
-                         os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644)
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
-        except OSError as exc:
-            if self.path not in _warned_paths:
-                _warned_paths.add(self.path)
-                print(
-                    f"repro: warning: cannot append service log to "
-                    f"{self.path!r} ({exc}); further failures for this "
-                    f"path will be silent",
-                    file=sys.stderr,
-                )
+        append_trace((record,), self.path, label="service log")
 
     def access(self, *, method: str, route: str, status: int,
                duration_seconds: float, tenant: str | None = None,

@@ -75,7 +75,7 @@ def format_trace_lines(records) -> str:
     )
 
 
-def append_trace(records, path: str) -> int:
+def append_trace(records, path: str, label: str = "records") -> int:
     """Append records to the JSON-lines file at `path`; returns count.
 
     The whole batch is rendered first and written with one ``os.write``
@@ -83,8 +83,8 @@ def append_trace(records, path: str) -> int:
     concurrent writers interleave whole lines, and a writer killed
     mid-run never leaves a fragment for the others to splice into.  A
     failed append (full disk, revoked path) never takes the run down:
-    the first failure per path warns on stderr, and 0 is returned so
-    the records stay pending.
+    the first failure per path warns on stderr (naming what failed to
+    append by `label`), and 0 is returned so the records stay pending.
     """
     records = list(records)
     if not records:
@@ -101,7 +101,7 @@ def append_trace(records, path: str) -> int:
         if path not in _warned_paths:
             _warned_paths.add(path)
             print(
-                f"repro: warning: cannot append records to {path!r} "
+                f"repro: warning: cannot append {label} to {path!r} "
                 f"({exc}); further failures for this path will be silent",
                 file=sys.stderr,
             )

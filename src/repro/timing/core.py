@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..branch import BranchPredictor
-from ..cache import MemoryHierarchy
+from ..cache import MemoryHierarchy, mru_names
 from ..functional import FunctionalMachine
 from ..isa import NUM_REGISTERS
 from .blocks import timing_block_table
@@ -90,9 +90,11 @@ class TimingSimulator:
 
         Runs translated code (:mod:`repro.timing.blocks`): a block per
         iteration where a start has been entered often enough to be
-        compiled whole, one instruction per iteration elsewhere and
-        inside a block (a run that starts where the last one stopped,
-        or whose end or `measure_after` boundary falls inside one).
+        compiled whole (a self-loop goes round inside its block), one
+        instruction per iteration elsewhere and inside a block (a run
+        that starts where the last one stopped, or whose end falls
+        inside one).  L1 read hits the blocks counted are added to the
+        L1 statistics before ``run`` returns or raises.
 
         Parameters
         ----------
@@ -119,19 +121,28 @@ class TimingSimulator:
             return TimingResult(instructions=0, cycles=1)
 
         program = machine.program
-        per_block = max(
-            1, hierarchy.l1i.config.line_bytes // program.instruction_bytes
-        )
-        table = timing_block_table(program, per_block, config.rob_entries)
+        l1i, l1d = hierarchy.l1i, hierarchy.l1d
+        table = timing_block_table(program, l1i.config, config)
         retire_width = config.retire_width
+        rob_entries = config.rob_entries
+        predictor = self.predictor
+        # The ROB ring holds each instruction's retire cycle until the
+        # instruction `rob_entries` later dispatches.
+        rob = [-1] * rob_entries
+        # L1 read hits on the MRU way, counted in the blocks (L1I first).
+        hits = [0, 0]
         env = (machine, machine.registers, machine.memory._words,
-               program.instructions, [0] * NUM_REGISTERS,
-               [-1] * config.rob_entries, [-1] * config.issue_queue_entries,
+               program.instructions, [0] * NUM_REGISTERS, rob,
+               [-1] * config.issue_queue_entries,
                [-1] * config.lsq_entries, [-1] * config.max_inflight_branches,
-               hierarchy.timed_access, self.predictor.predict_and_update,
-               pre_branch_hook, config.fetch_width, config.dispatch_width,
+               hierarchy.timed_access, predictor.predict_and_update,
+               predictor.conditional, pre_branch_hook, hits,
+               *mru_names(l1i)[:2], l1i.config.hit_latency,
+               *mru_names(l1d), l1d.config.hit_latency,
+               config.fetch_width, config.dispatch_width,
                config.issue_width, retire_width, config.frontend_depth,
-               config.mispredict_penalty, config.rob_entries)
+               config.mispredict_penalty, rob_entries,
+               config.issue_queue_entries)
         pc = machine.pc
         # (pc, the fetch, dispatch, issue and retire limiters, next fetch
         # cycle, current fetch block): see repro.timing.blocks.
@@ -139,41 +150,57 @@ class TimingSimulator:
         start = done = machine.instructions_retired
         stop = start + max_instructions
         ramped = 0 < measure_after < max_instructions
-        bound = start + measure_after if ramped else stop
+        # The retired count at the end of the ramp, while it is ahead.
+        # Blocks run across it: its retire cycle stays in the ROB ring
+        # until `rob_entries` more instructions dispatch, and a block
+        # holds no more than that (a loop stops after the pass that
+        # crosses it).
+        ramp = start + measure_after if ramped else stop + 1
         ramp_boundary_cycle = 0
-        halted = False
         starts = table.starts
-        while True:
-            # Inside a block (where the last run, or the ramp, stopped)
-            # and up to a bound inside one, step one instruction at a time.
-            stepping = pc < len(starts) and not starts[pc]
-            while done < bound:
+        stepping = pc < len(starts) and not starts[pc]
+        try:
+            while done < stop:
+                # Inside a block (where the last run stopped) and up to
+                # the run's end inside one, step one instruction at a
+                # time.
                 if stepping:
                     block, length = table.single(pc)
                 else:
                     block, length = table[pc]
-                    if not 0 < length <= bound - done:
-                        if length < 0:
+                    if not 0 < length <= stop - done:
+                        if length == -1:
                             block, length = table.enter(pc)
-                        if not length:
+                        if length < 0 and done - length <= stop:
+                            # A self-loop goes round while whole passes
+                            # fit, and during the ramp until it is passed.
+                            last = stop + length
+                            if ramp <= last:
+                                last = ramp - 1
+                            state, done = block(env, state, done, last)
+                            pc = state[0]
+                            length = 0  # the loop counted its passes
+                        elif not length:
                             # HALT; step() raises for a pc outside the
                             # program.
                             state = block(env, state, done)
                             done += 1
-                            halted = True
                             break
-                        if length > bound - done:
+                        elif abs(length) > stop - done:
                             block, length = table.single(pc)
                             stepping = True
-                state = block(env, state, done)
-                pc = state[0]
-                done += length
-                if stepping:
-                    stepping = pc < len(starts) and not starts[pc]
-            if halted or bound == stop:
-                break
-            ramp_boundary_cycle = state[4] // retire_width
-            bound = stop
+                if length:
+                    state = block(env, state, done)
+                    pc = state[0]
+                    done += length
+                    if stepping:
+                        stepping = pc < len(starts) and not starts[pc]
+                if done >= ramp:
+                    ramp_boundary_cycle = rob[(ramp - 1) % rob_entries]
+                    ramp = stop + 1
+        finally:
+            l1i.stats.add_hits(hits[0])
+            l1d.stats.add_hits(hits[1])
         machine.pc = pc
         machine.instructions_retired = done
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from ..functional.blocks import Emitter
+from ..cache import mru_names
+from ..functional.blocks import Emitter, mru_test
 from ..telemetry import NULL_TELEMETRY
 
 
@@ -79,22 +80,12 @@ class WarmupCost:
 
 
 def _mru_test(address: str, ifetch: bool) -> list[str]:
-    """A read or ifetch of `address` that hits the MRU way of its L1 set
-    changes only that L1's ``accesses``, ``hits`` and ``updates``: count
-    it in ``hc`` (L1I first); call ``warm_access`` otherwise."""
+    """A read or ifetch of `address`: count an L1 MRU hit, call
+    ``warm_access`` otherwise."""
     cache = "I" if ifetch else "D"
     return [f"s = {address} // {cache}L % {cache}N",
-            f"if {cache}R[s][{cache}O[s][0]] == {address} // {cache}T:",
-            f"    hc[{int(not ifetch)}] += 1",
-            "else:",
-            f"    wa({address}, False, {ifetch})"]
-
-
-def _mru_names(cache) -> tuple:
-    """``R, O, L, N, T`` of `cache`: its per-set tag rows and recency
-    orders, line bytes, set count, and line bytes times set count."""
-    line_bytes, sets = cache.config.line_bytes, cache.num_sets
-    return cache._tag_rows, cache.order, line_bytes, sets, line_bytes * sets
+            *mru_test(cache, "s", f"{address} // {cache}T", [],
+                      [f"wa({address}, False, {ifetch})"])]
 
 
 class _WarmEmitter(Emitter):
@@ -116,7 +107,7 @@ class _WarmEmitter(Emitter):
         self._stats = (l1i.stats, l1d.stats)
         self._hits = [0, 0]
         super().__init__(hierarchy.warm_access, predictor.update, self._hits,
-                         *_mru_names(l1i), *_mru_names(l1d))
+                         *mru_names(l1i), *mru_names(l1d))
 
     @staticmethod
     def memory(pc, retired, address, ref) -> list[str]:
@@ -131,12 +122,8 @@ class _WarmEmitter(Emitter):
     def fold(self) -> None:
         hits = self._hits
         for index, stats in enumerate(self._stats):
-            count = hits[index]
-            if count:
-                hits[index] = 0
-                stats.accesses += count
-                stats.hits += count
-                stats.updates += count
+            stats.add_hits(hits[index])
+            hits[index] = 0
 
 
 def warming_hooks(hierarchy, predictor, warm_cache: bool = True,

@@ -13,7 +13,10 @@ against, bit for bit:
 - :func:`step_driven_run` — the timing core as one loop over
   ``step()``, timing each instruction through the resource objects
   :class:`BandwidthLimiter`, :class:`FifoCapacity` and
-  :class:`PooledCapacity`;
+  :class:`PooledCapacity` (a heap, also for the issue queue, which the
+  translated blocks keep as a ring), with every cache access a
+  ``timed_access`` call and every transfer a
+  :func:`reference_predict_and_update` call;
 - :func:`scalar_cache_scan` — the paper's literal reverse cache scan,
   one ``reconstruct_reference`` call per logged reference and level;
 - :func:`scalar_btb_scan` — one ``btb.reconstruct`` call per claim,
@@ -29,6 +32,10 @@ against, bit for bit:
   the call chain through the per-structure training methods
   :func:`pht_update` (:func:`push_history`, ``update_counter``),
   :func:`btb_update`, :func:`ras_push` and :func:`ras_pop`;
+- :func:`reference_predict_and_update` —
+  ``BranchPredictor.predict_and_update`` as ``predict``, the statistics
+  and ``update``, for conditional branches too (production runs them
+  through ``BranchPredictor.conditional`` in one frame);
 - :func:`uncached_warm_prefix` — ``SimulationStack.warm_prefix`` as a
   plain call of ``steady_state_prefix``, which neither reads nor
   writes the workload's prefix memo;
@@ -282,8 +289,8 @@ def step_driven_run(self, max_instructions: int, pre_branch_hook=None,
             inst = instructions[pc]
             if pre_branch_hook is not None:
                 pre_branch_hook(pc, inst)
-            mispredicted = predictor.predict_and_update(
-                pc, inst, result.taken, result.next_index
+            mispredicted = reference_predict_and_update(
+                predictor, pc, inst, result.taken, result.next_index
             )
             checkpoints.release_at(complete)
             if mispredicted:
@@ -485,6 +492,23 @@ def ras_pop(ras) -> int:
     return value
 
 
+def reference_predict_and_update(self, pc: int, inst, taken: bool,
+                                 next_pc: int) -> bool:
+    """Twin of :meth:`BranchPredictor.predict_and_update` (same
+    contract): ``predict``, the statistics, then ``update``."""
+    mispredicted = self.predict(pc, inst) != next_pc
+    if inst.is_cond_branch:
+        self.stats.conditional_branches += 1
+        if mispredicted:
+            self.stats.mispredictions += 1
+    else:
+        self.stats.control_transfers += 1
+        if mispredicted:
+            self.stats.target_mispredictions += 1
+    self.update(pc, inst, taken, next_pc)
+    return mispredicted
+
+
 def chained_predictor_update(self, pc: int, inst, taken: bool,
                              next_pc: int) -> None:
     """Twin of :meth:`BranchPredictor.update` (same contract)."""
@@ -569,6 +593,9 @@ def reference_engine():
                 MemoryHierarchy, name, twin))
         stack.enter_context(mock.patch.object(
             BranchPredictor, "update", chained_predictor_update))
+        stack.enter_context(mock.patch.object(
+            BranchPredictor, "predict_and_update",
+            reference_predict_and_update))
         stack.enter_context(mock.patch.object(
             SimulationStack, "warm_prefix", uncached_warm_prefix))
         stack.enter_context(mock.patch.object(

@@ -31,6 +31,14 @@ class TestConfigValidation:
         config = CacheConfig("x", 1024, 64, 4, WritePolicy.WTNA, 1)
         assert config.num_sets == 4
 
+    @pytest.mark.parametrize("latency", (0, -1))
+    def test_hit_latency_at_least_one_cycle(self, latency):
+        # The timing core's fetch relies on a hit costing a cycle.
+        with pytest.raises(ValueError, match="L1I: hit_latency"):
+            CacheConfig("L1I", 1024, 64, 4, WritePolicy.WTNA, latency)
+        assert CacheConfig("L1I", 1024, 64, 4, WritePolicy.WTNA,
+                           1).hit_latency == 1
+
 
 class TestAddressMath:
     def test_line_address(self):

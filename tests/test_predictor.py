@@ -1,9 +1,12 @@
 """Unit tests for the combined branch predictor."""
 
+import random
+
 import pytest
 
 from repro.branch import BranchPredictor, PredictorConfig
 from repro.isa import Instruction, Opcode
+from tests.oracle_engine import reference_predict_and_update
 
 
 @pytest.fixture
@@ -118,3 +121,55 @@ class TestAccounting:
 
     def test_repr(self, predictor):
         assert "pht=256" in repr(predictor)
+
+
+def _every_counter(predictor) -> tuple:
+    """The predictor's state and every statistic it keeps."""
+    pht, btb, ras = predictor.pht, predictor.btb, predictor.ras
+    return (predictor.export_state(), dict(vars(predictor.stats)),
+            pht.lookups, pht.updates, btb.lookups, btb.updates,
+            ras.pushes, ras.pops)
+
+
+class TestConditionalInOneFrame:
+    """`BranchPredictor.conditional` against ``predict``, the statistics
+    and ``update`` (the reference engine's predict-and-update)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_branch_streams(self, seed):
+        rng = random.Random(seed)
+        config = PredictorConfig(pht_entries=rng.choice((16, 64, 256)),
+                                 btb_entries=rng.choice((4, 16, 64)),
+                                 ras_entries=4)
+        production, reference = (BranchPredictor(config) for _ in range(2))
+        pcs = [rng.randrange(400) for _ in range(rng.choice((3, 12, 40)))]
+        targets = {pc: rng.randrange(400) for pc in pcs}
+        bias = {pc: rng.random() for pc in pcs}
+        for _ in range(3000):
+            pc = rng.choice(pcs)
+            if rng.random() < 0.1:
+                # Another transfer through the shared BTB and RAS.
+                inst = Instruction(rng.choice((Opcode.JMP, Opcode.CALL)),
+                                   target=targets[pc])
+                results = [predictor.predict_and_update(
+                    pc, inst, True, targets[pc])
+                    for predictor in (production, reference)]
+            else:
+                taken = rng.random() < bias[pc]
+                next_pc = targets[pc] if taken else pc + 1
+                results = [
+                    production.conditional(pc, taken, next_pc),
+                    reference_predict_and_update(
+                        reference, pc, cond(targets[pc]), taken, next_pc)]
+            assert results[0] == results[1]
+            assert _every_counter(production) == _every_counter(reference)
+        assert production.stats.mispredictions > 0
+
+    def test_predict_and_update_delegates(self, predictor):
+        reference = BranchPredictor(predictor.config)
+        inst = cond(50)
+        for taken in (True, True, False, True, True, True, False):
+            next_pc = 50 if taken else 11
+            assert predictor.predict_and_update(10, inst, taken, next_pc) \
+                == reference.conditional(10, taken, next_pc)
+        assert _every_counter(predictor) == _every_counter(reference)

@@ -40,6 +40,8 @@ from tests.oracle_engine import (
 from tests.test_machine_batched import _mixed_program
 
 BASE = CoreConfig()
+#: The L1I of every `Pair`: 64-byte lines (16 instructions) in 16 sets.
+L1I = paper_hierarchy_config(scale=16).l1i
 #: The core configs of the sharded-sweep ledger workload.
 CONFIGS = {
     "base": BASE,
@@ -103,7 +105,7 @@ class Pair:
 
 def _first_block_length(program: Program) -> int:
     decoded = predecode_program(program)
-    starts = timing_blocks.timing_block_table(program, 16, 64).starts
+    starts = timing_blocks.timing_block_table(program, L1I, BASE).starts
     length = 1
     pc = program.entry
     while (pc + length < len(starts) and not starts[pc + length]
@@ -233,8 +235,7 @@ class TestDirected:
     def test_straight_line_longer_than_block_cap(self, rob_entries,
                                                  monkeypatch):
         """Blocks are cut at BLOCK_CAP, or at a smaller ROB."""
-        from repro.functional.blocks import BLOCK_CAP
-
+        BLOCK_CAP = timing_blocks.BLOCK_CAP
         monkeypatch.setattr(timing_blocks, "PROMOTE_AFTER", 1)
         b = ProgramBuilder(name="straight")
         b.li(5, 0x2000)
@@ -252,10 +253,106 @@ class TestDirected:
         for count in (1, BLOCK_CAP - 1, 3 * BLOCK_CAP, 1000):
             pair.run(count, hooked=False, measure_after=count // 2)
         table = predecode_program(pair.simulators[1].machine.program
-                                  ).blocks[("timing", 16,
+                                  ).blocks[("timing", 64, 16,
                                             min(BLOCK_CAP, rob_entries))]
         assert max(length for _, length in table.values()) == min(
             BLOCK_CAP, rob_entries)
+
+    @pytest.mark.parametrize("core", (
+        dataclasses.replace(BASE, issue_queue_entries=8),
+        dataclasses.replace(BASE, issue_queue_entries=4),
+        dataclasses.replace(BASE, issue_width=1, issue_queue_entries=8),
+        dataclasses.replace(BASE, issue_width=1, dispatch_width=1,
+                            fetch_width=2, issue_queue_entries=3,
+                            rob_entries=5),
+    ), ids=("iq8", "iq4", "issue1-iq8", "narrow-iq3-rob5"))
+    def test_issue_queue_binds(self, core, monkeypatch):
+        """The issue queue, a ring in the blocks and a heap in the oracle,
+        where it binds: a straight-line block longer than the queue, long
+        latencies behind it, and the paper workloads."""
+        monkeypatch.setattr(timing_blocks, "PROMOTE_AFTER", 1)
+        b = ProgramBuilder(name="long-latency")
+        b.li(5, 0x2000)
+        b.li(6, 3)
+        b.label("top")
+        for index in range(3 * timing_blocks.BLOCK_CAP):
+            if index % 4 == 0:
+                b.div(index % 3 + 1, index % 3 + 1, 6)
+            elif index % 4 == 1:
+                b.mul(index % 3 + 1, 6, 6)
+            elif index % 4 == 2:
+                b.load(4, 5, 8 * (index % 16))
+            else:
+                b.addi(index % 3 + 1, 4, index)
+        b.jmp("top")
+        pair = Pair(b.build(), Memory(), core)
+        for count in (1, 5, core.issue_queue_entries + 1, 100, 1000):
+            pair.run(count, hooked=False, measure_after=count // 2)
+        table = predecode_program(pair.simulators[1].machine.program
+                                  ).blocks[("timing", 64, 16, min(
+                                      core.rob_entries,
+                                      core.issue_queue_entries))]
+        assert max(length for _, length in table.values()) == min(
+            core.rob_entries, core.issue_queue_entries)
+        for name in ("gcc", "mcf"):
+            workload = build_workload(name, mem_scale=1, seed=41)
+            pair = Pair(workload.program, workload.memory, core)
+            for count in (50, 700, 3000):
+                pair.run(count, hooked=True, measure_after=count // 4)
+
+    def test_l1_hits_settled_when_a_run_raises(self, monkeypatch):
+        """A run that counted L1 MRU hits in its blocks and then reached
+        a pc outside the program adds them to the L1 statistics before
+        the error leaves it."""
+        monkeypatch.setattr(timing_blocks, "PROMOTE_AFTER", 1)
+        b = ProgramBuilder(name="wild-after-hits")
+        b.li(5, 0x2000)
+        b.li(6, 60)
+        b.label("loop")
+        b.load(1, 5, 0)
+        b.load(2, 5, 8)
+        b.addi(6, 6, -1)
+        b.bne(6, 0, "loop")
+        b.li(7, 1 << 20)
+        b.jr(7)
+        pair = Pair(b.build(), Memory())
+        for simulator, run in zip(pair.simulators,
+                                  (step_driven_run, TimingSimulator.run)):
+            with pytest.raises(ValueError, match="wild-after-hits"):
+                run(simulator, 10_000, None, 0)
+        assert snapshot(pair.simulators[0]) == snapshot(pair.simulators[1])
+        hierarchy = pair.simulators[1].hierarchy
+        assert hierarchy.l1d.stats.hits > 100
+        assert hierarchy.l1i.stats.hits > 0
+
+    @pytest.mark.parametrize("count", (1, 3, 4, 5, 7, 12, 13, 100, 401))
+    def test_self_loops(self, count, monkeypatch):
+        """A block branching back to its entry goes round inside its
+        function while whole passes fit, whatever bound (the run's end,
+        the ramp boundary) cuts a pass, and a hook sees each pass's
+        retired count."""
+        monkeypatch.setattr(timing_blocks, "PROMOTE_AFTER", 2)
+        b = ProgramBuilder(name="self-loop")
+        b.li(5, 0x3000)
+        b.li(6, 500)
+        b.label("loop")
+        b.load(1, 5, 0)
+        b.addi(1, 1, 3)
+        b.store(1, 5, 0)
+        b.addi(6, 6, -1)
+        b.bne(6, 0, "loop")
+        b.addi(2, 1, 1)
+        b.halt()
+        program = b.build()
+        pair = Pair(program, Memory())
+        calls = 0
+        while not pair.simulators[0].machine.halted:
+            pair.run(count, hooked=calls % 2 == 0,
+                     measure_after=(count // 3) * (calls % 3))
+            calls += 1
+        assert pair.simulators[1].machine.halted
+        table = predecode_program(program).blocks[("timing", 64, 16, 32)]
+        assert table[2][1] == -5
 
     @pytest.mark.parametrize("count", range(1, 12))
     def test_halt_inside_a_block(self, count):
@@ -360,7 +457,7 @@ class TestDirected:
         else:
             program = build_workload(name, mem_scale=1, seed=5).program
         table = timing_blocks.TimingBlockTable(
-            program, predecode_program(program), 16, 64)
+            program, predecode_program(program), 64, 16, 32)
         for pc in range(len(program) + 2):
             function, length = table.single(pc)
             source, operands, own_length = table.single_source(pc)
@@ -370,20 +467,40 @@ class TestDirected:
             assert length == own_length, pc
 
     def test_tables_shared_by_configs_and_hooks(self):
-        """Another core config and a hooked run reuse the program's
-        table; another ROB cap or fetch-block size does not."""
+        """Core configs whose ROB and issue queue both hold at least
+        BLOCK_CAP entries, and a hooked run, reuse the program's table;
+        a smaller ROB or issue queue, another L1I line size or set count
+        does not."""
         program = build_workload("gcc", mem_scale=1, seed=5).program
-        table = timing_blocks.timing_block_table(program, 16, 64)
-        assert timing_blocks.timing_block_table(program, 16, 128) is table
-        assert timing_blocks.timing_block_table(program, 16, 32) is not table
-        assert timing_blocks.timing_block_table(program, 8, 64) is not table
+        table = timing_blocks.timing_block_table(program, L1I, BASE)
+        for rob, iq in ((32, 32), (128, 64), (64, 1024), (33, 99)):
+            assert timing_blocks.timing_block_table(
+                program, L1I, dataclasses.replace(
+                    BASE, rob_entries=rob, issue_queue_entries=iq)) is table
+        for config in CONFIGS.values():
+            assert timing_blocks.timing_block_table(
+                program, L1I, config) is table
+        small_rob = dataclasses.replace(BASE, rob_entries=16)
+        small_iq = dataclasses.replace(BASE, issue_queue_entries=8)
+        assert timing_blocks.timing_block_table(
+            program, L1I, small_rob) is not table
+        assert timing_blocks.timing_block_table(
+            program, L1I, small_iq) is not table
+        wide = dataclasses.replace(L1I, line_bytes=128,
+                                   size_bytes=2 * L1I.size_bytes)
+        larger = dataclasses.replace(L1I, size_bytes=2 * L1I.size_bytes)
+        assert timing_blocks.timing_block_table(
+            program, wide, BASE) is not table
+        assert timing_blocks.timing_block_table(
+            program, larger, BASE) is not table
         # Beside the functional tables, under a key of its own.
         machine = FunctionalMachine(program, Memory())
         machine.run(100, ifetch_hook=lambda address: None,
                     ifetch_block_bytes=64)
         assert set(predecode_program(program).blocks) == {
-            ("timing", 16, 64), ("timing", 16, 32), ("timing", 8, 64),
-            ("hooks", False, False, 16)}
+            ("timing", 64, 16, 32), ("timing", 64, 16, 16),
+            ("timing", 64, 16, 8), ("timing", 128, 16, 32),
+            ("timing", 64, 32, 32), ("hooks", False, False, 16)}
 
     def test_threads_translating_one_table(self):
         """Threads missing on one shared table each cache their own pc's
@@ -391,7 +508,7 @@ class TestDirected:
         program = build_workload("perl", mem_scale=1, seed=7).program
         pcs = list(range(len(program) + 2))
         reference = timing_blocks.TimingBlockTable(
-            program, predecode_program(program), 16, 64)
+            program, predecode_program(program), 64, 16, 32)
         for pc in pcs:
             reference[pc]
             if pc < len(program) and reference.starts[pc]:
@@ -402,7 +519,7 @@ class TestDirected:
         try:
             for _ in range(5):
                 shared = timing_blocks.TimingBlockTable(
-                    program, predecode_program(program), 16, 64)
+                    program, predecode_program(program), 64, 16, 32)
                 errors = []
 
                 def translate(offset):
