@@ -1,4 +1,4 @@
-"""Skip-log compaction by periodic fold.
+"""Skip-log compaction by trim and fold.
 
 A raw skip log would buffer one tuple per skipped reference and let the
 reconstructors rediscover, by reverse scan, that almost all of them are
@@ -10,19 +10,25 @@ at most ``max_history`` outcomes per PHT entry.
 
 :class:`CompactedSkipRegionLog` keeps only those survivors, so retention
 and reconstruction work are O(unique entries) instead of O(gap length).
-It works in two steps:
+It works in three steps:
 
 - **Append-only hooks.**  While the gap executes cold, the hooks append
-  plain values to typed columns: a memory reference's address to an
-  ``array("Q")`` and its kind (load/store/ifetch) to a ``bytearray``; a
-  control transfer's pc, next pc and one ``kind << 1 | taken`` byte.
-  No dict, deque, tuple or attribute write happens per record.
+  plain ints to Python lists, the cheapest append CPython has: a memory
+  reference's address and its kind (load/store/ifetch); a control
+  transfer's pc, next pc and one ``kind << 1 | taken`` code.  No dict,
+  deque, tuple or attribute write happens per record.
+- **Trim.**  :meth:`~repro.core.method.ReverseStateReconstruction.skip`
+  calls :meth:`CompactedSkipRegionLog.trim` every
+  ``SKIP_FOLD_INSTRUCTIONS`` skipped instructions.  At a partial
+  fraction it only deletes, in place, the records that can no longer
+  reach the tail (see below); deduplicating records that a later cutoff
+  drops anyway would be wasted.  At fraction 1.0 nothing can be dropped,
+  so there it folds, which keeps retention bounded.
 - **Fold.**  :meth:`CompactedSkipRegionLog.compact` folds the pending
-  columns into the retained structures with numpy.
-  :meth:`~repro.core.method.ReverseStateReconstruction.skip` calls it
-  every ``SKIP_FOLD_INSTRUCTIONS`` skipped instructions, and every query
-  and :meth:`~CompactedSkipRegionLog.handoff` folds first, so pending
-  columns are never queried or pickled.
+  lists into the retained structures with numpy, converting only the
+  records at or above the cutoff.  Every query and
+  :meth:`~CompactedSkipRegionLog.handoff` folds first, so pending lists
+  are never queried or pickled.
 
 The retained structures, numbered by absolute position in their stream:
 
@@ -55,14 +61,14 @@ The retained structures, numbered by absolute position in their stream:
 **Exact tail trim.**  The log knows the fraction its consumer reads.
 ``tail_cutoff(n, f) = n - round(n * f)`` never decreases as `n` grows, so
 a record whose position is below the cutoff of the count seen so far can
-never enter the final tail.  Each fold drops such records from the
-pending columns and from every retained structure.  At a 20% tail this
-skips the dedup work for most of the gap.
+never enter the final tail.  Each trim and each fold drops such records
+from the pending lists and from every retained structure.  At a 20% tail
+the dedup work is done once, at the first query, over the tail alone.
 
 **Retention accounting.**  :meth:`~CompactedSkipRegionLog.stored_records`
 counts pending plus retained records.  The per-gap peak is taken just
-before each fold, so ``peak_stored_records`` and the
-``log.gap_stored_*`` histograms include what piles up between folds.
+before each trim and each fold, so ``peak_stored_records`` and the
+``log.gap_stored_*`` histograms include what piles up between them.
 
 Every query is bit-identical to the raw reverse scan; the equivalence is
 enforced against the raw oracle in tests/oracle_skiplog.py by
@@ -89,10 +95,11 @@ from .source import (
 )
 
 #: Deterministic byte model for :meth:`CompactedSkipRegionLog.
-#: stored_bytes`: the element widths of each column (pending columns and
-#: numpy survivor arrays), and list slot plus tuple for the RAS stack.
-#: Like the raw oracle's model these are chosen, not measured, so storage
-#: telemetry is platform-stable.
+#: stored_bytes`: the logical width of each record (the fields a record
+#: carries, as the fold's numpy arrays hold them), and list slot plus
+#: tuple for the RAS stack.  The pending lists hold Python ints, which
+#: take more than these widths; like the raw oracle's model the widths
+#: are chosen, not measured, so storage telemetry is platform-stable.
 #: Pending memory record: uint64 address + kind byte.
 COMPACT_PENDING_MEMORY_BYTES = 9
 #: Pending branch record: pc + next pc (8 bytes each) + kind/taken byte.
@@ -157,13 +164,17 @@ def _append(old: tuple, new: tuple) -> tuple:
     return tuple(np.concatenate(pair) for pair in zip(old, new))
 
 
-def _drain(column, dtype, skip: int) -> np.ndarray:
-    """A copy of `column` from position `skip` on; empties it in place.
+def _drain_words(column: list) -> np.ndarray:
+    """`column` as uint64; empties it in place, because the hooks hold
+    its bound append method."""
+    values = np.frombuffer(array("Q", column), np.uint64)
+    del column[:]
+    return values
 
-    The copy ends the column's buffer export, so it can be emptied, and
-    in place, because the hooks hold its bound append method.
-    """
-    values = np.frombuffer(column, dtype)[skip:].copy()
+
+def _drain_bytes(column: list) -> np.ndarray:
+    """`column` as uint8; empties it in place."""
+    values = np.frombuffer(bytes(column), np.uint8)
     del column[:]
     return values
 
@@ -248,7 +259,7 @@ class CompactedSkipRegionLog(ReconstructionSource):
     per-entry outcome windows (exact only for full-fraction tails);
     `store_conditionals` keeps the packed conditional stream needed to
     replay partial-fraction tails.  `fraction` is the largest tail the
-    consumer will query; each fold drops what lies before it.
+    consumer will query; each trim and fold drops what lies before it.
     """
 
     __slots__ = (
@@ -292,11 +303,11 @@ class CompactedSkipRegionLog(ReconstructionSource):
         self._index_pht = index_pht
         self._store_conditionals = store_conditionals
         self.telemetry = telemetry
-        self._addresses = array("Q")
-        self._kinds = bytearray()
-        self._branch_pcs = array("q")
-        self._branch_targets = array("Q")
-        self._branch_codes = bytearray()
+        self._addresses: list[int] = []
+        self._kinds: list[int] = []
+        self._branch_pcs: list[int] = []
+        self._branch_targets: list[int] = []
+        self._branch_codes: list[int] = []
         self.peak_stored_records = 0
         self.peak_stored_bytes = 0
         self._reset()
@@ -351,23 +362,68 @@ class CompactedSkipRegionLog(ReconstructionSource):
 
     def make_emitter(self) -> Emitter:
         """The hooks' appends as emitted code, bound to the pending
-        columns, which every fold empties in place."""
+        lists, which every trim and fold cuts in place."""
         return _LogEmitter(self._addresses.append, self._kinds.append,
                            self._branch_pcs.append,
                            self._branch_targets.append,
                            self._branch_codes.append)
 
-    # -- the fold --------------------------------------------------------------
+    # -- the trim and the fold ---------------------------------------------
+
+    def trim(self) -> None:
+        """Drop the records below the tail cutoff; fold at fraction 1.0.
+
+        Deletes, in place, the pending records below
+        ``tail_cutoff(count, fraction)`` and cuts the retained structures
+        at the same cutoff, without deduplicating what is kept: a later
+        cutoff may still drop it.  At fraction 1.0 nothing can be
+        dropped, so this folds to keep retention bounded.
+        """
+        if self._fraction >= 1.0:
+            self.compact()
+        elif self._kinds or self._branch_codes:
+            self._note_peak()
+            self._drop_unreachable()
 
     def compact(self) -> None:
-        """Fold the pending columns into the retained structures."""
+        """Fold the pending lists into the retained structures."""
         if not (self._kinds or self._branch_codes):
             return
         self._note_peak()
+        self._drop_unreachable()
         if self._kinds:
             self._fold_memory()
         if self._branch_codes:
             self._fold_branches()
+
+    def _drop_unreachable(self) -> None:
+        """Delete every record below its stream's tail cutoff, pending or
+        retained, in place.  A stream with nothing pending has not moved
+        its cutoff since its last trim or fold."""
+        fraction = self._fraction
+        if self._kinds:
+            cutoff = tail_cutoff(self.memory_record_count(), fraction)
+            drop = cutoff - self._mem_base
+            if drop > 0:
+                del self._addresses[:drop]
+                del self._kinds[:drop]
+                self._mem_base = cutoff
+            self._memory = _trim(self._memory, cutoff)
+        if self._branch_codes:
+            cutoff = tail_cutoff(self.branch_record_count(), fraction)
+            drop = cutoff - self._branch_base
+            if drop > 0:
+                del self._branch_pcs[:drop]
+                del self._branch_targets[:drop]
+                del self._branch_codes[:drop]
+                self._branch_base = cutoff
+            self._btb = _trim(self._btb, cutoff)
+            self._outcomes = _trim(self._outcomes, cutoff)
+            self._conditionals = _trim(self._conditionals, cutoff)
+            # Calls below the cutoff sit at the bottom of the stack and
+            # can never be read.
+            stack = self._ras_stack
+            del stack[:bisect_left(stack, (cutoff,))]
 
     def _note_peak(self) -> None:
         records = self.stored_records()
@@ -383,14 +439,11 @@ class CompactedSkipRegionLog(ReconstructionSource):
 
     def _fold_memory(self) -> None:
         base = self._mem_base
-        count = len(self._kinds)
-        cutoff = tail_cutoff(base + count, self._fraction)
-        skip = max(0, cutoff - base)
-        addresses = _drain(self._addresses, np.uint64, skip)
-        kinds = _drain(self._kinds, np.uint8, skip)
-        self._mem_base = base + count
-        seq = np.arange(base + skip, base + count, dtype=np.int64)
-        seq, addresses, kinds = _append(_trim(self._memory, cutoff),
+        addresses = _drain_words(self._addresses)
+        kinds = _drain_bytes(self._kinds)
+        self._mem_base = base + len(kinds)
+        seq = np.arange(base, self._mem_base, dtype=np.int64)
+        seq, addresses, kinds = _append(self._memory,
                                         (seq, addresses, kinds))
         # Data keys are even, instruction keys odd: a line fetched and
         # loaded warms both L1I and L1D; the shared L2 dedups the pair
@@ -402,21 +455,17 @@ class CompactedSkipRegionLog(ReconstructionSource):
 
     def _fold_branches(self) -> None:
         base = self._branch_base
-        count = len(self._branch_codes)
-        cutoff = tail_cutoff(base + count, self._fraction)
-        skip = max(0, cutoff - base)
-        pcs = _drain(self._branch_pcs, np.int64, skip)
-        targets = _drain(self._branch_targets, np.uint64, skip)
-        codes = _drain(self._branch_codes, np.uint8, skip)
-        self._branch_base = base + count
-        seq = np.arange(base + skip, base + count, dtype=np.int64)
+        pcs = _drain_words(self._branch_pcs).view(np.int64)
+        targets = _drain_words(self._branch_targets)
+        codes = _drain_bytes(self._branch_codes)
+        self._branch_base = base + len(codes)
+        seq = np.arange(base, self._branch_base, dtype=np.int64)
         kinds = codes >> 1
         taken = codes & 1
 
         # BTB: taken transfers other than returns claim their pc.
         claim = (taken == 1) & (kinds != BR_RET)
-        btb = _append(_trim(self._btb, cutoff),
-                      (seq[claim], pcs[claim], targets[claim]))
+        btb = _append(self._btb, (seq[claim], pcs[claim], targets[claim]))
         keep = _last_touch(btb[1])
         self._btb = tuple(column[keep] for column in btb)
 
@@ -425,8 +474,7 @@ class CompactedSkipRegionLog(ReconstructionSource):
         cond_pcs = pcs[cond]
         outcomes = taken[cond]
         history = self._history_bits
-        seqs, bits = _append(_trim(self._outcomes, cutoff),
-                             (cond_seq, outcomes))
+        seqs, bits = _append(self._outcomes, (cond_seq, outcomes))
         newest = max(0, len(seqs) - history)
         self._outcomes = (seqs[newest:], bits[newest:])
         if self._index_pht and len(outcomes):
@@ -437,13 +485,11 @@ class CompactedSkipRegionLog(ReconstructionSource):
                 self._windows, (cond_pcs ^ ghr) & self._pht_mask, outcomes,
                 self._max_history)
         if self._store_conditionals:
-            self._conditionals = _append(_trim(self._conditionals, cutoff),
+            self._conditionals = _append(self._conditionals,
                                          (cond_seq, cond_pcs, outcomes))
 
-        # RAS: a return consumes the newest outstanding call.  Calls below
-        # the cutoff sit at the bottom of the stack and can never be read.
+        # RAS: a return consumes the newest outstanding call.
         stack = self._ras_stack
-        del stack[:bisect_left(stack, (cutoff,))]
         transfers = np.flatnonzero((kinds == BR_CALL) | (kinds == BR_RET))
         for position, kind, pc in zip(seq[transfers].tolist(),
                                       kinds[transfers].tolist(),
@@ -566,7 +612,7 @@ class CompactedSkipRegionLog(ReconstructionSource):
             telemetry.observe("log.gap_stored_records",
                               self._gap_peak_records)
             telemetry.observe("log.gap_stored_bytes", self._gap_peak_bytes)
-        # The hooks captured the pending columns' append methods, so those
+        # The hooks captured the pending lists' append methods, so those
         # were emptied in place by the fold; the rest is rebuilt.
         self._reset()
 

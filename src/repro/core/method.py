@@ -22,8 +22,8 @@ from .cache_reconstruct import CacheReconstructionStats, ReverseCacheReconstruct
 from .counter_table import CounterInferenceTable, default_table
 from .source import make_source
 
-#: Skipped instructions between two folds of the skip log
-#: (:meth:`~repro.core.source.ReconstructionSource.compact`).
+#: Skipped instructions between two trims of the skip log
+#: (:meth:`~repro.core.source.ReconstructionSource.trim`).
 SKIP_FOLD_INSTRUCTIONS = 8192
 
 
@@ -126,7 +126,7 @@ class ReverseStateReconstruction(WarmupMethod):
         machine = context.machine
         block_bytes = context.hierarchy.l1i.config.line_bytes
         executed = 0
-        # Slices bound the records pending between folds; the machine
+        # Slices bound the records pending between trims; the machine
         # carries ifetch continuity across run() calls.
         while executed < count and not machine.halted:
             executed += machine.run(
@@ -137,7 +137,7 @@ class ReverseStateReconstruction(WarmupMethod):
                 ifetch_block_bytes=block_bytes,
                 emitter=emitter,
             )
-            log.compact()
+            log.trim()
         self.cost.functional_instructions += executed
         self.cost.log_records += log.record_count() - records_before
 

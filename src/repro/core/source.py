@@ -84,8 +84,15 @@ class ReconstructionSource:
 
     def compact(self) -> None:
         """Fold records appended since the last call into the retained
-        form.  The skip loop calls this periodically; sources that keep
-        their records as appended (the default) do nothing."""
+        form.  Sources that keep their records as appended (the default)
+        do nothing."""
+
+    def trim(self) -> None:
+        """Bound what the skip has retained so far.  The skip loop calls
+        this periodically; a source may drop what its consumer's tail can
+        no longer reach instead of folding.  The default folds
+        (:meth:`compact`)."""
+        self.compact()
 
     # -- record accounting ---------------------------------------------------
 

@@ -99,9 +99,9 @@ def _log(fraction: float) -> CompactedSkipRegionLog:
 
 
 def _pending(log) -> tuple:
-    return (bytes(log._addresses), bytes(log._kinds),
-            bytes(log._branch_pcs), bytes(log._branch_targets),
-            bytes(log._branch_codes), log.record_count())
+    columns = (log._addresses, log._kinds, log._branch_pcs,
+               log._branch_targets, log._branch_codes)
+    return (*(tuple(column) for column in columns), log.record_count())
 
 
 def _retained(log) -> tuple:

@@ -3,9 +3,9 @@
 The compaction engine (repro/core/compaction.py) claims that every
 ReconstructionSource query answers bit-identically to a reverse scan of
 the raw stream, for every tail fraction and both reconstruction modes,
-wherever the folds fall and however much of the gap they trim.  These
-tests drive randomized gap streams through the compacted log and the
-raw oracle (tests/oracle_skiplog.py) via the same
+wherever the folds and trims fall and however much of the gap they
+drop.  These tests drive randomized gap streams through the compacted
+log and the raw oracle (tests/oracle_skiplog.py) via the same
 hook calls and compare the *reconstructed state* — cache tags, LRU order
 and dirty bits, GHR, BTB, RAS, and PHT counters, each rebuilt by the
 production scans and by the reference engine's per-reference scans
@@ -15,6 +15,7 @@ production scans and by the reference engine's per-reference scans
 import contextlib
 import random
 from dataclasses import replace
+from operator import methodcaller
 
 import pytest
 from hypothesis import given
@@ -79,18 +80,19 @@ def make_pair(fraction=1.0):
 
 
 def feed_random_stream(logs, rng, memory_events=600, branch_events=600,
-                       fold=None):
+                       fold=None, step=methodcaller("compact")):
     """Drive identical randomized hook calls into every log in `logs`.
 
     `fold(rng, index)`, when given, is asked after record `index` whether
-    to call compact() on every log (a no-op on the raw one).
+    to call `step` on every log: compact() by default (a no-op on the raw
+    one).
     """
     records = iter(range(memory_events + branch_events))
 
     def after_record():
         if fold is not None and fold(rng, next(records)):
             for log in logs:
-                log.compact()
+                step(log)
 
     mem_hooks = [(log.make_mem_hook(), log.make_ifetch_hook())
                  for log in logs]
@@ -440,6 +442,116 @@ class TestFolding:
                                                                fraction)
 
 
+#: Trim-only schedules: the skip's trim after every k-th record.
+TRIM_EVERY = (1, 7, 100, 1000)
+TRIM_FRACTIONS = (1.0, 0.4, 0.2)
+
+
+def every(k):
+    return lambda rng, index: index % k == k - 1
+
+
+def compacted_queries(log, fraction):
+    """Every direct query of a compacted log, as plain values."""
+    depth = default_table().max_history
+    return (
+        [column.tolist() for column in log.memory_reverse_arrays(fraction)],
+        [column.tolist() for column in log.btb_claims_arrays(fraction)],
+        log.recent_conditional_outcomes(fraction, HISTORY_BITS),
+        [log.ras_tail_contents(fraction, capacity)
+         for capacity in (1, RAS_ENTRIES, 64)],
+        log.conditional_history(fraction, HISTORY_BITS),
+        log.pht_entry_windows(fraction, PHT_ENTRIES - 1, HISTORY_BITS,
+                              depth),
+    )
+
+
+def assert_tail_retained(log, fraction):
+    """No pending or retained record lies below its stream's cutoff."""
+    memory_cutoff = tail_cutoff(log.memory_record_count(), fraction)
+    branch_cutoff = tail_cutoff(log.branch_record_count(), fraction)
+    if log._kinds:
+        assert log._mem_base >= memory_cutoff
+    if log._branch_codes:
+        assert log._branch_base >= branch_cutoff
+    assert (log._memory[0] >= memory_cutoff).all()
+    for columns in (log._btb, log._outcomes, log._conditionals):
+        assert (columns[0] >= branch_cutoff).all()
+    assert all(seq >= branch_cutoff for seq, _pc in log._ras_stack)
+
+
+class TestTrimming:
+    """The skip trims instead of folding: at a partial fraction a trim
+    drops what no tail can reach and dedups nothing; at fraction 1.0 it
+    folds.  Either way every query answers as folding at the same points
+    does, and as the raw oracle does."""
+
+    @pytest.mark.parametrize("k", TRIM_EVERY)
+    @pytest.mark.parametrize("fraction", TRIM_FRACTIONS)
+    def test_queries_match_folds_and_oracle(self, fraction, k):
+        rng = random.Random(int(fraction * 100) + k)
+        raw, trimmed = make_pair(fraction)
+        _raw, folded = make_pair(fraction)
+
+        def step(log):
+            if log is trimmed:
+                log.trim()
+            else:
+                log.compact()
+
+        feed_random_stream((raw, trimmed, folded), rng, branch_events=3000,
+                           fold=every(k), step=step)
+        demand_entries = [rng.randrange(PHT_ENTRIES) for _ in range(40)]
+        assert (raw.record_count() == trimmed.record_count()
+                == folded.record_count())
+        assert (compacted_queries(trimmed, fraction)
+                == compacted_queries(folded, fraction))
+        assert (raw.recent_conditional_outcomes(fraction, HISTORY_BITS)
+                == trimmed.recent_conditional_outcomes(fraction,
+                                                       HISTORY_BITS))
+        for capacity in (1, RAS_ENTRIES, 64):
+            assert (raw.ras_tail_contents(fraction, capacity)
+                    == trimmed.ras_tail_contents(fraction, capacity))
+        assert (raw.conditional_history(fraction, HISTORY_BITS)
+                == trimmed.conditional_history(fraction, HISTORY_BITS))
+        assert (reconstructed_hierarchy(raw, fraction)
+                == reconstructed_hierarchy(trimmed, fraction))
+        assert (reconstructed_predictor(raw, fraction, "on_demand",
+                                        demand_entries)
+                == reconstructed_predictor(trimmed, fraction, "on_demand",
+                                           demand_entries))
+
+    @pytest.mark.parametrize("queries", [False, True])
+    @pytest.mark.parametrize("k", TRIM_EVERY)
+    @pytest.mark.parametrize("fraction", TRIM_FRACTIONS)
+    def test_trim_retains_only_the_tail(self, fraction, k, queries):
+        """Checked after every trim.  With `queries`, a query folds
+        before every third trim, so that trim cuts the retained
+        structures rather than the pending lists."""
+        _raw, compacted = make_pair(fraction)
+        trims = 0
+
+        def trim_and_check(log):
+            nonlocal trims
+            if queries and trims % 3 == 2:
+                log.memory_reverse_arrays(fraction)
+            log.trim()
+            assert_tail_retained(log, fraction)
+            if fraction < 1.0 and not queries:
+                # A trim keeps the tail raw: exactly its records remain.
+                memory = log.memory_record_count()
+                branches = log.branch_record_count()
+                assert log.stored_records() == (
+                    memory - tail_cutoff(memory, fraction)
+                    + branches - tail_cutoff(branches, fraction))
+            trims += 1
+
+        feed_random_stream((compacted,), random.Random(k),
+                           branch_events=3000, fold=every(k),
+                           step=trim_and_check)
+        assert trims == 3600 // k
+
+
 class TestRasEdgeCases:
     def test_deep_nesting_and_orphans(self):
         """Many randomized call/return shapes across every cutoff."""
@@ -479,12 +591,14 @@ class TestEndToEndEquivalence:
 
     def test_compacted_stores_fewer_records(self):
         simulator = SampledSimulator(build_workload("gcc"), self.REGIMEN)
-        peaks = {}
-        for kind in ("raw", "compacted"):
-            method = ReverseStateReconstruction(1.0, source=SOURCES[kind])
-            simulator.run(method)
-            peaks[kind] = method.log.peak_stored_records
-        assert 0 < peaks["compacted"] < peaks["raw"]
+        for fraction in (1.0, 0.2):
+            peaks = {}
+            for kind in ("raw", "compacted"):
+                method = ReverseStateReconstruction(fraction,
+                                                    source=SOURCES[kind])
+                simulator.run(method)
+                peaks[kind] = method.log.peak_stored_records
+            assert 0 < peaks["compacted"] < peaks["raw"], fraction
 
 
 #: A loop whose loads and stores walk downwards from address -64, i.e.
