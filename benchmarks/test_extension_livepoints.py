@@ -21,15 +21,17 @@ def test_extension_livepoints(benchmark, scale):
     library = LivePointLibrary.generate(
         workload, regimen, scale.configs(),
         warmup_prefix=scale.warmup_prefix,
+        detail_ramp=scale.detail_ramp,
     )
 
     replay = benchmark.pedantic(library.replay, rounds=3, iterations=1)
 
     # The replay must reproduce a direct SMARTS-warmed sampled run
-    # exactly (same warmed state, same clusters).
+    # exactly (same warmed state, same ramps, same clusters).
     direct = SampledSimulator(
         workload, regimen, scale.configs(),
         warmup_prefix=scale.warmup_prefix,
+        detail_ramp=scale.detail_ramp,
     ).run(SmartsWarmup())
     assert replay.cluster_ipcs == direct.cluster_ipcs
 

@@ -3,20 +3,21 @@
 The PR's acceptance bar, made continuously observable and recorded into
 ``BENCH_pr9.json`` at the repo root for the trajectory gate:
 
-- **Off means off.**  With ``REPRO_SERVICE_LOG`` unset and nobody
+- **Off means off.**  With ``REPRO_TRACE`` unset and nobody
   scraping ``/metrics``, a service job's payload is byte-identical to
   an inline :func:`repro.api.execute_request` call, and no ``run_id``
   leaks into any result payload (correlation is observability-only;
   results stay content-addressed).
-- **On is still correct.**  With the structured log, the
-  ``REPRO_TRACE`` record file, and concurrent ``/metrics`` scrapes all
-  enabled, the payloads are *still* byte-identical to inline — the
-  whole observability stack is stamp-and-append, never
-  result-mutating — and the scrape plus the offline ``repro metrics``
-  twin both satisfy the strict exposition parser.
+- **On is still correct.**  With the ``REPRO_TRACE`` record file
+  (the runs' records and the service's access and job records) and
+  concurrent ``/metrics`` scrapes both enabled, the payloads are
+  *still* byte-identical to inline — the whole observability stack is
+  stamp-and-append, never result-mutating — and the scrape plus the
+  offline ``repro metrics`` twin both satisfy the strict exposition
+  parser.
 - **The join works.**  Every job's ``run_id`` (from its status
-  payload) appears in the service log and in the record file's
-  ``run_start``, ``cluster`` and ``span`` records.
+  payload) appears in the record file's ``access`` or ``job`` records
+  and in its ``run_start``, ``cluster`` and ``span`` records.
 - **On is cheap.**  The full-observability pass is wall-bounded
   against the off pass (min ratio over alternating off/on pairs, the
   same noise-damping scheme as ``test_span_overhead.py``).
@@ -64,7 +65,6 @@ def _run_service_pass(scale, requests, *, observe, artifact_dir):
         artifact_dir.mkdir(parents=True, exist_ok=True)
         options = RunOptions(
             scale=scale.name,
-            service_log=str(artifact_dir / "service.jsonl"),
             trace=str(artifact_dir / "trace.jsonl"),
         )
     else:
@@ -124,21 +124,21 @@ def test_metrics_overhead(benchmark, scale, tmp_path):
     assert not run_id_leaked, "run_id leaked into a result payload"
 
     # The last on-pass's artifacts carry the acceptance grep: every
-    # job's run_id joins the service log and each record type of the
-    # trace file that a sampled run writes.
+    # job's run_id joins the service's access/job records and each
+    # record type of the trace file that a sampled run writes.
     last_dir = tmp_path / f"on-{PAIRS - 1}"
-    log_lines = [json.loads(line) for line in
-                 (last_dir / "service.jsonl").read_text().splitlines()]
     trace_records = read_trace(str(last_dir / "trace.jsonl"))
+    service_records = [record for record in trace_records
+                       if record["type"] in ("access", "job")]
     run_id_join_complete = bool(artifacts["run_ids"]) and all(
-        any(line.get("run_id") == run_id for line in log_lines)
+        any(record.get("run_id") == run_id for record in service_records)
         and {"run_start", "run_end", "cluster", "span"} <= {
             record["type"] for record in trace_records
             if record.get("run_id") == run_id}
         for run_id in artifacts["run_ids"]
     )
     assert run_id_join_complete, \
-        "a job's run_id is missing from the log or the trace records"
+        "a job's run_id is missing from the service or run records"
 
     # Both exposition flavors must satisfy the strict parser: the live
     # scrape and the offline `repro metrics` rendering of the trace.
@@ -182,7 +182,7 @@ def test_metrics_overhead(benchmark, scale, tmp_path):
         },
         "counters": artifacts["counters"],
         "artifact_lines": {
-            "service_log": len(log_lines),
+            "service_records": len(service_records),
             "trace_records": len(trace_records),
         },
     }
@@ -192,12 +192,12 @@ def test_metrics_overhead(benchmark, scale, tmp_path):
     rows = [
         ["service, observability off",
          f"{min(off_seconds):.2f}s", "payloads == inline"],
-        ["service, log+trace+scrapes",
+        ["service, trace+scrapes",
          f"{min(on_seconds):.2f}s",
          f"{overhead_ratio:.3f}x off-pass, payloads == inline"],
         ["run_id join",
          f"{len(artifacts['run_ids'])} jobs",
-         "log + trace records all stamped"],
+         "service + run records all stamped"],
         ["exposition",
          f"{len(live_families)} live / {len(offline_families)} offline",
          "strict parser clean"],

@@ -683,8 +683,8 @@ def cmd_serve(args) -> int:
     print(f"simulation service listening on {service.url}")
     print(f"scale: {options.scale}; "
           f"quota: {args.quota} pending job(s) per tenant")
-    if options.service_log:
-        print(f"structured service log: {options.service_log}")
+    if service.log.enabled:
+        print(f"records (runs, access, jobs): {service.log.path}")
     print(f"metrics: GET {service.url}/metrics")
     print(f"submit with: repro submit --url {service.url} sample "
           f"--workload gcc")

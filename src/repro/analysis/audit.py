@@ -291,7 +291,7 @@ class AuditProbe:
         }
         self._partial: dict[int, dict] = {}
 
-    def before_cluster(self, index: int, method, stack) -> None:
+    def before_cluster(self, index: int, method, stack, ramp: int) -> None:
         """Diff reconstructed state at cluster entry (post pre_cluster)."""
         census = None
         take_census = getattr(method, "audit_census", None)

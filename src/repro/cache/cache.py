@@ -11,20 +11,14 @@ hardware hook the paper's §3.1 algorithm relies on:
 State layout
 ------------
 
-Block state lives in flat typed stores indexed ``set * associativity +
-way`` — ``tag_store`` (``array('q')``, −1 = invalid), ``dirty_bits`` and
+Tags live in per-set lists (``_tag_rows``, −1 = invalid): CPython scans
+a small list of cached ints measurably faster than a flat typed array,
+which re-boxes every element it reads.  The per-block bits live in flat
+stores indexed ``set * associativity + way`` — ``dirty_bits`` and
 ``recon_bits`` (``bytearray``), and ``recon_count`` (``array('H')``, one
-count per set).  The flat stores are the canonical representation: they
-give C-speed bulk operations (``begin_reconstruction`` and ``reset`` are
-slice fills instead of per-way Python loops) and a compact, contiguous
-form for bulk consumers such as the vectorized reverse reconstructor.
-
-The forward-time tag scan additionally keeps a per-set *list* mirror of
-the tag column (``_tag_rows``): CPython scans a small list of cached
-ints measurably faster than a flat typed array, which re-boxes every
-element it reads.  The mirror is updated at the few tag-write sites
-(miss fill, reconstruction insert, ``load_state``, ``reset``) and is an
-implementation detail — external readers use the read-only ``tags`` /
+count per set) — so ``begin_reconstruction`` and ``reset`` are C-speed
+slice fills instead of per-way Python loops.  Both layouts are
+implementation details: external readers use the read-only ``tags`` /
 ``dirty`` / ``reconstructed`` views, which render the legacy
 list-of-lists shape (``None`` marks an invalid way).
 
@@ -158,19 +152,17 @@ class Cache:
         assoc = self.associativity
         sets = self.num_sets
         blocks = sets * assoc
-        #: Flat canonical stores, indexed ``set * associativity + way``.
-        self.tag_store: array = array("q", [-1]) * blocks
+        #: Flat per-block bits, indexed ``set * associativity + way``.
         self.dirty_bits = bytearray(blocks)
         self.recon_bits = bytearray(blocks)
         #: Number of ways reconstructed so far per set (reverse warm-up).
         self.recon_count: array = array("H", bytes(2 * sets))
-        #: Per-set list mirror of the tag column (fast forward scan).
+        #: Per-set tag lists (fast forward scan).
         self._tag_rows: list[list[int]] = [[-1] * assoc for _ in range(sets)]
         #: order[s] lists way indices from most- to least-recently used.
         self.order: list[list[int]] = [list(range(assoc)) for _ in range(sets)]
         self.stats = CacheStats()
         # Invariant templates for C-speed bulk clears.
-        self._empty_tag_store = array("q", [-1]) * blocks
         self._zero_blocks = bytes(blocks)
         self._zero_counts = array("H", bytes(2 * sets))
 
@@ -261,7 +253,6 @@ class Cache:
         index = set_index * self.associativity + victim
         evicted_tag = row[victim]
         row[victim] = tag
-        self.tag_store[index] = tag
         dirty_bits = self.dirty_bits
         dirty = dirty_bits[index]
         dirty_bits[index] = 1 if is_write and self._wbwa else 0
@@ -349,7 +340,6 @@ class Cache:
         # stale way here.
         victim = order[-1]
         row[victim] = tag
-        self.tag_store[base + victim] = tag
         self.dirty_bits[base + victim] = 1 if is_write and self._wbwa else 0
         recon_bits[base + victim] = 1
         order.pop()
@@ -386,7 +376,6 @@ class Cache:
     def reset(self) -> None:
         """Invalidate all lines and reset statistics."""
         assoc = self.associativity
-        self.tag_store[:] = self._empty_tag_store
         self.dirty_bits[:] = self._zero_blocks
         self.recon_bits[:] = self._zero_blocks
         self.recon_count[:] = self._zero_counts
@@ -450,18 +439,15 @@ class Cache:
         ):
             raise ValueError("snapshot geometry does not match this cache")
         assoc = self.associativity
-        tag_store = self.tag_store
         dirty_bits = self.dirty_bits
         for set_index, (tag_row, dirty_row) in enumerate(
             zip(state["tags"], state["dirty"])
         ):
             base = set_index * assoc
-            mirror = self._tag_rows[set_index]
+            stored = self._tag_rows[set_index]
             for way in range(assoc):
                 tag = tag_row[way]
-                value = -1 if tag is None else tag
-                mirror[way] = value
-                tag_store[base + way] = value
+                stored[way] = -1 if tag is None else tag
                 dirty_bits[base + way] = 1 if dirty_row[way] else 0
         self.order = [list(row) for row in state["order"]]
         self.recon_bits[:] = self._zero_blocks

@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..branch import BranchPredictor
-from ..telemetry import NULL_TELEMETRY
+from ..telemetry import METRIC_PHT_ENTRIES, NULL_TELEMETRY
 from .counter_table import CounterInferenceTable, default_table
 from .ras_reconstruct import reconstruct_ras_from_source
 from .source import ReconstructionSource
@@ -67,14 +67,8 @@ class ReverseBranchReconstructor:
         self.counter_writes = 0
         self.ras_entries_recovered = 0
         self.log_walk_steps = 0
-        # Instruments resolved once; the null registry hands back shared
-        # no-op singletons, so the on-demand walker stays cheap untraced.
-        registry = (telemetry if telemetry is not None
-                    else NULL_TELEMETRY).registry
-        self._pht_counter = registry.counter("reconstruct.pht_entries")
-        self._btb_counter = registry.counter("reconstruct.btb_entries")
-        self._ras_counter = registry.counter("reconstruct.ras_entries")
-        self._walk_counter = registry.counter("reconstruct.log_walk_steps")
+        self.telemetry = (telemetry if telemetry is not None
+                          else NULL_TELEMETRY)
 
     # -- eager phase (immediately before the cluster) -----------------------
 
@@ -98,12 +92,14 @@ class ReverseBranchReconstructor:
             pht.set_history(ghr)
 
         # --- step 2: BTB, newest claimant wins ----------------------------
-        self._btb_counter.inc(self._rebuild_btb(source, fraction))
+        self.telemetry.count("reconstruct.btb_entries",
+                             self._rebuild_btb(source, fraction))
 
         # --- step 3: RAS ---------------------------------------------------
         self.ras_entries_recovered = reconstruct_ras_from_source(
             predictor.ras, source, fraction)
-        self._ras_counter.inc(self.ras_entries_recovered)
+        self.telemetry.count("reconstruct.ras_entries",
+                             self.ras_entries_recovered)
 
         # --- step 4: arm the on-demand PHT engine --------------------------
         windows = source.pht_entry_windows(
@@ -165,7 +161,7 @@ class ReverseBranchReconstructor:
         if windows is not None:
             length, bits = windows.pop(entry, (0, 0))
             self.log_walk_steps += length
-            self._walk_counter.inc(length)
+            self.telemetry.count("reconstruct.log_walk_steps", length)
             self._finalize(entry, self.table.lookup(length, bits).value)
             return
         conditionals = self._conditionals
@@ -193,7 +189,8 @@ class ReverseBranchReconstructor:
             else:
                 pending[index] = (length, bits)
         self._cursor = cursor
-        self._walk_counter.inc(cursor_at_entry - cursor)
+        self.telemetry.count("reconstruct.log_walk_steps",
+                             cursor_at_entry - cursor)
 
         if not reconstructed[entry]:
             # Log exhausted: resolve with whatever history accumulated.
@@ -206,7 +203,7 @@ class ReverseBranchReconstructor:
         if value is not None and self.infer_counters:
             pht.counters[entry] = value
             self.counter_writes += 1
-            self._pht_counter.inc()
+            self.telemetry.count(METRIC_PHT_ENTRIES)
         pht.reconstructed[entry] = True
 
     def drain(self) -> None:
@@ -230,7 +227,7 @@ class ReverseBranchReconstructor:
                     self._finalize(entry, table.lookup(length, bits).value)
             windows.clear()
             self.log_walk_steps += steps
-            self._walk_counter.inc(steps)
+            self.telemetry.count("reconstruct.log_walk_steps", steps)
             return
         pending = self._pending
         mask = pht.entries - 1
@@ -253,7 +250,8 @@ class ReverseBranchReconstructor:
             else:
                 pending[index] = (length, bits)
         self._cursor = cursor
-        self._walk_counter.inc(cursor_at_entry - cursor)
+        self.telemetry.count("reconstruct.log_walk_steps",
+                             cursor_at_entry - cursor)
         for entry, (length, bits) in list(pending.items()):
             if not reconstructed[entry]:
                 self._finalize(entry, table.lookup(length, bits).value)

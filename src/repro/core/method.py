@@ -89,7 +89,7 @@ class ReverseStateReconstruction(WarmupMethod):
     def bind(self, context: SimulationContext) -> None:
         super().bind(context)
         # The telemetry session is per run, so the log and reconstructors
-        # (which cache instruments from it) are rebuilt on every bind.
+        # (which count into it) are rebuilt on every bind.
         self.log = make_source(
             self.source,
             context=context,

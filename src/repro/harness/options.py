@@ -29,14 +29,15 @@ The consolidated variables::
                              memory) or the path of one JSONL record file
     REPRO_AUDIT              accuracy-audit probes switch
     REPRO_RUN_ID             correlation id stamped on telemetry output
-    REPRO_SERVICE_LOG        structured service log JSONL path
 
 (``REPRO_SPAN_PARENT`` is deliberately absent: it is cross-process
 plumbing owned by the fan-out in :mod:`~.parallel`, not user
-configuration.)  The recording switches that ``REPRO_TRACE`` replaced
-(:data:`_RETIRED_SWITCHES`) fail validation when set to anything but an
-off value: ignoring them would hand back a run without the records its
-caller asked for.
+configuration.)  The service writes its access and job records to the
+``REPRO_TRACE`` file too.  The recording switches that ``REPRO_TRACE``
+replaced (:data:`_RETIRED_SWITCHES`, the service log's
+``REPRO_SERVICE_LOG`` among them) fail validation when set to anything
+but an off value: ignoring them would hand back a run without the
+records its caller asked for.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ _OFF_VALUES = frozenset({"", "0", "off", "none", "no", "false", "disabled"})
 _ON_VALUES = frozenset({"1", "on", "yes", "true", "enabled"})
 
 #: Recording switches that ``REPRO_TRACE`` replaced.
-_RETIRED_SWITCHES = ("REPRO_TELEMETRY", "REPRO_SPANS", "REPRO_EVENTS")
+_RETIRED_SWITCHES = ("REPRO_TELEMETRY", "REPRO_SPANS", "REPRO_EVENTS",
+                     "REPRO_SERVICE_LOG")
 
 
 def available_cpus() -> int:
@@ -119,7 +121,6 @@ class RunOptions:
     trace: "str | None" = None
     audit: bool = False
     run_id: "str | None" = None
-    service_log: "str | None" = None
 
     def __post_init__(self) -> None:
         from .experiment import SCALES
@@ -169,7 +170,6 @@ class RunOptions:
             "trace": env("REPRO_TRACE") or None,
             "audit": _parse_bool("REPRO_AUDIT", env("REPRO_AUDIT")),
             "run_id": env("REPRO_RUN_ID") or None,
-            "service_log": env("REPRO_SERVICE_LOG") or None,
         }
         for name, value in overrides.items():
             if value is not None:
@@ -232,7 +232,6 @@ class RunOptions:
             "REPRO_TRACE": self.trace or "",
             "REPRO_AUDIT": "1" if self.audit else "",
             "REPRO_RUN_ID": self.run_id or "",
-            "REPRO_SERVICE_LOG": self.service_log or "",
         }
 
     def environ(self) -> dict[str, str]:

@@ -35,7 +35,7 @@ import contextlib
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from ..sampling import (
@@ -489,5 +489,26 @@ def execute_matrix(
             run=results[spec], true_ipc=experiment.true_run.ipc
         )
     if telemetry.trace_path is not None:
-        telemetry.absorb(merged_telemetry(grid))
+        telemetry.absorb(_stamped(merged_telemetry(grid), telemetry.run_id))
     return grid
+
+
+def _stamped(snapshot: TelemetrySnapshot,
+             run_id: "str | None") -> TelemetrySnapshot:
+    """A copy of `snapshot` whose records carry `run_id` (none if None).
+
+    A cache-served cell's records carry the ``run_id`` of the invocation
+    that computed them; the invocation that serves them restamps them
+    (its ``cell`` record says ``cached``).  Fresh cells already carry
+    the ambient id.  The cached objects are left as they are.
+    """
+    def stamp(record: dict) -> dict:
+        record = {key: value for key, value in record.items()
+                  if key != "run_id"}
+        if run_id is not None:
+            record["run_id"] = run_id
+        return record
+
+    return replace(snapshot,
+                   trace_records=[stamp(r) for r in snapshot.trace_records],
+                   spans=[stamp(r) for r in snapshot.spans])

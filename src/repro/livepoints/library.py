@@ -19,10 +19,12 @@ Two caveats carried over from the original technique:
 
 Generation is the serial walk itself
 (:func:`~repro.sampling.pipeline.record_cluster_entries`) with a
-capturing observer, so a replay reproduces the generating method's own
-sampled run exactly.  A library persists as the checkpoint store's
-``livepoints`` kind (:meth:`LivePointLibrary.store_in`), which gives it
-atomic writes and digest checks.
+capturing observer, and a replay runs each cluster's detailed ramp
+before the measured cluster, as the walk did, so it reproduces the
+generating method's own sampled run exactly.  A library persists as the
+checkpoint store's ``livepoints`` kind
+(:meth:`LivePointLibrary.store_in`), which gives it atomic writes and
+digest checks.
 """
 
 from __future__ import annotations
@@ -69,12 +71,15 @@ class LivePointLibrary:
         configs: SimulatorConfigs,
         points: tuple[ClusterEntry, ...],
         generation_seconds: float = 0.0,
+        detail_ramp: int = 0,
     ) -> None:
         self.workload = workload
         self.regimen = regimen
         self.configs = configs
         self.points = points
         self.generation_seconds = generation_seconds
+        #: The generating walk's ramp limit (part of the store key).
+        self.detail_ramp = detail_ramp
 
     # -- generation ----------------------------------------------------------
 
@@ -86,6 +91,7 @@ class LivePointLibrary:
         configs: SimulatorConfigs | None = None,
         warmup: WarmupMethod | None = None,
         warmup_prefix: int = 0,
+        detail_ramp: int = 0,
     ) -> "LivePointLibrary":
         """Build a library by one serial walk of `warmup`.
 
@@ -93,15 +99,19 @@ class LivePointLibrary:
         between capture points (SMARTS full functional warming by
         default, matching the original live-points recipe).  Each point
         is the walk's :class:`~repro.sampling.controller.WarmState` at a
-        cluster entry.
+        cluster entry, before the cluster's detailed ramp (at most
+        `detail_ramp` instructions, as in
+        :class:`~repro.sampling.SampledSimulator`).
         """
         configs = configs if configs is not None else SimulatorConfigs()
         method = warmup if warmup is not None else SmartsWarmup()
         start_time = time.perf_counter()
         points = record_cluster_entries(workload, regimen, configs, method,
-                                        warmup_prefix=warmup_prefix)
+                                        warmup_prefix=warmup_prefix,
+                                        detail_ramp=detail_ramp)
         generation_seconds = time.perf_counter() - start_time
-        return cls(workload, regimen, configs, points, generation_seconds)
+        return cls(workload, regimen, configs, points, generation_seconds,
+                   detail_ramp=detail_ramp)
 
     # -- replay ---------------------------------------------------------------
 
@@ -109,9 +119,10 @@ class LivePointLibrary:
                pre_branch_hook=None) -> LivePointReplayResult:
         """Detail-simulate every stored cluster under `core_config`.
 
-        Only the clusters run — no functional fast-forwarding — so a
-        replay costs a small fraction of a full sampled simulation and
-        can be repeated for many core configurations.
+        Only the clusters and their detailed ramps run — no functional
+        fast-forwarding — so a replay costs a small fraction of a full
+        sampled simulation and can be repeated for many core
+        configurations.
         """
         core = core_config if core_config is not None else self.configs.core
         configs = replace(self.configs, core=core)
@@ -121,7 +132,8 @@ class LivePointLibrary:
             stack = build_simulation(self.workload, configs)
             point.state.restore(stack)
             result = stack.timing.run(
-                self.regimen.cluster_size, pre_branch_hook=pre_branch_hook,
+                point.ramp + self.regimen.cluster_size,
+                pre_branch_hook=pre_branch_hook, measure_after=point.ramp,
             )
             cluster_ipcs.append(result.ipc)
         wall_seconds = time.perf_counter() - start_time
@@ -149,7 +161,7 @@ class LivePointLibrary:
 
         return livepoint_store_key(
             self.workload, self.regimen, self.configs,
-            warmup_prefix=warmup_prefix,
+            warmup_prefix=warmup_prefix, detail_ramp=self.detail_ramp,
             method_identity=(method_identity
                              or {"method": "SmartsWarmup"}),
         )

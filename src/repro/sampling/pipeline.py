@@ -359,7 +359,7 @@ class _ClusterStep:
                 hook = method.pre_cluster()
             if observer is not None:
                 with telemetry.phase(PHASE_AUDIT):
-                    observer.before_cluster(index, method, stack)
+                    observer.before_cluster(index, method, stack, ramp)
             with telemetry.phase(PHASE_HOT_SIM):
                 result = stack.timing.run(
                     self.cluster_size + ramp, pre_branch_hook=hook,
@@ -418,8 +418,9 @@ def run_serial(simulator, method, observer=None) -> SampledRunResult:
     measured against.
 
     `observer` is the walk's one cluster-entry hook: its
-    ``before_cluster(index, method, stack)`` runs after the method's
-    ``pre_cluster()``, just before the cluster's detailed simulation, and
+    ``before_cluster(index, method, stack, ramp)`` runs after the
+    method's ``pre_cluster()``, just before the cluster's detailed ramp
+    and simulation, and
     its ``after_cluster(index, method, ipc)`` once the cluster's IPC is
     known.  The audit probe, the audit reference trajectory and
     live-points generation are observers (:func:`record_cluster_entries`).
@@ -455,11 +456,14 @@ class ClusterEntry:
     `state` is captured after the method's ``pre_cluster()`` with pending
     on-demand repairs finalised (behaviour-neutral: they are exactly what
     the cluster's probes would reconstruct), so it is the state the
-    cluster's detailed simulation consumes.
+    cluster's detailed ramp and simulation consume.  `ramp` is the
+    detailed ramp :func:`cluster_geometry` gave the cluster: replaying
+    the entry runs ``ramp`` unmeasured instructions before the cluster.
     """
 
     cluster_index: int
     start: int
+    ramp: int
     state: WarmState
     ipc: float
 
@@ -471,14 +475,16 @@ class _EntryRecorder:
         self.starts = starts
         self.entries: list[ClusterEntry] = []
         self._state = None
+        self._ramp = 0
 
-    def before_cluster(self, index: int, method, stack) -> None:
+    def before_cluster(self, index: int, method, stack, ramp: int) -> None:
         method.finalize_pending()
         self._state = WarmState.capture(stack)
+        self._ramp = ramp
 
     def after_cluster(self, index: int, method, ipc: float) -> None:
         self.entries.append(ClusterEntry(
-            cluster_index=index, start=self.starts[index],
+            cluster_index=index, start=self.starts[index], ramp=self._ramp,
             state=self._state, ipc=ipc))
 
 

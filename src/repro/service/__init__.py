@@ -9,11 +9,7 @@ package is stdlib-only: ``http.server`` for transport, the
 from .client import ServiceClient, ServiceError
 from .jobs import JOB_STATES, JobRecord, JobStore, QuotaExceeded
 from .server import DEFAULT_HOST, DEFAULT_PORT, SimulationService
-from .servicelog import (
-    NULL_SERVICE_LOG,
-    SERVICE_LOG_ENV_VAR,
-    ServiceLog,
-)
+from .servicelog import ServiceLog
 
 __all__ = [
     "DEFAULT_HOST",
@@ -21,9 +17,7 @@ __all__ = [
     "JOB_STATES",
     "JobRecord",
     "JobStore",
-    "NULL_SERVICE_LOG",
     "QuotaExceeded",
-    "SERVICE_LOG_ENV_VAR",
     "ServiceClient",
     "ServiceError",
     "ServiceLog",

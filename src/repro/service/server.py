@@ -33,10 +33,10 @@ Routes::
 Observability: every submitted job gets a correlation ``run_id``
 (:mod:`repro.telemetry.runid`) exported into its execution extent, so
 its span/event/trace records across worker processes grep under one id;
-``REPRO_SERVICE_LOG`` (or ``RunOptions.service_log``) enables the
-structured JSON access/job log (:mod:`.servicelog`).  Both default off,
-in which case responses and results stay byte-identical to inline
-execution.
+a ``REPRO_TRACE`` path (``RunOptions.trace``) also takes the service's
+own ``access`` and ``job`` records (:mod:`.servicelog`).  Recording
+defaults off, in which case responses and results stay byte-identical
+to inline execution.
 
 Everything is stdlib (``http.server``, ``json``, ``threading``); the
 service needs no extra dependencies to deploy.
@@ -54,6 +54,7 @@ from ..harness.options import RunOptions
 from ..store.checkpoint import global_store_stats
 from ..telemetry.expo import BucketHistogram, MetricsExposition
 from ..telemetry.runid import mint_run_id
+from ..telemetry.trace import trace_path
 from .jobs import JobStore, QuotaExceeded
 from .servicelog import ServiceLog
 
@@ -63,7 +64,7 @@ DEFAULT_PORT = 8642
 #: How long the worker blocks on the queue before re-checking shutdown.
 _WORKER_POLL_SECONDS = 0.2
 
-#: Known routes as they appear in metrics labels and access-log lines;
+#: Known routes as they appear in metrics labels and access records;
 #: per-job paths collapse to a template so label cardinality stays
 #: bounded no matter how many jobs a deployment serves.
 _ROUTES = frozenset({"/jobs", "/healthz", "/stats", "/metrics"})
@@ -132,7 +133,7 @@ class SimulationService:
             max_pending_per_tenant=max_pending_per_tenant)
         self.host = host
         self.port = port
-        self.log = ServiceLog(self.options.service_log)
+        self.log = ServiceLog(trace_path(self.options.trace))
         self.counters = {
             "jobs_submitted": 0,
             "jobs_completed": 0,
@@ -420,8 +421,8 @@ def _make_handler(service: SimulationService):
     """A request-handler class bound to one service instance."""
 
     class Handler(BaseHTTPRequestHandler):
-        # The default stderr-per-request logging stays off; the
-        # structured JSON access log (REPRO_SERVICE_LOG) replaces it.
+        # The default stderr-per-request logging stays off; the access
+        # records of the REPRO_TRACE file replace it.
         def log_message(self, format, *args):  # noqa: A002
             pass
 
@@ -436,7 +437,7 @@ def _make_handler(service: SimulationService):
             self._finish_request(status)
 
         def _finish_request(self, status: int) -> None:
-            """Fold this request into the scrape state and access log."""
+            """Fold this request into the scrape state and access records."""
             duration = time.perf_counter() - getattr(
                 self, "_started", time.perf_counter())
             route = normalize_route(self.path)
@@ -448,7 +449,7 @@ def _make_handler(service: SimulationService):
 
         def _begin_request(self) -> None:
             self._started = time.perf_counter()
-            #: tenant/run_id/job_id for the access-log line, filled in
+            #: tenant/run_id/job_id for the access record, filled in
             #: by routes that resolve a job.
             self._log_context: dict = {}
 

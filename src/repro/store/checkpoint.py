@@ -201,13 +201,19 @@ def shard_store_key(workload, regimen, configs, *, warmup_prefix: int,
 
 
 def livepoint_store_key(workload, regimen, configs, *, warmup_prefix: int,
-                        method_identity: dict) -> str:
-    """Content hash addressing one warmed live-point library."""
+                        detail_ramp: int, method_identity: dict) -> str:
+    """Content hash addressing one warmed live-point library.
+
+    The ramp is part of the key: a library's points sit before each
+    cluster's detailed ramp, so one generated for another ramp replays
+    other instructions.
+    """
     return digest_key({
         "kind": "livepoints",
         "workload": workload_fingerprint(workload),
         "regimen": stable_payload(regimen),
         "warmup_prefix": warmup_prefix,
+        "detail_ramp": detail_ramp,
         "hierarchy": stable_payload(configs.hierarchy),
         "predictor": stable_payload(configs.predictor),
         "method": stable_payload(method_identity),

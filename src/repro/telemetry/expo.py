@@ -1,6 +1,6 @@
 """Prometheus-style metrics exposition, stdlib only.
 
-The in-engine :class:`~.registry.MetricsRegistry` is deliberately
+The in-engine :class:`~.session.Telemetry` session is deliberately
 minimal on the hot path — counters, gauges, and *streaming* histograms
 (count/total/min/max, no buckets).  This module is the cold side: it
 aggregates those values (plus service-side measurements) into

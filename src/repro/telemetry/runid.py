@@ -2,9 +2,10 @@
 
 A run — one CLI invocation, one service job — produces observability
 output in several places at once: the records of its ``REPRO_TRACE``
-file (clusters, spans, counters, run and cell progress), the service's
-structured log, and the job status payload.  Without a shared key, a span recorded in a worker process
-cannot be tied back to the HTTP request that caused it.
+file (clusters, spans, counters, run and cell progress, the service's
+access and job records) and the job status payload.  Without a shared
+key, a span recorded in a worker process cannot be tied back to the
+HTTP request that caused it.
 
 The ``run_id`` is that key.  It is minted **once per logical run** —
 ``repro`` CLI entry (:func:`repro.__main__.main`) for command-line
@@ -15,7 +16,7 @@ the environment for the run's dynamic extent, inherited by worker
 processes at launch, read live by in-process backends.  Every sink
 stamps the ambient id onto its records when one is set, so
 
-    grep <run_id> trace.jsonl service-log.jsonl
+    grep <run_id> trace.jsonl
 
 reconstructs the full cross-process story of one request.
 

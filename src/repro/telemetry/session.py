@@ -4,7 +4,8 @@ A :class:`Telemetry` session is created per sampled run and threaded
 down the stack (controller -> warm-up method -> core reconstruction) via
 :class:`~repro.warmup.base.SimulationContext`.  It owns
 
-- a :class:`~.registry.MetricsRegistry` of counters/gauges/histograms,
+- plain dicts of counters, gauges and histogram summaries
+  (:class:`~.snapshot.HistogramSummary`),
 - cumulative **phase timers** — ``cold_skip`` (functional skip of the
   inter-cluster gap), ``reconstruct`` (eager state repair at the cluster
   boundary), ``hot_sim`` (detailed ramp + cluster simulation) — each the
@@ -38,10 +39,10 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
-from .registry import MetricsRegistry, NULL_REGISTRY
 from .runid import run_id_from_env
-from .snapshot import TelemetrySnapshot
+from .snapshot import HistogramSummary, TelemetrySnapshot, fold_totals
 from .spans import (
     NULL_SPANS,
     SPAN_PARENT_ENV_VAR,
@@ -79,7 +80,9 @@ class Telemetry:
     enabled = True
 
     def __init__(self, trace_path: str | None = None, spans=None) -> None:
-        self.registry = MetricsRegistry()
+        self.counters: dict[str, int] = {}
+        self.gauges: dict[str, float] = {}
+        self.histograms: dict[str, HistogramSummary] = {}
         self.trace_path = trace_path
         #: Span backend: a live recorder parented under the propagated
         #: span context (:data:`SPAN_PARENT_ENV_VAR`, planted in fan-out
@@ -100,13 +103,17 @@ class Telemetry:
     # -- instruments ---------------------------------------------------------
 
     def count(self, name: str, amount: int = 1) -> None:
-        self.registry.counter(name).inc(amount)
+        counters = self.counters
+        counters[name] = counters.get(name, 0) + amount
 
     def observe(self, name: str, value: float) -> None:
-        self.registry.histogram(name).observe(value)
+        summary = self.histograms.get(name)
+        if summary is None:
+            summary = self.histograms[name] = HistogramSummary()
+        summary.observe(value)
 
     def set_gauge(self, name: str, value: float) -> None:
-        self.registry.gauge(name).set(value)
+        self.gauges[name] = value
 
     # -- phase timers --------------------------------------------------------
 
@@ -147,7 +154,7 @@ class Telemetry:
         recorder = self.spans
         if not recorder.enabled:
             return
-        values = self.registry.counter_values()
+        values = self.counters
         for name in ("log.stored_records", METRIC_BLOCKS_RECONSTRUCTED):
             if name in values:
                 recorder.counter(name, values[name])
@@ -176,7 +183,7 @@ class Telemetry:
         here to :meth:`end_cluster` are attributed to this cluster."""
         self._in_cluster = True
         self._cluster_phases = {}
-        self._cluster_counters = self.registry.counter_values()
+        self._cluster_counters = dict(self.counters)
 
     def end_cluster(self, fields: dict) -> dict:
         """Close the cluster scope, buffer its trace record and flush.
@@ -200,7 +207,7 @@ class Telemetry:
         record["wall_seconds"] = sum(phases.values())
         before = self._cluster_counters
         deltas = {}
-        for name, value in self.registry.counter_values().items():
+        for name, value in self.counters.items():
             delta = value - before.get(name, 0)
             if delta:
                 deltas[name] = delta
@@ -229,33 +236,28 @@ class Telemetry:
 
         How a sharded run takes in each shard worker's session: trace
         records are re-emitted, spans adopted as recorded (the propagated
-        span context already parented and timed them), counters and
-        phase seconds add, histograms merge.  Gauges are per-run facts
-        the absorbing session sets itself.  A session with a path
+        span context already parented and timed them), and counters,
+        histograms and phase seconds fold by the snapshot merge's rule
+        (:func:`~.snapshot.fold_totals`).  Gauges are per-run facts the
+        absorbing session sets itself.  A session with a path
         flushes what it took in, as at a cluster boundary.
         """
         for record in snapshot.trace_records:
             self.emit(record)
         self.spans.adopt(snapshot.spans)
-        registry = self.registry
-        for name, value in snapshot.counters.items():
-            registry.counter(name).inc(value)
-        for name, summary in snapshot.histograms.items():
-            registry.histogram(name).absorb(summary)
-        phases = self.phase_seconds
-        for name, seconds in snapshot.phase_seconds.items():
-            phases[name] = phases.get(name, 0.0) + seconds
+        fold_totals(self.counters, self.histograms, self.phase_seconds,
+                    snapshot)
         self.flush()
 
     # -- output --------------------------------------------------------------
 
     def snapshot(self) -> TelemetrySnapshot:
         """Freeze the session into a picklable snapshot."""
-        registry = self.registry
         return TelemetrySnapshot(
-            counters=registry.counter_values(),
-            gauges=registry.gauge_values(),
-            histograms=registry.histogram_summaries(),
+            counters=dict(self.counters),
+            gauges=dict(self.gauges),
+            histograms={name: replace(summary)
+                        for name, summary in self.histograms.items()},
             phase_seconds=dict(self.phase_seconds),
             trace_records=list(self.trace_records),
             spans=self.spans.export(),
@@ -287,7 +289,6 @@ class NullTelemetry:
 
     enabled = False
     trace_path = None
-    registry = NULL_REGISTRY
     phase_seconds: dict = {}
     trace_records: list = []
     spans = NULL_SPANS

@@ -9,23 +9,75 @@ carries one per traced run, and :func:`merge_snapshots` folds the
 per-cell snapshots back into a run-level profile that is identical
 whether the grid ran serially or fanned out over workers.
 
-Merge semantics: counters and phase seconds add; histograms combine
-their streaming summaries; gauges add (every gauge the stack sets is a
-per-run quantity — wall seconds, cluster counts — whose sum is the
-run-level total); trace records concatenate and are re-sorted into the
-deterministic (workload, method, cluster) order so the merged profile
-does not depend on worker completion order.  Timeline records (spans,
-counter samples, run markers) concatenate and re-sort on the reconciled
-run timeline (ts, pid, tid, id), which is equally completion-order
-independent: ids are stamped per process and timestamps are run-origin
-relative.
+Merge semantics: counters and phase seconds add and histograms combine
+their streaming summaries, by the one rule :func:`fold_totals` that
+:meth:`~.session.Telemetry.absorb` applies too; gauges add (every gauge
+the stack sets is a per-run quantity — wall seconds, cluster counts —
+whose sum is the run-level total); trace records concatenate and are
+re-sorted into the deterministic (workload, method, cluster) order so
+the merged profile does not depend on worker completion order.
+Timeline records (spans, counter samples, run markers) concatenate and
+re-sort on the reconciled run timeline (ts, pid, tid, id), which is
+equally completion-order independent: ids are stamped per process and
+timestamps are run-origin relative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .registry import HistogramSummary
+
+@dataclass
+class HistogramSummary:
+    """Streaming summary of one histogram: count, total and extremes.
+
+    No buckets: laptop-scale runs only need these four fields, and a
+    fixed-size summary keeps snapshots picklable and cheap to merge.  A
+    live session observes into its summaries in place; snapshots hold
+    copies.
+    """
+
+    count: int = 0
+    total: float = 0.0
+    min: float = float("inf")
+    max: float = float("-inf")
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def observe(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
+    def merge(self, other: "HistogramSummary") -> "HistogramSummary":
+        return HistogramSummary(
+            count=self.count + other.count,
+            total=self.total + other.total,
+            min=min(self.min, other.min),
+            max=max(self.max, other.max),
+        )
+
+
+def fold_totals(counters: dict, histograms: dict, phase_seconds: dict,
+                snapshot: "TelemetrySnapshot") -> None:
+    """Fold `snapshot`'s totals into the three dicts, in place.
+
+    The one fold rule: counters and phase seconds add, histograms
+    combine.  Every histogram entry it writes is a new summary, so the
+    dicts never share one with `snapshot`.
+    """
+    for name, value in snapshot.counters.items():
+        counters[name] = counters.get(name, 0) + value
+    for name, summary in snapshot.histograms.items():
+        histograms[name] = histograms.get(name, HistogramSummary()).merge(
+            summary)
+    for name, seconds in snapshot.phase_seconds.items():
+        phase_seconds[name] = phase_seconds.get(name, 0.0) + seconds
 
 
 @dataclass
@@ -42,18 +94,12 @@ class TelemetrySnapshot:
     def merge(self, other: "TelemetrySnapshot") -> "TelemetrySnapshot":
         """Combine two snapshots (see module docstring for semantics)."""
         counters = dict(self.counters)
-        for name, value in other.counters.items():
-            counters[name] = counters.get(name, 0) + value
+        histograms = dict(self.histograms)
+        phases = dict(self.phase_seconds)
+        fold_totals(counters, histograms, phases, other)
         gauges = dict(self.gauges)
         for name, value in other.gauges.items():
             gauges[name] = gauges.get(name, 0.0) + value
-        histograms = dict(self.histograms)
-        for name, summary in other.histograms.items():
-            mine = histograms.get(name)
-            histograms[name] = summary if mine is None else mine.merge(summary)
-        phases = dict(self.phase_seconds)
-        for name, seconds in other.phase_seconds.items():
-            phases[name] = phases.get(name, 0.0) + seconds
         records = sorted(
             self.trace_records + other.trace_records, key=_record_order
         )

@@ -11,7 +11,9 @@ Records are told apart by ``type``:
 - ``audit`` — one audited cluster (``REPRO_AUDIT``);
 - ``span`` / ``counter`` — one completed span, one counter-track sample;
 - ``run_start`` / ``run_end`` — one sampled run (workload x method);
-- ``cell`` — one finished grid cell, with completed/total counts.
+- ``cell`` — one finished grid cell, with completed/total counts;
+- ``access`` / ``job`` — one HTTP request, one job state transition of
+  the simulation service (``repro serve``).
 
 See docs/observability.md for the field schemas.
 
@@ -57,6 +59,11 @@ RECORD_RUN_END = "run_end"
 
 #: Record type of one finished grid cell (``repro matrix``).
 RECORD_CELL = "cell"
+
+#: Record types of the simulation service: one HTTP request, one job
+#: state transition.
+RECORD_ACCESS = "access"
+RECORD_JOB = "job"
 
 _OFF_VALUES = ("", "0", "off", "false", "no")
 _MEMORY_VALUES = ("1", "on", "true", "yes")

@@ -379,7 +379,6 @@ def reference_cache_access(self, address: int,
             stats.writebacks += 1
             writeback_address = evicted_address
     row[victim] = tag
-    self.tag_store[base + victim] = tag
     self.dirty_bits[base + victim] = 1 if is_write and self._wbwa else 0
     order.remove(victim)
     order.insert(0, victim)

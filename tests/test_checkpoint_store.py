@@ -152,8 +152,18 @@ class TestStoreKeys:
     def test_livepoint_key_differs_from_shard_key(self, workload):
         livepoint = livepoint_store_key(
             workload, REGIMEN, SimulatorConfigs(), warmup_prefix=PREFIX,
-            method_identity={"method": "SmartsWarmup"})
+            detail_ramp=0, method_identity={"method": "SmartsWarmup"})
         assert livepoint != self._key(workload)
+
+    def test_livepoint_key_holds_the_ramp(self, workload):
+        keys = {
+            livepoint_store_key(
+                workload, REGIMEN, SimulatorConfigs(), warmup_prefix=PREFIX,
+                detail_ramp=ramp,
+                method_identity={"method": "SmartsWarmup"})
+            for ramp in (0, 256)
+        }
+        assert len(keys) == 2
 
     def test_code_version_shape(self):
         for packages in (None, PHASE_A_PACKAGES):

@@ -438,6 +438,21 @@ class TestClusterJobs:
         assert ("--executor" in errors[0]) != (argv == ["executors"])
         assert "Traceback" not in err
 
+    def test_serve_retired_service_log_exits_2(self, capsys,
+                                               monkeypatch):
+        """The service's records go to the REPRO_TRACE file: a set
+        REPRO_SERVICE_LOG fails before the service starts, naming
+        REPRO_TRACE."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the service started")
+
+        monkeypatch.setattr("repro.service.SimulationService", unreachable)
+        monkeypatch.setenv("REPRO_SERVICE_LOG", "x")
+        assert main(["serve", "--scale", "ci", "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_SERVICE_LOG is retired")
+        assert "REPRO_TRACE" in err and "Traceback" not in err
+
     def test_matrix_bad_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
         monkeypatch.setenv("REPRO_CLUSTER_JOBS", "lots")

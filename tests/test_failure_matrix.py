@@ -547,7 +547,7 @@ def test_unwritable_output_path_exits_2(cell, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name", (
-    "REPRO_TELEMETRY", "REPRO_SPANS", "REPRO_EVENTS"))
+    "REPRO_TELEMETRY", "REPRO_SPANS", "REPRO_EVENTS", "REPRO_SERVICE_LOG"))
 def test_retired_recording_switch_exits_2(name, monkeypatch, capsys):
     """REPRO_TRACE replaced the other recording switches: a grid run
     with one of them set fails before any cell, naming REPRO_TRACE,

@@ -159,3 +159,23 @@ class TestGeneratingMethods:
                                             warmup=make())
         direct = SampledSimulator(workload, REGIMEN, configs()).run(make())
         assert library.replay().cluster_ipcs == direct.cluster_ipcs
+
+    @pytest.mark.parametrize("program", ["gcc", "mcf"])
+    @pytest.mark.parametrize("method_name", ["R$BP (20%)", "S$BP"])
+    def test_replay_runs_the_detail_ramp(self, program, method_name):
+        """At ``ci`` every cluster runs a 256-instruction detailed ramp
+        before it is measured; a library generated with that ramp
+        replays the cluster IPCs of ``repro.api.simulate`` exactly."""
+        from repro.api import simulate
+        from repro.harness.experiment import SCALES
+        from repro.workloads import cached_workload
+
+        ci = SCALES["ci"]
+        assert ci.detail_ramp == 256
+        library = LivePointLibrary.generate(
+            cached_workload(program, mem_scale=ci.mem_scale), ci.regimen(),
+            ci.configs(), warmup=resolve_method(method_name),
+            warmup_prefix=ci.warmup_prefix, detail_ramp=ci.detail_ramp)
+        assert {point.ramp for point in library.points} == {256}
+        direct = simulate(program, method_name, "ci")
+        assert library.replay().cluster_ipcs == direct.cluster_ipcs

@@ -27,7 +27,7 @@ from repro.service import (
     ServiceError,
     SimulationService,
 )
-from repro.telemetry import parse_exposition
+from repro.telemetry import parse_exposition, read_trace
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::DeprecationWarning")
@@ -374,81 +374,75 @@ class TestServiceObservability:
                 thread.join()
         assert failures == []
 
-    def test_service_log_records_access_and_job_lines(self, tmp_path):
-        log_path = tmp_path / "service.jsonl"
-        options = RunOptions(scale="ci", service_log=str(log_path))
+    def test_access_and_job_records_land_in_the_trace_file(self,
+                                                           tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        options = RunOptions(scale="ci", trace=str(trace))
         with _service(tmp_path, options=options) as service:
             client = ServiceClient(service.url)
             client.run(SAMPLE, tenant="observer")
             client.health()
-        lines = [json.loads(line)
-                 for line in log_path.read_text().splitlines()]
-        access = [line for line in lines if line["log"] == "access"]
-        jobs = [line for line in lines if line["log"] == "job"]
-        assert {line["state"] for line in jobs} == \
+        records = read_trace(str(trace))
+        access = [r for r in records if r["type"] == "access"]
+        jobs = [r for r in records if r["type"] == "job"]
+        assert not any("log" in record for record in records)
+        assert {record["state"] for record in jobs} == \
             {"queued", "running", "done"}
-        done = next(line for line in jobs if line["state"] == "done")
+        done = next(r for r in jobs if r["state"] == "done")
         assert done["tenant"] == "observer"
         assert done["kind"] == "sample"
         assert done["run_id"].startswith("r")
         assert done["run_seconds"] >= 0
-        running = next(line for line in jobs if line["state"] == "running")
+        running = next(r for r in jobs if r["state"] == "running")
         assert running["queue_wait_seconds"] >= 0
-        post = next(line for line in access
-                    if line["route"] == "/jobs" and line["method"] == "POST")
+        post = next(r for r in access
+                    if r["route"] == "/jobs" and r["method"] == "POST")
         assert post["status"] == 202
         assert post["tenant"] == "observer"
         assert post["run_id"] == done["run_id"]
         assert post["duration_ms"] >= 0
-        result_lines = [line for line in access
-                        if line["route"] == "/results/{id}"]
-        assert result_lines and all(
-            line["run_id"] == done["run_id"] for line in result_lines)
-        assert any(line["route"] == "/healthz" for line in access)
+        result_records = [r for r in access
+                          if r["route"] == "/results/{id}"]
+        assert result_records and all(
+            r["run_id"] == done["run_id"] for r in result_records)
+        assert any(r["route"] == "/healthz" for r in access)
 
-    def test_service_log_off_by_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVICE_LOG", raising=False)
-        with _service(tmp_path) as service:
+    @pytest.mark.parametrize("trace", [None, "1"])
+    def test_service_records_off_without_a_trace_path(
+            self, tmp_path, monkeypatch, trace):
+        monkeypatch.chdir(tmp_path)
+        options = RunOptions(scale="ci", trace=trace)
+        with _service(tmp_path, options=options) as service:
             assert not service.log.enabled
             ServiceClient(service.url).run(SAMPLE)
-        assert not list(tmp_path.glob("*.jsonl"))
+        assert {path.name for path in tmp_path.iterdir()} <= {"cache"}
 
-    def test_service_log_failure_warns_once(self, tmp_path, capsys):
+    def test_service_records_failure_warns_once(self, tmp_path, capsys):
         from repro.service import ServiceLog
 
         log = ServiceLog(str(tmp_path))  # a directory: appends fail
         log.write("access", status=200)
         log.write("access", status=200)
         err = capsys.readouterr().err
-        assert err.count("cannot append service log") == 1
+        assert err.count("cannot append service records") == 1
 
-    def test_run_id_joins_log_and_trace_records(self, tmp_path):
+    def test_run_id_joins_service_and_run_records(self, tmp_path):
         # The acceptance grep: one id stamped by the service joins its
-        # structured log and the run, cluster and span records of the
-        # REPRO_TRACE file, spans included from the pool worker
+        # access and job records and the run, cluster and span records
+        # of the REPRO_TRACE file, spans included from the pool worker
         # processes of the sharded execution.
-        paths = {name: tmp_path / f"{name}.jsonl"
-                 for name in ("service", "trace")}
-        options = RunOptions(scale="ci", cluster_jobs=2,
-                             service_log=str(paths["service"]),
-                             trace=str(paths["trace"]))
+        trace = tmp_path / "trace.jsonl"
+        options = RunOptions(scale="ci", cluster_jobs=2, trace=str(trace))
         with _service(tmp_path, options=options) as service:
             client = ServiceClient(service.url)
             job_id = client.submit(SAMPLE)
             run_id = client.status(job_id)["run_id"]
             client.result(job_id)
             assert client.status(job_id)["run_id"] == run_id
-        for name, path in paths.items():
-            lines = [json.loads(line)
-                     for line in path.read_text().splitlines()]
-            stamped = [line for line in lines
-                       if line.get("run_id") == run_id]
-            assert stamped, f"run_id missing from {name} log"
-        records = [record for record
-                   in map(json.loads, paths["trace"].read_text().splitlines())
+        records = [record for record in read_trace(str(trace))
                    if record.get("run_id") == run_id]
-        assert {"run_start", "run_end", "cluster", "span"} <= {
-            record["type"] for record in records}
+        assert {"access", "job", "run_start", "run_end", "cluster",
+                "span"} <= {record["type"] for record in records}
         span_pids = {record["pid"] for record in records
                      if record["type"] == "span"}
         assert len(span_pids) >= 2  # worker processes joined the story
@@ -528,7 +522,8 @@ class TestRunOptions:
             RunOptions.from_env()
 
     @pytest.mark.parametrize("name", [
-        "REPRO_TELEMETRY", "REPRO_SPANS", "REPRO_EVENTS"])
+        "REPRO_TELEMETRY", "REPRO_SPANS", "REPRO_EVENTS",
+        "REPRO_SERVICE_LOG"])
     @pytest.mark.parametrize("value", ["1", "spans.jsonl", "kinda"])
     def test_retired_recording_switch_names_repro_trace(
             self, monkeypatch, name, value):
@@ -543,7 +538,8 @@ class TestRunOptions:
     def test_retired_recording_switch_off_is_accepted(self, monkeypatch,
                                                       value):
         clean = RunOptions.from_env()
-        for name in ("REPRO_TELEMETRY", "REPRO_SPANS", "REPRO_EVENTS"):
+        for name in ("REPRO_TELEMETRY", "REPRO_SPANS", "REPRO_EVENTS",
+                     "REPRO_SERVICE_LOG"):
             monkeypatch.setenv(name, value)
         assert RunOptions.from_env() == clean
 
@@ -608,7 +604,6 @@ class TestRunOptions:
             checkpoint_store=str(tmp_path / "store"),
             trace=str(tmp_path / "trace.jsonl"), audit=True,
             run_id="rfields01",
-            service_log=str(tmp_path / "service.jsonl"),
         )
         assert all(getattr(full, field.name) != field.default
                    for field in fields(RunOptions))

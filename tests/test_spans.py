@@ -369,9 +369,21 @@ class TestRecordFile:
             return [r for r in read_trace(str(files[name]))
                     if r["type"] in ("cluster", "run_start", "run_end")]
 
-        assert kept("warm") == kept("cold") != []
-        cells = [r for r in read_trace(str(files["warm"]))
-                 if r["type"] == "cell"]
+        def without_run_id(records):
+            return [{key: value for key, value in record.items()
+                     if key != "run_id"} for record in records]
+
+        # The cached cell's records are the cold run's, stamped with the
+        # run_id of the invocation that serves them.
+        assert without_run_id(kept("warm")) == without_run_id(
+            kept("cold")) != []
+        warm = read_trace(str(files["warm"]))
+        warm_ids = {record.get("run_id") for record in warm}
+        cold_ids = {record.get("run_id")
+                    for record in read_trace(str(files["cold"]))}
+        assert len(warm_ids) == 1 and None not in warm_ids
+        assert warm_ids != cold_ids
+        cells = [r for r in warm if r["type"] == "cell"]
         assert all(cell["cached"] for cell in cells)
 
     def test_failed_append_warns_once_per_path(self, tmp_path, capsys):

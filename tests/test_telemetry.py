@@ -1,9 +1,10 @@
-"""Tests for the telemetry subsystem: registry, sessions, traces, and
+"""Tests for the telemetry subsystem: instruments, sessions, traces, and
 their integration through the controller, harness, and parallel engine."""
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.harness.experiment import SCALES
 from repro.harness.parallel import execute_matrix, merged_telemetry
@@ -12,9 +13,8 @@ from repro.sampling import SampledSimulator, SamplingRegimen
 from repro.telemetry import (
     EMPTY_SNAPSHOT,
     NULL_TELEMETRY,
+    NULL_SPANS,
     HistogramSummary,
-    MetricsRegistry,
-    NullRegistry,
     Telemetry,
     TelemetrySnapshot,
     merge_snapshots,
@@ -44,46 +44,80 @@ def make_simulator(workload_name="ammp", telemetry=None):
     )
 
 
-class TestRegistry:
+class TestInstruments:
     def test_counter_accumulates(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc()
-        registry.counter("a").inc(4)
-        assert registry.counter_values() == {"a": 5}
-
-    def test_instruments_are_cached_by_name(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.gauge("y") is registry.gauge("y")
-        assert registry.histogram("z") is registry.histogram("z")
+        telemetry = Telemetry()
+        telemetry.count("a")
+        telemetry.count("a", 4)
+        assert telemetry.counters == {"a": 5}
 
     def test_gauge_last_write_wins(self):
-        registry = MetricsRegistry()
-        registry.gauge("g").set(1.0)
-        registry.gauge("g").set(7.5)
-        assert registry.gauge_values() == {"g": 7.5}
+        telemetry = Telemetry()
+        telemetry.set_gauge("g", 1.0)
+        telemetry.set_gauge("g", 7.5)
+        assert telemetry.gauges == {"g": 7.5}
 
     def test_histogram_summary(self):
-        registry = MetricsRegistry()
+        telemetry = Telemetry()
         for value in (1.0, 3.0, 2.0):
-            registry.histogram("h").observe(value)
-        summary = registry.histogram_summaries()["h"]
+            telemetry.observe("h", value)
+        summary = telemetry.histograms["h"]
         assert summary.count == 3
         assert summary.total == 6.0
         assert summary.min == 1.0
         assert summary.max == 3.0
         assert summary.mean == 2.0
 
-    def test_null_registry_shares_noop_instruments(self):
-        registry = NullRegistry()
-        counter = registry.counter("anything")
-        assert counter is registry.counter("else")
-        counter.inc(100)
-        registry.gauge("g").set(3.0)
-        registry.histogram("h").observe(1.0)
-        assert registry.counter_values() == {}
-        assert registry.gauge_values() == {}
-        assert registry.histogram_summaries() == {}
+    def test_snapshot_is_not_observed_into(self):
+        telemetry = Telemetry()
+        telemetry.observe("h", 1.0)
+        snapshot = telemetry.snapshot()
+        telemetry.observe("h", 5.0)
+        assert snapshot.histograms["h"] == HistogramSummary(
+            count=1, total=1.0, min=1.0, max=1.0)
+
+    def test_null_telemetry_keeps_nothing(self):
+        NULL_TELEMETRY.count("anything", 100)
+        NULL_TELEMETRY.set_gauge("g", 3.0)
+        NULL_TELEMETRY.observe("h", 1.0)
+        assert NULL_TELEMETRY.snapshot() is None
+
+
+_NAMES = st.sampled_from(("a", "b", "c"))
+_VALUES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+_HISTOGRAMS = st.lists(_VALUES, min_size=1, max_size=4).map(
+    lambda values: HistogramSummary(
+        count=len(values), total=sum(values),
+        min=min(values), max=max(values)))
+_SNAPSHOTS = st.builds(
+    TelemetrySnapshot,
+    counters=st.dictionaries(_NAMES, st.integers(0, 10**6)),
+    histograms=st.dictionaries(_NAMES, _HISTOGRAMS),
+    phase_seconds=st.dictionaries(_NAMES, _VALUES),
+)
+
+
+class TestOneFold:
+    @settings(max_examples=60, deadline=None)
+    @given(snapshots=st.lists(_SNAPSHOTS, min_size=1, max_size=5))
+    def test_absorb_folds_like_merge(self, snapshots):
+        """Absorbing snapshots into a session and merging them fold
+        counters, histograms and phase seconds identically."""
+        telemetry = Telemetry(spans=NULL_SPANS)
+        for snapshot in snapshots:
+            telemetry.absorb(snapshot)
+        merged = merge_snapshots(snapshots)
+        assert telemetry.counters == merged.counters
+        assert telemetry.histograms == merged.histograms
+        assert telemetry.phase_seconds == merged.phase_seconds
+
+    def test_absorb_shares_no_summary(self):
+        summary = HistogramSummary(count=1, total=2.0, min=2.0, max=2.0)
+        telemetry = Telemetry(spans=NULL_SPANS)
+        telemetry.absorb(TelemetrySnapshot(histograms={"h": summary}))
+        telemetry.observe("h", 9.0)
+        assert summary == HistogramSummary(count=1, total=2.0,
+                                           min=2.0, max=2.0)
 
 
 class TestSnapshotMerge:

@@ -49,7 +49,7 @@ OPERATIONS = 1500
 
 
 def _cache_state(cache: Cache) -> tuple:
-    return (vars(cache.stats), list(cache.tag_store), list(cache.tags),
+    return (vars(cache.stats), list(cache.tags),
             bytes(cache.dirty_bits), bytes(cache.recon_bits),
             list(cache.recon_count), [list(row) for row in cache.order])
 
