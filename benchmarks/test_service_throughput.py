@@ -1,27 +1,24 @@
 """Perf bench: service job throughput, cache-hit speedup, and
 in-process vs process-pool equivalence.
 
-Three claims are asserted here and recorded into ``BENCH_pr8.json`` at
-the repo root for the trajectory gate:
+Three claims are asserted here:
 
 - **The service adds bookkeeping, not simulation.**  A job submitted
   over HTTP produces the byte-identical payload of an inline
   :func:`repro.api.execute_request` call; throughput (jobs/sec) is
-  recorded for trend-watching (machine-dependent, never gated).
+  shown in the table (machine-dependent, never gated).
 - **Repeats are near-free.**  Resubmitting the same requests is served
   from the content-addressed result cache without re-entering
   execution — asserted via the service counters (``executed`` stays
   put, ``cache_hits`` rises) — and the per-job wall speedup is gated.
 - **The fan-out is invisible.**  The same matrix request run with
   ``jobs=1`` (cells in process) and ``jobs=2`` (cells in a process
-  pool) yields one identical payload (deterministic fold), recorded as
-  the never-flip boolean ``backends_bit_identical``.
+  pool) yields one identical payload (deterministic fold).
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
 import time
 
 from conftest import emit
@@ -30,15 +27,9 @@ from repro.harness import format_table
 from repro.harness.options import RunOptions
 from repro.service import ServiceClient, SimulationService
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pr8.json"
 WORKLOADS = ("gcc", "mcf")
 METHODS = ("R$BP (20%)",)
 MIN_CACHE_HIT_SPEEDUP = 2.0
-#: The gated speedup metric saturates here: real runs land far above
-#: it (hundreds), so recording the clamped value keeps the trajectory
-#: gate's 15%-slack comparison deterministic across machines while the
-#: raw number stays in the timing block.
-CACHE_HIT_SPEEDUP_CAP = 10.0
 
 
 def _requests(scale):
@@ -73,12 +64,10 @@ def test_service_throughput(benchmark, scale, tmp_path):
         fresh = [client.result(job_id) for job_id in job_ids]
         fresh_seconds = time.perf_counter() - start
 
-        service_matches_inline = all(
+        assert all(
             remote.payload == local.payload
             for remote, local in zip(fresh, inline)
-        )
-        assert service_matches_inline, \
-            "service payloads diverged from inline execution"
+        ), "service payloads diverged from inline execution"
         assert not any(result.cached for result in fresh)
 
         # Warm pass: same requests, served from the result cache.
@@ -88,11 +77,10 @@ def test_service_throughput(benchmark, scale, tmp_path):
         cached_seconds = time.perf_counter() - start
 
         assert all(result.cached for result in cached)
-        cache_hits_identical = all(
+        assert all(
             hit.payload == cold.payload
             for hit, cold in zip(cached, fresh)
-        )
-        assert cache_hits_identical
+        ), "cache hits diverged from the payloads they cached"
         counters = client.stats()["counters"]
 
     # The counters prove the warm pass never re-entered execution.
@@ -120,43 +108,10 @@ def test_service_throughput(benchmark, scale, tmp_path):
         result = execute_request(matrix_request, cache="off")
         backend_seconds[name] = time.perf_counter() - start
         payloads[name] = json.dumps(result.payload, sort_keys=True)
-    backends_bit_identical = len(set(payloads.values())) == 1
-    assert backends_bit_identical, (
+    assert len(set(payloads.values())) == 1, (
         "matrix payloads diverged between jobs=1 and jobs=2: "
         f"{sorted(payloads)}"
     )
-
-    payload = {
-        "bench": "service_throughput",
-        "scale": scale.name,
-        "workloads": list(WORKLOADS),
-        "backends": sorted(payloads),
-        # Booleans are never-flip guarantees; the cache-hit speedup is
-        # asserted >= MIN_CACHE_HIT_SPEEDUP above on both the baseline
-        # and every future run.  Raw throughput is machine-dependent and
-        # lands in the informational timing block only.
-        "summary": {
-            "service_matches_inline": service_matches_inline,
-            "cache_hits_identical": cache_hits_identical,
-            "backends_bit_identical": backends_bit_identical,
-            "cache_hit_wall_speedup": min(cache_hit_speedup,
-                                          CACHE_HIT_SPEEDUP_CAP),
-        },
-        "timing": {
-            "cache_hit_wall_speedup_raw": cache_hit_speedup,
-            "inline_seconds": inline_seconds,
-            "service_fresh_seconds": fresh_seconds,
-            "service_cached_seconds": cached_seconds,
-            "service_jobs_per_second_fresh":
-                len(requests) / max(fresh_seconds, 1e-9),
-            "service_jobs_per_second_cached":
-                len(requests) / max(cached_seconds, 1e-9),
-            "matrix_backend_seconds": backend_seconds,
-        },
-        "counters": counters,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n",
-                          encoding="utf-8")
 
     rows = [
         ["inline", f"{inline_seconds:.2f}s", "-", "-"],
@@ -168,7 +123,7 @@ def test_service_throughput(benchmark, scale, tmp_path):
          f"{cache_hit_speedup:.1f}x vs fresh, 0 re-executions"],
     ] + [
         [f"matrix via {name}", f"{seconds:.2f}s", "-",
-         "bit-identical" if backends_bit_identical else "DIVERGED"]
+         "bit-identical"]
         for name, seconds in sorted(backend_seconds.items())
     ]
 

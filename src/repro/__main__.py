@@ -49,8 +49,8 @@ metrics TRACE
     (see docs/observability.md).
 report
     Render a self-contained HTML run report (span timeline, audit error
-    bars, benchmark trajectory) from a record file and optional audit /
-    trajectory JSON (see docs/observability.md).
+    bars) from a record file and optional audit JSON (see
+    docs/observability.md).
 
 All commands accept ``--scale {ci,bench,default,full}`` (or the
 ``REPRO_EXPERIMENT_SCALE`` environment variable) to pick the experiment
@@ -593,23 +593,15 @@ def cmd_report(args) -> int:
     from .telemetry import read_trace
 
     records = read_trace(args.input) if args.input else []
-
-    def load(path, label):
-        if not path:
-            return None
+    audit = None
+    if args.audit:
         try:
-            with open(path, "r", encoding="utf-8") as stream:
-                return json.load(stream)
+            with open(args.audit, "r", encoding="utf-8") as stream:
+                audit = json.load(stream)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"warning: skipping {label} ({exc})", file=sys.stderr)
-            return None
+            print(f"warning: skipping audit JSON ({exc})", file=sys.stderr)
 
-    html = render_report(
-        spans=records,
-        audit=load(args.audit, "audit JSON"),
-        trajectory=load(args.trajectory, "trajectory JSON"),
-        title=args.title,
-    )
+    html = render_report(spans=records, audit=audit, title=args.title)
     with open(args.output, "w", encoding="utf-8") as stream:
         stream.write(html)
     print(f"run report written to {args.output}")
@@ -1044,10 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--audit", default=None, metavar="PATH",
         help="audit JSON ('repro audit --json') for per-cluster error bars",
-    )
-    report_parser.add_argument(
-        "--trajectory", default=None, metavar="PATH",
-        help="benchmarks/TRAJECTORY.json for the benchmark table",
     )
     report_parser.add_argument(
         "--title", default="repro run report",

@@ -31,11 +31,6 @@ class PredictorStats:
         self.control_transfers = 0
         self.target_mispredictions = 0
 
-    def misprediction_rate(self) -> float:
-        if not self.conditional_branches:
-            return 0.0
-        return self.mispredictions / self.conditional_branches
-
 
 class BranchPredictor:
     """Front-end prediction state for one core."""

@@ -17,10 +17,9 @@ which re-boxes every element it reads.  The per-block bits live in flat
 stores indexed ``set * associativity + way`` — ``dirty_bits`` and
 ``recon_bits`` (``bytearray``), and ``recon_count`` (``array('H')``, one
 count per set) — so ``begin_reconstruction`` and ``reset`` are C-speed
-slice fills instead of per-way Python loops.  Both layouts are
-implementation details: external readers use the read-only ``tags`` /
-``dirty`` / ``reconstructed`` views, which render the legacy
-list-of-lists shape (``None`` marks an invalid way).
+slice fills instead of per-way Python loops.  The read-only ``tags`` /
+``reconstructed`` views render the legacy list-of-lists shape (``None``
+marks an invalid way); dirty bits are read from ``dirty_bits``.
 
 Two access families are exposed:
 
@@ -76,9 +75,6 @@ class CacheStats:
         self.accesses += count
         self.hits += count
         self.updates += count
-
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
 
 
 #: :meth:`Cache.access` returns HIT for a hit and MISS for a miss that
@@ -177,16 +173,6 @@ class Cache:
         )
 
     @property
-    def dirty(self) -> _SetView:
-        """dirty[s][w] is the dirty bit of way w of set s."""
-        bits = self.dirty_bits
-        assoc = self.associativity
-        return _SetView(
-            lambda s: [b == 1 for b in bits[s * assoc:(s + 1) * assoc]],
-            self.num_sets,
-        )
-
-    @property
     def reconstructed(self) -> _SetView:
         """reconstructed[s][w] is the §3.1 reconstructed bit of way w."""
         bits = self.recon_bits
@@ -197,10 +183,6 @@ class Cache:
         )
 
     # -- address helpers --------------------------------------------------
-
-    def line_address(self, address: int) -> int:
-        """Address of the first byte of the line containing `address`."""
-        return (address >> self._line_shift) << self._line_shift
 
     def split_address(self, address: int) -> tuple[int, int]:
         """Return (set index, tag) for `address`."""
@@ -275,10 +257,6 @@ class Cache:
         """Clear all reconstructed bits (start of a reverse warm-up pass)."""
         self.recon_bits[:] = self._zero_blocks
         self.recon_count[:] = self._zero_counts
-
-    def set_fully_reconstructed(self, set_index: int) -> bool:
-        """True once every way of `set_index` has been reconstructed."""
-        return self.recon_count[set_index] >= self.associativity
 
     def reconstruct_reference(self, address: int, is_write: bool = False) -> bool:
         """Apply one logged reference during a reverse-order scan.

@@ -137,13 +137,6 @@ class MemoryHierarchy:
         self.l2_bus.reset()
         self.memory_accesses = 0
 
-    def reset_stats(self) -> None:
-        """Zero counters without disturbing cache contents."""
-        self.l1i.stats.reset()
-        self.l1d.stats.reset()
-        self.l2.stats.reset()
-        self.memory_accesses = 0
-
     def total_updates(self) -> int:
         """Total state-changing cache operations (warm-up cost metric)."""
         return (

@@ -109,7 +109,3 @@ class FunctionalCheckpoint:
         machine.halted = self.halted
         machine.invalidate_fetch_block()
         return machine
-
-    def resident_words(self) -> int:
-        """Memory words carried by this checkpoint (the delta's size)."""
-        return len(self.memory_words)

@@ -1,6 +1,6 @@
 """Self-contained HTML run report (stdlib only, inline SVG).
 
-``repro report`` fuses three observability artifacts into one file that
+``repro report`` fuses two observability artifacts into one file that
 opens anywhere with no server and no external assets:
 
 - the **span timeline** from a ``REPRO_TRACE`` record file — one lane per
@@ -10,12 +10,10 @@ opens anywhere with no server and no external assets:
   durations;
 - **per-cluster audit error bars** from ``repro audit --json`` output —
   the cold-start vs sampling decomposition of each cluster's IPC error,
-  mirrored around a zero baseline;
-- the **benchmark trajectory** from ``benchmarks/TRAJECTORY.json`` — the
-  headline metrics the reproduction is gated on.
+  mirrored around a zero baseline.
 
 Sections whose input is absent are skipped with a small notice, so the
-report renders usefully from any subset of the three inputs.
+report renders usefully from either input alone.
 """
 
 from __future__ import annotations
@@ -308,40 +306,7 @@ def _audit_section(audit: dict | None) -> str:
     )
 
 
-def _trajectory_section(trajectory: dict | None) -> str:
-    header = '<section class="panel"><h2>Benchmark trajectory</h2>'
-    if not trajectory or not trajectory.get("benches"):
-        return (header + '<p class="missing">no trajectory data — see '
-                'benchmarks/TRAJECTORY.json</p></section>')
-    rows = []
-    for tag, bench in sorted(trajectory["benches"].items()):
-        bench_name = str(bench.get("bench", ""))
-        for name, value in sorted(bench.get("metrics", {}).items()):
-            if isinstance(value, bool):
-                shown = "yes" if value else "no"
-            elif isinstance(value, float):
-                shown = f"{value:g}"
-            else:
-                shown = str(value)
-            rows.append(
-                '<tr>'
-                f'<td>{html.escape(tag)}</td>'
-                f'<td>{html.escape(bench_name)}</td>'
-                f'<td>{html.escape(name)}</td>'
-                f'<td class="num">{html.escape(shown)}</td>'
-                '</tr>'
-            )
-    return (
-        header
-        + '<p class="note">Gated headline metrics accumulated across '
-        'the reproduction&#x27;s perf PRs (benchmarks/trajectory.py).'
-        '</p><table><tr><th>tag</th><th>bench</th><th>metric</th>'
-        '<th>value</th></tr>' + "".join(rows) + "</table></section>"
-    )
-
-
 def render_report(spans: list[dict], audit: dict | None = None,
-                  trajectory: dict | None = None,
                   title: str = "repro run report") -> str:
     """The full self-contained HTML document (no external assets)."""
     return (
@@ -352,6 +317,5 @@ def render_report(spans: list[dict], audit: dict | None = None,
         f"<h1>{html.escape(title)}</h1>"
         + _timeline_section(spans)
         + _audit_section(audit)
-        + _trajectory_section(trajectory)
         + "</body></html>\n"
     )

@@ -115,10 +115,6 @@ class Program:
         """Byte address of the instruction at `index`."""
         return self.code_base + index * self.instruction_bytes
 
-    def index_of_address(self, address: int) -> int:
-        """Instruction index for a code byte address."""
-        return (address - self.code_base) // self.instruction_bytes
-
     def basic_blocks(self) -> list[BasicBlock]:
         """Partition the program into basic blocks.
 
@@ -140,9 +136,6 @@ class Program:
         for position, start in enumerate(ordered):
             end = ordered[position + 1] if position + 1 < len(ordered) else n
             blocks.append(BasicBlock(start=start, end=end))
-        block_of = {}
-        for block_id, block in enumerate(blocks):
-            block_of[block.start] = block_id
         for block in blocks:
             last = self.instructions[block.end - 1]
             if last.is_control:
@@ -153,13 +146,6 @@ class Program:
             elif block.end < n:
                 block.successors.append(block.end)
         return blocks
-
-    def leader_table(self) -> dict[int, int]:
-        """Map each basic-block start index to a dense block id."""
-        return {
-            block.start: block_id
-            for block_id, block in enumerate(self.basic_blocks())
-        }
 
     def __repr__(self) -> str:
         return (

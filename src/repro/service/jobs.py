@@ -112,13 +112,6 @@ class JobStore:
 
     # -- submission --------------------------------------------------------
 
-    def pending_count(self, tenant: str) -> int:
-        with self._lock:
-            return sum(
-                1 for job in self._jobs.values()
-                if job.tenant == tenant and job.state in _PENDING_STATES
-            )
-
     def submit(self, tenant: str, request,
                run_id: "str | None" = None) -> JobRecord:
         """Enqueue a request, enforcing the tenant's pending-job quota."""

@@ -14,7 +14,8 @@ the worker thread and the jobs interleave whole lines, never fragments:
 - ``job`` — one per job state transition (queued/running/done/failed):
   tenant, kind, ``run_id``, queue-wait and execution latency.
 
-Their ``ts`` is wall-clock epoch seconds, not a run-timeline offset.
+They carry wall-clock epoch seconds as ``epoch_s`` and no ``ts``: in
+the record file ``ts`` means nanoseconds on a run's timeline.
 Only a ``REPRO_TRACE`` path turns them on (``path=None`` otherwise): a
 service with ``REPRO_TRACE`` off or ``1`` makes zero writes.  A failing
 path warns once on stderr and goes quiet — the records are an
@@ -40,13 +41,13 @@ class ServiceLog:
         return self.path is not None
 
     def write(self, kind: str, /, **fields) -> None:
-        """Append one ``{"type": kind, "ts": ..., "pid": ..., **fields}``
+        """Append one ``{"type": kind, "epoch_s": ..., "pid": ..., **fields}``
         record; drops None-valued fields so lines stay grep-friendly.
         `kind` is positional-only so a field named ``kind`` (the job
         kind) can ride ``fields``."""
         if self.path is None:
             return
-        record = {"type": kind, "ts": time.time(), "pid": os.getpid()}
+        record = {"type": kind, "epoch_s": time.time(), "pid": os.getpid()}
         record.update(
             (key, value) for key, value in fields.items()
             if value is not None

@@ -40,8 +40,7 @@ class TestNonPowerOfTwoSets:
         for address in (0x0, 0x40, 0x80, 0xC0, 0x1000, 0xABCD40):
             set_index, tag = cache.split_address(address)
             assert 0 <= set_index < 3
-            assert cache._address_of(set_index, tag) == \
-                cache.line_address(address)
+            assert cache._address_of(set_index, tag) == address & -64
 
     def test_distinct_lines_distinct_slots(self):
         cache = self.make()

@@ -77,7 +77,7 @@ class TestReconstructionRules:
         cache.begin_reconstruction()
         assert cache.reconstruct_reference(0x100)
         assert cache.reconstruct_reference(0x200)
-        assert cache.set_fully_reconstructed(0)
+        assert cache.recon_count[0] == cache.associativity
         assert not cache.reconstruct_reference(0x300)
         assert not cache.probe(0x300)
 
@@ -115,7 +115,7 @@ class TestReconstructionRules:
         cache.reconstruct_reference(0x100, is_write=True)
         set_index, _ = cache.split_address(0x100)
         way = cache.order[set_index][0]
-        assert cache.dirty[set_index][way]
+        assert cache.dirty_bits[set_index * cache.associativity + way]
 
     def test_wtna_allocates_on_reconstructed_write(self):
         # Paper: "the block is allocated even if the access is a write".

@@ -91,12 +91,12 @@ def test_restore_invalidates_ifetch_marker():
     assert len(fetched) == 1
 
 
-def test_checkpoint_is_frozen_and_carries_resident_words():
+def test_checkpoint_is_frozen_and_carries_memory_words():
     workload = build_workload("gcc")
     machine = workload.make_machine()
     machine.run(WARMUP)
     checkpoint = FunctionalCheckpoint.capture(machine)
-    assert checkpoint.resident_words() > 0
+    assert len(checkpoint.memory_words) > 0
     assert checkpoint.memory_words == machine.memory._words
     with pytest.raises(AttributeError):
         checkpoint.pc = 0

@@ -457,18 +457,30 @@ class TestReadThrough:
         assert audit_rows(warm.extra["telemetry"]) == \
             audit_rows(cold.extra["telemetry"])
 
-    def test_core_parameter_sweep_hits(self, workload, store_env):
+    def test_core_parameter_sweep_hits(self, workload, store_env,
+                                       monkeypatch):
         """The whole point: varying only the core config reuses the
-        stored Phase A scan."""
-        _run(workload)  # populate under the default core
+        stored Phase A scan, and the hit equals that config's cold run
+        bit for bit."""
+        populate = _run(workload)  # under the default core
         base = SimulatorConfigs()
         swept = dataclasses.replace(
             base, core=dataclasses.replace(
-                base.core, rob_entries=base.core.rob_entries * 2))
-        warm = _simulator(workload, cluster_jobs=2, configs=swept).run(
-            ReverseStateReconstruction(0.3))
+                base.core, issue_width=base.core.issue_width - 1,
+                mispredict_penalty=base.core.mispredict_penalty + 4))
+
+        def run_swept():
+            return _simulator(workload, cluster_jobs=2, configs=swept).run(
+                ReverseStateReconstruction(0.3))
+
+        warm = run_swept()
         assert warm.extra["checkpoint_store"] == "hit"
-        assert len(warm.cluster_ipcs) == REGIMEN.num_clusters
+        assert warm.cluster_ipcs != populate.cluster_ipcs
+        monkeypatch.delenv(STORE_ENV_VAR)
+        cold = run_swept()
+        assert "checkpoint_store" not in cold.extra
+        assert warm.cluster_ipcs == cold.cluster_ipcs
+        assert warm.cost.as_dict() == cold.cost.as_dict()
 
     def test_unstorable_method_bypasses_the_store(self, workload,
                                                   store_env):

@@ -420,22 +420,25 @@ class TestClusterJobs:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["matrix", "--workload", "ammp", "--method", "None", "--jobs", "1",
-         "--cache", "off", "--quiet", "--executor", "pool"],
-        ["serve", "--port", "0", "--executor", "pool"],
-        ["executors"],
-    ], ids=["matrix-flag", "serve-flag", "executors-command"])
-    def test_matrix_retired_executor_exits_2(self, capsys, argv):
-        """The executor flag and subcommand are gone: argparse rejects
-        them with one error line and exit status 2, before any run."""
+    @pytest.mark.parametrize("argv,flag", [
+        (["matrix", "--workload", "ammp", "--method", "None", "--jobs", "1",
+          "--cache", "off", "--quiet", "--executor", "pool"], "--executor"),
+        (["serve", "--port", "0", "--executor", "pool"], "--executor"),
+        (["executors"], "'executors'"),
+        (["report", "--trajectory", "bench.json"], "--trajectory"),
+    ], ids=["matrix-flag", "serve-flag", "executors-command",
+            "report-trajectory"])
+    def test_retired_flag_exits_2(self, capsys, argv, flag):
+        """Retired flags and subcommands are gone: argparse rejects them
+        with one error line naming them and exit status 2, before any
+        run."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
-        assert ("--executor" in errors[0]) != (argv == ["executors"])
+        assert flag in errors[0]
         assert "Traceback" not in err
 
     def test_serve_retired_service_log_exits_2(self, capsys,

@@ -104,12 +104,6 @@ class TestMaintenance:
         assert hierarchy.memory_accesses == 0
         assert not hierarchy.l1d.probe(0x1000)
 
-    def test_reset_stats_keeps_contents(self, hierarchy):
-        hierarchy.timed_access(0x1000, False, False, 0)
-        hierarchy.reset_stats()
-        assert hierarchy.l1d.stats.accesses == 0
-        assert hierarchy.l1d.probe(0x1000)
-
     def test_caches_accessor(self, hierarchy):
         l1i, l1d, l2 = hierarchy.caches()
         assert l1i is hierarchy.l1i

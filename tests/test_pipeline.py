@@ -158,8 +158,8 @@ class TestShardedEquivalence:
         carry-over, so per-cluster IPCs carry a residual bias.  At this
         deliberately tiny scale (600-instruction clusters, cold 2k
         prefix) the relative residual is large; the quantitative bound
-        at benchmark scale is gated by BENCH_pr5 / TRAJECTORY.json, so
-        this test only pins the order of magnitude."""
+        at benchmark scale is CI's check of BENCH_pr5.json, so this
+        test only pins the order of magnitude."""
         for serial_ipc, shard_ipc in zip(serial_run.cluster_ipcs,
                                          sharded_run.cluster_ipcs):
             assert shard_ipc > 0

@@ -48,7 +48,8 @@ class TestConditionalPrediction:
                 mispredictions += 1
         # After warm-up the always-taken branch predicts correctly.
         assert mispredictions < 10
-        assert predictor.stats.misprediction_rate() < 0.1
+        stats = predictor.stats
+        assert stats.mispredictions < 0.1 * stats.conditional_branches
 
     def test_not_taken_branch_needs_no_btb(self, predictor):
         inst = cond(50)

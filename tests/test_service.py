@@ -204,12 +204,19 @@ class TestExecuteRequest:
 
 
 class TestServiceRoundTrip:
-    def test_result_matches_inline_exactly(self, tmp_path):
+    @pytest.mark.parametrize("recorded", [False, True],
+                             ids=["off", "traced"])
+    def test_result_matches_inline_exactly(self, tmp_path, recorded):
+        """Recording is stamp-and-append: with the record file on or
+        off, the job's payload is the inline one, with no run_id."""
         inline = execute_request(SAMPLE, cache="off")
-        with _service(tmp_path) as service:
+        trace = str(tmp_path / "trace.jsonl") if recorded else None
+        options = RunOptions(scale="ci", trace=trace)
+        with _service(tmp_path, options=options) as service:
             client = ServiceClient(service.url)
             remote = client.run(SAMPLE)
         assert remote.payload == inline.payload
+        assert "run_id" not in json.dumps(remote.payload)
         assert remote.request == SAMPLE
         assert not remote.cached
 
@@ -260,7 +267,8 @@ class TestServiceRejections:
             service.submit("tenant-a", SAMPLE)
         # Other tenants are unaffected.
         service.submit("tenant-b", SAMPLE)
-        assert service.store.pending_count("tenant-a") == 2
+        tenants = [job.tenant for job in service.store._jobs.values()]
+        assert tenants.count("tenant-a") == 2
 
     def test_quota_rejection_over_http(self, tmp_path):
         with _service(tmp_path, max_pending_per_tenant=1) as service:
@@ -406,6 +414,35 @@ class TestServiceObservability:
         assert result_records and all(
             r["run_id"] == done["run_id"] for r in result_records)
         assert any(r["route"] == "/healthz" for r in access)
+
+    def test_trace_file_has_one_clock(self, tmp_path):
+        """`ts` means nanoseconds on a run's timeline in every record
+        that has one; the service's records carry epoch seconds in
+        `epoch_s` instead, so one job's file orders sensibly by `ts`."""
+        trace = tmp_path / "trace.jsonl"
+        options = RunOptions(scale="ci", trace=str(trace))
+        with _service(tmp_path, options=options) as service:
+            client = ServiceClient(service.url)
+            job_id = client.submit(SAMPLE)
+            client.result(job_id)
+            run_id = client.status(job_id)["run_id"]
+        records = read_trace(str(trace))
+        assert {record["type"] for record in records if "ts" in record} \
+            <= {"span", "counter", "run_start", "run_end", "cell"}
+        service_records = [record for record in records
+                           if record["type"] in ("access", "job")]
+        assert service_records
+        assert all("epoch_s" in record and "ts" not in record
+                   for record in service_records)
+        timeline = [record["type"] for record in sorted(
+            (record for record in records
+             if "ts" in record and record.get("run_id") == run_id),
+            key=lambda record: record["ts"])]
+        spans = [index for index, kind in enumerate(timeline)
+                 if kind == "span"]
+        assert spans
+        assert timeline.index("run_start") < spans[0]
+        assert timeline.index("run_end") > spans[-1]
 
     @pytest.mark.parametrize("trace", [None, "1"])
     def test_service_records_off_without_a_trace_path(

@@ -402,7 +402,7 @@ class TestRecordFile:
 
 
 class TestRunReport:
-    def test_report_renders_spans_audit_and_trajectory(self):
+    def test_report_renders_spans_and_audit(self):
         _, snapshot = run_sampled(2)
         audit = {
             "schema": "repro-audit-v1",
@@ -418,17 +418,10 @@ class TestRunReport:
                  "ipc": 1.1},
             ],
         }
-        trajectory = {"schema": "repro-trajectory-v1",
-                      "benches": {"pr7": {"bench": "span_overhead",
-                                          "scale": "bench",
-                                          "metrics": {"ratio": 1.0}}}}
-        html = render_report(snapshot.spans, audit=audit,
-                             trajectory=trajectory)
+        html = render_report(snapshot.spans, audit=audit)
         assert "<svg" in html
         assert "Span timeline" in html
         assert "Accuracy audit" in html
-        assert "Benchmark trajectory" in html
-        assert "span_overhead" in html
 
     def test_report_degrades_without_inputs(self):
         html = render_report([])

@@ -140,8 +140,11 @@ class TestBranchEffects:
         random = build_simulator(self._random_branch(128))
         biased_result = biased.run(5000)
         random_result = random.run(5000)
-        assert random.predictor.stats.misprediction_rate() > \
-            biased.predictor.stats.misprediction_rate() + 0.2
+        def misprediction_rate(simulator):
+            stats = simulator.predictor.stats
+            return stats.mispredictions / stats.conditional_branches
+
+        assert misprediction_rate(random) > misprediction_rate(biased) + 0.2
         assert random_result.ipc < biased_result.ipc
 
     def test_mispredict_penalty_configurable(self):

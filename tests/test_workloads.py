@@ -96,7 +96,8 @@ class TestWorkloadCharacters:
             count,
             mem_hook=lambda pc, np_, a, w: hierarchy.warm_access(a, w, False),
         )
-        return hierarchy.l1d.stats.miss_rate()
+        stats = hierarchy.l1d.stats
+        return stats.misses / stats.accesses
 
     def _mispredict_rate(self, name, count=40_000):
         workload = build_workload(name)
@@ -107,7 +108,8 @@ class TestWorkloadCharacters:
             branch_hook=lambda pc, np_, inst, taken:
                 predictor.predict_and_update(pc, inst, taken, np_),
         )
-        return predictor.stats.misprediction_rate()
+        stats = predictor.stats
+        return stats.mispredictions / stats.conditional_branches
 
     def test_mcf_is_cache_hostile(self):
         assert self._miss_rate("mcf") > 2 * self._miss_rate("ammp")
