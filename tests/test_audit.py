@@ -128,13 +128,18 @@ class TestProbeRecords:
             assert record["cold_start_error"] == 0.0
             assert record["pht_ambiguity_mass"] is None
 
-    def test_audit_does_not_perturb_results(self, audit_env, monkeypatch):
+    @pytest.mark.parametrize("workload_name", ["ammp", "gcc", "mcf"])
+    def test_audit_does_not_perturb_results(self, audit_env, monkeypatch,
+                                            workload_name):
         """Probes observe state; they never change the simulation."""
         audited_result, audited = run_audited(
-            ReverseStateReconstruction(0.2)
+            ReverseStateReconstruction(0.2), workload_name
         )
         monkeypatch.setenv("REPRO_AUDIT", "0")
-        plain_result, plain = run_audited(ReverseStateReconstruction(0.2))
+        plain_result, plain = run_audited(ReverseStateReconstruction(0.2),
+                                          workload_name)
+        assert audit_records(audited)
+        assert audit_records(plain) == []
         assert plain_result.cluster_ipcs == audited_result.cluster_ipcs
         assert plain_result.cost.as_dict() == \
             audited_result.cost.as_dict()

@@ -409,10 +409,12 @@ class TestReadThrough:
         assert manifest["detail_ramp"] == RAMP
         assert manifest["digest"] == blob_digest(blob.read_bytes())
 
-    def test_warm_run_bit_identical(self, workload, store_env):
+    @pytest.mark.parametrize("workload_name", ["ammp", "gcc"])
+    def test_warm_run_bit_identical(self, workload_name, store_env):
         """Acceptance: a store hit reproduces the cold run exactly —
         per-cluster IPCs, the estimate, and every WarmupCost component
         (the stored shards replay their cold-scan gap-log deltas)."""
+        workload = build_workload(workload_name)
         cold = _run(workload)
         warm = _run(workload)
         assert cold.extra["checkpoint_store"] == "miss"
@@ -642,10 +644,12 @@ class TestStreamingFold:
         assert run.cluster_ipcs == baseline.cluster_ipcs
         assert run.cost.as_dict() == baseline.cost.as_dict()
 
-    def test_streaming_equals_barrier_with_store(self, workload,
+    @pytest.mark.parametrize("workload_name", ["ammp", "gcc"])
+    def test_streaming_equals_barrier_with_store(self, workload_name,
                                                  monkeypatch, tmp_path):
         """Cross product: adversarial delivery on a warm store hit still
         folds bit-identically to the plain cold run."""
+        workload = build_workload(workload_name)
         monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "store"))
         cold = _run(workload)
         monkeypatch.setattr(parallel, "map_tasks", _reverse_order_map)

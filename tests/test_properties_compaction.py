@@ -579,10 +579,12 @@ class TestEndToEndEquivalence:
     REGIMEN = SamplingRegimen(total_instructions=24_000, num_clusters=4,
                               cluster_size=600, seed=5)
 
+    @pytest.mark.parametrize("workload_name", ["gcc", "twolf", "mcf"])
     @pytest.mark.parametrize("fraction", [1.0, 0.4])
     @pytest.mark.parametrize("on_demand", [True, False])
-    def test_sampled_run_identical(self, fraction, on_demand):
-        simulator = SampledSimulator(build_workload("twolf"), self.REGIMEN)
+    def test_sampled_run_identical(self, fraction, on_demand, workload_name):
+        simulator = SampledSimulator(build_workload(workload_name),
+                                     self.REGIMEN)
         results = [
             simulator.run(ReverseStateReconstruction(
                 fraction, on_demand=on_demand, source=SOURCES[kind]))

@@ -204,20 +204,23 @@ class TestExecuteRequest:
 
 
 class TestServiceRoundTrip:
+    @pytest.mark.parametrize("workload", ["gcc", "mcf"])
     @pytest.mark.parametrize("recorded", [False, True],
                              ids=["off", "traced"])
-    def test_result_matches_inline_exactly(self, tmp_path, recorded):
+    def test_result_matches_inline_exactly(self, tmp_path, recorded,
+                                           workload):
         """Recording is stamp-and-append: with the record file on or
         off, the job's payload is the inline one, with no run_id."""
-        inline = execute_request(SAMPLE, cache="off")
+        request = dataclasses.replace(SAMPLE, workloads=(workload,))
+        inline = execute_request(request, cache="off")
         trace = str(tmp_path / "trace.jsonl") if recorded else None
         options = RunOptions(scale="ci", trace=trace)
         with _service(tmp_path, options=options) as service:
             client = ServiceClient(service.url)
-            remote = client.run(SAMPLE)
+            remote = client.run(request)
         assert remote.payload == inline.payload
         assert "run_id" not in json.dumps(remote.payload)
-        assert remote.request == SAMPLE
+        assert remote.request == request
         assert not remote.cached
 
     def test_repeat_served_from_cache_without_rerun(self, tmp_path):

@@ -167,9 +167,11 @@ class TestTreeShapeDeterminism:
         phases = {grand["name"] for grand in cluster["children"]}
         assert {"cold_skip", "reconstruct", "hot_sim"} <= phases
 
-    def test_spans_off_is_bit_identical(self):
-        plain, plain_snap = run_sampled(1, telemetry=NULL_TELEMETRY)
-        traced, traced_snap = run_sampled(1)
+    @pytest.mark.parametrize("workload", ["ammp", "gcc", "mcf"])
+    def test_spans_off_is_bit_identical(self, workload):
+        plain, plain_snap = run_sampled(1, workload=workload,
+                                        telemetry=NULL_TELEMETRY)
+        traced, traced_snap = run_sampled(1, workload=workload)
         assert plain.cluster_ipcs == traced.cluster_ipcs
         assert plain.estimate.mean == traced.estimate.mean
         assert plain_snap is None
