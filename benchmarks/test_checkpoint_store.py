@@ -59,11 +59,12 @@ def _barrier_map(worker, tasks, jobs, *, on_result, **kwargs):
 
 
 def _core_sweep(base):
-    """Three core variants; none touches Phase A's inputs."""
+    """Three core variants; none touches Phase A's inputs, and each
+    binds on the workload (an 8-entry ROB; a narrower issue with a
+    longer mispredict penalty)."""
     return [
         base,
-        dataclasses.replace(base, rob_entries=base.rob_entries * 2,
-                            issue_queue_entries=base.issue_queue_entries * 2),
+        dataclasses.replace(base, rob_entries=8),
         dataclasses.replace(base, issue_width=max(1, base.issue_width - 1),
                             mispredict_penalty=base.mispredict_penalty + 4),
     ]
@@ -101,6 +102,9 @@ def test_checkpoint_store(benchmark, scale, tmp_path, monkeypatch):
     cold = [_timed_run(workload, scale, regimen, configs)
             for configs in sweep]
     cold_seconds = [seconds for _, seconds in cold]
+    base_ipcs = cold[0][0].cluster_ipcs
+    assert all(result.cluster_ipcs != base_ipcs for result, _ in cold[1:]), \
+        "a swept core config does not bind: its IPCs equal the base core's"
 
     # -- populate, then the warm sweep off one store directory ----------
     monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "store"))

@@ -45,7 +45,7 @@ def test_figure2_worked_example(benchmark):
     def describe(c):
         return [
             "-" if t is None else chr(ord("A") + t // 4 - 4)
-            for t in (c.tags[0][w] for w in c.order[0])
+            for t in c.state_fingerprint()[0]
         ]
 
     text = format_table(

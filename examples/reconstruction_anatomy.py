@@ -17,8 +17,7 @@ from repro.core import BR_CALL, BR_RET
 
 
 def show_set(cache: Cache, label: str) -> None:
-    order = cache.order[0]
-    tags = [cache.tags[0][way] for way in order]
+    tags = cache.state_fingerprint()[0]
     # With one 64-byte-line set, the tag of line address (i+4)*256 is
     # (i+4)*4; invert that to recover the letter.
     names = ["-" if t is None else chr(ord("A") + t // 4 - 4) for t in tags]

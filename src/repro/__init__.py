@@ -46,7 +46,6 @@ from .warmup import (
     MRRLWarmup,
     BLRLWarmup,
     paper_method_suite,
-    register_method,
     resolve_method,
 )
 from .core import ReverseStateReconstruction
@@ -68,7 +67,6 @@ __all__ = [
     "MRRLWarmup",
     "BLRLWarmup",
     "paper_method_suite",
-    "register_method",
     "resolve_method",
     "ReverseStateReconstruction",
     "simulate",

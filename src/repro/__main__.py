@@ -5,8 +5,7 @@ Commands
 workloads
     List the built-in SPEC2000-like workloads.
 methods
-    List the warm-up methods in the registry (Table 2 names plus any
-    registered via :func:`repro.warmup.register_method`).
+    List the warm-up methods in the registry (the Table 2 names).
 true-ipc WORKLOAD
     Full-trace detailed simulation (the accuracy baseline).
 sample WORKLOAD [--method NAME]...
@@ -82,7 +81,6 @@ from .harness import (
     SCALES,
     format_table,
     options_from_env,
-    scale_from_env,
     true_run_for,
 )
 from .sampling import SampledSimulator
@@ -129,30 +127,6 @@ def _add_store_argument(parser: argparse.ArgumentParser) -> None:
              "default directory), 'off', or a store directory path "
              "(default: REPRO_CHECKPOINT_STORE or off; see "
              "docs/checkpoint-store.md)",
-    )
-
-
-def _resolve_scale(args):
-    # main() builds the validated RunOptions once (flags folded in);
-    # handlers invoked directly in tests fall back to flag/env reads.
-    options = getattr(args, "options", None)
-    if options is not None:
-        return options.scale_obj()
-    if args.scale:
-        return SCALES[args.scale]
-    return scale_from_env()
-
-
-def _options_for(args):
-    """The entry-point RunOptions (or a freshly validated fallback)."""
-    options = getattr(args, "options", None)
-    if options is not None:
-        return options
-    return options_from_env(
-        scale=getattr(args, "scale", None),
-        matrix_jobs=getattr(args, "jobs", None),
-        cluster_jobs=getattr(args, "cluster_jobs", None),
-        checkpoint_store=getattr(args, "store", None),
     )
 
 
@@ -251,7 +225,7 @@ def cmd_methods(_args) -> int:
 
 
 def cmd_true_ipc(args) -> int:
-    scale = _resolve_scale(args)
+    scale = args.options.scale_obj()
     true_run = true_run_for(args.workload, scale)
     print(f"{args.workload}: true IPC = {true_run.ipc:.4f} "
           f"({true_run.instructions} instructions, "
@@ -260,7 +234,7 @@ def cmd_true_ipc(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    scale = _resolve_scale(args)
+    scale = args.options.scale_obj()
     workload = build_workload(args.workload, mem_scale=scale.mem_scale)
     true_run = true_run_for(args.workload, scale)
     # A --trace path rides REPRO_TRACE (main() plants it): each
@@ -302,7 +276,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simpoint(args) -> int:
-    scale = _resolve_scale(args)
+    scale = args.options.scale_obj()
     workload = build_workload(args.workload, mem_scale=scale.mem_scale)
     true_run = true_run_for(args.workload, scale)
     rows = []
@@ -332,7 +306,7 @@ def cmd_simpoint(args) -> int:
 
 
 def cmd_design(args) -> int:
-    scale = _resolve_scale(args)
+    scale = args.options.scale_obj()
     from .sampling import recommend_regimen
 
     workload = build_workload(args.workload, mem_scale=scale.mem_scale)
@@ -394,7 +368,7 @@ def cmd_matrix(args) -> int:
 
         matrix_format(args.output)  # a bad extension costs no cells
     _check_writable(args.output)
-    options = _options_for(args)
+    options = args.options
     scale = options.scale_obj()
     workloads = tuple(args.workload) if args.workload else available_workloads()
     if args.method:
@@ -467,7 +441,7 @@ def cmd_profile(args) -> int:
     from .harness import format_telemetry_summary
     from .telemetry import merge_snapshots, trace_path
 
-    scale = _resolve_scale(args)
+    scale = args.options.scale_obj()
     workload = build_workload(args.workload, mem_scale=scale.mem_scale)
     simulator = _simulator(workload, scale, telemetry=_session_factory(),
                            cluster_jobs=getattr(args, "cluster_jobs", None))
@@ -495,7 +469,7 @@ def cmd_audit(args) -> int:
     from .harness import format_audit_report, save_audit
     from .telemetry import AUDIT_ENV_VAR, merge_snapshots
 
-    scale = _resolve_scale(args)
+    scale = args.options.scale_obj()
     workload = build_workload(args.workload, mem_scale=scale.mem_scale)
     methods = args.method or ["S$BP", "R$BP (100%)"]
     snapshots = []
@@ -522,6 +496,7 @@ def cmd_trace(args) -> int:
     from .telemetry import (
         RECORD_COUNTER,
         RECORD_SPAN,
+        check_lane_nesting,
         read_trace,
         spans_to_jsonl,
         validate_chrome_trace,
@@ -541,7 +516,10 @@ def cmd_trace(args) -> int:
         events = write_chrome_trace(records, output)
         import json
         with open(output, "r", encoding="utf-8") as stream:
-            errors = validate_chrome_trace(json.load(stream))
+            payload = json.load(stream)
+        # Lanes are only well-defined in a payload that fits the schema.
+        errors = (validate_chrome_trace(payload)
+                  or check_lane_nesting(payload))
         if errors:
             for error in errors:
                 print(f"error: {error}", file=sys.stderr)
@@ -620,7 +598,7 @@ def cmd_cache(args) -> int:
     """
     from .store import LAYERS
 
-    options = _options_for(args)
+    options = args.options
     settings = {"results": None if args.cache == "auto" else args.cache,
                 "checkpoints": args.store}
     layers = []
@@ -663,7 +641,7 @@ def cmd_serve(args) -> int:
 
     from .service import SimulationService
 
-    options = _options_for(args)
+    options = args.options
     service = SimulationService(
         options=options,
         cache=None if args.cache == "auto" else args.cache,

@@ -22,9 +22,7 @@ class BranchTargetBuffer:
         self.tags: list[int | None] = [None] * self.entries
         self.targets: list[int] = [0] * self.entries
         self.reconstructed = [False] * self.entries
-        # Templates for slice fills that keep each list's identity.
-        self._empty_tags = [None] * self.entries
-        self._zero_targets = [0] * self.entries
+        # Template for a slice fill that keeps the list's identity.
         self._cleared = [False] * self.entries
         self.lookups = 0
         self.updates = 0
@@ -57,10 +55,3 @@ class BranchTargetBuffer:
 
     def clear_reconstructed(self) -> None:
         self.reconstructed[:] = self._cleared
-
-    def reset(self) -> None:
-        self.tags[:] = self._empty_tags
-        self.targets[:] = self._zero_targets
-        self.reconstructed[:] = self._cleared
-        self.lookups = 0
-        self.updates = 0

@@ -23,8 +23,7 @@ class GsharePHT:
         #: Counters initialised to weakly-not-taken, the usual reset state.
         self.counters = [WEAK_NOT_TAKEN] * self.entries
         self.reconstructed = [False] * self.entries
-        # Templates for slice fills that keep each list's identity.
-        self._initial_counters = [WEAK_NOT_TAKEN] * self.entries
+        # Template for a slice fill that keeps the list's identity.
         self._cleared = [False] * self.entries
         self.history = 0
         self.lookups = 0
@@ -46,10 +45,3 @@ class GsharePHT:
 
     def clear_reconstructed(self) -> None:
         self.reconstructed[:] = self._cleared
-
-    def reset(self) -> None:
-        self.counters[:] = self._initial_counters
-        self.reconstructed[:] = self._cleared
-        self.history = 0
-        self.lookups = 0
-        self.updates = 0

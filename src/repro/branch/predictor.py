@@ -25,12 +25,6 @@ class PredictorStats:
     control_transfers: int = 0
     target_mispredictions: int = 0
 
-    def reset(self) -> None:
-        self.conditional_branches = 0
-        self.mispredictions = 0
-        self.control_transfers = 0
-        self.target_mispredictions = 0
-
 
 class BranchPredictor:
     """Front-end prediction state for one core."""
@@ -208,12 +202,6 @@ class BranchPredictor:
         self.ras.top = state["ras_top"]
         self.ras.depth = state["ras_depth"]
         self.clear_reconstructed()
-
-    def reset(self) -> None:
-        self.pht.reset()
-        self.btb.reset()
-        self.ras.reset()
-        self.stats.reset()
 
     def __repr__(self) -> str:
         return (

@@ -48,10 +48,3 @@ class ReturnAddressStack:
         self.top = self.size - 1
         for offset, address in enumerate(live):
             self.stack[(self.top - offset) % self.size] = address
-
-    def reset(self) -> None:
-        self.stack = [0] * self.size
-        self.top = self.size - 1
-        self.depth = 0
-        self.pushes = 0
-        self.pops = 0

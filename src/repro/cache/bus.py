@@ -60,11 +60,5 @@ class Bus:
         """
         self.busy_until = 0
 
-    def reset(self) -> None:
-        self.busy_until = 0
-        self.transfers = 0
-        self.bytes_moved = 0
-        self.contention_cycles = 0
-
     def __repr__(self) -> str:
         return f"Bus({self.config.name}, busy_until={self.busy_until})"

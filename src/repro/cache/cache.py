@@ -16,10 +16,8 @@ a small list of cached ints measurably faster than a flat typed array,
 which re-boxes every element it reads.  The per-block bits live in flat
 stores indexed ``set * associativity + way`` — ``dirty_bits`` and
 ``recon_bits`` (``bytearray``), and ``recon_count`` (``array('H')``, one
-count per set) — so ``begin_reconstruction`` and ``reset`` are C-speed
-slice fills instead of per-way Python loops.  The read-only ``tags`` /
-``reconstructed`` views render the legacy list-of-lists shape (``None``
-marks an invalid way); dirty bits are read from ``dirty_bits``.
+count per set) — so ``begin_reconstruction`` and ``load_state`` are
+C-speed slice fills instead of per-way Python loops.
 
 Two access families are exposed:
 
@@ -58,16 +56,6 @@ class CacheStats:
     reconstruction_skipped: int = 0
     updates: int = 0
 
-    def reset(self) -> None:
-        self.accesses = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writebacks = 0
-        self.reconstruction_applied = 0
-        self.reconstruction_skipped = 0
-        self.updates = 0
-
     def add_hits(self, count: int) -> None:
         """Count `count` read hits on the MRU way of their set, which
         translated blocks test in line instead of calling
@@ -84,49 +72,10 @@ HIT = -1
 MISS = -2
 
 
-class _SetView:
-    """Read-only list-of-lists rendering of a flat per-block column.
-
-    Supports the access patterns the legacy list-of-lists attributes
-    served — ``view[set_index]`` returns a fresh per-set list (so
-    ``view[s][w]``, ``view[s].count(None)`` etc. work), iteration yields
-    one list per set, and ``len(view)`` is the set count.  Each row is
-    rendered on demand from the flat store, so a view is always current.
-    """
-
-    __slots__ = ("_render", "_num_sets")
-
-    def __init__(self, render, num_sets: int) -> None:
-        self._render = render
-        self._num_sets = num_sets
-
-    def __len__(self) -> int:
-        return self._num_sets
-
-    def __getitem__(self, set_index: int) -> list:
-        if set_index < 0:
-            set_index += self._num_sets
-        if not 0 <= set_index < self._num_sets:
-            raise IndexError("cache set index out of range")
-        return self._render(set_index)
-
-    def __iter__(self):
-        render = self._render
-        return (render(index) for index in range(self._num_sets))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _SetView):
-            other = list(other)
-        return list(self) == other
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
 def mru_names(cache: "Cache") -> tuple:
     """``R, O, L, N, T`` of `cache`, the names translated blocks test an
     MRU hit with: its per-set tag rows and recency orders (bound as they
-    are now: ``reset`` and ``load_state`` rebind them), line bytes, set
+    are now: ``load_state`` rebinds them), line bytes, set
     count, and line bytes times set count."""
     line_bytes, sets = cache.config.line_bytes, cache.num_sets
     return cache._tag_rows, cache.order, line_bytes, sets, line_bytes * sets
@@ -161,26 +110,6 @@ class Cache:
         # Invariant templates for C-speed bulk clears.
         self._zero_blocks = bytes(blocks)
         self._zero_counts = array("H", bytes(2 * sets))
-
-    # -- legacy read-only views ---------------------------------------------
-
-    @property
-    def tags(self) -> _SetView:
-        """tags[s][w] is the line tag in way w of set s (None=invalid)."""
-        rows = self._tag_rows
-        return _SetView(
-            lambda s: [t if t >= 0 else None for t in rows[s]], self.num_sets
-        )
-
-    @property
-    def reconstructed(self) -> _SetView:
-        """reconstructed[s][w] is the §3.1 reconstructed bit of way w."""
-        bits = self.recon_bits
-        assoc = self.associativity
-        return _SetView(
-            lambda s: [b == 1 for b in bits[s * assoc:(s + 1) * assoc]],
-            self.num_sets,
-        )
 
     # -- address helpers --------------------------------------------------
 
@@ -245,11 +174,6 @@ class Cache:
             return MISS
         stats.writebacks += 1
         return self._address_of(set_index, evicted_tag)
-
-    def probe(self, address: int) -> bool:
-        """Check residency without perturbing any state."""
-        set_index, tag = self.split_address(address)
-        return tag in self._tag_rows[set_index]
 
     # -- reverse reconstruction primitives ---------------------------------
 
@@ -349,18 +273,7 @@ class Cache:
                 applied += 1
         return applied
 
-    # -- maintenance --------------------------------------------------------
-
-    def reset(self) -> None:
-        """Invalidate all lines and reset statistics."""
-        assoc = self.associativity
-        self.dirty_bits[:] = self._zero_blocks
-        self.recon_bits[:] = self._zero_blocks
-        self.recon_count[:] = self._zero_counts
-        self._tag_rows = [[-1] * assoc for _ in range(self.num_sets)]
-        for set_index in range(self.num_sets):
-            self.order[set_index] = list(range(assoc))
-        self.stats.reset()
+    # -- state inspection -------------------------------------------------
 
     def contents(self) -> set[int]:
         """Line addresses of every valid block (for state-comparison tests)."""

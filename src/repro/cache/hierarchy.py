@@ -128,15 +128,6 @@ class MemoryHierarchy:
 
     # -- maintenance ----------------------------------------------------------
 
-    def reset(self) -> None:
-        """Invalidate all caches and reset buses and counters."""
-        self.l1i.reset()
-        self.l1d.reset()
-        self.l2.reset()
-        self.l1_bus.reset()
-        self.l2_bus.reset()
-        self.memory_accesses = 0
-
     def total_updates(self) -> int:
         """Total state-changing cache operations (warm-up cost metric)."""
         return (

@@ -55,6 +55,3 @@ class Memory:
         clone = Memory()
         clone._words = dict(self._words)
         return clone
-
-    def clear(self) -> None:
-        self._words.clear()

@@ -111,10 +111,6 @@ class Program:
         state.pop("_predecoded", None)
         return state
 
-    def address_of(self, index: int) -> int:
-        """Byte address of the instruction at `index`."""
-        return self.code_base + index * self.instruction_bytes
-
     def basic_blocks(self) -> list[BasicBlock]:
         """Partition the program into basic blocks.
 

@@ -60,16 +60,15 @@ class RegimenRecommendation:
 
 
 def clusters_for_error(mean: float, std_dev: float,
-                       target_relative_error: float,
-                       confidence_z: float = Z_95) -> int:
-    """Clusters needed so that z*SE <= target_relative_error * mean."""
+                       target_relative_error: float) -> int:
+    """Clusters needed so that Z_95*SE <= target_relative_error * mean."""
     if mean <= 0:
         raise ValueError("mean must be positive")
     if not 0 < target_relative_error < 1:
         raise ValueError("target_relative_error must be in (0, 1)")
     if std_dev == 0:
         return 1
-    needed = (confidence_z * std_dev / (target_relative_error * mean)) ** 2
+    needed = (Z_95 * std_dev / (target_relative_error * mean)) ** 2
     return max(1, math.ceil(needed))
 
 

@@ -25,7 +25,6 @@ class SampleEstimate:
     std_dev: float
     std_error: float
     num_clusters: int
-    confidence: float = 0.95
 
     @property
     def error_bound(self) -> float:

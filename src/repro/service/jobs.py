@@ -26,14 +26,20 @@ JOB_STATES = ("queued", "running", "done", "failed")
 #: Pending = holding queue capacity (queued or running).
 _PENDING_STATES = frozenset({"queued", "running"})
 
+#: The most job records a store keeps.  A submit past it evicts the
+#: oldest finished record; only this many *pending* jobs refuse one.
+MAX_JOBS = 10_000
+
 
 class QuotaExceeded(Exception):
-    """A tenant has too many pending jobs (the HTTP layer maps to 429)."""
+    """A tenant, or the whole store, has too many pending jobs (the HTTP
+    layer maps it to 429)."""
 
-    def __init__(self, tenant: str, limit: int) -> None:
-        super().__init__(
+    def __init__(self, tenant: str, limit: int,
+                 message: "str | None" = None) -> None:
+        super().__init__(message or (
             f"tenant {tenant!r} has {limit} pending job(s), the maximum; "
-            f"wait for one to finish before submitting more")
+            f"wait for one to finish before submitting more"))
         self.tenant = tenant
         self.limit = limit
 
@@ -97,14 +103,12 @@ class JobRecord:
 class JobStore:
     """Queue, registry, and quota ledger for service jobs."""
 
-    def __init__(self, *, max_pending_per_tenant: int = 4,
-                 max_jobs: int = 10_000) -> None:
+    def __init__(self, *, max_pending_per_tenant: int = 4) -> None:
         if max_pending_per_tenant < 1:
             raise ValueError(
                 f"max_pending_per_tenant must be >= 1, "
                 f"got {max_pending_per_tenant}")
         self.max_pending_per_tenant = max_pending_per_tenant
-        self.max_jobs = max_jobs
         self._lock = threading.Lock()
         self._jobs: "dict[str, JobRecord]" = {}
         self._queue: "queue.Queue[str]" = queue.Queue()
@@ -122,10 +126,21 @@ class JobStore:
             )
             if pending >= self.max_pending_per_tenant:
                 raise QuotaExceeded(tenant, self.max_pending_per_tenant)
-            if len(self._jobs) >= self.max_jobs:
-                # A global backstop against unbounded memory; tenants
-                # hitting it read the same retryable signal as a quota.
-                raise QuotaExceeded(tenant, self.max_pending_per_tenant)
+            if len(self._jobs) >= MAX_JOBS:
+                # Dict order is submission order: the first finished
+                # record is the oldest.
+                oldest = next((job_id for job_id, job in self._jobs.items()
+                               if job.state not in _PENDING_STATES), None)
+                if oldest is None:
+                    # A backstop against unbounded memory; tenants
+                    # hitting it read the same retryable signal as a
+                    # quota.
+                    raise QuotaExceeded(
+                        tenant, MAX_JOBS,
+                        f"the job store holds {MAX_JOBS} pending jobs, "
+                        f"its limit; wait for one to finish before "
+                        f"submitting more")
+                del self._jobs[oldest]
             job_id = f"job-{next(self._ids):06d}"
             record = JobRecord(job_id=job_id, tenant=tenant,
                                request=request, run_id=run_id)

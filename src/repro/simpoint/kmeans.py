@@ -16,6 +16,12 @@ import numpy as np
 #: SimPoint's default projected dimensionality.
 DEFAULT_PROJECTED_DIMS = 15
 
+#: Lloyd iterations per restart, at most (most runs converge sooner).
+MAX_ITERATIONS = 100
+
+#: Seedings tried; the clustering with the lowest inertia wins.
+RESTARTS = 3
+
 
 @dataclass
 class KMeansResult:
@@ -60,8 +66,7 @@ def _kmeans_plus_plus(points: np.ndarray, k: int,
     return centroids
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0,
-           max_iterations: int = 100, restarts: int = 3) -> KMeansResult:
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding and multiple restarts."""
     n = points.shape[0]
     if k <= 0:
@@ -70,10 +75,10 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     best: KMeansResult | None = None
 
-    for _restart in range(max(1, restarts)):
+    for _restart in range(RESTARTS):
         centroids = _kmeans_plus_plus(points, k, rng)
         assignments = np.zeros(n, dtype=np.int64)
-        for _iteration in range(max_iterations):
+        for _iteration in range(MAX_ITERATIONS):
             # Assign.
             distances = (
                 np.sum(points ** 2, axis=1, keepdims=True)

@@ -12,8 +12,6 @@ from .suite import (
     REVERSE_FRACTIONS,
 )
 from .registry import (
-    register_method,
-    unregister_method,
     resolve_method,
     method_factory,
     registered_method_names,
@@ -33,8 +31,6 @@ __all__ = [
     "paper_method_names",
     "PAPER_FRACTIONS",
     "REVERSE_FRACTIONS",
-    "register_method",
-    "unregister_method",
     "resolve_method",
     "method_factory",
     "registered_method_names",

@@ -137,8 +137,8 @@ def warming_hooks(hierarchy, predictor, warm_cache: bool = True,
     transfer trains ``BranchPredictor.update`` when `warm_predictor`.
     The callables hold bound methods only.  The emitter also binds the
     L1s' tag rows and recency orders (``Cache._tag_rows``, ``order``) as
-    they are now: ``reset``, ``load_state`` and ``WarmState.restore``
-    rebind those lists, so build the hooks for each run and never keep
+    they are now: ``load_state`` and ``WarmState.restore`` rebind those
+    lists, so build the hooks for each run and never keep
     them across one of those calls.  Nothing a warm run calls rebinds
     them.
 

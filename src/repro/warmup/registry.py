@@ -1,110 +1,59 @@
-"""Name-based warm-up method registry (the API redesign's lookup layer).
+"""Name-based warm-up method lookup.
 
 Every entry point that accepts a method *name* — the CLI, the harness,
-:mod:`repro.api` — resolves it here.  The paper's sixteen Table 2
-configurations are pre-registered lazily from the suite catalogue;
-third-party code adds its own with :func:`register_method`:
-
-    from repro.warmup import register_method
-    register_method("MyWarmup", MyWarmup, aliases=("mine",))
-    method = resolve_method("mine")
-
-Canonical names are the paper's Table 2 labels (``"R$BP (100%)"``,
-``"S$BP"``, ...).  Aliases are case-insensitive; ``"rsr"`` and
-``"smarts"`` point at the headline configurations so the stable facade
-can say ``simulate(workload, method="rsr")``.
+:mod:`repro.api` — resolves it here, against the paper's sixteen Table 2
+configurations from the suite catalogue.  Canonical names are the
+Table 2 labels (``"R$BP (100%)"``, ``"S$BP"``, ...).  Lookups are
+case-insensitive; ``"rsr"`` and ``"smarts"`` point at the headline
+configurations so the stable facade can say
+``simulate(workload, method="rsr")``.  A method outside the suite has no
+name here: pass the instance itself to :func:`repro.api.simulate`.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from .base import WarmupMethod
+from .suite import _catalogue
 
-#: canonical name -> zero-argument factory returning a fresh method.
-_REGISTRY: dict[str, Callable[[], WarmupMethod]] = {}
-#: lowercase alias -> canonical name.
-_ALIASES: dict[str, str] = {}
-_BUILTINS_LOADED = False
+#: Headline aliases for the stable facade: lowercase alias -> canonical.
+_ALIASES = {"rsr": "R$BP (100%)", "smarts": "S$BP"}
 
 
-def _ensure_builtins() -> None:
-    """Populate the registry with the Table 2 suite, once, lazily.
-
-    Lazy so that importing :mod:`repro.warmup` does not drag in the
-    reconstruction stack; the suite module itself resolves through this
-    registry, so the import happens at function level.
-    """
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    _BUILTINS_LOADED = True
-    from .suite import _catalogue
-
-    for prototype, factory in _catalogue():
-        _REGISTRY.setdefault(prototype.name, factory)
-        _ALIASES.setdefault(prototype.name.lower(), prototype.name)
-    # Headline aliases for the stable facade.
-    _ALIASES.setdefault("rsr", "R$BP (100%)")
-    _ALIASES.setdefault("smarts", "S$BP")
+@functools.cache
+def _registry() -> dict[str, Callable[[], WarmupMethod]]:
+    """The Table 2 suite, canonical name -> zero-argument factory,
+    built on first use."""
+    return {prototype.name: factory for prototype, factory in _catalogue()}
 
 
 def _canonical(name: str) -> str:
-    if name in _REGISTRY:
-        return name
-    target = _ALIASES.get(name) or _ALIASES.get(name.strip().lower())
-    if target is not None and target in _REGISTRY:
-        return target
-    known = ", ".join(sorted(_REGISTRY))
+    registry = _registry()
+    key = name.strip().lower()
+    key = _ALIASES.get(key, key).lower()
+    for canonical in registry:
+        if canonical.lower() == key:
+            return canonical
+    known = ", ".join(sorted(registry))
     raise ValueError(f"unknown method {name!r}; known: {known}")
 
 
-def register_method(name: str, factory: Callable[[], WarmupMethod], *,
-                    aliases: tuple[str, ...] = (),
-                    replace: bool = False) -> None:
-    """Register `factory` (zero-argument, fresh method per call) as `name`.
-
-    `aliases` are additional case-insensitive lookup keys.  Re-registering
-    an existing name raises unless `replace=True`.
-    """
-    _ensure_builtins()
-    if not callable(factory):
-        raise TypeError("factory must be a zero-argument callable")
-    if not replace and name in _REGISTRY:
-        raise ValueError(f"method {name!r} is already registered; "
-                         "pass replace=True to override")
-    _REGISTRY[name] = factory
-    _ALIASES[name.lower()] = name
-    for alias in aliases:
-        _ALIASES[alias.lower()] = name
-
-
-def unregister_method(name: str) -> None:
-    """Remove a registered method and all aliases pointing at it."""
-    _ensure_builtins()
-    canonical = _canonical(name)
-    del _REGISTRY[canonical]
-    for alias, target in list(_ALIASES.items()):
-        if target == canonical:
-            del _ALIASES[alias]
-
-
 def method_factory(name: str) -> Callable[[], WarmupMethod]:
-    """The registered factory behind `name` (canonical or alias).
+    """The factory behind `name` (canonical or alias).
 
     Raises a readable ValueError for unknown names — the CLI maps it to
     exit status 2.
     """
-    _ensure_builtins()
-    return _REGISTRY[_canonical(name)]
+    return _registry()[_canonical(name)]
 
 
 def resolve_method(name: str) -> WarmupMethod:
-    """Build a fresh warm-up method from a registered name or alias."""
+    """Build a fresh warm-up method from a Table 2 name or alias."""
     return method_factory(name)()
 
 
 def registered_method_names() -> list[str]:
-    """Canonical names currently registered, sorted."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    """The canonical Table 2 names, sorted."""
+    return sorted(_registry())

@@ -112,13 +112,6 @@ class TestGshare:
         pht.set_history(0xFFFF)
         assert pht.history == 0xF
 
-    def test_reset(self):
-        pht = GsharePHT(small_config())
-        pht_update(pht, 3, True)
-        pht.reset()
-        assert pht.history == 0
-        assert all(c == WEAK_NOT_TAKEN for c in pht.counters)
-
     def test_clear_reconstructed(self):
         pht = GsharePHT(small_config())
         pht.reconstructed[3] = True
@@ -155,12 +148,6 @@ class TestBTB:
         assert btb.reconstruct(1, 11)
         assert btb.reconstruct(2, 22)
         assert btb.lookup(1) == 11 and btb.lookup(2) == 22
-
-    def test_reset(self):
-        btb = BranchTargetBuffer(small_config())
-        btb_update(btb, 10, 55)
-        btb.reset()
-        assert btb.lookup(10) is None
 
 
 class TestRAS:
@@ -206,10 +193,3 @@ class TestRAS:
         ras = ReturnAddressStack(small_config(ras=2))
         ras.set_contents([1, 2, 3, 4])
         assert ras.contents_from_top() == [1, 2]
-
-    def test_reset(self):
-        ras = ReturnAddressStack(small_config())
-        ras_push(ras, 5)
-        ras.reset()
-        assert ras.depth == 0
-        assert ras.peek() == 0

@@ -56,11 +56,3 @@ class TestContention:
         bus.rewind()
         assert bus.busy_until == 0
         assert bus.transfers == 1
-
-    def test_reset_clears_stats(self):
-        bus = make_bus()
-        bus.request(0, 64)
-        bus.reset()
-        assert bus.busy_until == 0
-        assert bus.transfers == 0
-        assert bus.bytes_moved == 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache import Cache, CacheConfig, WritePolicy
 from repro.cache.cache import HIT, MISS
+from tests.cache_state import resident
 
 
 def make_cache(size=1024, line=64, assoc=4,
@@ -74,8 +75,8 @@ class TestHitMiss:
         cache.access(a)
         cache.access(b)
         cache.access(c)                # evicts a (LRU)
-        assert not cache.probe(a)
-        assert cache.probe(b) and cache.probe(c)
+        assert not resident(cache, a)
+        assert resident(cache, b) and resident(cache, c)
 
     def test_hit_refreshes_recency(self):
         cache = make_cache(assoc=2, size=512)
@@ -85,18 +86,8 @@ class TestHitMiss:
         cache.access(b)
         cache.access(a)                # a becomes MRU
         cache.access(c)                # evicts b
-        assert cache.probe(a) and cache.probe(c)
-        assert not cache.probe(b)
-
-    def test_probe_does_not_disturb_state(self):
-        cache = make_cache(assoc=2, size=512)
-        stride = 4 * 64
-        a, b, c = 0x0, stride, 2 * stride
-        cache.access(a)
-        cache.access(b)
-        cache.probe(a)                 # must NOT refresh a
-        cache.access(c)                # evicts a (still LRU)
-        assert not cache.probe(a)
+        assert resident(cache, a) and resident(cache, c)
+        assert not resident(cache, b)
 
     def test_stats_counting(self):
         cache = make_cache()
@@ -112,7 +103,7 @@ class TestWritePolicies:
     def test_wtna_write_miss_does_not_allocate(self):
         cache = make_cache(policy=WritePolicy.WTNA)
         assert cache.access(0x1000, is_write=True) == MISS
-        assert not cache.probe(0x1000)
+        assert not resident(cache, 0x1000)
 
     def test_wtna_write_hit_updates_recency(self):
         cache = make_cache(assoc=2, size=512, policy=WritePolicy.WTNA)
@@ -122,8 +113,8 @@ class TestWritePolicies:
         cache.access(b)
         cache.access(a, is_write=True)  # refresh a
         cache.access(c)
-        assert cache.probe(a)
-        assert not cache.probe(b)
+        assert resident(cache, a)
+        assert not resident(cache, b)
 
     def test_wtna_never_dirty(self):
         cache = make_cache(policy=WritePolicy.WTNA)
@@ -134,7 +125,7 @@ class TestWritePolicies:
     def test_wbwa_write_miss_allocates(self):
         cache = make_cache(policy=WritePolicy.WBWA)
         cache.access(0x1000, is_write=True)
-        assert cache.probe(0x1000)
+        assert resident(cache, 0x1000)
 
     @pytest.mark.parametrize("line", (0x0, 0x1000))
     def test_wbwa_dirty_eviction_reports_writeback(self, line):
@@ -144,14 +135,14 @@ class TestWritePolicies:
         # Evicts the dirty line and returns its address, 0 included.
         assert cache.access(line + stride) == line
         assert cache.stats.writebacks == 1
-        assert not cache.probe(line)
+        assert not resident(cache, line)
 
     def test_wbwa_clean_eviction_no_writeback(self):
         cache = make_cache(assoc=1, size=256, policy=WritePolicy.WBWA)
         stride = 4 * 64
         cache.access(0x0)                        # clean
         assert cache.access(stride) == MISS
-        assert not cache.probe(0x0) and cache.probe(stride)
+        assert not resident(cache, 0x0) and resident(cache, stride)
         assert (cache.stats.evictions, cache.stats.writebacks) == (1, 0)
 
     def test_wtna_eviction_never_writes_back(self):
@@ -160,18 +151,10 @@ class TestWritePolicies:
         cache.access(0x0)
         cache.access(0x0, is_write=True)         # a write hit: still clean
         assert cache.access(stride) == MISS
-        assert not cache.probe(0x0)
+        assert not resident(cache, 0x0)
 
 
 class TestMaintenance:
-    def test_reset_clears_everything(self):
-        cache = make_cache()
-        cache.access(0x0, is_write=False)
-        cache.reset()
-        assert not cache.probe(0x0)
-        assert cache.stats.accesses == 0
-        assert cache.contents() == set()
-
     def test_contents_lists_lines(self):
         cache = make_cache()
         cache.access(0x0)

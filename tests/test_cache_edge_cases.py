@@ -11,6 +11,7 @@ from repro.cache import (
     MemoryHierarchy,
     WritePolicy,
 )
+from tests.cache_state import resident
 
 
 def wbwa_l1_hierarchy() -> MemoryHierarchy:
@@ -100,8 +101,8 @@ class TestDirectMappedExtreme:
         cache = Cache(CacheConfig("dm", 512, 64, 1, WritePolicy.WTNA, 1))
         cache.access(0x0)
         cache.access(512)     # same set, evicts
-        assert not cache.probe(0x0)
-        assert cache.probe(512)
+        assert not resident(cache, 0x0)
+        assert resident(cache, 512)
 
     def test_fully_associative_cache(self):
         cache = Cache(CacheConfig("fa", 256, 64, 4, WritePolicy.WTNA, 1))
@@ -110,8 +111,8 @@ class TestDirectMappedExtreme:
             cache.access(line * 64)
         cache.access(0)        # refresh line 0
         cache.access(4 * 64)   # evicts line 1 (LRU)
-        assert cache.probe(0)
-        assert not cache.probe(64)
+        assert resident(cache, 0)
+        assert not resident(cache, 64)
 
 
 class TestReconstructionOnEmptyCache:
@@ -119,7 +120,7 @@ class TestReconstructionOnEmptyCache:
         cache = Cache(CacheConfig("c", 512, 64, 2, WritePolicy.WTNA, 1))
         cache.begin_reconstruction()
         assert cache.reconstruct_reference(0x0)
-        assert cache.probe(0x0)
+        assert resident(cache, 0x0)
         # The invalid companion way is untouched.
         set_index, _ = cache.split_address(0x0)
-        assert cache.tags[set_index].count(None) == 1
+        assert cache._tag_rows[set_index].count(-1) == 1

@@ -2,6 +2,7 @@
 the paper's Figure 2 worked example."""
 
 from repro.cache import Cache, CacheConfig, WritePolicy
+from tests.cache_state import resident
 
 
 def make_cache(assoc=4, sets=1, policy=WritePolicy.WTNA) -> Cache:
@@ -19,8 +20,7 @@ def fill_set(cache, tags):
 
 def mru_order(cache, set_index=0):
     """Line tags from MRU to LRU (None for invalid ways)."""
-    order = cache.order[set_index]
-    return [cache.tags[set_index][way] for way in order]
+    return list(cache.state_fingerprint()[set_index])
 
 
 class TestFigure2Example:
@@ -79,7 +79,7 @@ class TestReconstructionRules:
         assert cache.reconstruct_reference(0x200)
         assert cache.recon_count[0] == cache.associativity
         assert not cache.reconstruct_reference(0x300)
-        assert not cache.probe(0x300)
+        assert not resident(cache, 0x300)
 
     def test_present_stale_block_promoted_not_reinserted(self):
         cache = make_cache()
@@ -88,15 +88,15 @@ class TestReconstructionRules:
         cache.begin_reconstruction()
         cache.reconstruct_reference(0x100)
         assert cache.stats.evictions == evictions_before
-        assert cache.probe(0x200)  # untouched stale survivor
+        assert resident(cache, 0x200)  # untouched stale survivor
 
     def test_absent_block_replaces_stale_lru(self):
         cache = make_cache(assoc=2)
         fill_set(cache, [0x100, 0x200])  # 0x100 is LRU
         cache.begin_reconstruction()
         cache.reconstruct_reference(0x300)
-        assert not cache.probe(0x100)
-        assert cache.probe(0x200)
+        assert not resident(cache, 0x100)
+        assert resident(cache, 0x200)
 
     def test_stale_survivors_rank_below_reconstructed(self):
         cache = make_cache(assoc=4)
@@ -122,7 +122,7 @@ class TestReconstructionRules:
         cache = make_cache(policy=WritePolicy.WTNA)
         cache.begin_reconstruction()
         assert cache.reconstruct_reference(0x100, is_write=True)
-        assert cache.probe(0x100)
+        assert resident(cache, 0x100)
 
     def test_begin_reconstruction_clears_bits(self):
         cache = make_cache()
@@ -130,7 +130,7 @@ class TestReconstructionRules:
         cache.reconstruct_reference(0x100)
         cache.begin_reconstruction()
         assert cache.recon_count[0] == 0
-        assert not any(any(bits) for bits in cache.reconstructed)
+        assert not any(cache.recon_bits)
         # The same reference applies again after a new begin.
         assert cache.reconstruct_reference(0x100)
 

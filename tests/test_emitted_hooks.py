@@ -236,11 +236,13 @@ class TestMruFastPath:
             rng = random.Random(f"{variant}/{name}")
             snapshot = saved = None
             for _ in range(40):
-                operation = rng.choice(("run", "run", "run", "reset",
+                operation = rng.choice(("run", "run", "run", "fresh",
                                         "load_state", "restore"))
-                if operation == "reset":
-                    for stack in stacks:
-                        stack.hierarchy.reset()
+                if operation == "fresh":
+                    for stack, counted in zip(stacks, calls):
+                        stack.hierarchy = MemoryHierarchy(configs.hierarchy)
+                        counted.target = stack.hierarchy.warm_access
+                        stack.hierarchy.warm_access = counted
                 elif operation == "load_state" and snapshot is not None:
                     for stack in stacks:
                         for cache, state in zip(stack.hierarchy.caches(),

@@ -97,13 +97,6 @@ class TestWarmEquivalence:
 
 
 class TestMaintenance:
-    def test_reset(self, hierarchy):
-        hierarchy.timed_access(0x1000, False, False, 0)
-        hierarchy.reset()
-        assert hierarchy.l1d.stats.accesses == 0
-        assert hierarchy.memory_accesses == 0
-        assert not hierarchy.l1d.probe(0x1000)
-
     def test_caches_accessor(self, hierarchy):
         l1i, l1d, l2 = hierarchy.caches()
         assert l1i is hierarchy.l1i

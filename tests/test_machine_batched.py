@@ -23,7 +23,6 @@ from repro.functional import FunctionalMachine, Memory, to_signed
 from repro.functional.checkpoint import FunctionalCheckpoint
 from repro.functional.predecode import predecode_program
 from repro.isa import Instruction, Opcode, Program, ProgramBuilder
-from repro.warmup import register_method, unregister_method
 from repro.workloads import PAPER_WORKLOADS, build_workload
 from tests.oracle_engine import ScalarMachine, reference_engine
 
@@ -265,19 +264,16 @@ class TestTailFractionValidation:
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             compacted.btb_claims_arrays(4.0)
 
-    def test_cli_maps_fraction_error_to_exit_2(self, capsys):
+    def test_cli_maps_fraction_error_to_exit_2(self, capsys, monkeypatch):
         from repro.__main__ import main
         from repro.core import ReverseStateReconstruction
+        from repro.warmup.registry import _registry
 
-        register_method(
-            "BadFraction",
-            lambda: ReverseStateReconstruction(fraction=1.5),
-        )
-        try:
-            code = main(["sample", "gcc", "--method", "BadFraction",
-                         "--scale", "ci"])
-        finally:
-            unregister_method("BadFraction")
+        monkeypatch.setitem(
+            _registry(), "BadFraction",
+            lambda: ReverseStateReconstruction(fraction=1.5))
+        code = main(["sample", "gcc", "--method", "BadFraction",
+                     "--scale", "ci"])
         assert code == 2
         captured = capsys.readouterr()
         assert "fraction must be in (0, 1]" in captured.err
@@ -587,9 +583,10 @@ class TestSelfLoops:
             traces.append(trace.events)
         assert traces[0] == traces[1]
         # The entry, then per pass the fetch blocks of pcs `top` and 16.
-        fetched = [program.address_of(pc) for pc in (0, 16)]
-        fetched += [program.address_of(pc) for pc in (top, 16)] * 29
-        assert traces[1] == [("ifetch", address) for address in fetched]
+        fetched = [0, 16] + [top, 16] * 29
+        assert traces[1] == [
+            ("ifetch", program.code_base + pc * program.instruction_bytes)
+            for pc in fetched]
 
     @pytest.mark.parametrize("signature", (("mem", "branch", "ifetch"), ()),
                              ids=("hooked", "hookless"))

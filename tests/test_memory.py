@@ -60,13 +60,6 @@ class TestBasics:
         assert memory.load(0) == 1
         assert clone.load(0) == 99
 
-    def test_clear(self):
-        memory = Memory()
-        memory.store(0, 1)
-        memory.clear()
-        assert memory.load(0) == 0
-        assert memory.footprint_words() == 0
-
 
 class TestWordWidth:
     def test_store_wraps_to_64_bits(self):

@@ -106,13 +106,6 @@ class TestAccounting:
         predictor.update(6, Instruction(Opcode.RET), True, 3)
         assert predictor.total_updates() - base == 5
 
-    def test_reset(self, predictor):
-        predictor.predict_and_update(1, cond(9), True, 9)
-        predictor.reset()
-        assert predictor.stats.conditional_branches == 0
-        assert predictor.total_updates() == 0
-        assert predictor.pht.history == 0
-
     def test_clear_reconstructed_clears_both_tables(self, predictor):
         predictor.pht.reconstructed[1] = True
         predictor.btb.reconstructed[1] = True

@@ -36,17 +36,6 @@ class TestValidation:
 
 
 class TestAddressing:
-    def test_address_roundtrip(self):
-        program = Program([Instruction(Opcode.NOP)] * 10, code_base=0x1000)
-        for index in range(10):
-            address = program.address_of(index)
-            assert (address - program.code_base) \
-                // program.instruction_bytes == index
-
-    def test_addresses_are_4_bytes_apart(self):
-        program = Program([Instruction(Opcode.NOP)] * 3)
-        assert program.address_of(1) - program.address_of(0) == 4
-
     def test_len(self):
         assert len(Program([Instruction(Opcode.NOP)] * 7)) == 7
 

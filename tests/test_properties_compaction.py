@@ -157,12 +157,11 @@ def cache_state(cache):
     assoc = cache.associativity
     dirty = tuple(
         frozenset(
-            (cache.tags[set_index][way],
-             cache.dirty_bits[set_index * assoc + way])
-            for way in range(cache.associativity)
-            if cache.tags[set_index][way] is not None
+            (tag, cache.dirty_bits[set_index * assoc + way])
+            for way, tag in enumerate(row)
+            if tag >= 0
         )
-        for set_index in range(cache.num_sets)
+        for set_index, row in enumerate(cache._tag_rows)
     )
     return cache.state_fingerprint(), dirty
 

@@ -22,11 +22,13 @@ from repro.api import (
 )
 from repro.harness.options import RunOptions
 from repro.service import (
+    JobStore,
     QuotaExceeded,
     ServiceClient,
     ServiceError,
     SimulationService,
 )
+from repro.service.jobs import MAX_JOBS
 from repro.telemetry import parse_exposition, read_trace
 
 pytestmark = pytest.mark.filterwarnings(
@@ -258,6 +260,30 @@ class TestServiceRoundTrip:
         assert set(stats) == {"counters", "jobs", "options"}
         assert set(stats["jobs"]) == {"queued", "running", "done",
                                       "failed"}
+
+
+class TestJobStoreCapacity:
+    """The store keeps at most MAX_JOBS records; finished ones make room
+    (no simulation runs: the records are marked by hand)."""
+
+    def test_finished_jobs_make_room(self):
+        store = JobStore()
+        for index in range(MAX_JOBS):
+            record = store.submit(f"tenant-{index % 8}", SAMPLE)
+            store.mark_done(record.job_id, None)
+        fresh = store.submit("fresh", SAMPLE)
+        assert fresh.state == "queued"
+        assert store.get("job-000001") is None
+        assert store.get("job-000002") is not None
+        assert sum(store.counts().values()) == MAX_JOBS
+
+    def test_store_full_of_pending_jobs_names_its_limit(self):
+        store = JobStore(max_pending_per_tenant=MAX_JOBS)
+        for _ in range(MAX_JOBS):
+            store.submit("busy", SAMPLE)
+        with pytest.raises(QuotaExceeded,
+                           match=f"holds {MAX_JOBS} pending jobs, its limit"):
+            store.submit("fresh", SAMPLE)
 
 
 class TestServiceRejections:

@@ -494,6 +494,20 @@ class TestCLI:
                 if event["ph"] == "X"} == {"run", "cluster 0"}
         assert "perfetto" in capsys.readouterr().out
 
+    def test_trace_export_rejects_overlapping_lane(self, tmp_path, capsys):
+        # Two spans in one (pid, tid) lane that neither nest nor are
+        # disjoint: the schema holds, the timeline does not.
+        trace_path = tmp_path / "trace.jsonl"
+        spans = [("a", "1", 0, 10_000), ("b", "2", 5_000, 10_000)]
+        trace_path.write_text("".join(
+            json.dumps({"type": "span", "name": name, "id": span_id,
+                        "pid": 7, "tid": 3, "ts": ts, "dur": dur}) + "\n"
+            for name, span_id, ts, dur in spans))
+        assert main(["trace", "export", str(trace_path),
+                     "-o", str(tmp_path / "trace.chrome.json")]) == 1
+        err = capsys.readouterr().err
+        assert "lane pid=7 tid=3" in err and "straddles" in err
+
     def test_report_command_writes_html(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
         session = Telemetry(trace_path=str(trace_path))

@@ -1,5 +1,6 @@
 """Unit + property tests for cluster-sampling statistics (paper §5)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,8 +40,12 @@ class TestClusterEstimate:
 
 class TestConfidenceInterval:
     def test_error_bound_is_196_se(self):
+        # The interval is always the paper's 95% one: no field selects
+        # another level.
         estimate = cluster_estimate([1.0, 2.0, 3.0, 4.0])
-        assert estimate.error_bound == pytest.approx(Z_95 * estimate.std_error)
+        assert estimate.error_bound == Z_95 * estimate.std_error
+        assert [f.name for f in dataclasses.fields(estimate)] == [
+            "mean", "std_dev", "std_error", "num_clusters"]
 
     def test_interval_symmetry(self):
         estimate = cluster_estimate([1.0, 2.0, 3.0])

@@ -49,7 +49,7 @@ OPERATIONS = 1500
 
 
 def _cache_state(cache: Cache) -> tuple:
-    return (vars(cache.stats), list(cache.tags),
+    return (vars(cache.stats), [list(row) for row in cache._tag_rows],
             bytes(cache.dirty_bits), bytes(cache.recon_bits),
             list(cache.recon_count), [list(row) for row in cache.order])
 
@@ -81,8 +81,7 @@ class TestCacheAccessFuzz:
             if step == OPERATIONS // 3:
                 snapshot = production.export_state()
             elif step == OPERATIONS // 2:
-                production.reset()
-                reference.reset()
+                production, reference = Cache(config), Cache(config)
             elif step == 2 * OPERATIONS // 3:
                 production.load_state(snapshot)
                 reference.load_state(snapshot)
@@ -239,18 +238,23 @@ def _predictor_state(predictor: BranchPredictor) -> tuple:
             ras.pushes, ras.pops)
 
 
+
+def _predictor_pair(config: PredictorConfig) -> tuple:
+    """A fresh predictor and its reference twin."""
+    production, reference = BranchPredictor(config), BranchPredictor(config)
+    # predict_and_update trains through self.update: the instance
+    # attribute routes the reference's through the call chain.
+    reference.update = types.MethodType(chained_predictor_update, reference)
+    return production, reference
+
+
 class TestPredictorUpdateFuzz:
     @pytest.mark.parametrize(
         "entries", ((64, 16, 4), (256, 64, 8), (16, 4, 1)),
         ids=lambda entries: "/".join(map(str, entries)))
     def test_matches_reference(self, entries):
         config = PredictorConfig(*entries)
-        production, reference = BranchPredictor(config), \
-            BranchPredictor(config)
-        # predict_and_update trains through self.update: the instance
-        # attribute routes the reference's through the call chain.
-        reference.update = types.MethodType(chained_predictor_update,
-                                            reference)
+        production, reference = _predictor_pair(config)
         rng = random.Random("/".join(map(str, entries)))
         kinds = sorted(CONTROL)
         snapshot = None
@@ -258,8 +262,7 @@ class TestPredictorUpdateFuzz:
             if step == OPERATIONS:
                 snapshot = production.export_state()
             elif step == 3 * OPERATIONS // 2:
-                production.reset()
-                reference.reset()
+                production, reference = _predictor_pair(config)
             elif step == 2 * OPERATIONS:
                 production.load_state(snapshot)
                 reference.load_state(snapshot)
@@ -287,8 +290,6 @@ class TestPredictorUpdateFuzz:
         predictor.update(7, CONTROL["jump"], True, 40)
         predictor.clear_reconstructed()
         assert not any(pht.reconstructed) and not any(btb.reconstructed)
-        predictor.reset()
-        assert btb.tags == [None] * 16 and btb.targets == [0] * 16
         for before, after in zip(lists, (pht.counters, pht.reconstructed,
                                          btb.tags, btb.targets,
                                          btb.reconstructed)):
