@@ -1,5 +1,8 @@
 """Tests for the stable facade (repro.api) and the method registry."""
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.api import _resolve_design, run_matrix, simulate, true_run
@@ -7,6 +10,8 @@ from repro.harness import SCALES
 from repro.sampling import SampledRunResult, SamplingRegimen
 from repro.warmup import (
     NoWarmup,
+    method_factory,
+    paper_method_names,
     registered_method_names,
     resolve_method,
 )
@@ -39,6 +44,29 @@ class TestRegistry:
         message = str(excinfo.value)
         assert "unknown method 'bogus'" in message
         assert "S$BP" in message  # the known names are listed
+
+    def test_registry_is_the_table2_suite(self):
+        # Exactly the sixteen Table 2 configurations: nothing is added
+        # at run time, so every process sees the same names.
+        names = paper_method_names()
+        assert len(names) == 16
+        assert registered_method_names() == sorted(names)
+        for name in names:
+            assert resolve_method(name).name == name
+
+    def test_aliases_share_their_targets_factory(self):
+        assert method_factory("rsr") is method_factory("R$BP (100%)")
+        assert method_factory("smarts") is method_factory("S$BP")
+
+    def test_spawned_worker_resolves_the_same_names(self):
+        # A spawn-started worker rebuilds the registry from the suite
+        # catalogue; it must agree with the parent, aliases included.
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            names = pool.submit(registered_method_names).result(timeout=120)
+            method = pool.submit(resolve_method, "rsr").result(timeout=120)
+        assert names == registered_method_names()
+        assert method.name == "R$BP (100%)"
 
 
 class TestResolveDesign:

@@ -118,6 +118,20 @@ class TestGshare:
         pht.clear_reconstructed()
         assert not any(pht.reconstructed)
 
+    def test_fresh_table_shares_no_state(self):
+        # A cold table is a new one built from the same config: the
+        # trained table's counters and history must not leak into it.
+        config = small_config()
+        trained = GsharePHT(config)
+        for _ in range(4):
+            pht_update(trained, 5, True, history=0)
+        push_history(trained, True)
+        fresh = GsharePHT(config)
+        assert fresh.counters == [WEAK_NOT_TAKEN] * config.pht_entries
+        assert (fresh.history, fresh.lookups, fresh.updates) == (0, 0, 0)
+        assert not fresh.predict(5)
+        assert trained.counters[5] == STRONG_TAKEN
+
 
 class TestBTB:
     def test_miss_returns_none(self):
@@ -148,6 +162,17 @@ class TestBTB:
         assert btb.reconstruct(1, 11)
         assert btb.reconstruct(2, 22)
         assert btb.lookup(1) == 11 and btb.lookup(2) == 22
+
+    def test_fresh_buffer_shares_no_state(self):
+        config = small_config()
+        trained = BranchTargetBuffer(config)
+        btb_update(trained, 10, 55)
+        trained.reconstruct(11, 66)
+        fresh = BranchTargetBuffer(config)
+        assert fresh.lookup(10) is None and fresh.lookup(11) is None
+        assert not any(fresh.reconstructed)
+        assert fresh.updates == 0
+        assert trained.lookup(10) == 55 and trained.lookup(11) == 66
 
 
 class TestRAS:
@@ -193,3 +218,13 @@ class TestRAS:
         ras = ReturnAddressStack(small_config(ras=2))
         ras.set_contents([1, 2, 3, 4])
         assert ras.contents_from_top() == [1, 2]
+
+    def test_fresh_stack_shares_no_state(self):
+        config = small_config(ras=4)
+        used = ReturnAddressStack(config)
+        for value in (1, 2, 3):
+            ras_push(used, value)
+        fresh = ReturnAddressStack(config)
+        assert (fresh.depth, fresh.pushes, fresh.pops) == (0, 0, 0)
+        assert fresh.peek() == 0 and ras_pop(fresh) == 0
+        assert used.contents_from_top() == [3, 2, 1]

@@ -56,3 +56,15 @@ class TestContention:
         bus.rewind()
         assert bus.busy_until == 0
         assert bus.transfers == 1
+
+    def test_fresh_bus_is_idle_and_uncounted(self):
+        # Unlike rewind, a new bus starts with no statistics either.
+        config = BusConfig(name="b", width_bytes=16, cycles_per_beat=2)
+        used = Bus(config)
+        used.request(0, 64)
+        used.request(0, 64)
+        fresh = Bus(config)
+        assert (fresh.busy_until, fresh.transfers, fresh.bytes_moved,
+                fresh.contention_cycles) == (0, 0, 0, 0)
+        assert fresh.request(0, 64) == 8   # no queueing behind `used`
+        assert used.transfers == 2

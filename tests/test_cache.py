@@ -89,6 +89,21 @@ class TestHitMiss:
         assert resident(cache, a) and resident(cache, c)
         assert not resident(cache, b)
 
+    def test_inspection_does_not_disturb_state(self):
+        # contents() and state_fingerprint() read the stores only: they
+        # neither refresh recency nor count as accesses.
+        cache = make_cache(assoc=2, size=512)
+        stride = 4 * 64
+        a, b, c = 0x0, stride, 2 * stride
+        cache.access(a)
+        cache.access(b)
+        stats = dict(vars(cache.stats))
+        assert cache.contents() == {a, b}
+        cache.state_fingerprint()
+        assert dict(vars(cache.stats)) == stats
+        cache.access(c)                # evicts a (still LRU)
+        assert not resident(cache, a)
+
     def test_stats_counting(self):
         cache = make_cache()
         cache.access(0x0)
@@ -155,6 +170,21 @@ class TestWritePolicies:
 
 
 class TestMaintenance:
+    def test_fresh_cache_shares_no_state(self):
+        # A cold cache is a new one built from the same config; its
+        # per-set stores must be its own, row by row.
+        config = make_cache().config
+        used = Cache(config)
+        used.access(0x0)
+        used.access(0x40)
+        fresh = Cache(config)
+        assert fresh.contents() == set()
+        assert vars(fresh.stats) == vars(type(fresh.stats)())
+        assert fresh.access(0x40) == MISS
+        assert used.contents() == {0x0, 0x40}
+        rows = fresh._tag_rows
+        assert len({id(row) for row in rows}) == len(rows)
+
     def test_contents_lists_lines(self):
         cache = make_cache()
         cache.access(0x0)

@@ -97,6 +97,19 @@ class TestWarmEquivalence:
 
 
 class TestMaintenance:
+    def test_fresh_hierarchy_is_cold(self, hierarchy):
+        hierarchy.timed_access(0x1000, False, False, 0)
+        hierarchy.warm_access(0x2000, True, False)
+        fresh = MemoryHierarchy(hierarchy.config)
+        for cache in fresh.caches():
+            assert cache.contents() == set()
+            assert cache.stats.accesses == 0
+        for bus in (fresh.l1_bus, fresh.l2_bus):
+            assert (bus.busy_until, bus.transfers) == (0, 0)
+        assert fresh.memory_accesses == 0
+        assert fresh.timed_access(0x1000, False, False, 0) \
+            > hierarchy.timed_access(0x1000, False, False, 0)
+
     def test_caches_accessor(self, hierarchy):
         l1i, l1d, l2 = hierarchy.caches()
         assert l1i is hierarchy.l1i

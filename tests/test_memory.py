@@ -60,6 +60,14 @@ class TestBasics:
         assert memory.load(0) == 1
         assert clone.load(0) == 99
 
+    def test_fresh_memory_shares_no_words(self):
+        used = Memory()
+        used.fill_words(0, range(1, 9))
+        fresh = Memory()
+        assert fresh.footprint_words() == 0
+        assert fresh.load(0) == 0
+        assert used.load(0) == 1
+
 
 class TestWordWidth:
     def test_store_wraps_to_64_bits(self):

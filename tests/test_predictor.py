@@ -116,6 +116,16 @@ class TestAccounting:
     def test_repr(self, predictor):
         assert "pht=256" in repr(predictor)
 
+    def test_fresh_predictor_shares_no_state(self, predictor):
+        cold = BranchPredictor(predictor.config).export_state()
+        predictor.update(1, cond(9), True, 9)
+        predictor.update(2, Instruction(Opcode.CALL, target=5), True, 5)
+        predictor.predict_and_update(1, cond(9), True, 9)
+        fresh = BranchPredictor(predictor.config)
+        assert fresh.export_state() == cold != predictor.export_state()
+        assert fresh.total_updates() == 0
+        assert vars(fresh.stats) == vars(type(fresh.stats)())
+
 
 def _every_counter(predictor) -> tuple:
     """The predictor's state and every statistic it keeps."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.functional import FunctionalMachine
 from repro.isa import Instruction, Opcode, Program, ProgramBuilder
 
 
@@ -38,6 +39,30 @@ class TestValidation:
 class TestAddressing:
     def test_len(self):
         assert len(Program([Instruction(Opcode.NOP)] * 7)) == 7
+
+    @pytest.mark.parametrize("engine", ("run", "run_scalar"))
+    def test_fetch_addresses_follow_code_base(self, engine):
+        # Instruction i sits at code_base + 4 * i; with 16-byte fetch
+        # blocks, straight-line code reports one address per 4
+        # instructions, starting at code_base.
+        program = Program([Instruction(Opcode.NOP)] * 11
+                          + [Instruction(Opcode.HALT)], code_base=0x1000)
+        assert program.instruction_bytes == 4
+        fetched = []
+        getattr(FunctionalMachine(program), engine)(
+            100, ifetch_hook=fetched.append, ifetch_block_bytes=16)
+        assert fetched == [0x1000, 0x1010, 0x1020]
+
+    @pytest.mark.parametrize("engine", ("run", "run_scalar"))
+    def test_fetch_address_of_a_jump_target(self, engine):
+        # A taken jump reports the target's own address, not its block's.
+        program = Program([Instruction(Opcode.JMP, target=6)]
+                          + [Instruction(Opcode.NOP)] * 5
+                          + [Instruction(Opcode.HALT)], code_base=0x2000)
+        fetched = []
+        getattr(FunctionalMachine(program), engine)(
+            100, ifetch_hook=fetched.append, ifetch_block_bytes=16)
+        assert fetched == [0x2000, 0x2000 + 6 * 4]
 
 
 class TestBasicBlocks:
