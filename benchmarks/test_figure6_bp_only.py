@@ -57,8 +57,8 @@ def test_figure6_bp_only(benchmark, scale, matrix):
     full_error, _w, _t = average_over_workloads(matrix, "S$BP")
     assert rbp_error > 2 * full_error
 
-    # Update savings: the on-demand walk touches a fraction of the
-    # predictor updates SMARTS applies.
+    # Update savings: reconstruction writes a fraction of the predictor
+    # updates SMARTS applies.
     sbp_updates = sum(
         e.outcomes["SBP"].run.cost.predictor_updates
         for e in matrix.values()

@@ -57,7 +57,7 @@ from .fidelity import _jaccard, _ratio
 CACHE_LEVELS = ("l1i", "l1d", "l2")
 
 #: Census keys produced by ``ReverseBranchReconstructor.inference_census``;
-#: audited methods without an on-demand PHT engine report them as None.
+#: audited methods that do not reconstruct the PHT report them as None.
 CENSUS_KEYS = (
     "pht_entries_mentioned",
     "pht_exact",
@@ -271,9 +271,7 @@ class AuditProbe:
 
     Built once per audited run; :meth:`before_cluster` captures the
     state diff and the PHT inference census at cluster entry (after the
-    method's eager reconstruction, with pending on-demand work finalised
-    first — finalisation is behaviour-neutral: drained values are
-    identical to what in-cluster probes would reconstruct), and
+    method's reconstruction), and
     :meth:`after_cluster` completes the record with the error
     attribution once the cluster's IPC is known.  The cluster step
     charges both calls to the ``audit`` phase, keeping the paper's
@@ -293,13 +291,8 @@ class AuditProbe:
 
     def before_cluster(self, index: int, method, stack, ramp: int) -> None:
         """Diff reconstructed state at cluster entry (post pre_cluster)."""
-        census = None
         take_census = getattr(method, "audit_census", None)
-        if take_census is not None:
-            # The census must precede finalisation: it reads the armed
-            # on-demand engine, which a drain consumes.
-            census = take_census()
-        method.finalize_pending()
+        census = take_census() if take_census is not None else None
         metrics = diff_against_reference(
             stack.hierarchy, stack.predictor, self._states[index].state
         )

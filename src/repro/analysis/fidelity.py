@@ -147,9 +147,8 @@ def measure_state_fidelity(
     Both run the serial walk over the identical instruction stream (same
     program, same seeds), so any state difference is purely the warm-up
     policy's doing.  Each walk's state is captured at cluster *entry*,
-    the state hot execution will consume: after the method's eager
-    reconstruction (pre_cluster), with on-demand repairs finalised so
-    they are visible.
+    the state hot execution will consume: after the method's
+    reconstruction (pre_cluster).
     """
     configs = configs if configs is not None else SimulatorConfigs()
     entries = record_cluster_entries(workload, regimen, configs, method,

@@ -1,8 +1,7 @@
 """Gshare pattern history table with a global history register.
 
 The PHT index is the XOR of the branch PC and the global history register,
-masked to the table size.  Per-entry *reconstructed* bits support the
-paper's on-demand branch-predictor reconstruction (§3.2).
+masked to the table size.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ class GsharePHT:
         self._history_mask = (1 << self.history_bits) - 1
         #: Counters initialised to weakly-not-taken, the usual reset state.
         self.counters = [WEAK_NOT_TAKEN] * self.entries
-        self.reconstructed = [False] * self.entries
-        # Template for a slice fill that keeps the list's identity.
-        self._cleared = [False] * self.entries
         self.history = 0
         self.lookups = 0
         self.updates = 0
@@ -42,6 +38,3 @@ class GsharePHT:
     def set_history(self, history: int) -> None:
         """Overwrite the GHR (used by reconstruction)."""
         self.history = history & self._history_mask
-
-    def clear_reconstructed(self) -> None:
-        self.reconstructed[:] = self._cleared

@@ -171,8 +171,8 @@ class BranchPredictor:
             + self.ras.pops
 
     def clear_reconstructed(self) -> None:
-        """Clear all reconstructed bits ahead of a reverse warm-up pass."""
-        self.pht.clear_reconstructed()
+        """Clear the BTB's reconstructed bits ahead of a reverse warm-up
+        pass."""
         self.btb.clear_reconstructed()
 
     def export_state(self) -> dict:

@@ -259,18 +259,49 @@ class Cache:
         limited to the first `associativity` distinct lines per set (the
         winner set depends only on the reference stream, never on cache
         contents, so callers can compute it without consulting state).
-        Every winner therefore applies; state transitions and statistics
-        are charged through the same scalar primitive the reference
-        reverse scan uses, keeping bulk and scalar paths bit-identical.
+        Each winner still goes through :meth:`reconstruct_line`'s rules
+        in one loop — a full set or an already reconstructed block skips
+        it — with the same state transitions and statistics, so a
+        mis-filtered input shows as a short count.
 
         Returns the number of references applied (== the column length
         for a correctly filtered input).
         """
+        associativity = self.associativity
+        recon_count = self.recon_count
+        recon_bits = self.recon_bits
+        dirty_bits = self.dirty_bits
+        tag_rows = self._tag_rows
+        orders = self.order
+        wbwa = self._wbwa
         applied = 0
-        reconstruct_line = self.reconstruct_line
         for set_index, tag, is_write in zip(set_indices, tags, writes):
-            if reconstruct_line(set_index, tag, is_write):
-                applied += 1
+            count = recon_count[set_index]
+            if count >= associativity:
+                continue
+            row = tag_rows[set_index]
+            base = set_index * associativity
+            order = orders[set_index]
+            if tag in row:
+                way = row.index(tag)
+                if recon_bits[base + way]:
+                    continue
+                # Present but stale: promote to the next rank.
+                order.remove(way)
+            else:
+                # The least-recently-used way is stale: reconstructed
+                # blocks occupy order[0:count].
+                way = order.pop()
+                row[way] = tag
+                dirty_bits[base + way] = 1 if is_write and wbwa else 0
+            recon_bits[base + way] = 1
+            order.insert(count, way)
+            recon_count[set_index] = count + 1
+            applied += 1
+        stats = self.stats
+        stats.reconstruction_applied += applied
+        stats.updates += applied
+        stats.reconstruction_skipped += len(set_indices) - applied
         return applied
 
     # -- state inspection -------------------------------------------------

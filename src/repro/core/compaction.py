@@ -47,16 +47,16 @@ The retained structures, numbered by absolute position in their stream:
   outstanding call, the same pairing the reverse push/pop counter
   discovers, so the stack filtered to the tail and read top first equals
   the counter algorithm's answer for every cutoff.
-- **PHT** (full-fraction tails only): per-entry packed reverse outcome
-  windows ``code = (length << max_history) | bits`` with bit 0 the
-  newest outcome, indexed by ``(pc ^ GHR) & mask`` with the same
-  zero-initialised GHR the raw walker reconstructs, carried across folds.
-  The counter-inference table resolves a window to the value the raw
+- **PHT**: at fraction 1.0, per-entry packed reverse outcome windows
+  ``code = (length << max_history) | bits`` with bit 0 the newest
+  outcome, indexed by ``(pc ^ GHR) & mask`` with the GHR zeroed at the
+  gap start and carried across folds.  A partial tail re-zeroes the GHR
+  at the tail start, which no running index can anticipate, so there
+  the log keeps the tail's conditional stream and indexes it once, at
+  the query, with the same window merge.  Either way the
+  counter-inference table resolves a window to the value the raw
   newest-to-oldest walk produces, because an exact inference is
-  insensitive to outcomes older than its pin point.  Partial fractions
-  re-zero the walker's GHR at the tail start, which no running index can
-  anticipate, so those geometries keep the packed conditional stream and
-  replay it through the fallback walker.
+  insensitive to outcomes older than its pin point.
 
 **Exact tail trim.**  The log knows the fraction its consumer reads.
 ``tail_cutoff(n, f) = n - round(n * f)`` never decreases as `n` grows, so
@@ -255,10 +255,10 @@ class CompactedSkipRegionLog(ReconstructionSource):
     simulation context (see :func:`repro.core.source.make_source`):
     `line_bytes` is the finest cache-line granularity in the hierarchy,
     `pht_entries`/`history_bits` mirror the gshare PHT, and `max_history`
-    is the counter-inference window depth.  `index_pht` enables the
+    is the counter-inference window depth.  `index_pht` keeps the running
     per-entry outcome windows (exact only for full-fraction tails);
-    `store_conditionals` keeps the packed conditional stream needed to
-    replay partial-fraction tails.  `fraction` is the largest tail the
+    `store_conditionals` keeps the conditional stream that partial-fraction
+    windows are indexed from.  `fraction` is the largest tail the
     consumer will query; each trim and fold drops what lies before it.
     """
 
@@ -266,7 +266,7 @@ class CompactedSkipRegionLog(ReconstructionSource):
         "telemetry", "peak_stored_records", "peak_stored_bytes",
         "_gap_peak_records", "_gap_peak_bytes",
         "_fraction", "_line_shift", "_pht_mask", "_history_bits",
-        "_ghr_mask", "_max_history", "_window_mask", "_index_pht",
+        "_ghr_mask", "_max_history", "_index_pht",
         "_store_conditionals",
         # Pending columns, appended by the hooks, and the stream position
         # of their first record.
@@ -299,7 +299,6 @@ class CompactedSkipRegionLog(ReconstructionSource):
         self._history_bits = history_bits
         self._ghr_mask = (1 << history_bits) - 1
         self._max_history = max_history
-        self._window_mask = (1 << max_history) - 1
         self._index_pht = index_pht
         self._store_conditionals = store_conditionals
         self.telemetry = telemetry
@@ -572,29 +571,37 @@ class CompactedSkipRegionLog(ReconstructionSource):
 
     def pht_entry_windows(self, fraction: float, mask: int,
                           history_bits: int, max_history: int):
-        if (not self._index_pht or fraction < 1.0
-                or mask != self._pht_mask
-                or history_bits != self._history_bits
-                or max_history > self._max_history):
-            return None
         self.compact()
-        entries, codes = self._windows
-        return dict(zip(entries.tolist(),
-                        zip((codes >> self._max_history).tolist(),
-                            (codes & self._window_mask).tolist())))
+        if (self._index_pht and fraction >= 1.0
+                and mask == self._pht_mask
+                and history_bits == self._history_bits
+                and max_history == self._max_history):
+            windows = self._windows
+            read = int((windows[1] >> max_history).sum())
+        else:
+            pcs, outcomes = self._conditional_tail(fraction)
+            ghr = _ghr_before(outcomes, history_bits)
+            windows = _merge_windows(_columns(np.int64, np.int64),
+                                     (pcs ^ ghr) & mask, outcomes,
+                                     max_history)
+            read = len(outcomes)
+        telemetry = self.telemetry
+        if telemetry is not None and telemetry.enabled:
+            telemetry.count("reconstruct.log_walk_steps", read)
+        return windows
 
-    def conditional_history(self, fraction: float,
-                            history_bits: int) -> list:
+    def _conditional_tail(self, fraction: float):
+        """The tail's conditionals, program order, as (int64 pcs, uint8
+        outcomes)."""
         if not self._store_conditionals:
             raise RuntimeError(
-                "this compacted log was built without the conditional-stream"
-                " fallback; construct it with store_conditionals=True to"
-                " replay partial-fraction tails")
+                "this compacted log keeps no conditional stream; construct"
+                " it with store_conditionals=True to serve partial-fraction"
+                " PHT windows")
         self.compact()
-        _seq, pcs, bits = _trim(self._conditionals,
-                                self._cutoff(self._branch_base, fraction))
-        return list(zip(pcs.tolist(), bits.tolist(),
-                        _ghr_before(bits, history_bits).tolist()))
+        _seq, pcs, outcomes = _trim(
+            self._conditionals, self._cutoff(self._branch_base, fraction))
+        return pcs, outcomes
 
     # -- lifecycle -----------------------------------------------------------
 

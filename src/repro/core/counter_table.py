@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from ..branch.counters import WEAK_NOT_TAKEN, WEAK_TAKEN, update_counter
 
 #: Reverse histories longer than this are truncated: alternating patterns
@@ -115,7 +117,9 @@ class CounterInferenceTable:
 
     Histories are truncated to :data:`MAX_HISTORY` outcomes.  The table
     has ``2**(MAX_HISTORY+1)`` entries and is shared process-wide via
-    :func:`default_table`.
+    :func:`default_table`; :attr:`code_values` holds their values by
+    packed window code, so a whole column of windows resolves in one
+    numpy gather.
     """
 
     def __init__(self, max_history: int = MAX_HISTORY) -> None:
@@ -126,6 +130,15 @@ class CounterInferenceTable:
             [_infer(length, bits) for bits in range(1 << length)]
             for length in range(max_history + 1)
         ]
+        # The inferred value by packed window code ``(length <<
+        # max_history) | bits``, -1 where the history infers none.
+        values = [-1] * ((max_history + 1) << max_history)
+        for length, row in enumerate(self._table):
+            base = length << max_history
+            for bits, inference in enumerate(row):
+                if inference.value is not None:
+                    values[base | bits] = inference.value
+        self.code_values = np.array(values, np.int8)
 
     def lookup(self, length: int, bits: int) -> Inference:
         """Inference for a reverse history of `length` outcomes in `bits`.

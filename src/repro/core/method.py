@@ -4,8 +4,10 @@ Skip-region behaviour: cold functional simulation with logging hooks —
 "no analysis is performed between clusters except for logging the needed
 information for reconstruction."  Immediately before each cluster the
 cache hierarchy is rebuilt by a reverse scan of the memory log and the
-branch predictor's GHR/BTB/RAS are rebuilt from the branch log; PHT
-counters are reconstructed on demand as the cluster executes.
+branch predictor's GHR/BTB/RAS and every PHT counter the log mentions are
+rebuilt from the branch log (the paper resolves PHT counters on demand
+as the cluster probes them; :mod:`repro.core.branch_reconstruct` argues
+why resolving them at the boundary is the same state transition).
 
 The `fraction` parameter matches the paper's R$ / R$BP percentages: the
 *entire* skip region is always logged ("all accounting information
@@ -40,7 +42,6 @@ class ReverseStateReconstruction(WarmupMethod):
         warm_cache: bool = True,
         warm_predictor: bool = True,
         table: CounterInferenceTable | None = None,
-        on_demand: bool = True,
         infer_counters: bool = True,
         source=None,
     ) -> None:
@@ -59,10 +60,8 @@ class ReverseStateReconstruction(WarmupMethod):
         self.fraction = fraction
         self.warm_cache = warm_cache
         self.warm_predictor = warm_predictor
-        #: Ablation switches (DESIGN.md §5): `on_demand=False` drains the
-        #: whole branch log eagerly before the cluster; `infer_counters=
-        #: False` skips counter inference (GHR/BTB/RAS repair only).
-        self.on_demand = on_demand
+        #: Ablation switch (DESIGN.md §5): `infer_counters=False` skips
+        #: counter inference (GHR/BTB/RAS repair only).
         self.infer_counters = infer_counters
         #: Skip-log source: None (the compacted log) or a zero-argument
         #: factory returning a ready ReconstructionSource.
@@ -199,65 +198,34 @@ class ReverseStateReconstruction(WarmupMethod):
             "fraction": self.fraction,
             "warm_cache": self.warm_cache,
             "warm_predictor": self.warm_predictor,
-            "on_demand": self.on_demand,
             "infer_counters": self.infer_counters,
             "max_history": table.max_history,
         }
 
     # -- cluster boundary ------------------------------------------------------
 
-    def pre_cluster(self):
+    def pre_cluster(self) -> None:
         before = self._updates_now()
-        hook = None
         if self.warm_cache:
             stats = self._cache_reconstructor.reconstruct(
                 self.log, self.fraction
             )
             self.cache_stats_history.append(stats)
         if self.warm_predictor:
-            self._branch_reconstructor.prepare(self.log, self.fraction)
+            reconstructor = self._branch_reconstructor
+            reconstructor.prepare(self.log, self.fraction)
             self.cost.predictor_updates += (
-                self._branch_reconstructor.ras_entries_recovered
+                reconstructor.ras_entries_recovered
+                + reconstructor.counter_writes
             )
-            if self.on_demand:
-                hook = self._branch_reconstructor.make_hook()
-            else:
-                self._branch_reconstructor.drain()
         self._charge_updates(before)
-        return hook
-
-    def finalize_pending(self) -> None:
-        """Drain the on-demand PHT walker (analysis support).
-
-        Finalised values are identical to what in-cluster probes would
-        reconstruct; only entries no probe would have touched gain
-        (equally inferred) values early.
-        """
-        if self.warm_predictor and self._branch_reconstructor is not None:
-            self._branch_reconstructor.drain()
 
     def audit_census(self) -> dict | None:
-        """PHT inference census for the accuracy audit, or None.
-
-        Must be taken at the cluster boundary *before*
-        :meth:`finalize_pending` — the census reads the armed on-demand
-        engine non-destructively, while a drain consumes it.
-        """
+        """PHT inference census of the last boundary, for the accuracy
+        audit, or None when the method does not warm the predictor."""
         if not self.warm_predictor or self._branch_reconstructor is None:
             return None
         return self._branch_reconstructor.inference_census()
 
     def post_cluster(self) -> None:
-        if self.warm_predictor:
-            # Residual finalisation: entries the cluster never probed are
-            # resolved now, so the counter state carried into later
-            # clusters is independent of the probe order and of the PHT
-            # engine (walker vs windows).  Entries the cluster trained
-            # stay authoritative.
-            self._branch_reconstructor.drain()
-            # On-demand counter writes happened during the hot cluster.
-            self.cost.predictor_updates += (
-                self._branch_reconstructor.counter_writes
-            )
-            self._branch_reconstructor.counter_writes = 0
         self.log.clear()

@@ -5,7 +5,7 @@ Reverse State Reconstruction has two roles around one skip-region log:
 - **producing** it: the hook factories installed on the functional
   machine while the gap executes cold;
 - **consuming** it: the reverse-scan queries the cache, branch, and RAS
-  reconstructors run immediately before (and during) the next cluster.
+  reconstructors run immediately before the next cluster.
 
 :class:`ReconstructionSource` names that contract.  The package ships one
 implementation, :class:`~repro.core.compaction.CompactedSkipRegionLog`,
@@ -152,24 +152,18 @@ class ReconstructionSource:
 
     def pht_entry_windows(self, fraction: float, mask: int,
                           history_bits: int, max_history: int):
-        """Per-PHT-entry reverse outcome windows, or None.
+        """Per-PHT-entry reverse outcome windows of the tail.
 
-        When the source maintained an incremental last-touch PHT index
-        compatible with the requested geometry (same index mask and GHR
-        width, windows at least `max_history` outcomes deep), returns
-        ``{entry: (length, bits)}`` where bit i of `bits` is the entry's
-        (i+1)-th most recent outcome.  Returns None when the query must
-        fall back to :meth:`conditional_history` (for instance a
-        partial-fraction tail, whose reverse scan re-zeroes the GHR at
-        the tail start, or a source that keeps no such index).
+        Indexes each tail conditional by ``(pc ^ GHR) & mask``, with the
+        `history_bits`-wide GHR zeroed at the tail start (the GHR before
+        the tail is unobservable), and returns ``(entries, codes)``: two
+        int64 numpy arrays sorted by entry, one row per entry the tail
+        mentions, where ``code = (length << max_history) | bits`` packs
+        the entry's newest ``length <= max_history`` outcomes with bit i
+        of `bits` its (i+1)-th most recent outcome.  The source counts
+        the conditional outcomes it read to build them as
+        ``reconstruct.log_walk_steps``.
         """
-        raise NotImplementedError
-
-    def conditional_history(self, fraction: float,
-                            history_bits: int) -> list:
-        """``(pc, taken, ghr_before)`` for each conditional in the tail,
-        program order, with the GHR zeroed at the tail start — the
-        fallback on-demand walker's input."""
         raise NotImplementedError
 
     # -- lifecycle -----------------------------------------------------------
@@ -237,26 +231,23 @@ def make_source(factory=None, *, context=None, fraction: float = 1.0,
     pht_entries = 0
     history_bits = 0
     max_history = 0
-    index_pht = False
-    store_conditionals = False
     if warm_predictor:
         pht = context.predictor.pht
         pht_entries = pht.entries
         history_bits = pht.history_bits
         max_history = (table if table is not None
                        else default_table()).max_history
-        # A full-fraction tail starts where the gap starts, so the running
-        # GHR-indexed windows are exact; partial fractions re-zero the
-        # GHR at the tail start and must replay the conditional stream.
-        index_pht = fraction >= 1.0
-        store_conditionals = fraction < 1.0
+    # A full-fraction tail starts where the gap starts, so the running
+    # GHR-indexed windows are exact; partial fractions re-zero the GHR at
+    # the tail start and index the retained conditional stream instead.
+    index_pht = warm_predictor and fraction >= 1.0
     return CompactedSkipRegionLog(
         line_bytes=line_bytes,
         pht_entries=pht_entries,
         history_bits=history_bits,
         max_history=max_history,
         index_pht=index_pht,
-        store_conditionals=store_conditionals,
+        store_conditionals=warm_predictor and not index_pht,
         fraction=fraction,
         telemetry=telemetry,
     )

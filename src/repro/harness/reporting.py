@@ -302,7 +302,7 @@ def audit_summary(snapshot: TelemetrySnapshot) -> list[dict]:
     estimate), the paper's non-sampling bias, and the mean
     ``sampling_error`` is (reference estimate − true IPC) — plus mean
     agreement scores per structure and the PHT inference census means
-    (None for methods without an on-demand engine).
+    (None for methods that do not reconstruct the PHT).
     """
     groups: dict[tuple, list[dict]] = {}
     for row in audit_rows(snapshot):

@@ -115,8 +115,8 @@ class LivePointLibrary:
 
     # -- replay ---------------------------------------------------------------
 
-    def replay(self, core_config: CoreConfig | None = None,
-               pre_branch_hook=None) -> LivePointReplayResult:
+    def replay(self, core_config: CoreConfig | None = None
+               ) -> LivePointReplayResult:
         """Detail-simulate every stored cluster under `core_config`.
 
         Only the clusters and their detailed ramps run — no functional
@@ -133,7 +133,7 @@ class LivePointLibrary:
             point.state.restore(stack)
             result = stack.timing.run(
                 point.ramp + self.regimen.cluster_size,
-                pre_branch_hook=pre_branch_hook, measure_after=point.ramp,
+                measure_after=point.ramp,
             )
             cluster_ipcs.append(result.ipc)
         wall_seconds = time.perf_counter() - start_time

@@ -203,8 +203,8 @@ class ShardResult:
     index: int
     ipc: float
     instructions: int
-    #: The worker-side WarmupCost as a dict: reconstruction updates,
-    #: on-demand counter writes, hot instructions.  Skip-side cost lives
+    #: The worker-side WarmupCost as a dict: reconstruction updates
+    #: (PHT counter writes included), hot instructions.  Skip-side cost lives
     #: on the parent's method already.
     cost_delta: dict
     snapshot: TelemetrySnapshot | None = None
@@ -356,14 +356,13 @@ class _ClusterStep:
                     if gap > 0:
                         method.skip(gap)
             with telemetry.phase(PHASE_RECONSTRUCT):
-                hook = method.pre_cluster()
+                method.pre_cluster()
             if observer is not None:
                 with telemetry.phase(PHASE_AUDIT):
                     observer.before_cluster(index, method, stack, ramp)
             with telemetry.phase(PHASE_HOT_SIM):
                 result = stack.timing.run(
-                    self.cluster_size + ramp, pre_branch_hook=hook,
-                    measure_after=ramp,
+                    self.cluster_size + ramp, measure_after=ramp,
                 )
             with telemetry.phase(PHASE_RECONSTRUCT):
                 method.post_cluster()
@@ -453,10 +452,8 @@ def run_serial(simulator, method, observer=None) -> SampledRunResult:
 class ClusterEntry:
     """The serial walk at one cluster entry: its state and the cluster's IPC.
 
-    `state` is captured after the method's ``pre_cluster()`` with pending
-    on-demand repairs finalised (behaviour-neutral: they are exactly what
-    the cluster's probes would reconstruct), so it is the state the
-    cluster's detailed ramp and simulation consume.  `ramp` is the
+    `state` is captured after the method's ``pre_cluster()``, so it is
+    the state the cluster's detailed ramp and simulation consume.  `ramp` is the
     detailed ramp :func:`cluster_geometry` gave the cluster: replaying
     the entry runs ``ramp`` unmeasured instructions before the cluster.
     """
@@ -478,7 +475,6 @@ class _EntryRecorder:
         self._ramp = 0
 
     def before_cluster(self, index: int, method, stack, ramp: int) -> None:
-        method.finalize_pending()
         self._state = WarmState.capture(stack)
         self._ramp = ramp
 

@@ -14,6 +14,7 @@ poll.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import queue
 import threading
@@ -113,6 +114,12 @@ class JobStore:
         self._jobs: "dict[str, JobRecord]" = {}
         self._queue: "queue.Queue[str]" = queue.Queue()
         self._ids = itertools.count(1)
+        #: Pending (queued or running) jobs per tenant; a tenant leaves
+        #: the dict when its last pending job finishes.
+        self._pending: "dict[str, int]" = {}
+        #: ``(sequence, job_id)`` of every finished record, a min-heap:
+        #: the top is the oldest submission.
+        self._finished: "list[tuple[int, str]]" = []
 
     # -- submission --------------------------------------------------------
 
@@ -120,18 +127,11 @@ class JobStore:
                run_id: "str | None" = None) -> JobRecord:
         """Enqueue a request, enforcing the tenant's pending-job quota."""
         with self._lock:
-            pending = sum(
-                1 for job in self._jobs.values()
-                if job.tenant == tenant and job.state in _PENDING_STATES
-            )
+            pending = self._pending.get(tenant, 0)
             if pending >= self.max_pending_per_tenant:
                 raise QuotaExceeded(tenant, self.max_pending_per_tenant)
             if len(self._jobs) >= MAX_JOBS:
-                # Dict order is submission order: the first finished
-                # record is the oldest.
-                oldest = next((job_id for job_id, job in self._jobs.items()
-                               if job.state not in _PENDING_STATES), None)
-                if oldest is None:
+                if not self._finished:
                     # A backstop against unbounded memory; tenants
                     # hitting it read the same retryable signal as a
                     # quota.
@@ -140,11 +140,13 @@ class JobStore:
                         f"the job store holds {MAX_JOBS} pending jobs, "
                         f"its limit; wait for one to finish before "
                         f"submitting more")
-                del self._jobs[oldest]
-            job_id = f"job-{next(self._ids):06d}"
+                del self._jobs[heapq.heappop(self._finished)[1]]
+            sequence = next(self._ids)
+            job_id = f"job-{sequence:06d}"
             record = JobRecord(job_id=job_id, tenant=tenant,
                                request=request, run_id=run_id)
             self._jobs[job_id] = record
+            self._pending[tenant] = pending + 1
         self._queue.put(job_id)
         return record
 
@@ -168,19 +170,30 @@ class JobStore:
 
     def mark_done(self, job_id: str, result) -> None:
         with self._lock:
-            job = self._jobs[job_id]
-            job.state = "done"
+            job = self._finish(job_id, "done")
             job.result = result
-            job.finished_at = time.time()
-            job.finished_mono = time.monotonic()
 
     def mark_failed(self, job_id: str, error: str) -> None:
         with self._lock:
-            job = self._jobs[job_id]
-            job.state = "failed"
+            job = self._finish(job_id, "failed")
             job.error = error
-            job.finished_at = time.time()
-            job.finished_mono = time.monotonic()
+
+    def _finish(self, job_id: str, state: str) -> JobRecord:
+        """Move a job to `state` (done or failed), releasing its quota
+        slot if it held one.  The caller holds the lock."""
+        job = self._jobs[job_id]
+        if job.state in _PENDING_STATES:
+            left = self._pending[job.tenant] - 1
+            if left:
+                self._pending[job.tenant] = left
+            else:
+                del self._pending[job.tenant]
+            heapq.heappush(self._finished,
+                           (int(job_id.rpartition("-")[2]), job_id))
+        job.state = state
+        job.finished_at = time.time()
+        job.finished_mono = time.monotonic()
+        return job
 
     # -- inspection --------------------------------------------------------
 

@@ -170,8 +170,8 @@ def run_simpoints(
         if gap > 0:
             method.skip(gap)
         position = start
-        hook = method.pre_cluster()
-        result = timing.run(selection.interval_size, pre_branch_hook=hook)
+        method.pre_cluster()
+        result = timing.run(selection.interval_size)
         method.post_cluster()
         position += result.instructions
         method.cost.hot_instructions += result.instructions

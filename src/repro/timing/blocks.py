@@ -62,9 +62,9 @@ read and write ``W`` in line, as in the functional blocks), the
 program's instructions ``I``, the per-register ready cycles ``rr``, the
 rings and heaps, ``hierarchy.timed_access`` (``ta``),
 ``predictor.predict_and_update`` (``pu``) and
-``predictor.conditional`` (``bc``), the ``pre_branch_hook`` (``bh``, or
-None), the L1 hit counts ``hc`` (L1I first), the L1I's tag rows and
-recency orders and hit latency (``IR``, ``IO``, ``IH``), the L1D's with
+``predictor.conditional`` (``bc``), the L1 hit counts ``hc`` (L1I
+first), the L1I's tag rows and recency orders and hit latency (``IR``,
+``IO``, ``IH``), the L1D's with
 its line bytes, set count and their product (``DR``, ``DO``, ``DL``,
 ``DN``, ``DT``, ``DH``), and the core's widths, front-end depth,
 mispredict penalty and ring sizes.  The scalars travel in the state
@@ -78,7 +78,7 @@ block, in L1I set 0 with tag 4096) branches back to its own entry, so
 its block closes the loop::
 
     def block(E, S, n, e):
-        (m, r, W, I, rr, rob, iq, lsq, cp, ta, pu, bc, bh, hc,
+        (m, r, W, I, rr, rob, iq, lsq, cp, ta, pu, bc, hc,
          IR, IO, IH, DR, DO, DL, DN, DT, DH,
          FW, DW, IW, RW, FD, PEN, C, Q) = E
         _, pf, pd, pi, pr, nf, cb = S
@@ -117,9 +117,6 @@ its block closes the loop::
             nx = 10 if tk else 12
             pf += 1
             ...                 # dispatch, issue (reads c0); iq[q + 1]
-            if bh is not None:
-                m.pc = nx; m.instructions_retired = n + 2
-                bh(11, I[11])
             hr(cp, c1)
             cb = 0
             if bc(11, tk, nx):
@@ -161,9 +158,7 @@ and stores every register it writes on exit.
 The hierarchy and the predictor see the calls the step-driven loop made,
 in the same order and with the same cycles, apart from the MRU hits:
 per instruction, the instruction fetch on a fetch-block change, then the
-data access, then the ``pre_branch_hook`` and the prediction.  Before
-the hook runs, the block writes ``m.pc`` and ``m.instructions_retired``
-as ``step()`` leaves them.
+data access, then the prediction.
 
 A table entry is ``(function, length)``.  Length 0 marks a HALT
 (``step()``, then fetch and dispatch only; the run's last cycle is one
@@ -176,9 +171,8 @@ Tables are cached in ``PredecodedProgram.blocks`` under ``("timing",
 L1I line bytes, L1I set count, block cap)``, apart from the functional
 tables' keys.  Nothing else is baked in, so one table serves every core
 config whose ROB and issue queue both hold at least :data:`BLOCK_CAP`
-entries, and both hook signatures.  Each translation defines its
-function in a namespace of its own, so threads sharing one program may
-translate at once.
+entries.  Each translation defines its function in a namespace of its
+own, so threads sharing one program may translate at once.
 """
 
 from __future__ import annotations
@@ -201,7 +195,7 @@ PROMOTE_AFTER = 32
 BLOCK_CAP = 32
 
 _ENTRY = ("def block(E, S, n{}):\n"
-          "    (m, r, W, I, rr, rob, iq, lsq, cp, ta, pu, bc, bh, hc,\n"
+          "    (m, r, W, I, rr, rob, iq, lsq, cp, ta, pu, bc, hc,\n"
           "     IR, IO, IH, DR, DO, DL, DN, DT, DH,\n"
           "     FW, DW, IW, RW, FD, PEN, C, Q) = E\n"
           "    _, pf, pd, pi, pr, nf, cb = S\n")
@@ -598,11 +592,7 @@ class TimingBlockTable(dict):
         if is_control:
             predict = (f"bc({here}, {taken}, {following})" if conditional
                        else f"pu({here}, I[{here}], {taken}, {following})")
-            body += ["if bh is not None:",
-                     f"    m.pc = {following}; "
-                     f"m.instructions_retired = n + {offset + 1}",
-                     f"    bh({here}, I[{here}])",
-                     f"hr(cp, {complete})",
+            body += [f"hr(cp, {complete})",
                      f"cb = {operand(pc // self._per_block, 'KB')}",
                      f"if {predict}:",
                      f"    nf = {complete} + PEN; cb = -1",

@@ -84,7 +84,7 @@ class TimingSimulator:
         self.predictor = predictor
         self.config = config if config is not None else paper_core_config()
 
-    def run(self, max_instructions: int, pre_branch_hook=None,
+    def run(self, max_instructions: int,
             measure_after: int = 0) -> TimingResult:
         """Simulate up to `max_instructions` in detail; return IPC data.
 
@@ -100,10 +100,6 @@ class TimingSimulator:
         ----------
         max_instructions:
             Number of instructions to retire before stopping.
-        pre_branch_hook:
-            Optional callable ``hook(pc_index, inst)`` invoked before each
-            control transfer is predicted.  Used by on-demand warm-up
-            methods (paper §3.2) to reconstruct predictor entries lazily.
         measure_after:
             SMARTS-style *detailed warming*: the first `measure_after`
             instructions are simulated in full detail but excluded from
@@ -136,7 +132,7 @@ class TimingSimulator:
                [-1] * config.issue_queue_entries,
                [-1] * config.lsq_entries, [-1] * config.max_inflight_branches,
                hierarchy.timed_access, predictor.predict_and_update,
-               predictor.conditional, pre_branch_hook, hits,
+               predictor.conditional, hits,
                *mru_names(l1i)[:2], l1i.config.hit_latency,
                *mru_names(l1d), l1d.config.hit_latency,
                config.fetch_width, config.dispatch_width,

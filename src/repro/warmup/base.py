@@ -11,8 +11,8 @@ Lifecycle per sampled run::
     method.bind(context)          # once, before the first cluster
     for each cluster:
         method.skip(count)        # cold (+ warm) execution of the gap
-        hook = method.pre_cluster()   # eager reconstruction, if any
-        <hot simulation of the cluster, with optional pre-branch hook>
+        method.pre_cluster()      # state repair at the boundary, if any
+        <hot simulation of the cluster>
         method.post_cluster()     # discard per-gap data
 """
 
@@ -229,25 +229,12 @@ class WarmupMethod:
         """Advance the functional machine by `count` instructions."""
         raise NotImplementedError
 
-    def pre_cluster(self):
-        """Eager state repair immediately before the next cluster.
-
-        Returns an optional ``hook(pc, inst)`` the timing simulator calls
-        before predicting each control transfer (used for on-demand
-        reconstruction), or None.
-        """
-        return None
+    def pre_cluster(self) -> None:
+        """State repair immediately before the next cluster."""
 
     def post_cluster(self) -> None:
         """Discard any per-gap data (paper: logs are kept only for the
         current skip region)."""
-
-    def finalize_pending(self) -> None:
-        """Force any lazily deferred state repair to complete now.
-
-        A no-op for eager methods.  Analysis tooling (state-fidelity
-        scoring) calls this at cluster entry so on-demand methods can be
-        compared on the state their probes *would* observe."""
 
     # -- cluster sharding (two-phase pipeline) -------------------------------
 

@@ -9,7 +9,7 @@ None                  no state repair
 FP (20/40/80%)        fixed period: warm the trailing x% of each gap
 S$ / SBP / S$BP       SMARTS full functional warming (cache / BP / both)
 R$ (20/40/80/100%)    reverse cache reconstruction from the log tail
-RBP                   reverse on-demand branch-predictor reconstruction
+RBP                   reverse branch-predictor reconstruction
 R$BP (20/40/80/100%)  reverse reconstruction of both
 ====================  =====================================================
 """

@@ -16,7 +16,13 @@ against, bit for bit:
   :class:`PooledCapacity` (a heap, also for the issue queue, which the
   translated blocks keep as a ring), with every cache access a
   ``timed_access`` call and every transfer a
-  :func:`reference_predict_and_update` call;
+  :func:`reference_predict_and_update` call, each conditional branch
+  first probing the armed :class:`OnDemandPHT`;
+- :class:`OnDemandPHT` — the paper's §3.2 on-demand PHT reconstruction,
+  the twin of ``ReverseBranchReconstructor``'s boundary step: each
+  probe of an entry not yet reconstructed walks the tail's conditional
+  stream newest to oldest as far as the entry needs, and the entries no
+  probe reached are drained after the cluster;
 - :func:`scalar_cache_scan` — the paper's literal reverse cache scan,
   one ``reconstruct_reference`` call per logged reference and level;
 - :func:`scalar_btb_scan` — one ``btb.reconstruct`` call per claim,
@@ -39,6 +45,9 @@ against, bit for bit:
 - :func:`uncached_warm_prefix` — ``SimulationStack.warm_prefix`` as a
   plain call of ``steady_state_prefix``, which neither reads nor
   writes the workload's prefix memo;
+- :func:`on_demand_engine` — a context manager that runs whole
+  simulations with :class:`OnDemandPHT` in place of the boundary step
+  (and :func:`step_driven_run`, which probes it);
 - :func:`reference_engine` — a context manager that runs whole
   simulations on all of them;
 - :func:`sampled_run_record` — what two engines' runs of one sampled
@@ -55,6 +64,7 @@ from unittest import mock
 
 from repro.branch import BranchPredictor, update_counter
 from repro.cache import Cache, MemoryHierarchy, WritePolicy
+from repro.core import ReverseStateReconstruction
 from repro.core.branch_reconstruct import ReverseBranchReconstructor
 from repro.core.cache_reconstruct import ReverseCacheReconstructor
 from repro.core.source import REF_INSTRUCTION, REF_STORE
@@ -65,6 +75,7 @@ from repro.harness.executor import ProcessPool
 from repro.isa import NUM_REGISTERS
 from repro.sampling import SampledSimulator, pipeline
 from repro.sampling.controller import SimulationStack, steady_state_prefix
+from repro.telemetry import METRIC_PHT_ENTRIES
 from repro.timing import TimingResult, TimingSimulator
 from repro.warmup import resolve_method
 
@@ -169,11 +180,12 @@ class PooledCapacity:
         self._release_times.clear()
 
 
-def step_driven_run(self, max_instructions: int, pre_branch_hook=None,
+def step_driven_run(self, max_instructions: int,
                     measure_after: int = 0) -> TimingResult:
     """Per-instruction twin of :meth:`TimingSimulator.run` (same
     contract): one ``step()``, then the instruction's fetch, dispatch,
-    issue, complete and retire cycles."""
+    issue, complete and retire cycles.  A conditional branch probes the
+    predictor's armed :class:`OnDemandPHT`, if any, before it predicts."""
     config = self.config
     machine = self.machine
     program = machine.program
@@ -181,6 +193,7 @@ def step_driven_run(self, max_instructions: int, pre_branch_hook=None,
     hierarchy = self.hierarchy
     predictor = self.predictor
     step = machine.step
+    on_demand = _ARMED.get(id(predictor))
 
     decoded = predecode_program(program)
     is_mem_col = decoded.is_mem
@@ -287,8 +300,8 @@ def step_driven_run(self, max_instructions: int, pre_branch_hook=None,
         # ---- control resolution ------------------------------------------
         if is_control:
             inst = instructions[pc]
-            if pre_branch_hook is not None:
-                pre_branch_hook(pc, inst)
+            if on_demand is not None and inst.is_cond_branch:
+                on_demand.probe(pc)
             mispredicted = reference_predict_and_update(
                 predictor, pc, inst, result.taken, result.next_index
             )
@@ -557,6 +570,241 @@ def scalar_btb_scan(reconstructor, source, fraction):
     return len(pcs)
 
 
+#: Armed :class:`OnDemandPHT` walks, by ``id`` of the predictor each one
+#: repairs (an armed walk holds its predictor, so the id stays unique).
+_ARMED: dict[int, "OnDemandPHT"] = {}
+
+
+def conditional_stream(source, fraction: float, history_bits: int):
+    """``(pc, taken, ghr_before)`` for each conditional of the tail, in
+    program order, with the GHR zeroed at the tail start; None when the
+    source keeps no conditional stream (the compacted log at fraction
+    1.0, which keeps only its running windows)."""
+    history = getattr(source, "conditional_history", None)
+    if history is not None:
+        return history(fraction, history_bits)
+    if not source._store_conditionals:
+        return None
+    pcs, outcomes = source._conditional_tail(fraction)
+    ghr_mask = (1 << history_bits) - 1
+    stream = []
+    running = 0
+    for pc, taken in zip(pcs.tolist(), outcomes.tolist()):
+        stream.append((pc, taken, running))
+        running = ((running << 1) | taken) & ghr_mask
+    return stream
+
+
+class OnDemandPHT:
+    """The paper's §3.2 on-demand PHT reconstruction of one boundary.
+
+    "As branches are encountered in the next cluster, the branch
+    predictor is probed to determine if the entry has been
+    reconstructed.  If not, the entry is first reconstructed before hot
+    execution continues."  The reconstructor's GHR, BTB and RAS steps
+    run as in production; this walk replaces its PHT step.
+
+    Where the source keeps the tail's conditional stream (the raw oracle,
+    and the compacted log at partial fractions), a probe walks it newest
+    to oldest from where the last walk stopped, extending every entry's
+    reverse history it meets and resolving each entry the moment its
+    history pins the counter, until the probed entry is resolved or the
+    stream is exhausted; so the stream is walked once per cluster.  The
+    compacted log at fraction 1.0 keeps only its windows; there a probe
+    resolves the probed entry's window.  After the cluster, :meth:`drain`
+    resolves every entry the log mentions that no probe reached.  A
+    resolved entry is the cluster's to train: a probe resolves it before
+    its first update, and no later walk touches it.
+    """
+
+    def __init__(self, reconstructor, source, fraction: float) -> None:
+        self.reconstructor = reconstructor
+        self.pht = reconstructor.predictor.pht
+        self.table = reconstructor.table
+        self.resolved: set[int] = set()
+        self.pending: dict[int, tuple[int, int]] = {}
+        self.conditionals = conditional_stream(source, fraction,
+                                               self.pht.history_bits)
+        self.windows = None
+        if self.conditionals is None:
+            self.conditionals = []
+            entries, codes = reconstructor._windows
+            self.windows = dict(zip(entries.tolist(), codes.tolist()))
+        self.cursor = len(self.conditionals) - 1
+
+    def _resolve(self, entry: int, length: int, bits: int) -> None:
+        value = self.table.lookup(length, bits).value
+        reconstructor = self.reconstructor
+        if value is not None and reconstructor.infer_counters:
+            self.pht.counters[entry] = value
+            reconstructor.counter_writes += 1
+            reconstructor.telemetry.count(METRIC_PHT_ENTRIES)
+        self.resolved.add(entry)
+
+    def _walk(self, until=None) -> None:
+        """Walk the stream until entry `until` is resolved (None: to
+        its end)."""
+        conditionals = self.conditionals
+        pending = self.pending
+        resolved = self.resolved
+        table = self.table
+        mask = self.pht.entries - 1
+        cursor = self.cursor
+        while cursor >= 0 and until not in resolved:
+            pc, taken, ghr_before = conditionals[cursor]
+            cursor -= 1
+            index = (pc ^ ghr_before) & mask
+            if index in resolved:
+                continue
+            length, bits = pending.get(index, (0, 0))
+            # Walking newest -> oldest: this outcome is the next-older bit.
+            bits |= int(taken) << length
+            length += 1
+            if table.lookup(length, bits).exact:
+                pending.pop(index, None)
+                self._resolve(index, length, bits)
+            else:
+                pending[index] = (length, bits)
+        self.cursor = cursor
+
+    def demand(self, entry: int) -> None:
+        """Resolve PHT `entry` if no probe or walk has yet."""
+        if entry in self.resolved:
+            return
+        if self.windows is not None:
+            code = self.windows.pop(entry, 0)
+            depth = self.table.max_history
+            self._resolve(entry, code >> depth, code & ((1 << depth) - 1))
+            return
+        self._walk(entry)
+        if entry not in self.resolved:
+            # Stream exhausted: resolve with whatever history accumulated.
+            self._resolve(entry, *self.pending.pop(entry, (0, 0)))
+
+    def probe(self, pc: int) -> None:
+        """The conditional branch at `pc` is about to predict."""
+        self.demand((pc ^ self.pht.history) & (self.pht.entries - 1))
+
+    def drain(self) -> None:
+        """Resolve every entry the log mentions that no probe reached."""
+        if self.windows is not None:
+            for entry in list(self.windows):
+                self.demand(entry)
+            return
+        self._walk()
+        for entry, (length, bits) in list(self.pending.items()):
+            self._resolve(entry, length, bits)
+        self.pending.clear()
+
+    def census(self) -> dict:
+        """``ReverseBranchReconstructor.inference_census`` of the armed
+        walk, before any probe: each mentioned entry's inference is the
+        one the walk resolves it with."""
+        table = self.table
+        if self.windows is not None:
+            depth = self.table.max_history
+            inferences = [table.lookup(code >> depth,
+                                       code & ((1 << depth) - 1))
+                          for code in self.windows.values()]
+        else:
+            mask = self.pht.entries - 1
+            histories: dict[int, tuple[int, int]] = {}
+            resolved: dict[int, object] = {}
+            for pc, taken, ghr_before in reversed(self.conditionals):
+                index = (pc ^ ghr_before) & mask
+                if index in resolved:
+                    continue
+                length, bits = histories.get(index, (0, 0))
+                bits |= int(taken) << length
+                length += 1
+                inference = table.lookup(length, bits)
+                if inference.exact:
+                    resolved[index] = inference
+                    histories.pop(index, None)
+                else:
+                    histories[index] = (length, bits)
+            for index, (length, bits) in histories.items():
+                resolved[index] = table.lookup(length, bits)
+            inferences = list(resolved.values())
+        # An inference is exact exactly when one state is possible.
+        widths = [len(inference.possible) for inference in inferences]
+        return {
+            "pht_entries_mentioned": len(widths),
+            "pht_exact": widths.count(1),
+            "pht_ambiguous_two": widths.count(2),
+            "pht_ambiguous_three": widths.count(3),
+            "pht_stale": self.pht.entries - len(widths),
+            "pht_ambiguity_mass": sum(widths) - len(widths),
+        }
+
+
+_PREPARE = ReverseBranchReconstructor.prepare
+_CENSUS = ReverseBranchReconstructor.inference_census
+_POST_CLUSTER = ReverseStateReconstruction.post_cluster
+
+
+def on_demand_prepare(self, source, fraction: float = 1.0) -> None:
+    """``ReverseBranchReconstructor.prepare`` with its PHT step (a no-op
+    ``_write_counters`` inside :func:`on_demand_engine`) replaced by an
+    armed :class:`OnDemandPHT`."""
+    _PREPARE(self, source, fraction)
+    _ARMED[id(self.predictor)] = OnDemandPHT(self, source, fraction)
+
+
+def on_demand_census(self) -> dict:
+    armed = _ARMED.get(id(self.predictor))
+    return armed.census() if armed is not None else _CENSUS(self)
+
+
+def settle_pht(predictor) -> bool:
+    """Drain and disarm `predictor`'s armed walk; False if none was
+    armed."""
+    armed = _ARMED.pop(id(predictor), None)
+    if armed is None:
+        return False
+    armed.drain()
+    return True
+
+
+def on_demand_post_cluster(self) -> None:
+    """``ReverseStateReconstruction.post_cluster`` after the drain, which
+    books the walk's counter writes (the boundary step books its own in
+    ``pre_cluster``)."""
+    if self.warm_predictor:
+        reconstructor = self._branch_reconstructor
+        if settle_pht(reconstructor.predictor):
+            self.cost.predictor_updates += reconstructor.counter_writes
+    _POST_CLUSTER(self)
+
+
+@contextlib.contextmanager
+def on_demand_engine():
+    """Run every simulation inside the block with the paper's on-demand
+    PHT walk (:class:`OnDemandPHT`) in place of the boundary step, on
+    :func:`step_driven_run`, whose conditional branches probe it.
+
+    A cluster-entry observer sees the PHT before any probe, so the
+    states ``record_cluster_entries`` captures differ from production's
+    inside the block; everything after the cluster does not.
+    """
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(
+            TimingSimulator, "run", step_driven_run))
+        for name, twin in (("prepare", on_demand_prepare),
+                           ("_write_counters",
+                            lambda self, entries, codes: None),
+                           ("inference_census", on_demand_census)):
+            stack.enter_context(mock.patch.object(
+                ReverseBranchReconstructor, name, twin))
+        stack.enter_context(mock.patch.object(
+            ReverseStateReconstruction, "post_cluster",
+            on_demand_post_cluster))
+        try:
+            yield
+        finally:
+            _ARMED.clear()
+
+
 def uncached_warm_prefix(stack, count):
     """``SimulationStack.warm_prefix`` without the prefix memo: the
     reference run computes its own prefix, and leaves none behind for a
@@ -567,7 +815,8 @@ def uncached_warm_prefix(stack, count):
 
 @contextlib.contextmanager
 def reference_engine():
-    """Run every simulation inside the block on the reference engine.
+    """Run every simulation inside the block on the reference engine,
+    :func:`on_demand_engine` included.
 
     Patches reach only this process, so the block also pins
     ``map_tasks`` to a one-worker pool, its in-process fallback: sharded
@@ -575,10 +824,9 @@ def reference_engine():
     and the fallback are checked bit-identical by ``test_executor``).
     """
     with contextlib.ExitStack() as stack:
+        stack.enter_context(on_demand_engine())
         stack.enter_context(mock.patch.object(
             FunctionalMachine, "run", FunctionalMachine.run_scalar))
-        stack.enter_context(mock.patch.object(
-            TimingSimulator, "run", step_driven_run))
         stack.enter_context(mock.patch.object(
             ReverseCacheReconstructor, "_apply_tail", scalar_cache_scan))
         stack.enter_context(mock.patch.object(

@@ -207,12 +207,29 @@ class SkipRegionLog(ReconstructionSource):
 
     def pht_entry_windows(self, fraction: float, mask: int,
                           history_bits: int, max_history: int):
-        """The raw log keeps no per-entry index; consumers replay the
-        conditional stream instead."""
-        return None
+        """Walk the tail's conditionals newest first, keeping each
+        entry's newest `max_history` outcomes."""
+        windows: dict[int, tuple[int, int]] = {}
+        stream = self.conditional_history(fraction, history_bits)
+        telemetry = self.telemetry
+        if telemetry is not None and telemetry.enabled:
+            telemetry.count("reconstruct.log_walk_steps", len(stream))
+        for pc, taken, ghr in reversed(stream):
+            entry = (pc ^ ghr) & mask
+            length, bits = windows.get(entry, (0, 0))
+            if length < max_history:
+                windows[entry] = (length + 1, bits | taken << length)
+        entries = sorted(windows)
+        return (np.array(entries, np.int64),
+                np.array([windows[entry][0] << max_history
+                          | windows[entry][1] for entry in entries],
+                         np.int64))
 
     def conditional_history(self, fraction: float,
                             history_bits: int) -> list:
+        """``(pc, taken, ghr_before)`` for each conditional of the tail,
+        program order, with the GHR zeroed at the tail start: the input
+        of the on-demand walk (tests/oracle_engine.py)."""
         records = self.branch_records
         cutoff = tail_cutoff(len(records), fraction)
         ghr_mask = (1 << history_bits) - 1

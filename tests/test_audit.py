@@ -104,7 +104,7 @@ class TestProbeRecords:
             assert record["sampling_error"] == pytest.approx(
                 record["ref_ipc"] - record["true_ipc"]
             )
-            # RSR runs an on-demand PHT engine: census must be present.
+            # RSR reconstructs the PHT: census must be present.
             assert record["pht_ambiguity_mass"] is not None
             assert record["pht_exact"] >= 0
         assert snapshot.counters["audit.clusters_probed"] == len(records)
@@ -112,7 +112,7 @@ class TestProbeRecords:
 
     def test_smarts_self_consistency(self, audit_env):
         """S$BP audited against the SMARTS reference: perfect agreement,
-        exactly zero cold-start error, no census (no on-demand engine)."""
+        exactly zero cold-start error, no census (no PHT reconstruction)."""
         _, snapshot = run_audited(SmartsWarmup())
         records = audit_records(snapshot)
         assert records

@@ -112,12 +112,6 @@ class TestGshare:
         pht.set_history(0xFFFF)
         assert pht.history == 0xF
 
-    def test_clear_reconstructed(self):
-        pht = GsharePHT(small_config())
-        pht.reconstructed[3] = True
-        pht.clear_reconstructed()
-        assert not any(pht.reconstructed)
-
     def test_fresh_table_shares_no_state(self):
         # A cold table is a new one built from the same config: the
         # trained table's counters and history must not leak into it.

@@ -103,81 +103,51 @@ class TestRAS:
             assert recon[0] == reference_contents[0]
 
 
-class TestOnDemandCounters:
-    def test_demand_pins_entry_with_consistent_history(self):
+class TestPHTCounters:
+    def test_pinned_entries_written(self):
         log = SkipRegionLog()
         pc = 5
-        # Same GHR context is hard to force; use an always-taken branch so
-        # every touched entry saturates and pins.
+        # An always-taken branch saturates every entry it touches
+        # three or more times, which pins the counter.
         for _ in range(20):
             log.branch_records.append((pc, 55, True, BR_COND))
         predictor = BranchPredictor(config())
         reconstructor = ReverseBranchReconstructor(predictor)
         reconstructor.prepare(log)
-        entry = predictor.pht.index(pc)
-        reconstructor.demand(entry)
-        assert predictor.pht.reconstructed[entry]
+        # Once the GHR saturates, every execution indexes one entry.
+        assert predictor.pht.counters[predictor.pht.index(pc)] == 3
 
-    def test_demand_walks_once(self):
+    def test_unmentioned_entries_left_stale(self):
         log, _ = synth_log()
         predictor = BranchPredictor(config())
+        predictor.pht.counters[:] = [0] * predictor.pht.entries
         reconstructor = ReverseBranchReconstructor(predictor)
         reconstructor.prepare(log)
-        reconstructor.demand(0)
-        steps_after_first = reconstructor.log_walk_steps
-        reconstructor.demand(0)
-        assert reconstructor.log_walk_steps == steps_after_first
-
-    def test_unseen_entry_left_stale_but_marked(self):
-        log, _ = synth_log()
-        predictor = BranchPredictor(config())
-        reconstructor = ReverseBranchReconstructor(predictor)
-        reconstructor.prepare(log)
-        # Demand an entry: the walk consumes the whole log and must mark
-        # the entry done whether or not it found history for it.
-        reconstructor.demand(0)
-        assert predictor.pht.reconstructed[0]
+        entries, _codes = reconstructor._windows
+        mentioned = set(entries.tolist())
+        assert 0 < len(mentioned) < predictor.pht.entries
+        for entry in range(predictor.pht.entries):
+            if entry not in mentioned:
+                assert predictor.pht.counters[entry] == 0
 
     def test_counters_match_smarts_when_pinned(self):
         log, reference = synth_log(seed=7, count=600)
         predictor = BranchPredictor(config())
         reconstructor = ReverseBranchReconstructor(predictor)
         reconstructor.prepare(log)
-        reconstructor.drain()
         # For every entry the inference pinned exactly, the value must be
         # bit-identical to the SMARTS-warmed reference.
-        agreements = 0
-        for entry in range(predictor.pht.entries):
-            if predictor.pht.reconstructed[entry] and \
-                    entry not in reconstructor._pending:
-                if predictor.pht.counters[entry] == \
-                        reference.pht.counters[entry]:
-                    agreements += 1
-        touched = sum(predictor.pht.reconstructed)
-        assert touched > 0
-        # The overwhelming majority of reconstructed counters agree.
-        assert agreements >= 0.7 * touched
-
-    def test_hook_reconstructs_probed_entries(self):
-        log, _ = synth_log()
-        predictor = BranchPredictor(config())
-        reconstructor = ReverseBranchReconstructor(predictor)
-        reconstructor.prepare(log)
-        hook = reconstructor.make_hook()
-        inst = cond_inst(55)
-        entry = predictor.pht.index(5)
-        assert not predictor.pht.reconstructed[entry]
-        hook(5, inst)
-        assert predictor.pht.reconstructed[entry]
-
-    def test_hook_ignores_unconditional(self):
-        log, _ = synth_log()
-        predictor = BranchPredictor(config())
-        reconstructor = ReverseBranchReconstructor(predictor)
-        reconstructor.prepare(log)
-        hook = reconstructor.make_hook()
-        hook(5, Instruction(Opcode.JMP, target=9))
-        assert reconstructor.log_walk_steps == 0
+        table = reconstructor.table
+        depth = table.max_history
+        entries, codes = reconstructor._windows
+        pinned = [entry for entry, code in zip(entries.tolist(),
+                                               codes.tolist())
+                  if table.lookup(code >> depth,
+                                  code & ((1 << depth) - 1)).exact]
+        assert pinned
+        for entry in pinned:
+            assert predictor.pht.counters[entry] == \
+                reference.pht.counters[entry]
 
     def test_infer_counters_false_leaves_stale_values(self):
         log, _ = synth_log()
@@ -187,7 +157,6 @@ class TestOnDemandCounters:
             predictor, infer_counters=False
         )
         reconstructor.prepare(log)
-        reconstructor.drain()
         assert predictor.pht.counters == stale
         assert reconstructor.counter_writes == 0
 
@@ -196,5 +165,6 @@ class TestOnDemandCounters:
         predictor = BranchPredictor(config())
         reconstructor = ReverseBranchReconstructor(predictor)
         reconstructor.prepare(log)
-        reconstructor.drain()
-        assert reconstructor.counter_writes > 0
+        entries, codes = reconstructor._windows
+        assert reconstructor.counter_writes == int(
+            (reconstructor.table.code_values[codes] >= 0).sum()) > 0

@@ -119,9 +119,8 @@ def _queries(log, fraction: float) -> tuple:
             targets.tolist(),
             log.recent_conditional_outcomes(fraction, history),
             log.ras_tail_contents(fraction, 8),
-            log.pht_entry_windows(fraction, log._pht_mask, history,
-                                  log._max_history),
-            log.conditional_history(fraction, history))
+            [column.tolist() for column in log.pht_entry_windows(
+                fraction, log._pht_mask, history, log._max_history)])
 
 
 @pytest.mark.parametrize("signature", sorted(SIGNATURES))

@@ -152,7 +152,7 @@ class TestGeneratingMethods:
     def test_replay_matches_the_generating_run(self, program, method_name):
         """A library replays exactly the cluster IPCs of a sampled run
         with the method that generated it: generation is that run's own
-        walk, captured after on-demand repairs are finalised."""
+        walk, captured after the method's boundary reconstruction."""
         workload = build_workload(program)
         make = GENERATORS[method_name]
         library = LivePointLibrary.generate(workload, REGIMEN, configs(),

@@ -618,7 +618,7 @@ class TestSelfLoops:
         checkpoint = FunctionalCheckpoint.capture(
             pair.simulators[0].machine)
         for count in (100, 150):
-            pair.run(count, hooked=True)
+            pair.run(count)
             for simulator in pair.simulators:
                 checkpoint.restore(simulator.machine)
 

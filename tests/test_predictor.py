@@ -106,11 +106,9 @@ class TestAccounting:
         predictor.update(6, Instruction(Opcode.RET), True, 3)
         assert predictor.total_updates() - base == 5
 
-    def test_clear_reconstructed_clears_both_tables(self, predictor):
-        predictor.pht.reconstructed[1] = True
+    def test_clear_reconstructed_clears_the_btb(self, predictor):
         predictor.btb.reconstructed[1] = True
         predictor.clear_reconstructed()
-        assert not any(predictor.pht.reconstructed)
         assert not any(predictor.btb.reconstructed)
 
     def test_repr(self, predictor):

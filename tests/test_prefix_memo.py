@@ -57,8 +57,7 @@ def _state(stack) -> dict:
             predictor.pht.lookups, predictor.pht.updates,
             predictor.btb.lookups, predictor.btb.updates,
             predictor.ras.pushes, predictor.ras.pops),
-        "reconstructed": (list(predictor.pht.reconstructed),
-                          list(predictor.btb.reconstructed)),
+        "reconstructed": list(predictor.btb.reconstructed),
         "predictor_stats": dataclasses.asdict(predictor.stats),
     }
 

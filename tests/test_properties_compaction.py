@@ -2,8 +2,7 @@
 
 The compaction engine (repro/core/compaction.py) claims that every
 ReconstructionSource query answers bit-identically to a reverse scan of
-the raw stream, for every tail fraction and both reconstruction modes,
-wherever the folds and trims fall and however much of the gap they
+the raw stream, for every tail fraction, wherever the folds and trims fall and however much of the gap they
 drop.  These tests drive randomized gap streams through the compacted
 log and the raw oracle (tests/oracle_skiplog.py) via the same
 hook calls and compare the *reconstructed state* — cache tags, LRU order
@@ -38,7 +37,9 @@ from repro.sampling import SampledSimulator, SamplingRegimen
 from repro.telemetry import Telemetry
 from repro.workloads import build_workload
 from repro.workloads.generator import Workload
-from tests.oracle_engine import reference_engine
+from tests.oracle_engine import (
+    OnDemandPHT, on_demand_engine, reference_engine, settle_pht,
+)
 from tests.oracle_skiplog import SOURCES, SkipRegionLog
 
 FRACTIONS = (1.0, 0.8, 0.5, 0.33, 0.2)
@@ -58,6 +59,13 @@ class FakeInst:
 
 
 INSTS = {kind: FakeInst(kind) for kind in ("cond", "call", "ret", "jump")}
+
+
+def pht_windows(log, fraction):
+    """`log`'s PHT windows of the `fraction` tail as plain lists."""
+    entries, codes = log.pht_entry_windows(
+        fraction, PHT_ENTRIES - 1, HISTORY_BITS, default_table().max_history)
+    return entries.tolist(), codes.tolist()
 
 
 def make_pair(fraction=1.0):
@@ -170,7 +178,6 @@ def predictor_state(predictor):
     return (
         tuple(predictor.pht.counters),
         predictor.pht.history,
-        tuple(predictor.pht.reconstructed),
         tuple(predictor.btb.tags),
         tuple(predictor.btb.targets),
         tuple(predictor.ras.contents_from_top()),
@@ -224,16 +231,14 @@ class TestBranchEquivalence:
         for capacity in (1, RAS_ENTRIES, 64):
             assert (raw.ras_tail_contents(fraction, capacity)
                     == compacted.ras_tail_contents(fraction, capacity))
-        assert (raw.conditional_history(fraction, HISTORY_BITS)
-                == compacted.conditional_history(fraction, HISTORY_BITS))
+        assert pht_windows(raw, fraction) == pht_windows(compacted, fraction)
 
     @pytest.mark.parametrize("fraction", FRACTIONS)
-    @pytest.mark.parametrize("mode", ["eager", "on_demand"])
-    def test_reconstructed_predictor_identical(self, fraction, mode):
-        rng = random.Random(int(fraction * 100)
-                            + (1000 if mode == "eager" else 0))
+    def test_reconstructed_predictor_identical(self, fraction):
+        """Both sources, at the boundary and by the reference engine's
+        on-demand walk drained with no probe."""
+        rng = random.Random(int(fraction * 100) + 1000)
         raw, compacted = feed_random_stream(make_pair(), rng)
-        demand_entries = [rng.randrange(PHT_ENTRIES) for _ in range(40)]
         outcomes = []
         for source in (raw, compacted):
             for engine in ENGINES:
@@ -242,34 +247,10 @@ class TestBranchEquivalence:
                 reconstructor = ReverseBranchReconstructor(predictor)
                 with engine():
                     reconstructor.prepare(source, fraction)
-                if mode == "on_demand":
-                    # The same probe sequence a hot cluster would issue,
-                    # followed by the post-cluster residual drain.
-                    for entry in demand_entries:
-                        reconstructor.demand(entry)
-                reconstructor.drain()
+                    settle_pht(predictor)
                 outcomes.append((predictor_state(predictor),
                                  reconstructor.counter_writes))
         assert all(outcome == outcomes[0] for outcome in outcomes)
-
-    def test_window_mode_walks_less(self):
-        """At full fraction the compacted source serves bounded windows,
-        so a sparse demand sequence walks far fewer log steps."""
-        rng = random.Random(99)
-        # Long enough that entries see far more outcomes than the
-        # inference window can consume — the regime compaction targets.
-        raw, compacted = feed_random_stream(make_pair(), rng,
-                                            branch_events=6000)
-        steps = []
-        for source in (raw, compacted):
-            predictor = BranchPredictor(
-                PredictorConfig(PHT_ENTRIES, BTB_ENTRIES, RAS_ENTRIES))
-            reconstructor = ReverseBranchReconstructor(predictor)
-            reconstructor.prepare(source, 1.0)
-            reconstructor.demand(0)
-            reconstructor.drain()
-            steps.append(reconstructor.log_walk_steps)
-        assert steps[1] < steps[0]
 
 
 def reconstructed_hierarchy(source, fraction):
@@ -279,15 +260,22 @@ def reconstructed_hierarchy(source, fraction):
                  for level in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2))
 
 
-def reconstructed_predictor(source, fraction, mode, demand_entries):
+def reconstructed_predictor(source, fraction, probes=None):
+    """The predictor `source`'s tail reconstructs at the boundary, or,
+    given `probes` (PHT entries), by the paper's on-demand walk: those
+    probes in order, then the post-cluster drain."""
     predictor = BranchPredictor(
         PredictorConfig(PHT_ENTRIES, BTB_ENTRIES, RAS_ENTRIES))
     reconstructor = ReverseBranchReconstructor(predictor)
-    reconstructor.prepare(source, fraction)
-    if mode == "on_demand":
-        for entry in demand_entries:
-            reconstructor.demand(entry)
-    reconstructor.drain()
+    if probes is None:
+        reconstructor.prepare(source, fraction)
+    else:
+        with on_demand_engine():
+            reconstructor.prepare(source, fraction)
+            walk = OnDemandPHT(reconstructor, source, fraction)
+            for entry in probes:
+                walk.demand(entry)
+            walk.drain()
     return predictor_state(predictor), reconstructor.counter_writes
 
 
@@ -356,42 +344,46 @@ class TestFolding:
         for capacity in (1, RAS_ENTRIES, 64):
             assert (raw.ras_tail_contents(fraction, capacity)
                     == compacted.ras_tail_contents(fraction, capacity))
-        assert (raw.conditional_history(fraction, HISTORY_BITS)
-                == compacted.conditional_history(fraction, HISTORY_BITS))
+        assert pht_windows(raw, fraction) == pht_windows(compacted, fraction)
 
-    @pytest.mark.parametrize("mode", ["eager", "on_demand"])
     @pytest.mark.parametrize("schedule", sorted(FOLD_SCHEDULES))
     @pytest.mark.parametrize("fraction", FRACTIONS)
-    def test_reconstructed_state_identical(self, fraction, schedule, mode):
-        rng = random.Random(int(fraction * 100) + 7 * len(schedule)
-                            + (1000 if mode == "eager" else 0))
+    def test_reconstructed_state_identical(self, fraction, schedule):
+        rng = random.Random(int(fraction * 100) + 7 * len(schedule) + 1000)
         raw, compacted = feed_random_stream(
             make_pair(fraction), rng, branch_events=3000,
             fold=FOLD_SCHEDULES[schedule])
-        demand_entries = [rng.randrange(PHT_ENTRIES) for _ in range(40)]
         assert (reconstructed_hierarchy(raw, fraction)
                 == reconstructed_hierarchy(compacted, fraction))
-        assert (reconstructed_predictor(raw, fraction, mode, demand_entries)
-                == reconstructed_predictor(compacted, fraction, mode,
-                                           demand_entries))
+        probes = [rng.randrange(PHT_ENTRIES) for _ in range(40)]
+        boundary = reconstructed_predictor(compacted, fraction)
+        assert reconstructed_predictor(raw, fraction) == boundary
+        for source in (raw, compacted):
+            assert reconstructed_predictor(source, fraction, probes) \
+                == boundary
 
+    @pytest.mark.parametrize("fraction", FRACTIONS)
     @pytest.mark.parametrize("schedule", sorted(FOLD_SCHEDULES))
-    def test_pht_windows_match_reverse_walk(self, schedule):
+    def test_pht_windows_match_reverse_walk(self, schedule, fraction):
         """Each entry's window holds exactly its newest `max_history`
-        outcomes of the raw conditional stream, wherever folds fell."""
+        outcomes of the raw conditional stream, the GHR zeroed at the
+        tail start, wherever folds fell: the running index at fraction
+        1.0, the indexed conditional stream below it."""
         raw, compacted = feed_random_stream(
             make_pair(), random.Random(len(schedule)), branch_events=3000,
             fold=FOLD_SCHEDULES[schedule])
         depth = default_table().max_history
         expected = {}
         for pc, taken, ghr in reversed(raw.conditional_history(
-                1.0, HISTORY_BITS)):
+                fraction, HISTORY_BITS)):
             entry = (pc ^ ghr) & (PHT_ENTRIES - 1)
             length, bits = expected.get(entry, (0, 0))
             if length < depth:
                 expected[entry] = (length + 1, bits | (taken << length))
-        assert compacted.pht_entry_windows(
-            1.0, PHT_ENTRIES - 1, HISTORY_BITS, depth) == expected
+        entries = sorted(expected)
+        assert pht_windows(compacted, fraction) == (
+            entries, [expected[entry][0] << depth | expected[entry][1]
+                      for entry in entries])
 
     @pytest.mark.parametrize("fraction", FRACTIONS)
     def test_oldest_tail_record_survives_every_fold(self, fraction):
@@ -424,8 +416,7 @@ class TestFolding:
                               compacted.btb_claims_arrays(fraction)))))
         assert (raw.ras_tail_contents(fraction, 100)
                 == compacted.ras_tail_contents(fraction, 100))
-        assert (raw.conditional_history(fraction, HISTORY_BITS)
-                == compacted.conditional_history(fraction, HISTORY_BITS))
+        assert pht_windows(raw, fraction) == pht_windows(compacted, fraction)
 
     def test_wider_tail_than_trimmed_is_refused(self):
         _raw, compacted = feed_random_stream(make_pair(0.2),
@@ -454,16 +445,13 @@ def every(k):
 
 def compacted_queries(log, fraction):
     """Every direct query of a compacted log, as plain values."""
-    depth = default_table().max_history
     return (
         [column.tolist() for column in log.memory_reverse_arrays(fraction)],
         [column.tolist() for column in log.btb_claims_arrays(fraction)],
         log.recent_conditional_outcomes(fraction, HISTORY_BITS),
         [log.ras_tail_contents(fraction, capacity)
          for capacity in (1, RAS_ENTRIES, 64)],
-        log.conditional_history(fraction, HISTORY_BITS),
-        log.pht_entry_windows(fraction, PHT_ENTRIES - 1, HISTORY_BITS,
-                              depth),
+        pht_windows(log, fraction),
     )
 
 
@@ -502,7 +490,6 @@ class TestTrimming:
 
         feed_random_stream((raw, trimmed, folded), rng, branch_events=3000,
                            fold=every(k), step=step)
-        demand_entries = [rng.randrange(PHT_ENTRIES) for _ in range(40)]
         assert (raw.record_count() == trimmed.record_count()
                 == folded.record_count())
         assert (compacted_queries(trimmed, fraction)
@@ -513,14 +500,11 @@ class TestTrimming:
         for capacity in (1, RAS_ENTRIES, 64):
             assert (raw.ras_tail_contents(fraction, capacity)
                     == trimmed.ras_tail_contents(fraction, capacity))
-        assert (raw.conditional_history(fraction, HISTORY_BITS)
-                == trimmed.conditional_history(fraction, HISTORY_BITS))
+        assert pht_windows(raw, fraction) == pht_windows(trimmed, fraction)
         assert (reconstructed_hierarchy(raw, fraction)
                 == reconstructed_hierarchy(trimmed, fraction))
-        assert (reconstructed_predictor(raw, fraction, "on_demand",
-                                        demand_entries)
-                == reconstructed_predictor(trimmed, fraction, "on_demand",
-                                           demand_entries))
+        assert (reconstructed_predictor(raw, fraction)
+                == reconstructed_predictor(trimmed, fraction))
 
     @pytest.mark.parametrize("queries", [False, True])
     @pytest.mark.parametrize("k", TRIM_EVERY)
@@ -580,13 +564,12 @@ class TestEndToEndEquivalence:
 
     @pytest.mark.parametrize("workload_name", ["gcc", "twolf", "mcf"])
     @pytest.mark.parametrize("fraction", [1.0, 0.4])
-    @pytest.mark.parametrize("on_demand", [True, False])
-    def test_sampled_run_identical(self, fraction, on_demand, workload_name):
+    def test_sampled_run_identical(self, fraction, workload_name):
         simulator = SampledSimulator(build_workload(workload_name),
                                      self.REGIMEN)
         results = [
             simulator.run(ReverseStateReconstruction(
-                fraction, on_demand=on_demand, source=SOURCES[kind]))
+                fraction, source=SOURCES[kind]))
             for kind in ("raw", "compacted")
         ]
         assert results[0].cluster_ipcs == results[1].cluster_ipcs

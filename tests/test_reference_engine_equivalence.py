@@ -1,14 +1,16 @@
 """End to end: the production engine against the reference engine.
 
 The reference engine (tests/oracle_engine.py) runs the functional
-machine one `step()` at a time and the reverse cache and BTB scans one
-reference at a time; nothing about the simulated machine may change
-when the production engine's translated blocks and vectorized scans
-replace them.  These tests run complete sampled simulations both ways —
-over the compacted skip log and the raw oracle (tests/oracle_skiplog.py),
-serial and cluster-sharded, at the full log (fraction 1.0, the PHT
-window path) and at the paper's 20% tail (the walker PHT path and the
-partial-tail cache scan) — and require bit-identical per-cluster IPCs,
+machine one `step()` at a time, the reverse cache and BTB scans one
+reference at a time, and the PHT by the paper's on-demand walk, one
+probe at a time; nothing about the simulated machine may change when
+the production engine's translated blocks, vectorized scans and
+boundary PHT step replace them.  These tests run complete sampled
+simulations both ways — over the compacted skip log and the raw oracle
+(tests/oracle_skiplog.py), serial and cluster-sharded, at the full log
+(fraction 1.0, the running PHT windows) and at the paper's 20% tail
+(windows indexed from the conditional stream, and the partial-tail
+cache scan) — and require bit-identical per-cluster IPCs,
 identical WarmupCost ledgers, identical IPC estimates, and identical
 telemetry event counters (which subsume the gap-log record counts and
 the reconstruction scan/apply/skip accounting).  One serial gcc run per

@@ -81,29 +81,23 @@ class TestPreAndPostCluster:
         assert method.cost.cache_updates > 0
         assert context.hierarchy.l1d.contents()  # state repaired
 
-    def test_pre_cluster_returns_hook_for_bp(self):
+    @pytest.mark.parametrize("fraction", (1.0, 0.2))
+    def test_pre_cluster_resolves_the_pht(self, fraction):
+        """Every PHT counter the tail infers is written at the boundary
+        and charged to the cost there."""
         context = make_context()
-        method = ReverseStateReconstruction(1.0)
+        method = ReverseStateReconstruction(fraction)
         method.bind(context)
         method.skip(2000)
-        hook = method.pre_cluster()
-        assert callable(hook)
-
-    def test_cache_only_has_no_hook(self):
-        context = make_context()
-        method = ReverseStateReconstruction(1.0, warm_predictor=False)
-        method.bind(context)
-        method.skip(2000)
-        assert method.pre_cluster() is None
-
-    def test_eager_mode_drains_before_cluster(self):
-        context = make_context()
-        method = ReverseStateReconstruction(1.0, on_demand=False)
-        method.bind(context)
-        method.skip(2000)
-        hook = method.pre_cluster()
-        assert hook is None
-        assert method._branch_reconstructor._cursor < 0  # fully drained
+        stale = list(context.predictor.pht.counters)
+        method.pre_cluster()
+        reconstructor = method._branch_reconstructor
+        changed = sum(before != after for before, after in zip(
+            stale, context.predictor.pht.counters))
+        assert 0 < changed <= reconstructor.counter_writes
+        assert method.cost.predictor_updates >= (
+            reconstructor.counter_writes
+            + reconstructor.ras_entries_recovered)
 
     def test_post_cluster_discards_log(self):
         # Paper: "data are kept only for the current cluster of execution".

@@ -277,6 +277,54 @@ class TestJobStoreCapacity:
         assert store.get("job-000002") is not None
         assert sum(store.counts().values()) == MAX_JOBS
 
+    def test_pending_count_exact_through_the_lifecycle(self):
+        """The per-tenant count the quota reads follows queued -> running
+        -> done/failed exactly, and equals a scan of the records."""
+        store = JobStore(max_pending_per_tenant=2)
+
+        def scanned():
+            counts = {}
+            for job in store._jobs.values():
+                if job.state in ("queued", "running"):
+                    counts[job.tenant] = counts.get(job.tenant, 0) + 1
+            return counts
+
+        first = store.submit("a", SAMPLE)
+        second = store.submit("a", SAMPLE)
+        other = store.submit("b", SAMPLE)
+        assert store._pending == scanned() == {"a": 2, "b": 1}
+        store.mark_running(first.job_id)
+        assert store._pending == scanned() == {"a": 2, "b": 1}
+        with pytest.raises(QuotaExceeded) as refused:
+            store.submit("a", SAMPLE)
+        assert str(refused.value) == (
+            "tenant 'a' has 2 pending job(s), the maximum; wait for one "
+            "to finish before submitting more")
+        store.mark_done(first.job_id, None)
+        assert store._pending == scanned() == {"a": 1, "b": 1}
+        third = store.submit("a", SAMPLE)
+        store.mark_running(second.job_id)
+        store.mark_failed(second.job_id, "boom")
+        store.mark_failed(other.job_id, "boom")
+        assert store._pending == scanned() == {"a": 1}
+        store.mark_done(third.job_id, None)
+        assert store._pending == scanned() == {}
+
+    def test_oldest_finished_submission_is_evicted(self):
+        """Eviction follows submission order, not finishing order."""
+        store = JobStore(max_pending_per_tenant=MAX_JOBS)
+        records = [store.submit("t", SAMPLE) for _ in range(MAX_JOBS)]
+        store.mark_done(records[7].job_id, None)
+        store.mark_failed(records[3].job_id, "boom")
+        store.submit("t", SAMPLE)
+        assert store.get(records[3].job_id) is None
+        assert store.get(records[7].job_id) is not None
+        store.submit("u", SAMPLE)
+        assert store.get(records[7].job_id) is None
+        with pytest.raises(QuotaExceeded,
+                           match=f"holds {MAX_JOBS} pending jobs, its limit"):
+            store.submit("u", SAMPLE)
+
     def test_store_full_of_pending_jobs_names_its_limit(self):
         store = JobStore(max_pending_per_tenant=MAX_JOBS)
         for _ in range(MAX_JOBS):

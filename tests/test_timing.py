@@ -203,12 +203,3 @@ class TestDeterminismAndState:
         cold = sim.run(500)
         warm = sim.run(500)
         assert warm.cycles <= cold.cycles
-
-    def test_pre_branch_hook_invoked(self):
-        sim = build_simulator(independent_alu_loop)
-        seen = []
-        sim.run(50, pre_branch_hook=lambda pc, inst: seen.append(pc))
-        assert seen  # the jmp at the loop bottom
-        assert all(
-            sim.machine.program.instructions[pc].is_control for pc in seen
-        )

@@ -4,7 +4,6 @@ oracle.
 `TimingSimulator.run` (translated blocks and singles,
 :mod:`repro.timing.blocks`) must be indistinguishable from the step-driven
 loop kept in tests/oracle_engine.py: the same `TimingResult`, the same
-`pre_branch_hook` calls (with the machine state each one sees), the same
 cache statistics and tag/LRU state, bus schedules and predictor state,
 and the same architectural state — for every paper workload, the three
 core configs of the `sharded-sweep` ledger workload, run lengths that end
@@ -81,25 +80,14 @@ class Pair:
                 MemoryHierarchy(paper_hierarchy_config(scale=16)),
                 BranchPredictor(PredictorConfig(1024, 256, 8)), core)
             for _ in range(2)]
-        self.hook_calls: list[list] = [[], []]
 
-    def _hook(self, index: int):
-        calls = self.hook_calls[index]
-        machine = self.simulators[index].machine
-
-        def hook(pc, inst):
-            calls.append((pc, inst, machine.pc, machine.instructions_retired))
-        return hook
-
-    def run(self, count: int, *, hooked: bool, measure_after: int = 0):
-        results = [
-            run(simulator, count, self._hook(index) if hooked else None,
-                measure_after)
-            for index, (simulator, run) in enumerate(zip(
-                self.simulators, (step_driven_run, TimingSimulator.run)))]
+    def run(self, count: int, measure_after: int = 0):
+        results = [run(simulator, count, measure_after)
+                   for simulator, run in zip(
+                       self.simulators,
+                       (step_driven_run, TimingSimulator.run))]
         assert results[0] == results[1], (count, measure_after)
         assert snapshot(self.simulators[0]) == snapshot(self.simulators[1])
-        assert self.hook_calls[0] == self.hook_calls[1]
         return results[1]
 
 
@@ -115,19 +103,17 @@ def _first_block_length(program: Program) -> int:
 
 
 class TestWorkloadFuzz:
-    @pytest.mark.parametrize("hooked", (False, True),
-                             ids=("hookless", "hooked"))
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("name", PAPER_WORKLOADS)
-    def test_chunked_runs_match_oracle(self, name, config, hooked):
+    def test_chunked_runs_match_oracle(self, name, config):
         workload = build_workload(name, mem_scale=1, seed=23)
         pair = Pair(workload.program, workload.memory, CONFIGS[config])
-        rng = random.Random(f"{name}/{config}/{hooked}")
+        rng = random.Random(f"{name}/{config}")
         for _ in range(40):
             count = rng.choice((1, 2, 3, 5, 7, 13, 29, 61, 150, 400))
             measure_after = rng.choice(
                 (0, 0, 1, count // 2, count - 1, count, count + 1))
-            pair.run(count, hooked=hooked, measure_after=measure_after)
+            pair.run(count, measure_after=measure_after)
 
     @pytest.mark.parametrize("name", PAPER_WORKLOADS)
     def test_measure_after_every_offset_in_first_block(self, name):
@@ -135,9 +121,9 @@ class TestWorkloadFuzz:
         length = _first_block_length(workload.program)
         for offset in range(1, length + 2):
             pair = Pair(workload.program, workload.memory)
-            result = pair.run(length + 40, hooked=True, measure_after=offset)
+            result = pair.run(length + 40, measure_after=offset)
             assert result.measured_instructions == length + 40 - offset
-            pair.run(offset, hooked=False, measure_after=offset - 1)
+            pair.run(offset, measure_after=offset - 1)
 
     @pytest.mark.parametrize("promote_after", (1, 10**9))
     @pytest.mark.parametrize("name", ("gcc", "mcf", "parser", "perl"))
@@ -150,8 +136,7 @@ class TestWorkloadFuzz:
         rng = random.Random(name)
         for _ in range(12):
             count = rng.choice((1, 9, 100, 700))
-            pair.run(count, hooked=rng.random() < 0.5,
-                     measure_after=rng.choice((0, 3, count // 3)))
+            pair.run(count, measure_after=rng.choice((0, 3, count // 3)))
         decoded = predecode_program(workload.program)
         table = next(table for key, table in decoded.blocks.items()
                      if key[0] == "timing")
@@ -225,10 +210,8 @@ class TestDirected:
         """All opcode classes, rd=0 writes, and JR/CALLR/RET landing
         inside straight-line code, run to HALT in `chunk`-sized runs."""
         pair = Pair(_mixed_program(), Memory())
-        calls = 0
         while not pair.simulators[0].machine.halted:
-            pair.run(chunk, hooked=calls % 2 == 0, measure_after=chunk // 2)
-            calls += 1
+            pair.run(chunk, measure_after=chunk // 2)
         assert pair.simulators[1].machine.halted
 
     @pytest.mark.parametrize("rob_entries", (1, 3, 64, 200))
@@ -251,7 +234,7 @@ class TestDirected:
         core = dataclasses.replace(BASE, rob_entries=rob_entries)
         pair = Pair(b.build(), Memory(), core)
         for count in (1, BLOCK_CAP - 1, 3 * BLOCK_CAP, 1000):
-            pair.run(count, hooked=False, measure_after=count // 2)
+            pair.run(count, measure_after=count // 2)
         table = predecode_program(pair.simulators[1].machine.program
                                   ).blocks[("timing", 64, 16,
                                             min(BLOCK_CAP, rob_entries))]
@@ -287,7 +270,7 @@ class TestDirected:
         b.jmp("top")
         pair = Pair(b.build(), Memory(), core)
         for count in (1, 5, core.issue_queue_entries + 1, 100, 1000):
-            pair.run(count, hooked=False, measure_after=count // 2)
+            pair.run(count, measure_after=count // 2)
         table = predecode_program(pair.simulators[1].machine.program
                                   ).blocks[("timing", 64, 16, min(
                                       core.rob_entries,
@@ -298,7 +281,7 @@ class TestDirected:
             workload = build_workload(name, mem_scale=1, seed=41)
             pair = Pair(workload.program, workload.memory, core)
             for count in (50, 700, 3000):
-                pair.run(count, hooked=True, measure_after=count // 4)
+                pair.run(count, measure_after=count // 4)
 
     def test_l1_hits_settled_when_a_run_raises(self, monkeypatch):
         """A run that counted L1 MRU hits in its blocks and then reached
@@ -319,7 +302,7 @@ class TestDirected:
         for simulator, run in zip(pair.simulators,
                                   (step_driven_run, TimingSimulator.run)):
             with pytest.raises(ValueError, match="wild-after-hits"):
-                run(simulator, 10_000, None, 0)
+                run(simulator, 10_000, 0)
         assert snapshot(pair.simulators[0]) == snapshot(pair.simulators[1])
         hierarchy = pair.simulators[1].hierarchy
         assert hierarchy.l1d.stats.hits > 100
@@ -329,8 +312,7 @@ class TestDirected:
     def test_self_loops(self, count, monkeypatch):
         """A block branching back to its entry goes round inside its
         function while whole passes fit, whatever bound (the run's end,
-        the ramp boundary) cuts a pass, and a hook sees each pass's
-        retired count."""
+        the ramp boundary) cuts a pass."""
         monkeypatch.setattr(timing_blocks, "PROMOTE_AFTER", 2)
         b = ProgramBuilder(name="self-loop")
         b.li(5, 0x3000)
@@ -347,8 +329,7 @@ class TestDirected:
         pair = Pair(program, Memory())
         calls = 0
         while not pair.simulators[0].machine.halted:
-            pair.run(count, hooked=calls % 2 == 0,
-                     measure_after=(count // 3) * (calls % 3))
+            pair.run(count, measure_after=(count // 3) * (calls % 3))
             calls += 1
         assert pair.simulators[1].machine.halted
         table = predecode_program(program).blocks[("timing", 64, 16, 32)]
@@ -358,9 +339,9 @@ class TestDirected:
     def test_halt_inside_a_block(self, count):
         pair = Pair(_halt_program(), Memory())
         while not pair.simulators[0].machine.halted:
-            pair.run(count, hooked=True, measure_after=count // 2)
+            pair.run(count, measure_after=count // 2)
         assert pair.simulators[1].machine.halted
-        pair.run(count, hooked=True)
+        pair.run(count)
 
     def test_halt_retires_at_the_ramp_boundary(self):
         program = _halt_program()
@@ -370,8 +351,7 @@ class TestDirected:
             probe.step()
             total += 1
         for measure_after in (total - 1, total, total + 1):
-            Pair(program, Memory()).run(total + 5, hooked=False,
-                                        measure_after=measure_after)
+            Pair(program, Memory()).run(total + 5, measure_after=measure_after)
 
     def test_poisoned_slots(self):
         program = _poisoned_program()
@@ -382,9 +362,9 @@ class TestDirected:
                 patch.setattr(timing_blocks, "PROMOTE_AFTER", promote_after)
                 pair = Pair(program, Memory())
                 for count in (1, 2, 5, 40, 700):
-                    pair.run(count, hooked=True, measure_after=count // 3)
+                    pair.run(count, measure_after=count // 3)
                 while not pair.simulators[0].machine.halted:
-                    pair.run(500, hooked=False)
+                    pair.run(500)
         assert pair.simulators[1].machine.registers[2] == (1 << 70) & (
             (1 << 64) - 1)
 
@@ -412,7 +392,7 @@ class TestDirected:
                 patch.setattr(timing_blocks, "PROMOTE_AFTER", promote_after)
                 pair = Pair(program, memory)
                 while not pair.simulators[0].machine.halted:
-                    pair.run(50, hooked=True)
+                    pair.run(50)
         assert pair.simulators[1].machine.registers[4] == WRAP_TARGET
 
     @pytest.mark.parametrize("kind", ("jr", "callr", "ret", "fall_off"))
@@ -438,7 +418,7 @@ class TestDirected:
         for simulator, run in zip(pair.simulators,
                                   (step_driven_run, TimingSimulator.run)):
             with pytest.raises(ValueError, match=f"wild-{kind}") as caught:
-                run(simulator, 100, None, 0)
+                run(simulator, 100, 0)
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
         assert snapshot(pair.simulators[0]) == snapshot(pair.simulators[1])
@@ -466,9 +446,9 @@ class TestDirected:
             assert function.__defaults__ == (tuple(operands.values()),), pc
             assert length == own_length, pc
 
-    def test_tables_shared_by_configs_and_hooks(self):
+    def test_tables_shared_by_configs(self):
         """Core configs whose ROB and issue queue both hold at least
-        BLOCK_CAP entries, and a hooked run, reuse the program's table;
+        BLOCK_CAP entries reuse the program's table;
         a smaller ROB or issue queue, another L1I line size or set count
         does not."""
         program = build_workload("gcc", mem_scale=1, seed=5).program

@@ -103,7 +103,7 @@ def final_machines(program, memory):
             patch.setattr(timing_blocks, "PROMOTE_AFTER", promote_after)
             pair = Pair(program, memory)
             while not pair.simulators[0].machine.halted:
-                pair.run(500, hooked=True)
+                pair.run(500)
         yield pair.simulators[1].machine
 
 
