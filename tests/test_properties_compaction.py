@@ -234,22 +234,33 @@ class TestBranchEquivalence:
         assert pht_windows(raw, fraction) == pht_windows(compacted, fraction)
 
     @pytest.mark.parametrize("fraction", FRACTIONS)
-    def test_reconstructed_predictor_identical(self, fraction):
+    @pytest.mark.parametrize("mode", ["eager", "on_demand"])
+    def test_reconstructed_predictor_identical(self, fraction, mode):
         """Both sources, at the boundary and by the reference engine's
-        on-demand walk drained with no probe."""
-        rng = random.Random(int(fraction * 100) + 1000)
+        on-demand walk drained with no probe ("eager"), or by the walk
+        driven by a hot cluster's probes and then drained
+        ("on_demand")."""
+        rng = random.Random(int(fraction * 100)
+                            + (1000 if mode == "eager" else 0))
         raw, compacted = feed_random_stream(make_pair(), rng)
         outcomes = []
-        for source in (raw, compacted):
-            for engine in ENGINES:
-                predictor = BranchPredictor(
-                    PredictorConfig(PHT_ENTRIES, BTB_ENTRIES, RAS_ENTRIES))
-                reconstructor = ReverseBranchReconstructor(predictor)
-                with engine():
-                    reconstructor.prepare(source, fraction)
-                    settle_pht(predictor)
-                outcomes.append((predictor_state(predictor),
-                                 reconstructor.counter_writes))
+        if mode == "on_demand":
+            probes = [rng.randrange(PHT_ENTRIES) for _ in range(40)]
+            outcomes.append(reconstructed_predictor(compacted, fraction))
+            for source in (raw, compacted):
+                outcomes.append(
+                    reconstructed_predictor(source, fraction, probes))
+        else:
+            for source in (raw, compacted):
+                for engine in ENGINES:
+                    predictor = BranchPredictor(PredictorConfig(
+                        PHT_ENTRIES, BTB_ENTRIES, RAS_ENTRIES))
+                    reconstructor = ReverseBranchReconstructor(predictor)
+                    with engine():
+                        reconstructor.prepare(source, fraction)
+                        settle_pht(predictor)
+                    outcomes.append((predictor_state(predictor),
+                                     reconstructor.counter_writes))
         assert all(outcome == outcomes[0] for outcome in outcomes)
 
 
@@ -346,10 +357,15 @@ class TestFolding:
                     == compacted.ras_tail_contents(fraction, capacity))
         assert pht_windows(raw, fraction) == pht_windows(compacted, fraction)
 
+    @pytest.mark.parametrize("mode", ["eager", "on_demand"])
     @pytest.mark.parametrize("schedule", sorted(FOLD_SCHEDULES))
     @pytest.mark.parametrize("fraction", FRACTIONS)
-    def test_reconstructed_state_identical(self, fraction, schedule):
-        rng = random.Random(int(fraction * 100) + 7 * len(schedule) + 1000)
+    def test_reconstructed_state_identical(self, fraction, schedule, mode):
+        """Both sources reconstruct the same state at the boundary
+        ("eager"), and the on-demand walk driven by a cluster's probes
+        reaches that state from either source ("on_demand")."""
+        rng = random.Random(int(fraction * 100) + 7 * len(schedule)
+                            + (1000 if mode == "eager" else 0))
         raw, compacted = feed_random_stream(
             make_pair(fraction), rng, branch_events=3000,
             fold=FOLD_SCHEDULES[schedule])
@@ -357,10 +373,12 @@ class TestFolding:
                 == reconstructed_hierarchy(compacted, fraction))
         probes = [rng.randrange(PHT_ENTRIES) for _ in range(40)]
         boundary = reconstructed_predictor(compacted, fraction)
-        assert reconstructed_predictor(raw, fraction) == boundary
-        for source in (raw, compacted):
-            assert reconstructed_predictor(source, fraction, probes) \
-                == boundary
+        if mode == "eager":
+            assert reconstructed_predictor(raw, fraction) == boundary
+        else:
+            for source in (raw, compacted):
+                assert reconstructed_predictor(source, fraction, probes) \
+                    == boundary
 
     @pytest.mark.parametrize("fraction", FRACTIONS)
     @pytest.mark.parametrize("schedule", sorted(FOLD_SCHEDULES))
