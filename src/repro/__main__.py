@@ -675,6 +675,7 @@ def cmd_submit(args) -> int:
 
     from .api import RunRequest
     from .service import ServiceClient, ServiceError
+    from .service.server import MAX_RESULT_WAIT_SECONDS
 
     request = RunRequest(
         kind=args.kind,
@@ -698,7 +699,9 @@ def cmd_submit(args) -> int:
     print(f"submitted {job_id} ({request.kind}, design {request.design}) "
           f"to {args.url}")
     if args.no_wait:
-        print(f"poll with: GET {args.url}/results/{job_id}")
+        print(f"fetch with: GET {args.url}/results/{job_id}"
+              f"?wait={MAX_RESULT_WAIT_SECONDS:g} (held until the job "
+              f"finishes, at most {MAX_RESULT_WAIT_SECONDS:g} s)")
         return 0
     try:
         result = client.result(job_id, timeout=args.timeout)
@@ -918,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit_parser.add_argument(
         "--no-wait", action="store_true",
-        help="submit and print the job id without polling for the result",
+        help="submit and print the job id without waiting for the result",
     )
     submit_parser.add_argument(
         "--output", default=None, metavar="PATH",

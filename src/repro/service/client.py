@@ -2,7 +2,7 @@
 
 :class:`ServiceClient` wraps the JSON routes of
 :class:`~.server.SimulationService` with typed helpers — submit a
-:class:`~repro.api.RunRequest`, poll for completion, reconstruct the
+:class:`~repro.api.RunRequest`, wait for completion, reconstruct the
 :class:`~repro.api.RunResult` — so callers (the ``repro submit`` CLI,
 the tests, remote scripts) never hand-build URLs or parse raw bodies.
 """
@@ -92,16 +92,23 @@ class ServiceClient:
 
     def result(self, job_id: str, *, timeout: float = 300.0,
                poll_seconds: float = 0.1) -> RunResult:
-        """Poll ``/results/<id>`` until done; reconstruct the RunResult.
+        """Wait for ``/results/<id>``; reconstruct the RunResult.
 
-        A failed job raises :class:`ServiceError` carrying the
-        service's error string; a job still pending after `timeout`
-        seconds raises ``TimeoutError``.
+        Each request asks the server to hold it until the job finishes
+        (``?wait=``), for no longer than the time left before `timeout`
+        nor half the socket timeout, so the answer has time to arrive.
+        A 202 means the hold ran out first: the client pauses
+        `poll_seconds` and asks again.  A failed job raises
+        :class:`ServiceError` carrying the service's error string; a
+        job still pending after `timeout` seconds raises
+        ``TimeoutError``.
         """
         deadline = time.monotonic() + timeout
         while True:
+            wait = max(0.0, min(deadline - time.monotonic(),
+                                self.timeout / 2))
             status, payload = self._call(
-                f"/results/{job_id}", expect=(200, 202))
+                f"/results/{job_id}?wait={wait:.3f}", expect=(200, 202))
             if status == 200:
                 return RunResult(
                     request=RunRequest.from_payload(payload["request"]),

@@ -8,8 +8,9 @@ module translates store outcomes into status codes — and free of
 execution concerns: the store never imports the simulator.
 
 Thread-safety: every public method takes the store lock; the worker
-thread blocks on the internal queue, so submission and execution never
-poll.
+thread blocks on the internal queue and a result reader blocks on the
+store's completion condition (:meth:`JobStore.wait`), so submission,
+execution and result delivery never poll.
 """
 
 from __future__ import annotations
@@ -111,12 +112,21 @@ class JobStore:
                 f"got {max_pending_per_tenant}")
         self.max_pending_per_tenant = max_pending_per_tenant
         self._lock = threading.Lock()
+        #: Notified whenever a job finishes or holding stops; readers
+        #: blocked in :meth:`wait` re-check their job on each wake.
+        self._changed = threading.Condition(self._lock)
+        #: False while the service shuts down: :meth:`wait` then answers
+        #: at once instead of holding a request.
+        self._holding = True
         self._jobs: "dict[str, JobRecord]" = {}
         self._queue: "queue.Queue[str]" = queue.Queue()
         self._ids = itertools.count(1)
         #: Pending (queued or running) jobs per tenant; a tenant leaves
         #: the dict when its last pending job finishes.
         self._pending: "dict[str, int]" = {}
+        #: Records per state, kept beside the records so the gauges
+        #: read one entry instead of scanning the store.
+        self._states: "dict[str, int]" = dict.fromkeys(JOB_STATES, 0)
         #: ``(sequence, job_id)`` of every finished record, a min-heap:
         #: the top is the oldest submission.
         self._finished: "list[tuple[int, str]]" = []
@@ -140,12 +150,14 @@ class JobStore:
                         f"the job store holds {MAX_JOBS} pending jobs, "
                         f"its limit; wait for one to finish before "
                         f"submitting more")
-                del self._jobs[heapq.heappop(self._finished)[1]]
+                evicted = self._jobs.pop(heapq.heappop(self._finished)[1])
+                self._states[evicted.state] -= 1
             sequence = next(self._ids)
             job_id = f"job-{sequence:06d}"
             record = JobRecord(job_id=job_id, tenant=tenant,
                                request=request, run_id=run_id)
             self._jobs[job_id] = record
+            self._states["queued"] += 1
             self._pending[tenant] = pending + 1
         self._queue.put(job_id)
         return record
@@ -164,24 +176,37 @@ class JobStore:
     def mark_running(self, job_id: str) -> None:
         with self._lock:
             job = self._jobs[job_id]
-            job.state = "running"
+            self._move(job, "running")
             job.started_at = time.time()
             job.started_mono = time.monotonic()
 
     def mark_done(self, job_id: str, result) -> None:
         with self._lock:
-            job = self._finish(job_id, "done")
+            job = self._jobs[job_id]
             job.result = result
+            self._finish(job, "done")
 
     def mark_failed(self, job_id: str, error: str) -> None:
         with self._lock:
-            job = self._finish(job_id, "failed")
+            job = self._jobs[job_id]
             job.error = error
+            self._finish(job, "failed")
 
-    def _finish(self, job_id: str, state: str) -> JobRecord:
+    def _move(self, job: JobRecord, state: str) -> None:
+        """Set a job's state, keeping the per-state counts.  The caller
+        holds the lock."""
+        self._states[job.state] -= 1
+        self._states[state] += 1
+        job.state = state
+
+    def _finish(self, job: JobRecord, state: str) -> None:
         """Move a job to `state` (done or failed), releasing its quota
-        slot if it held one.  The caller holds the lock."""
-        job = self._jobs[job_id]
+        slot if it held one, and wake the readers waiting on it.  The
+        caller holds the lock and has set the job's result or error
+        already: readers see the state without the lock, so the outcome
+        is published before the state that announces it."""
+        job.finished_at = time.time()
+        job.finished_mono = time.monotonic()
         if job.state in _PENDING_STATES:
             left = self._pending[job.tenant] - 1
             if left:
@@ -189,11 +214,33 @@ class JobStore:
             else:
                 del self._pending[job.tenant]
             heapq.heappush(self._finished,
-                           (int(job_id.rpartition("-")[2]), job_id))
-        job.state = state
-        job.finished_at = time.time()
-        job.finished_mono = time.monotonic()
-        return job
+                           (int(job.job_id.rpartition("-")[2]), job.job_id))
+        self._move(job, state)
+        self._changed.notify_all()
+
+    # -- result delivery ---------------------------------------------------
+
+    def wait(self, job_id: str, timeout: float) -> "JobRecord | None":
+        """The job's record once it is done or failed, or after `timeout`
+        seconds, whichever comes first; None for an unknown id.
+
+        Returns at once while the store is not holding (see
+        :meth:`set_holding`), so a shutdown never waits out a hold.
+        """
+        with self._lock:
+            job = self._jobs.get(job_id)
+            if job is not None:
+                self._changed.wait_for(
+                    lambda: (job.state not in _PENDING_STATES
+                             or not self._holding), timeout)
+            return job
+
+    def set_holding(self, holding: bool) -> None:
+        """Let :meth:`wait` hold readers (True) or make every waiting
+        and later reader return at once (False, for shutdown)."""
+        with self._lock:
+            self._holding = holding
+            self._changed.notify_all()
 
     # -- inspection --------------------------------------------------------
 
@@ -204,19 +251,14 @@ class JobStore:
     def counts(self) -> dict:
         """Jobs per state (for ``GET /stats``)."""
         with self._lock:
-            counts = {state: 0 for state in JOB_STATES}
-            for job in self._jobs.values():
-                counts[job.state] += 1
-            return counts
+            return dict(self._states)
 
     def queue_depth(self) -> int:
         """Jobs submitted but not yet started (the ``queued`` gauge)."""
         with self._lock:
-            return sum(1 for job in self._jobs.values()
-                       if job.state == "queued")
+            return self._states["queued"]
 
     def running_count(self) -> int:
         """Jobs currently executing (the ``inflight`` gauge)."""
         with self._lock:
-            return sum(1 for job in self._jobs.values()
-                       if job.state == "running")
+            return self._states["running"]

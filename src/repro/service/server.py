@@ -19,8 +19,13 @@ Routes::
                         -> 429 when the tenant's pending quota is full
     GET  /jobs/<id>     -> 200 job status (state, run_id, timestamps, error)
     GET  /results/<id>  -> 200 RunResult JSON when done
-                        -> 202 {"state": ...} while queued/running
+         [?wait=<s>]    -> 202 {"state": ...} while queued/running
                         -> 500 {"error": ...} when failed
+                        -> 400 when wait is not a finite number >= 0
+                        With wait, the answer is held until the job
+                        finishes or `s` seconds (at most
+                        MAX_RESULT_WAIT_SECONDS) pass, so a client
+                        never polls.
     GET  /healthz       -> 200 {"status": "ok", "version", "uptime_seconds",
                            "queue_depth"}
     GET  /stats         -> 200 counters (submitted/completed/failed,
@@ -45,9 +50,11 @@ service needs no extra dependencies to deploy.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, urlsplit
 
 from ..api import RunRequest, execute_request
 from ..harness.options import RunOptions
@@ -63,6 +70,10 @@ DEFAULT_PORT = 8642
 
 #: How long the worker blocks on the queue before re-checking shutdown.
 _WORKER_POLL_SECONDS = 0.2
+
+#: The longest ``GET /results/<id>?wait=`` holds a request; a larger
+#: wait is clamped to it, and a client still waiting asks again.
+MAX_RESULT_WAIT_SECONDS = 30.0
 
 #: Known routes as they appear in metrics labels and access records;
 #: per-job paths collapse to a template so label cardinality stays
@@ -93,6 +104,44 @@ def normalize_route(path: str) -> str:
     if path in _ROUTES:
         return path
     return "<other>"
+
+
+def parse_wait(query: str) -> float:
+    """Seconds to hold a ``GET /results/<id>`` from its query string.
+
+    No ``wait`` means 0 (answer at once); a value above
+    :data:`MAX_RESULT_WAIT_SECONDS` is clamped to it.  Raises
+    ``ValueError`` naming ``wait`` for a value that is not a finite
+    number of seconds >= 0.
+    """
+    values = parse_qs(query, keep_blank_values=True).get("wait")
+    if not values:
+        return 0.0
+    raw = values[-1]
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not 0.0 <= seconds < math.inf:
+        raise ValueError(
+            f"wait must be a finite number of seconds >= 0, got {raw!r}")
+    return min(seconds, MAX_RESULT_WAIT_SECONDS)
+
+
+def result_response(job) -> "tuple[int, dict]":
+    """The status and body ``GET /results/<id>`` answers for a record.
+
+    Reads the state once, without the store lock: the store publishes a
+    job's result or error before the state that announces it, so a
+    reader racing the worker never sees ``done`` without its result.
+    """
+    state = job.state
+    if state == "failed":
+        return 500, {"job_id": job.job_id, "state": "failed",
+                     "error": job.error}
+    if state != "done":
+        return 202, {"job_id": job.job_id, "state": state}
+    return 200, job.result.to_payload()
 
 
 def write_response(handler, status: int, body: bytes,
@@ -369,6 +418,7 @@ class SimulationService:
         self.port = self._httpd.server_address[1]
         self._started_monotonic = time.monotonic()
         self._stop.clear()
+        self.store.set_holding(True)
         self._worker = threading.Thread(
             target=self._worker_loop, name="repro-service-worker",
             daemon=True)
@@ -391,6 +441,9 @@ class SimulationService:
 
     def stop(self) -> None:
         self._stop.set()
+        # Held result requests answer now (202 while their job is
+        # pending) instead of when their holds run out.
+        self.store.set_holding(False)
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -457,7 +510,7 @@ def _make_handler(service: SimulationService):
 
         def do_POST(self) -> None:
             self._begin_request()
-            if self.path.rstrip("/") != "/jobs":
+            if urlsplit(self.path).path.rstrip("/") != "/jobs":
                 self._send(404, {"error": f"unknown path {self.path!r}"})
                 return
             try:
@@ -490,7 +543,8 @@ def _make_handler(service: SimulationService):
 
         def do_GET(self) -> None:
             self._begin_request()
-            path = self.path.rstrip("/") or "/"
+            url = urlsplit(self.path)
+            path = url.path.rstrip("/") or "/"
             if path == "/healthz":
                 self._send(200, service.health_payload())
             elif path == "/stats":
@@ -500,7 +554,7 @@ def _make_handler(service: SimulationService):
             elif path.startswith("/jobs/"):
                 self._job_status(path[len("/jobs/"):])
             elif path.startswith("/results/"):
-                self._job_result(path[len("/results/"):])
+                self._job_result(path[len("/results/"):], url.query)
             else:
                 self._send(404, {"error": f"unknown path {self.path!r}"})
 
@@ -517,18 +571,17 @@ def _make_handler(service: SimulationService):
             self._job_context(job)
             self._send(200, job.status_payload())
 
-        def _job_result(self, job_id: str) -> None:
-            job = service.store.get(job_id)
+        def _job_result(self, job_id: str, query: str) -> None:
+            try:
+                wait = parse_wait(query)
+            except ValueError as exc:
+                self._send(400, {"error": str(exc)})
+                return
+            job = service.store.wait(job_id, wait)
             if job is None:
                 self._send(404, {"error": f"unknown job {job_id!r}"})
                 return
             self._job_context(job)
-            if job.state == "failed":
-                self._send(500, {"job_id": job_id, "state": "failed",
-                                 "error": job.error})
-            elif job.state != "done":
-                self._send(202, {"job_id": job_id, "state": job.state})
-            else:
-                self._send(200, job.result.to_payload())
+            self._send(*result_response(job))
 
     return Handler

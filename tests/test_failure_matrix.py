@@ -17,6 +17,9 @@ one-line ``error:`` diagnostic with exit status 2.
   own cells in tests/test_checkpoint_store.py.
 - **Pool workers**: a Phase B or grid pool worker that dies in the
   middle of its task, and one whose task raises.
+- **Service result requests** held by ``GET /results/<id>?wait=``: a
+  client that disconnects during the hold, a job that raises while a
+  reader is held, and a service stopped while a request is held.
 - **CLI output paths**: ``--output``, ``--trace`` and ``REPRO_TRACE``
   naming a path that cannot be written; an unwritable grid ``--output``
   fails before any cell runs, and so does a retired recording switch.
@@ -28,6 +31,7 @@ import errno
 import functools
 import multiprocessing
 import os
+import socket
 import threading
 import time
 
@@ -36,11 +40,15 @@ import pytest
 from repro.__main__ import main
 from repro.api import RunRequest, execute_request, simulate
 from repro.harness import ResultCache, parallel
+from repro.harness.options import RunOptions
 from repro.sampling import pipeline
+from repro.service import ServiceClient, ServiceError, SimulationService
+from repro.service import server as server_module
 from repro.store import CACHE_ENV_VAR, STORE_ENV_VAR, CheckpointStore
 from repro.store import checkpoint as store_module
 from repro.store.checkpoint import TEMP_FILE_GRACE_S
 from repro.store.serialization import reset_warnings
+from repro.telemetry import parse_exposition
 from tests.test_checkpoint_store import _run, _shard_blob
 
 SAMPLE = RunRequest(kind="sample", workloads=("gcc",), methods=("rsr",),
@@ -516,6 +524,121 @@ def test_raising_worker_propagates(worker, message, monkeypatch):
             simulate("gcc", method="R$BP (20%)", design="ci")
         else:
             _grid()
+
+
+# ---------------------------------------------------------------------------
+# service: held result requests
+# ---------------------------------------------------------------------------
+
+
+def _held_service(tmp_path, monkeypatch):
+    """A service at ci whose store sets `held` as each result request
+    begins its wait."""
+    service = SimulationService(options=RunOptions(scale="ci"),
+                                cache=str(tmp_path / "cache"), port=0)
+    held = threading.Event()
+    wait = service.store.wait
+
+    def noted_wait(job_id, timeout):
+        held.set()
+        return wait(job_id, timeout)
+
+    monkeypatch.setattr(service.store, "wait", noted_wait)
+    return service, held
+
+
+def _gate_execution(monkeypatch, gate, error=None):
+    """Start every service job only once `gate` is set; then run it, or
+    raise `error` instead."""
+    execute = server_module.execute_request
+
+    def gated(request, **kwargs):
+        assert gate.wait(60), "the gate never opened"
+        if error is not None:
+            raise error
+        return execute(request, **kwargs)
+
+    monkeypatch.setattr(server_module, "execute_request", gated)
+
+
+def _results_answered(client) -> float:
+    samples = parse_exposition(client.metrics())[
+        "repro_http_requests_total"]["samples"]
+    return sum(value for _, labels, value in samples
+               if labels["route"] == "/results/{id}")
+
+
+def test_client_gone_during_a_held_wait_keeps_the_job(baseline, tmp_path,
+                                                      monkeypatch, capfd):
+    """The job completes, a later request gets the inline payload, and
+    answering the gone client prints no traceback."""
+    gate = threading.Event()
+    _gate_execution(monkeypatch, gate)
+    service, held = _held_service(tmp_path, monkeypatch)
+    with service:
+        client = ServiceClient(service.url)
+        job_id = client.submit(SAMPLE)
+        with socket.create_connection((service.host, service.port),
+                                      timeout=5) as conn:
+            conn.sendall(f"GET /results/{job_id}?wait=30 HTTP/1.0\r\n"
+                         f"\r\n".encode())
+            assert held.wait(10)
+        gate.set()
+        result = client.result(job_id, timeout=120)
+        deadline = time.monotonic() + 10
+        while _results_answered(client) < 2 and \
+                time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _results_answered(client) == 2
+        assert client.status(job_id)["state"] == "done"
+    assert result.payload == baseline["sample"]
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_raising_job_wakes_a_held_wait_with_its_error(tmp_path,
+                                                      monkeypatch):
+    gate = threading.Event()
+    _gate_execution(monkeypatch, gate, RuntimeError("synthetic failure"))
+    service, held = _held_service(tmp_path, monkeypatch)
+    with service:
+        client = ServiceClient(service.url)
+        job_id = client.submit(SAMPLE)
+        opener = threading.Thread(
+            target=lambda: held.wait(10) and gate.set())
+        opener.start()
+        started = time.monotonic()
+        with pytest.raises(ServiceError) as excinfo:
+            client._call(f"/results/{job_id}?wait=30")
+        answered = time.monotonic() - started
+        opener.join(10)
+        assert not opener.is_alive()
+    assert excinfo.value.status == 500
+    assert excinfo.value.payload == {
+        "job_id": job_id, "state": "failed",
+        "error": "RuntimeError: synthetic failure"}
+    assert answered < 10  # woken, not timed out at 30 s
+
+
+def test_stop_answers_a_held_wait_at_once(tmp_path, monkeypatch):
+    """stop() returns in about a second and the held request gets its
+    job's pending state, not a hold that runs out."""
+    service, held = _held_service(tmp_path, monkeypatch)
+    monkeypatch.setattr(service, "_worker_loop", lambda: None)
+    service.start()
+    client = ServiceClient(service.url)
+    job_id = client.submit(SAMPLE)
+    answers = []
+    holder = threading.Thread(target=lambda: answers.append(
+        client._call(f"/results/{job_id}?wait=30", expect=(202,))))
+    holder.start()
+    assert held.wait(10)
+    started = time.monotonic()
+    service.stop()
+    stopped = time.monotonic() - started
+    holder.join(10)
+    assert not holder.is_alive()
+    assert answers == [(202, {"job_id": job_id, "state": "queued"})]
+    assert stopped < 1.5
 
 
 # ---------------------------------------------------------------------------

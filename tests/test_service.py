@@ -1,4 +1,4 @@
-"""Service and API-facade tests: submit → poll → result round trips.
+"""Service and API-facade tests: submit → wait → result round trips.
 
 Covers the acceptance bar for the simulation service: a job submitted
 over HTTP produces exactly the payload an inline
@@ -12,22 +12,28 @@ deprecation shim.
 
 import dataclasses
 import json
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.api import (
     RunRequest,
+    RunResult,
     execute_request,
 )
 from repro.harness.options import RunOptions
 from repro.service import (
+    JobRecord,
     JobStore,
     QuotaExceeded,
     ServiceClient,
     ServiceError,
     SimulationService,
 )
+from repro.service import jobs as jobs_module
+from repro.service import server as server_module
 from repro.service.jobs import MAX_JOBS
 from repro.telemetry import parse_exposition, read_trace
 
@@ -332,6 +338,223 @@ class TestJobStoreCapacity:
         with pytest.raises(QuotaExceeded,
                            match=f"holds {MAX_JOBS} pending jobs, its limit"):
             store.submit("fresh", SAMPLE)
+
+
+class TestJobStoreCounts:
+    """The per-state counts the gauges read (no simulation runs)."""
+
+    def test_state_counts_exact_through_the_lifecycle(self, monkeypatch):
+        """Submit, running, done, failed and eviction keep `counts()`,
+        `queue_depth()` and `running_count()` equal to a scan."""
+        monkeypatch.setattr(jobs_module, "MAX_JOBS", 4)
+        store = JobStore(max_pending_per_tenant=4)
+
+        def check():
+            scanned = dict.fromkeys(("queued", "running", "done",
+                                     "failed"), 0)
+            for job in store._jobs.values():
+                scanned[job.state] += 1
+            assert store.counts() == scanned
+            assert store.queue_depth() == scanned["queued"]
+            assert store.running_count() == scanned["running"]
+            return scanned
+
+        records = [store.submit("t", SAMPLE) for _ in range(4)]
+        assert check() == {"queued": 4, "running": 0, "done": 0,
+                           "failed": 0}
+        store.mark_running(records[0].job_id)
+        store.mark_running(records[1].job_id)
+        assert check()["running"] == 2
+        store.mark_done(records[0].job_id, None)
+        store.mark_failed(records[1].job_id, "boom")
+        store.mark_failed(records[2].job_id, "boom")  # never started
+        assert check() == {"queued": 1, "running": 0, "done": 1,
+                           "failed": 2}
+        store.submit("t", SAMPLE)  # evicts the done job-000001
+        assert store.get(records[0].job_id) is None
+        assert check() == {"queued": 2, "running": 0, "done": 0,
+                           "failed": 2}
+        store.submit("t", SAMPLE)  # evicts the failed job-000002
+        assert check() == {"queued": 3, "running": 0, "done": 0,
+                           "failed": 1}
+
+
+    def test_counts_and_waits_hold_under_thread_races(self):
+        """Writers move jobs through every state while readers wait on
+        them and read the gauges; no update is lost and every wait
+        ends."""
+        store = JobStore(max_pending_per_tenant=1000)
+        errors = []
+
+        def writer(tenant):
+            for index in range(150):
+                job = store.submit(tenant, SAMPLE).job_id
+                store.mark_running(job)
+                if index % 3:
+                    store.mark_done(job, None)
+                else:
+                    store.mark_failed(job, "boom")
+
+        def reader():
+            for index in range(300):
+                job = store.wait(f"job-{index + 1:06d}", 0.001)
+                if job is not None and job.state == "failed" \
+                        and job.error is None:
+                    errors.append(job.job_id)
+                counts = store.counts()
+                if min(counts.values()) < 0:
+                    errors.append(counts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(f"t{i}",))
+                       for i in range(6)]
+            threads += [threading.Thread(target=reader) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.counts() == {"queued": 0, "running": 0,
+                                  "done": 600, "failed": 300}
+        assert store._pending == {}
+
+
+class TestOutcomeBeforeState:
+    """A `GET /results` reads the record without the store lock, so a
+    reader that runs the instant the worker writes a final state must
+    find the outcome that state announces."""
+
+    RESULT = RunResult(request=SAMPLE, payload={"rows": []})
+
+    @pytest.mark.parametrize("final", ["done", "failed"])
+    def test_reader_at_the_state_write_sees_the_outcome(
+            self, monkeypatch, final):
+        seen = []
+
+        class Observed(JobRecord):
+            def __setattr__(self, name, value):
+                object.__setattr__(self, name, value)
+                if name == "state" and value == final:
+                    # What a concurrent reader would read right now;
+                    # a reader that dies is recorded, not raised.
+                    seen.append((self.result, self.error))
+                    try:
+                        seen.append(server_module.result_response(self))
+                    except Exception as exc:  # noqa: BLE001
+                        seen.append(exc)
+
+        monkeypatch.setattr(jobs_module, "JobRecord", Observed)
+        store = JobStore()
+        record = store.submit("t", SAMPLE)
+        store.mark_running(record.job_id)
+        if final == "done":
+            store.mark_done(record.job_id, self.RESULT)
+            assert seen == [(self.RESULT, None),
+                            (200, self.RESULT.to_payload())]
+        else:
+            store.mark_failed(record.job_id, "RuntimeError: boom")
+            assert seen == [(None, "RuntimeError: boom"),
+                            (500, {"job_id": record.job_id,
+                                   "state": "failed",
+                                   "error": "RuntimeError: boom"})]
+
+
+def _idle_service(tmp_path, monkeypatch, **kwargs):
+    """A service whose worker never takes a job: submissions stay
+    queued, so a result request can only end by its wait."""
+    service = _service(tmp_path, **kwargs)
+    monkeypatch.setattr(service, "_worker_loop", lambda: None)
+    return service
+
+
+def _result_requests(client) -> float:
+    """`GET /results/{id}` requests the service has answered."""
+    samples = parse_exposition(client.metrics())[
+        "repro_http_requests_total"]["samples"]
+    return sum(value for _, labels, value in samples
+               if labels["route"] == "/results/{id}")
+
+
+class TestResultWait:
+    """``GET /results/<id>?wait=`` holds the answer until the job
+    finishes or the wait runs out."""
+
+    def test_one_request_per_job(self, tmp_path):
+        with _service(tmp_path) as service:
+            client = ServiceClient(service.url)
+            client.run(SAMPLE)
+            client.run(SAMPLE)
+            assert _result_requests(client) == 2
+
+    def test_parse_wait(self):
+        parse = server_module.parse_wait
+        cap = server_module.MAX_RESULT_WAIT_SECONDS
+        assert parse("") == 0.0
+        assert parse("x=1") == 0.0
+        assert parse("wait=0.25") == 0.25
+        assert parse("wait=0") == 0.0
+        assert parse(f"wait={cap * 100}") == cap
+
+    @pytest.mark.parametrize("value", ["soon", "", "-1", "nan", "inf",
+                                       "-inf", "1e999"])
+    def test_bad_wait_is_400_naming_wait(self, tmp_path, monkeypatch,
+                                         value):
+        with _idle_service(tmp_path, monkeypatch) as service:
+            client = ServiceClient(service.url)
+            job_id = client.submit(SAMPLE)
+            with pytest.raises(ServiceError) as excinfo:
+                client._call(f"/results/{job_id}?wait={value}")
+        assert excinfo.value.status == 400
+        assert "wait" in excinfo.value.payload["error"]
+
+    def test_wait_above_the_cap_is_clamped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_RESULT_WAIT_SECONDS", 0.3)
+        with _idle_service(tmp_path, monkeypatch) as service:
+            client = ServiceClient(service.url)
+            job_id = client.submit(SAMPLE)
+            started = time.monotonic()
+            status, payload = client._call(
+                f"/results/{job_id}?wait=3600", expect=(202,))
+            held = time.monotonic() - started
+        assert payload == {"job_id": job_id, "state": "queued"}
+        assert 0.25 <= held < 10
+
+    def test_unknown_job_with_wait_is_404_at_once(self, tmp_path,
+                                                  monkeypatch):
+        with _idle_service(tmp_path, monkeypatch) as service:
+            client = ServiceClient(service.url)
+            started = time.monotonic()
+            with pytest.raises(ServiceError) as excinfo:
+                client._call("/results/job-999999?wait=30")
+            assert time.monotonic() - started < 5
+        assert excinfo.value.status == 404
+        assert "job-999999" in excinfo.value.payload["error"]
+
+    def test_query_string_is_not_part_of_the_job_id(self, tmp_path,
+                                                    monkeypatch):
+        with _idle_service(tmp_path, monkeypatch) as service:
+            client = ServiceClient(service.url)
+            job_id = client.submit(SAMPLE)
+            _, result = client._call(f"/results/{job_id}?x=1",
+                                     expect=(202,))
+            _, status = client._call(f"/jobs/{job_id}?x=1")
+        assert result == {"job_id": job_id, "state": "queued"}
+        assert status["job_id"] == job_id
+
+    def test_finished_job_answers_without_holding(self, tmp_path):
+        with _service(tmp_path) as service:
+            client = ServiceClient(service.url)
+            job_id = client.submit(SAMPLE)
+            client.result(job_id)
+            started = time.monotonic()
+            status, _ = client._call(f"/results/{job_id}?wait=30")
+            assert time.monotonic() - started < 5
+        assert status == 200
 
 
 class TestServiceRejections:
