@@ -17,10 +17,11 @@ from repro.core import BR_CALL, BR_RET
 
 
 def show_set(cache: Cache, label: str) -> None:
-    tags = cache.state_fingerprint()[0]
-    # With one 64-byte-line set, the tag of line address (i+4)*256 is
+    lines = cache.state_fingerprint()[0]
+    # The line number of address (i+4)*256, with 64-byte lines, is
     # (i+4)*4; invert that to recover the letter.
-    names = ["-" if t is None else chr(ord("A") + t // 4 - 4) for t in tags]
+    names = ["-" if line is None else chr(ord("A") + line // 4 - 4)
+             for line in lines]
     print(f"  {label}: MRU -> LRU = {names}")
 
 
@@ -30,7 +31,7 @@ def figure2() -> None:
 
     def fresh():
         cache = Cache(CacheConfig("fig2", 256, 64, 4, WritePolicy.WTNA, 1))
-        # Line addresses chosen so tag == letter index + 4.
+        # Line addresses chosen so line // 4 == letter index + 4.
         for letter in "CDAB":
             cache.access((ord(letter) - ord("A") + 4) * 256)
         return cache

@@ -161,44 +161,36 @@ def reference_trajectory_for(
 
 
 def _diff_cache(cache, reference_fingerprint: tuple) -> tuple[float, float]:
-    """(tag agreement, LRU-rank agreement) of one cache vs the reference.
+    """(line agreement, LRU-rank agreement) of one cache vs the reference.
 
-    Tag agreement is the Jaccard overlap of resident (set, tag) pairs —
-    position within the set does not matter.  LRU-rank agreement is the
-    stricter positional score: the fraction of occupied (set, rank)
-    slots holding the same tag on both sides, so replacement-order
-    divergence is visible even when the resident lines agree.
+    Line agreement is the Jaccard overlap of resident lines — position
+    within the set does not matter.  LRU-rank agreement is the stricter
+    positional score: the fraction of occupied (set, rank) slots holding
+    the same line on both sides, so replacement-order divergence is
+    visible even when the resident lines agree.
     """
     fingerprint = cache.state_fingerprint()
-    lines = {
-        (set_index, tag)
-        for set_index, row in enumerate(fingerprint)
-        for tag in row if tag is not None
-    }
-    reference_lines = {
-        (set_index, tag)
-        for set_index, row in enumerate(reference_fingerprint)
-        for tag in row if tag is not None
-    }
+    lines = {line for row in fingerprint for line in row if line is not None}
+    reference_lines = {line for row in reference_fingerprint
+                       for line in row if line is not None}
     matches = 0
     occupied = 0
     for row, reference_row in zip(fingerprint, reference_fingerprint):
-        for tag, reference_tag in zip(row, reference_row):
-            if tag is None and reference_tag is None:
+        for line, reference_line in zip(row, reference_row):
+            if line is None and reference_line is None:
                 continue
             occupied += 1
-            if tag == reference_tag:
+            if line == reference_line:
                 matches += 1
     return _jaccard(lines, reference_lines), _ratio(matches, occupied)
 
 
 def _fingerprint(cache_state: dict) -> tuple:
     """``Cache.state_fingerprint()`` of an ``export_state()`` snapshot:
-    per set, the stored tags in MRU->LRU order."""
-    return tuple(
-        tuple(tags[way] for way in order)
-        for tags, order in zip(cache_state["tags"], cache_state["order"])
-    )
+    per set, its line numbers in MRU->LRU order, None for an invalid
+    block."""
+    return tuple(tuple(line if line >= 0 else None for line in row)
+                 for row in cache_state["rows"])
 
 
 def _ras_from_top(predictor_state: dict) -> tuple[int, ...]:

@@ -1,8 +1,8 @@
 """Set-associative LRU cache with reverse-reconstruction support.
 
-The cache keeps, per set, an explicit recency ordering (`order[set]` lists
-way indices from MRU to LRU) plus per-block *reconstructed* bits, the
-hardware hook the paper's §3.1 algorithm relies on:
+Each set is one recency-ordered row of line numbers, the hardware hook
+the paper's §3.1 algorithm relies on being the row's reconstructed
+prefix:
 
     "Each cache block contains a bit that indicates if it has been
      reconstructed.  These bits are cleared before the logged data are
@@ -11,27 +11,34 @@ hardware hook the paper's §3.1 algorithm relies on:
 State layout
 ------------
 
-Tags live in per-set lists (``_tag_rows``, −1 = invalid): CPython scans
-a small list of cached ints measurably faster than a flat typed array,
-which re-boxes every element it reads.  The per-block bits live in flat
-stores indexed ``set * associativity + way`` — ``dirty_bits`` and
-``recon_bits`` (``bytearray``), and ``recon_count`` (``array('H')``, one
-count per set) — so ``begin_reconstruction`` and ``load_state`` are
-C-speed slice fills instead of per-way Python loops.
+``rows[s]`` lists the line numbers (``address >> line_shift``) resident
+in set ``s = line % num_sets``, most recently used first, padded with
+−1 (invalid) at the LRU end: a hit is ``line in row`` plus a move to the
+front, and a fill pops the LRU entry and inserts the line at the front.
+CPython scans a small list of cached ints faster than any typed array,
+which re-boxes every element it reads, and one row per set leaves
+nothing to keep in step: no way index, no separate recency order.
+
+A reverse pass ranks the lines it reconstructs at the front of the row,
+so a set's reconstructed blocks are its first ``recon_count[s]`` entries
+(``array('H')``, one count per set, cleared by ``begin_reconstruction``
+as one C-speed slice fill).  Dirty state is one set of dirty line
+numbers per cache (always empty for a write-through cache), which the
+eviction of a line leaves.
 
 Two access families are exposed:
 
-- :meth:`Cache.access` — a normal (forward-time) access that updates tags,
-  recency, and dirty bits according to the write policy.  Used by detailed
-  simulation and by SMARTS-style functional warming.
+- :meth:`Cache.access` — a normal (forward-time) access that updates
+  residency, recency, and dirty lines according to the write policy.
+  Used by detailed simulation and by SMARTS-style functional warming.
 - :meth:`Cache.begin_reconstruction` / :meth:`Cache.reconstruct_reference`
-  / :meth:`Cache.reconstruct_line` — the reverse-order primitives: the
+  / :meth:`Cache.reconstruct_winners` — the reverse-order primitives: the
   *first* reference seen for a block (i.e. the most recent in program
   order) wins, reconstructed blocks are ranked MRU-first in discovery
   order, and victims are chosen among *stale* (not-yet-reconstructed)
-  blocks only.  :meth:`Cache.reconstruct_line` takes a pre-split
-  (set, tag) pair so bulk callers that split addresses with numpy skip
-  the per-reference address arithmetic.
+  blocks only.  :meth:`Cache.reconstruct_winners` takes pre-split
+  (set, line) columns, so bulk callers that split addresses with numpy
+  skip the per-reference address arithmetic.
 """
 
 from __future__ import annotations
@@ -47,22 +54,22 @@ class CacheStats:
     """Event counters; `updates` counts every state-changing operation and
     is the deterministic cost metric used by the warm-up comparisons."""
 
-    accesses: int = 0
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     writebacks: int = 0
     reconstruction_applied: int = 0
     reconstruction_skipped: int = 0
-    updates: int = 0
 
-    def add_hits(self, count: int) -> None:
-        """Count `count` read hits on the MRU way of their set, which
-        translated blocks test in line instead of calling
-        :meth:`Cache.access`: such a hit changes nothing else."""
-        self.accesses += count
-        self.hits += count
-        self.updates += count
+    @property
+    def accesses(self) -> int:
+        """Forward accesses: each one hits or misses."""
+        return self.hits + self.misses
+
+    @property
+    def updates(self) -> int:
+        """Every forward access and every applied reconstruction."""
+        return self.accesses + self.reconstruction_applied
 
 
 #: :meth:`Cache.access` returns HIT for a hit and MISS for a miss that
@@ -73,12 +80,10 @@ MISS = -2
 
 
 def mru_names(cache: "Cache") -> tuple:
-    """``R, O, L, N, T`` of `cache`, the names translated blocks test an
-    MRU hit with: its per-set tag rows and recency orders (bound as they
-    are now: ``load_state`` rebinds them), line bytes, set
-    count, and line bytes times set count."""
-    line_bytes, sets = cache.config.line_bytes, cache.num_sets
-    return cache._tag_rows, cache.order, line_bytes, sets, line_bytes * sets
+    """``R, L, N`` of `cache`, the names translated blocks test an MRU
+    hit on address ``a`` with (``R[a // L % N][0] == a // L``): its
+    rows, line bytes and set count."""
+    return cache.rows, cache.config.line_bytes, cache.num_sets
 
 
 class Cache:
@@ -89,43 +94,21 @@ class Cache:
         self.num_sets = config.num_sets
         self.associativity = config.associativity
         self._line_shift = config.line_bytes.bit_length() - 1
-        self._index_mask = self.num_sets - 1
-        self._sets_power_of_two = (self.num_sets & (self.num_sets - 1)) == 0
-        self._set_bits = self.num_sets.bit_length() - 1
         self._wbwa = config.write_policy is WritePolicy.WBWA
         self._wtna = config.write_policy is WritePolicy.WTNA
-        assoc = self.associativity
         sets = self.num_sets
-        blocks = sets * assoc
-        #: Flat per-block bits, indexed ``set * associativity + way``.
-        self.dirty_bits = bytearray(blocks)
-        self.recon_bits = bytearray(blocks)
-        #: Number of ways reconstructed so far per set (reverse warm-up).
+        #: Per set, its line numbers from most- to least-recently used,
+        #: −1 padding the LRU end.
+        self.rows: list[list[int]] = [[-1] * self.associativity
+                                      for _ in range(sets)]
+        #: Line numbers of the dirty resident lines.
+        self.dirty: set[int] = set()
+        #: Per set, how many of its leading lines a reverse pass has
+        #: reconstructed.
         self.recon_count: array = array("H", bytes(2 * sets))
-        #: Per-set tag lists (fast forward scan).
-        self._tag_rows: list[list[int]] = [[-1] * assoc for _ in range(sets)]
-        #: order[s] lists way indices from most- to least-recently used.
-        self.order: list[list[int]] = [list(range(assoc)) for _ in range(sets)]
         self.stats = CacheStats()
-        # Invariant templates for C-speed bulk clears.
-        self._zero_blocks = bytes(blocks)
+        # Invariant template for a C-speed bulk clear.
         self._zero_counts = array("H", bytes(2 * sets))
-
-    # -- address helpers --------------------------------------------------
-
-    def split_address(self, address: int) -> tuple[int, int]:
-        """Return (set index, tag) for `address`."""
-        line = address >> self._line_shift
-        if self._sets_power_of_two:
-            return line & self._index_mask, line >> self._set_bits
-        return line % self.num_sets, line // self.num_sets
-
-    def _address_of(self, set_index: int, tag: int) -> int:
-        if self._sets_power_of_two:
-            line = (tag << self._set_bits) | set_index
-        else:
-            line = tag * self.num_sets + set_index
-        return line << self._line_shift
 
     # -- forward-time access ------------------------------------------------
 
@@ -133,25 +116,15 @@ class Cache:
         """Perform one forward access, honouring the write policy;
         return :data:`HIT`, :data:`MISS` or the written-back address."""
         stats = self.stats
-        stats.accesses += 1
-        stats.updates += 1
         line = address >> self._line_shift
-        if self._sets_power_of_two:
-            set_index = line & self._index_mask
-            tag = line >> self._set_bits
-        else:
-            set_index = line % self.num_sets
-            tag = line // self.num_sets
-        row = self._tag_rows[set_index]
-        order = self.order[set_index]
-        if tag in row:
-            way = row.index(tag)
+        row = self.rows[line % self.num_sets]
+        if line in row:
             stats.hits += 1
-            if order[0] != way:
-                order.remove(way)
-                order.insert(0, way)
+            if row[0] != line:
+                row.remove(line)
+                row.insert(0, line)
             if is_write and self._wbwa:
-                self.dirty_bits[set_index * self.associativity + way] = 1
+                self.dirty.add(line)
             return HIT
 
         stats.misses += 1
@@ -159,27 +132,24 @@ class Cache:
             # Write miss with no-write-allocate: the line is not brought in.
             return MISS
 
-        victim = order.pop()
-        order.insert(0, victim)
-        index = set_index * self.associativity + victim
-        evicted_tag = row[victim]
-        row[victim] = tag
-        dirty_bits = self.dirty_bits
-        dirty = dirty_bits[index]
-        dirty_bits[index] = 1 if is_write and self._wbwa else 0
-        if evicted_tag < 0:
+        victim = row.pop()
+        row.insert(0, line)
+        dirty = self.dirty
+        if is_write and self._wbwa:
+            dirty.add(line)
+        if victim < 0:
             return MISS
         stats.evictions += 1
-        if not dirty:
+        if victim not in dirty:
             return MISS
+        dirty.remove(victim)
         stats.writebacks += 1
-        return self._address_of(set_index, evicted_tag)
+        return victim << self._line_shift
 
     # -- reverse reconstruction primitives ---------------------------------
 
     def begin_reconstruction(self) -> None:
-        """Clear all reconstructed bits (start of a reverse warm-up pass)."""
-        self.recon_bits[:] = self._zero_blocks
+        """Mark every block stale (start of a reverse warm-up pass)."""
         self.recon_count[:] = self._zero_counts
 
     def reconstruct_reference(self, address: int, is_write: bool = False) -> bool:
@@ -200,58 +170,29 @@ class Cache:
         - WTNA caches allocate even on logged writes, "to avoid history
           looking for a previous read".
         """
-        set_index, tag = self.split_address(address)
-        return self.reconstruct_line(set_index, tag, is_write)
-
-    def reconstruct_line(
-        self, set_index: int, tag: int, is_write: bool = False
-    ) -> bool:
-        """:meth:`reconstruct_reference` for a pre-split (set, tag) pair.
-
-        Bulk callers (the vectorized reverse reconstructor) split whole
-        reference columns with numpy and feed winners through this entry
-        point, skipping the per-reference address arithmetic.
-        """
+        line = address >> self._line_shift
+        set_index = line % self.num_sets
         stats = self.stats
         count = self.recon_count[set_index]
-        if count >= self.associativity:
+        row = self.rows[set_index]
+        if count >= self.associativity or line in row[:count]:
             stats.reconstruction_skipped += 1
             return False
-
-        row = self._tag_rows[set_index]
-        base = set_index * self.associativity
-        recon_bits = self.recon_bits
-        order = self.order[set_index]
-
-        for way, stored in enumerate(row):
-            if stored == tag:
-                if recon_bits[base + way]:
-                    stats.reconstruction_skipped += 1
-                    return False
-                # Present but stale: promote to the next reconstruction rank.
-                recon_bits[base + way] = 1
-                order.remove(way)
-                order.insert(count, way)
-                self.recon_count[set_index] = count + 1
-                stats.reconstruction_applied += 1
-                stats.updates += 1
-                return True
-
-        # Absent: insert into the least-recently-used stale block.  Because
-        # reconstructed blocks occupy order[0:count], order[-1] is always a
-        # stale way here.
-        victim = order[-1]
-        row[victim] = tag
-        self.dirty_bits[base + victim] = 1 if is_write and self._wbwa else 0
-        recon_bits[base + victim] = 1
-        order.pop()
-        order.insert(count, victim)
+        if line in row:
+            # Present but stale: promote to the next reconstruction rank.
+            row.remove(line)
+        else:
+            # Absent: replace the least-recently-used block, which is
+            # stale because reconstructed blocks lead the row.
+            self.dirty.discard(row.pop())
+            if is_write and self._wbwa:
+                self.dirty.add(line)
+        row.insert(count, line)
         self.recon_count[set_index] = count + 1
         stats.reconstruction_applied += 1
-        stats.updates += 1
         return True
 
-    def reconstruct_winners(self, set_indices, tags, writes) -> int:
+    def reconstruct_winners(self, set_indices, lines, writes) -> int:
         """Bulk-insert pre-filtered winner references, newest first.
 
         The three columns run in parallel and must already be filtered to
@@ -259,9 +200,9 @@ class Cache:
         limited to the first `associativity` distinct lines per set (the
         winner set depends only on the reference stream, never on cache
         contents, so callers can compute it without consulting state).
-        Each winner still goes through :meth:`reconstruct_line`'s rules
-        in one loop — a full set or an already reconstructed block skips
-        it — with the same state transitions and statistics, so a
+        Each winner still goes through :meth:`reconstruct_reference`'s
+        rules in one loop — a full set or an already reconstructed block
+        skips it — with the same state transitions and statistics, so a
         mis-filtered input shows as a short count.
 
         Returns the number of references applied (== the column length
@@ -269,38 +210,31 @@ class Cache:
         """
         associativity = self.associativity
         recon_count = self.recon_count
-        recon_bits = self.recon_bits
-        dirty_bits = self.dirty_bits
-        tag_rows = self._tag_rows
-        orders = self.order
+        rows = self.rows
+        dirty = self.dirty
         wbwa = self._wbwa
         applied = 0
-        for set_index, tag, is_write in zip(set_indices, tags, writes):
+        for set_index, line, is_write in zip(set_indices, lines, writes):
             count = recon_count[set_index]
             if count >= associativity:
                 continue
-            row = tag_rows[set_index]
-            base = set_index * associativity
-            order = orders[set_index]
-            if tag in row:
-                way = row.index(tag)
-                if recon_bits[base + way]:
+            row = rows[set_index]
+            if line in row:
+                if row.index(line) < count:
                     continue
                 # Present but stale: promote to the next rank.
-                order.remove(way)
+                row.remove(line)
             else:
-                # The least-recently-used way is stale: reconstructed
-                # blocks occupy order[0:count].
-                way = order.pop()
-                row[way] = tag
-                dirty_bits[base + way] = 1 if is_write and wbwa else 0
-            recon_bits[base + way] = 1
-            order.insert(count, way)
+                # The least-recently-used block is stale: reconstructed
+                # blocks lead the row.
+                dirty.discard(row.pop())
+                if is_write and wbwa:
+                    dirty.add(line)
+            row.insert(count, line)
             recon_count[set_index] = count + 1
             applied += 1
         stats = self.stats
         stats.reconstruction_applied += applied
-        stats.updates += applied
         stats.reconstruction_skipped += len(set_indices) - applied
         return applied
 
@@ -308,71 +242,41 @@ class Cache:
 
     def contents(self) -> set[int]:
         """Line addresses of every valid block (for state-comparison tests)."""
-        lines = set()
-        for set_index, row in enumerate(self._tag_rows):
-            for tag in row:
-                if tag >= 0:
-                    lines.add(self._address_of(set_index, tag))
-        return lines
+        shift = self._line_shift
+        return {line << shift for row in self.rows for line in row
+                if line >= 0}
 
     def state_fingerprint(self) -> tuple:
-        """Hashable summary of the architecturally visible state.
-
-        Per set, the stored tags in most- to least-recently-used order.
-        Physical way placement is excluded: two caches holding the same
-        lines with the same recency behave identically regardless of
-        which way each line occupies.
-        """
-        rows = self._tag_rows
-        return tuple(
-            tuple(
-                rows[set_index][way] if rows[set_index][way] >= 0 else None
-                for way in self.order[set_index]
-            )
-            for set_index in range(self.num_sets)
-        )
+        """Hashable summary of the architecturally visible state: per
+        set, its line numbers from most- to least-recently used, None
+        for an invalid block."""
+        return tuple(tuple(line if line >= 0 else None for line in row)
+                     for row in self.rows)
 
     # -- state snapshot (live-points support) --------------------------------
 
     def export_state(self) -> dict:
-        """Deep-copy the architecturally visible state (tags, dirty bits,
-        recency) into a plain dict, for checkpoint libraries."""
-        assoc = self.associativity
-        dirty_bits = self.dirty_bits
-        return {
-            "tags": [
-                [tag if tag >= 0 else None for tag in row]
-                for row in self._tag_rows
-            ],
-            "dirty": [
-                [b == 1 for b in dirty_bits[s * assoc:(s + 1) * assoc]]
-                for s in range(self.num_sets)
-            ],
-            "order": [list(row) for row in self.order],
-        }
+        """Copy the architecturally visible state (each set's lines, MRU
+        first, and the dirty lines, ascending) into a plain dict, for
+        checkpoint libraries."""
+        return {"rows": [list(row) for row in self.rows],
+                "dirty": sorted(self.dirty)}
 
     def load_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`export_state`.
+        """Restore state captured by :meth:`export_state`, in place: the
+        rows and the dirty set keep their identity.
 
         The snapshot must come from a cache with identical geometry.
         """
-        if len(state["tags"]) != self.num_sets or (
-            self.num_sets and len(state["tags"][0]) != self.associativity
+        saved = state["rows"]
+        if len(saved) != self.num_sets or (
+            self.num_sets and len(saved[0]) != self.associativity
         ):
             raise ValueError("snapshot geometry does not match this cache")
-        assoc = self.associativity
-        dirty_bits = self.dirty_bits
-        for set_index, (tag_row, dirty_row) in enumerate(
-            zip(state["tags"], state["dirty"])
-        ):
-            base = set_index * assoc
-            stored = self._tag_rows[set_index]
-            for way in range(assoc):
-                tag = tag_row[way]
-                stored[way] = -1 if tag is None else tag
-                dirty_bits[base + way] = 1 if dirty_row[way] else 0
-        self.order = [list(row) for row in state["order"]]
-        self.recon_bits[:] = self._zero_blocks
+        for row, lines in zip(self.rows, saved):
+            row[:] = lines
+        self.dirty.clear()
+        self.dirty.update(state["dirty"])
         self.recon_count[:] = self._zero_counts
 
     def __repr__(self) -> str:

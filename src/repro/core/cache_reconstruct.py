@@ -5,8 +5,8 @@ reverse order and the cache state is updated.  Temporal locality is
 exploited by applying updates to the cache for only those references that
 would have affected the final state."
 
-The per-set mechanics (reconstructed bits, LRU ranking of reconstructed
-blocks, stale-LRU victim selection) live in
+The per-set mechanics (the reconstructed prefix of each set's row, LRU
+ranking of reconstructed blocks, stale-LRU victim selection) live in
 :meth:`repro.cache.Cache.reconstruct_reference`; this module drives the
 reverse scan across the hierarchy: data references update L1D and L2,
 instruction references update L1I and L2, and — per the paper — "for
@@ -76,26 +76,19 @@ def _apply_level(cache, addresses: np.ndarray,
                  stores: np.ndarray) -> np.ndarray:
     """Reconstruct one cache level from its newest-first reference columns.
 
-    Splits the addresses with array arithmetic, pre-filters to the
-    reverse-scan winners, bulk-inserts them through the cache's scalar
-    per-set primitive (identical state transitions and `applied`/`updates`
-    accounting), and charges the skipped remainder arithmetically —
-    exactly the count the scalar scan would have accumulated one
-    reference at a time.  Returns the winner positions.
+    Splits the addresses into lines and sets with array arithmetic,
+    pre-filters to the reverse-scan winners, bulk-inserts them through
+    the cache's scalar per-set primitive (identical state transitions
+    and `applied`/`updates` accounting), and charges the skipped
+    remainder arithmetically — exactly the count the scalar scan would
+    have accumulated one reference at a time.  Returns the winner
+    positions.
     """
-    num_sets = cache.num_sets
     lines = addresses >> (cache.config.line_bytes.bit_length() - 1)
-    if num_sets & (num_sets - 1) == 0:
-        set_indices = lines & (num_sets - 1)
-    else:
-        set_indices = lines % num_sets
+    set_indices = lines % cache.num_sets
     winners = _reverse_scan_winners(set_indices, lines, cache.associativity)
-    if num_sets & (num_sets - 1) == 0:
-        tags = lines[winners] >> (num_sets.bit_length() - 1)
-    else:
-        tags = lines[winners] // num_sets
     applied = cache.reconstruct_winners(
-        set_indices[winners].tolist(), tags.tolist(),
+        set_indices[winners].tolist(), lines[winners].tolist(),
         stores[winners].tolist(),
     )
     cache.stats.reconstruction_skipped += len(addresses) - len(winners)

@@ -57,30 +57,46 @@ code ``kind << 1 | taken`` a constant::
         return 13
 
 Functional warming (:func:`repro.warmup.base.warming_hooks`) tests a
-read or ifetch against the MRU way of its L1 set (tag rows ``DR``,
-recency orders ``DO``, line bytes ``DL``, set count ``DN`` and their
-product ``DT`` for the L1D; ``I*`` for the L1I), counts a hit in ``hc``
-and calls ``warm_access`` for anything else; a store always calls it,
-and a transfer calls ``update``::
+read or ifetch against the MRU line of its L1 set (rows ``DR``, line
+bytes ``DL`` and set count ``DN`` for the L1D; ``I*`` for the L1I),
+counts a hit in ``hc`` and calls ``warm_access`` for anything else.  It
+trains a conditional branch's Gshare counter (PHT ``GP``, its counters
+``GC`` and masks ``GM``/``GH``) and, taken, its BTB entry (tags ``BT``,
+targets ``BX``) in line, with the slot a constant, and counts the
+updates; another transfer calls ``update``.  A store calls
+``warm_access`` unless, under a write-through L1D over a write-back L2
+(rows ``LR``, dirty lines ``LD``), its line is MRU in both sets::
 
-        wa, up, hc, IR, IO, IL, IN, IT, DR, DO, DL, DN, DT = h
+        wa, up, hc, IR, IL, IN, DR, DL, DN, LR, LL, LN, LD, GP, GC, GM, \
+            GH, BT, BX = h
         if lf != 0:
-            s = 4194344 // IL % IN
-            if IR[s][IO[s][0]] == 4194344 // IT:
+            s = 4194344 // IL
+            if IR[s % IN][0] == s:
                 hc[0] += 1
             else:
                 wa(4194344, False, True)
         ...
         r[4] = W.get(x & 18446744073709551608, 0)
-        s = x // DL % DN
-        if DR[s][DO[s][0]] == x // DT:
+        s = x // DL
+        if DR[s % DN][0] == s:
             hc[1] += 1
         else:
             wa(x, False, False)
         if r[3] != r[4]:
-            up(12, I[12], True, 5)
+            g = GP.history
+            j = (12 ^ g) & GM
+            c = GC[j]
+            if c < 3: GC[j] = c + 1
+            GP.history = (g << 1 | 1) & GH
+            BT[12] = 12; BX[12] = 5
+            hc[3] += 1; hc[4] += 1
             return 5
-        up(12, I[12], False, 13)
+        g = GP.history
+        j = (12 ^ g) & GM
+        c = GC[j]
+        if c > 0: GC[j] = c - 1
+        GP.history = (g << 1) & GH
+        hc[3] += 1
         return 13
 
 A block whose conditional branch targets its own entry closes the loop
@@ -296,14 +312,13 @@ def transfer_parts(op: int, fields: dict, target, fall_through):
     return lines, None, str(target)
 
 
-def mru_test(cache: str, set_index: str, tag: str, hit: list[str],
+def mru_test(cache: str, set_index: str, line: str, hit: list[str],
              miss: list[str]) -> list[str]:
-    """Lines that test a read against the MRU way of set `set_index` of
-    the L1 `cache` (``"I"`` or ``"D"``), over its bound tag rows
-    ``{cache}R`` and recency orders ``{cache}O``.  Such a hit changes
-    only that L1's ``accesses``, ``hits`` and ``updates``: count it in
-    ``hc`` (L1I first) and run `hit`; run `miss` otherwise."""
-    return [f"if {cache}R[{set_index}][{cache}O[{set_index}][0]] == {tag}:",
+    """Lines that test a read of `line` against the MRU line of set
+    `set_index` of the L1 `cache` (``"I"`` or ``"D"``), over its bound
+    rows ``{cache}R``.  Such a hit changes only that L1's ``hits``: count
+    it in ``hc`` (L1I first) and run `hit`; run `miss` otherwise."""
+    return [f"if {cache}R[{set_index}][0] == {line}:",
             f"    hc[{int(cache == 'D')}] += 1", *_indent(hit),
             "else:", *_indent(miss)]
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -209,7 +210,7 @@ class SimulationService:
         self._stop = threading.Event()
         self._worker: "threading.Thread | None" = None
         self._http_thread: "threading.Thread | None" = None
-        self._httpd: "ThreadingHTTPServer | None" = None
+        self._httpd: "_HTTPServer | None" = None
 
     # -- counters ----------------------------------------------------------
 
@@ -413,7 +414,7 @@ class SimulationService:
     def start(self) -> None:
         """Bind the HTTP server and start the worker (non-blocking)."""
         handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
+        self._httpd = _HTTPServer((self.host, self.port), handler)
         # A requested port of 0 means "any free port"; publish the real one.
         self.port = self._httpd.server_address[1]
         self._started_monotonic = time.monotonic()
@@ -468,6 +469,18 @@ class SimulationService:
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """The service's HTTP server: a client that resets or closes its
+    connection before its request is read costs no traceback on
+    stderr; any other handler error is printed as before."""
+
+    def handle_error(self, request, client_address) -> None:
+        if isinstance(sys.exc_info()[1], (ConnectionResetError,
+                                          BrokenPipeError)):
+            return
+        super().handle_error(request, client_address)
 
 
 def _make_handler(service: SimulationService):

@@ -63,10 +63,9 @@ program's instructions ``I``, the per-register ready cycles ``rr``, the
 rings and heaps, ``hierarchy.timed_access`` (``ta``),
 ``predictor.predict_and_update`` (``pu``) and
 ``predictor.conditional`` (``bc``), the L1 hit counts ``hc`` (L1I
-first), the L1I's tag rows and recency orders and hit latency (``IR``,
-``IO``, ``IH``), the L1D's with
-its line bytes, set count and their product (``DR``, ``DO``, ``DL``,
-``DN``, ``DT``, ``DH``), and the core's widths, front-end depth,
+first), the L1I's rows and hit latency (``IR``, ``IH``), the L1D's
+with its line bytes and set count (``DR``, ``DL``, ``DN``, ``DH``), and
+the core's widths, front-end depth,
 mispredict penalty and ring sizes.  The scalars travel in the state
 tuple ``S = (pc, pf, pd, pi, pr, nf, cb)`` — the four limiters, the next
 fetch cycle and the current fetch block — which a block unpacks on
@@ -74,12 +73,12 @@ entry and returns, with its successor pc first.  ``n`` is the machine's
 retired count at block entry.
 
 ``ld r4, 8(r3); bne r4, r0, 10`` at pc 10 (the tenth slot of its fetch
-block, in L1I set 0 with tag 4096) branches back to its own entry, so
+block, line 65536 in L1I set 0) branches back to its own entry, so
 its block closes the loop::
 
     def block(E, S, n, e):
         (m, r, W, I, rr, rob, iq, lsq, cp, ta, pu, bc, hc,
-         IR, IO, IH, DR, DO, DL, DN, DT, DH,
+         IR, IH, DR, DL, DN, DH,
          FW, DW, IW, RW, FD, PEN, C, Q) = E
         _, pf, pd, pi, pr, nf, cb = S
         g0_0 = rr[3]
@@ -90,7 +89,7 @@ its block closes the loop::
             r[4] = W.get(x & 18446744073709551608, 0)
             pf += 1
             if cb != 0:
-                if IR[0][IO[0][0]] == 4096:
+                if IR[0][0] == 65536:
                     hc[0] += 1
                     w = (nf + IH - 1) * FW
                 else:
@@ -105,8 +104,8 @@ its block closes the loop::
             if pi < w * IW: pi = w * IW
             ic = pi // IW
             iq[q] = ic
-            s = x // DL % DN
-            if DR[s][DO[s][0]] == x // DT:
+            s = x // DL
+            if DR[s % DN][0] == s:
                 hc[1] += 1
                 c0 = ic + DH
             else:
@@ -131,10 +130,10 @@ its block closes the loop::
         return (nx, pf, pd, pi, pr, nf, cb), n
 
 The fetch of a block's first instruction, and of each fetch block the
-block enters, tests the MRU way of its L1I set, with the set and tag as
-literals: a hit there costs the L1I's hit latency and changes only that
+block enters, tests the MRU line of its L1I set, with the set and line
+as literals: a hit there costs the L1I's hit latency and changes only that
 cache's counters, so the block counts it in ``hc`` instead of calling
-``timed_access``; so does a load that hits the MRU way of its L1D set.
+``timed_access``; so does a load that hits the MRU line of its L1D set.
 ``run`` adds the counts to the L1s' statistics when it returns or
 raises.  Stores, and everything else, call ``timed_access``.  Only the
 first instruction clamps its fetch to the next fetch cycle
@@ -196,7 +195,7 @@ BLOCK_CAP = 32
 
 _ENTRY = ("def block(E, S, n{}):\n"
           "    (m, r, W, I, rr, rob, iq, lsq, cp, ta, pu, bc, hc,\n"
-          "     IR, IO, IH, DR, DO, DL, DN, DT, DH,\n"
+          "     IR, IH, DR, DL, DN, DH,\n"
           "     FW, DW, IW, RW, FD, PEN, C, Q) = E\n"
           "    _, pf, pd, pi, pr, nf, cb = S\n")
 
@@ -393,7 +392,7 @@ class TimingBlockTable(dict):
         values = {"KP": pc, "KN": pc + 1, "KA": address,
                   "KB": pc // self._per_block,
                   "Kset": address // self._line_bytes % self._sets,
-                  "Ktag": address // (self._line_bytes * self._sets)}
+                  "Kline": address // self._line_bytes}
         if 0 <= pc < len(self._columns[0]):
             values.update(("K" + name, value) for name, value
                           in operand_fields(self._columns, pc).items())
@@ -479,13 +478,13 @@ class TimingBlockTable(dict):
 
     def _fetch(self, pc: int, operand) -> list[str]:
         """The instruction fetch of the fetch block `pc` starts, into
-        ``w``: an L1I hit on the MRU way of its set (both literals) adds
-        no bubble."""
+        ``w``: an L1I hit on the MRU line of its set (both literals)
+        adds no bubble."""
         address = self._code_base + pc * self._instruction_bytes
         line_bytes, sets = self._line_bytes, self._sets
         return mru_test(
             "I", operand(address // line_bytes % sets, "Kset"),
-            operand(address // (line_bytes * sets), "Ktag"),
+            operand(address // line_bytes, "Kline"),
             ["w = (nf + IH - 1) * FW"],
             [f"w = (nf + ta({operand(address, 'KA')}, False, True, nf) - 1)"
              " * FW"])
@@ -575,8 +574,8 @@ class TimingBlockTable(dict):
         # ---- complete ---------------------------------------------------
         complete = f"c{offset}"
         if is_load_col[pc]:
-            body += ["s = x // DL % DN",
-                     *mru_test("D", "s", "x // DT", [f"{complete} = ic + DH"],
+            body += ["s = x // DL",
+                     *mru_test("D", "s % DN", "s", [f"{complete} = ic + DH"],
                                [f"{complete} = ic + ta(x, False, False, ic)"])]
         elif is_store_col[pc]:
             # The store leaves the pipe once address and data are ready;

@@ -133,7 +133,7 @@ class TimingSimulator:
                [-1] * config.lsq_entries, [-1] * config.max_inflight_branches,
                hierarchy.timed_access, predictor.predict_and_update,
                predictor.conditional, hits,
-               *mru_names(l1i)[:2], l1i.config.hit_latency,
+               l1i.rows, l1i.config.hit_latency,
                *mru_names(l1d), l1d.config.hit_latency,
                config.fetch_width, config.dispatch_width,
                config.issue_width, retire_width, config.frontend_depth,
@@ -195,8 +195,8 @@ class TimingSimulator:
                     ramp_boundary_cycle = rob[(ramp - 1) % rob_entries]
                     ramp = stop + 1
         finally:
-            l1i.stats.add_hits(hits[0])
-            l1d.stats.add_hits(hits[1])
+            l1i.stats.hits += hits[0]
+            l1d.stats.hits += hits[1]
         machine.pc = pc
         machine.instructions_retired = done
 

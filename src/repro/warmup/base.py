@@ -19,9 +19,11 @@ Lifecycle per sampled run::
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
-from ..cache import mru_names
+from ..branch import STRONG_NOT_TAKEN, STRONG_TAKEN
+from ..cache import WritePolicy, mru_names
 from ..functional.blocks import Emitter, mru_test
 from ..telemetry import NULL_TELEMETRY
 
@@ -79,51 +81,106 @@ class WarmupCost:
         }
 
 
-def _mru_test(address: str, ifetch: bool) -> list[str]:
+def _mru_read(address: str, ifetch: bool) -> list[str]:
     """A read or ifetch of `address`: count an L1 MRU hit, call
     ``warm_access`` otherwise."""
     cache = "I" if ifetch else "D"
-    return [f"s = {address} // {cache}L % {cache}N",
-            *mru_test(cache, "s", f"{address} // {cache}T", [],
+    return [f"s = {address} // {cache}L",
+            *mru_test(cache, f"s % {cache}N", "s", [],
                       [f"wa({address}, False, {ifetch})"])]
 
 
 class _WarmEmitter(Emitter):
     """Functional warming, emitted into the translated blocks.
 
-    A read or ifetch first tests the MRU way of its L1 set in the block
-    and counts a hit; anything else (a non-MRU hit, a miss, any store)
-    and every control transfer are direct calls of ``warm_access`` and
-    ``update``.  :meth:`fold` adds the counted hits to the L1s'
-    :class:`~repro.cache.CacheStats`.
+    A read or ifetch first tests the MRU line of its L1 set in the block
+    and counts a hit.  A conditional branch trains the Gshare counter
+    and, taken, the BTB entry in the block, with its pc and BTB slot
+    constants, and counts both updates.  Under a write-through L1D over
+    a write-back L2, a store whose line is MRU in its L1D and L2 sets
+    counts both hits and marks the L2 line dirty in the block.
+    Everything else (a non-MRU hit, a miss, any other store, any other
+    transfer) calls ``warm_access`` or ``update``.  :meth:`fold` adds
+    the counts to the caches' :class:`~repro.cache.CacheStats` and the
+    predictor's update counters.
+
+    The emitted code depends on the write policies and the BTB size,
+    so each pair of policies and BTB size has a subclass of its own
+    (:func:`_warm_emitter_class`), whose :attr:`kind` keys its block
+    tables.
     """
 
     kind = "warm"
-    params = ("wa", "up", "hc", "IR", "IO", "IL", "IN", "IT",
-              "DR", "DO", "DL", "DN", "DT")
+    params = ("wa", "up", "hc", "IR", "IL", "IN", "DR", "DL", "DN",
+              "LR", "LL", "LN", "LD", "GP", "GC", "GM", "GH", "BT", "BX")
+    #: Does a store that hits the MRU lines of its L1D and L2 sets run in
+    #: the block?  Only under a write-through L1D and a write-back L2,
+    #: where such a store changes the L2's dirty lines and nothing else.
+    stores_in_line = False
+    #: The BTB's index mask, which makes a branch's BTB slot a constant.
+    btb_mask = 0
 
     def __init__(self, hierarchy, predictor) -> None:
-        l1i, l1d = hierarchy.l1i, hierarchy.l1d
-        self._stats = (l1i.stats, l1d.stats)
-        self._hits = [0, 0]
-        super().__init__(hierarchy.warm_access, predictor.update, self._hits,
-                         *mru_names(l1i), *mru_names(l1d))
+        l1i, l1d, l2 = hierarchy.caches()
+        pht, btb = predictor.pht, predictor.btb
+        self._counted = (l1i.stats, l1d.stats, l2.stats, pht, btb)
+        # L1I, L1D and L2 hits, then PHT and BTB updates.
+        self._counts = [0] * 5
+        super().__init__(hierarchy.warm_access, predictor.update,
+                         self._counts, *mru_names(l1i), *mru_names(l1d),
+                         *mru_names(l2), l2.dirty, pht, pht.counters,
+                         pht._mask, pht._history_mask, btb.tags, btb.targets)
 
-    @staticmethod
-    def memory(pc, retired, address, ref) -> list[str]:
-        if ref == 1:
-            return [f"wa({address}, True, False)"]
-        return _mru_test(address, ref == 2)
+    @classmethod
+    def memory(cls, pc, retired, address, ref) -> list[str]:
+        if ref != 1:
+            return _mru_read(address, ref == 2)
+        store = f"wa({address}, True, False)"
+        if not cls.stores_in_line:
+            return [store]
+        return [f"s = {address} // DL", f"t = {address} // LL",
+                "if DR[s % DN][0] == s and LR[t % LN][0] == t:",
+                "    hc[1] += 1; hc[2] += 1; LD.add(t)",
+                "else:", f"    {store}"]
 
-    @staticmethod
-    def transfer(pc, next_pc, inst, taken, retired) -> list[str]:
-        return [f"up({pc}, I[{pc}], {taken}, {next_pc})"]
+    @classmethod
+    def transfer(cls, pc, next_pc, inst, taken, retired) -> list[str]:
+        if not inst.is_cond_branch:
+            return [f"up({pc}, I[{pc}], {taken}, {next_pc})"]
+        # BranchPredictor.update's conditional rule, over the GHR read
+        # once.
+        lines = ["g = GP.history", f"j = ({pc} ^ g) & GM", "c = GC[j]"]
+        if not taken:
+            return lines + [f"if c > {STRONG_NOT_TAKEN}: GC[j] = c - 1",
+                            "GP.history = (g << 1) & GH", "hc[3] += 1"]
+        slot = pc & cls.btb_mask
+        return lines + [f"if c < {STRONG_TAKEN}: GC[j] = c + 1",
+                        "GP.history = (g << 1 | 1) & GH",
+                        f"BT[{slot}] = {pc}; BX[{slot}] = {next_pc}",
+                        "hc[3] += 1; hc[4] += 1"]
 
     def fold(self) -> None:
-        hits = self._hits
-        for index, stats in enumerate(self._stats):
-            stats.add_hits(hits[index])
-            hits[index] = 0
+        counts = self._counts
+        l1i, l1d, l2, pht, btb = self._counted
+        l1i.hits += counts[0]
+        l1d.hits += counts[1]
+        l2.hits += counts[2]
+        pht.updates += counts[3]
+        btb.updates += counts[4]
+        counts[:] = (0,) * 5
+
+
+@functools.cache
+def _warm_emitter_class(l1d_policy, l2_policy, btb_mask: int) -> type:
+    """The :class:`_WarmEmitter` subclass for an L1D and L2 write policy
+    and a BTB index mask: its :attr:`~_WarmEmitter.kind` names all
+    three, so a block compiled for one hierarchy never runs for another."""
+    return type("_WarmEmitter", (_WarmEmitter,), {
+        "kind": ("warm", l1d_policy.name, l2_policy.name, btb_mask),
+        "stores_in_line": (l1d_policy is WritePolicy.WTNA
+                           and l2_policy is WritePolicy.WBWA),
+        "btb_mask": btb_mask,
+    })
 
 
 def warming_hooks(hierarchy, predictor, warm_cache: bool = True,
@@ -135,25 +192,34 @@ def warming_hooks(hierarchy, predictor, warm_cache: bool = True,
     every fetched instruction block goes through
     ``MemoryHierarchy.warm_access`` when `warm_cache`, and every control
     transfer trains ``BranchPredictor.update`` when `warm_predictor`.
-    The callables hold bound methods only.  The emitter also binds the
-    L1s' tag rows and recency orders (``Cache._tag_rows``, ``order``) as
-    they are now: ``load_state`` and ``WarmState.restore`` rebind those
-    lists, so build the hooks for each run and never keep
-    them across one of those calls.  Nothing a warm run calls rebinds
-    them.
+    The callables hold bound methods only.
 
     The translated blocks make those calls directly, through the
     ``emitter``, with no hook frame in between and without writing the
     machine's ``pc`` and ``instructions_retired`` first: neither
-    ``warm_access`` nor ``update`` reads the machine.  A read or ifetch
-    that hits the MRU way of its L1 set changes nothing but that L1's
-    counters, so the blocks test for it in line and count it; ``run``
-    adds the counts to the L1s' stats before it returns or raises.  The
-    callables serve the instructions ``run`` steps one at a time.
+    ``warm_access`` nor ``update`` reads the machine.  What changes
+    nothing but counters and state the blocks can reach, they apply in
+    line: a read or ifetch that hits its L1 set's MRU line, a
+    conditional branch's training, and (write-through L1D, write-back
+    L2) a store whose line is MRU in both its sets.  ``run`` adds the
+    counts to the caches' and the predictor's counters before it returns
+    or raises.  The callables serve the instructions ``run`` steps one
+    at a time.
+
+    The emitter binds, as they are when it is built, the caches' rows
+    (``Cache.rows``), the L2's dirty set, the PHT's counters and the
+    BTB's tag and target lists.  ``Cache.load_state`` keeps its rows'
+    and dirty set's identity, but ``BranchPredictor.load_state`` (and
+    so ``WarmState.restore``) replaces the predictor's lists: build the
+    hooks for each run, and never keep them across one of those calls.
+    Nothing a warm run calls rebinds them.
     """
     access, update = hierarchy.warm_access, predictor.update
+    emitter = _warm_emitter_class(hierarchy.config.l1d.write_policy,
+                                  hierarchy.config.l2.write_policy,
+                                  predictor.btb._mask)
     hooks = {"ifetch_block_bytes": hierarchy.l1i.config.line_bytes,
-             "emitter": _WarmEmitter(hierarchy, predictor)}
+             "emitter": emitter(hierarchy, predictor)}
     if warm_cache:
 
         def mem_hook(pc, next_pc, address, is_store, _access=access):

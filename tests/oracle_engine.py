@@ -28,12 +28,17 @@ against, bit for bit:
 - :func:`scalar_btb_scan` — one ``btb.reconstruct`` call per claim,
   newest first;
 - :func:`reference_cache_access` — ``Cache.access`` as an
-  ``enumerate`` scan of the set that allocates a
+  ``enumerate`` scan of the set's row that allocates a
   :class:`ReferenceAccessResult` per access and computes the evicted
   address eagerly;
+- :class:`WayIndexedCache` — a cache of its own in the way-indexed
+  layout (tags by way, a recency order of way indices, dirty bits by
+  way), which the fuzz tests compare ``Cache`` with by what an access
+  shows;
 - :func:`reference_timed_access`, :func:`reference_l2_fill` and
   :func:`reference_warm_access` — ``MemoryHierarchy``'s access paths
-  over :func:`reference_cache_access`, branching on its result object;
+  over :func:`reference_cache_access` (or over
+  :class:`WayIndexedCache` caches), branching on its result object;
 - :func:`chained_predictor_update` — ``BranchPredictor.update`` as
   the call chain through the per-structure training methods
   :func:`pht_update` (:func:`push_history`, ``update_counter``),
@@ -60,6 +65,7 @@ import contextlib
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 from unittest import mock
 
 from repro.branch import BranchPredictor, update_counter
@@ -340,7 +346,8 @@ def step_driven_run(self, max_instructions: int,
 
 @dataclass
 class ReferenceAccessResult:
-    """Outcome of one :func:`reference_cache_access`."""
+    """Outcome of one :func:`reference_cache_access` or
+    :meth:`WayIndexedCache.access`."""
 
     hit: bool
     #: Byte address of a dirty line written back, or None.
@@ -351,28 +358,16 @@ class ReferenceAccessResult:
 
 def reference_cache_access(self, address: int,
                            is_write: bool = False) -> ReferenceAccessResult:
-    """Twin of :meth:`Cache.access` (same contract)."""
+    """Twin of :meth:`Cache.access` (same contract) over the same rows."""
     stats = self.stats
-    stats.accesses += 1
-    stats.updates += 1
     line = address >> self._line_shift
-    if self._sets_power_of_two:
-        set_index = line & self._index_mask
-        tag = line >> self._set_bits
-    else:
-        set_index = line % self.num_sets
-        tag = line // self.num_sets
-    row = self._tag_rows[set_index]
-    order = self.order[set_index]
-
-    for way, stored in enumerate(row):
-        if stored == tag:
+    row = self.rows[line % self.num_sets]
+    for position, stored in enumerate(row):
+        if stored == line:
             stats.hits += 1
-            if order[0] != way:
-                order.remove(way)
-                order.insert(0, way)
+            row.insert(0, row.pop(position))
             if is_write and self._wbwa:
-                self.dirty_bits[set_index * self.associativity + way] = 1
+                self.dirty.add(line)
             return ReferenceAccessResult(hit=True)
 
     stats.misses += 1
@@ -380,21 +375,19 @@ def reference_cache_access(self, address: int,
         # Write miss with no-write-allocate: the line is not brought in.
         return ReferenceAccessResult(hit=False)
 
-    victim = order[-1]
-    base = set_index * self.associativity
-    evicted_tag = row[victim]
+    evicted = row[-1]
     writeback_address = None
     evicted_address = None
-    if evicted_tag >= 0:
-        evicted_address = self._address_of(set_index, evicted_tag)
+    if evicted >= 0:
+        evicted_address = evicted << self._line_shift
         stats.evictions += 1
-        if self.dirty_bits[base + victim]:
+        if evicted in self.dirty:
             stats.writebacks += 1
             writeback_address = evicted_address
-    row[victim] = tag
-    self.dirty_bits[base + victim] = 1 if is_write and self._wbwa else 0
-    order.remove(victim)
-    order.insert(0, victim)
+    self.dirty.discard(evicted)
+    if is_write and self._wbwa:
+        self.dirty.add(line)
+    row[:] = [line] + row[:-1]
     return ReferenceAccessResult(
         hit=False,
         writeback_address=writeback_address,
@@ -402,11 +395,112 @@ def reference_cache_access(self, address: int,
     )
 
 
+class WayIndexedCache:
+    """A set-associative true-LRU cache in the way-indexed layout: per
+    set a row of tags by way (−1 invalid), an ``order`` list of way
+    indices from most- to least-recently used, and per-block dirty bits.
+
+    It shares no state or code with :class:`~repro.cache.Cache`, so the
+    fuzz tests check a change of ``Cache``'s layout against a rule that
+    the change leaves alone; they compare the two by what an access
+    shows: its result, the counters, each set's lines in recency order,
+    and the dirty lines.  :meth:`access` returns a
+    :class:`ReferenceAccessResult`, and the hierarchy twins below accept
+    a :class:`~repro.cache.MemoryHierarchy` whose caches are these.
+    """
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.num_sets = config.num_sets
+        self.associativity = config.associativity
+        self._line_bytes = config.line_bytes
+        self._wbwa = config.write_policy is WritePolicy.WBWA
+        self._wtna = config.write_policy is WritePolicy.WTNA
+        sets, ways = self.num_sets, self.associativity
+        self.tags = [[-1] * ways for _ in range(sets)]
+        self.order = [list(range(ways)) for _ in range(sets)]
+        self.dirty_bits = [[False] * ways for _ in range(sets)]
+        self.stats = SimpleNamespace(hits=0, misses=0, evictions=0,
+                                     writebacks=0)
+
+    def _split(self, address: int) -> tuple[int, int]:
+        line = address // self._line_bytes
+        return line % self.num_sets, line // self.num_sets
+
+    def _address(self, set_index: int, tag: int) -> int:
+        return (tag * self.num_sets + set_index) * self._line_bytes
+
+    def access(self, address: int,
+               is_write: bool = False) -> ReferenceAccessResult:
+        """One forward access, honouring the write policy."""
+        stats = self.stats
+        set_index, tag = self._split(address)
+        tags = self.tags[set_index]
+        order = self.order[set_index]
+        dirty = self.dirty_bits[set_index]
+        for way, stored in enumerate(tags):
+            if stored == tag:
+                stats.hits += 1
+                order.remove(way)
+                order.insert(0, way)
+                if is_write and self._wbwa:
+                    dirty[way] = True
+                return ReferenceAccessResult(hit=True)
+        stats.misses += 1
+        if is_write and self._wtna:
+            return ReferenceAccessResult(hit=False)
+        victim = order[-1]
+        result = ReferenceAccessResult(hit=False)
+        if tags[victim] >= 0:
+            result.evicted_address = self._address(set_index, tags[victim])
+            stats.evictions += 1
+            if dirty[victim]:
+                stats.writebacks += 1
+                result.writeback_address = result.evicted_address
+        tags[victim] = tag
+        dirty[victim] = is_write and self._wbwa
+        order.remove(victim)
+        order.insert(0, victim)
+        return result
+
+    def mru_order(self, set_index: int) -> list[int]:
+        """The line addresses resident in set `set_index`, most recently
+        used first."""
+        tags = self.tags[set_index]
+        return [self._address(set_index, tags[way])
+                for way in self.order[set_index] if tags[way] >= 0]
+
+    def dirty_lines(self) -> set[int]:
+        """The line addresses of the dirty resident lines."""
+        return {self._address(set_index, tag)
+                for set_index, (tags, dirty) in enumerate(
+                    zip(self.tags, self.dirty_bits))
+                for tag, bit in zip(tags, dirty) if bit}
+
+    def export_state(self) -> dict:
+        return {"tags": [list(row) for row in self.tags],
+                "order": [list(row) for row in self.order],
+                "dirty": [list(row) for row in self.dirty_bits]}
+
+    def load_state(self, state: dict) -> None:
+        self.tags = [list(row) for row in state["tags"]]
+        self.order = [list(row) for row in state["order"]]
+        self.dirty_bits = [list(row) for row in state["dirty"]]
+
+
+def _access(cache, address: int, is_write: bool) -> ReferenceAccessResult:
+    """One access of a :class:`WayIndexedCache`, or of a production
+    ``Cache`` through :func:`reference_cache_access`."""
+    if isinstance(cache, WayIndexedCache):
+        return cache.access(address, is_write)
+    return reference_cache_access(cache, address, is_write)
+
+
 def reference_l2_fill(self, address: int, is_write: bool, now: int) -> int:
     """Twin of ``MemoryHierarchy._l2_fill`` (same contract)."""
     config = self.config
     line_bytes = config.l2.line_bytes
-    result = reference_cache_access(self.l2, address, is_write)
+    result = _access(self.l2, address, is_write)
     time = now + config.l2.hit_latency
     if not result.hit:
         self.memory_accesses += 1
@@ -423,7 +517,7 @@ def reference_timed_access(self, address: int, is_write: bool,
     l1 = self.l1i if is_instruction else self.l1d
     l1_wtna = l1.config.write_policy is WritePolicy.WTNA
     hit_latency = l1.config.hit_latency
-    result = reference_cache_access(l1, address, is_write)
+    result = _access(l1, address, is_write)
     if result.hit:
         if is_write and l1_wtna:
             # The write-through drains in the background.
@@ -449,17 +543,17 @@ def reference_warm_access(self, address: int, is_write: bool,
     """Twin of :meth:`MemoryHierarchy.warm_access` (same contract)."""
     l1 = self.l1i if is_instruction else self.l1d
     l1_wtna = l1.config.write_policy is WritePolicy.WTNA
-    result = reference_cache_access(l1, address, is_write)
+    result = _access(l1, address, is_write)
     if result.hit:
         if is_write and l1_wtna:
-            reference_cache_access(self.l2, address, True)
+            _access(self.l2, address, True)
         return
     if is_write and l1_wtna:
-        reference_cache_access(self.l2, address, True)
+        _access(self.l2, address, True)
         return
-    reference_cache_access(self.l2, address, is_write)
+    _access(self.l2, address, is_write)
     if result.writeback_address is not None:
-        reference_cache_access(self.l2, result.writeback_address, True)
+        _access(self.l2, result.writeback_address, True)
 
 
 def push_history(pht, taken: bool) -> None:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache import Cache, CacheConfig, WritePolicy
 from repro.cache.cache import HIT, MISS
-from tests.cache_state import resident
+from tests.cache_state import dirty_lines, mru_order, resident, set_of
 
 
 def make_cache(size=1024, line=64, assoc=4,
@@ -42,19 +42,19 @@ class TestConfigValidation:
 
 
 class TestAddressMath:
-    def test_split_roundtrip(self):
+    def test_line_roundtrip(self):
         cache = make_cache()
         for address in (0x0, 0x40, 0x1000, 0xDEADBEC0):
-            set_index, tag = cache.split_address(address)
-            rebuilt = cache._address_of(set_index, tag)
+            cache.access(address)
+            rebuilt = mru_order(cache, set_of(cache, address))[0]
             assert rebuilt == address & -64
 
-    def test_same_set_different_tags(self):
+    def test_same_set_different_lines(self):
         cache = make_cache()  # 4 sets, 64B lines -> set stride 256B
-        s1, t1 = cache.split_address(0x000)
-        s2, t2 = cache.split_address(0x100)
-        assert s1 == s2
-        assert t1 != t2
+        assert set_of(cache, 0x000) == set_of(cache, 0x100)
+        cache.access(0x000)
+        cache.access(0x100)
+        assert mru_order(cache, set_of(cache, 0x000)) == [0x100, 0x000]
 
 
 class TestHitMiss:
@@ -135,7 +135,7 @@ class TestWritePolicies:
         cache = make_cache(policy=WritePolicy.WTNA)
         cache.access(0x0)
         cache.access(0x0, is_write=True)
-        assert not any(cache.dirty_bits)
+        assert not dirty_lines(cache)
 
     def test_wbwa_write_miss_allocates(self):
         cache = make_cache(policy=WritePolicy.WBWA)
@@ -182,8 +182,11 @@ class TestMaintenance:
         assert vars(fresh.stats) == vars(type(fresh.stats)())
         assert fresh.access(0x40) == MISS
         assert used.contents() == {0x0, 0x40}
-        rows = fresh._tag_rows
-        assert len({id(row) for row in rows}) == len(rows)
+        # Filling one set leaves every other set empty.
+        for way in range(fresh.associativity):
+            fresh.access(0x40 + way * fresh.num_sets * 64)
+        assert [len(mru_order(fresh, s)) for s in range(fresh.num_sets)] \
+            == [0, fresh.associativity, 0, 0]
 
     def test_contents_lists_lines(self):
         cache = make_cache()

@@ -11,7 +11,7 @@ from repro.cache import (
     MemoryHierarchy,
     WritePolicy,
 )
-from tests.cache_state import resident
+from tests.cache_state import mru_order, resident, set_of
 
 
 def wbwa_l1_hierarchy() -> MemoryHierarchy:
@@ -36,20 +36,20 @@ class TestNonPowerOfTwoSets:
         # 3 sets x 2 ways x 64B lines = 384 bytes.
         return Cache(CacheConfig("odd", 384, 64, 2, WritePolicy.WBWA, 1))
 
-    def test_split_roundtrip(self):
+    def test_line_roundtrip(self):
         cache = self.make()
         for address in (0x0, 0x40, 0x80, 0xC0, 0x1000, 0xABCD40):
-            set_index, tag = cache.split_address(address)
+            set_index = set_of(cache, address)
             assert 0 <= set_index < 3
-            assert cache._address_of(set_index, tag) == address & -64
+            cache.access(address)
+            assert mru_order(cache, set_index)[0] == address & -64
 
     def test_distinct_lines_distinct_slots(self):
-        cache = self.make()
-        seen = set()
         for line in range(30):
-            slot = cache.split_address(line * 64)
-            assert slot not in seen
-            seen.add(slot)
+            cache = self.make()
+            cache.access(line * 64)
+            assert [other for other in range(30)
+                    if resident(cache, other * 64)] == [line]
 
     def test_access_and_reconstruction_work(self):
         cache = self.make()
@@ -122,5 +122,4 @@ class TestReconstructionOnEmptyCache:
         assert cache.reconstruct_reference(0x0)
         assert resident(cache, 0x0)
         # The invalid companion way is untouched.
-        set_index, _ = cache.split_address(0x0)
-        assert cache._tag_rows[set_index].count(-1) == 1
+        assert mru_order(cache, set_of(cache, 0x0)) == [0x0]

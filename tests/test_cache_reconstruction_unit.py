@@ -2,7 +2,9 @@
 the paper's Figure 2 worked example."""
 
 from repro.cache import Cache, CacheConfig, WritePolicy
-from tests.cache_state import resident
+from tests.cache_state import (
+    dirty_lines, mru_order, reconstructed, resident, set_of,
+)
 
 
 def make_cache(assoc=4, sets=1, policy=WritePolicy.WTNA) -> Cache:
@@ -18,11 +20,6 @@ def fill_set(cache, tags):
         cache.access(tag)
 
 
-def mru_order(cache, set_index=0):
-    """Line tags from MRU to LRU (None for invalid ways)."""
-    return list(cache.state_fingerprint()[set_index])
-
-
 class TestFigure2Example:
     """Paper Figure 2: stale set [B, A, D, C] (MRU..LRU), forward stream
     E, A, F, C; normal simulation and reverse reconstruction must agree."""
@@ -34,16 +31,11 @@ class TestFigure2Example:
         self.E, self.F = 0x500, 0x600
         fill_set(self.cache, [self.C, self.D, self.A, self.B])
 
-    def tags_of(self, addresses):
-        return [self.cache.split_address(a)[1] for a in addresses]
-
     def test_forward_simulation_reference(self):
         for address in (self.E, self.A, self.F, self.C):
             self.cache.access(address)
         # Forward result: C MRU, then F, A, E.
-        assert mru_order(self.cache) == self.tags_of(
-            [self.C, self.F, self.A, self.E]
-        )
+        assert mru_order(self.cache, 0) == [self.C, self.F, self.A, self.E]
 
     def test_reverse_reconstruction_matches_forward(self):
         forward = make_cache(assoc=4, sets=1)
@@ -54,14 +46,14 @@ class TestFigure2Example:
         self.cache.begin_reconstruction()
         for address in (self.C, self.F, self.A, self.E):  # reverse order
             self.cache.reconstruct_reference(address)
-        assert mru_order(self.cache) == mru_order(forward)
+        assert mru_order(self.cache, 0) == mru_order(forward, 0)
 
     def test_reconstruction_ranks_by_discovery(self):
         self.cache.begin_reconstruction()
         self.cache.reconstruct_reference(self.C)
         self.cache.reconstruct_reference(self.F)
         # C discovered first -> MRU; F second.
-        assert mru_order(self.cache)[:2] == self.tags_of([self.C, self.F])
+        assert mru_order(self.cache, 0)[:2] == [self.C, self.F]
 
 
 class TestReconstructionRules:
@@ -77,7 +69,7 @@ class TestReconstructionRules:
         cache.begin_reconstruction()
         assert cache.reconstruct_reference(0x100)
         assert cache.reconstruct_reference(0x200)
-        assert cache.recon_count[0] == cache.associativity
+        assert len(reconstructed(cache, 0)) == cache.associativity
         assert not cache.reconstruct_reference(0x300)
         assert not resident(cache, 0x300)
 
@@ -103,19 +95,17 @@ class TestReconstructionRules:
         fill_set(cache, [0x100, 0x200, 0x300, 0x400])  # 0x400 MRU
         cache.begin_reconstruction()
         cache.reconstruct_reference(0x500)
-        order = mru_order(cache)
-        assert order[0] == cache.split_address(0x500)[1]
+        order = mru_order(cache, 0)
+        assert order[0] == 0x500
         # Stale survivors keep relative order behind the reconstructed one.
-        assert order[1:] == [cache.split_address(a)[1]
-                             for a in (0x400, 0x300, 0x200)]
+        assert order[1:] == [0x400, 0x300, 0x200]
 
     def test_wbwa_reconstructed_store_sets_dirty(self):
         cache = make_cache(policy=WritePolicy.WBWA)
         cache.begin_reconstruction()
         cache.reconstruct_reference(0x100, is_write=True)
-        set_index, _ = cache.split_address(0x100)
-        way = cache.order[set_index][0]
-        assert cache.dirty_bits[set_index * cache.associativity + way]
+        assert mru_order(cache, set_of(cache, 0x100))[0] == 0x100
+        assert 0x100 in dirty_lines(cache)
 
     def test_wtna_allocates_on_reconstructed_write(self):
         # Paper: "the block is allocated even if the access is a write".
@@ -129,8 +119,7 @@ class TestReconstructionRules:
         cache.begin_reconstruction()
         cache.reconstruct_reference(0x100)
         cache.begin_reconstruction()
-        assert cache.recon_count[0] == 0
-        assert not any(cache.recon_bits)
+        assert reconstructed(cache, 0) == []
         # The same reference applies again after a new begin.
         assert cache.reconstruct_reference(0x100)
 

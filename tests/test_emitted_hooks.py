@@ -35,6 +35,7 @@ from repro.sampling import build_simulation
 from repro.sampling.controller import WarmState
 from repro.warmup.base import warming_hooks
 from repro.workloads import PAPER_WORKLOADS, build_workload
+from tests.cache_state import full_state
 from tests.test_machine_batched import (
     LOOP_LENGTH, LOOP_TOPS, _mixed_program, _self_loop_program,
     machine_state,
@@ -153,8 +154,7 @@ def test_emitted_log_equals_callable_log(fraction, signature):
 
 
 def _warm_state(hierarchy, predictor) -> tuple:
-    caches = tuple((cache.export_state(), asdict(cache.stats))
-                   for cache in hierarchy.caches())
+    caches = tuple(full_state(cache) for cache in hierarchy.caches())
     counters = tuple(getattr(getattr(predictor, part), name)
                      for part, name in (("pht", "updates"), ("btb", "updates"),
                                         ("ras", "pushes"), ("ras", "pops")))
@@ -271,6 +271,51 @@ class TestMruFastPath:
             assert calls[0].calls < calls[1].calls, name
         assert fallbacks.calls > 0
 
+    @pytest.mark.parametrize("variant", ("paper", "wbwa"))
+    def test_store_fast_path_follows_the_write_policies(self, variant):
+        """Under the paper's write-through L1D over a write-back L2, a
+        store to a line MRU in both sets runs in the block; with a
+        write-back L1D every store calls ``warm_access``.  The two
+        hierarchies translate separate tables, and both leave the state
+        the callables leave."""
+        b = ProgramBuilder(name="stores")
+        b.li(5, 0x1000)
+        b.li(22, 200)
+        b.label("top")
+        b.load(4, 5, 0)
+        b.store(4, 5, 8)
+        b.addi(22, 22, -1)
+        b.bne(22, 0, "top")
+        b.halt()
+        program = b.build()
+        configs = _l1_variant(_configs(), variant)
+        sides, stores = [], []
+        for emitted in (True, False):
+            hierarchy = MemoryHierarchy(configs.hierarchy)
+            predictor = BranchPredictor(configs.predictor)
+            access = hierarchy.warm_access
+            calls = []
+
+            def counted(address, is_write, is_instruction,
+                        calls=calls, access=access):
+                calls.append(is_write)
+                access(address, is_write, is_instruction)
+
+            hierarchy.warm_access = counted
+            hooks = warming_hooks(hierarchy, predictor)
+            kind = type(hooks["emitter"]).kind
+            if not emitted:
+                del hooks["emitter"]
+            FunctionalMachine(program, Memory()).run(10 ** 4, **hooks)
+            sides.append(_warm_state(hierarchy, predictor))
+            stores.append(sum(calls))
+        assert sides[0] == sides[1]
+        assert stores[1] == 200
+        assert stores[0] == (0 if variant == "paper" else 200)
+        assert kind in {key[0] for key in predecode_program(program).blocks}
+        assert kind[1:3] == ((configs.hierarchy.l1d.write_policy.name,
+                              configs.hierarchy.l2.write_policy.name))
+
     def test_wild_pc_error_leaves_exact_stats(self):
         b = ProgramBuilder(name="wild-warm")
         b.li(5, 0x1000)
@@ -347,5 +392,6 @@ class TestSelfLoops:
                     chunk
 
             _lockstep(program, Memory(), hooks, 0, 10 ** 9, check, (chunk,))
-        table = predecode_program(program).blocks[("warm", True, True, 16)]
+        kind = type(hooks[0]["emitter"]).kind
+        table = predecode_program(program).blocks[(kind, True, True, 16)]
         assert table[top][1] == -LOOP_LENGTH

@@ -32,6 +32,8 @@ import functools
 import multiprocessing
 import os
 import socket
+import socketserver
+import struct
 import threading
 import time
 
@@ -639,6 +641,35 @@ def test_stop_answers_a_held_wait_at_once(tmp_path, monkeypatch):
     assert not holder.is_alive()
     assert answers == [(202, {"job_id": job_id, "state": "queued"})]
     assert stopped < 1.5
+
+
+def test_client_reset_before_its_request_line_prints_nothing(
+        tmp_path, monkeypatch, capfd):
+    """A client that sends part of a request line and resets the
+    connection leaves no traceback, and the next request is served."""
+    closed = threading.Event()
+    shutdown_request = socketserver.TCPServer.shutdown_request
+
+    def noted_shutdown(self, request):
+        shutdown_request(self, request)
+        closed.set()
+
+    monkeypatch.setattr(socketserver.TCPServer, "shutdown_request",
+                        noted_shutdown)
+    service = SimulationService(options=RunOptions(scale="ci"),
+                                cache=str(tmp_path / "cache"), port=0)
+    with service:
+        conn = socket.create_connection((service.host, service.port),
+                                        timeout=5)
+        conn.sendall(b"GET /resu")
+        # Linger 0: close() sends a reset instead of a FIN.
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        conn.close()
+        assert closed.wait(10), "the server never finished the request"
+        health = ServiceClient(service.url).health()
+    assert health["status"] == "ok"
+    assert capfd.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -651,7 +651,7 @@ class TestHookVisibleState:
         from repro.core import ReverseStateReconstruction
         from repro.harness import scale_from_env
         from repro.warmup import resolve_method
-        from repro.warmup.base import SimulationContext
+        from repro.warmup.base import SimulationContext, warming_hooks
 
         workload = build_workload(name, mem_scale=1, seed=11)
         configs = scale_from_env(default="ci").configs()
@@ -670,7 +670,10 @@ class TestHookVisibleState:
                 machine.run(chunk, **_hooks(trace, ("mem", "branch",
                                                     "ifetch")))
         assert traces[0].events == traces[1].events
-        assert {("log", True, True, 16), ("warm", True, True, 16),
+        warm = type(warming_hooks(MemoryHierarchy(configs.hierarchy),
+                                  BranchPredictor(configs.predictor))[
+            "emitter"]).kind
+        assert {("log", True, True, 16), (warm, True, True, 16),
                 ("hooks", True, True, 16)} <= set(
             predecode_program(workload.program).blocks)
 

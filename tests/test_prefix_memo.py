@@ -28,6 +28,7 @@ from repro.sampling.controller import (
 )
 from repro.warmup import registered_method_names, resolve_method
 from repro.workloads import build_workload, cached_workload
+from tests.cache_state import full_state
 from tests.oracle_engine import reference_engine, sampled_run_record
 
 CI = SCALES["ci"]
@@ -48,9 +49,7 @@ def _state(stack) -> dict:
         "retired": machine.instructions_retired,
         "halted": machine.halted,
         "last_fetch": machine._last_fetch,
-        "caches": [(cache.export_state(), dataclasses.asdict(cache.stats),
-                    bytes(cache.recon_bits), list(cache.recon_count))
-                   for cache in hierarchy.caches()],
+        "caches": [full_state(cache) for cache in hierarchy.caches()],
         "memory_accesses": hierarchy.memory_accesses,
         "predictor": predictor.export_state(),
         "predictor_counters": (

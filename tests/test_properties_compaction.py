@@ -37,6 +37,7 @@ from repro.sampling import SampledSimulator, SamplingRegimen
 from repro.telemetry import Telemetry
 from repro.workloads import build_workload
 from repro.workloads.generator import Workload
+from tests.cache_state import dirty_lines
 from tests.oracle_engine import (
     OnDemandPHT, on_demand_engine, reference_engine, settle_pht,
 )
@@ -161,17 +162,8 @@ FOLD_SCHEDULES = {
 
 
 def cache_state(cache):
-    """Fingerprint plus per-set (tag, dirty) pairs — the full visible state."""
-    assoc = cache.associativity
-    dirty = tuple(
-        frozenset(
-            (tag, cache.dirty_bits[set_index * assoc + way])
-            for way, tag in enumerate(row)
-            if tag >= 0
-        )
-        for set_index, row in enumerate(cache._tag_rows)
-    )
-    return cache.state_fingerprint(), dirty
+    """Fingerprint plus the dirty lines — the full visible state."""
+    return cache.state_fingerprint(), dirty_lines(cache)
 
 
 def predictor_state(predictor):

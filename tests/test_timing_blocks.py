@@ -33,6 +33,7 @@ from repro.timing import CoreConfig, TimingSimulator
 from repro.timing import blocks as timing_blocks
 from repro.warmup import registered_method_names
 from repro.workloads import PAPER_WORKLOADS, build_workload
+from tests.cache_state import full_state
 from tests.oracle_engine import (
     reference_engine, sampled_run_record, step_driven_run,
 )
@@ -59,8 +60,7 @@ def snapshot(simulator: TimingSimulator) -> tuple:
     return (
         machine.pc, machine.halted, machine.instructions_retired,
         tuple(machine.registers), dict(machine.memory._words),
-        [dict(vars(cache.stats)) for cache in hierarchy.caches()],
-        [cache.export_state() for cache in hierarchy.caches()],
+        [full_state(cache) for cache in hierarchy.caches()],
         [(bus.busy_until, bus.transfers, bus.bytes_moved,
           bus.contention_cycles)
          for bus in (hierarchy.l1_bus, hierarchy.l2_bus)],

@@ -2,13 +2,14 @@
 
 ``Cache.access`` and ``BranchPredictor.update`` are the primitives every
 warm-up method's skip, the steady-state prefix and the hot core share.
-Their straightforward versions are the reference engine's
-(tests/oracle_engine.py): an ``enumerate`` scan that allocates a result
-per access, the hierarchy's access paths over it, and a call chain
-through per-structure training methods.
-These tests drive both with the same random streams and require the
-same results and the same state after every operation, then check the
-warm-up methods built on them end to end.
+Their straightforward versions live in tests/oracle_engine.py: a cache
+of its own in the way-indexed layout (``WayIndexedCache``), the
+hierarchy's access paths over it, and a call chain through
+per-structure training methods.  These tests drive both with the same
+random streams and require the same results and the same observable
+state after every operation (counters, each set's lines in recency
+order, dirty lines), then check the warm-up methods built on them end
+to end.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ from repro.sampling import SampledSimulator
 from repro.telemetry import Telemetry
 from repro.warmup import BLRLWarmup, MRRLWarmup, resolve_method
 from repro.workloads import build_workload
+from tests.cache_state import full_state, observable
 from tests.oracle_engine import (
+    WayIndexedCache,
     chained_predictor_update,
-    reference_cache_access,
     reference_engine,
     reference_timed_access,
     reference_warm_access,
@@ -48,10 +50,15 @@ LINE = 64
 OPERATIONS = 1500
 
 
-def _cache_state(cache: Cache) -> tuple:
-    return (vars(cache.stats), [list(row) for row in cache._tag_rows],
-            bytes(cache.dirty_bits), bytes(cache.recon_bits),
-            list(cache.recon_count), [list(row) for row in cache.order])
+def _observable(cache) -> tuple:
+    """:func:`tests.cache_state.observable` of a production cache, or
+    the same view of a :class:`WayIndexedCache`."""
+    if not isinstance(cache, WayIndexedCache):
+        return observable(cache)
+    stats = cache.stats
+    return ((stats.hits, stats.misses, stats.evictions, stats.writebacks),
+            [cache.mru_order(s) for s in range(cache.num_sets)],
+            cache.dirty_lines())
 
 
 def _access_code(result) -> int:
@@ -71,27 +78,29 @@ class TestCacheAccessFuzz:
     def test_matches_reference(self, policy, num_sets, associativity):
         config = CacheConfig("fuzz", num_sets * associativity * LINE, LINE,
                              associativity, policy, 1)
-        production, reference = Cache(config), Cache(config)
+        production, reference = Cache(config), WayIndexedCache(config)
         rng = random.Random(f"{policy.name}/{num_sets}/{associativity}")
         # Three times the capacity in lines, so hits, clean and dirty
         # evictions and fills into invalid ways all occur.
         lines = 3 * num_sets * associativity
-        snapshot = None
+        snapshots = None
         for step in range(OPERATIONS):
             if step == OPERATIONS // 3:
-                snapshot = production.export_state()
+                snapshots = (production.export_state(),
+                             reference.export_state())
             elif step == OPERATIONS // 2:
-                production, reference = Cache(config), Cache(config)
+                production, reference = Cache(config), \
+                    WayIndexedCache(config)
             elif step == 2 * OPERATIONS // 3:
-                production.load_state(snapshot)
-                reference.load_state(snapshot)
+                production.load_state(snapshots[0])
+                reference.load_state(snapshots[1])
             address = rng.randrange(lines) * LINE + rng.randrange(LINE)
             is_write = rng.random() < 0.4
             got = production.access(address, is_write)
-            want = reference_cache_access(reference, address, is_write)
+            want = reference.access(address, is_write)
             assert got == _access_code(want), \
                 f"step {step}: access({address:#x}, {is_write})"
-            assert _cache_state(production) == _cache_state(reference), \
+            assert _observable(production) == _observable(reference), \
                 f"step {step}: access({address:#x}, {is_write})"
 
 
@@ -109,8 +118,17 @@ def _hierarchy_config(l1_policy: WritePolicy, num_sets: int):
         l2=cache("L2", 2 * num_sets, 4, WritePolicy.WBWA, 8))
 
 
+def _hierarchy_pair(config) -> tuple:
+    """A production hierarchy and its reference twin, whose caches are
+    :class:`WayIndexedCache` instances."""
+    reference = MemoryHierarchy(config)
+    reference.l1i, reference.l1d, reference.l2 = (
+        WayIndexedCache(cache.config) for cache in reference.caches())
+    return MemoryHierarchy(config), reference
+
+
 def _hierarchy_state(hierarchy: MemoryHierarchy) -> tuple:
-    return ([_cache_state(cache) for cache in hierarchy.caches()],
+    return ([_observable(cache) for cache in hierarchy.caches()],
             vars(hierarchy.l1_bus), vars(hierarchy.l2_bus),
             hierarchy.memory_accesses)
 
@@ -129,16 +147,16 @@ def _both(production, reference, warm, address, is_write,
 
 class TestHierarchyFuzz:
     """``timed_access`` and ``warm_access`` against the reference
-    engine's twins: latency, buses, memory accesses and every cache's
-    state and stats after every access."""
+    engine's twins over :class:`WayIndexedCache` caches: latency, buses,
+    memory accesses and every cache's observable state after every
+    access."""
 
     @pytest.mark.parametrize("num_sets", (4, 6), ids=("pow2", "non-pow2"))
     @pytest.mark.parametrize("l1_policy", tuple(WritePolicy),
                              ids=lambda policy: policy.name)
     def test_matches_reference(self, l1_policy, num_sets):
         config = _hierarchy_config(l1_policy, num_sets)
-        production, reference = MemoryHierarchy(config), \
-            MemoryHierarchy(config)
+        production, reference = _hierarchy_pair(config)
         rng = random.Random(f"{l1_policy.name}/{num_sets}")
         lines = 3 * config.l2.size_bytes // LINE
         now = 0
@@ -161,8 +179,7 @@ class TestHierarchyFuzz:
     def test_dirty_l1_victim_at_address_zero(self, num_sets, warm):
         """A WBWA L1's dirty line 0 is written back to L2 when evicted."""
         config = _hierarchy_config(WritePolicy.WBWA, num_sets)
-        production, reference = MemoryHierarchy(config), \
-            MemoryHierarchy(config)
+        production, reference = _hierarchy_pair(config)
         stride = num_sets * LINE  # the next line of L1 set 0
         for address, is_write in ((0, True), (stride, False),
                                   (2 * stride, False)):
@@ -180,8 +197,7 @@ class TestHierarchyFuzz:
     def test_dirty_l2_victim_at_address_zero(self, num_sets):
         """The L2's dirty line 0 drains across the L2 bus when evicted."""
         config = _hierarchy_config(WritePolicy.WTNA, num_sets)
-        production, reference = MemoryHierarchy(config), \
-            MemoryHierarchy(config)
+        production, reference = _hierarchy_pair(config)
         stride = 2 * num_sets * LINE  # the next line of L2 set 0
         accesses = [(0, True)] + [(k * stride, False) for k in range(1, 5)]
         for step, (address, is_write) in enumerate(accesses):
@@ -215,8 +231,8 @@ class TestWarmAccessFuzz:
             is_write = not is_instruction and rng.random() < 0.4
             warmed.warm_access(address, is_write, is_instruction)
             timed.timed_access(address, is_write, is_instruction, 10 * step)
-            assert [_cache_state(cache) for cache in warmed.caches()] \
-                == [_cache_state(cache) for cache in timed.caches()], \
+            assert [full_state(cache) for cache in warmed.caches()] \
+                == [full_state(cache) for cache in timed.caches()], \
                 f"step {step}: {address:#x} write={is_write} " \
                 f"instruction={is_instruction}"
 
